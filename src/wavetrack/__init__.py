@@ -45,12 +45,14 @@ from .coupling import (
     CoefficientField,
     DegenerateFieldError,
     FieldSlice,
+    InconsistentFieldError,
     WeightField,
     WeightSlice,
     build_coefficient,
     build_weight,
     classify,
     export_jumps_csv,
+    timeline,
 )
 from .fluxes import (
     FluxModel,
@@ -118,6 +120,7 @@ __all__ = [
     "FrontTrackingRun",
     "FunctionalReport",
     "GainCapReport",
+    "InconsistentFieldError",
     "InteractionEvent",
     "LAX",
     "MaxPrincipleReport",
@@ -168,6 +171,7 @@ __all__ = [
     "secant_speed",
     "solve_riemann",
     "sup_norm",
+    "timeline",
     "total_variation",
     "weighted_identity_report",
     "weighted_l1_norm",

@@ -13,7 +13,7 @@ hand-built :class:`StaticField`.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 
 from .coupling import (
@@ -23,10 +23,10 @@ from .coupling import (
     SLOW,
     ClassifiedJump,
     CoefficientField,
+    FieldSlice,
     classify,
-    _collapse_steps,
+    timeline,
 )
-from .coupling import FieldSlice
 from .tracking import FrontTrackingRun
 
 ANCHOR_TOL = 1e-9
@@ -101,15 +101,13 @@ class StaticField:
                     front_uid=i,
                 )
             )
-        zero = [v - v for v in self.region_values]
         return FieldSlice(
             time=t,
             jumps=tuple(jumps),
             a_values=self.region_values,
-            uI_values=tuple(zero),
+            uI_values=tuple(v - v for v in self.region_values),
             uII_values=self.kappa_values,
-            a_profile=_collapse_steps(positions, list(self.region_values)),
-            psi=_collapse_steps(positions, list(self.kappa_values)),
+            psi_values=self.kappa_values,
         )
 
     def event_times(self, s, t):
@@ -312,12 +310,9 @@ def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
     """
     if not t0 < t_end:
         raise ValueError("need t0 < t_end")
-    boundaries = [t0] + list(field.event_times(t0, t_end)) + [t_end]
     path = CharacteristicPath()
     x = x0
-    for T0, T1 in zip(boundaries, boundaries[1:]):
-        mid = T0 + (T1 - T0) / 2
-        fslice = field.at(mid)
+    for T0, T1, fslice in timeline(field, t0, t_end):
         state = _state_at(field, fslice, x, T0, backward=False,
                           tie_bias=tie_bias)
         state, x = _advance_forward(field, fslice, state, x, T0, T1,
@@ -390,13 +385,10 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
     if not t_stop < t0:
         raise ValueError("need t_stop < t0")
     tie_bias = 1 if extremal == "min" else -1
-    boundaries = [t_stop] + list(field.event_times(t_stop, t0)) + [t0]
     rev_segments = []
     x = x0
-    for T0, T1 in zip(boundaries[:-1][::-1], boundaries[1:][::-1]):
+    for T0, T1, fslice in timeline(field, t_stop, t0, reverse=True):
         # walking the interval [T0, T1] from T1 down to T0
-        mid = T0 + (T1 - T0) / 2
-        fslice = field.at(mid)
         state = _state_at(field, fslice, x, T1, backward=True,
                           tie_bias=tie_bias)
         chunk = []
@@ -453,9 +445,9 @@ class OleinikReport:
         }
 
 
-def _run_fan_slope(run: FrontTrackingRun, t):
-    """Largest t * (state step) / (gap) over adjacent fan-member pairs."""
-    fronts = run.fronts_at(t)
+def _run_fan_slope(fronts, t):
+    """Largest t * (state step) / (gap) over adjacent fan-member pairs of
+    one run's fronts alive at t, in position order."""
     best = 0
     for f, g in zip(fronts, fronts[1:]):
         if f.kind != "fan" or g.kind != "fan":
@@ -516,8 +508,11 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                             f"t={t}: fan-borne coefficient jump {da} exceeds "
                             f"the resolution allowance {cap} at x={j.position}"
                         )
-            cI = _run_fan_slope(target.run_I, t)
-            cII = _run_fan_slope(target.run_II, t)
+            cI, cII = (
+                _run_fan_slope([target.front_of(j) for j in fs.jumps
+                                if j.partition == part], t)
+                for part in ("I", "II")
+            )
             fan_slope = max(fan_slope, cI, cII)
             spread = max(spread, f2 * (cI + cII) / 2)
             c0 = target.flux.convexity_modulus
@@ -535,7 +530,8 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
         c0 = target.flux.convexity_modulus
         f2 = target.flux.sup_f2
         for t in times:
-            for f in target.fronts_at(t):
+            fronts = target.fronts_at(t)
+            for f in fronts:
                 if f.kind == "shock" and f.left_state - f.right_state <= -tol:
                     violations.append(
                         f"t={t}: shock with nondecreasing states "
@@ -550,7 +546,7 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                             f"t={t}: fan member jump {f.signed_jump} exceeds "
                             f"the increment {target.h}"
                         )
-            c = _run_fan_slope(target, t)
+            c = _run_fan_slope(fronts, t)
             fan_slope = max(fan_slope, c)
             spread = max(spread, f2 * c)
             if c > 1 / c0 + tol_scale * (1 + 1 / c0):
@@ -609,31 +605,22 @@ class MaxPrincipleReport:
         }
 
 
-def _psi_extent(fslice, lo, hi, *, want_min):
-    """Min of psi over positive-width pieces meeting the open window."""
-    best = None
-    positions = [j.position for j in fslice.jumps]
-    cuts = [lo] + [min(max(p, lo), hi) for p in positions] + [hi]
-    for i in range(len(cuts) - 1):
-        if cuts[i + 1] > cuts[i]:
-            v = fslice.uII_values[i] - fslice.uI_values[i]
-            if best is None or (v < best if want_min else v > best):
-                best = v
-    return best
+def _psi_min(fslice, lo, hi, t):
+    """Min of psi at time t over positive-width pieces meeting (lo, hi)."""
+    psi = fslice.psi_values
+    return min((psi[i] for i, _ in fslice.pieces(lo, hi, t)), default=None)
 
 
-def _psi_integral(fslice, lo, hi):
-    """Signed integral of psi over (lo, hi); sign flips when lo > hi."""
+def _psi_integral(fslice, lo, hi, t):
+    """Signed integral of psi at time t over (lo, hi); sign flips when
+    lo > hi."""
     sign = 1
     if lo > hi:
         lo, hi, sign = hi, lo, -1
-    positions = [j.position for j in fslice.jumps]
-    cuts = [lo] + [min(max(p, lo), hi) for p in positions] + [hi]
+    psi = fslice.psi_values
     total = 0
-    for i in range(len(cuts) - 1):
-        if cuts[i + 1] > cuts[i]:
-            v = fslice.uII_values[i] - fslice.uI_values[i]
-            total += v * (cuts[i + 1] - cuts[i])
+    for i, width in fslice.pieces(lo, hi, t):
+        total += psi[i] * width
     return sign * total
 
 
@@ -646,7 +633,9 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
     the (open) funnel never falls below -tol at sampled times.  Separately,
     integrates the difference between the extremal backward characteristics
     dropped from the funnel ends at ``t_end`` and checks the integral is
-    time invariant.
+    time invariant.  The samples are the interval midpoints plus
+    ``n_times - 1`` uniform times away from interactions; both checks read
+    them off one walk of the timeline.
     """
     xi0, zeta0 = interval
     if not xi0 < zeta0:
@@ -655,53 +644,44 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
         tol = 0
     left = forward_characteristic(field, xi0, 0, t_end, tie_bias=-1)
     right = forward_characteristic(field, zeta0, 0, t_end, tie_bias=1)
-
-    events = list(field.event_times(0, t_end))
-    boundaries = [0] + events + [t_end]
-    samples = [a + (b - a) / 2 for a, b in zip(boundaries, boundaries[1:])]
-    gap_tol = 0 if field.exact else 1e-9
-    for k in range(1, n_times):
-        tau = k * t_end / n_times
-        if all(abs(tau - e) > gap_tol for e in events):
-            samples.append(tau)
-    samples = sorted(set(samples))
-
-    violations = []
-    min_psi = None
-    for tau in samples:
-        fs = field.at(tau)
-        lo = left.position_at(tau)
-        hi = right.position_at(tau)
-        if not lo < hi:
-            continue
-        m = _psi_extent(fs, lo, hi, want_min=True)
-        if m is None:
-            continue
-        if min_psi is None or m < min_psi:
-            min_psi = m
-        if m < -tol:
-            violations.append(
-                f"t={tau}: transported difference dips to {m} inside the "
-                f"funnel ({lo}, {hi})"
-            )
-
-    # conserved mass between extremal backward characteristics
     back_left = backward_characteristic(field, left.end_position, t_end,
                                         extremal="max")
     back_right = backward_characteristic(field, right.end_position, t_end,
                                          extremal="min")
+
+    uniform = [k * t_end / n_times for k in range(1, n_times)]
+    gap_tol = 0 if field.exact else 1e-9
+    samples = []
+    violations = []
+    min_psi = None
     ref = None
     drift = 0
-    for tau in samples:
-        fs = field.at(tau)
-        mass = _psi_integral(fs, back_left.position_at(tau),
-                             back_right.position_at(tau))
-        if ref is None:
-            ref = mass
-        else:
-            d = abs(mass - ref)
-            if d > drift:
-                drift = d
+    for t0, t1, fs in timeline(field, 0, t_end):
+        # uniform times too close to an interaction (an inner boundary) are
+        # skipped
+        lo_ok = t0 if t0 == 0 else t0 + gap_tol
+        hi_ok = t1 if t1 == t_end else t1 - gap_tol
+        inner = uniform[bisect_right(uniform, lo_ok):bisect_left(uniform, hi_ok)]
+        for tau in sorted({fs.time, *inner}):
+            samples.append(tau)
+            lo = left.position_at(tau)
+            hi = right.position_at(tau)
+            m = _psi_min(fs, lo, hi, tau) if lo < hi else None
+            if m is not None:
+                if min_psi is None or m < min_psi:
+                    min_psi = m
+                if m < -tol:
+                    violations.append(
+                        f"t={tau}: transported difference dips to {m} inside "
+                        f"the funnel ({lo}, {hi})"
+                    )
+            # conserved mass between extremal backward characteristics
+            mass = _psi_integral(fs, back_left.position_at(tau),
+                                 back_right.position_at(tau), tau)
+            if ref is None:
+                ref = mass
+            else:
+                drift = max(drift, abs(mass - ref))
     scale = 1 + (abs(ref) if ref is not None else 0)
     if drift > tol * scale:
         violations.append(

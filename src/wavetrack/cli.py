@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .coupling import DegenerateFieldError
+from .coupling import DegenerateFieldError, InconsistentFieldError
 from .profiles import plain_number
 from .scenarios import (
     ScenarioConfigError,
@@ -152,6 +152,9 @@ def main(argv=None) -> int:
         return 2
     except DegenerateFieldError as exc:
         print(f"degenerate geometry: {exc}", file=sys.stderr)
+        return 2
+    except InconsistentFieldError as exc:
+        print(f"inconsistent wave pattern: {exc}", file=sys.stderr)
         return 2
 
 

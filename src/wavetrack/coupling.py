@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .fluxes import secant_speed
@@ -26,6 +27,13 @@ RAREFACTION_SHOCK = "rarefaction_shock"
 CLASSIFY_TOL = 1e-10
 POSITION_TOL = 1e-12
 TIE_MERGE = 1e-12
+# Slack of the missed-event guard, relative, in time and in position.
+GUARD_TOL = 1e-9
+
+
+class InconsistentFieldError(RuntimeError):
+    """A slice or an interval contradicts the tracked wave pattern: a broken
+    state chain, or an interaction the timeline does not list."""
 
 
 class DegenerateFieldError(ValueError):
@@ -83,7 +91,7 @@ def classify(a_minus, a_plus, lam, tol=CLASSIFY_TOL):
     return FAST
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClassifiedJump:
     """One jump of the averaged coefficient at a fixed time."""
 
@@ -129,21 +137,47 @@ class ClassifiedJump:
 
 @dataclass(frozen=True)
 class FieldSlice:
-    """The coefficient field frozen at one interaction-free time."""
+    """The coefficient field frozen at one interaction-free time.
+
+    Every jump moves on a straight line until the next interaction, so the
+    slice also describes the field at any other time of its interval:
+    :meth:`positions_at` shifts the jumps there.
+    """
 
     time: object
     jumps: tuple            # ClassifiedJump, ordered by position
     a_values: tuple         # len(jumps) + 1 region values of a
     uI_values: tuple
     uII_values: tuple
-    a_profile: Profile
-    psi: Profile            # u^II - u^I
+    psi_values: tuple       # u^II - u^I per region
 
     def positions(self):
         return tuple(j.position for j in self.jumps)
 
-    def position_of(self, jump, t):
-        return jump.position + jump.lam * (t - self.time)
+    def positions_at(self, t):
+        """Jump positions at time t of the slice's interaction-free interval."""
+        if t == self.time:
+            return [j.position for j in self.jumps]
+        dt = t - self.time
+        return [j.position + j.lam * dt for j in self.jumps]
+
+    def pieces(self, lo, hi, t=None):
+        """(region index, width) of every region of positive width inside
+        [lo, hi], with the jumps at time t (default: the slice time)."""
+        xs = self.positions_at(self.time if t is None else t)
+        cuts = [lo] + [min(max(x, lo), hi) for x in xs] + [hi]
+        for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            if b > a:
+                yield i, b - a
+
+    @property
+    def a_profile(self) -> Profile:
+        return _collapse_steps(self.positions(), self.a_values)
+
+    @property
+    def psi(self) -> Profile:
+        """u^II - u^I as a profile."""
+        return _collapse_steps(self.positions(), self.psi_values)
 
     def tv_b(self):
         z = self.time * 0
@@ -195,69 +229,68 @@ class CoefficientField:
     # -- slicing ------------------------------------------------------------
 
     def at(self, t) -> FieldSlice:
-        fronts = [("I", f) for f in self.run_I.fronts_at(t)]
-        fronts += [("II", f) for f in self.run_II.fronts_at(t)]
-        tagged = sorted(
-            ((f.position_at(t), tag, f) for tag, f in fronts), key=lambda r: r[0]
-        )
-        for (xa, tag_a, _), (xb, tag_b, _) in zip(tagged, tagged[1:]):
-            if tag_a != tag_b and abs(xb - xa) <= self.position_tol * (1 + abs(xa)):
-                raise DegenerateFieldError(xa, t)
+        """The field at time t.
 
-        cur_I = (
-            self.run_I.fronts_at(t)[0].left_state
-            if self.run_I.fronts_at(t)
-            else self.run_I.sample(t).far_left
-        )
-        cur_II = (
-            self.run_II.fronts_at(t)[0].left_state
-            if self.run_II.fronts_at(t)
-            else self.run_II.sample(t).far_left
-        )
+        Raises :class:`DegenerateFieldError` when fronts of the two runs
+        coincide, and :class:`InconsistentFieldError` when the fronts of a
+        run do not chain its states from far left to far right.
+        """
+        tagged = [(f.position_at(t), "I", f) for f in self.run_I.fronts_at(t)]
+        tagged += [(f.position_at(t), "II", f) for f in self.run_II.fronts_at(t)]
+        tagged.sort(key=itemgetter(0))
+
+        tol = self.position_tol
+        cur_I = self.run_I.initial.far_left
+        cur_II = self.run_II.initial.far_left
         uI_vals = [cur_I]
         uII_vals = [cur_II]
-        records = []
+        prev_x = prev_tag = None
         for x, tag, f in tagged:
-            records.append((x, tag, f, cur_I, cur_II))
+            if (prev_tag is not None and tag != prev_tag
+                    and abs(x - prev_x) <= tol * (1 + abs(prev_x))):
+                raise DegenerateFieldError(prev_x, t)
             if tag == "I":
+                if f.left_state != cur_I:
+                    raise InconsistentFieldError(
+                        f"t={t}: state chain of the first run broken at x={x}")
                 cur_I = f.right_state
             else:
+                if f.left_state != cur_II:
+                    raise InconsistentFieldError(
+                        f"t={t}: state chain of the second run broken at x={x}")
                 cur_II = f.right_state
             uI_vals.append(cur_I)
             uII_vals.append(cur_II)
+            prev_x, prev_tag = x, tag
+        if (cur_I != self.run_I.initial.far_right
+                or cur_II != self.run_II.initial.far_right):
+            raise InconsistentFieldError(
+                f"t={t}: state chain does not end at the far-right state")
 
-        a_vals = [secant_speed(self.flux, uI_vals[i], uII_vals[i])
-                  for i in range(len(uI_vals))]
+        a_vals = [secant_speed(self.flux, uI, uII)
+                  for uI, uII in zip(uI_vals, uII_vals)]
+        psi_vals = [uII - uI for uI, uII in zip(uI_vals, uII_vals)]
+        ctol = self.classification_tol
         jumps = []
-        for i, (x, tag, f, uI_m, uII_m) in enumerate(records):
-            jumps.append(
-                ClassifiedJump(
-                    position=x,
-                    time=t,
-                    lam=f.speed,
-                    a_minus=a_vals[i],
-                    a_plus=a_vals[i + 1],
-                    kind=classify(a_vals[i], a_vals[i + 1], f.speed,
-                                  self.classification_tol),
-                    partition=tag,
-                    b_jump=f.signed_jump,
-                    kappa_minus=uII_vals[i] - uI_vals[i],
-                    kappa_plus=uII_vals[i + 1] - uI_vals[i + 1],
-                    source_kind=f.kind,
-                    front_uid=f.uid,
-                )
-            )
-        positions = [x for x, *_ in records]
-        psi_vals = [uII_vals[i] - uI_vals[i] for i in range(len(uI_vals))]
+        for i, (x, tag, f) in enumerate(tagged):
+            am, ap = a_vals[i], a_vals[i + 1]
+            jumps.append(ClassifiedJump(
+                x, t, f.speed, am, ap, classify(am, ap, f.speed, ctol), tag,
+                f.signed_jump, psi_vals[i], psi_vals[i + 1], f.kind, f.uid,
+            ))
         return FieldSlice(
             time=t,
             jumps=tuple(jumps),
             a_values=tuple(a_vals),
             uI_values=tuple(uI_vals),
             uII_values=tuple(uII_vals),
-            a_profile=_collapse_steps(positions, a_vals),
-            psi=_collapse_steps(positions, psi_vals),
+            psi_values=tuple(psi_vals),
         )
+
+    def front_of(self, jump):
+        """The tracked front that carries a jump of one of this field's slices."""
+        run = self.run_I if jump.partition == "I" else self.run_II
+        return run.fronts[jump.front_uid]
 
     # -- interaction structure ----------------------------------------------
 
@@ -308,6 +341,58 @@ class CoefficientField:
         return merged
 
 
+def timeline(field, s, t, *, reverse=False):
+    """Walk the interaction-free intervals of ``field`` over [s, t].
+
+    Yields ``(t0, t1, slice)`` per interval, in time order (reversed with
+    ``reverse``), where the slice is built once, at the interval midpoint.
+    Between interactions every jump moves on a straight line, so that one
+    slice describes the whole interval (see :meth:`FieldSlice.positions_at`).
+    Slices are built as the walk reaches them and not kept.  Works on any
+    field with ``event_times`` and ``at``, hand-built ones included.
+
+    Each interval is checked in O(N) for an interaction that
+    ``event_times`` missed: every front of the slice must live through the
+    whole interval and the jumps must stay ordered at both ends.  A failed
+    check raises :class:`InconsistentFieldError`.
+    """
+    bounds = [s, *field.event_times(s, t), t]
+    spans = list(zip(bounds, bounds[1:]))
+    if reverse:
+        spans.reverse()
+    for t0, t1 in spans:
+        fs = field.at(t0 + (t1 - t0) / 2)
+        _check_interval(field, fs, t0, t1)
+        yield t0, t1, fs
+
+
+def _check_interval(field, fs, t0, t1):
+    """Raise if the midpoint slice ``fs`` cannot hold over all of [t0, t1]."""
+    exact = field.exact
+    tol = 0 if exact else GUARD_TOL
+    front_of = getattr(field, "front_of", None)
+    if front_of is not None:
+        born_by = t0 + tol * (1 + abs(t0))
+        dies_after = t1 - tol * (1 + abs(t1))
+        for j in fs.jumps:
+            f = front_of(j)
+            if f.birth_time > born_by or (
+                    f.death_time is not None and f.death_time < dies_after):
+                raise InconsistentFieldError(
+                    f"interval [{t0}, {t1}]: front {j.key} lives only over "
+                    f"[{f.birth_time}, {f.death_time}]; an interaction is "
+                    "missing from the event times")
+    # neighbours keep their order over the interval iff they do at the end
+    # they approach each other towards
+    for ja, jb in zip(fs.jumps, fs.jumps[1:]):
+        end = t1 if ja.lam > jb.lam else t0
+        gap = jb.position - ja.position + (jb.lam - ja.lam) * (end - fs.time)
+        if gap < 0 and (exact or gap < -tol * (1 + abs(ja.position))):
+            raise InconsistentFieldError(
+                f"interval [{t0}, {t1}]: jumps near x={ja.position} change "
+                f"order by t={end}; a crossing is missing from the event times")
+
+
 def build_coefficient(run_I, run_II, t, *, classification_tol=None):
     """One-off slice: (coefficient profile, classified jumps) at time t."""
     field = CoefficientField(run_I, run_II, classification_tol=classification_tol)
@@ -329,11 +414,15 @@ class WeightSlice:
     traces: tuple             # (w_minus, w_plus) per jump
     v_I_total: object
     v_II_total: object
-    profile: Profile
+    positions: tuple          # jump positions of the field slice
 
     @property
     def tv_b(self):
         return self.v_I_total + self.v_II_total
+
+    @property
+    def profile(self) -> Profile:
+        return _collapse_steps(self.positions, self.piece_values)
 
 
 class WeightField:
@@ -362,8 +451,7 @@ class WeightField:
         pieces = []
         n = len(fs.jumps)
         for i in range(n + 1):
-            kappa = fs.uII_values[i] - fs.uI_values[i]
-            if kappa > 0:
+            if fs.psi_values[i] > 0:
                 w = self.m + (v_I_total - v_I) + v_II
             else:
                 w = self.m + v_I + (v_II_total - v_II)
@@ -374,16 +462,14 @@ class WeightField:
                     v_I += j.strength
                 else:
                     v_II += j.strength
-        traces = tuple((pieces[i], pieces[i + 1]) for i in range(n))
-        positions = [j.position for j in fs.jumps]
         return WeightSlice(
             time=t,
             m=self.m,
             piece_values=tuple(pieces),
-            traces=traces,
+            traces=tuple(zip(pieces, pieces[1:])),
             v_I_total=v_I_total,
             v_II_total=v_II_total,
-            profile=_collapse_steps(positions, pieces),
+            positions=fs.positions(),
         )
 
 

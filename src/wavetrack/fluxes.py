@@ -70,10 +70,16 @@ def secant_speed(flux: FluxModel, u, v, eps_state=STATE_EPS):
 
 
 def rankine_hugoniot_speed(flux: FluxModel, u_left, u_right):
-    """Propagation speed of the jump (u_left, u_right); rejects equal states."""
+    """Propagation speed of the jump (u_left, u_right); rejects equal states.
+
+    Float jumps at noise level (|u_right - u_left| <= STATE_EPS) take the
+    midpoint-derivative limit, since their difference quotient is mostly
+    cancellation error.  Exact states always use the difference quotient.
+    """
     if u_left == u_right:
         raise ValueError("rankine_hugoniot_speed: states are equal, no jump")
-    return secant_speed(flux, u_left, u_right, eps_state=0)
+    eps = STATE_EPS if isinstance(u_right - u_left, float) else 0
+    return secant_speed(flux, u_left, u_right, eps_state=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,15 @@
 The difference psi of two tracked solutions is piecewise constant with
 piecewise-linear fronts, so between interaction times every norm of interest
 is exactly linear in time and its slope is a finite sum of jump-trace terms.
-This module partitions a time range into interaction-free intervals, measures
-the norms at probe times inside each interval, evaluates the trace sums, and
-reconciles the two against each other and across interaction events.
+A ledger walks the coefficient timeline once: one slice per
+interaction-free interval, built at the interval midpoint.  It measures the
+norm at the probe times a quarter and three quarters into the interval by
+moving the slice's jumps there (``x + lam (tau - t_mid)``), evaluates the
+trace sums on the slice itself, and reconciles the two against each other
+and across interaction events.  Each interval record also keeps the
+per-interval sums the derived checks need, so ``gain_cap_report``,
+``monotonicity_report`` and ``product_inequality_check`` are functions of
+finished ledgers and build no slices of their own.
 
 Conventions for the per-interval rate terms (all decay/gain magnitudes are
 nonnegative; the signed slope of the norm is
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 
 from .coupling import (
     FAST,
@@ -30,6 +37,7 @@ from .coupling import (
     CoefficientField,
     DegenerateFieldError,
     WeightField,
+    timeline,
 )
 from .profiles import plain_number, total_variation
 
@@ -59,18 +67,14 @@ def _value_index(positions, x):
     return bisect_right(positions, x)
 
 
-def _windowed_norm(fslice, weight_values, window):
-    """Integral of |psi| (times the weight if given) over the window."""
-    A, B = window
-    positions = [j.position for j in fslice.jumps]
-    cuts = [A] + [min(max(p, A), B) for p in positions] + [B]
+def _windowed_norm(fslice, weight_values, window, t=None):
+    """Integral of |psi| (times the weight if given) over the window, with
+    the slice's jumps moved to time t (default: the slice time)."""
+    psi = fslice.psi_values
     total = 0
-    for i in range(len(cuts) - 1):
-        lo, hi = cuts[i], cuts[i + 1]
-        if hi > lo:
-            kappa = fslice.uII_values[i] - fslice.uI_values[i]
-            w = 1 if weight_values is None else weight_values[i]
-            total += abs(kappa) * w * (hi - lo)
+    for i, width in fslice.pieces(*window, t):
+        w = 1 if weight_values is None else weight_values[i]
+        total += abs(psi[i]) * w * width
     return total
 
 
@@ -82,9 +86,8 @@ def _edge_flux_rate(fslice, weight_values, window):
     iB = _value_index(positions, B)
     out = 0
     for idx, sign in ((iA, 1), (iB, -1)):
-        kappa = fslice.uII_values[idx] - fslice.uI_values[idx]
         w = 1 if weight_values is None else weight_values[idx]
-        out += sign * fslice.a_values[idx] * abs(kappa) * w
+        out += sign * fslice.a_values[idx] * abs(fslice.psi_values[idx]) * w
     return out
 
 
@@ -106,6 +109,16 @@ class IntervalRecord:
     kind_counts: dict
     residual_norm: object
     residual_traces: object
+    # inputs of the derived checks, kept out of to_dict
+    rate_mags: object          # sum of |lam - a_-| + |a_+ - lam| over jumps
+    tv_psi: object
+    tv_a: object
+    rs_sup_da: object          # sup of a_+ - a_- over rarefaction-side jumps
+    rs_raw_rate: object        # sum_RS 2 (lam - a_-) |psi_-|
+    rs_dpsi: object            # sum_RS |psi_+ - psi_-|
+    lax_sum: object            # sum_Lax (a_- - lam) |psi_-| inside the window
+    product_rate: object       # signed product atoms inside the window
+    has_rs: bool               # rarefaction-side jump inside the window
 
     @property
     def duration(self):
@@ -159,6 +172,8 @@ class FunctionalReport:
     residual_global: object
     tol_norm: object
     violations: list = dataclass_field(default_factory=list)
+    tol_scale: object = TOL_SCALE
+    exact: bool = False
 
     @property
     def passed(self):
@@ -312,6 +327,36 @@ def _interval_rates(fslice, wslice, m, window, tol_rate, state_tol, violations):
     return interior, flux, lax, slow_fast, rs_main, rs_b, counts
 
 
+def _check_terms(fslice, window):
+    """Per-interval sums of one slice that the derived checks read."""
+    A, B = window
+    zero = 0
+    tv_psi = sup_da = rs_raw = rs_dpsi = lax_sum = product = zero
+    has_rs = False
+    for j in fslice.jumps:
+        dpsi = abs(j.kappa_plus - j.kappa_minus)
+        tv_psi += dpsi
+        if j.kind == RAREFACTION_SHOCK:
+            sup_da = max(sup_da, j.a_plus - j.a_minus)
+            rs_raw += 2 * (j.lam - j.a_minus) * abs(j.kappa_minus)
+            rs_dpsi += dpsi
+        if not A < j.position < B:
+            continue
+        if j.kind == LAX:
+            lax_sum += (j.a_minus - j.lam) * abs(j.kappa_minus)
+        elif j.kind == RAREFACTION_SHOCK:
+            has_rs = True
+        if j.partition == "I":
+            product += (j.a_minus - j.lam) * j.kappa_minus * j.strength
+        else:
+            product += (j.lam - j.a_minus) * j.kappa_minus * j.strength
+    return {
+        "tv_psi": tv_psi, "tv_a": fslice.tv_a(), "rs_sup_da": sup_da,
+        "rs_raw_rate": rs_raw, "rs_dpsi": rs_dpsi, "lax_sum": lax_sum,
+        "product_rate": product, "has_rs": has_rs,
+    }
+
+
 def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
     """Shared engine behind the plain and weighted identity reports."""
     if not s < t:
@@ -327,8 +372,8 @@ def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
         ws = weight.slice_at(fslice.time, fslice)
         return ws, ws.piece_values
 
-    events = cfield.event_times(s, t)
-    boundaries = [s] + list(events) + [t]
+    walk = timeline(cfield, s, t)
+    first = next(walk)
 
     # Endpoint slices can be degenerate when a cross-run front crossing
     # lands exactly on s or t (common in rational mode).  Both norms are
@@ -343,8 +388,8 @@ def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
         base = _windowed_norm(start_slice, None, window)
     except DegenerateFieldError:
         norm_start = None
-        probe = s + (boundaries[1] - s) / 4
-        base = _windowed_norm(cfield.at(probe), None, window)
+        t0, t1, fs = first
+        base = _windowed_norm(fs, None, window, t0 + (t1 - t0) / 4)
     try:
         end_slice = cfield.at(t)
         _, wv_end = w_values(end_slice)
@@ -356,25 +401,22 @@ def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
     tol_norm = 0 if exact else tol_scale * (1 + base)
     violations = []
     intervals = []
-    for t0, t1 in zip(boundaries, boundaries[1:]):
+    events = []
+    for t0, t1, fs in chain([first], walk):
+        if t0 != s:
+            events.append(t0)
         dt = t1 - t0
         tau_lo = t0 + dt / 4
         tau_hi = t0 + 3 * dt / 4
-        mid = t0 + dt / 2
-        fs_lo = cfield.at(tau_lo)
-        fs_hi = cfield.at(tau_hi)
-        fs_mid = cfield.at(mid)
-        _, wv_lo = w_values(fs_lo)
-        _, wv_hi = w_values(fs_hi)
-        ws_mid, _ = w_values(fs_mid)
-        n_lo = _windowed_norm(fs_lo, wv_lo, window)
-        n_hi = _windowed_norm(fs_hi, wv_hi, window)
+        ws, wv = w_values(fs)
+        n_lo = _windowed_norm(fs, wv, window, tau_lo)
+        n_hi = _windowed_norm(fs, wv, window, tau_hi)
         slope = (n_hi - n_lo) / (tau_hi - tau_lo)
         rate_mags = sum(abs(j.lam - j.a_minus) + abs(j.a_plus - j.lam)
-                        for j in fs_mid.jumps)
+                        for j in fs.jumps)
         tol_rate = 0 if exact else tol_scale * (1 + rate_mags + base)
         interior, flux, lax, slow_fast, rs_main, rs_b, counts = _interval_rates(
-            fs_mid, ws_mid, m, window, tol_rate, state_tol, violations
+            fs, ws, m, window, tol_rate, state_tol, violations
         )
         residual_norm = abs((n_hi - n_lo) - (tau_hi - tau_lo) * (interior + flux))
         residual_traces = abs(interior + lax + slow_fast - rs_main - rs_b)
@@ -393,6 +435,8 @@ def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
             kind_counts=counts,
             residual_norm=residual_norm,
             residual_traces=residual_traces,
+            rate_mags=rate_mags,
+            **_check_terms(fs, window),
         )
         intervals.append(rec)
         if residual_norm > tol_norm:
@@ -490,6 +534,8 @@ def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
         residual_global=residual_global,
         tol_norm=tol_norm,
         violations=violations,
+        tol_scale=tol_scale,
+        exact=exact,
     )
 
 
@@ -578,8 +624,8 @@ class GainCapReport:
         }
 
 
-def gain_cap_report(cfield: CoefficientField, s, t, window=None,
-                    tol_scale=TOL_SCALE) -> GainCapReport:
+def gain_cap_report(cfield: CoefficientField,
+                    plain: FunctionalReport) -> GainCapReport:
     """Bound the rarefaction-side gain by the fan resolution.
 
     Chain of estimates, each link checked numerically: at a rarefaction-side
@@ -591,9 +637,14 @@ def gain_cap_report(cfield: CoefficientField, s, t, window=None,
 
         ||psi(t)|| + integrated compressive decay
             <= ||psi(s)|| + boundary flux + 2 h (t-s) sup|f''| TV0.
+
+    ``plain`` is the field's plain ledger (:func:`l1_identity_report`); its
+    interval records carry every per-interval sum used here.
     """
-    report = l1_identity_report(cfield, s, t, window, tol_scale)
-    violations = list(report.violations)
+    if plain.kind != "plain":
+        raise ValueError("gain_cap_report: needs the plain ledger")
+    s, t = plain.s, plain.t
+    violations = list(plain.violations)
     exact = cfield.exact
     h = max(cfield.run_I.h, cfield.run_II.h)
     f2 = cfield.flux.sup_f2
@@ -601,33 +652,23 @@ def gain_cap_report(cfield: CoefficientField, s, t, window=None,
     rs_chain = zero
     tv_psi_integral = zero
     sup_rs_da = zero
-    for rec in report.intervals:
-        mid = rec.t_start + rec.duration / 2
-        fs = cfield.at(mid)
-        tv_psi = total_variation(fs.psi)
+    for rec in plain.intervals:
+        tv_psi = rec.tv_psi
         tv_psi_integral += tv_psi * rec.duration
-        sup_da = zero
-        rs_raw = zero
-        rs_dpsi = zero
-        for j in fs.jumps:
-            if j.kind != RAREFACTION_SHOCK:
-                continue
-            da = j.a_plus - j.a_minus
-            sup_da = max(sup_da, da)
-            rs_raw += 2 * (j.lam - j.a_minus) * abs(j.kappa_minus)
-            rs_dpsi += abs(j.kappa_plus - j.kappa_minus)
+        sup_da = rec.rs_sup_da
         sup_rs_da = max(sup_rs_da, sup_da)
         rs_chain += 2 * sup_da * tv_psi * rec.duration
-        tol = 0 if exact else tol_scale * (1 + tv_psi)
-        if rs_dpsi > tv_psi + tol:
+        tol = 0 if exact else plain.tol_scale * (1 + tv_psi)
+        if rec.rs_dpsi > tv_psi + tol:
             violations.append(
                 f"interval [{rec.t_start}, {rec.t_end}]: rarefaction-side "
-                f"psi jumps {rs_dpsi} exceed TV(psi) = {tv_psi}"
+                f"psi jumps {rec.rs_dpsi} exceed TV(psi) = {tv_psi}"
             )
-        if rs_raw > 2 * sup_da * tv_psi + tol:
+        if rec.rs_raw_rate > 2 * sup_da * tv_psi + tol:
             violations.append(
                 f"interval [{rec.t_start}, {rec.t_end}]: rarefaction gain "
-                f"rate {rs_raw} exceeds its chain bound {2 * sup_da * tv_psi}"
+                f"rate {rec.rs_raw_rate} exceeds its chain bound "
+                f"{2 * sup_da * tv_psi}"
             )
 
     tv0 = (
@@ -635,8 +676,8 @@ def gain_cap_report(cfield: CoefficientField, s, t, window=None,
         + total_variation(cfield.run_II.initial)
     )
     rs_cap = 2 * h * (t - s) * f2 * tv0
-    gain_rs = report.gain_rs_main + report.gain_rs_b
-    tol_norm = report.tol_norm
+    gain_rs = plain.gain_rs_main + plain.gain_rs_b
+    tol_norm = plain.tol_norm
     chain_link_ok = gain_rs <= rs_chain + tol_norm
     cap_ok = rs_chain <= rs_cap + tol_norm
     if not chain_link_ok:
@@ -647,8 +688,8 @@ def gain_cap_report(cfield: CoefficientField, s, t, window=None,
         violations.append(
             f"chain bound {rs_chain} exceeds the fan-resolution cap {rs_cap}"
         )
-    lhs = report.norm_end + report.decay_lax - report.flux_total
-    rhs = report.norm_start + rs_cap
+    lhs = plain.norm_end + plain.decay_lax - plain.flux_total
+    rhs = plain.norm_start + rs_cap
     slack = rhs - lhs
     if slack < -tol_norm:
         violations.append(
@@ -658,16 +699,16 @@ def gain_cap_report(cfield: CoefficientField, s, t, window=None,
         s=s,
         t=t,
         h=h,
-        norm_start=report.norm_start,
-        norm_end=report.norm_end,
-        decay_lax=report.decay_lax,
+        norm_start=plain.norm_start,
+        norm_end=plain.norm_end,
+        decay_lax=plain.decay_lax,
         gain_rs=gain_rs,
-        flux_total=report.flux_total,
+        flux_total=plain.flux_total,
         rs_chain=rs_chain,
         rs_cap=rs_cap,
         sup_rs_da=sup_rs_da,
         tv_psi_integral=tv_psi_integral,
-        identity_residual=report.residual_global,
+        identity_residual=plain.residual_global,
         chain_link_ok=chain_link_ok,
         cap_ok=cap_ok,
         bound_slack=slack,
@@ -706,17 +747,20 @@ class MonotonicityReport:
         }
 
 
-def monotonicity_report(cfield: CoefficientField, m, s, t, window=None,
-                        tol_scale=TOL_SCALE) -> MonotonicityReport:
+def monotonicity_report(plain: FunctionalReport,
+                        weighted: FunctionalReport) -> MonotonicityReport:
     """Check that both norms decay when the fields are entropic.
 
     Without rarefaction-side jumps every classified trace term is
     dissipative, so the plain and the weighted norms are nonincreasing in
     time (up to boundary flux through the window edges, which vanishes for
-    a compactly supported difference inside the default window).
+    a compactly supported difference inside the default window).  Takes the
+    field's plain and weighted ledgers.
     """
-    plain = l1_identity_report(cfield, s, t, window, tol_scale)
-    weighted = weighted_identity_report(cfield, m, s, t, window, tol_scale)
+    if plain.kind != "plain" or weighted.kind != "weighted":
+        raise ValueError("monotonicity_report: needs the plain and the "
+                         "weighted ledger, in that order")
+    m = weighted.m
     violations = list(plain.violations) + list(weighted.violations)
     rs_plain = plain.gain_rs_main + plain.gain_rs_b
     rs_weighted = weighted.gain_rs_main + weighted.gain_rs_b
@@ -794,8 +838,7 @@ class ProductRuleReport:
         }
 
 
-def product_inequality_check(cfield: CoefficientField, m, s, t, window=None,
-                             tol_scale=TOL_SCALE, *,
+def product_inequality_check(weighted: FunctionalReport, *,
                              strict=None) -> ProductRuleReport:
     """Weighted decay stated with the coefficient-variation Lax factor.
 
@@ -814,47 +857,34 @@ def product_inequality_check(cfield: CoefficientField, m, s, t, window=None,
     Fan-resolution rarefaction gains enter with ``+ (2m + TV(b))`` slack per
     jump; by default the per-interval inequality is only enforced when no
     rarefaction-side jump is present (``strict=True`` forces it everywhere).
+    ``weighted`` is the field's weighted ledger
+    (:func:`weighted_identity_report`) with weight offset m.
     """
-    weighted = weighted_identity_report(cfield, m, s, t, window, tol_scale)
+    if weighted.kind != "weighted":
+        raise ValueError("product_inequality_check: needs the weighted ledger")
+    m, s, t = weighted.m, weighted.s, weighted.t
     violations = list(weighted.violations)
-    exact = cfield.exact
+    exact = weighted.exact
     zero = 0
     lax_total = zero
     product_total = zero
     interval_rates = []
     max_rate = None
     rs_present = False
-    win = weighted.window
-    A, B = win
     for rec in weighted.intervals:
-        mid = rec.t_start + rec.duration / 2
-        fs = cfield.at(mid)
-        tva = fs.tv_a()
-        lax_rate = zero
-        product_rate = zero
-        has_rs = False
-        for j in fs.jumps:
-            if not A < j.position < B:
-                continue
-            if j.kind == LAX:
-                lax_rate += (2 * m + tva) * (j.a_minus - j.lam) * abs(j.kappa_minus)
-            if j.kind == RAREFACTION_SHOCK:
-                has_rs = True
-            if j.partition == "I":
-                product_rate += (j.a_minus - j.lam) * j.kappa_minus * j.strength
-            else:
-                product_rate += (j.lam - j.a_minus) * j.kappa_minus * j.strength
-        rs_present = rs_present or has_rs
+        tva = rec.tv_a
+        lax_rate = (2 * m + tva) * rec.lax_sum
+        product_rate = rec.product_rate
+        rs_present = rs_present or rec.has_rs
         combined = rec.interior_rate + lax_rate + product_rate
         interval_rates.append((rec.t_start, rec.t_end, combined))
         if max_rate is None or combined > max_rate:
             max_rate = combined
         lax_total += lax_rate * rec.duration
         product_total += product_rate * rec.duration
-        rate_mags = sum(abs(j.lam - j.a_minus) + abs(j.a_plus - j.lam)
-                        for j in fs.jumps)
-        tol_rate = 0 if exact else tol_scale * (1 + rate_mags) * (1 + 2 * m + tva)
-        enforce = strict if strict is not None else not has_rs
+        tol_rate = 0 if exact else (
+            weighted.tol_scale * (1 + rec.rate_mags) * (1 + 2 * m + tva))
+        enforce = strict if strict is not None else not rec.has_rs
         if enforce and combined > tol_rate:
             violations.append(
                 f"interval [{rec.t_start}, {rec.t_end}]: combined "
@@ -904,7 +934,7 @@ def refinement_study(make_run_pair, h_list, m, s, t, tol_scale=TOL_SCALE):
         cfield = CoefficientField(run_I, run_II)
         plain = l1_identity_report(cfield, s, t, tol_scale=tol_scale)
         weighted = weighted_identity_report(cfield, m, s, t, tol_scale=tol_scale)
-        cap = gain_cap_report(cfield, s, t, tol_scale=tol_scale)
+        cap = gain_cap_report(cfield, plain)
         rows.append(
             {
                 "h": h,

@@ -34,7 +34,7 @@ from .functional import (
     refinement_study,
     weighted_identity_report,
 )
-from .profiles import Profile, plain_number
+from .profiles import Profile, plain_number, profile_difference
 from .tracking import FrontTrackingRun, sample_initial_data
 
 CHECK_ORDER = (
@@ -289,7 +289,8 @@ def parse_scenario(config: dict) -> ScenarioSpec:
                 funnel = None
 
     tol_scale = config.get("tolerance", TOL_SCALE)
-    if not isinstance(tol_scale, (int, float)) or tol_scale < 0:
+    if (isinstance(tol_scale, bool) or not isinstance(tol_scale, (int, float))
+            or tol_scale < 0):
         errors.append("tolerance: expected a nonnegative number")
         tol_scale = TOL_SCALE
 
@@ -517,31 +518,35 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
         if funnel is None:
             bps = list(run_I.initial.breakpoints) + list(run_II.initial.breakpoints)
             funnel = (min(bps) - 1, max(bps) + 1) if bps else (-1, 1)
+        ledgers = {}
+
+        def ledger(kind):
+            # one ledger per norm, shared by every check that reads it
+            if kind not in ledgers:
+                ledgers[kind] = (
+                    l1_identity_report(field, s, t, tol_scale=spec.tol_scale)
+                    if kind == "plain" else
+                    weighted_identity_report(field, spec.m, s, t,
+                                             tol_scale=spec.tol_scale)
+                )
+            return ledgers[kind]
+
         for name in spec.checks:
             if name == "oleinik":
                 reports[name] = oleinik_report(
                     field, _probe_times(field, s, t), spec.tol_scale
                 )
             elif name == "l1":
-                reports[name] = l1_identity_report(
-                    field, s, t, tol_scale=spec.tol_scale
-                )
+                reports[name] = ledger("plain")
             elif name == "weighted":
-                reports[name] = weighted_identity_report(
-                    field, spec.m, s, t, tol_scale=spec.tol_scale
-                )
+                reports[name] = ledger("weighted")
             elif name == "monotonicity":
-                reports[name] = monotonicity_report(
-                    field, spec.m, s, t, tol_scale=spec.tol_scale
-                )
+                reports[name] = monotonicity_report(ledger("plain"),
+                                                    ledger("weighted"))
             elif name == "gain_cap":
-                reports[name] = gain_cap_report(
-                    field, s, t, tol_scale=spec.tol_scale
-                )
+                reports[name] = gain_cap_report(field, ledger("plain"))
             elif name == "products":
-                reports[name] = product_inequality_check(
-                    field, spec.m, s, t, tol_scale=spec.tol_scale
-                )
+                reports[name] = product_inequality_check(ledger("weighted"))
             elif name == "max_principle":
                 reports[name] = maximum_principle_check(
                     field, funnel, t, tol=(0 if spec.exact else 1e-10)
@@ -579,12 +584,14 @@ def _write_outputs(result: ScenarioResult, run_I, run_II, field):
     weight = WeightField(field, spec.m)
     export_jumps_csv(field, weight, _probe_times(field, s, t), buf)
     _atomic_write(out / "classified_jumps.csv", buf.getvalue())
+    # the samples, not a field slice: a cross-run crossing may sit at t
+    u1_final, u2_final = run_I.sample(t), run_II.sample(t)
     profiles = {
         "u1_initial": run_I.initial.as_dict(),
         "u2_initial": run_II.initial.as_dict(),
-        "u1_final": run_I.sample(t).as_dict(),
-        "u2_final": run_II.sample(t).as_dict(),
-        "psi_final": field.at(t).psi.as_dict(),
+        "u1_final": u1_final.as_dict(),
+        "u2_final": u2_final.as_dict(),
+        "psi_final": profile_difference(u2_final, u1_final).as_dict(),
     }
     _write_json(out / "profiles.json", profiles)
     if "max_principle" in result.reports:

@@ -247,7 +247,8 @@ def test_criterion_04_gain_cap_ladder(capsys):
 def test_criterion_05_shock_only_monotone(capsys):
     problems = []
     for cf in _shock_suite():
-        rep = monotonicity_report(cf, 1.0, 0.0, HORIZON)
+        rep = monotonicity_report(l1_identity_report(cf, 0.0, HORIZON),
+                                  weighted_identity_report(cf, 1.0, 0.0, HORIZON))
         if not rep.passed:
             problems.append(rep.violations[0])
         if rep.rs_gain_plain != 0 or rep.rs_gain_weighted != 0:
@@ -408,7 +409,8 @@ def test_criterion_09_characteristic_funnel(capsys):
 def test_criterion_10_product_inequality(capsys):
     problems = []
     for cf in _shock_suite():
-        rep = product_inequality_check(cf, 1.0, 0.0, HORIZON, strict=True)
+        rep = product_inequality_check(
+            weighted_identity_report(cf, 1.0, 0.0, HORIZON), strict=True)
         if not rep.passed:
             problems.append(rep.violations[0])
         if rep.rs_present:
@@ -418,7 +420,8 @@ def test_criterion_10_product_inequality(capsys):
 
     # slow-jump oracle: the product atom carries exactly +3 per unit time
     slow_cf = _pair_field(Profile([0.0], [2.0, 0.0]), Profile.constant(3.0))
-    rep = product_inequality_check(slow_cf, 1.0, 0.0, HORIZON)
+    rep = product_inequality_check(
+        weighted_identity_report(slow_cf, 1.0, 0.0, HORIZON))
     atom_rate = rep.product_total / HORIZON
     if abs(atom_rate - 3.0) > 1e-10:
         problems.append(f"slow-jump product atom {atom_rate} != 3")
@@ -428,7 +431,8 @@ def test_criterion_10_product_inequality(capsys):
 
     # standing-shock oracle: half a unit of negative slack per unit time
     lax_cf = _pair_field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
-    rep = product_inequality_check(lax_cf, 1.0, 0.0, HORIZON)
+    rep = product_inequality_check(
+        weighted_identity_report(lax_cf, 1.0, 0.0, HORIZON))
     _, _, rate = rep.interval_rates[0]
     if abs(rate - (-0.5)) > 1e-10:
         problems.append(f"standing-shock product rate {rate} != -0.5")

@@ -11,11 +11,13 @@ from wavetrack.coupling import (
     SLOW,
     CoefficientField,
     DegenerateFieldError,
+    InconsistentFieldError,
     WeightField,
     build_coefficient,
     build_weight,
     classify,
     export_jumps_csv,
+    timeline,
 )
 from wavetrack.fluxes import burgers_flux
 from wavetrack.profiles import Profile, profile_difference
@@ -209,3 +211,54 @@ def test_export_jumps_csv_shape():
     assert lines[0] == ("t,x,kind,partition,lambda,a_minus,a_plus,"
                         "b_jump,w_minus,w_plus")
     assert len(lines) == 3
+
+
+def test_timeline_one_midpoint_slice_per_interval():
+    field = _field(Profile([0.0, 1.0], [1.0, 0.0, -1.0]), Profile.constant(0.0))
+    walk = list(timeline(field, 0.0, 2.0))
+    assert [(t0, t1) for t0, t1, _ in walk] == [(0.0, 1.0), (1.0, 2.0)]
+    assert [fs.time for _, _, fs in walk] == [0.5, 1.5]
+    back = list(timeline(field, 0.0, 2.0, reverse=True))
+    assert [(t0, t1) for t0, t1, _ in back] == [(1.0, 2.0), (0.0, 1.0)]
+
+
+def test_slice_shifts_to_other_times_of_its_interval():
+    field = _field(Profile([0.0, 1.0], [1.0, 0.0, -1.0]), Profile.constant(0.0))
+    fs = field.at(0.5)
+    for tau in (0.125, 0.875):
+        assert fs.positions_at(tau) == pytest.approx(list(field.at(tau).positions()))
+
+
+def test_at_checks_the_state_chain():
+    # float copy of a rational pair whose fronts, sorted by position at the
+    # horizon, no longer chain the states of the second run
+    p1, p2 = random_scenario_pair(random.Random(4), max_jumps=4, rational=True)
+
+    def as_float(p):
+        return Profile([float(x) for x in p.breakpoints],
+                       [float(v) for v in p.values])
+
+    field = _field(as_float(p1), as_float(p2))
+    with pytest.raises(InconsistentFieldError, match="state chain"):
+        field.at(2.0)
+
+
+def test_timeline_detects_a_missed_event(monkeypatch):
+    field = _field(Profile([0.0, 1.0], [1.0, 0.0, -1.0]), Profile.constant(0.0))
+    full = CoefficientField.event_times
+    assert full(field, 0.0, 1.5) == [1.0]
+    monkeypatch.setattr(CoefficientField, "event_times",
+                        lambda self, s, t: full(self, s, t)[1:])
+    with pytest.raises(InconsistentFieldError, match="missing"):
+        list(timeline(field, 0.0, 1.5))
+
+
+def test_timeline_detects_a_missed_crossing(monkeypatch):
+    # run I holds a stationary shock at x=0; run II sends one through it
+    field = _field(Profile([0.0], [1.0, -1.0]),
+                   Profile([-3.0], [2.0, 1.0]), horizon=3.0)
+    assert field.event_times(0.0, 3.0) == [2.0]
+    monkeypatch.setattr(CoefficientField, "event_times",
+                        lambda self, s, t: [])
+    with pytest.raises(InconsistentFieldError, match="order"):
+        list(timeline(field, 0.0, 3.0))

@@ -127,3 +127,24 @@ def test_max_abs_derivative_endpoints():
     f = burgers_flux()
     assert f.max_abs_derivative(-3, 2) == 3
     assert f.max_abs_derivative(-1, 4) == 4
+
+
+def test_rankine_hugoniot_noise_level_float_jump_uses_derivative():
+    # a one-ulp jump: its difference quotient is pure cancellation error
+    f = burgers_flux()
+    u, v = 0.7071067811865475, 0.7071067811865476
+    assert rankine_hugoniot_speed(f, u, v) == pytest.approx(0.7071067811865475,
+                                                            abs=1e-12)
+    assert rankine_hugoniot_speed(f, v, u) == pytest.approx(0.7071067811865475,
+                                                            abs=1e-12)
+
+
+def test_rankine_hugoniot_exact_states_keep_the_quotient():
+    # below STATE_EPS in size, but exact: the quotient is kept, and for the
+    # quartic flux it differs from the midpoint derivative
+    f = quartic_flux()
+    u = Fraction(1)
+    v = u + Fraction(1, 10 ** 20)
+    speed = rankine_hugoniot_speed(f, u, v)
+    assert speed == (f.evaluate(v) - f.evaluate(u)) / (v - u)
+    assert speed != f.derivative((u + v) / 2)

@@ -1,5 +1,6 @@
 """Norm-ledger checks on hand-built pairs with known rates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from wavetrack import (
     CoefficientField,
     FrontTrackingRun,
     Profile,
+    WeightField,
     burgers_flux,
     default_window,
     gain_cap_report,
@@ -16,9 +18,11 @@ from wavetrack import (
     monotonicity_report,
     product_inequality_check,
     profile_difference,
+    random_scenario_pair,
     refinement_study,
     weighted_identity_report,
 )
+from wavetrack.functional import _windowed_norm
 
 FLUX = burgers_flux()
 
@@ -182,7 +186,8 @@ def test_custom_window():
 def test_gain_cap_fan_ladder():
     """The rarefaction-side budget shrinks linearly with the fan increment."""
     for h in (0.2, 0.1, 0.05):
-        cap = gain_cap_report(_fan_field(h), 0.0, 2.0)
+        cf = _fan_field(h)
+        cap = gain_cap_report(cf, l1_identity_report(cf, 0.0, 2.0))
         assert cap.passed
         assert cap.chain_link_ok and cap.cap_ok
         assert cap.sup_rs_da == pytest.approx(h / 2, rel=1e-9)
@@ -193,13 +198,15 @@ def test_gain_cap_fan_ladder():
 
 
 def test_gain_cap_sees_actual_gain_shrink():
-    gains = [gain_cap_report(_fan_field(h), 0.0, 2.0).gain_rs
-             for h in (0.2, 0.1, 0.05)]
+    gains = [gain_cap_report(cf, l1_identity_report(cf, 0.0, 2.0)).gain_rs
+             for cf in map(_fan_field, (0.2, 0.1, 0.05))]
     assert gains[0] > gains[1] > gains[2] > 0
 
 
 def test_monotonicity_without_rarefaction_jumps():
-    rep = monotonicity_report(_lax_field(), 1.0, 0.0, 2.0)
+    cf = _lax_field()
+    rep = monotonicity_report(l1_identity_report(cf, 0.0, 2.0),
+                              weighted_identity_report(cf, 1.0, 0.0, 2.0))
     assert rep.passed
     assert rep.rs_gain_plain == pytest.approx(0.0, abs=1e-12)
     assert rep.rs_gain_weighted == pytest.approx(0.0, abs=1e-12)
@@ -210,7 +217,8 @@ def test_monotonicity_without_rarefaction_jumps():
 def test_product_rule_lax_rate():
     # interior -1, uniform lax factor (2m + TV(a)) = 3 on decay 0.5, and a
     # signed product atom -1 leave half a unit of negative slack per time
-    rep = product_inequality_check(_lax_field(), 1.0, 0.0, 2.0)
+    rep = product_inequality_check(
+        weighted_identity_report(_lax_field(), 1.0, 0.0, 2.0))
     assert rep.passed
     assert not rep.rs_present
     assert len(rep.interval_rates) == 1
@@ -224,7 +232,8 @@ def test_product_rule_lax_rate():
 
 
 def test_product_rule_undercompressive_is_tight():
-    rep = product_inequality_check(_slow_field(), 1.0, 0.0, 2.0)
+    rep = product_inequality_check(
+        weighted_identity_report(_slow_field(), 1.0, 0.0, 2.0))
     assert rep.passed
     _, _, rate = rep.interval_rates[0]
     assert rate == pytest.approx(0.0, abs=1e-12)
@@ -232,11 +241,11 @@ def test_product_rule_undercompressive_is_tight():
 
 
 def test_product_rule_strict_flag():
-    cf = _fan_field(0.2)
-    default = product_inequality_check(cf, 1.0, 0.0, 2.0)
+    weighted = weighted_identity_report(_fan_field(0.2), 1.0, 0.0, 2.0)
+    default = product_inequality_check(weighted)
     assert default.rs_present
     assert default.passed
-    strict = product_inequality_check(cf, 1.0, 0.0, 2.0, strict=True)
+    strict = product_inequality_check(weighted, strict=True)
     assert not strict.passed
     assert any("positive" in v for v in strict.violations)
 
@@ -262,3 +271,24 @@ def test_report_serializes():
     assert d["passed"] is True
     assert len(d["intervals"]) == 1
     assert set(d["intervals"][0]) >= {"interior_rate", "flux_rate", "kind_counts"}
+
+
+def test_probe_norms_match_fresh_slices_exactly():
+    """Shifting the midpoint slice gives the probe norms of fresh slices."""
+    for seed in range(7000, 7005):
+        p1, p2 = random_scenario_pair(random.Random(seed), max_jumps=3,
+                                      rational=True)
+        cf = _field(p1, p2, h=Fraction(1, 10), horizon=Fraction(2), exact=True)
+        weight = WeightField(cf, Fraction(1))
+        plain = l1_identity_report(cf, Fraction(0), Fraction(2))
+        weighted = weighted_identity_report(cf, Fraction(1), Fraction(0),
+                                            Fraction(2))
+        for rep, wf in ((plain, None), (weighted, weight)):
+            for rec in rep.intervals:
+                for tau, norm in (
+                    (rec.t_start + rec.duration / 4, rec.norm_probe_lo),
+                    (rec.t_start + 3 * rec.duration / 4, rec.norm_probe_hi),
+                ):
+                    fs = cf.at(tau)
+                    wv = None if wf is None else wf.slice_at(tau, fs).piece_values
+                    assert norm == _windowed_norm(fs, wv, rep.window)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wavetrack import (
+    CoefficientField,
     ScenarioConfigError,
     parse_scenario,
     random_scenario_config,
@@ -16,6 +17,7 @@ from wavetrack import (
     run_sweep,
 )
 from wavetrack.cli import main
+from wavetrack.scenarios import build_runs
 
 
 def _basic_config(**extra):
@@ -290,3 +292,77 @@ def test_cli_sweep(tmp_path, capsys):
 def test_sweep_requires_h_list():
     with pytest.raises(ScenarioConfigError, match="h_list"):
         run_sweep(_basic_config())
+
+
+def _sine_config(n_cells, h):
+    # u2 = u1 + 1/2 on a support shifted by 0.01, all six checks
+    two_pi = 6.283185307179586
+    return {
+        "u1": {"generator": "sine", "params": {"amplitude": 1.0},
+               "support": [0, two_pi], "n_cells": n_cells},
+        "u2": {"generator": "sine",
+               "params": {"amplitude": 1.0, "offset": 0.5},
+               "support": [0.01, two_pi + 0.01], "n_cells": n_cells},
+        "h": h,
+        "time": {"start": 0, "end": 2},
+        "checks": ["oleinik", "l1", "weighted", "gain_cap", "products",
+                   "max_principle"],
+        "funnel": [1, 5],
+    }
+
+
+def test_sine_noise_level_fan_passes_every_check():
+    # the n_cells=4 data has a one-ulp up-jump; its fan member must move at
+    # f'(u), not at a cancelled difference quotient
+    result = run_scenario(_sine_config(4, 0.2))
+    assert result.error is None
+    assert result.passed, result.summary()["violations"]
+
+
+def test_all_checks_build_few_slices_per_interval(monkeypatch):
+    calls = []
+    at = CoefficientField.at
+
+    def counted(self, t):
+        calls.append(t)
+        return at(self, t)
+
+    monkeypatch.setattr(CoefficientField, "at", counted)
+    result = run_scenario(_sine_config(8, 0.2))
+    assert result.passed
+    monkeypatch.setattr(CoefficientField, "at", at)
+    run_I, run_II = build_runs(result.spec)
+    intervals = len(CoefficientField(run_I, run_II).event_times(0, 2)) + 1
+    assert len(calls) <= 8 * intervals
+
+
+def test_cli_run_horizon_crossing_writes_psi_final(tmp_path, capsys):
+    # acceptance pair 7002: a cross-run crossing sits exactly at t = 2
+    p1, p2 = random_scenario_pair(random.Random(7002), max_jumps=3,
+                                  rational=True)
+
+    def encode(p):
+        return {"leading": str(p.far_left),
+                "pairs": [[str(x), str(p.value_at(x))] for x in p.breakpoints]}
+
+    cfg = {
+        "u1": encode(p1),
+        "u2": encode(p2),
+        "h": "1/10",
+        "time": {"start": 0, "end": 2},
+        "checks": ["oleinik", "l1", "weighted", "gain_cap"],
+        "mode": "rational",
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    profiles = json.loads((out / "profiles.json").read_text())
+    assert profiles["psi_final"]["values"]
+
+
+def test_cli_rejects_boolean_tolerance(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_basic_config(tolerance=True)))
+    assert main(["run", str(path)]) == 2
+    assert "tolerance: expected a nonnegative number" in capsys.readouterr().err
