@@ -48,8 +48,6 @@ from .coupling import (
     InconsistentFieldError,
     WeightField,
     WeightSlice,
-    build_coefficient,
-    build_weight,
     classify,
     export_jumps_csv,
     timeline,
@@ -136,8 +134,6 @@ __all__ = [
     "WeightField",
     "WeightSlice",
     "backward_characteristic",
-    "build_coefficient",
-    "build_weight",
     "burgers_flux",
     "check_flux",
     "classify",

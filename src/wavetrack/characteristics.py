@@ -474,6 +474,9 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
     violations.  For a :class:`FrontTrackingRun`, shocks must be down-jumps
     and the discrete fan slopes stay below 1/c0.  For a :class:`StaticField`
     every expanding jump is flagged.
+
+    For a :class:`CoefficientField`, ``times`` may hold slices of the field
+    instead of times, so slices already built are not built again.
     """
     shock_violations = []
     violations = []
@@ -488,8 +491,9 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
         f2 = target.flux.sup_f2
         h_by_partition = {"I": target.run_I.h, "II": target.run_II.h}
         allowance = f2 * max(h_by_partition.values())
-        for t in times:
-            fs = target.at(t)
+        for k, t in enumerate(times):
+            fs = t if isinstance(t, FieldSlice) else target.at(t)
+            t = times[k] = fs.time
             for j in fs.jumps:
                 da = j.a_plus - j.a_minus
                 if j.source_kind == "shock":

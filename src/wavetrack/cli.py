@@ -130,7 +130,8 @@ def main(argv=None) -> int:
     suite_p.add_argument("--shock-only", action="store_true",
                          help="monotone decreasing data, no fans")
     suite_p.add_argument("--h", type=float, default=0.1,
-                         help="fan increment")
+                         help="fan increment (an exact decimal in rational "
+                         "mode)")
     suite_p.add_argument("--horizon", type=float, default=2.0)
     suite_p.add_argument("--m", type=float, default=1.0,
                          help="weight offset for the weighted check")

@@ -11,6 +11,7 @@ weight used by the weighted-L1 decay functional.
 from __future__ import annotations
 
 import csv
+import heapq
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -295,35 +296,16 @@ class CoefficientField:
     # -- interaction structure ----------------------------------------------
 
     def _front_crossings(self):
-        """Times where a run-I front crosses a run-II front.
+        """Times where a run-I front crosses a run-II front, sorted.
 
         The two runs do not interact, so their fronts pass through each
         other; at the crossing instant the coefficient's jump set is
         degenerate and its traces rearrange.  These times delimit the
         interaction-free intervals together with both runs' own events.
+        Found once per field, by :func:`_sweep_crossings`.
         """
-        if self._crossings is not None:
-            return self._crossings
-        horizon = min(self.run_I.evolved_until, self.run_II.evolved_until)
-        out = []
-        for fI in self.run_I.fronts:
-            endI = fI.death_time if fI.death_time is not None else horizon
-            for fII in self.run_II.fronts:
-                ds = fI.speed - fII.speed
-                if ds == 0:
-                    continue
-                endII = fII.death_time if fII.death_time is not None else horizon
-                lo = max(fI.birth_time, fII.birth_time)
-                hi = min(endI, endII)
-                if not lo < hi:
-                    continue
-                tx = (
-                    fII.birth_position - fII.speed * fII.birth_time
-                    - fI.birth_position + fI.speed * fI.birth_time
-                ) / ds
-                if lo <= tx <= hi:
-                    out.append(tx)
-        self._crossings = sorted(out)
+        if self._crossings is None:
+            self._crossings = _sweep_crossings(self.run_I, self.run_II)
         return self._crossings
 
     def event_times(self, s, t):
@@ -339,6 +321,118 @@ class CoefficientField:
                 continue
             merged.append(e)
         return merged
+
+
+def _sweep_crossings(run_I, run_II):
+    """Crossing times of the fronts of two runs, by a kinetic sweep in time.
+
+    The alive fronts of both runs sit in one doubly linked list ordered by
+    position, and a heap holds the crossing times of neighbouring fronts
+    of different runs that approach each other.  Own events and crossings
+    are handled in time order, crossings first at equal times: an event
+    replaces its two incoming fronts by the outgoing one, a crossing swaps
+    its pair, and only the new neighbour pairs are scheduled.  Heap entries
+    of pairs no longer adjacent are skipped when they come up.  For N
+    fronts, E own events and K crossings this costs O((N + E + K) log N).
+
+    A pair's time comes from the two fronts' birth data, and the pair is
+    listed only if that time lies within both lifetimes, as a scan of all
+    pairs would decide.  Float noise can put a time a little before one
+    already handled; the pair is swapped then, under the same rule.  A
+    front passing through a collision point of the other run may be listed
+    there a different number of times than such a scan would list it; that
+    time is, up to rounding, an own event time and bounds an interval
+    either way.
+    """
+    horizon = min(run_I.evolved_until, run_II.evolved_until)
+    fronts = run_I.fronts + run_II.fronts
+    offset = len(run_I.fronts)
+    n = len(fronts)
+    # keys 0..n-1 are fronts, run II's shifted by ``offset``; n and n + 1
+    # are the head and tail sentinels of the position-ordered list
+    head, tail, gone = n, n + 1, -1
+    prv = [gone] * (n + 2)
+    nxt = [gone] * (n + 2)
+    in_II = [False] * offset + [True] * (n - offset)
+    heap = []
+    out = []
+
+    def schedule(kl, kr):
+        if kl >= n or kr >= n or in_II[kl] == in_II[kr]:
+            return
+        fl, fr = fronts[kl], fronts[kr]
+        if not fl.speed > fr.speed:
+            return
+        fI, fII = (fr, fl) if in_II[kl] else (fl, fr)
+        tx = (
+            fII.birth_position - fII.speed * fII.birth_time
+            - fI.birth_position + fI.speed * fI.birth_time
+        ) / (fI.speed - fII.speed)
+        heapq.heappush(heap, (tx, kl, kr))
+
+    def cross_until(limit):
+        while heap and heap[0][0] <= limit:
+            tx, kl, kr = heapq.heappop(heap)
+            if nxt[kl] != kr:
+                continue
+            fl, fr = fronts[kl], fronts[kr]
+            lo = max(fl.birth_time, fr.birth_time)
+            hi = min(horizon if fl.death_time is None else fl.death_time,
+                     horizon if fr.death_time is None else fr.death_time)
+            if lo < hi and lo <= tx <= hi:
+                out.append(tx)
+            before, after = prv[kl], nxt[kr]
+            nxt[before], prv[kr] = kr, before
+            nxt[kr], prv[kl] = kl, kr
+            nxt[kl], prv[after] = after, kl
+            schedule(before, kr)
+            schedule(kl, after)
+
+    def unlink(k):
+        before, after = prv[k], nxt[k]
+        nxt[before], prv[after] = after, before
+        prv[k] = nxt[k] = gone
+        return before, after
+
+    # the fronts each run starts with, merged by position
+    starts = []
+    for run, base in ((run_I, 0), (run_II, offset)):
+        born_later = sum(e.outgoing is not None for e in run.events)
+        starts.append([(f.birth_position, base + f.uid)
+                       for f in run.fronts[:len(run.fronts) - born_later]])
+    last = head
+    for _, k in heapq.merge(*starts, key=itemgetter(0)):
+        nxt[last], prv[k] = k, last
+        schedule(last, k)
+        last = k
+    nxt[last], prv[tail] = tail, last
+
+    # the sort is stable, so each run's causal order survives ties
+    events = sorted(
+        ((e.time, base, e)
+         for run, base in ((run_I, 0), (run_II, offset))
+         for e in run.events if e.time <= horizon),
+        key=itemgetter(0),
+    )
+    for te, base, e in events:
+        cross_until(te)
+        ka, kb = (base + uid for uid in e.incoming)
+        left, _ = unlink(ka)
+        # fronts of the other run that float noise left between the
+        # incoming pair stay there, right of the outgoing front
+        pb, nb = unlink(kb)
+        if e.outgoing is not None:
+            ko = base + e.outgoing
+            right = nxt[left]
+            nxt[left], prv[ko] = ko, left
+            nxt[ko], prv[right] = right, ko
+            schedule(ko, right)
+        schedule(left, nxt[left])
+        if pb != left:
+            schedule(pb, nb)
+    cross_until(horizon)
+    out.sort()
+    return out
 
 
 def timeline(field, s, t, *, reverse=False):
@@ -391,13 +485,6 @@ def _check_interval(field, fs, t0, t1):
             raise InconsistentFieldError(
                 f"interval [{t0}, {t1}]: jumps near x={ja.position} change "
                 f"order by t={end}; a crossing is missing from the event times")
-
-
-def build_coefficient(run_I, run_II, t, *, classification_tol=None):
-    """One-off slice: (coefficient profile, classified jumps) at time t."""
-    field = CoefficientField(run_I, run_II, classification_tol=classification_tol)
-    s = field.at(t)
-    return s.a_profile, list(s.jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -473,21 +560,16 @@ class WeightField:
         )
 
 
-def build_weight(run_I, run_II, m, t):
-    """One-off weight profile for a run pair at time t."""
-    field = CoefficientField(run_I, run_II)
-    return WeightField(field, m).slice_at(t).profile
-
-
-def export_jumps_csv(field: CoefficientField, weight: WeightField, times, fileobj):
-    """Classified-jump table (with weight traces) at the given times."""
+def export_jumps_csv(weight: WeightField, slices, fileobj):
+    """Classified-jump table (with weight traces) of the given slices of
+    the weight's field."""
     writer = csv.writer(fileobj)
     writer.writerow(
         ["t", "x", "kind", "partition", "lambda", "a_minus", "a_plus",
          "b_jump", "w_minus", "w_plus"]
     )
-    for t in times:
-        fs = field.at(t)
+    for fs in slices:
+        t = fs.time
         ws = weight.slice_at(t, fs)
         for j, (wm, wp) in zip(fs.jumps, ws.traces):
             writer.writerow(

@@ -214,6 +214,15 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     except (ValueError, TypeError) as exc:
         errors.append(f"flux: {exc}")
         flux = make_flux("burgers", {}, None)
+    else:
+        if rational:
+            lo, hi = flux.working_interval
+            probe = (Fraction(lo) + Fraction(hi)) / 2
+            if not isinstance(flux.derivative(probe), Fraction):
+                errors.append(
+                    f"flux: {name!r} is not closed over rationals and cannot "
+                    "be used in rational mode"
+                )
 
     u1 = _parse_profile(config.get("u1", {}), rational, "u1", errors)
     u2 = _parse_profile(config.get("u2", {}), rational, "u2", errors)
@@ -492,6 +501,20 @@ def _probe_times(field, s, t, limit=8):
     return mids
 
 
+def _probe_slices(field, s, t):
+    """The field at each probe time, built as the caller reaches it."""
+    for tau in _probe_times(field, s, t):
+        yield field.at(tau)
+
+
+def _drain(items):
+    """Yield the items of a list in order, dropping each from the list, so
+    an item is freed once the caller is done with it."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def build_runs(spec: ScenarioSpec, h=None):
     """The two evolved front-tracking runs for a scenario."""
     h = spec.h if h is None else h
@@ -510,6 +533,7 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
     out = out_dir if out_dir is not None else spec.out
     reports = {}
     error = None
+    probes = None
     try:
         run_I, run_II = build_runs(spec)
         field = CoefficientField(run_I, run_II)
@@ -533,9 +557,9 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
 
         for name in spec.checks:
             if name == "oleinik":
-                reports[name] = oleinik_report(
-                    field, _probe_times(field, s, t), spec.tol_scale
-                )
+                # kept for the jump table, which reads the same slices
+                probes = list(_probe_slices(field, s, t))
+                reports[name] = oleinik_report(field, probes, spec.tol_scale)
             elif name == "l1":
                 reports[name] = ledger("plain")
             elif name == "weighted":
@@ -560,11 +584,11 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
     if out is not None:
         _write_outputs(result, run_I if error is None else None,
                        run_II if error is None else None,
-                       field if error is None else None)
+                       field if error is None else None, probes)
     return result
 
 
-def _write_outputs(result: ScenarioResult, run_I, run_II, field):
+def _write_outputs(result: ScenarioResult, run_I, run_II, field, probes):
     import io
 
     out = Path(result.out_dir)
@@ -575,14 +599,16 @@ def _write_outputs(result: ScenarioResult, run_I, run_II, field):
         _write_json(out / f"report_{name}.json", rep.to_dict())
     if field is None:
         return
-    s, t = spec.t_start, spec.t_end
+    t = spec.t_end
     for label, run in (("run_I", run_I), ("run_II", run_II)):
         buf = io.StringIO()
         run.export_wave_csv(buf, t)
         _atomic_write(out / f"{label}_waves.csv", buf.getvalue())
     buf = io.StringIO()
     weight = WeightField(field, spec.m)
-    export_jumps_csv(field, weight, _probe_times(field, s, t), buf)
+    slices = (_probe_slices(field, spec.t_start, t) if probes is None
+              else _drain(probes))
+    export_jumps_csv(weight, slices, buf)
     _atomic_write(out / "classified_jumps.csv", buf.getvalue())
     # the samples, not a field slice: a cross-run crossing may sit at t
     u1_final, u2_final = run_I.sample(t), run_II.sample(t)
@@ -619,7 +645,9 @@ class SuiteResult:
 def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
                      h=0.1, horizon=2, m=1, checks=None,
                      mode="float") -> SuiteResult:
-    """Run ``count`` random Burgers scenarios with per-scenario seeds."""
+    """Run ``count`` random Burgers scenarios with per-scenario seeds.
+
+    In rational mode ``h`` is read as the exact decimal it prints as."""
     if count < 1:
         raise ValueError("count: need at least one scenario")
     rational = mode == "rational"
@@ -628,7 +656,8 @@ def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
     for i in range(count):
         cfg = random_scenario_config(
             seed + i, shock_only=shock_only, rational=rational,
-            h=("1/10" if rational else h), horizon=horizon, m=m, checks=checks,
+            h=(str(Fraction(str(h))) if rational else h), horizon=horizon,
+            m=m, checks=checks,
         )
         sub_out = None
         if out_dir is not None:

@@ -30,6 +30,8 @@ TIE_TOL = 1e-12
 # A recomputed collision time may precede the current time by at most this
 # much before the run is declared inconsistent.
 TIME_TOL = 1e-9
+# Relative slack of the float fan count; exact mode uses 0.
+FAN_COUNT_TOL = 1e-9
 
 
 @dataclass
@@ -69,7 +71,8 @@ def solve_riemann(flux: FluxModel, u_left, u_right, h):
     """Resolve one Riemann problem into a list of fronts at the origin.
 
     Down jump -> one shock at the Rankine-Hugoniot speed.  Up jump -> a fan
-    of ceil((u_right - u_left)/h) fronts with equal state increments, whose
+    of ceil((u_right - u_left)/h) fronts with equal state increments (in
+    float arithmetic the ratio is first lowered by a relative 1e-9), whose
     speeds are strictly increasing by convexity.  Equal states -> no fronts.
     """
     if not h > 0:
@@ -86,7 +89,11 @@ def solve_riemann(flux: FluxModel, u_left, u_right, h):
                 kind=SHOCK,
             )
         ]
-    n = math.ceil((u_right - u_left) / h)
+    ratio = (u_right - u_left) / h
+    # a float ratio a rounding step above a whole number must not add a
+    # member; a noise-level jump still gets one
+    slack = FAN_COUNT_TOL * max(1, ratio) if isinstance(ratio, float) else 0
+    n = max(1, math.ceil(ratio - slack))
     step = (u_right - u_left) / n
     fronts = []
     lo = u_left

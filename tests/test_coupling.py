@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,18 @@ from wavetrack.coupling import (
     DegenerateFieldError,
     InconsistentFieldError,
     WeightField,
-    build_coefficient,
-    build_weight,
     classify,
     export_jumps_csv,
     timeline,
 )
 from wavetrack.fluxes import burgers_flux
 from wavetrack.profiles import Profile, profile_difference
-from wavetrack.scenarios import random_scenario_pair
+from wavetrack.scenarios import (
+    build_runs,
+    parse_scenario,
+    random_scenario_config,
+    random_scenario_pair,
+)
 from wavetrack.tracking import FrontTrackingRun
 
 FLUX = burgers_flux()
@@ -194,11 +198,13 @@ def test_build_helpers_return_profiles():
     r2 = FrontTrackingRun(FLUX, Profile.constant(0.0), 0.1)
     r1.evolve(1.0)
     r2.evolve(1.0)
-    a, jumps = build_coefficient(r1, r2, 0.5)
+    field = CoefficientField(r1, r2)
+    fs = field.at(0.5)
+    a, jumps = fs.a_profile, list(fs.jumps)
     assert isinstance(a, Profile)
     assert a.values == (0.5, -0.5)
     assert len(jumps) == 1
-    w = build_weight(r1, r2, 1.0, 0.5)
+    w = WeightField(field, 1.0).slice_at(0.5).profile
     assert isinstance(w, Profile)
 
 
@@ -206,7 +212,7 @@ def test_export_jumps_csv_shape():
     field = _field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
     weight = WeightField(field, 1.0)
     buf = io.StringIO()
-    export_jumps_csv(field, weight, [0.25, 0.75], buf)
+    export_jumps_csv(weight, [field.at(0.25), field.at(0.75)], buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == ("t,x,kind,partition,lambda,a_minus,a_plus,"
                         "b_jump,w_minus,w_plus")
@@ -262,3 +268,135 @@ def test_timeline_detects_a_missed_crossing(monkeypatch):
                         lambda self, s, t: [])
     with pytest.raises(InconsistentFieldError, match="order"):
         list(timeline(field, 0.0, 3.0))
+
+
+# -- the crossing sweep against the all-pairs scan ------------------------------
+
+
+def _scan_crossings(field):
+    """The all-pairs scan the sweep replaced: every run-I/run-II pair whose
+    lines meet while both fronts live."""
+    horizon = min(field.run_I.evolved_until, field.run_II.evolved_until)
+    out = []
+    for fI in field.run_I.fronts:
+        endI = fI.death_time if fI.death_time is not None else horizon
+        for fII in field.run_II.fronts:
+            ds = fI.speed - fII.speed
+            if ds == 0:
+                continue
+            endII = fII.death_time if fII.death_time is not None else horizon
+            lo = max(fI.birth_time, fII.birth_time)
+            hi = min(endI, endII)
+            if not lo < hi:
+                continue
+            tx = (
+                fII.birth_position - fII.speed * fII.birth_time
+                - fI.birth_position + fI.speed * fI.birth_time
+            ) / ds
+            if lo <= tx <= hi:
+                out.append(tx)
+    return sorted(out)
+
+
+def _assert_sweep_matches_scan(field, s, t):
+    scan = _scan_crossings(field)
+    oracle = CoefficientField(field.run_I, field.run_II)
+    oracle._crossings = scan
+    assert field.event_times(s, t) == oracle.event_times(s, t)
+    # a crossing through a collision point may be listed a different
+    # number of times; that time is an own event time and bounds anyway
+    own = set(field.run_I.event_times()) | set(field.run_II.event_times())
+    swept = field._front_crossings()
+    assert swept == sorted(swept)
+    assert (Counter(x for x in swept if x not in own)
+            == Counter(x for x in scan if x not in own))
+    return swept, scan
+
+
+def _sine_pair_config(n_cells, h):
+    two_pi = 6.283185307179586
+    return {
+        "u1": {"generator": "sine", "params": {"amplitude": 1.0},
+               "support": [0, two_pi], "n_cells": n_cells},
+        "u2": {"generator": "sine",
+               "params": {"amplitude": 1.0, "offset": 0.5},
+               "support": [0.01, two_pi + 0.01], "n_cells": n_cells},
+        "h": h,
+        "time": {"start": 0, "end": 2},
+    }
+
+
+def _corpus(name):
+    if name == "acceptance":
+        for seed in range(7000, 7005):
+            p1, p2 = random_scenario_pair(random.Random(seed), max_jumps=3,
+                                          rational=True)
+            yield _field(p1, p2, h=Fraction(1, 10), horizon=Fraction(2),
+                         exact=True)
+        return
+    if name == "sine64":
+        configs = [_sine_pair_config(64, 0.05)]
+    else:
+        seeds, kwargs = {
+            "random": (range(60), {}),
+            "shock_only": (range(100, 130), {"shock_only": True}),
+            "rational": (range(300, 308), {"rational": True}),
+        }[name]
+        configs = [random_scenario_config(seed, **kwargs) for seed in seeds]
+    for cfg in configs:
+        yield CoefficientField(*build_runs(parse_scenario(cfg)))
+
+
+@pytest.mark.parametrize(
+    "name", ["acceptance", "random", "shock_only", "rational", "sine64"])
+def test_sweep_matches_the_all_pairs_scan(name):
+    for field in _corpus(name):
+        horizon = field.run_I.evolved_until
+        _assert_sweep_matches_scan(field, horizon * 0, horizon)
+
+
+def test_sweep_finds_a_crossing_of_a_front_born_in_a_collision():
+    # run I: shocks from x = 0 and x = 1 merge at (1, 1/2) into a
+    # stationary shock; run II's shock reaches x = 1/2 at t = 7/3
+    field = _field(Profile([Fraction(0), Fraction(1)],
+                           [Fraction(1), Fraction(0), Fraction(-1)]),
+                   Profile([Fraction(-3)], [Fraction(2), Fraction(1)]),
+                   h=Fraction(1, 10), horizon=Fraction(3), exact=True)
+    swept, _ = _assert_sweep_matches_scan(field, Fraction(0), Fraction(3))
+    assert swept == [Fraction(7, 3)]
+    assert field.event_times(0, 3) == [Fraction(1), Fraction(7, 3)]
+
+
+def test_sweep_front_through_a_collision_point():
+    # run II's shock passes exactly through run I's collision at (1, 1/2):
+    # the scan lists t = 1 once per front it meets there, the sweep once per
+    # swap; both bound the same intervals
+    field = _field(Profile([Fraction(0), Fraction(1)],
+                           [Fraction(1), Fraction(0), Fraction(-1)]),
+                   Profile([Fraction(-1)], [Fraction(2), Fraction(1)]),
+                   h=Fraction(1, 10), horizon=Fraction(2), exact=True)
+    swept, scan = _assert_sweep_matches_scan(field, Fraction(0), Fraction(2))
+    assert scan == [1, 1, 1]
+    assert swept and set(swept) == {1}
+    assert field.event_times(0, 2) == [Fraction(1)]
+    assert len(list(timeline(field, Fraction(0), Fraction(2)))) == 2
+
+
+def test_sweep_front_crosses_a_fan_at_nearly_one_time():
+    # a narrow ten-member fan of run I meets a shock of run II near
+    # t = 1/2; the crossing times lie a few ulps apart
+    field = _field(Profile([0.1], [0.3, 0.3 + 1e-14]),
+                   Profile([1.0], [0.0, -3.0]), h=1e-15, horizon=1.0)
+    swept, scan = _assert_sweep_matches_scan(field, 0.0, 1.0)
+    assert len(field.run_I.fronts) == len(scan) == 10
+    assert scan[-1] - scan[0] < 1e-14
+    assert swept == scan
+
+
+def test_sweep_front_crosses_a_fan_at_its_birth():
+    # a fast shock of run II meets a fan of run I 1e-12 from its origin
+    field = _field(Profile([1000.1], [-0.5, 0.5]),
+                   Profile([1000.1 + 1e-12], [-1.0, -2.0]), horizon=1.0)
+    swept, scan = _assert_sweep_matches_scan(field, 0.0, 1.0)
+    assert len(scan) == 10
+    assert swept == scan

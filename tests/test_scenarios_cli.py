@@ -366,3 +366,48 @@ def test_cli_rejects_boolean_tolerance(tmp_path, capsys):
     path.write_text(json.dumps(_basic_config(tolerance=True)))
     assert main(["run", str(path)]) == 2
     assert "tolerance: expected a nonnegative number" in capsys.readouterr().err
+
+
+def test_cli_rejects_rational_mode_with_an_irrational_flux(tmp_path, capsys):
+    cfg = _basic_config(mode="rational", h="1/10",
+                        flux={"name": "exponential"})
+    path = _write_config(tmp_path, cfg)
+    assert main(["run", path]) == 2
+    assert "not closed over rationals" in capsys.readouterr().err
+    cfg["mode"] = "float"
+    assert parse_scenario(cfg).flux.name == "exponential"
+
+
+def test_cli_rational_suite_honours_h(tmp_path, capsys):
+    for h, expected in (("0.2", "1/5"), (None, "1/10")):
+        out = tmp_path / f"h{h}"
+        argv = ["suite", "--count", "1", "--seed", "0", "--shock-only",
+                "--mode", "rational", "--out", str(out)]
+        if h is not None:
+            argv += ["--h", h]
+        assert main(argv) == 0
+        summary = json.loads(
+            (out / "scenario_0000" / "summary.json").read_text())
+        assert summary["h"] == expected
+        assert summary["mode"] == "rational"
+
+
+def test_probe_slices_are_built_once(tmp_path, monkeypatch):
+    # the oleinik check and the jump table read the same probe slices
+    counts = {"at": 0, "event_times": 0}
+    for name in counts:
+        orig = getattr(CoefficientField, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            counts[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(CoefficientField, name, counted)
+    cfg = dict(_sine_config(8, 0.2), checks=["oleinik"])
+    result = run_scenario(cfg, out_dir=str(tmp_path))
+    assert result.passed
+    rows = (tmp_path / "classified_jumps.csv").read_text().splitlines()[1:]
+    probes = json.loads((tmp_path / "report_oleinik.json").read_text())["times"]
+    assert len(probes) == 8
+    assert {float(r.split(",")[0]) for r in rows} == set(probes)
+    assert counts == {"at": 8, "event_times": 1}

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from wavetrack.fluxes import burgers_flux
 from wavetrack.profiles import Profile, l1_norm, total_variation
+from wavetrack.scenarios import random_scenario_pair
 from wavetrack.tracking import (
     FAN,
     SHOCK,
@@ -44,6 +46,29 @@ def test_riemann_fan_increments_cap_h():
     assert len(fronts) == 4                      # ceil(1/0.3)
     for f in fronts:
         assert f.strength <= 0.3 + 1e-15
+
+
+def test_float_fan_count_ignores_a_rounding_step():
+    # 0.1 + 0.2 over 0.1 is 3.0000000000000004: three members, not four
+    assert len(solve_riemann(FLUX, 0.0, 0.1 + 0.2, 0.1)) == 3
+    # a noise-level up jump still gets its one member
+    assert len(solve_riemann(FLUX, 0.3, math.nextafter(0.3, 1.0), 0.1)) == 1
+    # exact mode counts without slack
+    third = Fraction(3, 10)
+    assert len(solve_riemann(FLUX, 0, third, Fraction(1, 10))) == 3
+    assert len(solve_riemann(FLUX, 0, third + Fraction(1, 10**12),
+                             Fraction(1, 10))) == 4
+
+
+def test_float_and_exact_runs_start_with_the_same_fronts():
+    for seed, count in ((20, 13), (28, 33)):
+        _, p2 = random_scenario_pair(random.Random(seed), max_jumps=4,
+                                     rational=True)
+        exact = FrontTrackingRun(FLUX, p2, Fraction(1, 10), exact=True)
+        floats = FrontTrackingRun(
+            FLUX, Profile([float(x) for x in p2.breakpoints],
+                          [float(v) for v in p2.values]), 0.1)
+        assert len(floats.fronts) == len(exact.fronts) == count
 
 
 def test_two_shocks_merge():
