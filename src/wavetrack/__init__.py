@@ -69,6 +69,7 @@ from .functional import (
     ProductRuleReport,
     default_window,
     gain_cap_report,
+    identity_reports,
     l1_identity_report,
     monotonicity_report,
     product_inequality_check,
@@ -83,7 +84,6 @@ from .profiles import (
     nonconservative_product,
     profile_difference,
     profile_map2,
-    sup_norm,
     total_variation,
     weighted_l1_norm,
 )
@@ -143,6 +143,7 @@ __all__ = [
     "export_paths_csv",
     "forward_characteristic",
     "gain_cap_report",
+    "identity_reports",
     "l1_identity_report",
     "l1_norm",
     "make_flux",
@@ -166,7 +167,6 @@ __all__ = [
     "sample_initial_data",
     "secant_speed",
     "solve_riemann",
-    "sup_norm",
     "timeline",
     "total_variation",
     "weighted_identity_report",

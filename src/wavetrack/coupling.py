@@ -226,6 +226,7 @@ class CoefficientField:
         self.classification_tol = classification_tol
         self.position_tol = 0 if self.exact else POSITION_TOL
         self._crossings = None
+        self._event_times = {}
 
     # -- slicing ------------------------------------------------------------
 
@@ -309,7 +310,16 @@ class CoefficientField:
         return self._crossings
 
     def event_times(self, s, t):
-        """Interaction times of the coefficient strictly inside (s, t)."""
+        """Interaction times of the coefficient strictly inside (s, t), as a
+        list of the caller's own.
+
+        The merged list is kept from the second request for the same (s, t)
+        on, so a field asked only once holds no copy of a long timeline.
+        """
+        key = (s, t)
+        kept = self._event_times.get(key)
+        if kept is not None:
+            return list(kept)
         times = [e for e in self.run_I.event_times() if s < e < t]
         times += [e for e in self.run_II.event_times() if s < e < t]
         times += [e for e in self._front_crossings() if s < e < t]
@@ -320,6 +330,9 @@ class CoefficientField:
             if merged and e - merged[-1] <= merge_tol * (1 + abs(e)):
                 continue
             merged.append(e)
+        # None marks a first request
+        self._event_times[key] = (list(merged) if key in self._event_times
+                                  else None)
         return merged
 
 
@@ -449,7 +462,11 @@ def timeline(field, s, t, *, reverse=False):
     ``event_times`` missed: every front of the slice must live through the
     whole interval and the jumps must stay ordered at both ends.  A failed
     check raises :class:`InconsistentFieldError`.
+
+    On an exact field the endpoints must be exact too (see
+    :func:`exact_time`), so that every midpoint is a ``Fraction``.
     """
+    s, t = exact_time(field, s), exact_time(field, t)
     bounds = [s, *field.event_times(s, t), t]
     spans = list(zip(bounds, bounds[1:]))
     if reverse:
@@ -458,6 +475,23 @@ def timeline(field, s, t, *, reverse=False):
         fs = field.at(t0 + (t1 - t0) / 2)
         _check_interval(field, fs, t0, t1)
         yield t0, t1, fs
+
+
+def exact_time(field, t):
+    """A time of ``field`` in its own arithmetic.
+
+    An exact field takes an int as a ``Fraction`` (so ``0 + 2/2`` stays
+    exact) and rejects a float, whose rounding its zero tolerances cannot
+    absorb.  A float field takes any time as given.
+    """
+    from fractions import Fraction
+
+    if not field.exact:
+        return t
+    if isinstance(t, float):
+        raise ValueError(f"time {t!r}: an exact field needs int or Fraction "
+                         "times, not float")
+    return Fraction(t)
 
 
 def _check_interval(field, fs, t0, t1):

@@ -8,7 +8,14 @@ interaction-free interval, built at the interval midpoint.  It measures the
 norm at the probe times a quarter and three quarters into the interval by
 moving the slice's jumps there (``x + lam (tau - t_mid)``), evaluates the
 trace sums on the slice itself, and reconciles the two against each other
-and across interaction events.  Each interval record also keeps the
+and across interaction events.  ``identity_reports`` books the plain and
+the weighted ledger from one walk: each slice, the missed-interaction
+check and every weight-independent trace term and verdict are computed
+once, and only the probe norms, the weighted sums, the weight-trace
+checks and the edge flux are booked per norm.  ``l1_identity_report`` and
+``weighted_identity_report`` are the one-norm calls of the same walk.  On
+an exact field the endpoints are taken as ``Fraction`` (an int is
+converted, a float rejected).  Each interval record also keeps the
 per-interval sums the derived checks need, so ``gain_cap_report``,
 ``monotonicity_report`` and ``product_inequality_check`` are functions of
 finished ledgers and build no slices of their own.
@@ -37,6 +44,7 @@ from .coupling import (
     CoefficientField,
     DegenerateFieldError,
     WeightField,
+    exact_time,
     timeline,
 )
 from .profiles import plain_number, total_variation
@@ -62,33 +70,39 @@ def default_window(cfield: CoefficientField, t_end):
     return min(xs) - pad, max(xs) + pad
 
 
-def _value_index(positions, x):
-    """Index of the constant piece containing x (right-continuous)."""
-    return bisect_right(positions, x)
+def _norms(fslice, weights, window, t=None):
+    """Integral of |psi| over the window once per entry of ``weights`` (a
+    weight slice's piece values, or None for weight one), with the slice's
+    jumps moved to time t (default: the slice time)."""
+    psi = fslice.psi_values
+    totals = [0] * len(weights)
+    for i, width in fslice.pieces(*window, t):
+        p = abs(psi[i])
+        for k, wv in enumerate(weights):
+            totals[k] += p * width if wv is None else p * wv[i] * width
+    return totals
 
 
 def _windowed_norm(fslice, weight_values, window, t=None):
     """Integral of |psi| (times the weight if given) over the window, with
     the slice's jumps moved to time t (default: the slice time)."""
-    psi = fslice.psi_values
-    total = 0
-    for i, width in fslice.pieces(*window, t):
-        w = 1 if weight_values is None else weight_values[i]
-        total += abs(psi[i]) * w * width
-    return total
+    return _norms(fslice, [weight_values], window, t)[0]
 
 
-def _edge_flux_rate(fslice, weight_values, window):
-    """a |psi| w at the left edge minus the same at the right edge."""
-    A, B = window
+def _edge_flux_rates(fslice, weights, window):
+    """a |psi| w at the left edge minus the same at the right edge, once
+    per entry of ``weights``."""
     positions = [j.position for j in fslice.jumps]
-    iA = _value_index(positions, A)
-    iB = _value_index(positions, B)
-    out = 0
-    for idx, sign in ((iA, 1), (iB, -1)):
-        w = 1 if weight_values is None else weight_values[idx]
-        out += sign * fslice.a_values[idx] * abs(fslice.psi_values[idx]) * w
-    return out
+    edges = [(bisect_right(positions, x), sign)
+             for x, sign in zip(window, (1, -1))]
+    rates = []
+    for wv in weights:
+        out = 0
+        for idx, sign in edges:
+            w = 1 if wv is None else wv[idx]
+            out += sign * fslice.a_values[idx] * abs(fslice.psi_values[idx]) * w
+        rates.append(out)
+    return rates
 
 
 @dataclass
@@ -214,22 +228,49 @@ class FunctionalReport:
         }
 
 
-def _trace_checks(fslice, wslice, m, tol_rate, state_tol, violations):
-    """Per-jump structural identities at one sampled slice.
+@dataclass(slots=True)
+class _Book:
+    """One norm's ledger while a walk books it."""
 
-    Checks the trace symmetry at compressive and rarefaction-side jumps, the
-    conservation relation at undercompressive ones, the weight bracket
-    [m, m + TV(b)], and the closed forms of the weight-trace combinations at
-    strictly classified jumps.
+    weight: object            # WeightField, None for the plain norm
+    ws: object = None         # its weight slice of the current field slice
+    violations: list = dataclass_field(default_factory=list)
+    intervals: list = dataclass_field(default_factory=list)
+
+
+def _book_jumps(fslice, books, window, tol_rate, state_tol):
+    """Trace-sum rates of each book's norm at one slice; the per-jump
+    structural identities go to each book's violations.
+
+    Shared by all books: the trace symmetry at compressive and
+    rarefaction-side jumps, the conservation relation at undercompressive
+    ones and the sign table.  Per weighted book: the weight bracket
+    [m, m + TV(b)] and, at strictly classified jumps, the closed forms of
+    the weight-trace combinations.  Returns the kind counts inside the
+    window and, per book, ``[interior, lax, slow_fast, rs_main, rs_b]``.
     """
+    A, B = window
     t = fslice.time
-    tvb = wslice.tv_b if wslice is not None else None
+    counts = {LAX: 0, SLOW: 0, FAST: 0, RAREFACTION_SHOCK: 0}
+    rates = [[0] * 5 for _ in books]
+    # per weighted book: its weight traces and the sums its checks reuse
+    wconsts = []
+    for book in books:
+        if book.ws is None:
+            wconsts.append(None)
+            continue
+        m, tvb = book.weight.m, book.ws.tv_b
+        wconsts.append((book.ws.traces, m, m + tvb, 2 * m + tvb,
+                        m - tol_rate, m + tvb + tol_rate))
     for idx, j in enumerate(fslice.jumps):
-        qm = (j.lam - j.a_minus) * abs(j.kappa_minus)
-        qp = (j.a_plus - j.lam) * abs(j.kappa_plus)
+        km = abs(j.kappa_minus)
+        kp = abs(j.kappa_plus)
+        qm = (j.lam - j.a_minus) * km
+        qp = (j.a_plus - j.lam) * kp
+        shared = []
         if j.kind in (LAX, RAREFACTION_SHOCK):
             if abs(qm - qp) > tol_rate:
-                violations.append(
+                shared.append(
                     f"t={t}: trace symmetry broken at x={j.position} "
                     f"({j.kind}): {qm} vs {qp}"
                 )
@@ -237,94 +278,83 @@ def _trace_checks(fslice, wslice, m, tol_rate, state_tol, violations):
             lhs = (j.a_minus - j.lam) * j.kappa_minus
             rhs = (j.a_plus - j.lam) * j.kappa_plus
             if abs(lhs - rhs) > tol_rate:
-                violations.append(
+                shared.append(
                     f"t={t}: conservation relation broken at x={j.position} "
                     f"({j.kind}): {lhs} vs {rhs}"
                 )
         if not j.sign_table_consistent(state_tol):
-            violations.append(
+            shared.append(
                 f"t={t}: trace sign table violated at x={j.position} ({j.kind})"
             )
-        if wslice is None:
-            continue
-        wm, wp = wslice.traces[idx]
-        for side, w in (("-", wm), ("+", wp)):
-            if w < m - tol_rate or w > m + tvb + tol_rate:
-                violations.append(
-                    f"t={t}: weight trace w{side}={w} outside "
-                    f"[{m}, {m + tvb}] at x={j.position}"
-                )
-        strict = (
-            min(abs(j.a_minus - j.lam), abs(j.a_plus - j.lam)) > tol_rate
-            and min(abs(j.kappa_minus), abs(j.kappa_plus)) > state_tol
-        )
-        if not strict:
-            # where a trace of the difference vanishes, the weight branch
-            # on that side is immaterial (the functional sees |psi| w), so
-            # no trace-form constraint applies
-            continue
-        if j.kind == SLOW and wp - wm > tol_rate:
-            violations.append(
-                f"t={t}: weight must not increase across a slow jump "
-                f"at x={j.position}: {wm} -> {wp}"
-            )
-        if j.kind == FAST and wm - wp > tol_rate:
-            violations.append(
-                f"t={t}: weight must not decrease across a fast jump "
-                f"at x={j.position}: {wm} -> {wp}"
-            )
         b = j.strength
-        closed = {
-            LAX: (wm + wp, 2 * m + tvb - b),
-            RAREFACTION_SHOCK: (wm + wp, 2 * m + tvb + b),
-            SLOW: (wp - wm, -b),
-            FAST: (wp - wm, b),
-        }[j.kind]
-        if abs(closed[0] - closed[1]) > tol_rate:
-            violations.append(
-                f"t={t}: closed weight-trace form broken at x={j.position} "
-                f"({j.kind}): {closed[0]} vs expected {closed[1]}"
-            )
-
-
-def _interval_rates(fslice, wslice, m, window, tol_rate, state_tol, violations):
-    """Trace-sum rates of the (possibly weighted) norm at one slice."""
-    A, B = window
-    zero = 0
-    interior = zero
-    lax = zero
-    slow_fast = zero
-    rs_main = zero
-    rs_b = zero
-    counts = {LAX: 0, SLOW: 0, FAST: 0, RAREFACTION_SHOCK: 0}
-    tvb = wslice.tv_b if wslice is not None else None
-    for idx, j in enumerate(fslice.jumps):
-        if not A < j.position < B:
-            continue
-        counts[j.kind] += 1
-        if wslice is None:
-            wm = wp = 1
-        else:
-            wm, wp = wslice.traces[idx]
-        interior += (j.lam - j.a_minus) * abs(j.kappa_minus) * wm
-        interior += (j.a_plus - j.lam) * abs(j.kappa_plus) * wp
-        q = abs(j.a_minus - j.lam) * abs(j.kappa_minus)
-        if j.kind == LAX:
-            factor = 2 if wslice is None else 2 * m + tvb - j.strength
-            lax += factor * q
-        elif j.kind == RAREFACTION_SHOCK:
-            if wslice is None:
-                rs_main += 2 * q
+        inside = A < j.position < B
+        if inside:
+            counts[j.kind] += 1
+            q = abs(j.a_minus - j.lam) * km
+        strict = None
+        for book, r, wc in zip(books, rates, wconsts):
+            book.violations.extend(shared)
+            if wc is None:
+                if inside:
+                    r[0] += qm
+                    r[0] += qp
+                    if j.kind == LAX:
+                        r[1] += 2 * q
+                    elif j.kind == RAREFACTION_SHOCK:
+                        r[3] += 2 * q
+                continue
+            traces, m, m_tvb, two_m_tvb, w_lo, w_hi = wc
+            wm, wp = traces[idx]
+            if inside:
+                r[0] += qm * wm
+                r[0] += qp * wp
+                if j.kind == LAX:
+                    r[1] += (two_m_tvb - b) * q
+                elif j.kind == RAREFACTION_SHOCK:
+                    r[3] += two_m_tvb * q
+                    r[4] += b * q
+                else:
+                    r[2] += b * q
+            for side, w in (("-", wm), ("+", wp)):
+                if w < w_lo or w > w_hi:
+                    book.violations.append(
+                        f"t={t}: weight trace w{side}={w} outside "
+                        f"[{m}, {m_tvb}] at x={j.position}"
+                    )
+            if strict is None:
+                strict = (
+                    min(abs(j.a_minus - j.lam), abs(j.a_plus - j.lam)) > tol_rate
+                    and min(km, kp) > state_tol
+                )
+            if not strict:
+                # where a trace of the difference vanishes, the weight
+                # branch on that side is immaterial (the functional sees
+                # |psi| w), so no trace-form constraint applies
+                continue
+            if j.kind == LAX:
+                closed, expected = wm + wp, two_m_tvb - b
+            elif j.kind == RAREFACTION_SHOCK:
+                closed, expected = wm + wp, two_m_tvb + b
+            elif j.kind == SLOW:
+                closed, expected = wp - wm, -b
+                if closed > tol_rate:
+                    book.violations.append(
+                        f"t={t}: weight must not increase across a slow "
+                        f"jump at x={j.position}: {wm} -> {wp}"
+                    )
             else:
-                rs_main += (2 * m + tvb) * q
-                rs_b += j.strength * q
-        else:
-            if wslice is not None:
-                slow_fast += j.strength * q
-    _trace_checks(fslice, wslice, m, tol_rate, state_tol, violations)
-    wvals = None if wslice is None else wslice.piece_values
-    flux = _edge_flux_rate(fslice, wvals, window)
-    return interior, flux, lax, slow_fast, rs_main, rs_b, counts
+                closed, expected = wp - wm, b
+                if wm - wp > tol_rate:
+                    book.violations.append(
+                        f"t={t}: weight must not decrease across a fast "
+                        f"jump at x={j.position}: {wm} -> {wp}"
+                    )
+            if abs(closed - expected) > tol_rate:
+                book.violations.append(
+                    f"t={t}: closed weight-trace form broken at x={j.position} "
+                    f"({j.kind}): {closed} vs expected {expected}"
+                )
+    return counts, rates
 
 
 def _check_terms(fslice, window):
@@ -357,20 +387,25 @@ def _check_terms(fslice, window):
     }
 
 
-def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
-    """Shared engine behind the plain and weighted identity reports."""
+def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
+    """One report per entry of ``weights`` (None for the plain norm, a
+    :class:`WeightField` for a weighted one), booked from one timeline walk.
+    """
+    s, t = exact_time(cfield, s), exact_time(cfield, t)
     if not s < t:
         raise ValueError("need s < t")
     if window is None:
         window = default_window(cfield, t)
     exact = cfield.exact
     state_tol = 0 if exact else 1e-12
+    books = [_Book(w) for w in weights]
 
-    def w_values(fslice):
-        if weight is None:
-            return None, None
-        ws = weight.slice_at(fslice.time, fslice)
-        return ws, ws.piece_values
+    def weigh(fslice):
+        # each book's weight slice, and its piece values (None: weight one)
+        for book in books:
+            if book.weight is not None:
+                book.ws = book.weight.slice_at(fslice.time, fslice)
+        return [None if b.ws is None else b.ws.piece_values for b in books]
 
     walk = timeline(cfield, s, t)
     first = next(walk)
@@ -383,24 +418,20 @@ def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
     # exactly; fill those in after the interval loop.
     try:
         start_slice = cfield.at(s)
-        _, wv_start = w_values(start_slice)
-        norm_start = _windowed_norm(start_slice, wv_start, window)
-        base = _windowed_norm(start_slice, None, window)
+        norm_start = _norms(start_slice, weigh(start_slice) + [None], window)
+        base = norm_start.pop()
     except DegenerateFieldError:
-        norm_start = None
+        norm_start = [None] * len(books)
         t0, t1, fs = first
         base = _windowed_norm(fs, None, window, t0 + (t1 - t0) / 4)
     try:
         end_slice = cfield.at(t)
-        _, wv_end = w_values(end_slice)
-        norm_end = _windowed_norm(end_slice, wv_end, window)
+        norm_end = _norms(end_slice, weigh(end_slice), window)
     except DegenerateFieldError:
-        norm_end = None
+        norm_end = [None] * len(books)
 
     # plain-L1 size of the initial difference sets the tolerance scale
     tol_norm = 0 if exact else tol_scale * (1 + base)
-    violations = []
-    intervals = []
     events = []
     for t0, t1, fs in chain([first], walk):
         if t0 != s:
@@ -408,135 +439,155 @@ def _analyze(cfield: CoefficientField, weight, m, s, t, window, tol_scale):
         dt = t1 - t0
         tau_lo = t0 + dt / 4
         tau_hi = t0 + 3 * dt / 4
-        ws, wv = w_values(fs)
-        n_lo = _windowed_norm(fs, wv, window, tau_lo)
-        n_hi = _windowed_norm(fs, wv, window, tau_hi)
-        slope = (n_hi - n_lo) / (tau_hi - tau_lo)
+        span = tau_hi - tau_lo
+        wvs = weigh(fs)
+        n_los = _norms(fs, wvs, window, tau_lo)
+        n_his = _norms(fs, wvs, window, tau_hi)
         rate_mags = sum(abs(j.lam - j.a_minus) + abs(j.a_plus - j.lam)
                         for j in fs.jumps)
         tol_rate = 0 if exact else tol_scale * (1 + rate_mags + base)
-        interior, flux, lax, slow_fast, rs_main, rs_b, counts = _interval_rates(
-            fs, ws, m, window, tol_rate, state_tol, violations
-        )
-        residual_norm = abs((n_hi - n_lo) - (tau_hi - tau_lo) * (interior + flux))
-        residual_traces = abs(interior + lax + slow_fast - rs_main - rs_b)
-        rec = IntervalRecord(
-            t_start=t0,
-            t_end=t1,
-            norm_probe_lo=n_lo,
-            norm_probe_hi=n_hi,
-            slope_measured=slope,
-            interior_rate=interior,
-            flux_rate=flux,
-            lax_rate=lax,
-            slow_fast_rate=slow_fast,
-            rs_main_rate=rs_main,
-            rs_b_rate=rs_b,
-            kind_counts=counts,
-            residual_norm=residual_norm,
-            residual_traces=residual_traces,
-            rate_mags=rate_mags,
-            **_check_terms(fs, window),
-        )
-        intervals.append(rec)
-        if residual_norm > tol_norm:
-            violations.append(
-                f"interval [{t0}, {t1}]: measured norm change differs from "
-                f"trace-sum prediction by {residual_norm}"
-            )
-        if residual_traces > tol_rate:
-            violations.append(
-                f"interval [{t0}, {t1}]: interior rate {interior} does not "
-                f"match the classified decomposition (residual {residual_traces})"
-            )
-
-    if norm_start is None:
-        norm_start = intervals[0].norm_at(s)
-    if norm_end is None:
-        norm_end = intervals[-1].norm_at(t)
-
-    event_drops = []
-    for k, e in enumerate(events):
-        left = intervals[k].norm_at(e)
-        right = intervals[k + 1].norm_at(e)
-        drop = right - left
-        event_drops.append((e, drop))
-        if weight is None:
-            if abs(drop) > tol_norm:
-                violations.append(
-                    f"event t={e}: plain norm jumped by {drop}; it must be "
-                    "continuous across interactions"
+        counts, rates = _book_jumps(fs, books, window, tol_rate, state_tol)
+        fluxes = _edge_flux_rates(fs, wvs, window)
+        terms = _check_terms(fs, window)
+        for book, n_lo, n_hi, r, flux in zip(books, n_los, n_his, rates,
+                                             fluxes):
+            interior, lax, slow_fast, rs_main, rs_b = r
+            residual_norm = abs((n_hi - n_lo) - span * (interior + flux))
+            residual_traces = abs(interior + lax + slow_fast - rs_main - rs_b)
+            book.intervals.append(IntervalRecord(
+                t_start=t0,
+                t_end=t1,
+                norm_probe_lo=n_lo,
+                norm_probe_hi=n_hi,
+                slope_measured=(n_hi - n_lo) / span,
+                interior_rate=interior,
+                flux_rate=flux,
+                lax_rate=lax,
+                slow_fast_rate=slow_fast,
+                rs_main_rate=rs_main,
+                rs_b_rate=rs_b,
+                kind_counts=dict(counts),
+                residual_norm=residual_norm,
+                residual_traces=residual_traces,
+                rate_mags=rate_mags,
+                **terms,
+            ))
+            if residual_norm > tol_norm:
+                book.violations.append(
+                    f"interval [{t0}, {t1}]: measured norm change differs "
+                    f"from trace-sum prediction by {residual_norm}"
                 )
-        elif drop > tol_norm:
+            if residual_traces > tol_rate:
+                book.violations.append(
+                    f"interval [{t0}, {t1}]: interior rate {interior} does "
+                    "not match the classified decomposition (residual "
+                    f"{residual_traces})"
+                )
+
+    horizon_event = None      # an interaction at t; looked up when needed
+    reports = []
+    for book, n_start, n_end in zip(books, norm_start, norm_end):
+        intervals, violations = book.intervals, book.violations
+        plain = book.weight is None
+        if n_start is None:
+            n_start = intervals[0].norm_at(s)
+        if n_end is None:
+            n_end = intervals[-1].norm_at(t)
+
+        event_drops = []
+        for k, e in enumerate(events):
+            drop = intervals[k + 1].norm_at(e) - intervals[k].norm_at(e)
+            event_drops.append((e, drop))
+            if plain:
+                if abs(drop) > tol_norm:
+                    violations.append(
+                        f"event t={e}: plain norm jumped by {drop}; it must "
+                        "be continuous across interactions"
+                    )
+            elif drop > tol_norm:
+                violations.append(
+                    f"event t={e}: weighted norm increased by {drop} across "
+                    "an interaction; drops must be favorable"
+                )
+
+        # endpoint reconciliation: measured norms vs interval extrapolations
+        start_gap = intervals[0].norm_at(s) - n_start
+        if abs(start_gap) > tol_norm:
             violations.append(
-                f"event t={e}: weighted norm increased by {drop} across an "
-                "interaction; drops must be favorable"
+                f"start t={s}: extrapolated norm differs from measured by "
+                f"{start_gap}"
+            )
+        end_gap = n_end - intervals[-1].norm_at(t)
+        if abs(end_gap) > tol_norm:
+            if horizon_event is None:
+                horizon_event = _has_event_at(cfield, t)
+            if not horizon_event:
+                violations.append(
+                    f"end t={t}: extrapolated norm differs from measured by "
+                    f"{end_gap}"
+                )
+            else:
+                # interaction exactly at the horizon: book the jump as a
+                # final drop
+                event_drops.append((t, end_gap))
+                if plain:
+                    violations.append(
+                        f"event t={t}: plain norm jumped by {end_gap} at the "
+                        "horizon"
+                    )
+                elif end_gap > tol_norm:
+                    violations.append(
+                        f"event t={t}: weighted norm increased by {end_gap}"
+                    )
+
+        zero = 0
+        decay_lax = sum((r.lax_rate * r.duration for r in intervals), start=zero)
+        decay_sf = sum((r.slow_fast_rate * r.duration for r in intervals),
+                       start=zero)
+        gain_rs_main = sum((r.rs_main_rate * r.duration for r in intervals),
+                           start=zero)
+        gain_rs_b = sum((r.rs_b_rate * r.duration for r in intervals),
+                        start=zero)
+        flux_total = sum((r.flux_rate * r.duration for r in intervals),
+                         start=zero)
+        drop_total = sum((d for _, d in event_drops), start=zero)
+        predicted = (
+            n_start - decay_lax - decay_sf + gain_rs_main + gain_rs_b
+            + flux_total + drop_total
+        )
+        residual_global = abs(n_end - predicted)
+        # the global ledger stacks every per-interval error, so give it
+        # headroom
+        tol_global = 0 if exact else tol_norm * (4 + len(intervals))
+        if residual_global > tol_global:
+            violations.append(
+                f"global ledger out of balance by {residual_global} over "
+                f"[{s}, {t}]"
             )
 
-    # endpoint reconciliation: measured norms vs interval extrapolations
-    start_gap = intervals[0].norm_at(s) - norm_start
-    if abs(start_gap) > tol_norm:
-        violations.append(
-            f"start t={s}: extrapolated norm differs from measured by {start_gap}"
-        )
-    end_gap = norm_end - intervals[-1].norm_at(t)
-    if abs(end_gap) > tol_norm and not _has_event_at(cfield, t):
-        violations.append(
-            f"end t={t}: extrapolated norm differs from measured by {end_gap}"
-        )
-    if abs(end_gap) > tol_norm and _has_event_at(cfield, t):
-        # interaction exactly at the horizon: book the jump as a final drop
-        event_drops.append((t, end_gap))
-        if weight is not None and end_gap > tol_norm:
-            violations.append(
-                f"event t={t}: weighted norm increased by {end_gap}"
-            )
-        if weight is None:
-            violations.append(
-                f"event t={t}: plain norm jumped by {end_gap} at the horizon"
-            )
-
-    zero = 0
-    decay_lax = sum((r.lax_rate * r.duration for r in intervals), start=zero)
-    decay_sf = sum((r.slow_fast_rate * r.duration for r in intervals), start=zero)
-    gain_rs_main = sum((r.rs_main_rate * r.duration for r in intervals), start=zero)
-    gain_rs_b = sum((r.rs_b_rate * r.duration for r in intervals), start=zero)
-    flux_total = sum((r.flux_rate * r.duration for r in intervals), start=zero)
-    drop_total = sum((d for _, d in event_drops), start=zero)
-    predicted = (
-        norm_start - decay_lax - decay_sf + gain_rs_main + gain_rs_b
-        + flux_total + drop_total
-    )
-    residual_global = abs(norm_end - predicted)
-    # the global ledger stacks every per-interval error, so give it headroom
-    tol_global = 0 if exact else tol_norm * (4 + len(intervals))
-    if residual_global > tol_global:
-        violations.append(
-            f"global ledger out of balance by {residual_global} over [{s}, {t}]"
-        )
-
-    return FunctionalReport(
-        kind="plain" if weight is None else "weighted",
-        m=m,
-        s=s,
-        t=t,
-        window=tuple(window),
-        norm_start=norm_start,
-        norm_end=norm_end,
-        intervals=intervals,
-        event_drops=event_drops,
-        decay_lax=decay_lax,
-        decay_slow_fast=decay_sf,
-        gain_rs_main=gain_rs_main,
-        gain_rs_b=gain_rs_b,
-        flux_total=flux_total,
-        drop_total=drop_total,
-        residual_global=residual_global,
-        tol_norm=tol_norm,
-        violations=violations,
-        tol_scale=tol_scale,
-        exact=exact,
-    )
+        reports.append(FunctionalReport(
+            kind="plain" if plain else "weighted",
+            m=None if plain else book.weight.m,
+            s=s,
+            t=t,
+            window=tuple(window),
+            norm_start=n_start,
+            norm_end=n_end,
+            intervals=intervals,
+            event_drops=event_drops,
+            decay_lax=decay_lax,
+            decay_slow_fast=decay_sf,
+            gain_rs_main=gain_rs_main,
+            gain_rs_b=gain_rs_b,
+            flux_total=flux_total,
+            drop_total=drop_total,
+            residual_global=residual_global,
+            tol_norm=tol_norm,
+            violations=violations,
+            tol_scale=tol_scale,
+            exact=exact,
+        ))
+    return reports
 
 
 def _has_event_at(cfield, t):
@@ -556,7 +607,7 @@ def l1_identity_report(cfield: CoefficientField, s, t, window=None,
     undercompressive jumps are exactly neutral; the norm is continuous
     across interaction events.
     """
-    return _analyze(cfield, None, None, s, t, window, tol_scale)
+    return _analyze(cfield, [None], s, t, window, tol_scale)[0]
 
 
 def weighted_identity_report(cfield: CoefficientField, m, s, t, window=None,
@@ -567,8 +618,17 @@ def weighted_identity_report(cfield: CoefficientField, m, s, t, window=None,
     decomposition (see module docstring); at interactions the weight's
     variation budget can shrink, giving a favorable (nonpositive) jump.
     """
-    weight = WeightField(cfield, m)
-    return _analyze(cfield, weight, m, s, t, window, tol_scale)
+    return _analyze(cfield, [WeightField(cfield, m)], s, t, window,
+                    tol_scale)[0]
+
+
+def identity_reports(cfield: CoefficientField, m, s, t, window=None,
+                     tol_scale=TOL_SCALE):
+    """``(plain, weighted)``: both ledgers of :func:`l1_identity_report` and
+    :func:`weighted_identity_report` (weight offset m), booked from one
+    timeline walk that builds each slice once for both."""
+    return tuple(_analyze(cfield, [None, WeightField(cfield, m)], s, t,
+                          window, tol_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +992,8 @@ def refinement_study(make_run_pair, h_list, m, s, t, tol_scale=TOL_SCALE):
     for h in h_list:
         run_I, run_II = make_run_pair(h)
         cfield = CoefficientField(run_I, run_II)
-        plain = l1_identity_report(cfield, s, t, tol_scale=tol_scale)
-        weighted = weighted_identity_report(cfield, m, s, t, tol_scale=tol_scale)
+        plain, weighted = identity_reports(cfield, m, s, t,
+                                           tol_scale=tol_scale)
         cap = gain_cap_report(cfield, plain)
         rows.append(
             {

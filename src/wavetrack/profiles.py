@@ -191,25 +191,6 @@ def l1_norm(p: Profile, window=None):
     return total
 
 
-def lp_norm_power(p: Profile, exponent: int, window=None):
-    """Integral of |p|^exponent (the p-th power, no root; exact over rationals)."""
-    if window is None:
-        if p.far_left != 0 or p.far_right != 0:
-            raise ValueError("lp_norm_power: profile lacks compact support")
-        support = p.restrict_support()
-        if support is None:
-            return _zero_like(p.values[0])
-        window = support
-    total = _zero_like(p.values[0])
-    for a, b, v in p.pieces(window):
-        total += abs(v) ** exponent * (b - a)
-    return total
-
-
-def sup_norm(p: Profile):
-    return max(abs(v) for v in p.values)
-
-
 def weighted_l1_norm(p: Profile, w: Profile, window=None):
     """Integral of |p| * w; w must be strictly positive everywhere."""
     if any(v <= 0 for v in w.values):

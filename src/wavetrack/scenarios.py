@@ -28,6 +28,7 @@ from .fluxes import make_flux
 from .functional import (
     TOL_SCALE,
     gain_cap_report,
+    identity_reports,
     l1_identity_report,
     monotonicity_report,
     product_inequality_check,
@@ -41,6 +42,11 @@ CHECK_ORDER = (
     "oleinik", "l1", "weighted", "monotonicity", "gain_cap", "products",
     "max_principle",
 )
+# the norm ledgers each check reads
+LEDGER_NEEDS = {
+    "l1": {"plain"}, "gain_cap": {"plain"}, "weighted": {"weighted"},
+    "products": {"weighted"}, "monotonicity": {"plain", "weighted"},
+}
 
 
 class ScenarioConfigError(ValueError):
@@ -542,17 +548,22 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
         if funnel is None:
             bps = list(run_I.initial.breakpoints) + list(run_II.initial.breakpoints)
             funnel = (min(bps) - 1, max(bps) + 1) if bps else (-1, 1)
+        needed = set().union(*(LEDGER_NEEDS.get(c, ()) for c in spec.checks))
         ledgers = {}
 
         def ledger(kind):
-            # one ledger per norm, shared by every check that reads it
-            if kind not in ledgers:
-                ledgers[kind] = (
-                    l1_identity_report(field, s, t, tol_scale=spec.tol_scale)
-                    if kind == "plain" else
-                    weighted_identity_report(field, spec.m, s, t,
-                                             tol_scale=spec.tol_scale)
-                )
+            # every needed norm is booked by the first check that reads one,
+            # both from one walk when both are needed
+            if not ledgers:
+                if len(needed) == 2:
+                    ledgers["plain"], ledgers["weighted"] = identity_reports(
+                        field, spec.m, s, t, tol_scale=spec.tol_scale)
+                elif "plain" in needed:
+                    ledgers["plain"] = l1_identity_report(
+                        field, s, t, tol_scale=spec.tol_scale)
+                else:
+                    ledgers["weighted"] = weighted_identity_report(
+                        field, spec.m, s, t, tol_scale=spec.tol_scale)
             return ledgers[kind]
 
         for name in spec.checks:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavetrack import (
     CoefficientField,
@@ -13,16 +14,20 @@ from wavetrack import (
     burgers_flux,
     default_window,
     gain_cap_report,
+    identity_reports,
     l1_identity_report,
     l1_norm,
     monotonicity_report,
     product_inequality_check,
     profile_difference,
+    random_scenario_config,
     random_scenario_pair,
     refinement_study,
+    run_scenario,
     weighted_identity_report,
 )
 from wavetrack.functional import _windowed_norm
+from wavetrack.scenarios import build_runs, parse_scenario
 
 FLUX = burgers_flux()
 
@@ -292,3 +297,91 @@ def test_probe_norms_match_fresh_slices_exactly():
                     fs = cf.at(tau)
                     wv = None if wf is None else wf.slice_at(tau, fs).piece_values
                     assert norm == _windowed_norm(fs, wv, rep.window)
+
+
+def _exact_field(seed):
+    p1, p2 = random_scenario_pair(random.Random(seed), max_jumps=3,
+                                  rational=True)
+    return _field(p1, p2, h=Fraction(1, 10), horizon=Fraction(2), exact=True)
+
+
+def _same_reports(cf, m, s, t, tol_scale):
+    plain, weighted = identity_reports(cf, m, s, t, tol_scale=tol_scale)
+    assert plain.to_dict() == l1_identity_report(
+        cf, s, t, tol_scale=tol_scale).to_dict()
+    assert weighted.to_dict() == weighted_identity_report(
+        cf, m, s, t, tol_scale=tol_scale).to_dict()
+    return plain, weighted
+
+
+def test_shared_walk_matches_one_norm_reports_exactly():
+    for seed in range(7000, 7005):
+        _same_reports(_exact_field(seed), Fraction(1), Fraction(0),
+                      Fraction(2), 1e-8)
+
+
+def test_shared_walk_keeps_every_violation_in_order():
+    # at a tolerance far below float noise nearly every check fires, so the
+    # violation lists are long and their order is compared in full
+    for seed in (201, 203, 206):
+        spec = parse_scenario(random_scenario_config(seed))
+        cf = CoefficientField(*build_runs(spec))
+        plain, weighted = _same_reports(cf, spec.m, spec.t_start, spec.t_end,
+                                        1e-20)
+        assert plain.violations and weighted.violations
+
+
+def test_shared_walk_builds_one_slice_per_interval(monkeypatch):
+    two_pi = 6.283185307179586
+    cfg = {
+        "u1": {"generator": "sine", "params": {"amplitude": 1.0},
+               "support": [0, two_pi], "n_cells": 8},
+        "u2": {"generator": "sine",
+               "params": {"amplitude": 1.0, "offset": 0.5},
+               "support": [0.01, two_pi + 0.01], "n_cells": 8},
+        "h": 0.2,
+        "time": {"start": 0, "end": 2},
+        "checks": ["l1", "weighted"],
+    }
+    calls = []
+    at = CoefficientField.at
+
+    def counted(self, t):
+        calls.append(t)
+        return at(self, t)
+
+    monkeypatch.setattr(CoefficientField, "at", counted)
+    result = run_scenario(cfg)
+    assert result.passed
+    intervals = len(result.reports["l1"].intervals)
+    assert intervals == len(result.reports["weighted"].intervals) > 1
+    # one midpoint slice per interval plus the two endpoint slices
+    assert len(calls) == intervals + 2
+
+
+def test_exact_field_takes_int_endpoints_as_fractions():
+    # with 0 + 2/2 computed in floats these pairs raised on a bogus order
+    # change at t = 0
+    for seed in (4, 22):
+        cf = _exact_field(seed)
+        plain, weighted = identity_reports(cf, 1, 0, 2)
+        assert plain.passed and weighted.passed
+        assert plain.s == 0 and isinstance(plain.s, Fraction)
+        assert all(isinstance(rec.t_start, Fraction)
+                   for rec in plain.intervals)
+        with pytest.raises(ValueError, match="exact field"):
+            l1_identity_report(cf, 0.0, 2)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=999))
+def test_exact_ledgers_close_with_zero_residuals(seed):
+    # int endpoints: on a pair without interactions the only interval is
+    # [0, 2], whose midpoint and probes must stay exact
+    plain, weighted = identity_reports(_exact_field(seed), 1, 0, 2)
+    for rep in (plain, weighted):
+        assert rep.passed, rep.violations
+        assert rep.residual_global == 0
+        for rec in rep.intervals:
+            assert rec.residual_norm == 0
+            assert rec.residual_traces == 0

@@ -8,12 +8,10 @@ from wavetrack.profiles import (
     Profile,
     VariationFunction,
     l1_norm,
-    lp_norm_power,
     mu_psi_atom,
     nonconservative_product,
     profile_difference,
     profile_map2,
-    sup_norm,
     total_variation,
     weighted_l1_norm,
 )
@@ -107,8 +105,6 @@ def test_l1_norm_needs_compact_support():
 def test_l1_norm_box():
     p = Profile([0.0, 2.0], [0.0, -1.5, 0.0])
     assert l1_norm(p) == 3.0
-    assert lp_norm_power(p, 2) == 4.5
-    assert sup_norm(p) == 1.5
 
 
 def test_weighted_l1_norm_against_hand_value():
