@@ -53,7 +53,7 @@ def main():
           " ends at x =", round(fwd.vertices()[-1][1], 4))
     back = backward_characteristic(cfield, 0.8, 2.0, extremal="min")
     print("  backward from (0.8, t=2): foot at x =",
-          round(back.vertices()[-1][1], 4))
+          round(back.start_position, 4))
 
     buf = io.StringIO()
     export_paths_csv([fwd, back], buf)

@@ -173,19 +173,6 @@ def _anchor_tol(field, x):
     return 0 if field.exact else ANCHOR_TOL * (1 + abs(x))
 
 
-def _members_at(fslice, x, t, tol):
-    """Slice indices of jump curves passing within tol of (x, t)."""
-    return [
-        k for k, j in enumerate(fslice.jumps)
-        if abs(j.position + j.lam * (t - fslice.time) - x) <= tol
-    ]
-
-
-def _region_index(fslice, x, t):
-    positions = [j.position + j.lam * (t - fslice.time) for j in fslice.jumps]
-    return bisect_right(positions, x)
-
-
 def _resolve(fslice, members, *, backward, tie_bias, where):
     """Feasible continuations from a point lying on a stack of jump curves.
 
@@ -235,17 +222,19 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
 
 
 def _state_at(field, fslice, x, t, *, backward, tie_bias):
+    positions = fslice.positions_at(t)
     tol = _anchor_tol(field, x)
-    members = _members_at(fslice, x, t, tol)
+    # slice indices of the jump curves passing within tol of (x, t)
+    members = [k for k, q in enumerate(positions) if abs(q - x) <= tol]
     if members:
         return _resolve(fslice, members, backward=backward,
                         tie_bias=tie_bias, where=f"(x={x}, t={t})")
-    rho = _region_index(fslice, x, t)
+    rho = bisect_right(positions, x)
     return ("region", rho, fslice.a_values[rho])
 
 
-def _advance_forward(field, fslice, state, x, t_from, t_to, segments):
-    """March within one interaction-free interval; returns final (state, x)."""
+def _advance_forward(fslice, state, x, t_from, t_to, segments):
+    """March within one interaction-free interval; returns the final x."""
     jumps = fslice.jumps
     guard = 4 * len(jumps) + 16
     t = t_from
@@ -259,7 +248,7 @@ def _advance_forward(field, fslice, state, x, t_from, t_to, segments):
             x1 = j.position + j.lam * (t_to - fslice.time)
             segments.append(PathSegment(t, t_to, x, x1, j.lam, "front",
                                         (j.partition, j.front_uid, j.kind)))
-            return state, x1
+            return x1
         # find the first jump curve this region speed runs into
         hit_t, hit_k = None, None
         for k in (idx - 1, idx):
@@ -281,7 +270,7 @@ def _advance_forward(field, fslice, state, x, t_from, t_to, segments):
         if hit_t is None:
             x1 = x + speed * (t_to - t)
             segments.append(PathSegment(t, t_to, x, x1, speed, "region", speed))
-            return state, x1
+            return x1
         j = jumps[hit_k]
         x_hit = j.position + j.lam * (hit_t - fslice.time)
         segments.append(PathSegment(t, hit_t, x, x_hit, speed, "region", speed))
@@ -297,7 +286,21 @@ def _advance_forward(field, fslice, state, x, t_from, t_to, segments):
                 f"forward characteristic ran into a rarefaction-side jump "
                 f"at (x={x}, t={t}); the geometry is degenerate"
             )
-    return state, x
+    return x
+
+
+def _step_forward(field, fslice, x, t0, t1, tie_bias, segments):
+    """Carry a forward characteristic from (x, t0) through the interval
+    [t0, t1] of ``fslice``; append its segments, return its x at t1."""
+    state = _state_at(field, fslice, x, t0, backward=False, tie_bias=tie_bias)
+    return _advance_forward(fslice, state, x, t0, t1, segments)
+
+
+def _step_backward(field, fslice, x, t0, t1, tie_bias, segments):
+    """Carry a backward characteristic from (x, t1) down through [t0, t1];
+    append its segments latest first, return its x at t0."""
+    state = _state_at(field, fslice, x, t1, backward=True, tie_bias=tie_bias)
+    return _advance_backward(fslice, state, x, t1, t0, segments, tie_bias)
 
 
 def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
@@ -313,16 +316,13 @@ def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
     path = CharacteristicPath()
     x = x0
     for T0, T1, fslice in timeline(field, t0, t_end):
-        state = _state_at(field, fslice, x, T0, backward=False,
-                          tie_bias=tie_bias)
-        state, x = _advance_forward(field, fslice, state, x, T0, T1,
-                                    path.segments)
+        x = _step_forward(field, fslice, x, T0, T1, tie_bias, path.segments)
     return path
 
 
-def _advance_backward(field, fslice, state, x, t_from, t_to, segments,
-                      tie_bias):
-    """March backward (t_from down to t_to) within one interval."""
+def _advance_backward(fslice, state, x, t_from, t_to, segments, tie_bias):
+    """March backward (t_from down to t_to) within one interval; appends the
+    segments latest first and returns the final x."""
     jumps = fslice.jumps
     guard = 4 * len(jumps) + 16
     t = t_from
@@ -350,7 +350,7 @@ def _advance_backward(field, fslice, state, x, t_from, t_to, segments,
         if hit_t is None:
             x1 = x + speed * (t_to - t)
             segments.append(PathSegment(t_to, t, x1, x, speed, "region", speed))
-            return state, x1
+            return x1
         j = jumps[hit_k]
         x_hit = j.position + j.lam * (hit_t - fslice.time)
         segments.append(PathSegment(hit_t, t, x_hit, x, speed, "region", speed))
@@ -369,7 +369,7 @@ def _advance_backward(field, fslice, state, x, t_from, t_to, segments,
             # is a float-tie: resolve by feasibility
             state = _resolve(fslice, [hit_k], backward=True, tie_bias=tie_bias,
                              where=f"(x={x}, t={t})")
-    return state, x
+    return x
 
 
 def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
@@ -388,16 +388,8 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
     rev_segments = []
     x = x0
     for T0, T1, fslice in timeline(field, t_stop, t0, reverse=True):
-        # walking the interval [T0, T1] from T1 down to T0
-        state = _state_at(field, fslice, x, T1, backward=True,
-                          tie_bias=tie_bias)
-        chunk = []
-        state, x = _advance_backward(field, fslice, state, x, T1, T0, chunk,
-                                     tie_bias)
-        rev_segments.extend(chunk)
-    path = CharacteristicPath()
-    path.segments = rev_segments[::-1]
-    return path
+        x = _step_backward(field, fslice, x, T0, T1, tie_bias, rev_segments)
+    return CharacteristicPath(rev_segments[::-1])
 
 
 def export_paths_csv(paths, fileobj):
@@ -628,6 +620,12 @@ def _psi_integral(fslice, lo, hi, t):
     return sign * total
 
 
+def _position_in(segments, t):
+    """Position at t on the first of ``segments`` (in time order) that ends
+    at or after t, as :meth:`CharacteristicPath.position_at` reads it."""
+    return next(seg for seg in segments if t <= seg.t1).position_at(t)
+
+
 def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
     """Propagation of a sign through a characteristic funnel, plus the
     conserved mass between backward characteristics.
@@ -638,38 +636,45 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
     integrates the difference between the extremal backward characteristics
     dropped from the funnel ends at ``t_end`` and checks the integral is
     time invariant.  The samples are the interval midpoints plus
-    ``n_times - 1`` uniform times away from interactions; both checks read
-    them off one walk of the timeline.
+    ``n_times - 1`` uniform times away from interactions.
+
+    The timeline is walked twice, each slice used as it is built and then
+    dropped: forward, carrying both funnel edges through each interval and
+    reading the funnel minimum off the segments just traced; then backward
+    from the edges' ends, carrying both backward characteristics and
+    integrating the mass between them.
     """
     xi0, zeta0 = interval
     if not xi0 < zeta0:
         raise ValueError("interval: need xi0 < zeta0")
+    if not 0 < t_end:
+        raise ValueError("need t0 < t_end")
     if field.exact:
         tol = 0
-    left = forward_characteristic(field, xi0, 0, t_end, tie_bias=-1)
-    right = forward_characteristic(field, zeta0, 0, t_end, tie_bias=1)
-    back_left = backward_characteristic(field, left.end_position, t_end,
-                                        extremal="max")
-    back_right = backward_characteristic(field, right.end_position, t_end,
-                                         extremal="min")
-
     uniform = [k * t_end / n_times for k in range(1, n_times)]
     gap_tol = 0 if field.exact else 1e-9
-    samples = []
-    violations = []
-    min_psi = None
-    ref = None
-    drift = 0
-    for t0, t1, fs in timeline(field, 0, t_end):
+
+    def sample_times(t0, t1, fs):
         # uniform times too close to an interaction (an inner boundary) are
         # skipped
         lo_ok = t0 if t0 == 0 else t0 + gap_tol
         hi_ok = t1 if t1 == t_end else t1 - gap_tol
         inner = uniform[bisect_right(uniform, lo_ok):bisect_left(uniform, hi_ok)]
-        for tau in sorted({fs.time, *inner}):
+        return sorted({fs.time, *inner})
+
+    left, right = CharacteristicPath(), CharacteristicPath()
+    x_left, x_right = xi0, zeta0
+    samples = []
+    violations = []
+    min_psi = None
+    for t0, t1, fs in timeline(field, 0, t_end):
+        new_left, new_right = len(left.segments), len(right.segments)
+        x_left = _step_forward(field, fs, x_left, t0, t1, -1, left.segments)
+        x_right = _step_forward(field, fs, x_right, t0, t1, 1, right.segments)
+        for tau in sample_times(t0, t1, fs):
             samples.append(tau)
-            lo = left.position_at(tau)
-            hi = right.position_at(tau)
+            lo = _position_in(left.segments[new_left:], tau)
+            hi = _position_in(right.segments[new_right:], tau)
             m = _psi_min(fs, lo, hi, tau) if lo < hi else None
             if m is not None:
                 if min_psi is None or m < min_psi:
@@ -679,15 +684,29 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
                         f"t={tau}: transported difference dips to {m} inside "
                         f"the funnel ({lo}, {hi})"
                     )
-            # conserved mass between extremal backward characteristics
-            mass = _psi_integral(fs, back_left.position_at(tau),
-                                 back_right.position_at(tau), tau)
-            if ref is None:
-                ref = mass
-            else:
-                drift = max(drift, abs(mass - ref))
-    scale = 1 + (abs(ref) if ref is not None else 0)
-    if drift > tol * scale:
+
+    # conserved mass between the extremal backward characteristics; their
+    # segments come latest first
+    rev_left, rev_right = [], []
+    masses = []
+    for t0, t1, fs in timeline(field, 0, t_end, reverse=True):
+        new_left, new_right = len(rev_left), len(rev_right)
+        x_left = _step_backward(field, fs, x_left, t0, t1, -1, rev_left)
+        x_right = _step_backward(field, fs, x_right, t0, t1, 1, rev_right)
+        piece_left = rev_left[new_left:][::-1]
+        piece_right = rev_right[new_right:][::-1]
+        masses.append([
+            _psi_integral(fs, _position_in(piece_left, tau),
+                          _position_in(piece_right, tau), tau)
+            for tau in sample_times(t0, t1, fs)
+        ])
+    # in time order: the drift is measured from the earliest sample's mass
+    masses = [mass for step in reversed(masses) for mass in step]
+    ref = masses[0]
+    drift = 0
+    for mass in masses[1:]:
+        drift = max(drift, abs(mass - ref))
+    if drift > tol * (1 + abs(ref)):
         violations.append(
             f"mass between backward characteristics drifts by {drift}"
         )
@@ -699,7 +718,7 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
         sample_times=samples,
         left_path=left,
         right_path=right,
-        back_left=back_left,
-        back_right=back_right,
+        back_left=CharacteristicPath(rev_left[::-1]),
+        back_right=CharacteristicPath(rev_right[::-1]),
         violations=violations,
     )

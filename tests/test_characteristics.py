@@ -1,6 +1,9 @@
 """Characteristic tracing and entropy-geometry checks."""
 
+import hashlib
 import io
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +18,11 @@ from wavetrack import (
     forward_characteristic,
     maximum_principle_check,
     oleinik_report,
+    parse_scenario,
+    random_scenario_config,
+    run_scenario,
 )
+from wavetrack.scenarios import build_runs
 
 FLUX = burgers_flux()
 
@@ -154,6 +161,96 @@ def test_max_principle_interval_validation():
     run_II = FrontTrackingRun(FLUX, Profile.constant(0.0), 0.1).evolve(1.0)
     with pytest.raises(ValueError, match="xi0 < zeta0"):
         maximum_principle_check(CoefficientField(run_I, run_II), (1.0, -1.0), 1.0)
+
+
+def test_max_principle_rejects_nonpositive_horizon():
+    run_I = FrontTrackingRun(FLUX, Profile([0.0], [1.0, -1.0]), 0.1).evolve(1.0)
+    run_II = FrontTrackingRun(FLUX, Profile.constant(0.0), 0.1).evolve(1.0)
+    field = CoefficientField(run_I, run_II)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t0 < t_end"):
+            maximum_principle_check(field, (-1.0, 1.0), t_end)
+
+
+def _sine_field(n_cells, h):
+    # u2 = u1 + 1/2 on a support shifted by 0.01, as in the sine benchmark
+    def sine(params, lo):
+        return {"generator": "sine", "params": params,
+                "support": [lo, lo + 2 * math.pi], "n_cells": n_cells}
+
+    spec = parse_scenario({
+        "u1": sine({"amplitude": 1.0}, 0),
+        "u2": sine({"amplitude": 1.0, "offset": 0.5}, 0.01),
+        "h": h,
+        "time": {"start": 0, "end": 2},
+        "checks": ["max_principle"],
+        "funnel": [1, 5],
+    })
+    return CoefficientField(*build_runs(spec))
+
+
+def test_max_principle_walks_the_timeline_twice(monkeypatch):
+    field = _sine_field(8, 0.1)
+    intervals = len(field.event_times(0, 2)) + 1
+    calls = []
+    at = CoefficientField.at
+
+    def counted(self, t):
+        calls.append(t)
+        return at(self, t)
+
+    monkeypatch.setattr(CoefficientField, "at", counted)
+    rep = maximum_principle_check(field, (1, 5), 2)
+    assert rep.passed
+    assert len(calls) == 2 * intervals
+
+
+def _exact_twin():
+    run_I = FrontTrackingRun(
+        FLUX, Profile([Fraction(0)], [Fraction(1), Fraction(-1)]),
+        Fraction(1, 10), exact=True).evolve(Fraction(2))
+    run_II = FrontTrackingRun(
+        FLUX, Profile([Fraction(13, 1000)], [Fraction(2), Fraction(0)]),
+        Fraction(1, 10), exact=True).evolve(Fraction(2))
+    return CoefficientField(run_I, run_II), (Fraction(-1), Fraction(1))
+
+
+def _float_pair():
+    run_I = FrontTrackingRun(FLUX, Profile([0.0], [1.0, -1.0]), 0.1).evolve(2.0)
+    run_II = FrontTrackingRun(FLUX, Profile([0.013], [2.0, 0.0]), 0.1).evolve(2.0)
+    return CoefficientField(run_I, run_II), (-1.0, 1.0)
+
+
+@pytest.mark.parametrize("make", [_float_pair, _exact_twin])
+def test_max_principle_paths_match_the_public_walks(make):
+    field, (xi0, zeta0) = make()
+    rep = maximum_principle_check(field, (xi0, zeta0), 2)
+    left = forward_characteristic(field, xi0, 0, 2, tie_bias=-1)
+    right = forward_characteristic(field, zeta0, 0, 2, tie_bias=1)
+    back_left = backward_characteristic(field, left.end_position, 2,
+                                        extremal="max")
+    back_right = backward_characteristic(field, right.end_position, 2,
+                                         extremal="min")
+    assert rep.left_path.segments == left.segments
+    assert rep.right_path.segments == right.segments
+    assert rep.back_left.segments == back_left.segments
+    assert rep.back_right.segments == back_right.segments
+
+
+def test_rational_max_principle_bytes_are_pinned(tmp_path):
+    config = random_scenario_config(300, rational=True,
+                                    checks=["max_principle"])
+    run_scenario(config, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("report_max_principle.json", "characteristic_paths.csv")
+    }
+    assert digests == {
+        "report_max_principle.json":
+            "7b78384729a9b7e663a71c01fa425593a9cafa47dba63227996134c3651cf552",
+        "characteristic_paths.csv":
+            "9f3afcda1b147e9f772aac1095698b27e7f38604ea72428bb7236e2656b44ed2",
+    }
 
 
 def test_export_paths_csv():

@@ -1,0 +1,41 @@
+"""The demos run to completion and print what they claim."""
+
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from wavetrack import backward_characteristic
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(demo)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    done = _run(demo)
+    assert done.returncode == 0, done.stderr
+
+
+def test_characteristics_demo_prints_the_backward_foot():
+    demo = ROOT / "demos" / "04_characteristics.py"
+    spec = importlib.util.spec_from_file_location("demo_04", demo)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    back = backward_characteristic(module.make_field(), 0.8, 2.0,
+                                   extremal="min")
+    printed = re.search(r"foot at x = (\S+)", _run(demo).stdout)
+    assert printed is not None
+    assert float(printed.group(1)) == round(back.start_position, 4)
