@@ -24,6 +24,7 @@ from .coupling import (
     ClassifiedJump,
     CoefficientField,
     FieldSlice,
+    InconsistentFieldError,
     classify,
     timeline,
 )
@@ -112,6 +113,20 @@ class StaticField:
 
     def event_times(self, s, t):
         return []
+
+    def walk(self, bounds, reverse=False):
+        """One slice per interval between consecutive ``bounds``, built by
+        :meth:`at` at the midpoint (see :func:`~wavetrack.coupling.timeline`);
+        an interval past the horizon is refused."""
+        spans = list(zip(bounds, bounds[1:]))
+        if reverse:
+            spans.reverse()
+        for t0, t1 in spans:
+            if self.horizon is not None and t1 > self.horizon:
+                raise InconsistentFieldError(
+                    f"interval [{t0}, {t1}]: jump curves change order at "
+                    f"t={self.horizon}")
+            yield t0, t1, self.at(t0 + (t1 - t0) / 2)
 
 
 @dataclass(frozen=True)

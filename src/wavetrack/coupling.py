@@ -7,12 +7,19 @@ solutions.  Every jump of a sits on a front of exactly one of the runs; this
 module classifies those jumps (Lax / slow or fast undercompressive /
 rarefaction-shock), partitions them by owning run, and builds the strength
 weight used by the weighted-L1 decay functional.
+
+``CoefficientField.at`` builds the whole field at one time.
+``timeline`` walks it interval by interval with an event-delta cursor: a
+kinetic sweep keeps the alive fronts of both runs in one position-ordered
+list, applies each interaction and crossing as a delta, and yields the
+slice at each interval midpoint from jump states it classified once per
+walk.
 """
 from __future__ import annotations
 
 import csv
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from operator import itemgetter
 from typing import Optional
 
@@ -30,6 +37,7 @@ POSITION_TOL = 1e-12
 TIE_MERGE = 1e-12
 # Slack of the missed-event guard, relative, in time and in position.
 GUARD_TOL = 1e-9
+_GONE = -1         # link of a key that is not in a sweep's list
 
 
 class InconsistentFieldError(RuntimeError):
@@ -113,23 +121,21 @@ class ClassifiedJump:
     def strength(self):
         return abs(self.b_jump)
 
-    @property
-    def key(self):
-        return (self.partition, self.front_uid)
-
-    def sign_table_consistent(self, state_tol=0):
+    def sign_table_consistent(self, state_tol=0, tol=CLASSIFY_TOL):
         """Trace-sign relation: sgn(a_+- - lam) against -+sgn(kappa_-+).
 
         For partition I jumps sgn(a_- - lam) = sgn(kappa_+) and
-        sgn(a_+ - lam) = sgn(kappa_-); partition II negates both.  Returns
-        False only on a hard contradiction (both signs nonzero and opposed).
+        sgn(a_+ - lam) = sgn(kappa_-); partition II negates both.  Trace
+        gaps within ``tol`` and differences within ``state_tol`` count as
+        zero.  Returns False only on a hard contradiction (both signs
+        nonzero and opposed).
         """
         flip = 1 if self.partition == "I" else -1
         for d, kappa in (
             (self.a_minus - self.lam, self.kappa_plus),
             (self.a_plus - self.lam, self.kappa_minus),
         ):
-            sd = 0 if abs(d) <= CLASSIFY_TOL else (1 if d > 0 else -1)
+            sd = 0 if abs(d) <= tol else (1 if d > 0 else -1)
             sk = 0 if abs(kappa) <= state_tol else (1 if kappa > 0 else -1)
             if sd != 0 and sk != 0 and sd != flip * sk:
                 return False
@@ -151,6 +157,9 @@ class FieldSlice:
     uI_values: tuple
     uII_values: tuple
     psi_values: tuple       # u^II - u^I per region
+    # a walk's shared record of each jump's (front, traces) state; None on
+    # slices built by ``at``
+    states: tuple = dataclass_field(default=None, compare=False, repr=False)
 
     def positions(self):
         return tuple(j.position for j in self.jumps)
@@ -184,10 +193,6 @@ class FieldSlice:
         z = self.time * 0
         return sum((j.strength for j in self.jumps), start=z)
 
-    def tv_a(self):
-        z = self.time * 0
-        return sum((abs(j.a_plus - j.a_minus) for j in self.jumps), start=z)
-
     def strength_ratio_range(self):
         """(min, max) of |b jump| / |a jump| over the slice, None if no jumps."""
         ratios = [
@@ -198,6 +203,31 @@ class FieldSlice:
         if not ratios:
             return None
         return min(ratios), max(ratios)
+
+
+@dataclass
+class FieldStats:
+    """Work counters of a :class:`CoefficientField`, summed over its walks."""
+
+    intervals: int = 0   # interaction-free intervals walked
+    slices: int = 0      # slices the walks yielded
+    deltas: int = 0      # own events and crossings a walk applied forward
+    states: int = 0      # (front, traces) jump states classified
+    at_slices: int = 0   # whole slices built by ``at``
+
+
+@dataclass(slots=True, eq=False)
+class _JumpState:
+    """What a jump keeps while its front lives and the other run's state
+    across it stays the same: every field of its :class:`ClassifiedJump`
+    after position and time (``args``), the (u^I, u^II) states on its left
+    (``minus``) and right (``plus``), and a and psi on its right."""
+
+    args: tuple
+    minus: tuple
+    plus: tuple
+    a_plus: object
+    psi_plus: object
 
 
 class CoefficientField:
@@ -225,6 +255,7 @@ class CoefficientField:
             classification_tol = 0 if self.exact else CLASSIFY_TOL
         self.classification_tol = classification_tol
         self.position_tol = 0 if self.exact else POSITION_TOL
+        self.stats = FieldStats()
         self._crossings = None
         self._event_times = {}
 
@@ -237,6 +268,7 @@ class CoefficientField:
         coincide, and :class:`InconsistentFieldError` when the fronts of a
         run do not chain its states from far left to far right.
         """
+        self.stats.at_slices += 1
         tagged = [(f.position_at(t), "I", f) for f in self.run_I.fronts_at(t)]
         tagged += [(f.position_at(t), "II", f) for f in self.run_II.fronts_at(t)]
         tagged.sort(key=itemgetter(0))
@@ -289,6 +321,28 @@ class CoefficientField:
             psi_values=tuple(psi_vals),
         )
 
+    def walk(self, bounds, reverse=False):
+        """``(t0, t1, slice)`` per interval between consecutive ``bounds``
+        (reversed with ``reverse``); see :func:`timeline`."""
+        return _Cursor(self).walk(bounds, reverse)
+
+    def _jump_state(self, front, in_II, minus, am, km):
+        """State of ``front`` with the states ``minus`` = (u^I, u^II), the
+        coefficient ``am`` and the difference ``km`` on its left."""
+        uI_p, uII_p = minus
+        if in_II:
+            uII_p = front.right_state
+        else:
+            uI_p = front.right_state
+        ap = secant_speed(self.flux, uI_p, uII_p)
+        kp = uII_p - uI_p
+        lam = front.speed
+        return _JumpState(
+            (lam, am, ap, classify(am, ap, lam, self.classification_tol),
+             "II" if in_II else "I", front.signed_jump, km, kp, front.kind,
+             front.uid),
+            minus, (uI_p, uII_p), ap, kp)
+
     def front_of(self, jump):
         """The tracked front that carries a jump of one of this field's slices."""
         run = self.run_I if jump.partition == "I" else self.run_II
@@ -303,10 +357,13 @@ class CoefficientField:
         other; at the crossing instant the coefficient's jump set is
         degenerate and its traces rearrange.  These times delimit the
         interaction-free intervals together with both runs' own events.
-        Found once per field, by :func:`_sweep_crossings`.
+        Found once per field, by a :class:`_Sweep` to the horizon.
         """
         if self._crossings is None:
-            self._crossings = _sweep_crossings(self.run_I, self.run_II)
+            sweep = _Sweep(self.run_I, self.run_II)
+            sweep.run_to(sweep.horizon)
+            sweep.crossings.sort()
+            self._crossings = sweep.crossings
         return self._crossings
 
     def event_times(self, s, t):
@@ -336,145 +393,386 @@ class CoefficientField:
         return merged
 
 
-def _sweep_crossings(run_I, run_II):
-    """Crossing times of the fronts of two runs, by a kinetic sweep in time.
+class _Sweep:
+    """Kinetic sweep in time over the fronts of two runs.
 
     The alive fronts of both runs sit in one doubly linked list ordered by
     position, and a heap holds the crossing times of neighbouring fronts
-    of different runs that approach each other.  Own events and crossings
-    are handled in time order, crossings first at equal times: an event
-    replaces its two incoming fronts by the outgoing one, a crossing swaps
-    its pair, and only the new neighbour pairs are scheduled.  Heap entries
-    of pairs no longer adjacent are skipped when they come up.  For N
-    fronts, E own events and K crossings this costs O((N + E + K) log N).
+    of different runs that approach each other.  :meth:`run_to` handles
+    own events and crossings in time order, crossings first at equal
+    times: an event replaces its two incoming fronts by the outgoing one,
+    a crossing swaps its pair, and only the new neighbour pairs are
+    scheduled.  Heap entries of pairs no longer adjacent are skipped when
+    they come up.  For N fronts, E own events and K crossings a sweep to
+    the horizon costs O((N + E + K) log N).
 
-    A pair's time comes from the two fronts' birth data, and the pair is
-    listed only if that time lies within both lifetimes, as a scan of all
-    pairs would decide.  Float noise can put a time a little before one
-    already handled; the pair is swapped then, under the same rule.  A
+    A pair's time comes from the two fronts' birth data, and the time goes
+    to ``crossings`` only if it lies within both lifetimes, as a scan of
+    all pairs would decide.  Float noise can put a time a little before
+    one already handled; the pair is swapped then, under the same rule.  A
     front passing through a collision point of the other run may be listed
     there a different number of times than such a scan would list it; that
     time is, up to rounding, an own event time and bounds an interval
     either way.
     """
-    horizon = min(run_I.evolved_until, run_II.evolved_until)
-    fronts = run_I.fronts + run_II.fronts
-    offset = len(run_I.fronts)
-    n = len(fronts)
-    # keys 0..n-1 are fronts, run II's shifted by ``offset``; n and n + 1
-    # are the head and tail sentinels of the position-ordered list
-    head, tail, gone = n, n + 1, -1
-    prv = [gone] * (n + 2)
-    nxt = [gone] * (n + 2)
-    in_II = [False] * offset + [True] * (n - offset)
-    heap = []
-    out = []
 
-    def schedule(kl, kr):
+    def __init__(self, run_I, run_II):
+        self.horizon = min(run_I.evolved_until, run_II.evolved_until)
+        self.fronts = fronts = run_I.fronts + run_II.fronts
+        offset = len(run_I.fronts)
+        n = len(fronts)
+        # keys 0..n-1 are fronts, run II's shifted by ``offset``; n and
+        # n + 1 are the head and tail sentinels of the position-ordered list
+        self.head, self.tail = n, n + 1
+        self.prv = [_GONE] * (n + 2)
+        self.nxt = [_GONE] * (n + 2)
+        self.in_II = [False] * offset + [True] * (n - offset)
+        # each front's line x = b + s (t - t_b) as (b, s, s t_b, b - s t_b),
+        # and its lifetime
+        self.start = [f.birth_position for f in fronts]
+        self.speed = [f.speed for f in fronts]
+        self.slope_t = [f.speed * f.birth_time for f in fronts]
+        self.origin = [b - st for b, st in zip(self.start, self.slope_t)]
+        self.born = [f.birth_time for f in fronts]
+        self.end = [self.horizon if f.death_time is None else f.death_time
+                    for f in fronts]
+        self.heap = []
+        self.crossings = []
+
+        # the fronts each run starts with, merged by position
+        starts = []
+        for run, base in ((run_I, 0), (run_II, offset)):
+            born_later = sum(e.outgoing is not None for e in run.events)
+            starts.append([(f.birth_position, base + f.uid)
+                           for f in run.fronts[:len(run.fronts) - born_later]])
+        prv, nxt = self.prv, self.nxt
+        last = self.head
+        for _, k in heapq.merge(*starts, key=itemgetter(0)):
+            nxt[last], prv[k] = k, last
+            self._schedule(last, k)
+            last = k
+        nxt[last], prv[self.tail] = self.tail, last
+
+        # the sort is stable, so each run's causal order survives ties
+        self.events = sorted(
+            ((e.time, base, e)
+             for run, base in ((run_I, 0), (run_II, offset))
+             for e in run.events if e.time <= self.horizon),
+            key=itemgetter(0),
+        )
+        self.pending = 0     # index of the next event to apply
+
+    def run_to(self, limit):
+        """Apply every own event and crossing at or before ``limit``."""
+        events = self.events
+        while self.pending < len(events) and events[self.pending][0] <= limit:
+            te, base, e = events[self.pending]
+            self.pending += 1
+            self._cross_until(te)
+            self._event(base, e)
+        self._cross_until(limit)
+
+    def _schedule(self, kl, kr):
+        n, in_II, speed = self.head, self.in_II, self.speed
         if kl >= n or kr >= n or in_II[kl] == in_II[kr]:
             return
-        fl, fr = fronts[kl], fronts[kr]
-        if not fl.speed > fr.speed:
+        if not speed[kl] > speed[kr]:
             return
-        fI, fII = (fr, fl) if in_II[kl] else (fl, fr)
-        tx = (
-            fII.birth_position - fII.speed * fII.birth_time
-            - fI.birth_position + fI.speed * fI.birth_time
-        ) / (fI.speed - fII.speed)
-        heapq.heappush(heap, (tx, kl, kr))
+        kI, kII = (kr, kl) if in_II[kl] else (kl, kr)
+        tx = ((self.origin[kII] - self.start[kI] + self.slope_t[kI])
+              / (speed[kI] - speed[kII]))
+        heapq.heappush(self.heap, (tx, kl, kr))
 
-    def cross_until(limit):
+    def _cross_until(self, limit):
+        heap, nxt, born, end = self.heap, self.nxt, self.born, self.end
+        pop, crossings, swap = heapq.heappop, self.crossings, self._swap
         while heap and heap[0][0] <= limit:
-            tx, kl, kr = heapq.heappop(heap)
+            tx, kl, kr = pop(heap)
             if nxt[kl] != kr:
                 continue
-            fl, fr = fronts[kl], fronts[kr]
-            lo = max(fl.birth_time, fr.birth_time)
-            hi = min(horizon if fl.death_time is None else fl.death_time,
-                     horizon if fr.death_time is None else fr.death_time)
+            lo = max(born[kl], born[kr])
+            hi = min(end[kl], end[kr])
             if lo < hi and lo <= tx <= hi:
-                out.append(tx)
-            before, after = prv[kl], nxt[kr]
-            nxt[before], prv[kr] = kr, before
-            nxt[kr], prv[kl] = kl, kr
-            nxt[kl], prv[after] = after, kl
-            schedule(before, kr)
-            schedule(kl, after)
+                crossings.append(tx)
+            swap(kl, kr)
 
-    def unlink(k):
-        before, after = prv[k], nxt[k]
-        nxt[before], prv[after] = after, before
-        prv[k] = nxt[k] = gone
-        return before, after
+    def _swap(self, kl, kr):
+        """Move ``kl`` from just left of ``kr`` to just right of it."""
+        prv, nxt = self.prv, self.nxt
+        before, after = prv[kl], nxt[kr]
+        nxt[before], prv[kr] = kr, before
+        nxt[kr], prv[kl] = kl, kr
+        nxt[kl], prv[after] = after, kl
+        self._schedule(before, kr)
+        self._schedule(kl, after)
 
-    # the fronts each run starts with, merged by position
-    starts = []
-    for run, base in ((run_I, 0), (run_II, offset)):
-        born_later = sum(e.outgoing is not None for e in run.events)
-        starts.append([(f.birth_position, base + f.uid)
-                       for f in run.fronts[:len(run.fronts) - born_later]])
-    last = head
-    for _, k in heapq.merge(*starts, key=itemgetter(0)):
-        nxt[last], prv[k] = k, last
-        schedule(last, k)
-        last = k
-    nxt[last], prv[tail] = tail, last
-
-    # the sort is stable, so each run's causal order survives ties
-    events = sorted(
-        ((e.time, base, e)
-         for run, base in ((run_I, 0), (run_II, offset))
-         for e in run.events if e.time <= horizon),
-        key=itemgetter(0),
-    )
-    for te, base, e in events:
-        cross_until(te)
+    def _event(self, base, e):
         ka, kb = (base + uid for uid in e.incoming)
-        left, _ = unlink(ka)
+        left, _ = self._unlink(ka)
         # fronts of the other run that float noise left between the
         # incoming pair stay there, right of the outgoing front
-        pb, nb = unlink(kb)
+        pb, nb = self._unlink(kb)
         if e.outgoing is not None:
             ko = base + e.outgoing
-            right = nxt[left]
-            nxt[left], prv[ko] = ko, left
-            nxt[ko], prv[right] = right, ko
-            schedule(ko, right)
-        schedule(left, nxt[left])
+            self._schedule(ko, self._link(ko, left))
+        self._schedule(left, self.nxt[left])
         if pb != left:
-            schedule(pb, nb)
-    cross_until(horizon)
-    out.sort()
-    return out
+            self._schedule(pb, nb)
+
+    def _unlink(self, k):
+        prv, nxt = self.prv, self.nxt
+        before, after = prv[k], nxt[k]
+        nxt[before], prv[after] = after, before
+        prv[k] = nxt[k] = _GONE
+        return before, after
+
+    def _link(self, k, left):
+        """Insert ``k`` just right of ``left``; returns its right neighbour."""
+        prv, nxt = self.prv, self.nxt
+        right = nxt[left]
+        nxt[left], prv[k] = k, left
+        nxt[k], prv[right] = right, k
+        return right
+
+
+class _Cursor(_Sweep):
+    """The sweep of one timeline walk, paused at each interval midpoint
+    to yield that interval's slice.
+
+    Each list entry keeps its jump state.  A link change marks the entry
+    right of it; the next slice re-derives a marked entry's state from
+    the states on its left (which checks its run's state chain) and marks
+    the entry after it when the state changed.  States are keyed by the
+    front and the other run's state across it, and classified on first
+    use.  The guard reads the fronts' own data: no front is born or dies
+    inside an interval, and each pair of neighbours is in order at both
+    ends of the stretch over which it stays adjacent (its gap is linear
+    there).  A reverse walk sweeps forward logging every link change, then
+    undoes the log back to each interval's midpoint.
+    """
+
+    def __init__(self, field):
+        super().__init__(field.run_I, field.run_II)
+        self.field = field
+        self.stats = field.stats
+        self.slack = 0 if field.exact else GUARD_TOL
+        self.state = [None] * len(self.fronts)
+        self.cache = {}
+        self.dirty = {k for _, k in self._pairs()}   # entries to re-derive
+        self.touched = None   # entry -> its right neighbour at the last slice
+        self.log = None       # (entry, left) per link change, reverse walks
+        self.span = None
+        uI = field.run_I.initial
+        uII = field.run_II.initial
+        self.far_left = (uI.far_left, uII.far_left)
+        self.far_right = (uI.far_right, uII.far_right)
+        self.left_values = (secant_speed(field.flux, *self.far_left),
+                            uII.far_left - uI.far_left)
+
+    def walk(self, bounds, reverse):
+        spans = list(zip(bounds, bounds[1:]))
+        self.stats.intervals += len(spans)
+        if not reverse:
+            for t0, t1 in spans:
+                yield t0, t1, self._slice(self._enter(t0, t1))
+            self._check_pairs(self._pairs(), bounds[-1])
+            return
+        log = self.log = []
+        marks = [(self._enter(t0, t1), len(log)) for t0, t1 in spans]
+        self._check_pairs(self._pairs(), bounds[-1])
+        self.log = None
+        for (t0, t1), (mid, mark) in zip(spans[::-1], marks[::-1]):
+            self.touched = {}
+            while len(log) > mark:
+                k, left = log.pop()
+                if left is None:
+                    self._unlink(k)
+                else:
+                    self._link(k, left)
+            yield t0, t1, self._slice(mid)
+
+    def _pairs(self):
+        """The (left, right) neighbour pairs of the list, with sentinels."""
+        nxt = self.nxt
+        k = self.head
+        while k != self.tail:
+            yield k, nxt[k]
+            k = nxt[k]
+
+    def _enter(self, t0, t1):
+        """Sweep to the midpoint of [t0, t1], guard the interval, and
+        return the midpoint."""
+        mid = t0 + (t1 - t0) / 2
+        first = self.touched is None
+        self.span = (t0, t1)
+        touched = self.touched = {}
+        self.run_to(mid)
+        if self.pending < len(self.events):
+            te, base, e = self.events[self.pending]
+            if te < t1 - self.slack * (1 + abs(t1)):
+                self._missing(base + e.incoming[0])
+        if first:
+            self._check_pairs(self._pairs(), t0)
+        else:
+            # the stretches of the pairs the sweep broke end at t0, those
+            # of the pairs it made start there
+            nxt = self.nxt
+            self._check_pairs([pair for k, old in touched.items()
+                               if nxt[k] != old
+                               for pair in ((k, old), (k, nxt[k]))], t0)
+        return mid
+
+    def _event(self, base, e):
+        t0 = self.span[0]
+        if e.time > t0 + self.slack * (1 + abs(t0)):
+            self._missing(base + (e.incoming[0] if e.outgoing is None
+                                  else e.outgoing))
+        self.stats.deltas += 1
+        super()._event(base, e)
+
+    def _swap(self, kl, kr):
+        # the same move, through the link changes that are noted
+        self.stats.deltas += 1
+        before = self.prv[kl]
+        self._unlink(kl)
+        self._link(kl, kr)
+        self._schedule(before, kr)
+        self._schedule(kl, self.nxt[kl])
+
+    def _missing(self, k):
+        f = self.fronts[k]
+        key = ("II" if self.in_II[k] else "I", f.uid)
+        t0, t1 = self.span
+        raise InconsistentFieldError(
+            f"interval [{t0}, {t1}]: front {key} lives only over "
+            f"[{f.birth_time}, {f.death_time}]; an interaction is missing "
+            "from the event times")
+
+    def _check_pairs(self, pairs, t):
+        """Raise unless each (left, right) pair of fronts is in order at t."""
+        fronts, n = self.fronts, self.head
+        xs = {}
+        for kl, kr in pairs:
+            if not (0 <= kl < n and 0 <= kr < n):
+                continue
+            for k in (kl, kr):
+                if k not in xs:
+                    xs[k] = fronts[k].position_at(t)
+            xl = xs[kl]
+            gap = xs[kr] - xl
+            if gap < 0 and (not self.slack
+                            or gap < -self.slack * (1 + abs(xl))):
+                raise InconsistentFieldError(
+                    f"jumps near x={xl} change order by t={t}; a crossing is "
+                    "missing from the event times")
+
+    def _unlink(self, k):
+        before, after = super()._unlink(k)
+        if self.log is not None:
+            self.log.append((k, before))
+        self.touched.setdefault(before, k)
+        self.touched.setdefault(k, after)
+        self.dirty.add(after)
+        return before, after
+
+    def _link(self, k, left):
+        right = super()._link(k, left)
+        if self.log is not None:
+            self.log.append((k, None))
+        self.touched.setdefault(left, right)
+        self.touched.setdefault(k, _GONE)
+        self.dirty.add(k)
+        self.dirty.add(right)
+        return right
+
+    def _slice(self, t):
+        fronts, nxt, in_II = self.fronts, self.nxt, self.in_II
+        state, dirty = self.state, self.dirty
+        tol = self.field.position_tol
+        cur = self.far_left
+        uI_vals, uII_vals = [cur[0]], [cur[1]]
+        a_vals, psi_vals = [self.left_values[0]], [self.left_values[1]]
+        jumps, states = [], []
+        prev_x = prev_II = None
+        refresh = False
+        k = nxt[self.head]
+        while k != self.tail:
+            f = fronts[k]
+            x = f.position_at(t)
+            k_II = in_II[k]
+            if (k_II != prev_II and prev_x is not None
+                    and (x == prev_x or tol and abs(x - prev_x)
+                         <= tol * (1 + abs(prev_x)))):
+                raise DegenerateFieldError(prev_x, t)
+            st = state[k]
+            if refresh or k in dirty:
+                new = self._state_of(k, cur, a_vals[-1], psi_vals[-1], t, x)
+                refresh = new is not st
+                state[k] = st = new
+            jumps.append(ClassifiedJump(x, t, *st.args))
+            states.append(st)
+            cur = st.plus
+            uI_vals.append(cur[0])
+            uII_vals.append(cur[1])
+            a_vals.append(st.a_plus)
+            psi_vals.append(st.psi_plus)
+            prev_x, prev_II = x, k_II
+            k = nxt[k]
+        dirty.clear()
+        if cur != self.far_right:
+            raise InconsistentFieldError(
+                f"t={t}: state chain does not end at the far-right state")
+        self.stats.slices += 1
+        return FieldSlice(
+            time=t,
+            jumps=tuple(jumps),
+            a_values=tuple(a_vals),
+            uI_values=tuple(uI_vals),
+            uII_values=tuple(uII_vals),
+            psi_values=tuple(psi_vals),
+            states=tuple(states),
+        )
+
+    def _state_of(self, k, cur, am, km, t, x):
+        """State of entry ``k`` with the states ``cur``, the coefficient
+        ``am`` and the difference ``km`` on its left."""
+        st = self.state[k]
+        if st is not None and st.minus == cur:
+            return st
+        k_II = self.in_II[k]
+        own, other = (cur[1], cur[0]) if k_II else cur
+        f = self.fronts[k]
+        if f.left_state != own:
+            raise InconsistentFieldError(
+                f"t={t}: state chain of the {'second' if k_II else 'first'} "
+                f"run broken at x={x}")
+        key = (k, other)
+        st = self.cache.get(key)
+        if st is None:
+            st = self.cache[key] = self.field._jump_state(f, k_II, cur, am,
+                                                          km)
+            self.stats.states += 1
+        return st
 
 
 def timeline(field, s, t, *, reverse=False):
     """Walk the interaction-free intervals of ``field`` over [s, t].
 
     Yields ``(t0, t1, slice)`` per interval, in time order (reversed with
-    ``reverse``), where the slice is built once, at the interval midpoint.
+    ``reverse``), where the slice is the field at the interval midpoint.
     Between interactions every jump moves on a straight line, so that one
     slice describes the whole interval (see :meth:`FieldSlice.positions_at`).
-    Slices are built as the walk reaches them and not kept.  Works on any
-    field with ``event_times`` and ``at``, hand-built ones included.
-
-    Each interval is checked in O(N) for an interaction that
-    ``event_times`` missed: every front of the slice must live through the
-    whole interval and the jumps must stay ordered at both ends.  A failed
-    check raises :class:`InconsistentFieldError`.
+    The interval bounds come from ``field.event_times``, the slices from
+    ``field.walk``: on a :class:`CoefficientField` an event-delta cursor
+    that moves one front list from midpoint to midpoint and raises
+    :class:`InconsistentFieldError` on an interaction the bounds miss.
+    Slices are built as the walk reaches them and not kept.
 
     On an exact field the endpoints must be exact too (see
     :func:`exact_time`), so that every midpoint is a ``Fraction``.
     """
     s, t = exact_time(field, s), exact_time(field, t)
-    bounds = [s, *field.event_times(s, t), t]
-    spans = list(zip(bounds, bounds[1:]))
-    if reverse:
-        spans.reverse()
-    for t0, t1 in spans:
-        fs = field.at(t0 + (t1 - t0) / 2)
-        _check_interval(field, fs, t0, t1)
-        yield t0, t1, fs
+    yield from field.walk([s, *field.event_times(s, t), t], reverse)
 
 
 def exact_time(field, t):
@@ -492,33 +790,6 @@ def exact_time(field, t):
         raise ValueError(f"time {t!r}: an exact field needs int or Fraction "
                          "times, not float")
     return Fraction(t)
-
-
-def _check_interval(field, fs, t0, t1):
-    """Raise if the midpoint slice ``fs`` cannot hold over all of [t0, t1]."""
-    exact = field.exact
-    tol = 0 if exact else GUARD_TOL
-    front_of = getattr(field, "front_of", None)
-    if front_of is not None:
-        born_by = t0 + tol * (1 + abs(t0))
-        dies_after = t1 - tol * (1 + abs(t1))
-        for j in fs.jumps:
-            f = front_of(j)
-            if f.birth_time > born_by or (
-                    f.death_time is not None and f.death_time < dies_after):
-                raise InconsistentFieldError(
-                    f"interval [{t0}, {t1}]: front {j.key} lives only over "
-                    f"[{f.birth_time}, {f.death_time}]; an interaction is "
-                    "missing from the event times")
-    # neighbours keep their order over the interval iff they do at the end
-    # they approach each other towards
-    for ja, jb in zip(fs.jumps, fs.jumps[1:]):
-        end = t1 if ja.lam > jb.lam else t0
-        gap = jb.position - ja.position + (jb.lam - ja.lam) * (end - fs.time)
-        if gap < 0 and (exact or gap < -tol * (1 + abs(ja.position))):
-            raise InconsistentFieldError(
-                f"interval [{t0}, {t1}]: jumps near x={ja.position} change "
-                f"order by t={end}; a crossing is missing from the event times")
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +836,11 @@ class WeightField:
     def slice_at(self, t, fslice: Optional[FieldSlice] = None) -> WeightSlice:
         fs = fslice if fslice is not None else self.field.at(t)
         z = self.m * 0
-        v_I_total = sum((j.strength for j in fs.jumps if j.partition == "I"), start=z)
-        v_II_total = sum((j.strength for j in fs.jumps if j.partition == "II"), start=z)
+        strengths = [j.strength for j in fs.jumps]
+        in_I = [j.partition == "I" for j in fs.jumps]
+        v_I_total = sum((b for b, i in zip(strengths, in_I) if i), start=z)
+        v_II_total = sum((b for b, i in zip(strengths, in_I) if not i),
+                         start=z)
         v_I = z
         v_II = z
         pieces = []
@@ -578,11 +852,10 @@ class WeightField:
                 w = self.m + v_I + (v_II_total - v_II)
             pieces.append(w)
             if i < n:
-                j = fs.jumps[i]
-                if j.partition == "I":
-                    v_I += j.strength
+                if in_I[i]:
+                    v_I += strengths[i]
                 else:
-                    v_II += j.strength
+                    v_II += strengths[i]
         return WeightSlice(
             time=t,
             m=self.m,

@@ -3,16 +3,22 @@
 The difference psi of two tracked solutions is piecewise constant with
 piecewise-linear fronts, so between interaction times every norm of interest
 is exactly linear in time and its slope is a finite sum of jump-trace terms.
-A ledger walks the coefficient timeline once: one slice per
-interaction-free interval, built at the interval midpoint.  It measures the
-norm at the probe times a quarter and three quarters into the interval by
-moving the slice's jumps there (``x + lam (tau - t_mid)``), evaluates the
-trace sums on the slice itself, and reconciles the two against each other
-and across interaction events.  ``identity_reports`` books the plain and
-the weighted ledger from one walk: each slice, the missed-interaction
-check and every weight-independent trace term and verdict are computed
-once, and only the probe norms, the weighted sums, the weight-trace
-checks and the edge flux are booked per norm.  ``l1_identity_report`` and
+A ledger walks the coefficient timeline once
+(:func:`~wavetrack.coupling.timeline`): one slice per interaction-free
+interval, the field at the interval midpoint.  It measures the norm at the
+probe times a quarter and three quarters into the interval by moving the
+slice's jumps there (``x + lam (tau - t_mid)``), evaluates the trace sums
+on the slice itself, and reconciles the two against each other and across
+interaction events.
+A jump's weight-independent terms (trace products, symmetry or
+conservation residual, sign-table verdict, the atoms of the derived
+checks) depend only on its jump state, so the walk computes them once per
+state and the per-interval sums add up cached terms in jump order.
+``identity_reports`` books the plain and the weighted ledger from one
+walk: each slice, the missed-interaction check and every
+weight-independent trace term and verdict are computed once, and only the
+probe norms, the weighted sums, the weight-trace checks and the edge flux
+are booked per norm.  ``l1_identity_report`` and
 ``weighted_identity_report`` are the one-norm calls of the same walk.  On
 an exact field the endpoints are taken as ``Fraction`` (an int is
 converted, a float rejected).  Each interval record also keeps the
@@ -238,9 +244,52 @@ class _Book:
     intervals: list = dataclass_field(default_factory=list)
 
 
-def _book_jumps(fslice, books, window, tol_rate, state_tol):
-    """Trace-sum rates of each book's norm at one slice; the per-jump
-    structural identities go to each book's violations.
+class _JumpTerms:
+    """The weight-independent ledger terms of one jump state, built once per
+    walk: the trace products, the symmetry or conservation residual, the
+    sign-table verdict (at the field's classification tolerance) and the
+    atoms the derived checks sum.  Each term is evaluated with the same
+    operations in the same order as its formula, so a float term is the
+    same to the last bit wherever it is summed."""
+
+    __slots__ = ("qm", "qp", "lhs", "rhs", "residual", "sign_ok", "b", "q",
+                 "trace_gap", "kappa_clear", "mag", "abs_da", "dpsi", "da",
+                 "rs_raw", "lax", "product")
+
+    def __init__(self, j, state_tol, classification_tol):
+        lam, am, ap = j.lam, j.a_minus, j.a_plus
+        km, kp = abs(j.kappa_minus), abs(j.kappa_plus)
+        dm, dp, nm = am - lam, ap - lam, lam - am
+        self.qm = qm = nm * km
+        self.qp = qp = dp * kp
+        head = dm * j.kappa_minus
+        if j.kind in (LAX, RAREFACTION_SHOCK):
+            self.lhs, self.rhs = qm, qp
+        else:
+            self.lhs, self.rhs = head, dp * j.kappa_plus
+        self.residual = abs(self.lhs - self.rhs)
+        self.sign_ok = j.sign_table_consistent(state_tol, classification_tol)
+        self.b = b = j.strength
+        adm, adp = abs(dm), abs(dp)
+        self.q = adm * km
+        self.trace_gap = min(adm, adp)
+        self.kappa_clear = min(km, kp) > state_tol
+        self.mag = adm + adp
+        self.da = da = ap - am
+        self.abs_da = abs(da)
+        self.dpsi = abs(j.kappa_plus - j.kappa_minus)
+        self.rs_raw = 2 * nm * km
+        self.lax = dm * km
+        if j.partition == "I":
+            self.product = head * b
+        else:
+            self.product = nm * j.kappa_minus * b
+
+
+def _book_jumps(fslice, terms, books, window, tol_rate):
+    """Trace-sum rates of each book's norm at one slice, given each jump's
+    :class:`_JumpTerms`; the per-jump structural identities go to each
+    book's violations.
 
     Shared by all books: the trace symmetry at compressive and
     rarefaction-side jumps, the conservation relation at undercompressive
@@ -262,42 +311,31 @@ def _book_jumps(fslice, books, window, tol_rate, state_tol):
         m, tvb = book.weight.m, book.ws.tv_b
         wconsts.append((book.ws.traces, m, m + tvb, 2 * m + tvb,
                         m - tol_rate, m + tvb + tol_rate))
-    for idx, j in enumerate(fslice.jumps):
-        km = abs(j.kappa_minus)
-        kp = abs(j.kappa_plus)
-        qm = (j.lam - j.a_minus) * km
-        qp = (j.a_plus - j.lam) * kp
+    for idx, (j, a) in enumerate(zip(fslice.jumps, terms)):
         shared = []
-        if j.kind in (LAX, RAREFACTION_SHOCK):
-            if abs(qm - qp) > tol_rate:
-                shared.append(
-                    f"t={t}: trace symmetry broken at x={j.position} "
-                    f"({j.kind}): {qm} vs {qp}"
-                )
-        else:
-            lhs = (j.a_minus - j.lam) * j.kappa_minus
-            rhs = (j.a_plus - j.lam) * j.kappa_plus
-            if abs(lhs - rhs) > tol_rate:
-                shared.append(
-                    f"t={t}: conservation relation broken at x={j.position} "
-                    f"({j.kind}): {lhs} vs {rhs}"
-                )
-        if not j.sign_table_consistent(state_tol):
+        if a.residual > tol_rate:
+            relation = ("trace symmetry" if j.kind in (LAX, RAREFACTION_SHOCK)
+                        else "conservation relation")
+            shared.append(
+                f"t={t}: {relation} broken at x={j.position} "
+                f"({j.kind}): {a.lhs} vs {a.rhs}"
+            )
+        if not a.sign_ok:
             shared.append(
                 f"t={t}: trace sign table violated at x={j.position} ({j.kind})"
             )
-        b = j.strength
+        b = a.b
+        q = a.q
         inside = A < j.position < B
         if inside:
             counts[j.kind] += 1
-            q = abs(j.a_minus - j.lam) * km
         strict = None
         for book, r, wc in zip(books, rates, wconsts):
             book.violations.extend(shared)
             if wc is None:
                 if inside:
-                    r[0] += qm
-                    r[0] += qp
+                    r[0] += a.qm
+                    r[0] += a.qp
                     if j.kind == LAX:
                         r[1] += 2 * q
                     elif j.kind == RAREFACTION_SHOCK:
@@ -306,8 +344,8 @@ def _book_jumps(fslice, books, window, tol_rate, state_tol):
             traces, m, m_tvb, two_m_tvb, w_lo, w_hi = wc
             wm, wp = traces[idx]
             if inside:
-                r[0] += qm * wm
-                r[0] += qp * wp
+                r[0] += a.qm * wm
+                r[0] += a.qp * wp
                 if j.kind == LAX:
                     r[1] += (two_m_tvb - b) * q
                 elif j.kind == RAREFACTION_SHOCK:
@@ -322,10 +360,7 @@ def _book_jumps(fslice, books, window, tol_rate, state_tol):
                         f"[{m}, {m_tvb}] at x={j.position}"
                     )
             if strict is None:
-                strict = (
-                    min(abs(j.a_minus - j.lam), abs(j.a_plus - j.lam)) > tol_rate
-                    and min(km, kp) > state_tol
-                )
+                strict = a.trace_gap > tol_rate and a.kappa_clear
             if not strict:
                 # where a trace of the difference vanishes, the weight
                 # branch on that side is immaterial (the functional sees
@@ -357,33 +392,30 @@ def _book_jumps(fslice, books, window, tol_rate, state_tol):
     return counts, rates
 
 
-def _check_terms(fslice, window):
+def _check_terms(fslice, terms, window):
     """Per-interval sums of one slice that the derived checks read."""
     A, B = window
     zero = 0
     tv_psi = sup_da = rs_raw = rs_dpsi = lax_sum = product = zero
     has_rs = False
-    for j in fslice.jumps:
-        dpsi = abs(j.kappa_plus - j.kappa_minus)
-        tv_psi += dpsi
+    for j, a in zip(fslice.jumps, terms):
+        tv_psi += a.dpsi
         if j.kind == RAREFACTION_SHOCK:
-            sup_da = max(sup_da, j.a_plus - j.a_minus)
-            rs_raw += 2 * (j.lam - j.a_minus) * abs(j.kappa_minus)
-            rs_dpsi += dpsi
+            sup_da = max(sup_da, a.da)
+            rs_raw += a.rs_raw
+            rs_dpsi += a.dpsi
         if not A < j.position < B:
             continue
         if j.kind == LAX:
-            lax_sum += (j.a_minus - j.lam) * abs(j.kappa_minus)
+            lax_sum += a.lax
         elif j.kind == RAREFACTION_SHOCK:
             has_rs = True
-        if j.partition == "I":
-            product += (j.a_minus - j.lam) * j.kappa_minus * j.strength
-        else:
-            product += (j.lam - j.a_minus) * j.kappa_minus * j.strength
+        product += a.product
     return {
-        "tv_psi": tv_psi, "tv_a": fslice.tv_a(), "rs_sup_da": sup_da,
-        "rs_raw_rate": rs_raw, "rs_dpsi": rs_dpsi, "lax_sum": lax_sum,
-        "product_rate": product, "has_rs": has_rs,
+        "tv_psi": tv_psi,
+        "tv_a": sum((a.abs_da for a in terms), start=fslice.time * 0),
+        "rs_sup_da": sup_da, "rs_raw_rate": rs_raw, "rs_dpsi": rs_dpsi,
+        "lax_sum": lax_sum, "product_rate": product, "has_rs": has_rs,
     }
 
 
@@ -399,6 +431,17 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
     exact = cfield.exact
     state_tol = 0 if exact else 1e-12
     books = [_Book(w) for w in weights]
+    known = {}     # jump state -> its _JumpTerms, for this walk
+
+    def terms_of(fslice):
+        out = []
+        for j, state in zip(fslice.jumps, fslice.states):
+            a = known.get(state)
+            if a is None:
+                a = known[state] = _JumpTerms(j, state_tol,
+                                              cfield.classification_tol)
+            out.append(a)
+        return out
 
     def weigh(fslice):
         # each book's weight slice, and its piece values (None: weight one)
@@ -443,12 +486,12 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
         wvs = weigh(fs)
         n_los = _norms(fs, wvs, window, tau_lo)
         n_his = _norms(fs, wvs, window, tau_hi)
-        rate_mags = sum(abs(j.lam - j.a_minus) + abs(j.a_plus - j.lam)
-                        for j in fs.jumps)
+        terms = terms_of(fs)
+        rate_mags = sum(a.mag for a in terms)
         tol_rate = 0 if exact else tol_scale * (1 + rate_mags + base)
-        counts, rates = _book_jumps(fs, books, window, tol_rate, state_tol)
+        counts, rates = _book_jumps(fs, terms, books, window, tol_rate)
         fluxes = _edge_flux_rates(fs, wvs, window)
-        terms = _check_terms(fs, window)
+        sums = _check_terms(fs, terms, window)
         for book, n_lo, n_hi, r, flux in zip(books, n_los, n_his, rates,
                                              fluxes):
             interior, lax, slow_fast, rs_main, rs_b = r
@@ -470,7 +513,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
                 residual_norm=residual_norm,
                 residual_traces=residual_traces,
                 rate_mags=rate_mags,
-                **terms,
+                **sums,
             ))
             if residual_norm > tol_norm:
                 book.violations.append(

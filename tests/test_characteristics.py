@@ -10,6 +10,7 @@ import pytest
 from wavetrack import (
     CoefficientField,
     FrontTrackingRun,
+    InconsistentFieldError,
     Profile,
     StaticField,
     backward_characteristic,
@@ -48,6 +49,13 @@ def test_static_field_horizon():
         two.at(1.5)
     # non-converging curves never cross
     assert StaticField([(0.0, 0.0), (1.0, 1.0)], [1.0, 0.5, 2.0]).horizon is None
+
+
+def test_static_field_walk_stops_at_the_horizon():
+    two = StaticField([(0.0, 1.0), (1.0, 0.0)], [2.0, 0.5, -1.0])
+    assert forward_characteristic(two, -1.0, 0.0, 1.0).end_position == 1.0
+    with pytest.raises(InconsistentFieldError):
+        forward_characteristic(two, -1.0, 0.0, 1.5)
 
 
 def test_forward_into_compressive_jump_rides_it():
@@ -189,20 +197,14 @@ def _sine_field(n_cells, h):
     return CoefficientField(*build_runs(spec))
 
 
-def test_max_principle_walks_the_timeline_twice(monkeypatch):
+def test_max_principle_walks_the_timeline_twice():
     field = _sine_field(8, 0.1)
     intervals = len(field.event_times(0, 2)) + 1
-    calls = []
-    at = CoefficientField.at
-
-    def counted(self, t):
-        calls.append(t)
-        return at(self, t)
-
-    monkeypatch.setattr(CoefficientField, "at", counted)
     rep = maximum_principle_check(field, (1, 5), 2)
     assert rep.passed
-    assert len(calls) == 2 * intervals
+    # both walks come from the cursor; no whole slice is built
+    assert field.stats.at_slices == 0
+    assert field.stats.slices == field.stats.intervals == 2 * intervals
 
 
 def _exact_twin():

@@ -1,7 +1,10 @@
 import io
+import marshal
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
@@ -10,6 +13,7 @@ from wavetrack.coupling import (
     LAX,
     RAREFACTION_SHOCK,
     SLOW,
+    ClassifiedJump,
     CoefficientField,
     DegenerateFieldError,
     InconsistentFieldError,
@@ -19,6 +23,7 @@ from wavetrack.coupling import (
     timeline,
 )
 from wavetrack.fluxes import burgers_flux
+from wavetrack.functional import identity_reports
 from wavetrack.profiles import Profile, profile_difference
 from wavetrack.scenarios import (
     build_runs,
@@ -270,6 +275,28 @@ def test_timeline_detects_a_missed_crossing(monkeypatch):
         list(timeline(field, 0.0, 3.0))
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("bounds, match", [
+    # the collision at t = 1 lies after the midpoint of [0.5, 7/3]
+    ([0.5, 7 / 3], "missing"),
+    # the crossing at t = 7/3 lies inside [2, 3], a later interval, or
+    # inside [1, 2.5], an earlier one
+    ([1.0, 2.0], "order"),
+    ([1.0, 2.5], "order"),
+])
+def test_timeline_detects_a_miss_between_other_bounds(monkeypatch, bounds,
+                                                      match, reverse):
+    # run I: shocks from 0 and 1 merge at t = 1 into a stationary shock at
+    # x = 1/2; run II: a shock from -3 at speed 3/2 crosses it at t = 7/3
+    field = _field(Profile([0.0, 1.0], [1.0, 0.0, -1.0]),
+                   Profile([-3.0], [2.0, 1.0]), horizon=3.0)
+    assert field.event_times(0.0, 3.0) == [1.0, 7 / 3]
+    monkeypatch.setattr(CoefficientField, "event_times",
+                        lambda self, s, t: list(bounds))
+    with pytest.raises(InconsistentFieldError, match=match):
+        list(timeline(field, 0.0, 3.0, reverse=reverse))
+
+
 # -- the crossing sweep against the all-pairs scan ------------------------------
 
 
@@ -400,3 +427,93 @@ def test_sweep_front_crosses_a_fan_at_its_birth():
     swept, scan = _assert_sweep_matches_scan(field, 0.0, 1.0)
     assert len(scan) == 10
     assert swept == scan
+
+
+# -- the event-delta cursor against whole slices -------------------------------
+
+_JUMP_FIELDS = attrgetter(*(f.name for f in fields(ClassifiedJump)))
+
+
+def _slice_bits(fs):
+    """Every compared field of a slice, floats bit for bit (marshal format 2
+    writes a float as its 8 bytes, so the sign of a zero counts, and keeps
+    no references)."""
+    data = (fs.time, fs.a_values, fs.uI_values, fs.uII_values, fs.psi_values,
+            [_JUMP_FIELDS(j) for j in fs.jumps])
+    if isinstance(fs.time, Fraction):
+        return data         # exact values: equality is identity of value
+    return marshal.dumps(data, 2)
+
+
+SINE_FULL = ((4, 0.2), (8, 0.2), (8, 0.1), (12, 0.1), (20, 0.1))
+
+
+def _cursor_corpus(name):
+    if name == "acceptance":
+        yield from _corpus("acceptance")
+        return
+    configs = {
+        "float": [random_scenario_config(seed) for seed in range(200, 230)],
+        "rational": [random_scenario_config(seed, rational=True)
+                     for seed in range(300, 310)],
+        "sine": [_sine_pair_config(n, h)
+                 for n, h in SINE_FULL + ((64, 0.05),)],
+    }[name]
+    for cfg in configs:
+        yield CoefficientField(*build_runs(parse_scenario(cfg)))
+
+
+@pytest.mark.parametrize("name", ["acceptance", "float", "rational", "sine"])
+def test_cursor_slices_equal_whole_slices(name):
+    for field in _cursor_corpus(name):
+        horizon = field.run_I.evolved_until
+        forward = []
+        for t0, t1, fs in timeline(field, horizon * 0, horizon):
+            assert fs.time == t0 + (t1 - t0) / 2
+            bits = _slice_bits(fs)
+            assert bits == _slice_bits(field.at(fs.time))
+            forward.append(bits)
+        backward = [_slice_bits(fs) for _, _, fs in
+                    timeline(field, horizon * 0, horizon, reverse=True)]
+        assert backward == forward[::-1]
+        assert field.stats.slices == field.stats.intervals == 2 * len(forward)
+
+
+def test_cursor_keys_states_by_the_other_runs_state():
+    # run-II fronts 14 and 15 each carry two states whose float kappa pairs
+    # agree while a_minus differs in the last bit: a cache keyed on the
+    # kappa pair would hand one state's traces to the other
+    field = CoefficientField(*build_runs(parse_scenario(
+        _sine_pair_config(8, 0.1))))
+    seen = {}
+    for _, _, fs in timeline(field, 0.0, 2.0):
+        assert _slice_bits(fs) == _slice_bits(field.at(fs.time))
+        for j in fs.jumps:
+            if j.partition == "II" and j.front_uid in (14, 15):
+                seen.setdefault((j.front_uid, j.kappa_minus, j.kappa_plus),
+                                set()).add(j.a_minus)
+    for uid in (14, 15):
+        [a_minus] = [a for (u, *_), a in seen.items()
+                     if u == uid and len(a) > 1]
+        assert len(a_minus) == 2
+
+
+def test_one_walk_classifies_each_state_once():
+    cfg = dict(_sine_pair_config(8, 0.1), checks=["l1", "weighted"], m=1)
+    spec = parse_scenario(cfg)
+    field = CoefficientField(*build_runs(spec))
+    plain, weighted = identity_reports(field, spec.m, spec.t_start, spec.t_end)
+    intervals = len(field.event_times(0.0, 2.0)) + 1
+    assert len(plain.intervals) == len(weighted.intervals) == intervals
+    stats = field.stats
+    assert stats.slices == stats.intervals == intervals
+    assert stats.at_slices == 2
+    assert stats.deltas > 0
+    # a state is a front with the other run's state across it
+    states = set()
+    for _, _, fs in timeline(CoefficientField(field.run_I, field.run_II),
+                             0.0, 2.0):
+        for i, j in enumerate(fs.jumps):
+            other = fs.uII_values if j.partition == "I" else fs.uI_values
+            states.add((j.partition, j.front_uid, other[i]))
+    assert stats.states == len(states) == 109

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavetrack import (
+    LAX,
+    ClassifiedJump,
     CoefficientField,
+    FieldSlice,
     FrontTrackingRun,
     Profile,
     WeightField,
     burgers_flux,
+    classify,
     default_window,
     gain_cap_report,
     identity_reports,
@@ -26,6 +30,7 @@ from wavetrack import (
     run_scenario,
     weighted_identity_report,
 )
+from wavetrack import scenarios
 from wavetrack.functional import _windowed_norm
 from wavetrack.scenarios import build_runs, parse_scenario
 
@@ -343,20 +348,23 @@ def test_shared_walk_builds_one_slice_per_interval(monkeypatch):
         "time": {"start": 0, "end": 2},
         "checks": ["l1", "weighted"],
     }
-    calls = []
-    at = CoefficientField.at
+    fields = []
 
-    def counted(self, t):
-        calls.append(t)
-        return at(self, t)
+    class Recorded(CoefficientField):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fields.append(self)
 
-    monkeypatch.setattr(CoefficientField, "at", counted)
+    monkeypatch.setattr(scenarios, "CoefficientField", Recorded)
     result = run_scenario(cfg)
     assert result.passed
     intervals = len(result.reports["l1"].intervals)
     assert intervals == len(result.reports["weighted"].intervals) > 1
-    # one midpoint slice per interval plus the two endpoint slices
-    assert len(calls) == intervals + 2
+    # one walk yields one slice per interval; only the two endpoint slices
+    # are built whole
+    [field] = fields
+    assert field.stats.at_slices == 2
+    assert field.stats.slices == field.stats.intervals == intervals
 
 
 def test_exact_field_takes_int_endpoints_as_fractions():
@@ -385,3 +393,28 @@ def test_exact_ledgers_close_with_zero_residuals(seed):
         for rec in rep.intervals:
             assert rec.residual_norm == 0
             assert rec.residual_traces == 0
+
+
+def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
+    # a strictly compressive exact jump with a_- - lam = 1e-12 whose
+    # kappa_+ opposes the sign table; the fixed 1e-10 snap used to hide it
+    cf = _exact_field(4)
+    assert cf.classification_tol == 0
+    one = Fraction(1)
+    jump = ClassifiedJump(
+        position=0 * one, time=one, lam=0 * one, a_minus=one / 10**12,
+        a_plus=-one, kind=LAX, partition="I", b_jump=-2 * one,
+        kappa_minus=-one, kappa_plus=-one, source_kind="shock", front_uid=0)
+    assert classify(jump.a_minus, jump.a_plus, jump.lam,
+                    cf.classification_tol) == LAX
+    assert jump.sign_table_consistent(0)
+    assert not jump.sign_table_consistent(0, cf.classification_tol)
+    # a walk's slice, with its one jump state
+    fs = FieldSlice(time=one, jumps=(jump,), a_values=(one / 10**12, -one),
+                    uI_values=(one, -one), uII_values=(0 * one, -2 * one),
+                    psi_values=(-one, -one), states=(object(),))
+    monkeypatch.setattr(CoefficientField, "walk",
+                        lambda self, bounds, reverse=False:
+                        iter([(bounds[0], bounds[-1], fs)]))
+    plain = l1_identity_report(cf, 0, 2)
+    assert "t=1: trace sign table violated at x=0 (lax)" in plain.violations

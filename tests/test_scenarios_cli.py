@@ -1,5 +1,6 @@
 """Scenario configs, random suites, output files, and the command line."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from wavetrack import (
     run_sweep,
 )
 from wavetrack.cli import main
+from wavetrack.profiles import plain_number
 from wavetrack.scenarios import build_runs
 
 
@@ -411,3 +413,93 @@ def test_probe_slices_are_built_once(tmp_path, monkeypatch):
     assert len(probes) == 8
     assert {float(r.split(",")[0]) for r in rows} == set(probes)
     assert counts == {"at": 8, "event_times": 1}
+
+
+# sha256 of each report of the acceptance rational pairs, as written before
+# the timeline walk moved to an event-delta cursor; rational reports are
+# exact, so any byte that moves is a change of behaviour
+RATIONAL_REPORT_DIGESTS = {
+    7000: {
+        "gain_cap":
+            "db5e0a004e51d9c8ca2c62637b59fb9e331501385dd76b8be250caded875d68c",
+        "l1":
+            "1b8e43f86a096c3fed71df98d8e53caf156d18b49b52f8e0e4965dd817ed1e84",
+        "oleinik":
+            "1aee4b78846379139571e1b787653015348b94543c91e172ad434238bab893d0",
+        "weighted":
+            "bb6847ed97b2bea5bc42d43303126b1a6f299a198e526109269b5df5121c415c",
+    },
+    7001: {
+        "gain_cap":
+            "f8ba74de10af605f281b5c38e4ed154c5d2e9cdcf7ce9ce19fa9a0052394f05e",
+        "l1":
+            "d1f1cf93bdac79dcff5596a1a9faf0ae3ddf3f43ac387ddf7a64057d3c01f0ec",
+        "oleinik":
+            "efcb5598e86c183b54ce0849cd6289cf8cccde2accfe67b1024d0b6d41370847",
+        "weighted":
+            "8905400f4dc9a8a87c217ce800ce48a82ece2c2f213699a9fa233da1bc47212d",
+    },
+    7002: {
+        "gain_cap":
+            "2297cac1c9f85f99f1e0a2f69c834903966df4f25e3d07ee1064780e49e14836",
+        "l1":
+            "9426f9cbfce5c5de771100188a5498ff59d10a6c849a42b6d804785be43513b3",
+        "oleinik":
+            "4a3117e47e8c04732000aa9772f15f68d026d086a01abd2ac0457ad0a8c5ee13",
+        "weighted":
+            "9db6fc5f7ff00af3dfeb179db93e593f9130b2ee8d0583c89c23ecc3952ef668",
+    },
+    7003: {
+        "gain_cap":
+            "87af4d3b16a2316c21932a22ebabe0124ed32fe40e801b9c11c785de29c2153d",
+        "l1":
+            "9a46d14943b40d07302ec4346499ed96d5dfe3134ae727740f4fb4c3fea5f4df",
+        "oleinik":
+            "026442358bdc3e3039099776bd23cdd4b31d8be1170be612481d8ce9d550e439",
+        "weighted":
+            "1e90ae123dcbbf48a809af989682b8ff6f00d6f1e85ee1a41fa690999e5557ac",
+    },
+    7004: {
+        "gain_cap":
+            "49694f0d394aab8a392dfd8db6f5ec44e39e22c485391cc48b7e82fab314700f",
+        "l1":
+            "d813a03e7ebdc4908ef113c34055a22d5a538cee06b9b8072bd70dba768b428d",
+        "oleinik":
+            "e5512d7d35f3e68607b530769c29acbfb3b22a7f1fc222bd43736b024b077682",
+        "weighted":
+            "1ac72391d7dcbbbba9995190e1c01d62c766009e6fb4261dc978bb1044a92653",
+    },
+}
+
+
+def _acceptance_rational_config(seed):
+    p1, p2 = random_scenario_pair(random.Random(seed), max_jumps=3,
+                                  rational=True)
+
+    def encode(p):
+        return {"leading": plain_number(p.far_left),
+                "pairs": [[plain_number(x), plain_number(p.value_at(x))]
+                          for x in p.breakpoints]}
+
+    return {
+        "flux": {"name": "burgers"},
+        "u1": encode(p1),
+        "u2": encode(p2),
+        "h": "1/10",
+        "m": 1,
+        "time": {"start": 0, "end": 2},
+        "checks": ["oleinik", "l1", "weighted", "gain_cap"],
+        "mode": "rational",
+        "seed": seed,
+    }
+
+
+@pytest.mark.parametrize("seed", sorted(RATIONAL_REPORT_DIGESTS))
+def test_rational_report_bytes_are_pinned(tmp_path, seed):
+    run_scenario(_acceptance_rational_config(seed), out_dir=str(tmp_path))
+    digests = {
+        p.name[len("report_"):-len(".json")]:
+            hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.glob("report_*.json")
+    }
+    assert digests == RATIONAL_REPORT_DIGESTS[seed]
