@@ -55,7 +55,6 @@ from .coupling import (
 from .fluxes import (
     FluxModel,
     burgers_flux,
-    check_flux,
     exponential_flux,
     make_flux,
     quartic_flux,
@@ -78,10 +77,7 @@ from .functional import (
 )
 from .profiles import (
     Profile,
-    VariationFunction,
     l1_norm,
-    mu_psi_atom,
-    nonconservative_product,
     profile_difference,
     profile_map2,
     total_variation,
@@ -130,12 +126,10 @@ __all__ = [
     "SLOW",
     "ScenarioConfigError",
     "StaticField",
-    "VariationFunction",
     "WeightField",
     "WeightSlice",
     "backward_characteristic",
     "burgers_flux",
-    "check_flux",
     "classify",
     "default_window",
     "exponential_flux",
@@ -149,8 +143,6 @@ __all__ = [
     "make_flux",
     "maximum_principle_check",
     "monotonicity_report",
-    "mu_psi_atom",
-    "nonconservative_product",
     "oleinik_report",
     "parse_scenario",
     "product_inequality_check",

@@ -189,10 +189,6 @@ class FieldSlice:
         """u^II - u^I as a profile."""
         return _collapse_steps(self.positions(), self.psi_values)
 
-    def tv_b(self):
-        z = self.time * 0
-        return sum((j.strength for j in self.jumps), start=z)
-
     def strength_ratio_range(self):
         """(min, max) of |b jump| / |a jump| over the slice, None if no jumps."""
         ratios = [
@@ -212,6 +208,7 @@ class FieldStats:
     intervals: int = 0   # interaction-free intervals walked
     slices: int = 0      # slices the walks yielded
     deltas: int = 0      # own events and crossings a walk applied forward
+    crossings: int = 0   # the crossings among those deltas
     states: int = 0      # (front, traces) jump states classified
     at_slices: int = 0   # whole slices built by ``at``
 
@@ -633,6 +630,7 @@ class _Cursor(_Sweep):
     def _swap(self, kl, kr):
         # the same move, through the link changes that are noted
         self.stats.deltas += 1
+        self.stats.crossings += 1
         before = self.prv[kl]
         self._unlink(kl)
         self._link(kl, kr)

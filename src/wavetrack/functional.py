@@ -6,14 +6,28 @@ is exactly linear in time and its slope is a finite sum of jump-trace terms.
 A ledger walks the coefficient timeline once
 (:func:`~wavetrack.coupling.timeline`): one slice per interaction-free
 interval, the field at the interval midpoint.  It measures the norm at the
-probe times a quarter and three quarters into the interval by moving the
-slice's jumps there (``x + lam (tau - t_mid)``), evaluates the trace sums
-on the slice itself, and reconciles the two against each other and across
-interaction events.
+probe times a quarter and three quarters into the interval, evaluates the
+trace sums on the slice itself, and reconciles the two against each other
+and across interaction events.  While every jump stays inside the window
+the norm is the line P + tau Q, summed over the pieces (a piece between
+jumps on the lines x = c + lam t has width dc + tau dlam); otherwise the
+probe norms integrate the slice with its jumps moved to the probe time
+(``x + lam (tau - t_mid)``).
 A jump's weight-independent terms (trace products, symmetry or
 conservation residual, sign-table verdict, the atoms of the derived
 checks) depend only on its jump state, so the walk computes them once per
-state and the per-interval sums add up cached terms in jump order.
+state.  An interval that only fronts crossing separate from the one before
+is booked by delta: the sums of the interval before (each probe norm as
+P + tau Q, the rates, the kind counts, the derived-check sums) less the
+terms of the jump states and pieces that left, plus those that entered; a
+piece is keyed by its two jump states and a new piece's weight grows from
+its left neighbour's strength prefixes.  Every other interval is re-summed
+from scratch over all jumps and pieces: the first and the last, one after
+an own event, every ``_RESUM_STRIDE``-th in a row, and one where a jump
+leaves the window at a probe time, more pieces change than there are
+jumps, or a per-jump check could fail (so violations keep their text and
+order).
+Exact sums are exact either way; float sums may move in their last digits.
 ``identity_reports`` books the plain and the weighted ledger from one
 walk: each slice, the missed-interaction check and every
 weight-independent trace term and verdict are computed once, and only the
@@ -40,7 +54,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain
+from itertools import accumulate, chain, repeat
+from operator import attrgetter
 
 from .coupling import (
     FAST,
@@ -194,6 +209,11 @@ class FunctionalReport:
     violations: list = dataclass_field(default_factory=list)
     tol_scale: object = TOL_SCALE
     exact: bool = False
+    # intervals booked by delta and re-summed, and the largest drift
+    # |carried - re-summed| / (1 + |re-summed|) found at a re-sum
+    delta_booked: int = 0
+    resummed: int = 0
+    max_drift: float = 0.0
 
     @property
     def passed(self):
@@ -234,14 +254,30 @@ class FunctionalReport:
         }
 
 
+# A walk re-sums at least every _RESUM_STRIDE-th interval from scratch, and
+# measures there how far the running sums drifted.
+_RESUM_STRIDE = 16
+
+
 @dataclass(slots=True)
 class _Book:
-    """One norm's ledger while a walk books it."""
+    """One norm's ledger while a walk books it, with the running sums of
+    its last interval that a delta moves on (``run`` is None when the next
+    interval must be re-summed)."""
 
     weight: object            # WeightField, None for the plain norm
-    ws: object = None         # its weight slice of the current field slice
+    ws: object = None         # its weight slice of the last re-summed slice
     violations: list = dataclass_field(default_factory=list)
     intervals: list = dataclass_field(default_factory=list)
+    # (P, Q, [interior, lax, slow_fast, rs_main, rs_b], edge flux), the
+    # probe norm at time tau being P + tau Q
+    run: tuple = None
+    pieces: dict = None       # weighted: piece -> (weight, strength prefixes)
+    bounds: tuple = None      # weighted: _weight_bounds at the least tolerance
+    clean: bool = True        # no weight check of a jump fails at that bound
+    deltas: int = 0
+    resums: int = 0
+    drift: float = 0.0
 
 
 class _JumpTerms:
@@ -250,13 +286,15 @@ class _JumpTerms:
     sign-table verdict (at the field's classification tolerance) and the
     atoms the derived checks sum.  Each term is evaluated with the same
     operations in the same order as its formula, so a float term is the
-    same to the last bit wherever it is summed."""
+    same to the last bit wherever it is summed.  ``risky`` marks a state
+    whose shared checks could fail at the walk's least tolerance."""
 
     __slots__ = ("qm", "qp", "lhs", "rhs", "residual", "sign_ok", "b", "q",
                  "trace_gap", "kappa_clear", "mag", "abs_da", "dpsi", "da",
-                 "rs_raw", "lax", "product")
+                 "rs_raw", "lax", "product", "kind", "in_I", "front", "lam",
+                 "c", "risky")
 
-    def __init__(self, j, state_tol, classification_tol):
+    def __init__(self, j, state_tol, classification_tol, tol_min):
         lam, am, ap = j.lam, j.a_minus, j.a_plus
         km, kp = abs(j.kappa_minus), abs(j.kappa_plus)
         dm, dp, nm = am - lam, ap - lam, lam - am
@@ -284,144 +322,337 @@ class _JumpTerms:
             self.product = head * b
         else:
             self.product = nm * j.kappa_minus * b
+        self.kind, self.in_I = j.kind, j.partition == "I"
+        self.front = (j.partition, j.front_uid)
+        self.lam, self.c = lam, j.position - lam * j.time   # x = c + lam t
+        self.risky = self.residual > tol_min or not self.sign_ok
 
 
-def _book_jumps(fslice, terms, books, window, tol_rate):
+def _weight_bounds(m, tvb, tol):
+    """(m, m + TV(b), 2m + TV(b), m - tol, m + TV(b) + tol, tol)."""
+    m_tvb = m + tvb
+    return m, m_tvb, 2 * m + tvb, m - tol, m_tvb + tol, tol
+
+
+def _weight_faults(t, j, a, wm, wp, bounds):
+    """The weight-trace violations at one jump with weight traces wm and wp,
+    at the tolerance of ``bounds`` (see :func:`_weight_bounds`): the weight
+    bracket [m, m + TV(b)] and, at strictly classified jumps, the closed
+    forms of the weight-trace combinations."""
+    m, m_tvb, two_m_tvb, w_lo, w_hi, tol = bounds
+    out = []
+    for side, w in (("-", wm), ("+", wp)):
+        if w < w_lo or w > w_hi:
+            out.append(f"t={t}: weight trace w{side}={w} outside "
+                       f"[{m}, {m_tvb}] at x={j.position}")
+    if not (a.kappa_clear and a.trace_gap > tol):
+        # where a trace of the difference vanishes, the weight branch on
+        # that side is immaterial (the functional sees |psi| w), so no
+        # trace-form constraint applies
+        return out
+    b = a.b
+    if j.kind in (LAX, RAREFACTION_SHOCK):
+        closed = wm + wp
+        expected = two_m_tvb - b if j.kind == LAX else two_m_tvb + b
+    else:
+        # the weight must not increase across a slow jump, nor decrease
+        # across a fast one
+        slow = j.kind == SLOW
+        closed, expected = wp - wm, -b if slow else b
+        if (closed if slow else wm - wp) > tol:
+            out.append(f"t={t}: weight must not "
+                       f"{'increase' if slow else 'decrease'} across a "
+                       f"{j.kind} jump at x={j.position}: {wm} -> {wp}")
+    if abs(closed - expected) > tol:
+        out.append(f"t={t}: closed weight-trace form broken at "
+                   f"x={j.position} ({j.kind}): {closed} vs expected "
+                   f"{expected}")
+    return out
+
+
+def _rate_terms(book):
+    """(rate index, per-jump term, the kinds it sums over) of each of a
+    book's rates but the interior one: ``[interior, lax, slow_fast,
+    rs_main, rs_b]``.  A weighted book's terms read its ``bounds``."""
+    if book.weight is None:
+        return ((1, lambda a: 2 * a.q, (LAX,)),
+                (3, lambda a: 2 * a.q, (RAREFACTION_SHOCK,)))
+    t = book.bounds[2]      # 2m + TV(b)
+    return ((1, lambda a: (t - a.b) * a.q, (LAX,)),
+            (2, lambda a: a.b * a.q, (SLOW, FAST)),
+            (3, lambda a: t * a.q, (RAREFACTION_SHOCK,)),
+            (4, lambda a: a.b * a.q, (RAREFACTION_SHOCK,)))
+
+
+def _summed(terms, term, kinds):
+    """``term`` summed over the jumps of ``kinds`` (None: all) in order."""
+    return sum(term(a) for a in terms if kinds is None or a.kind in kinds)
+
+
+def _book_jumps(fslice, terms, books, window, tol_rate, tol_min):
     """Trace-sum rates of each book's norm at one slice, given each jump's
     :class:`_JumpTerms`; the per-jump structural identities go to each
     book's violations.
 
     Shared by all books: the trace symmetry at compressive and
     rarefaction-side jumps, the conservation relation at undercompressive
-    ones and the sign table.  Per weighted book: the weight bracket
-    [m, m + TV(b)] and, at strictly classified jumps, the closed forms of
-    the weight-trace combinations.  Returns the kind counts inside the
-    window and, per book, ``[interior, lax, slow_fast, rs_main, rs_b]``.
+    ones and the sign table.  Per weighted book: the weight-trace checks of
+    :func:`_weight_faults`, which also set the book's ``clean`` flag at
+    ``tol_min``.  Returns, per book, ``[interior, lax, slow_fast, rs_main,
+    rs_b]``.
     """
     A, B = window
     t = fslice.time
-    counts = {LAX: 0, SLOW: 0, FAST: 0, RAREFACTION_SHOCK: 0}
-    rates = [[0] * 5 for _ in books]
-    # per weighted book: its weight traces and the sums its checks reuse
-    wconsts = []
-    for book in books:
-        if book.ws is None:
-            wconsts.append(None)
-            continue
-        m, tvb = book.weight.m, book.ws.tv_b
-        wconsts.append((book.ws.traces, m, m + tvb, 2 * m + tvb,
-                        m - tol_rate, m + tvb + tol_rate))
-    for idx, (j, a) in enumerate(zip(fslice.jumps, terms)):
-        shared = []
+    shared = []     # per jump: its violations of the shared checks
+    for j, a in zip(fslice.jumps, terms):
+        out = []
         if a.residual > tol_rate:
             relation = ("trace symmetry" if j.kind in (LAX, RAREFACTION_SHOCK)
                         else "conservation relation")
-            shared.append(
+            out.append(
                 f"t={t}: {relation} broken at x={j.position} "
                 f"({j.kind}): {a.lhs} vs {a.rhs}"
             )
         if not a.sign_ok:
-            shared.append(
+            out.append(
                 f"t={t}: trace sign table violated at x={j.position} ({j.kind})"
             )
-        b = a.b
-        q = a.q
-        inside = A < j.position < B
-        if inside:
-            counts[j.kind] += 1
-        strict = None
-        for book, r, wc in zip(books, rates, wconsts):
-            book.violations.extend(shared)
-            if wc is None:
-                if inside:
+        shared.append(out)
+    inside = [A < j.position < B for j in fslice.jumps]
+    rates = []
+    for book in books:
+        r = [0] * 5
+        ws = book.ws
+        if ws is not None:
+            m, tvb = book.weight.m, ws.tv_b
+            at_rate = _weight_bounds(m, tvb, tol_rate)
+            book.bounds = (at_rate if tol_min == tol_rate
+                           else _weight_bounds(m, tvb, tol_min))
+            book.clean = True
+        for idx, (j, a) in enumerate(zip(fslice.jumps, terms)):
+            book.violations.extend(shared[idx])
+            if ws is None:
+                if inside[idx]:
                     r[0] += a.qm
                     r[0] += a.qp
-                    if j.kind == LAX:
-                        r[1] += 2 * q
-                    elif j.kind == RAREFACTION_SHOCK:
-                        r[3] += 2 * q
                 continue
-            traces, m, m_tvb, two_m_tvb, w_lo, w_hi = wc
-            wm, wp = traces[idx]
-            if inside:
+            wm, wp = ws.traces[idx]
+            if inside[idx]:
                 r[0] += a.qm * wm
                 r[0] += a.qp * wp
-                if j.kind == LAX:
-                    r[1] += (two_m_tvb - b) * q
-                elif j.kind == RAREFACTION_SHOCK:
-                    r[3] += two_m_tvb * q
-                    r[4] += b * q
-                else:
-                    r[2] += b * q
-            for side, w in (("-", wm), ("+", wp)):
-                if w < w_lo or w > w_hi:
-                    book.violations.append(
-                        f"t={t}: weight trace w{side}={w} outside "
-                        f"[{m}, {m_tvb}] at x={j.position}"
-                    )
-            if strict is None:
-                strict = a.trace_gap > tol_rate and a.kappa_clear
-            if not strict:
-                # where a trace of the difference vanishes, the weight
-                # branch on that side is immaterial (the functional sees
-                # |psi| w), so no trace-form constraint applies
-                continue
-            if j.kind == LAX:
-                closed, expected = wm + wp, two_m_tvb - b
-            elif j.kind == RAREFACTION_SHOCK:
-                closed, expected = wm + wp, two_m_tvb + b
-            elif j.kind == SLOW:
-                closed, expected = wp - wm, -b
-                if closed > tol_rate:
-                    book.violations.append(
-                        f"t={t}: weight must not increase across a slow "
-                        f"jump at x={j.position}: {wm} -> {wp}"
-                    )
-            else:
-                closed, expected = wp - wm, b
-                if wm - wp > tol_rate:
-                    book.violations.append(
-                        f"t={t}: weight must not decrease across a fast "
-                        f"jump at x={j.position}: {wm} -> {wp}"
-                    )
-            if abs(closed - expected) > tol_rate:
-                book.violations.append(
-                    f"t={t}: closed weight-trace form broken at x={j.position} "
-                    f"({j.kind}): {closed} vs expected {expected}"
-                )
-    return counts, rates
+            if _weight_faults(t, j, a, wm, wp, book.bounds):
+                book.clean = False
+                book.violations.extend(
+                    _weight_faults(t, j, a, wm, wp, at_rate))
+        inner = [a for a, i in zip(terms, inside) if i]
+        for k, term, kinds in _rate_terms(book):
+            r[k] = _summed(inner, term, kinds)
+        rates.append(r)
+    return rates
+
+
+# (check sum, the _JumpTerms term it adds up, the kinds it sums over or
+# None for all, whether only jumps inside the window count) of each sum the
+# derived checks read but rs_sup_da and has_rs
+_CHECK_SUMS = (
+    ("rate_mags", attrgetter("mag"), None, False),
+    ("tv_psi", attrgetter("dpsi"), None, False),
+    ("tv_a", attrgetter("abs_da"), None, False),
+    ("rs_raw_rate", attrgetter("rs_raw"), (RAREFACTION_SHOCK,), False),
+    ("rs_dpsi", attrgetter("dpsi"), (RAREFACTION_SHOCK,), False),
+    ("lax_sum", attrgetter("lax"), (LAX,), True),
+    ("product_rate", attrgetter("product"), None, True),
+)
+
+
+def _sup_da(terms):
+    """sup of a_+ - a_- over the rarefaction-side jumps, 0 if none."""
+    return max([0, *(a.da for a in terms if a.kind == RAREFACTION_SHOCK)])
 
 
 def _check_terms(fslice, terms, window):
-    """Per-interval sums of one slice that the derived checks read."""
+    """The kind counts inside the window and the per-interval sums of one
+    slice that the derived checks read."""
     A, B = window
-    zero = 0
-    tv_psi = sup_da = rs_raw = rs_dpsi = lax_sum = product = zero
-    has_rs = False
-    for j, a in zip(fslice.jumps, terms):
-        tv_psi += a.dpsi
-        if j.kind == RAREFACTION_SHOCK:
-            sup_da = max(sup_da, a.da)
-            rs_raw += a.rs_raw
-            rs_dpsi += a.dpsi
-        if not A < j.position < B:
-            continue
-        if j.kind == LAX:
-            lax_sum += a.lax
-        elif j.kind == RAREFACTION_SHOCK:
-            has_rs = True
-        product += a.product
-    return {
-        "tv_psi": tv_psi,
-        "tv_a": sum((a.abs_da for a in terms), start=fslice.time * 0),
-        "rs_sup_da": sup_da, "rs_raw_rate": rs_raw, "rs_dpsi": rs_dpsi,
-        "lax_sum": lax_sum, "product_rate": product, "has_rs": has_rs,
-    }
+    inner = [a for j, a in zip(fslice.jumps, terms) if A < j.position < B]
+    counts = {k: sum(a.kind == k for a in inner)
+              for k in (LAX, SLOW, FAST, RAREFACTION_SHOCK)}
+    sums = {name: _summed(inner if in_window else terms, term, kinds)
+            for name, term, kinds, in_window in _CHECK_SUMS}
+    sums["tv_a"] += fslice.time * 0     # a zero of the time's type if no jump
+    sums["rs_sup_da"] = _sup_da(terms)
+    sums["has_rs"] = counts[RAREFACTION_SHOCK] > 0
+    return counts, sums
+
+
+def _moved(total, term, kinds, counts, out, into):
+    """``total`` less ``term`` of the jumps of ``kinds`` (None: all) in
+    ``out``, plus that of those in ``into``; int 0, as a re-sum gives, when
+    no jump of ``kinds`` is left."""
+    if kinds is not None and not any(counts[k] for k in kinds):
+        return 0
+    for a in out:
+        if kinds is None or a.kind in kinds:
+            total -= term(a)
+    for a in into:
+        if kinds is None or a.kind in kinds:
+            total += term(a)
+    return total
+
+
+def _geometry(key, psi, known, window):
+    """(|psi|, dc, dlam) of the piece ``key`` (see :func:`_piece_keys`)
+    with difference ``psi``: its width at time tau is dc + tau dlam while
+    its jumps stay inside the window."""
+    (L, R), (A, B) = key, window
+    cl, ll = (A, 0) if L is None else (known[L].c, known[L].lam)
+    cr, lr = (B, 0) if R is None else (known[R].c, known[R].lam)
+    return abs(psi), cr - cl, lr - ll
+
+
+def _norm_line(geometry, weight_values):
+    """(P, Q) of the windowed norm P + tau Q (times the weight if given)
+    of a slice whose jumps stay inside the window, from its pieces'
+    :func:`_geometry`: |psi| w dc and |psi| w dlam summed, in the form a
+    delta adds and subtracts them."""
+    P = Q = 0
+    for i, (ap, dc, dl) in enumerate(geometry):
+        if weight_values is not None:
+            ap = ap * weight_values[i]
+        P, Q = P + ap * dc, Q + ap * dl
+    return P, Q
+
+
+def _past(prefix, a):
+    """The (run-I, run-II) strength ``prefix`` past the jump of terms
+    ``a``, added up as :meth:`WeightField.slice_at` adds it."""
+    v_I, v_II = prefix
+    return (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
+
+
+def _inside(fs, window, taus):
+    """Whether every jump of the walk slice ``fs`` (which has some) lies
+    strictly inside the window at each time of ``taus``, so that every
+    piece's width is linear in time there."""
+    (A, B), lo, hi = window, fs.jumps[0], fs.jumps[-1]
+    return all(A < lo.position + lo.lam * (tau - fs.time)
+               and hi.position + hi.lam * (tau - fs.time) < B
+               for tau in taus)
+
+
+def _piece_keys(states):
+    # a piece is keyed by the states of its jumps, None at a window edge
+    return list(zip((None,) + states, states + (None,)))
+
+
+class _Carry:
+    """The shared running sums of a walk's last interval (kind counts and
+    the derived-check sums) and the jump states and pieces they cover."""
+
+    def __init__(self, known, window, fs, counts, sums):
+        self.known, self.window = known, window
+        self.states, self.keys = fs.states, _piece_keys(fs.states)
+        self.counts, self.sums = dict(counts), dict(sums)
+
+    def change(self, fs, terms_at):
+        """Move the shared sums to ``fs`` and return what changed: piece
+        keys, the terms of the states that left and entered, the (key,
+        geometry) of the pieces that left and entered, and the indices of
+        the latter.  None when a delta cannot book it: on an own event (a
+        front left or entered), a new state a shared check could fail at,
+        or more pieces replaced than there are jumps.  Lists are in slice
+        order, so float sums are taken in a fixed order."""
+        states, known = fs.states, self.known
+        cur, was = set(states), set(self.states)
+        gone = [known[st] for st in self.states if st not in cur]
+        new = [terms_at(st, j) for st, j in zip(states, fs.jumps)
+               if st not in was]
+        if ({a.front for a in gone} != {a.front for a in new}
+                or any(a.risky for a in new)):
+            return None
+        keys = _piece_keys(states)
+        cur, was = set(keys), set(self.keys)
+        at = [i for i, k in enumerate(keys) if k not in was]
+        out = [k for k in self.keys if k not in cur]
+        if len(at) + len(out) > len(states):
+            return None
+        psi, window = fs.psi_values, self.window
+        into = [(keys[i], _geometry(keys[i], psi[i], known, window))
+                for i in at]
+        out = [(k, _geometry(k, k[0].psi_plus if k[0] else psi[0],
+                             known, window)) for k in out]
+        self.states, self.keys = states, keys
+        counts, sums = self.counts, self.sums
+        for a in gone:
+            counts[a.kind] -= 1
+        for a in new:
+            counts[a.kind] += 1
+        for name, term, kinds, _ in _CHECK_SUMS:
+            sums[name] = _moved(sums[name], term, kinds, counts, gone, new)
+        rs = RAREFACTION_SHOCK
+        if any(a.kind == rs for a in gone + new):
+            sums["rs_sup_da"] = _sup_da(map(known.get, states))
+        sums["has_rs"] = counts[rs] > 0
+        return keys, gone, new, out, into, at
+
+
+def _book_delta(book, change, carry, fs, taus):
+    """Move a book's running sums by ``change`` (see :meth:`_Carry.change`)
+    and return its ``(n_lo, n_hi, *rates, flux)``, or None (a re-sum) when
+    a weight check of an entered jump could fail.  A piece of weight w adds
+    |psi| w times its width to the norm and w (q_+ left + q_- right) to the
+    interior rate."""
+    if book.run is None:
+        return None
+    keys, gone, new, out, into, at = change
+    known, weight = carry.known, book.weight
+    w = {}      # the weight of each changed piece
+    if weight is not None:
+        pieces, ws, m = book.pieces, book.ws, weight.m
+        w = {k: pieces.pop(k)[0] for k, _ in out}
+        for i, (k, _) in zip(at, into):
+            # the strength prefixes of the piece on the left plus the jump
+            # between the two, weighed as WeightField.slice_at weighs them
+            L = k[0]
+            vI, vII = (_past(pieces[keys[i - 1]][1], known[L]) if L
+                       else (m * 0, m * 0))
+            psi = fs.psi_values[i]
+            w[k] = (m + (ws.v_I_total - vI) + vII if psi > 0
+                    else m + vI + (ws.v_II_total - vII))
+            pieces[k] = (w[k], (vI, vII))
+        entered = {i + d for i in at for d in (-1, 0)}
+        for idx in entered & set(range(len(fs.jumps))):
+            if _weight_faults(fs.time, fs.jumps[idx], known[keys[idx][1]],
+                              pieces[keys[idx]][0], pieces[keys[idx + 1]][0],
+                              book.bounds):
+                return None
+    P, Q, r, flux = book.run
+    for gain, batch in ((False, out), (True, into)):
+        for key, (ap, dc, dl) in batch:
+            L, R = key
+            inner = (known[L].qp + known[R].qm if L and R
+                     else known[L].qp if L else known[R].qm)
+            if key in w:
+                ap, inner = ap * w[key], w[key] * inner
+            p, q = ap * dc, ap * dl
+            if gain:
+                P, Q, r[0] = P + p, Q + q, r[0] + inner
+            else:
+                P, Q, r[0] = P - p, Q - q, r[0] - inner
+    for k, term, kinds in _rate_terms(book):
+        r[k] = _moved(r[k], term, kinds, carry.counts, gone, new)
+    book.run = (P, Q, r, flux)
+    return (P + taus[0] * Q, P + taus[1] * Q, *r, flux)
 
 
 def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
     """One report per entry of ``weights`` (None for the plain norm, a
     :class:`WeightField` for a weighted one), booked from one timeline walk.
+
+    An interval that only fronts crossing separate from the one before is
+    booked by delta from the running sums (:class:`_Carry`,
+    :func:`_book_delta`); every other one, and every
+    ``_RESUM_STRIDE``-th in a row, is re-summed from scratch.
     """
     s, t = exact_time(cfield, s), exact_time(cfield, t)
     if not s < t:
@@ -433,17 +664,14 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
     books = [_Book(w) for w in weights]
     known = {}     # jump state -> its _JumpTerms, for this walk
 
-    def terms_of(fslice):
-        out = []
-        for j, state in zip(fslice.jumps, fslice.states):
-            a = known.get(state)
-            if a is None:
-                a = known[state] = _JumpTerms(j, state_tol,
-                                              cfield.classification_tol)
-            out.append(a)
-        return out
+    def terms_at(state, j):
+        a = known.get(state)
+        if a is None:
+            a = known[state] = _JumpTerms(j, state_tol,
+                                          cfield.classification_tol, tol_min)
+        return a
 
-    def weigh(fslice):
+    def weigh(fslice, books):
         # each book's weight slice, and its piece values (None: weight one)
         for book in books:
             if book.weight is not None:
@@ -461,7 +689,8 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
     # exactly; fill those in after the interval loop.
     try:
         start_slice = cfield.at(s)
-        norm_start = _norms(start_slice, weigh(start_slice) + [None], window)
+        norm_start = _norms(start_slice, weigh(start_slice, books) + [None],
+                            window)
         base = norm_start.pop()
     except DegenerateFieldError:
         norm_start = [None] * len(books)
@@ -469,31 +698,78 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
         base = _windowed_norm(fs, None, window, t0 + (t1 - t0) / 4)
     try:
         end_slice = cfield.at(t)
-        norm_end = _norms(end_slice, weigh(end_slice), window)
+        norm_end = _norms(end_slice, weigh(end_slice, books), window)
     except DegenerateFieldError:
         norm_end = [None] * len(books)
 
-    # plain-L1 size of the initial difference sets the tolerance scale
-    tol_norm = 0 if exact else tol_scale * (1 + base)
+    # plain-L1 size of the initial difference sets the tolerance scale; a
+    # tolerance of the walk is never below tol_min
+    tol_norm = tol_min = 0 if exact else tol_scale * (1 + base)
+
+    def terms_of(fs):
+        return [terms_at(st, j) for j, st in zip(fs.jumps, fs.states)]
+
+    def resum(fs, books, taus, tol_rate, linear):
+        # each book's sums over all jumps and pieces of the slice; on a
+        # linear interval its norm line P + tau Q gives the probe norms and
+        # seeds the running sums when the book's weight checks are clean
+        wvs = weigh(fs, books)
+        terms = terms_of(fs)
+        rates = _book_jumps(fs, terms, books, window, tol_rate, tol_min)
+        fluxes = _edge_flux_rates(fs, wvs, window)
+        if linear:
+            geometry = list(map(_geometry, _piece_keys(fs.states),
+                                fs.psi_values, repeat(known), repeat(window)))
+            lines = [_norm_line(geometry, wv) for wv in wvs]
+            probes = [[P + tau * Q for P, Q in lines] for tau in taus]
+        else:
+            probes = [_norms(fs, wvs, window, tau) for tau in taus]
+        for i, (book, wv) in enumerate(zip(books, wvs)):
+            book.resums += 1
+            book.run = None
+            if linear and book.clean:
+                book.run = (*lines[i], list(rates[i]), fluxes[i])
+                if wv is not None:
+                    z = book.weight.m * 0
+                    book.pieces = dict(zip(_piece_keys(fs.states), zip(
+                        wv, accumulate(terms, _past, initial=(z, z)))))
+        return [(n_lo, n_hi, *r, flux) for n_lo, n_hi, r, flux
+                in zip(*probes, rates, fluxes)]
+
     events = []
+    carry = None    # the shared running sums, when a delta may follow
+    since = 0       # intervals booked by delta since the last re-sum
     for t0, t1, fs in chain([first], walk):
         if t0 != s:
             events.append(t0)
         dt = t1 - t0
-        tau_lo = t0 + dt / 4
-        tau_hi = t0 + 3 * dt / 4
-        span = tau_hi - tau_lo
-        wvs = weigh(fs)
-        n_los = _norms(fs, wvs, window, tau_lo)
-        n_his = _norms(fs, wvs, window, tau_hi)
-        terms = terms_of(fs)
-        rate_mags = sum(a.mag for a in terms)
-        tol_rate = 0 if exact else tol_scale * (1 + rate_mags + base)
-        counts, rates = _book_jumps(fs, terms, books, window, tol_rate)
-        fluxes = _edge_flux_rates(fs, wvs, window)
-        sums = _check_terms(fs, terms, window)
-        for book, n_lo, n_hi, r, flux in zip(books, n_los, n_his, rates,
-                                             fluxes):
+        taus = (t0 + dt / 4, t0 + 3 * dt / 4)
+        span = taus[1] - taus[0]
+        linear = bool(fs.states) and _inside(fs, window, taus)
+        ch = carry.change(fs, terms_at) if carry and linear else None
+        carried = ([_book_delta(book, ch, carry, fs, taus) for book in books]
+                   if ch else [None] * len(books))
+        full = ch is None or since >= _RESUM_STRIDE - 1 or t1 == t
+        terms = terms_of(fs) if full else None
+        counts, sums = (_check_terms(fs, terms, window) if full
+                        else (carry.counts, carry.sums))
+        tol_rate = 0 if exact else tol_scale * (1 + sums["rate_mags"] + base)
+        redo = [b for b, v in zip(books, carried) if full or v is None]
+        redone = iter(resum(fs, redo, taus, tol_rate, linear) if redo else [])
+        vals = [next(redone) if full or v is None else v for v in carried]
+        for book, old, new in zip(books, carried, vals):
+            if old is not None and full:
+                # drift: |carried - re-summed| / (1 + |re-summed|)
+                pairs = [*zip(old[:-1], new[:-1]), *(
+                    (carry.sums[k], sums[k]) for k, *_ in _CHECK_SUMS)]
+                book.drift = max([book.drift, *(
+                    float(abs(a - b) / (1 + abs(b))) for a, b in pairs)])
+            book.deltas += old is not None and not full
+        if full:
+            carry = (_Carry(known, window, fs, counts, sums)
+                     if linear and not any(a.risky for a in terms) else None)
+        since = 0 if full else since + 1
+        for book, (n_lo, n_hi, *r, flux) in zip(books, vals):
             interior, lax, slow_fast, rs_main, rs_b = r
             residual_norm = abs((n_hi - n_lo) - span * (interior + flux))
             residual_traces = abs(interior + lax + slow_fast - rs_main - rs_b)
@@ -512,7 +788,6 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
                 kind_counts=dict(counts),
                 residual_norm=residual_norm,
                 residual_traces=residual_traces,
-                rate_mags=rate_mags,
                 **sums,
             ))
             if residual_norm > tol_norm:
@@ -629,6 +904,9 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
             violations=violations,
             tol_scale=tol_scale,
             exact=exact,
+            delta_booked=book.deltas,
+            resummed=book.resums,
+            max_drift=book.drift,
         ))
     return reports
 
@@ -665,13 +943,16 @@ def weighted_identity_report(cfield: CoefficientField, m, s, t, window=None,
                     tol_scale)[0]
 
 
-def identity_reports(cfield: CoefficientField, m, s, t, window=None,
+def identity_reports(cfield: CoefficientField, ms, s, t, window=None,
                      tol_scale=TOL_SCALE):
-    """``(plain, weighted)``: both ledgers of :func:`l1_identity_report` and
-    :func:`weighted_identity_report` (weight offset m), booked from one
-    timeline walk that builds each slice once for both."""
-    return tuple(_analyze(cfield, [None, WeightField(cfield, m)], s, t,
-                          window, tol_scale))
+    """``(plain, [weighted per m])``: the ledger of
+    :func:`l1_identity_report` and one of :func:`weighted_identity_report`
+    per weight offset in ``ms``, booked from one timeline walk that builds
+    each slice once for all of them."""
+    plain, *weighted = _analyze(
+        cfield, [None, *(WeightField(cfield, m) for m in ms)], s, t, window,
+        tol_scale)
+    return plain, weighted
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +1316,8 @@ def refinement_study(make_run_pair, h_list, m, s, t, tol_scale=TOL_SCALE):
     for h in h_list:
         run_I, run_II = make_run_pair(h)
         cfield = CoefficientField(run_I, run_II)
-        plain, weighted = identity_reports(cfield, m, s, t,
-                                           tol_scale=tol_scale)
+        plain, [weighted] = identity_reports(cfield, [m], s, t,
+                                             tol_scale=tol_scale)
         cap = gain_cap_report(cfield, plain)
         rows.append(
             {

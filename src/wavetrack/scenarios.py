@@ -556,8 +556,8 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
             # both from one walk when both are needed
             if not ledgers:
                 if len(needed) == 2:
-                    ledgers["plain"], ledgers["weighted"] = identity_reports(
-                        field, spec.m, s, t, tol_scale=spec.tol_scale)
+                    ledgers["plain"], [ledgers["weighted"]] = identity_reports(
+                        field, [spec.m], s, t, tol_scale=spec.tol_scale)
                 elif "plain" in needed:
                     ledgers["plain"] = l1_identity_report(
                         field, s, t, tol_scale=spec.tol_scale)

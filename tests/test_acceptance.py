@@ -24,6 +24,7 @@ from wavetrack import (
     backward_characteristic,
     burgers_flux,
     forward_characteristic,
+    identity_reports,
     l1_identity_report,
     maximum_principle_check,
     monotonicity_report,
@@ -132,9 +133,10 @@ def test_criterion_01_plain_ledger(capsys):
 def test_criterion_02_weighted_ledger(capsys):
     problems = []
     for cf in _float_suite():
-        base = l1_identity_report(cf, 0.0, HORIZON).norm_start
-        for m in (0.0, 1.0, 100.0):
-            rep = weighted_identity_report(cf, m, 0.0, HORIZON)
+        ms = (0.0, 1.0, 100.0)
+        plain, weighted = identity_reports(cf, ms, 0.0, HORIZON)
+        base = plain.norm_start
+        for m, rep in zip(ms, weighted):
             if not rep.passed:
                 problems.append(f"m={m}: {rep.violations[0]}")
             bound = 1e-8 * (1 + base)
@@ -142,8 +144,9 @@ def test_criterion_02_weighted_ledger(capsys):
                 problems.append(f"m={m}: weighted interval residual > {bound}")
     closed_checked = 0
     for cf in _rational_suite():
-        for m in (Fraction(0), Fraction(1), Fraction(100)):
-            rep = weighted_identity_report(cf, m, Fraction(0), Fraction(2))
+        ms = (Fraction(0), Fraction(1), Fraction(100))
+        _, weighted = identity_reports(cf, ms, Fraction(0), Fraction(2))
+        for m, rep in zip(ms, weighted):
             if not rep.passed or rep.residual_global != 0:
                 problems.append(f"rational m={m}: ledger not exact")
             if any(rec.residual_traces != 0 for rec in rep.intervals):

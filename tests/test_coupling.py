@@ -502,7 +502,8 @@ def test_one_walk_classifies_each_state_once():
     cfg = dict(_sine_pair_config(8, 0.1), checks=["l1", "weighted"], m=1)
     spec = parse_scenario(cfg)
     field = CoefficientField(*build_runs(spec))
-    plain, weighted = identity_reports(field, spec.m, spec.t_start, spec.t_end)
+    plain, [weighted] = identity_reports(field, [spec.m], spec.t_start,
+                                         spec.t_end)
     intervals = len(field.event_times(0.0, 2.0)) + 1
     assert len(plain.intervals) == len(weighted.intervals) == intervals
     stats = field.stats

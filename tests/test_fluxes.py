@@ -6,13 +6,14 @@ import pytest
 from wavetrack.fluxes import (
     FluxModel,
     burgers_flux,
-    check_flux,
     exponential_flux,
     make_flux,
     quartic_flux,
     rankine_hugoniot_speed,
     secant_speed,
 )
+
+from flux_check import check_flux
 
 
 def test_burgers_basics():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +31,10 @@ from wavetrack import (
     run_scenario,
     weighted_identity_report,
 )
-from wavetrack import scenarios
+from wavetrack import functional, scenarios
 from wavetrack.functional import _windowed_norm
 from wavetrack.scenarios import build_runs, parse_scenario
+from test_coupling import _sine_pair_config
 
 FLUX = burgers_flux()
 
@@ -310,8 +312,106 @@ def _exact_field(seed):
     return _field(p1, p2, h=Fraction(1, 10), horizon=Fraction(2), exact=True)
 
 
+def _both_bookings(cf, m, s, t):
+    # [plain, weighted] booked by delta, then re-summing every interval
+    out = []
+    for stride in (functional._RESUM_STRIDE, 1):
+        with mock.patch.object(functional, "_RESUM_STRIDE", stride):
+            plain, weighted = identity_reports(cf, [m], s, t)
+        out.append([plain, *weighted])
+    return out
+
+
+def _spec_field(config):
+    spec = parse_scenario(config)
+    return spec, CoefficientField(*build_runs(spec))
+
+
+def test_delta_booking_equals_resumming_in_exact_mode():
+    fields = [(_exact_field(seed), Fraction(1)) for seed in range(7000, 7005)]
+    for seed in range(300, 310):
+        spec, cf = _spec_field(random_scenario_config(seed, rational=True))
+        fields.append((cf, spec.m))
+    deltas = 0
+    for cf, m in fields:
+        booked, resummed = _both_bookings(cf, m, Fraction(0), Fraction(2))
+        for rep, again in zip(booked, resummed):
+            assert rep.to_dict() == again.to_dict()
+            assert rep.max_drift == 0
+            assert again.delta_booked == 0
+            deltas += rep.delta_booked
+    assert deltas > 0
+
+
+def _assert_close(x, y, scale=0):
+    # equal verdicts and strings; numbers within 1e-12 relative of the
+    # larger of themselves and ``scale``
+    if isinstance(x, dict):
+        assert x.keys() == y.keys()
+        for k in x:
+            _assert_close(x[k], y[k], scale)
+    elif isinstance(x, list):
+        assert len(x) == len(y)
+        for a, b in zip(x, y):
+            _assert_close(a, b, scale)
+    elif isinstance(x, float) and not isinstance(y, bool):
+        assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), scale), (x, y)
+    else:
+        assert x == y
+
+
+def test_delta_booking_keeps_float_verdicts_and_digits():
+    # Every number agrees to 1e-12 relative but those that are differences
+    # of larger numbers, or sums of terms of either sign, which keep no
+    # relative digits when they nearly cancel; each of these is compared
+    # at the scale its terms are rounded at: the measured slope (probe norms
+    # over half the interval), the residuals and event drops (norms), and
+    # the interior rate and trace residual (rate terms).
+    ladder = ((4, 0.2), (8, 0.2), (8, 0.1), (12, 0.1), (20, 0.1))
+    configs = [dict(_sine_pair_config(n, h), m=1) for n, h in ladder]
+    configs += [random_scenario_config(seed) for seed in range(200, 230)]
+    for config in configs:
+        spec, cf = _spec_field(config)
+        booked, resummed = _both_bookings(cf, spec.m, spec.t_start,
+                                          spec.t_end)
+        for rep, again in zip(booked, resummed):
+            assert rep.passed == again.passed
+            assert len(rep.violations) == len(again.violations)
+            assert rep.max_drift < 1e-12
+            norm = 1 + abs(again.norm_start)
+            d, d_again = rep.to_dict(), again.to_dict()
+            del d["violations"], d_again["violations"]
+            for row, row_again, rec in zip(d.pop("intervals"),
+                                           d_again.pop("intervals"),
+                                           again.intervals):
+                rates = 1 + rec.rate_mags
+                for key, scale in (("slope_measured", norm / rec.duration),
+                                   ("residual_norm", norm),
+                                   ("interior_rate", rates),
+                                   ("residual_traces", rates)):
+                    _assert_close(row.pop(key), row_again.pop(key), scale)
+                _assert_close(row, row_again)
+            for (e, drop), (e_again, drop_again) in zip(
+                    d.pop("event_drops"), d_again.pop("event_drops")):
+                assert e == e_again
+                _assert_close(drop, drop_again, norm)
+            for key in ("drop_total", "residual_global"):
+                _assert_close(d.pop(key), d_again.pop(key), norm)
+            _assert_close(d, d_again)
+
+
+def test_sine_pair_books_most_intervals_by_delta():
+    spec, cf = _spec_field(dict(_sine_pair_config(8, 0.1), m=1))
+    plain, [weighted] = identity_reports(cf, [spec.m], spec.t_start,
+                                         spec.t_end)
+    for rep in (plain, weighted):
+        assert rep.delta_booked + rep.resummed == len(rep.intervals)
+        assert 2 * rep.delta_booked >= len(rep.intervals)
+    assert cf.stats.crossings > 0
+
+
 def _same_reports(cf, m, s, t, tol_scale):
-    plain, weighted = identity_reports(cf, m, s, t, tol_scale=tol_scale)
+    plain, [weighted] = identity_reports(cf, [m], s, t, tol_scale=tol_scale)
     assert plain.to_dict() == l1_identity_report(
         cf, s, t, tol_scale=tol_scale).to_dict()
     assert weighted.to_dict() == weighted_identity_report(
@@ -372,7 +472,7 @@ def test_exact_field_takes_int_endpoints_as_fractions():
     # change at t = 0
     for seed in (4, 22):
         cf = _exact_field(seed)
-        plain, weighted = identity_reports(cf, 1, 0, 2)
+        plain, [weighted] = identity_reports(cf, [1], 0, 2)
         assert plain.passed and weighted.passed
         assert plain.s == 0 and isinstance(plain.s, Fraction)
         assert all(isinstance(rec.t_start, Fraction)
@@ -385,9 +485,12 @@ def test_exact_field_takes_int_endpoints_as_fractions():
 @given(st.integers(min_value=0, max_value=999))
 def test_exact_ledgers_close_with_zero_residuals(seed):
     # int endpoints: on a pair without interactions the only interval is
-    # [0, 2], whose midpoint and probes must stay exact
-    plain, weighted = identity_reports(_exact_field(seed), 1, 0, 2)
-    for rep in (plain, weighted):
+    # [0, 2], whose midpoint and probes must stay exact; booking by delta
+    # gives the reports of re-summing every interval
+    booked, resummed = _both_bookings(_exact_field(seed), 1, 0, 2)
+    for rep, again in zip(booked, resummed):
+        assert rep.to_dict() == again.to_dict()
+        assert rep.max_drift == 0
         assert rep.passed, rep.violations
         assert rep.residual_global == 0
         for rec in rep.intervals:

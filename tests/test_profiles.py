@@ -6,16 +6,19 @@ import pytest
 from wavetrack.fluxes import burgers_flux
 from wavetrack.profiles import (
     Profile,
-    VariationFunction,
     l1_norm,
-    mu_psi_atom,
-    nonconservative_product,
     profile_difference,
     profile_map2,
     total_variation,
     weighted_l1_norm,
 )
 from wavetrack.tracking import sample_initial_data
+
+from product_oracle import (
+    VariationFunction,
+    mu_psi_atom,
+    nonconservative_product,
+)
 
 
 def test_profile_validation():
