@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
+from operator import gt, lt
 
 from .coupling import (
-    FAST,
     LAX,
     RAREFACTION_SHOCK,
     SLOW,
+    CLASSIFY_TOL,
     ClassifiedJump,
     CoefficientField,
     FieldSlice,
@@ -31,6 +32,7 @@ from .coupling import (
 from .tracking import FrontTrackingRun
 
 ANCHOR_TOL = 1e-9
+MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
 
 
 class StaticField:
@@ -44,7 +46,7 @@ class StaticField:
     """
 
     def __init__(self, jumps, region_values, kappa_values=None, *,
-                 classification_tol=None, exact=False):
+                 exact=False):
         jumps = [tuple(j) for j in jumps]
         region_values = tuple(region_values)
         if len(region_values) != len(jumps) + 1:
@@ -61,10 +63,7 @@ class StaticField:
         self.region_values = region_values
         self.kappa_values = kappa_values
         self.exact = exact
-        self.classification_tol = (
-            (0 if exact else 1e-10) if classification_tol is None
-            else classification_tol
-        )
+        self.classification_tol = 0 if exact else CLASSIFY_TOL
         self.horizon = self._first_crossing()
 
     def _first_crossing(self):
@@ -248,15 +247,27 @@ def _state_at(field, fslice, x, t, *, backward, tie_bias):
     return ("region", rho, fslice.a_values[rho])
 
 
-def _advance_forward(fslice, state, x, t_from, t_to, segments):
-    """March within one interaction-free interval; returns the final x."""
+def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
+    """March a characteristic in ``state`` (see :func:`_resolve`) from
+    (x, t_from) to t_to within the interaction-free interval of ``fslice``:
+    forward in time when t_from < t_to, backward otherwise.  Appends its
+    segments in marching order (latest first backward) and returns its x
+    at t_to.
+
+    A path runs into the jump curve it meets first.  Forward, a compressive
+    jump captures it and an undercompressive one lets it pass; backward,
+    compressive jumps repel (meeting one is a float tie, resolved by
+    feasibility).  Rarefaction-side jumps raise either way."""
+    backward = t_to < t_from
+    before = gt if backward else lt     # in marching order
     jumps = fslice.jumps
     guard = 4 * len(jumps) + 16
     t = t_from
-    while t < t_to:
+    while before(t, t_to):
         guard -= 1
         if guard < 0:
-            raise RuntimeError("forward characteristic failed to make progress")
+            raise RuntimeError(f"{'backward' if backward else 'forward'} "
+                               "characteristic failed to make progress")
         mode, idx, speed = state
         if mode == "ride":
             j = jumps[idx]
@@ -276,46 +287,48 @@ def _advance_forward(fslice, state, x, t_from, t_to, segments):
             if rel == 0:
                 continue
             dt = gap / rel
-            if dt <= 0:
+            if not before(0, dt):
                 # a curve we are moving away from (or float-grazing)
                 continue
             cand = t + dt
-            if cand <= t_to and (hit_t is None or cand < hit_t):
+            if not before(t_to, cand) and (hit_t is None
+                                           or before(cand, hit_t)):
                 hit_t, hit_k = cand, k
         if hit_t is None:
-            x1 = x + speed * (t_to - t)
-            segments.append(PathSegment(t, t_to, x, x1, speed, "region", speed))
-            return x1
-        j = jumps[hit_k]
-        x_hit = j.position + j.lam * (hit_t - fslice.time)
-        segments.append(PathSegment(t, hit_t, x, x_hit, speed, "region", speed))
-        x, t = x_hit, hit_t
-        if j.kind == LAX:
-            state = ("ride", hit_k, j.lam)
-        elif j.kind == SLOW:
-            state = ("region", hit_k + 1, fslice.a_values[hit_k + 1])
-        elif j.kind == FAST:
-            state = ("region", hit_k, fslice.a_values[hit_k])
+            t1, x1 = t_to, x + speed * (t_to - t)
         else:
+            j = jumps[hit_k]
+            t1, x1 = hit_t, j.position + j.lam * (hit_t - fslice.time)
+        segments.append(PathSegment(*((t1, t, x1, x) if backward
+                                      else (t, t1, x, x1)),
+                                    speed, "region", speed))
+        if hit_t is None:
+            return x1
+        x, t = x1, t1
+        if j.kind == RAREFACTION_SHOCK:
             raise RuntimeError(
+                f"backward characteristic captured by a rarefaction-side "
+                f"jump at (x={x}, t={t})" if backward else
                 f"forward characteristic ran into a rarefaction-side jump "
-                f"at (x={x}, t={t}); the geometry is degenerate"
-            )
+                f"at (x={x}, t={t}); the geometry is degenerate")
+        if j.kind == LAX:
+            state = (_resolve(fslice, [hit_k], backward=True,
+                              tie_bias=tie_bias, where=f"(x={x}, t={t})")
+                     if backward else ("ride", hit_k, j.lam))
+        else:
+            # an undercompressive jump lets the path through: forward a slow
+            # jump to its right and a fast one to its left, backward the
+            # other way round
+            rho = hit_k + ((j.kind == SLOW) != backward)
+            state = ("region", rho, fslice.a_values[rho])
     return x
 
 
-def _step_forward(field, fslice, x, t0, t1, tie_bias, segments):
-    """Carry a forward characteristic from (x, t0) through the interval
-    [t0, t1] of ``fslice``; append its segments, return its x at t1."""
-    state = _state_at(field, fslice, x, t0, backward=False, tie_bias=tie_bias)
-    return _advance_forward(fslice, state, x, t0, t1, segments)
-
-
-def _step_backward(field, fslice, x, t0, t1, tie_bias, segments):
-    """Carry a backward characteristic from (x, t1) down through [t0, t1];
-    append its segments latest first, return its x at t0."""
-    state = _state_at(field, fslice, x, t1, backward=True, tie_bias=tie_bias)
-    return _advance_backward(fslice, state, x, t1, t0, segments, tie_bias)
+def _step(field, fslice, x, t_from, t_to, tie_bias, segments):
+    """:func:`_march` from (x, t_from), in the state the field gives there."""
+    state = _state_at(field, fslice, x, t_from, backward=t_to < t_from,
+                      tie_bias=tie_bias)
+    return _march(fslice, state, x, t_from, t_to, tie_bias, segments)
 
 
 def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
@@ -331,60 +344,8 @@ def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
     path = CharacteristicPath()
     x = x0
     for T0, T1, fslice in timeline(field, t0, t_end):
-        x = _step_forward(field, fslice, x, T0, T1, tie_bias, path.segments)
+        x = _step(field, fslice, x, T0, T1, tie_bias, path.segments)
     return path
-
-
-def _advance_backward(fslice, state, x, t_from, t_to, segments, tie_bias):
-    """March backward (t_from down to t_to) within one interval; appends the
-    segments latest first and returns the final x."""
-    jumps = fslice.jumps
-    guard = 4 * len(jumps) + 16
-    t = t_from
-    while t > t_to:
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("backward characteristic failed to make progress")
-        mode, idx, speed = state
-        hit_t, hit_k = None, None
-        for k in (idx - 1, idx):
-            if not 0 <= k < len(jumps):
-                continue
-            lam = jumps[k].lam
-            q = jumps[k].position + lam * (t - fslice.time)
-            gap = q - x
-            rel = speed - lam
-            if rel == 0:
-                continue
-            dt = gap / rel     # going backward: need dt < 0
-            if dt >= 0:
-                continue
-            cand = t + dt
-            if cand >= t_to and (hit_t is None or cand > hit_t):
-                hit_t, hit_k = cand, k
-        if hit_t is None:
-            x1 = x + speed * (t_to - t)
-            segments.append(PathSegment(t_to, t, x1, x, speed, "region", speed))
-            return x1
-        j = jumps[hit_k]
-        x_hit = j.position + j.lam * (hit_t - fslice.time)
-        segments.append(PathSegment(hit_t, t, x_hit, x, speed, "region", speed))
-        x, t = x_hit, hit_t
-        if j.kind == SLOW:
-            state = ("region", hit_k, fslice.a_values[hit_k])
-        elif j.kind == FAST:
-            state = ("region", hit_k + 1, fslice.a_values[hit_k + 1])
-        elif j.kind == RAREFACTION_SHOCK:
-            raise RuntimeError(
-                f"backward characteristic captured by a rarefaction-side "
-                f"jump at (x={x}, t={t})"
-            )
-        else:
-            # compressive jumps repel backward paths; meeting one mid-interval
-            # is a float-tie: resolve by feasibility
-            state = _resolve(fslice, [hit_k], backward=True, tie_bias=tie_bias,
-                             where=f"(x={x}, t={t})")
-    return x
 
 
 def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
@@ -403,7 +364,7 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
     rev_segments = []
     x = x0
     for T0, T1, fslice in timeline(field, t_stop, t0, reverse=True):
-        x = _step_backward(field, fslice, x, T0, T1, tie_bias, rev_segments)
+        x = _step(field, fslice, x, T1, T0, tie_bias, rev_segments)
     return CharacteristicPath(rev_segments[::-1])
 
 
@@ -619,7 +580,8 @@ class MaxPrincipleReport:
 def _psi_min(fslice, lo, hi, t):
     """Min of psi at time t over positive-width pieces meeting (lo, hi)."""
     psi = fslice.psi_values
-    return min((psi[i] for i, _ in fslice.pieces(lo, hi, t)), default=None)
+    return min((psi[i] for i, _, _ in fslice.pieces(lo, hi, t)),
+               default=None)
 
 
 def _psi_integral(fslice, lo, hi, t):
@@ -630,8 +592,8 @@ def _psi_integral(fslice, lo, hi, t):
         lo, hi, sign = hi, lo, -1
     psi = fslice.psi_values
     total = 0
-    for i, width in fslice.pieces(lo, hi, t):
-        total += psi[i] * width
+    for i, a, b in fslice.pieces(lo, hi, t):
+        total += psi[i] * (b - a)
     return sign * total
 
 
@@ -641,7 +603,7 @@ def _position_in(segments, t):
     return next(seg for seg in segments if t <= seg.t1).position_at(t)
 
 
-def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
+def maximum_principle_check(field, interval, t_end, tol=1e-10):
     """Propagation of a sign through a characteristic funnel, plus the
     conserved mass between backward characteristics.
 
@@ -651,7 +613,7 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
     integrates the difference between the extremal backward characteristics
     dropped from the funnel ends at ``t_end`` and checks the integral is
     time invariant.  The samples are the interval midpoints plus
-    ``n_times - 1`` uniform times away from interactions.
+    ``MAX_PRINCIPLE_SAMPLES - 1`` uniform times away from interactions.
 
     The timeline is walked twice, each slice used as it is built and then
     dropped: forward, carrying both funnel edges through each interval and
@@ -666,7 +628,8 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
         raise ValueError("need t0 < t_end")
     if field.exact:
         tol = 0
-    uniform = [k * t_end / n_times for k in range(1, n_times)]
+    n = MAX_PRINCIPLE_SAMPLES
+    uniform = [k * t_end / n for k in range(1, n)]
     gap_tol = 0 if field.exact else 1e-9
 
     def sample_times(t0, t1, fs):
@@ -684,8 +647,8 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
     min_psi = None
     for t0, t1, fs in timeline(field, 0, t_end):
         new_left, new_right = len(left.segments), len(right.segments)
-        x_left = _step_forward(field, fs, x_left, t0, t1, -1, left.segments)
-        x_right = _step_forward(field, fs, x_right, t0, t1, 1, right.segments)
+        x_left = _step(field, fs, x_left, t0, t1, -1, left.segments)
+        x_right = _step(field, fs, x_right, t0, t1, 1, right.segments)
         for tau in sample_times(t0, t1, fs):
             samples.append(tau)
             lo = _position_in(left.segments[new_left:], tau)
@@ -706,8 +669,8 @@ def maximum_principle_check(field, interval, t_end, n_times=50, tol=1e-10):
     masses = []
     for t0, t1, fs in timeline(field, 0, t_end, reverse=True):
         new_left, new_right = len(rev_left), len(rev_right)
-        x_left = _step_backward(field, fs, x_left, t0, t1, -1, rev_left)
-        x_right = _step_backward(field, fs, x_right, t0, t1, 1, rev_right)
+        x_left = _step(field, fs, x_left, t1, t0, -1, rev_left)
+        x_right = _step(field, fs, x_right, t1, t0, 1, rev_right)
         piece_left = rev_left[new_left:][::-1]
         piece_right = rev_right[new_right:][::-1]
         masses.append([

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .fluxes import secant_speed
-from .profiles import Profile
+from .profiles import Profile, clipped_pieces
 from .tracking import FrontTrackingRun
 
 LAX = "lax"
@@ -172,13 +172,11 @@ class FieldSlice:
         return [j.position + j.lam * dt for j in self.jumps]
 
     def pieces(self, lo, hi, t=None):
-        """(region index, width) of every region of positive width inside
-        [lo, hi], with the jumps at time t (default: the slice time)."""
-        xs = self.positions_at(self.time if t is None else t)
-        cuts = [lo] + [min(max(x, lo), hi) for x in xs] + [hi]
-        for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            if b > a:
-                yield i, b - a
+        """(region index, a, b) of every region of positive width inside
+        [lo, hi], clipped to [a, b], with the jumps at time t (default: the
+        slice time); see :func:`~wavetrack.profiles.clipped_pieces`."""
+        return clipped_pieces(
+            self.positions_at(self.time if t is None else t), lo, hi)
 
     @property
     def a_profile(self) -> Profile:
@@ -230,8 +228,7 @@ class _JumpState:
 class CoefficientField:
     """Time-indexed view of the averaged coefficient of a run pair."""
 
-    def __init__(self, run_I: FrontTrackingRun, run_II: FrontTrackingRun,
-                 *, classification_tol=None):
+    def __init__(self, run_I: FrontTrackingRun, run_II: FrontTrackingRun):
         fI, fII = run_I.flux, run_II.flux
         if fI is not fII:
             lo, hi = fI.working_interval
@@ -248,9 +245,7 @@ class CoefficientField:
         self.run_II = run_II
         self.flux = fI
         self.exact = run_I.exact and run_II.exact
-        if classification_tol is None:
-            classification_tol = 0 if self.exact else CLASSIFY_TOL
-        self.classification_tol = classification_tol
+        self.classification_tol = 0 if self.exact else CLASSIFY_TOL
         self.position_tol = 0 if self.exact else POSITION_TOL
         self.stats = FieldStats()
         self._crossings = None

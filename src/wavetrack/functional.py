@@ -8,11 +8,10 @@ A ledger walks the coefficient timeline once
 interval, the field at the interval midpoint.  It measures the norm at the
 probe times a quarter and three quarters into the interval, evaluates the
 trace sums on the slice itself, and reconciles the two against each other
-and across interaction events.  While every jump stays inside the window
-the norm is the line P + tau Q, summed over the pieces (a piece between
-jumps on the lines x = c + lam t has width dc + tau dlam); otherwise the
-probe norms integrate the slice with its jumps moved to the probe time
-(``x + lam (tau - t_mid)``).
+and across interaction events.  The window (:func:`default_window`) holds
+every front up to the horizon, so over an interval the norm is the line
+P + tau Q, summed over the pieces (a piece between jumps on the lines
+x = c + lam t has width dc + tau dlam).
 A jump's weight-independent terms (trace products, symmetry or
 conservation residual, sign-table verdict, the atoms of the derived
 checks) depend only on its jump state, so the walk computes them once per
@@ -23,10 +22,9 @@ terms of the jump states and pieces that left, plus those that entered; a
 piece is keyed by its two jump states and a new piece's weight grows from
 its left neighbour's strength prefixes.  Every other interval is re-summed
 from scratch over all jumps and pieces: the first and the last, one after
-an own event, every ``_RESUM_STRIDE``-th in a row, and one where a jump
-leaves the window at a probe time, more pieces change than there are
-jumps, or a per-jump check could fail (so violations keep their text and
-order).
+an own event, every ``_RESUM_STRIDE``-th in a row, and one where more
+pieces change than there are jumps or a per-jump check could fail (so
+violations keep their text and order).
 Exact sums are exact either way; float sums may move in their last digits.
 ``identity_reports`` books the plain and the weighted ledger from one
 walk: each slice, the missed-interaction check and every
@@ -52,7 +50,6 @@ nonnegative; the signed slope of the norm is
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate, chain, repeat
 from operator import attrgetter
@@ -97,29 +94,21 @@ def _norms(fslice, weights, window, t=None):
     jumps moved to time t (default: the slice time)."""
     psi = fslice.psi_values
     totals = [0] * len(weights)
-    for i, width in fslice.pieces(*window, t):
-        p = abs(psi[i])
+    for i, a, b in fslice.pieces(*window, t):
+        p, width = abs(psi[i]), b - a
         for k, wv in enumerate(weights):
             totals[k] += p * width if wv is None else p * wv[i] * width
     return totals
 
 
-def _windowed_norm(fslice, weight_values, window, t=None):
-    """Integral of |psi| (times the weight if given) over the window, with
-    the slice's jumps moved to time t (default: the slice time)."""
-    return _norms(fslice, [weight_values], window, t)[0]
-
-
-def _edge_flux_rates(fslice, weights, window):
-    """a |psi| w at the left edge minus the same at the right edge, once
-    per entry of ``weights``."""
-    positions = [j.position for j in fslice.jumps]
-    edges = [(bisect_right(positions, x), sign)
-             for x, sign in zip(window, (1, -1))]
+def _edge_flux_rates(fslice, weights):
+    """a |psi| w at the left window edge minus the same at the right one,
+    once per entry of ``weights``: the first and the last region, as no
+    jump leaves the window."""
     rates = []
     for wv in weights:
         out = 0
-        for idx, sign in edges:
+        for idx, sign in ((0, 1), (-1, -1)):
             w = 1 if wv is None else wv[idx]
             out += sign * fslice.a_values[idx] * abs(fslice.psi_values[idx]) * w
         rates.append(out)
@@ -151,9 +140,9 @@ class IntervalRecord:
     rs_sup_da: object          # sup of a_+ - a_- over rarefaction-side jumps
     rs_raw_rate: object        # sum_RS 2 (lam - a_-) |psi_-|
     rs_dpsi: object            # sum_RS |psi_+ - psi_-|
-    lax_sum: object            # sum_Lax (a_- - lam) |psi_-| inside the window
-    product_rate: object       # signed product atoms inside the window
-    has_rs: bool               # rarefaction-side jump inside the window
+    lax_sum: object            # sum_Lax (a_- - lam) |psi_-|
+    product_rate: object       # signed product atoms
+    has_rs: bool               # a rarefaction-side jump is present
 
     @property
     def duration(self):
@@ -389,7 +378,7 @@ def _summed(terms, term, kinds):
     return sum(term(a) for a in terms if kinds is None or a.kind in kinds)
 
 
-def _book_jumps(fslice, terms, books, window, tol_rate, tol_min):
+def _book_jumps(fslice, terms, books, tol_rate, tol_min):
     """Trace-sum rates of each book's norm at one slice, given each jump's
     :class:`_JumpTerms`; the per-jump structural identities go to each
     book's violations.
@@ -401,7 +390,6 @@ def _book_jumps(fslice, terms, books, window, tol_rate, tol_min):
     ``tol_min``.  Returns, per book, ``[interior, lax, slow_fast, rs_main,
     rs_b]``.
     """
-    A, B = window
     t = fslice.time
     shared = []     # per jump: its violations of the shared checks
     for j, a in zip(fslice.jumps, terms):
@@ -418,7 +406,6 @@ def _book_jumps(fslice, terms, books, window, tol_rate, tol_min):
                 f"t={t}: trace sign table violated at x={j.position} ({j.kind})"
             )
         shared.append(out)
-    inside = [A < j.position < B for j in fslice.jumps]
     rates = []
     for book in books:
         r = [0] * 5
@@ -432,36 +419,32 @@ def _book_jumps(fslice, terms, books, window, tol_rate, tol_min):
         for idx, (j, a) in enumerate(zip(fslice.jumps, terms)):
             book.violations.extend(shared[idx])
             if ws is None:
-                if inside[idx]:
-                    r[0] += a.qm
-                    r[0] += a.qp
+                r[0] += a.qm
+                r[0] += a.qp
                 continue
             wm, wp = ws.traces[idx]
-            if inside[idx]:
-                r[0] += a.qm * wm
-                r[0] += a.qp * wp
+            r[0] += a.qm * wm
+            r[0] += a.qp * wp
             if _weight_faults(t, j, a, wm, wp, book.bounds):
                 book.clean = False
                 book.violations.extend(
                     _weight_faults(t, j, a, wm, wp, at_rate))
-        inner = [a for a, i in zip(terms, inside) if i]
         for k, term, kinds in _rate_terms(book):
-            r[k] = _summed(inner, term, kinds)
+            r[k] = _summed(terms, term, kinds)
         rates.append(r)
     return rates
 
 
 # (check sum, the _JumpTerms term it adds up, the kinds it sums over or
-# None for all, whether only jumps inside the window count) of each sum the
-# derived checks read but rs_sup_da and has_rs
+# None for all) of each sum the derived checks read but rs_sup_da and has_rs
 _CHECK_SUMS = (
-    ("rate_mags", attrgetter("mag"), None, False),
-    ("tv_psi", attrgetter("dpsi"), None, False),
-    ("tv_a", attrgetter("abs_da"), None, False),
-    ("rs_raw_rate", attrgetter("rs_raw"), (RAREFACTION_SHOCK,), False),
-    ("rs_dpsi", attrgetter("dpsi"), (RAREFACTION_SHOCK,), False),
-    ("lax_sum", attrgetter("lax"), (LAX,), True),
-    ("product_rate", attrgetter("product"), None, True),
+    ("rate_mags", attrgetter("mag"), None),
+    ("tv_psi", attrgetter("dpsi"), None),
+    ("tv_a", attrgetter("abs_da"), None),
+    ("rs_raw_rate", attrgetter("rs_raw"), (RAREFACTION_SHOCK,)),
+    ("rs_dpsi", attrgetter("dpsi"), (RAREFACTION_SHOCK,)),
+    ("lax_sum", attrgetter("lax"), (LAX,)),
+    ("product_rate", attrgetter("product"), None),
 )
 
 
@@ -470,15 +453,13 @@ def _sup_da(terms):
     return max([0, *(a.da for a in terms if a.kind == RAREFACTION_SHOCK)])
 
 
-def _check_terms(fslice, terms, window):
-    """The kind counts inside the window and the per-interval sums of one
-    slice that the derived checks read."""
-    A, B = window
-    inner = [a for j, a in zip(fslice.jumps, terms) if A < j.position < B]
-    counts = {k: sum(a.kind == k for a in inner)
+def _check_terms(fslice, terms):
+    """The kind counts and the per-interval sums of one slice that the
+    derived checks read."""
+    counts = {k: sum(a.kind == k for a in terms)
               for k in (LAX, SLOW, FAST, RAREFACTION_SHOCK)}
-    sums = {name: _summed(inner if in_window else terms, term, kinds)
-            for name, term, kinds, in_window in _CHECK_SUMS}
+    sums = {name: _summed(terms, term, kinds)
+            for name, term, kinds in _CHECK_SUMS}
     sums["tv_a"] += fslice.time * 0     # a zero of the time's type if no jump
     sums["rs_sup_da"] = _sup_da(terms)
     sums["has_rs"] = counts[RAREFACTION_SHOCK] > 0
@@ -502,8 +483,7 @@ def _moved(total, term, kinds, counts, out, into):
 
 def _geometry(key, psi, known, window):
     """(|psi|, dc, dlam) of the piece ``key`` (see :func:`_piece_keys`)
-    with difference ``psi``: its width at time tau is dc + tau dlam while
-    its jumps stay inside the window."""
+    with difference ``psi``: its width at time tau is dc + tau dlam."""
     (L, R), (A, B) = key, window
     cl, ll = (A, 0) if L is None else (known[L].c, known[L].lam)
     cr, lr = (B, 0) if R is None else (known[R].c, known[R].lam)
@@ -512,9 +492,8 @@ def _geometry(key, psi, known, window):
 
 def _norm_line(geometry, weight_values):
     """(P, Q) of the windowed norm P + tau Q (times the weight if given)
-    of a slice whose jumps stay inside the window, from its pieces'
-    :func:`_geometry`: |psi| w dc and |psi| w dlam summed, in the form a
-    delta adds and subtracts them."""
+    of a slice, from its pieces' :func:`_geometry`: |psi| w dc and
+    |psi| w dlam summed, in the form a delta adds and subtracts them."""
     P = Q = 0
     for i, (ap, dc, dl) in enumerate(geometry):
         if weight_values is not None:
@@ -528,16 +507,6 @@ def _past(prefix, a):
     ``a``, added up as :meth:`WeightField.slice_at` adds it."""
     v_I, v_II = prefix
     return (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
-
-
-def _inside(fs, window, taus):
-    """Whether every jump of the walk slice ``fs`` (which has some) lies
-    strictly inside the window at each time of ``taus``, so that every
-    piece's width is linear in time there."""
-    (A, B), lo, hi = window, fs.jumps[0], fs.jumps[-1]
-    return all(A < lo.position + lo.lam * (tau - fs.time)
-               and hi.position + hi.lam * (tau - fs.time) < B
-               for tau in taus)
 
 
 def _piece_keys(states):
@@ -587,7 +556,7 @@ class _Carry:
             counts[a.kind] -= 1
         for a in new:
             counts[a.kind] += 1
-        for name, term, kinds, _ in _CHECK_SUMS:
+        for name, term, kinds in _CHECK_SUMS:
             sums[name] = _moved(sums[name], term, kinds, counts, gone, new)
         rs = RAREFACTION_SHOCK
         if any(a.kind == rs for a in gone + new):
@@ -645,7 +614,7 @@ def _book_delta(book, change, carry, fs, taus):
     return (P + taus[0] * Q, P + taus[1] * Q, *r, flux)
 
 
-def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
+def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
     """One report per entry of ``weights`` (None for the plain norm, a
     :class:`WeightField` for a weighted one), booked from one timeline walk.
 
@@ -657,8 +626,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
     s, t = exact_time(cfield, s), exact_time(cfield, t)
     if not s < t:
         raise ValueError("need s < t")
-    if window is None:
-        window = default_window(cfield, t)
+    window = default_window(cfield, t)
     exact = cfield.exact
     state_tol = 0 if exact else 1e-12
     books = [_Book(w) for w in weights]
@@ -695,7 +663,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
     except DegenerateFieldError:
         norm_start = [None] * len(books)
         t0, t1, fs = first
-        base = _windowed_norm(fs, None, window, t0 + (t1 - t0) / 4)
+        base = _norms(fs, [None], window, t0 + (t1 - t0) / 4)[0]
     try:
         end_slice = cfield.at(t)
         norm_end = _norms(end_slice, weigh(end_slice, books), window)
@@ -709,25 +677,22 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
     def terms_of(fs):
         return [terms_at(st, j) for j, st in zip(fs.jumps, fs.states)]
 
-    def resum(fs, books, taus, tol_rate, linear):
-        # each book's sums over all jumps and pieces of the slice; on a
-        # linear interval its norm line P + tau Q gives the probe norms and
-        # seeds the running sums when the book's weight checks are clean
+    def resum(fs, books, taus, tol_rate):
+        # each book's sums over all jumps and pieces of the slice; its norm
+        # line P + tau Q gives the probe norms and seeds the running sums
+        # when the book's weight checks are clean
         wvs = weigh(fs, books)
         terms = terms_of(fs)
-        rates = _book_jumps(fs, terms, books, window, tol_rate, tol_min)
-        fluxes = _edge_flux_rates(fs, wvs, window)
-        if linear:
-            geometry = list(map(_geometry, _piece_keys(fs.states),
-                                fs.psi_values, repeat(known), repeat(window)))
-            lines = [_norm_line(geometry, wv) for wv in wvs]
-            probes = [[P + tau * Q for P, Q in lines] for tau in taus]
-        else:
-            probes = [_norms(fs, wvs, window, tau) for tau in taus]
+        rates = _book_jumps(fs, terms, books, tol_rate, tol_min)
+        fluxes = _edge_flux_rates(fs, wvs)
+        geometry = list(map(_geometry, _piece_keys(fs.states),
+                            fs.psi_values, repeat(known), repeat(window)))
+        lines = [_norm_line(geometry, wv) for wv in wvs]
+        probes = [[P + tau * Q for P, Q in lines] for tau in taus]
         for i, (book, wv) in enumerate(zip(books, wvs)):
             book.resums += 1
             book.run = None
-            if linear and book.clean:
+            if book.clean:
                 book.run = (*lines[i], list(rates[i]), fluxes[i])
                 if wv is not None:
                     z = book.weight.m * 0
@@ -745,17 +710,16 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
         dt = t1 - t0
         taus = (t0 + dt / 4, t0 + 3 * dt / 4)
         span = taus[1] - taus[0]
-        linear = bool(fs.states) and _inside(fs, window, taus)
-        ch = carry.change(fs, terms_at) if carry and linear else None
+        ch = carry.change(fs, terms_at) if carry else None
         carried = ([_book_delta(book, ch, carry, fs, taus) for book in books]
                    if ch else [None] * len(books))
         full = ch is None or since >= _RESUM_STRIDE - 1 or t1 == t
         terms = terms_of(fs) if full else None
-        counts, sums = (_check_terms(fs, terms, window) if full
+        counts, sums = (_check_terms(fs, terms) if full
                         else (carry.counts, carry.sums))
         tol_rate = 0 if exact else tol_scale * (1 + sums["rate_mags"] + base)
         redo = [b for b, v in zip(books, carried) if full or v is None]
-        redone = iter(resum(fs, redo, taus, tol_rate, linear) if redo else [])
+        redone = iter(resum(fs, redo, taus, tol_rate) if redo else [])
         vals = [next(redone) if full or v is None else v for v in carried]
         for book, old, new in zip(books, carried, vals):
             if old is not None and full:
@@ -766,8 +730,8 @@ def _analyze(cfield: CoefficientField, weights, s, t, window, tol_scale):
                     float(abs(a - b) / (1 + abs(b))) for a, b in pairs)])
             book.deltas += old is not None and not full
         if full:
-            carry = (_Carry(known, window, fs, counts, sums)
-                     if linear and not any(a.risky for a in terms) else None)
+            carry = (None if any(a.risky for a in terms)
+                     else _Carry(known, window, fs, counts, sums))
         since = 0 if full else since + 1
         for book, (n_lo, n_hi, *r, flux) in zip(books, vals):
             interior, lax, slow_fast, rs_main, rs_b = r
@@ -919,7 +883,7 @@ def _has_event_at(cfield, t):
     return any(abs(e - t) <= tol for e in cfield._front_crossings())
 
 
-def l1_identity_report(cfield: CoefficientField, s, t, window=None,
+def l1_identity_report(cfield: CoefficientField, s, t,
                        tol_scale=TOL_SCALE) -> FunctionalReport:
     """Balance d/dt ||psi||_1 against its jump-trace decomposition.
 
@@ -928,10 +892,10 @@ def l1_identity_report(cfield: CoefficientField, s, t, window=None,
     undercompressive jumps are exactly neutral; the norm is continuous
     across interaction events.
     """
-    return _analyze(cfield, [None], s, t, window, tol_scale)[0]
+    return _analyze(cfield, [None], s, t, tol_scale)[0]
 
 
-def weighted_identity_report(cfield: CoefficientField, m, s, t, window=None,
+def weighted_identity_report(cfield: CoefficientField, m, s, t,
                              tol_scale=TOL_SCALE) -> FunctionalReport:
     """Balance the strength-weighted norm ledger over [s, t].
 
@@ -939,19 +903,16 @@ def weighted_identity_report(cfield: CoefficientField, m, s, t, window=None,
     decomposition (see module docstring); at interactions the weight's
     variation budget can shrink, giving a favorable (nonpositive) jump.
     """
-    return _analyze(cfield, [WeightField(cfield, m)], s, t, window,
-                    tol_scale)[0]
+    return _analyze(cfield, [WeightField(cfield, m)], s, t, tol_scale)[0]
 
 
-def identity_reports(cfield: CoefficientField, ms, s, t, window=None,
-                     tol_scale=TOL_SCALE):
+def identity_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE):
     """``(plain, [weighted per m])``: the ledger of
     :func:`l1_identity_report` and one of :func:`weighted_identity_report`
     per weight offset in ``ms``, booked from one timeline walk that builds
     each slice once for all of them."""
     plain, *weighted = _analyze(
-        cfield, [None, *(WeightField(cfield, m) for m in ms)], s, t, window,
-        tol_scale)
+        cfield, [None, *(WeightField(cfield, m) for m in ms)], s, t, tol_scale)
     return plain, weighted
 
 

@@ -89,29 +89,6 @@ class Profile:
             for i, x in enumerate(self.breakpoints)
         ]
 
-    def pieces(self, window):
-        """Constant pieces of the profile clipped to window = (lo, hi).
-
-        Yields (a, b, value) with lo <= a < b <= hi.  The window must be
-        finite and nonempty.
-        """
-        lo, hi = window
-        if not lo < hi:
-            return
-        edges = [lo]
-        for x in self.breakpoints:
-            if lo < x < hi:
-                edges.append(x)
-        edges.append(hi)
-        for a, b in zip(edges, edges[1:]):
-            yield a, b, self.value_at(a)
-
-    def restrict_support(self):
-        """(first breakpoint, last breakpoint), or None for a constant."""
-        if not self.breakpoints:
-            return None
-        return self.breakpoints[0], self.breakpoints[-1]
-
     def as_dict(self):
         return {
             "breakpoints": [_plain(x) for x in self.breakpoints],
@@ -164,6 +141,16 @@ def _zero_like(x):
     return x - x
 
 
+def clipped_pieces(breakpoints, lo, hi):
+    """(index, a, b) of every piece of positive width that a step function
+    with the sorted ``breakpoints`` has inside [lo, hi]: piece ``index``
+    (between breakpoints index - 1 and index) clipped to [a, b]."""
+    cuts = [lo] + [min(max(x, lo), hi) for x in breakpoints] + [hi]
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if b > a:
+            yield i, a, b
+
+
 def l1_norm(p: Profile, window=None):
     """Integral of |p|.
 
@@ -177,32 +164,15 @@ def l1_norm(p: Profile, window=None):
                 "l1_norm: profile lacks compact support; far values "
                 f"({p.far_left}, {p.far_right}) must both be 0, or pass a window"
             )
-        support = p.restrict_support()
-        if support is None:
-            return _zero_like(p.values[0])
-        window = support
-    lo, hi = window
-    total = _zero_like(p.values[0])
-    for a, b, v in p.pieces((lo, hi)):
-        total += abs(v) * (b - a)
-    return total
+        support = p.breakpoints or (0,)
+        window = support[0], support[-1]
+    return sum((abs(p.values[i]) * (b - a)
+                for i, a, b in clipped_pieces(p.breakpoints, *window)),
+               start=_zero_like(p.values[0]))
 
 
 def weighted_l1_norm(p: Profile, w: Profile, window=None):
     """Integral of |p| * w; w must be strictly positive everywhere."""
     if any(v <= 0 for v in w.values):
         raise ValueError("weighted_l1_norm: weight must be strictly positive")
-    if window is None:
-        if p.far_left != 0 or p.far_right != 0:
-            raise ValueError("weighted_l1_norm: profile lacks compact support")
-        support = p.restrict_support()
-        if support is None:
-            return _zero_like(p.values[0])
-        window = support
-    bps = sorted(set(p.breakpoints) | set(w.breakpoints))
-    lo, hi = window
-    total = _zero_like(p.values[0])
-    edges = [lo] + [x for x in bps if lo < x < hi] + [hi]
-    for a, b in zip(edges, edges[1:]):
-        total += abs(p.value_at(a)) * w.value_at(a) * (b - a)
-    return total
+    return l1_norm(profile_map2(p, w, lambda a, b: abs(a) * b), window)

@@ -75,6 +75,11 @@ def _parse_number(value, rational, path, errors):
     return float(value) if isinstance(value, float) else value
 
 
+def _is_int(value):
+    # a JSON boolean is an int to isinstance, but never a count or a seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _make_generator(name, params, rational, path, errors):
     if name == "constant":
         value = params.get("value", 0)
@@ -129,7 +134,7 @@ def _parse_profile(node, rational, path, errors):
             errors.append(f"{path}.support: need lo < hi")
             return Profile.constant(0)
         n_cells = node.get("n_cells", 16)
-        if not isinstance(n_cells, int) or n_cells < 1:
+        if not _is_int(n_cells) or n_cells < 1:
             errors.append(f"{path}.n_cells: expected a positive integer")
             return Profile.constant(0)
         return sample_initial_data(gen, (lo, hi), n_cells)
@@ -285,7 +290,7 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     checks = [c for c in CHECK_ORDER if c in checks]
 
     seed = config.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         errors.append("seed: expected an integer")
         seed = 0
 

@@ -23,6 +23,7 @@ from wavetrack import (
     random_scenario_config,
     run_scenario,
 )
+from wavetrack.characteristics import _march
 from wavetrack.scenarios import build_runs
 
 FLUX = burgers_flux()
@@ -264,3 +265,24 @@ def test_export_paths_csv():
     assert lines[0] == "path_id,t,x"
     assert len(lines) == 1 + 3 + 2
     assert lines[1].startswith("0,0.0,-1.0")
+
+
+def test_march_forward_into_a_rarefaction_side_jump_raises():
+    # a forward path meets a rarefaction-side jump only on a float tie; a
+    # crafted state heading into the jump stands in for one
+    rs = StaticField([(0, 0)], [Fraction(-1, 2), Fraction(1, 2)], exact=True)
+    with pytest.raises(RuntimeError, match="forward characteristic ran into"):
+        _march(rs.at(Fraction(1, 2)), ("region", 0, 1), -1, 0, 2, 0, [])
+
+
+def test_march_backward_into_a_compressive_jump_resolves_the_tie():
+    # a backward path meets a compressive jump only on a float tie; there it
+    # takes the extremal feasible side, and goes on to the end time
+    lax = StaticField([(0, 0)], [Fraction(1, 2), Fraction(-1, 2)], exact=True)
+    fs = lax.at(1)
+    for tie_bias, foot in ((1, Fraction(-1, 2)), (-1, Fraction(1, 2))):
+        segments = []
+        assert _march(fs, ("region", 0, -1), -1, 2, 0, tie_bias,
+                      segments) == foot
+        assert [(seg.t0, seg.t1, seg.x0, seg.x1) for seg in segments] == [
+            (1, 2, 0, -1), (0, 1, foot, 0)]

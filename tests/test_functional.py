@@ -1,5 +1,7 @@
 """Norm-ledger checks on hand-built pairs with known rates."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -29,11 +31,12 @@ from wavetrack import (
     random_scenario_pair,
     refinement_study,
     run_scenario,
+    timeline,
     weighted_identity_report,
 )
 from wavetrack import functional, scenarios
-from wavetrack.functional import _windowed_norm
 from wavetrack.scenarios import build_runs, parse_scenario
+from product_oracle import VariationFunction, nonconservative_product
 from test_coupling import _sine_pair_config
 
 FLUX = burgers_flux()
@@ -59,6 +62,31 @@ def _fan_field(h):
     return _field(Profile([0.0], [-1.0, 1.0]), Profile.constant(0.53), h=h)
 
 
+# sha256 of each report's JSON (as run_scenario writes it) on a pair of
+# constant runs, (float, exact) x (plain, weighted)
+CONSTANT_PAIR_DIGESTS = (
+    ("521049ea60381638c88bbc8e3ccde9fc866bdea2167046c8a7aa3b14f8298658",
+     "1303796abd6717db47635e53a43b69dad7013c5f667f3f269759c0acbb2d551a"),
+    ("4cbcf16e28eacd0e12877ac0f1446c475c12d25efb82e44ba9e5a4b39272a816",
+     "b00b1c2b698b384039ab53432dbbbb83af387dc41746bde9ca682d30bdb68940"),
+)
+
+
+def _window_fields():
+    """(field, s, t) of the sine ladder of the benchmark's sine_full
+    workload, random float seeds 200-229 and rational seeds 300-309 over
+    their scenario time, and one rational pair over [1/2, 2]."""
+    configs = [_sine_pair_config(n, h) for n, h in
+               ((4, 0.2), (8, 0.2), (8, 0.1), (12, 0.1), (20, 0.1))]
+    configs += [random_scenario_config(seed) for seed in range(200, 230)]
+    configs += [random_scenario_config(seed, rational=True)
+                for seed in range(300, 310)]
+    for cfg in configs:
+        spec = parse_scenario(cfg)
+        yield CoefficientField(*build_runs(spec)), spec.t_start, spec.t_end
+    yield _exact_field(7000), Fraction(1, 2), Fraction(2)
+
+
 def test_default_window_covers_fronts():
     cf = _lax_field()
     lo, hi = default_window(cf, 2.0)
@@ -66,6 +94,31 @@ def test_default_window_covers_fronts():
     for run in (cf.run_I, cf.run_II):
         for front in run.fronts_at(1.9):
             assert lo < front.position_at(1.9) < hi
+
+    # the ledgers read every probe norm off a norm line, which holds only
+    # while each jump of a walk slice stays strictly inside the window
+    for cf, s, t in _window_fields():
+        lo, hi = default_window(cf, t)
+        for t0, t1, fs in timeline(cf, s, t):
+            for tau in (t0 + (t1 - t0) / 4, t0 + 3 * (t1 - t0) / 4):
+                for j in fs.jumps:
+                    assert lo < j.position + j.lam * (tau - fs.time) < hi
+
+    # without jumps the norm line is the one piece across the window
+    for exact, digests in zip((False, True), CONSTANT_PAIR_DIGESTS):
+        num = Fraction if exact else float
+        runs = [FrontTrackingRun(FLUX, Profile.constant(num(v)), num(1) / 10,
+                                 exact=exact).evolve(num(2))
+                for v in (0, Fraction(1, 2))]
+        cf = CoefficientField(*runs)
+        for t0, t1, fs in timeline(cf, num(0), num(2)):
+            assert fs.jumps == ()
+        plain, [weighted] = identity_reports(cf, [num(1)], num(0), num(2))
+        for rep, digest in zip((plain, weighted), digests):
+            assert rep.passed
+            assert rep.norm_start == rep.norm_end == 1
+            text = json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_lax_plain_ledger():
@@ -188,13 +241,6 @@ def test_norm_matches_l1_for_compact_difference():
     assert rep.norm_start == pytest.approx(1.0)
 
 
-def test_custom_window():
-    rep = l1_identity_report(_lax_field(), 0.0, 2.0, window=(-3.0, 3.0))
-    assert rep.passed
-    assert rep.norm_start == pytest.approx(6.0)
-    assert rep.decay_lax == pytest.approx(2.0)
-
-
 def test_gain_cap_fan_ladder():
     """The rarefaction-side budget shrinks linearly with the fan increment."""
     for h in (0.2, 0.1, 0.05):
@@ -243,6 +289,28 @@ def test_product_rule_lax_rate():
     assert rep.global_slack == pytest.approx(-1.0)
 
 
+def test_product_oracle_equals_the_booked_product_atoms():
+    """On every interval of the weighted ledger of the rational acceptance
+    pairs, the oracle's nonconservative product of each run against the
+    other (weighed by the run's own variation, over the window), summed
+    over both runs, is the booked product rate."""
+    checked = 0
+    for seed in range(7000, 7005):
+        cf = _exact_field(seed)
+        rep = weighted_identity_report(cf, Fraction(1), Fraction(0),
+                                       Fraction(2))
+        for rec in rep.intervals:
+            mid = rec.t_start + rec.duration / 2
+            u_I, u_II = cf.run_I.sample(mid), cf.run_II.sample(mid)
+            oracle = sum(nonconservative_product(FLUX, u, v,
+                                                 VariationFunction(u),
+                                                 rep.window)
+                         for u, v in ((u_I, u_II), (u_II, u_I)))
+            assert oracle == rec.product_rate
+            checked += 1
+    assert checked == 130
+
+
 def test_product_rule_undercompressive_is_tight():
     rep = product_inequality_check(
         weighted_identity_report(_slow_field(), 1.0, 0.0, 2.0))
@@ -283,6 +351,14 @@ def test_report_serializes():
     assert d["passed"] is True
     assert len(d["intervals"]) == 1
     assert set(d["intervals"][0]) >= {"interior_rate", "flux_rate", "kind_counts"}
+
+
+def _windowed_norm(fs, weight_values, window):
+    # integral of |psi| (times the weight if given) over the window, piece
+    # by piece at the slice time
+    psi = fs.psi_values
+    return sum(abs(psi[i]) * (1 if weight_values is None else weight_values[i])
+               * (b - a) for i, a, b in fs.pieces(*window))
 
 
 def test_probe_norms_match_fresh_slices_exactly():

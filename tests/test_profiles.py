@@ -6,6 +6,7 @@ import pytest
 from wavetrack.fluxes import burgers_flux
 from wavetrack.profiles import (
     Profile,
+    clipped_pieces,
     l1_norm,
     profile_difference,
     profile_map2,
@@ -54,7 +55,8 @@ def test_profile_is_immutable_and_hashable():
 
 def test_pieces_clip_to_window():
     p = Profile([0.0, 1.0], [0.0, 5.0, 0.0])
-    pieces = list(p.pieces((-1.0, 0.5)))
+    pieces = [(a, b, p.values[i])
+              for i, a, b in clipped_pieces(p.breakpoints, -1.0, 0.5)]
     assert pieces == [(-1.0, 0.0, 0.0), (0.0, 0.5, 5.0)]
 
 

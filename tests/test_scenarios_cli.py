@@ -364,10 +364,20 @@ def test_cli_run_horizon_crossing_writes_psi_final(tmp_path, capsys):
 
 
 def test_cli_rejects_boolean_tolerance(tmp_path, capsys):
+    # a JSON boolean is no number, count or seed, although Python's bool is
+    # an int
+    cells = {"generator": "constant", "params": {"value": 0.0},
+             "support": [-1, 1], "n_cells": True}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_basic_config(tolerance=True)))
-    assert main(["run", str(path)]) == 2
-    assert "tolerance: expected a nonnegative number" in capsys.readouterr().err
+    for cfg, message in (
+        (_basic_config(tolerance=True),
+         "tolerance: expected a nonnegative number"),
+        (_basic_config(u2=cells), "u2.n_cells: expected a positive integer"),
+        (_basic_config(seed=True), "seed: expected an integer"),
+    ):
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_rejects_rational_mode_with_an_irrational_flux(tmp_path, capsys):
