@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .fluxes import secant_speed
-from .profiles import Profile, clipped_pieces
+from .profiles import clipped_pieces
 from .tracking import FrontTrackingRun
 
 LAX = "lax"
@@ -56,24 +56,6 @@ class DegenerateFieldError(ValueError):
             "coefficient field is degenerate there.  Perturb one run's initial "
             "breakpoints by at least 1e-9 to separate them."
         )
-
-
-def _collapse_steps(positions, values) -> Profile:
-    """Profile from raw step data that may contain zero-width pieces.
-
-    At an event instant (fans at birth, fronts at a collision) several jumps
-    share one position; only the net transition across the stack survives.
-    """
-    bps, vals = [], [values[0]]
-    i, n = 0, len(positions)
-    while i < n:
-        j = i
-        while j + 1 < n and positions[j + 1] == positions[i]:
-            j += 1
-        bps.append(positions[i])
-        vals.append(values[j + 1])
-        i = j + 1
-    return Profile.compacted(bps, vals)
 
 
 def classify(a_minus, a_plus, lam, tol=CLASSIFY_TOL):
@@ -161,9 +143,6 @@ class FieldSlice:
     # slices built by ``at``
     states: tuple = dataclass_field(default=None, compare=False, repr=False)
 
-    def positions(self):
-        return tuple(j.position for j in self.jumps)
-
     def positions_at(self, t):
         """Jump positions at time t of the slice's interaction-free interval."""
         if t == self.time:
@@ -177,26 +156,6 @@ class FieldSlice:
         slice time); see :func:`~wavetrack.profiles.clipped_pieces`."""
         return clipped_pieces(
             self.positions_at(self.time if t is None else t), lo, hi)
-
-    @property
-    def a_profile(self) -> Profile:
-        return _collapse_steps(self.positions(), self.a_values)
-
-    @property
-    def psi(self) -> Profile:
-        """u^II - u^I as a profile."""
-        return _collapse_steps(self.positions(), self.psi_values)
-
-    def strength_ratio_range(self):
-        """(min, max) of |b jump| / |a jump| over the slice, None if no jumps."""
-        ratios = [
-            j.strength / abs(j.a_plus - j.a_minus)
-            for j in self.jumps
-            if j.a_plus != j.a_minus
-        ]
-        if not ratios:
-            return None
-        return min(ratios), max(ratios)
 
 
 @dataclass
@@ -799,15 +758,6 @@ class WeightSlice:
     traces: tuple             # (w_minus, w_plus) per jump
     v_I_total: object
     v_II_total: object
-    positions: tuple          # jump positions of the field slice
-
-    @property
-    def tv_b(self):
-        return self.v_I_total + self.v_II_total
-
-    @property
-    def profile(self) -> Profile:
-        return _collapse_steps(self.positions, self.piece_values)
 
 
 class WeightField:
@@ -826,37 +776,36 @@ class WeightField:
         self.field = field
         self.m = m
 
+    def piece_weight(self, psi, passed, totals):
+        """The weight of a piece with difference ``psi``, given the (run-I,
+        run-II) jump strengths ``passed`` on its left and their ``totals``."""
+        (v_I, v_II), (v_I_total, v_II_total) = passed, totals
+        if psi > 0:
+            return self.m + (v_I_total - v_I) + v_II
+        return self.m + v_I + (v_II_total - v_II)
+
     def slice_at(self, t, fslice: Optional[FieldSlice] = None) -> WeightSlice:
         fs = fslice if fslice is not None else self.field.at(t)
         z = self.m * 0
         strengths = [j.strength for j in fs.jumps]
         in_I = [j.partition == "I" for j in fs.jumps]
-        v_I_total = sum((b for b, i in zip(strengths, in_I) if i), start=z)
-        v_II_total = sum((b for b, i in zip(strengths, in_I) if not i),
-                         start=z)
-        v_I = z
-        v_II = z
-        pieces = []
-        n = len(fs.jumps)
-        for i in range(n + 1):
-            if fs.psi_values[i] > 0:
-                w = self.m + (v_I_total - v_I) + v_II
+        totals = (sum((b for b, i in zip(strengths, in_I) if i), start=z),
+                  sum((b for b, i in zip(strengths, in_I) if not i), start=z))
+        v_I = v_II = z
+        pieces = [self.piece_weight(fs.psi_values[0], (z, z), totals)]
+        for b, i, psi in zip(strengths, in_I, fs.psi_values[1:]):
+            if i:
+                v_I += b
             else:
-                w = self.m + v_I + (v_II_total - v_II)
-            pieces.append(w)
-            if i < n:
-                if in_I[i]:
-                    v_I += strengths[i]
-                else:
-                    v_II += strengths[i]
+                v_II += b
+            pieces.append(self.piece_weight(psi, (v_I, v_II), totals))
         return WeightSlice(
             time=t,
             m=self.m,
             piece_values=tuple(pieces),
             traces=tuple(zip(pieces, pieces[1:])),
-            v_I_total=v_I_total,
-            v_II_total=v_II_total,
-            positions=fs.positions(),
+            v_I_total=totals[0],
+            v_II_total=totals[1],
         )
 
 

@@ -15,17 +15,21 @@ x = c + lam t has width dc + tau dlam).
 A jump's weight-independent terms (trace products, symmetry or
 conservation residual, sign-table verdict, the atoms of the derived
 checks) depend only on its jump state, so the walk computes them once per
-state.  An interval that only fronts crossing separate from the one before
-is booked by delta: the sums of the interval before (each probe norm as
-P + tau Q, the rates, the kind counts, the derived-check sums) less the
-terms of the jump states and pieces that left, plus those that entered; a
-piece is keyed by its two jump states and a new piece's weight grows from
-its left neighbour's strength prefixes.  Every other interval is re-summed
-from scratch over all jumps and pieces: the first and the last, one after
-an own event, every ``_RESUM_STRIDE``-th in a row, and one where more
-pieces change than there are jumps or a per-jump check could fail (so
-violations keep their text and order).
-Exact sums are exact either way; float sums may move in their last digits.
+state.  Every interval is booked by one move, a delta: running sums (each
+probe norm as P + tau Q, the rates, the kind counts, the derived-check
+sums) less the terms of the jump states and pieces that left, plus those
+that entered.  A piece is keyed by its two jump states; a piece of weight
+w adds |psi| w times its width to the norm and w (q_+ of its left jump +
+q_- of its right jump) to the interior rate, and a new piece's weight
+grows from the strengths its left neighbour passed.  An interval that only
+fronts crossing separate from the one before moves that interval's sums.
+Every other interval is re-summed: it moves sums that cover nothing, every
+jump state and piece entering in slice order, and is then checked jump by
+jump, so violations keep their text and order.  These are the first and
+the last interval, one after an own event, every ``_RESUM_STRIDE``-th in a
+row, and one where more pieces change than there are jumps or a per-jump
+check could fail.  Exact sums are exact; float sums may move in their last
+digits.
 ``identity_reports`` books the plain and the weighted ledger from one
 walk: each slice, the missed-interaction check and every
 weight-independent trace term and verdict are computed once, and only the
@@ -39,8 +43,11 @@ per-interval sums the derived checks need, so ``gain_cap_report``,
 finished ledgers and build no slices of their own.
 
 Conventions for the per-interval rate terms (all decay/gain magnitudes are
-nonnegative; the signed slope of the norm is
-``interior = -lax - slow_fast + rs_main + rs_b``):
+nonnegative; the signed slope of the norm without the edge flux is
+``interior = -lax - slow_fast + rs_main + rs_b``, which per jump is
+``(lam - a_-) |psi_-| w_- + (a_+ - lam) |psi_+| w_+`` summed, with the
+weight traces w_-, w_+ of :meth:`WeightField.slice_at`, or 1 for the plain
+norm):
 
 * ``lax``: compressive jumps, factor ``2m + TV(b) - |b|`` times
   ``|a_- - lam| |psi_-|`` (plain norm: factor 2).
@@ -51,7 +58,7 @@ nonnegative; the signed slope of the norm is
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import accumulate, chain, repeat
+from itertools import chain
 from operator import attrgetter
 
 from .coupling import (
@@ -101,20 +108,6 @@ def _norms(fslice, weights, window, t=None):
     return totals
 
 
-def _edge_flux_rates(fslice, weights):
-    """a |psi| w at the left window edge minus the same at the right one,
-    once per entry of ``weights``: the first and the last region, as no
-    jump leaves the window."""
-    rates = []
-    for wv in weights:
-        out = 0
-        for idx, sign in ((0, 1), (-1, -1)):
-            w = 1 if wv is None else wv[idx]
-            out += sign * fslice.a_values[idx] * abs(fslice.psi_values[idx]) * w
-        rates.append(out)
-    return rates
-
-
 @dataclass
 class IntervalRecord:
     """Measured and analytic data for one interaction-free interval."""
@@ -147,10 +140,6 @@ class IntervalRecord:
     @property
     def duration(self):
         return self.t_end - self.t_start
-
-    @property
-    def slope_analytic(self):
-        return self.interior_rate + self.flux_rate
 
     def norm_at(self, t):
         """Exact linear extrapolation of the norm inside this interval."""
@@ -255,15 +244,17 @@ class _Book:
     interval must be re-summed)."""
 
     weight: object            # WeightField, None for the plain norm
-    ws: object = None         # its weight slice of the last re-summed slice
     violations: list = dataclass_field(default_factory=list)
     intervals: list = dataclass_field(default_factory=list)
     # (P, Q, [interior, lax, slow_fast, rs_main, rs_b], edge flux), the
     # probe norm at time tau being P + tau Q
     run: tuple = None
-    pieces: dict = None       # weighted: piece -> (weight, strength prefixes)
-    bounds: tuple = None      # weighted: _weight_bounds at the least tolerance
-    clean: bool = True        # no weight check of a jump fails at that bound
+    # weighted: the (run-I, run-II) strength totals of the last re-summed
+    # slice, each piece's (weight, strengths passed on its left) and the
+    # _weight_bounds at the walk's least tolerance
+    totals: tuple = None
+    pieces: dict = None
+    bounds: tuple = None
     deltas: int = 0
     resums: int = 0
     drift: float = 0.0
@@ -373,68 +364,6 @@ def _rate_terms(book):
             (4, lambda a: a.b * a.q, (RAREFACTION_SHOCK,)))
 
 
-def _summed(terms, term, kinds):
-    """``term`` summed over the jumps of ``kinds`` (None: all) in order."""
-    return sum(term(a) for a in terms if kinds is None or a.kind in kinds)
-
-
-def _book_jumps(fslice, terms, books, tol_rate, tol_min):
-    """Trace-sum rates of each book's norm at one slice, given each jump's
-    :class:`_JumpTerms`; the per-jump structural identities go to each
-    book's violations.
-
-    Shared by all books: the trace symmetry at compressive and
-    rarefaction-side jumps, the conservation relation at undercompressive
-    ones and the sign table.  Per weighted book: the weight-trace checks of
-    :func:`_weight_faults`, which also set the book's ``clean`` flag at
-    ``tol_min``.  Returns, per book, ``[interior, lax, slow_fast, rs_main,
-    rs_b]``.
-    """
-    t = fslice.time
-    shared = []     # per jump: its violations of the shared checks
-    for j, a in zip(fslice.jumps, terms):
-        out = []
-        if a.residual > tol_rate:
-            relation = ("trace symmetry" if j.kind in (LAX, RAREFACTION_SHOCK)
-                        else "conservation relation")
-            out.append(
-                f"t={t}: {relation} broken at x={j.position} "
-                f"({j.kind}): {a.lhs} vs {a.rhs}"
-            )
-        if not a.sign_ok:
-            out.append(
-                f"t={t}: trace sign table violated at x={j.position} ({j.kind})"
-            )
-        shared.append(out)
-    rates = []
-    for book in books:
-        r = [0] * 5
-        ws = book.ws
-        if ws is not None:
-            m, tvb = book.weight.m, ws.tv_b
-            at_rate = _weight_bounds(m, tvb, tol_rate)
-            book.bounds = (at_rate if tol_min == tol_rate
-                           else _weight_bounds(m, tvb, tol_min))
-            book.clean = True
-        for idx, (j, a) in enumerate(zip(fslice.jumps, terms)):
-            book.violations.extend(shared[idx])
-            if ws is None:
-                r[0] += a.qm
-                r[0] += a.qp
-                continue
-            wm, wp = ws.traces[idx]
-            r[0] += a.qm * wm
-            r[0] += a.qp * wp
-            if _weight_faults(t, j, a, wm, wp, book.bounds):
-                book.clean = False
-                book.violations.extend(
-                    _weight_faults(t, j, a, wm, wp, at_rate))
-        for k, term, kinds in _rate_terms(book):
-            r[k] = _summed(terms, term, kinds)
-        rates.append(r)
-    return rates
-
-
 # (check sum, the _JumpTerms term it adds up, the kinds it sums over or
 # None for all) of each sum the derived checks read but rs_sup_da and has_rs
 _CHECK_SUMS = (
@@ -451,19 +380,6 @@ _CHECK_SUMS = (
 def _sup_da(terms):
     """sup of a_+ - a_- over the rarefaction-side jumps, 0 if none."""
     return max([0, *(a.da for a in terms if a.kind == RAREFACTION_SHOCK)])
-
-
-def _check_terms(fslice, terms):
-    """The kind counts and the per-interval sums of one slice that the
-    derived checks read."""
-    counts = {k: sum(a.kind == k for a in terms)
-              for k in (LAX, SLOW, FAST, RAREFACTION_SHOCK)}
-    sums = {name: _summed(terms, term, kinds)
-            for name, term, kinds in _CHECK_SUMS}
-    sums["tv_a"] += fslice.time * 0     # a zero of the time's type if no jump
-    sums["rs_sup_da"] = _sup_da(terms)
-    sums["has_rs"] = counts[RAREFACTION_SHOCK] > 0
-    return counts, sums
 
 
 def _moved(total, term, kinds, counts, out, into):
@@ -490,38 +406,22 @@ def _geometry(key, psi, known, window):
     return abs(psi), cr - cl, lr - ll
 
 
-def _norm_line(geometry, weight_values):
-    """(P, Q) of the windowed norm P + tau Q (times the weight if given)
-    of a slice, from its pieces' :func:`_geometry`: |psi| w dc and
-    |psi| w dlam summed, in the form a delta adds and subtracts them."""
-    P = Q = 0
-    for i, (ap, dc, dl) in enumerate(geometry):
-        if weight_values is not None:
-            ap = ap * weight_values[i]
-        P, Q = P + ap * dc, Q + ap * dl
-    return P, Q
-
-
-def _past(prefix, a):
-    """The (run-I, run-II) strength ``prefix`` past the jump of terms
-    ``a``, added up as :meth:`WeightField.slice_at` adds it."""
-    v_I, v_II = prefix
-    return (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
-
-
 def _piece_keys(states):
     # a piece is keyed by the states of its jumps, None at a window edge
     return list(zip((None,) + states, states + (None,)))
 
 
 class _Carry:
-    """The shared running sums of a walk's last interval (kind counts and
-    the derived-check sums) and the jump states and pieces they cover."""
+    """The shared running sums of a walk's interval (kind counts and the
+    derived-check sums) and the jump states and pieces they cover.  A new
+    carry covers nothing; ``zero`` is the zero of the field's times."""
 
-    def __init__(self, known, window, fs, counts, sums):
+    def __init__(self, known, window, zero):
         self.known, self.window = known, window
-        self.states, self.keys = fs.states, _piece_keys(fs.states)
-        self.counts, self.sums = dict(counts), dict(sums)
+        self.states, self.keys = (), []
+        self.counts = dict.fromkeys((LAX, SLOW, FAST, RAREFACTION_SHOCK), 0)
+        self.sums = {name: 0 for name, *_ in _CHECK_SUMS}
+        self.sums.update(tv_a=zero, rs_sup_da=0, has_rs=False)
 
     def change(self, fs, terms_at):
         """Move the shared sums to ``fs`` and return what changed: piece
@@ -529,21 +429,21 @@ class _Carry:
         geometry) of the pieces that left and entered, and the indices of
         the latter.  None when a delta cannot book it: on an own event (a
         front left or entered), a new state a shared check could fail at,
-        or more pieces replaced than there are jumps.  Lists are in slice
-        order, so float sums are taken in a fixed order."""
+        or more pieces replaced than there are jumps; a carry that covers
+        nothing takes any slice.  Lists are in slice order, so float sums
+        are taken in a fixed order."""
         states, known = fs.states, self.known
         cur, was = set(states), set(self.states)
         gone = [known[st] for st in self.states if st not in cur]
         new = [terms_at(st, j) for st, j in zip(states, fs.jumps)
                if st not in was]
-        if ({a.front for a in gone} != {a.front for a in new}
-                or any(a.risky for a in new)):
-            return None
         keys = _piece_keys(states)
         cur, was = set(keys), set(self.keys)
         at = [i for i, k in enumerate(keys) if k not in was]
         out = [k for k in self.keys if k not in cur]
-        if len(at) + len(out) > len(states):
+        if self.keys and ({a.front for a in gone} != {a.front for a in new}
+                          or any(a.risky for a in new)
+                          or len(at) + len(out) > len(states)):
             return None
         psi, window = fs.psi_values, self.window
         into = [(keys[i], _geometry(keys[i], psi[i], known, window))
@@ -570,44 +470,57 @@ def _book_delta(book, change, carry, fs, taus):
     and return its ``(n_lo, n_hi, *rates, flux)``, or None (a re-sum) when
     a weight check of an entered jump could fail.  A piece of weight w adds
     |psi| w times its width to the norm and w (q_+ left + q_- right) to the
-    interior rate."""
+    interior rate.  A book that covers nothing (its flux None) takes the
+    edge flux a |psi| w of the slice's first piece less that of its last,
+    and leaves its weight checks to the caller."""
     if book.run is None:
         return None
     keys, gone, new, out, into, at = change
-    known, weight = carry.known, book.weight
-    w = {}      # the weight of each changed piece
-    if weight is not None:
-        pieces, ws, m = book.pieces, book.ws, weight.m
-        w = {k: pieces.pop(k)[0] for k, _ in out}
-        for i, (k, _) in zip(at, into):
-            # the strength prefixes of the piece on the left plus the jump
-            # between the two, weighed as WeightField.slice_at weighs them
-            L = k[0]
-            vI, vII = (_past(pieces[keys[i - 1]][1], known[L]) if L
-                       else (m * 0, m * 0))
-            psi = fs.psi_values[i]
-            w[k] = (m + (ws.v_I_total - vI) + vII if psi > 0
-                    else m + vI + (ws.v_II_total - vII))
-            pieces[k] = (w[k], (vI, vII))
+    known, weight, pieces = carry.known, book.weight, book.pieces
+    P, Q, r, flux = book.run
+    r0 = r[0]
+    z = 0 if weight is None else weight.m * 0
+    for gain, batch in ((False, out), (True, into)):
+        for n, (key, (ap, dc, dl)) in enumerate(batch):
+            L, R = key
+            if weight is not None:
+                if gain:
+                    # the strengths passed by the piece on the left plus the
+                    # jump between the two, added up as slice_at adds them
+                    i, passed = at[n], (z, z)
+                    if L:
+                        (v_I, v_II), a = pieces[keys[i - 1]][1], known[L]
+                        passed = ((v_I + a.b, v_II) if a.in_I
+                                  else (v_I, v_II + a.b))
+                    wk = weight.piece_weight(fs.psi_values[i], passed,
+                                             book.totals)
+                    pieces[key] = (wk, passed)
+                else:
+                    wk = pieces.pop(key)[0]
+                ap = ap * wk
+            p, q = ap * dc, ap * dl
+            P, Q = (P + p, Q + q) if gain else (P - p, Q - q)
+            if L or R:      # a piece between two window edges has no rate
+                inner = (known[L].qp + known[R].qm if L and R
+                         else known[L].qp if L else known[R].qm)
+                if weight is not None:
+                    inner = wk * inner
+                r0 = r0 + inner if gain else r0 - inner
+    if weight is not None and flux is not None:
+        # a delta's entered jumps; a book that covered nothing is checked
+        # jump by jump by the caller
         entered = {i + d for i in at for d in (-1, 0)}
         for idx in entered & set(range(len(fs.jumps))):
             if _weight_faults(fs.time, fs.jumps[idx], known[keys[idx][1]],
                               pieces[keys[idx]][0], pieces[keys[idx + 1]][0],
                               book.bounds):
                 return None
-    P, Q, r, flux = book.run
-    for gain, batch in ((False, out), (True, into)):
-        for key, (ap, dc, dl) in batch:
-            L, R = key
-            inner = (known[L].qp + known[R].qm if L and R
-                     else known[L].qp if L else known[R].qm)
-            if key in w:
-                ap, inner = ap * w[key], w[key] * inner
-            p, q = ap * dc, ap * dl
-            if gain:
-                P, Q, r[0] = P + p, Q + q, r[0] + inner
-            else:
-                P, Q, r[0] = P - p, Q - q, r[0] - inner
+    if flux is None:
+        flux = 0
+        for idx, sign in ((0, 1), (-1, -1)):
+            flux += (sign * fs.a_values[idx] * abs(fs.psi_values[idx])
+                     * (1 if weight is None else pieces[keys[idx]][0]))
+    r[0] = r0
     for k, term, kinds in _rate_terms(book):
         r[k] = _moved(r[k], term, kinds, carry.counts, gone, new)
     book.run = (P, Q, r, flux)
@@ -621,7 +534,8 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
     An interval that only fronts crossing separate from the one before is
     booked by delta from the running sums (:class:`_Carry`,
     :func:`_book_delta`); every other one, and every
-    ``_RESUM_STRIDE``-th in a row, is re-summed from scratch.
+    ``_RESUM_STRIDE``-th in a row, is re-summed: the same delta from a
+    carry and books that cover nothing.
     """
     s, t = exact_time(cfield, s), exact_time(cfield, t)
     if not s < t:
@@ -639,12 +553,11 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
                                           cfield.classification_tol, tol_min)
         return a
 
-    def weigh(fslice, books):
-        # each book's weight slice, and its piece values (None: weight one)
-        for book in books:
-            if book.weight is not None:
-                book.ws = book.weight.slice_at(fslice.time, fslice)
-        return [None if b.ws is None else b.ws.piece_values for b in books]
+    def weigh(fslice):
+        # each book's piece values at an endpoint slice (None: weight one)
+        return [None if b.weight is None
+                else b.weight.slice_at(fslice.time, fslice).piece_values
+                for b in books]
 
     walk = timeline(cfield, s, t)
     first = next(walk)
@@ -657,8 +570,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
     # exactly; fill those in after the interval loop.
     try:
         start_slice = cfield.at(s)
-        norm_start = _norms(start_slice, weigh(start_slice, books) + [None],
-                            window)
+        norm_start = _norms(start_slice, weigh(start_slice) + [None], window)
         base = norm_start.pop()
     except DegenerateFieldError:
         norm_start = [None] * len(books)
@@ -666,7 +578,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
         base = _norms(fs, [None], window, t0 + (t1 - t0) / 4)[0]
     try:
         end_slice = cfield.at(t)
-        norm_end = _norms(end_slice, weigh(end_slice, books), window)
+        norm_end = _norms(end_slice, weigh(end_slice), window)
     except DegenerateFieldError:
         norm_end = [None] * len(books)
 
@@ -674,32 +586,54 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
     # tolerance of the walk is never below tol_min
     tol_norm = tol_min = 0 if exact else tol_scale * (1 + base)
 
-    def terms_of(fs):
-        return [terms_at(st, j) for j, st in zip(fs.jumps, fs.states)]
-
-    def resum(fs, books, taus, tol_rate):
-        # each book's sums over all jumps and pieces of the slice; its norm
-        # line P + tau Q gives the probe norms and seeds the running sums
-        # when the book's weight checks are clean
-        wvs = weigh(fs, books)
-        terms = terms_of(fs)
-        rates = _book_jumps(fs, terms, books, tol_rate, tol_min)
-        fluxes = _edge_flux_rates(fs, wvs)
-        geometry = list(map(_geometry, _piece_keys(fs.states),
-                            fs.psi_values, repeat(known), repeat(window)))
-        lines = [_norm_line(geometry, wv) for wv in wvs]
-        probes = [[P + tau * Q for P, Q in lines] for tau in taus]
-        for i, (book, wv) in enumerate(zip(books, wvs)):
+    def resum(fs, books, whole, fresh, taus, tol_rate):
+        # each book moved from covering nothing by the ``whole`` slice (see
+        # _Carry.change), then checked jump by jump: the trace symmetry at
+        # compressive and rarefaction-side jumps, the conservation relation
+        # at undercompressive ones, the sign table and, per weighted book,
+        # the weight checks of _weight_faults, first at the walk's least
+        # tolerance (a fault there keeps the next interval from a delta)
+        keys, _, terms, *_ = whole
+        time = fs.time
+        shared = []     # per jump: its violations of the shared checks
+        for j, a in zip(fs.jumps, terms):
+            out = []
+            if a.residual > tol_rate:
+                relation = ("trace symmetry"
+                            if j.kind in (LAX, RAREFACTION_SHOCK)
+                            else "conservation relation")
+                out.append(f"t={time}: {relation} broken at x={j.position} "
+                           f"({j.kind}): {a.lhs} vs {a.rhs}")
+            if not a.sign_ok:
+                out.append(f"t={time}: trace sign table violated at "
+                           f"x={j.position} ({j.kind})")
+            shared.append(out)
+        vals = []
+        for book in books:
             book.resums += 1
-            book.run = None
-            if book.clean:
-                book.run = (*lines[i], list(rates[i]), fluxes[i])
-                if wv is not None:
-                    z = book.weight.m * 0
-                    book.pieces = dict(zip(_piece_keys(fs.states), zip(
-                        wv, accumulate(terms, _past, initial=(z, z)))))
-        return [(n_lo, n_hi, *r, flux) for n_lo, n_hi, r, flux
-                in zip(*probes, rates, fluxes)]
+            book.run = (0, 0, [0] * 5, None)
+            weight = book.weight
+            if weight is not None:
+                m, z = weight.m, weight.m * 0
+                book.pieces, book.totals = {}, (
+                    sum((a.b for a in terms if a.in_I), start=z),
+                    sum((a.b for a in terms if not a.in_I), start=z))
+                tvb = book.totals[0] + book.totals[1]
+                book.bounds = _weight_bounds(m, tvb, tol_min)
+                at_rate = _weight_bounds(m, tvb, tol_rate)
+            vals.append(_book_delta(book, whole, fresh, fs, taus))
+            if weight is not None:
+                wv = [book.pieces[k][0] for k in keys]
+            for idx, (j, a) in enumerate(zip(fs.jumps, terms)):
+                book.violations.extend(shared[idx])
+                if weight is None:
+                    continue
+                wm, wp = wv[idx], wv[idx + 1]
+                if _weight_faults(time, j, a, wm, wp, book.bounds):
+                    book.run = None
+                    book.violations.extend(
+                        _weight_faults(time, j, a, wm, wp, at_rate))
+        return vals
 
     events = []
     carry = None    # the shared running sums, when a delta may follow
@@ -711,15 +645,18 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
         taus = (t0 + dt / 4, t0 + 3 * dt / 4)
         span = taus[1] - taus[0]
         ch = carry.change(fs, terms_at) if carry else None
-        carried = ([_book_delta(book, ch, carry, fs, taus) for book in books]
-                   if ch else [None] * len(books))
+        carried = [_book_delta(book, ch, carry, fs, taus) if ch else None
+                   for book in books]
         full = ch is None or since >= _RESUM_STRIDE - 1 or t1 == t
-        terms = terms_of(fs) if full else None
-        counts, sums = (_check_terms(fs, terms) if full
+        redo = [b for b, v in zip(books, carried) if full or v is None]
+        if redo:
+            fresh = _Carry(known, window, fs.time * 0)
+            whole = fresh.change(fs, terms_at)
+        counts, sums = ((fresh.counts, fresh.sums) if full
                         else (carry.counts, carry.sums))
         tol_rate = 0 if exact else tol_scale * (1 + sums["rate_mags"] + base)
-        redo = [b for b, v in zip(books, carried) if full or v is None]
-        redone = iter(resum(fs, redo, taus, tol_rate) if redo else [])
+        redone = iter(resum(fs, redo, whole, fresh, taus, tol_rate)
+                      if redo else [])
         vals = [next(redone) if full or v is None else v for v in carried]
         for book, old, new in zip(books, carried, vals):
             if old is not None and full:
@@ -730,8 +667,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
                     float(abs(a - b) / (1 + abs(b))) for a, b in pairs)])
             book.deltas += old is not None and not full
         if full:
-            carry = (None if any(a.risky for a in terms)
-                     else _Carry(known, window, fs, counts, sums))
+            carry = None if any(a.risky for a in whole[2]) else fresh
         since = 0 if full else since + 1
         for book, (n_lo, n_hi, *r, flux) in zip(books, vals):
             interior, lax, slow_fast, rs_main, rs_b = r

@@ -58,17 +58,23 @@ class ScenarioConfigError(ValueError):
 
 
 def _parse_number(value, rational, path, errors):
-    """Scalar from JSON: int, float, or a 'p/q' string in rational mode."""
+    """Scalar from JSON: int, finite float, or a 'p/q' string in rational
+    mode."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         errors.append(f"{path}: expected a number, got {value!r}")
+        return 0
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"{path}: expected a finite number, got {value!r}")
         return 0
     if isinstance(value, str):
         try:
             frac = Fraction(value)
+            return frac if rational else float(frac)
         except (ValueError, ZeroDivisionError):
             errors.append(f"{path}: cannot parse {value!r} as p/q")
-            return 0
-        return frac if rational else float(frac)
+        except OverflowError:
+            errors.append(f"{path}: expected a finite number, got {value!r}")
+        return 0
     if rational:
         # floats are binary rationals, so this conversion is exact
         return Fraction(value)
@@ -310,8 +316,9 @@ def parse_scenario(config: dict) -> ScenarioSpec:
 
     tol_scale = config.get("tolerance", TOL_SCALE)
     if (isinstance(tol_scale, bool) or not isinstance(tol_scale, (int, float))
-            or tol_scale < 0):
-        errors.append("tolerance: expected a nonnegative number")
+            or not 0 <= tol_scale < math.inf):
+        errors.append("tolerance: expected a nonnegative number, got "
+                      f"{tol_scale!r}")
         tol_scale = TOL_SCALE
 
     out = config.get("out")
@@ -665,14 +672,14 @@ def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
 
     In rational mode ``h`` is read as the exact decimal it prints as."""
     if count < 1:
-        raise ValueError("count: need at least one scenario")
+        raise ScenarioConfigError(["count: need at least one scenario"])
     rational = mode == "rational"
     failures = []
     results = []
     for i in range(count):
         cfg = random_scenario_config(
             seed + i, shock_only=shock_only, rational=rational,
-            h=(str(Fraction(str(h))) if rational else h), horizon=horizon,
+            h=(str(h) if rational else h), horizon=horizon,
             m=m, checks=checks,
         )
         sub_out = None

@@ -163,10 +163,10 @@ def test_criterion_02_weighted_ledger(capsys):
                     if j.kappa_minus == 0 or j.kappa_plus == 0:
                         continue
                     wm, wp = ws.traces[idx]
-                    b = j.strength
+                    b, tv_b = j.strength, ws.v_I_total + ws.v_II_total
                     expected = {
-                        LAX: (wm + wp, 2 * m + ws.tv_b - b),
-                        RAREFACTION_SHOCK: (wm + wp, 2 * m + ws.tv_b + b),
+                        LAX: (wm + wp, 2 * m + tv_b - b),
+                        RAREFACTION_SHOCK: (wm + wp, 2 * m + tv_b + b),
                         SLOW: (wp - wm, -b),
                         FAST: (wp - wm, b),
                     }[j.kind]

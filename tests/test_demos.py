@@ -1,5 +1,6 @@
 """The demos run to completion and print what they claim."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -39,3 +40,18 @@ def test_characteristics_demo_prints_the_backward_foot():
     printed = re.search(r"foot at x = (\S+)", _run(demo).stdout)
     assert printed is not None
     assert float(printed.group(1)) == round(back.start_position, 4)
+
+
+def test_runtime_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "wavetrack").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["wavetrack" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "wavetrack" or top in sys.stdlib_module_names, (
+                    f"{path.name} imports {name}")

@@ -35,6 +35,7 @@ from wavetrack import (
     weighted_identity_report,
 )
 from wavetrack import functional, scenarios
+from wavetrack.coupling import FAST, RAREFACTION_SHOCK, SLOW
 from wavetrack.scenarios import build_runs, parse_scenario
 from product_oracle import VariationFunction, nonconservative_product
 from test_coupling import _sine_pair_config
@@ -135,7 +136,8 @@ def test_lax_plain_ledger():
     assert rec.flux_rate == pytest.approx(1.0)
     assert rec.lax_rate == pytest.approx(1.0)
     assert rec.slope_measured == pytest.approx(0.0, abs=1e-10)
-    assert rec.slope_analytic == pytest.approx(rec.slope_measured, abs=1e-10)
+    assert rec.interior_rate + rec.flux_rate == pytest.approx(
+        rec.slope_measured, abs=1e-10)
     assert rec.kind_counts == {
         "lax": 1, "slow": 0, "fast": 0, "rarefaction_shock": 0,
     }
@@ -380,6 +382,52 @@ def test_probe_norms_match_fresh_slices_exactly():
                     fs = cf.at(tau)
                     wv = None if wf is None else wf.slice_at(tau, fs).piece_values
                     assert norm == _windowed_norm(fs, wv, rep.window)
+
+
+def test_rates_match_the_per_jump_trace_form_exactly():
+    """Every booked rate is the per-jump trace sum of the module docstring
+    on a fresh midpoint slice and its weight traces: on rational pairs
+    7000-7004, and on an exact fan, the one with a rarefaction-side jump."""
+    one = Fraction(1)
+    fan = _field(Profile([0 * one], [-one, one]),
+                 Profile.constant(Fraction(53, 100)), h=one / 10,
+                 horizon=2 * one, exact=True)
+    records = 0
+    kinds = set()
+    for cf in [*map(_exact_field, range(7000, 7005)), fan]:
+        weight = WeightField(cf, one)
+        plain, [weighted] = identity_reports(cf, [one], Fraction(0),
+                                             Fraction(2))
+        for rep in (plain, weighted):
+            for rec in rep.intervals:
+                mid = rec.t_start + rec.duration / 2
+                fs = cf.at(mid)
+                ws = weight.slice_at(mid, fs)
+                t = 2 * one + ws.v_I_total + ws.v_II_total      # 2m + TV(b)
+                rates = [0] * 5     # interior, lax, slow_fast, rs_main, rs_b
+                for j, traces in zip(fs.jumps, ws.traces):
+                    wm, wp = (1, 1) if rep is plain else traces
+                    rates[0] += ((j.lam - j.a_minus) * abs(j.kappa_minus) * wm
+                                 + (j.a_plus - j.lam) * abs(j.kappa_plus)
+                                 * wp)
+                    b = j.strength
+                    kinds.add(j.kind)
+                    # lax, slow_fast, rs_main and rs_b factors of the kind
+                    factors = {
+                        LAX: (2, 0, 0, 0) if rep is plain else (t - b, 0, 0, 0),
+                        SLOW: (0, 0, 0, 0) if rep is plain else (0, b, 0, 0),
+                        FAST: (0, 0, 0, 0) if rep is plain else (0, b, 0, 0),
+                        RAREFACTION_SHOCK: ((0, 0, 2, 0) if rep is plain
+                                            else (0, 0, t, b)),
+                    }[j.kind]
+                    q = abs(j.a_minus - j.lam) * abs(j.kappa_minus)
+                    for k, factor in enumerate(factors, start=1):
+                        rates[k] += factor * q
+                assert [rec.interior_rate, rec.lax_rate, rec.slow_fast_rate,
+                        rec.rs_main_rate, rec.rs_b_rate] == rates
+                records += 1
+    assert records == 262
+    assert kinds == {LAX, SLOW, FAST, RAREFACTION_SHOCK}
 
 
 def _exact_field(seed):

@@ -273,9 +273,16 @@ def test_suite_writes_summary(tmp_path):
     assert data["failures"] == []
 
 
-def test_suite_rejects_empty():
+def test_suite_rejects_empty(capsys):
     with pytest.raises(ValueError, match="at least one"):
         run_random_suite(0)
+    for count in ("0", "-3"):
+        assert main(["suite", "--count", count]) == 2
+        assert ("config error: count: need at least one scenario"
+                in capsys.readouterr().err)
+    assert main(["suite", "--count", "1", "--mode", "rational",
+                 "--h", "nan"]) == 2
+    assert "config error: h: cannot parse 'nan' as p/q" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -374,10 +381,24 @@ def test_cli_rejects_boolean_tolerance(tmp_path, capsys):
          "tolerance: expected a nonnegative number"),
         (_basic_config(u2=cells), "u2.n_cells: expected a positive integer"),
         (_basic_config(seed=True), "seed: expected an integer"),
+        # non-finite numbers: NaN and infinities are no numbers either
+        (_basic_config(m=float("nan")), "m: expected a finite number, got nan"),
+        (_basic_config(tolerance=float("nan")),
+         "tolerance: expected a nonnegative number"),
+        (_basic_config(mode="rational", h="1/10", m=float("nan")),
+         "m: expected a finite number, got nan"),
+        (_basic_config(u1={"leading": float("-inf"), "pairs": [[0.0, -1.0]]}),
+         "u1.leading: expected a finite number, got -inf"),
+        (_basic_config(h="1e400"), "h: expected a finite number, got '1e400'"),
     ):
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
+    # the command line's tolerance is checked as the config's
+    path.write_text(json.dumps(_basic_config()))
+    assert main(["run", str(path), "--tolerance", "inf"]) == 2
+    assert ("tolerance: expected a nonnegative number, got inf"
+            in capsys.readouterr().err)
 
 
 def test_cli_rejects_rational_mode_with_an_irrational_flux(tmp_path, capsys):
