@@ -29,6 +29,7 @@ from .coupling import (
     classify,
     timeline,
 )
+from .profiles import csv_lines
 from .tracking import FrontTrackingRun
 
 ANCHOR_TOL = 1e-9
@@ -370,13 +371,9 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
 
 def export_paths_csv(paths, fileobj):
     """Vertex table (path_id, t, x) of a list of characteristic paths."""
-    import csv
-
-    writer = csv.writer(fileobj)
-    writer.writerow(["path_id", "t", "x"])
+    fileobj.write("path_id,t,x\r\n")
     for pid, path in enumerate(paths):
-        for t, x in path.vertices():
-            writer.writerow([pid, t, x])
+        fileobj.write(csv_lines([pid, t, x] for t, x in path.vertices()))
 
 
 # ---------------------------------------------------------------------------

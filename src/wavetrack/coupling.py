@@ -9,22 +9,26 @@ rarefaction-shock), partitions them by owning run, and builds the strength
 weight used by the weighted-L1 decay functional.
 
 ``CoefficientField.at`` builds the whole field at one time.
-``timeline`` walks it interval by interval with an event-delta cursor: a
-kinetic sweep keeps the alive fronts of both runs in one position-ordered
-list, applies each interaction and crossing as a delta, and yields the
-slice at each interval midpoint from jump states it classified once per
-walk.
+``timeline`` walks it interval by interval with an event-delta cursor.
+One kinetic sweep per field keeps the alive fronts of both runs in one
+position-ordered list and records each interaction and crossing it
+applies; a walk replays that record as deltas on its own copy of the list
+and yields the slice at each interval midpoint from jump states it
+classified once per walk.
 """
 from __future__ import annotations
 
-import csv
 import heapq
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
 from .fluxes import secant_speed
-from .profiles import clipped_pieces
+from .profiles import clipped_pieces, csv_fields, csv_lines
 from .tracking import FrontTrackingRun
 
 LAX = "lax"
@@ -38,6 +42,7 @@ TIE_MERGE = 1e-12
 # Slack of the missed-event guard, relative, in time and in position.
 GUARD_TOL = 1e-9
 _GONE = -1         # link of a key that is not in a sweep's list
+_OWN = -2          # key of an own event in a sweep's record
 
 
 class InconsistentFieldError(RuntimeError):
@@ -166,6 +171,8 @@ class FieldStats:
     slices: int = 0      # slices the walks yielded
     deltas: int = 0      # own events and crossings a walk applied forward
     crossings: int = 0   # the crossings among those deltas
+    sweeps: int = 0      # heap sweeps run (one per field)
+    replayed: int = 0    # moves the walks replayed from the sweep's record
     states: int = 0      # (front, traces) jump states classified
     at_slices: int = 0   # whole slices built by ``at``
 
@@ -301,6 +308,12 @@ class CoefficientField:
 
     # -- interaction structure ----------------------------------------------
 
+    @cached_property
+    def _sweep(self):
+        """The field's recorded :class:`_Sweep` to the horizon."""
+        self.stats.sweeps += 1
+        return _Sweep(self.run_I, self.run_II)
+
     def _front_crossings(self):
         """Times where a run-I front crosses a run-II front, sorted.
 
@@ -308,13 +321,9 @@ class CoefficientField:
         other; at the crossing instant the coefficient's jump set is
         degenerate and its traces rearrange.  These times delimit the
         interaction-free intervals together with both runs' own events.
-        Found once per field, by a :class:`_Sweep` to the horizon.
         """
         if self._crossings is None:
-            sweep = _Sweep(self.run_I, self.run_II)
-            sweep.run_to(sweep.horizon)
-            sweep.crossings.sort()
-            self._crossings = sweep.crossings
+            self._crossings = self._sweep.crossings
         return self._crossings
 
     def event_times(self, s, t):
@@ -330,7 +339,8 @@ class CoefficientField:
             return list(kept)
         times = [e for e in self.run_I.event_times() if s < e < t]
         times += [e for e in self.run_II.event_times() if s < e < t]
-        times += [e for e in self._front_crossings() if s < e < t]
+        crossings = self._front_crossings()
+        times += crossings[bisect_right(crossings, s):bisect_left(crossings, t)]
         times.sort()
         merge_tol = 0 if self.exact else TIE_MERGE
         merged = []
@@ -345,17 +355,18 @@ class CoefficientField:
 
 
 class _Sweep:
-    """Kinetic sweep in time over the fronts of two runs.
+    """Kinetic sweep in time over the fronts of two runs, run once per
+    field and recorded.
 
     The alive fronts of both runs sit in one doubly linked list ordered by
     position, and a heap holds the crossing times of neighbouring fronts
-    of different runs that approach each other.  :meth:`run_to` handles
-    own events and crossings in time order, crossings first at equal
-    times: an event replaces its two incoming fronts by the outgoing one,
-    a crossing swaps its pair, and only the new neighbour pairs are
-    scheduled.  Heap entries of pairs no longer adjacent are skipped when
-    they come up.  For N fronts, E own events and K crossings a sweep to
-    the horizon costs O((N + E + K) log N).
+    of different runs that approach each other.  The sweep handles own
+    events and crossings in time order, crossings first at equal times: an
+    event replaces its two incoming fronts by the outgoing one, a crossing
+    swaps its pair, and only the new neighbour pairs are scheduled.  Heap
+    entries of pairs no longer adjacent are skipped when they come up.
+    For N fronts, E own events and K crossings a sweep to the horizon costs
+    O((N + E + K) log N).
 
     A pair's time comes from the two fronts' birth data, and the time goes
     to ``crossings`` only if it lies within both lifetimes, as a scan of
@@ -365,30 +376,24 @@ class _Sweep:
     there a different number of times than such a scan would list it; that
     time is, up to rounding, an own event time and bounds an interval
     either way.
+
+    It records its moves in order, in ``keys`` and ``times``: each swap as
+    the key moving right, each own event as ``_OWN``.  A sweep paused at
+    ``tau`` makes the moves before the first one later than ``tau``, so
+    a walk (:class:`_Cursor`) replays them on a copy of ``prv``/``nxt``,
+    the list at t = 0.
     """
 
     def __init__(self, run_I, run_II):
-        self.horizon = min(run_I.evolved_until, run_II.evolved_until)
+        horizon = min(run_I.evolved_until, run_II.evolved_until)
         self.fronts = fronts = run_I.fronts + run_II.fronts
         offset = len(run_I.fronts)
         n = len(fronts)
         # keys 0..n-1 are fronts, run II's shifted by ``offset``; n and
         # n + 1 are the head and tail sentinels of the position-ordered list
         self.head, self.tail = n, n + 1
-        self.prv = [_GONE] * (n + 2)
-        self.nxt = [_GONE] * (n + 2)
-        self.in_II = [False] * offset + [True] * (n - offset)
-        # each front's line x = b + s (t - t_b) as (b, s, s t_b, b - s t_b),
-        # and its lifetime
-        self.start = [f.birth_position for f in fronts]
-        self.speed = [f.speed for f in fronts]
-        self.slope_t = [f.speed * f.birth_time for f in fronts]
-        self.origin = [b - st for b, st in zip(self.start, self.slope_t)]
-        self.born = [f.birth_time for f in fronts]
-        self.end = [self.horizon if f.death_time is None else f.death_time
-                    for f in fronts]
-        self.heap = []
-        self.crossings = []
+        prv, nxt = [_GONE] * (n + 2), [_GONE] * (n + 2)
+        self.in_II = in_II = [False] * offset + [True] * (n - offset)
 
         # the fronts each run starts with, merged by position
         starts = []
@@ -396,114 +401,126 @@ class _Sweep:
             born_later = sum(e.outgoing is not None for e in run.events)
             starts.append([(f.birth_position, base + f.uid)
                            for f in run.fronts[:len(run.fronts) - born_later]])
-        prv, nxt = self.prv, self.nxt
         last = self.head
         for _, k in heapq.merge(*starts, key=itemgetter(0)):
             nxt[last], prv[k] = k, last
-            self._schedule(last, k)
             last = k
         nxt[last], prv[self.tail] = self.tail, last
+        self.prv, self.nxt = prv[:], nxt[:]
 
         # the sort is stable, so each run's causal order survives ties
         self.events = sorted(
             ((e.time, base, e)
              for run, base in ((run_I, 0), (run_II, offset))
-             for e in run.events if e.time <= self.horizon),
+             for e in run.events if e.time <= horizon),
             key=itemgetter(0),
         )
-        self.pending = 0     # index of the next event to apply
+        self.keys = keys = array("i")
+        self.times = times = [] if run_I.exact or run_II.exact else array("d")
+        self.crossings = crossings = []
 
-    def run_to(self, limit):
-        """Apply every own event and crossing at or before ``limit``."""
-        events = self.events
-        while self.pending < len(events) and events[self.pending][0] <= limit:
-            te, base, e = events[self.pending]
-            self.pending += 1
-            self._cross_until(te)
-            self._event(base, e)
-        self._cross_until(limit)
+        # each front's line x = b + s (t - t_b) as (b, s, s t_b, b - s t_b),
+        # and its lifetime
+        start = [f.birth_position for f in fronts]
+        speed = [f.speed for f in fronts]
+        slope_t = [f.speed * f.birth_time for f in fronts]
+        origin = [b - st for b, st in zip(start, slope_t)]
+        born = [f.birth_time for f in fronts]
+        end = [horizon if f.death_time is None else f.death_time
+               for f in fronts]
+        heap = []
+        push, pop = heapq.heappush, heapq.heappop
 
-    def _schedule(self, kl, kr):
-        n, in_II, speed = self.head, self.in_II, self.speed
-        if kl >= n or kr >= n or in_II[kl] == in_II[kr]:
-            return
-        if not speed[kl] > speed[kr]:
-            return
-        kI, kII = (kr, kl) if in_II[kl] else (kl, kr)
-        tx = ((self.origin[kII] - self.start[kI] + self.slope_t[kI])
-              / (speed[kI] - speed[kII]))
-        heapq.heappush(self.heap, (tx, kl, kr))
+        def schedule(kl, kr):
+            if (kl < n and kr < n and in_II[kl] != in_II[kr]
+                    and speed[kl] > speed[kr]):
+                kI, kII = (kr, kl) if in_II[kl] else (kl, kr)
+                push(heap, ((origin[kII] - start[kI] + slope_t[kI])
+                            / (speed[kI] - speed[kII]), kl, kr))
 
-    def _cross_until(self, limit):
-        heap, nxt, born, end = self.heap, self.nxt, self.born, self.end
-        pop, crossings, swap = heapq.heappop, self.crossings, self._swap
-        while heap and heap[0][0] <= limit:
-            tx, kl, kr = pop(heap)
-            if nxt[kl] != kr:
-                continue
-            lo = max(born[kl], born[kr])
-            hi = min(end[kl], end[kr])
-            if lo < hi and lo <= tx <= hi:
-                crossings.append(tx)
-            swap(kl, kr)
+        def unlink(k):
+            before, after = prv[k], nxt[k]
+            nxt[before], prv[after] = after, before
+            prv[k] = nxt[k] = _GONE
+            return before, after
 
-    def _swap(self, kl, kr):
-        """Move ``kl`` from just left of ``kr`` to just right of it."""
-        prv, nxt = self.prv, self.nxt
-        before, after = prv[kl], nxt[kr]
-        nxt[before], prv[kr] = kr, before
-        nxt[kr], prv[kl] = kl, kr
-        nxt[kl], prv[after] = after, kl
-        self._schedule(before, kr)
-        self._schedule(kl, after)
+        k = self.head
+        while k != self.tail:
+            schedule(k, nxt[k])
+            k = nxt[k]
+        for te, base, e in chain(self.events, [(horizon, 0, None)]):
+            while heap and heap[0][0] <= te:
+                tx, kl, kr = pop(heap)
+                if nxt[kl] != kr:
+                    continue
+                lo = born[kl] if born[kl] > born[kr] else born[kr]
+                hi = end[kl] if end[kl] < end[kr] else end[kr]
+                if lo < hi and lo <= tx <= hi:
+                    crossings.append(tx)
+                keys.append(kl)
+                times.append(tx)
+                # move kl just right of kr, then schedule (before, kr) and
+                # (kl, after) inline; kl and kr are of different runs
+                before, after = prv[kl], nxt[kr]
+                nxt[before], prv[kr] = kr, before
+                nxt[kr], prv[kl] = kl, kr
+                nxt[kl], prv[after] = after, kl
+                kl_II = in_II[kl]
+                if (before < n and in_II[before] == kl_II
+                        and speed[before] > speed[kr]):
+                    kI, kII = (kr, before) if kl_II else (before, kr)
+                    push(heap, ((origin[kII] - start[kI] + slope_t[kI])
+                                / (speed[kI] - speed[kII]), before, kr))
+                if (after < n and in_II[after] != kl_II
+                        and speed[kl] > speed[after]):
+                    kI, kII = (after, kl) if kl_II else (kl, after)
+                    push(heap, ((origin[kII] - start[kI] + slope_t[kI])
+                                / (speed[kI] - speed[kII]), kl, after))
+            if e is None:
+                break
+            keys.append(_OWN)
+            times.append(te)
+            left, _ = unlink(base + e.incoming[0])
+            # fronts of the other run that float noise left between the
+            # incoming pair stay there, right of the outgoing front
+            pb, nb = unlink(base + e.incoming[1])
+            if e.outgoing is not None:
+                ko, right = base + e.outgoing, nxt[left]
+                nxt[left], prv[ko] = ko, left
+                nxt[ko], prv[right] = right, ko
+                schedule(ko, right)
+            schedule(left, nxt[left])
+            if pb != left:
+                schedule(pb, nb)
+        crossings.sort()
 
-    def _event(self, base, e):
-        ka, kb = (base + uid for uid in e.incoming)
-        left, _ = self._unlink(ka)
-        # fronts of the other run that float noise left between the
-        # incoming pair stay there, right of the outgoing front
-        pb, nb = self._unlink(kb)
-        if e.outgoing is not None:
-            ko = base + e.outgoing
-            self._schedule(ko, self._link(ko, left))
-        self._schedule(left, self.nxt[left])
-        if pb != left:
-            self._schedule(pb, nb)
 
-    def _unlink(self, k):
-        prv, nxt = self.prv, self.nxt
-        before, after = prv[k], nxt[k]
-        nxt[before], prv[after] = after, before
-        prv[k] = nxt[k] = _GONE
-        return before, after
-
-    def _link(self, k, left):
-        """Insert ``k`` just right of ``left``; returns its right neighbour."""
-        prv, nxt = self.prv, self.nxt
-        right = nxt[left]
-        nxt[left], prv[k] = k, left
-        nxt[k], prv[right] = right, k
-        return right
-
-
-class _Cursor(_Sweep):
-    """The sweep of one timeline walk, paused at each interval midpoint
-    to yield that interval's slice.
+class _Cursor:
+    """One timeline walk: the field's recorded sweep replayed on a copy of
+    its front list, paused at each interval midpoint to yield that
+    interval's slice.
 
     Each list entry keeps its jump state.  A link change marks the entry
     right of it; the next slice re-derives a marked entry's state from
     the states on its left (which checks its run's state chain) and marks
     the entry after it when the state changed.  States are keyed by the
     front and the other run's state across it, and classified on first
-    use.  The guard reads the fronts' own data: no front is born or dies
-    inside an interval, and each pair of neighbours is in order at both
-    ends of the stretch over which it stays adjacent (its gap is linear
-    there).  A reverse walk sweeps forward logging every link change, then
-    undoes the log back to each interval's midpoint.
+    use.  The guard reads the fronts' own data, not the record: no front
+    is born or dies inside an interval, and each pair of neighbours is in
+    order at both ends of the stretch over which it stays adjacent (its
+    gap is linear there).  A reverse walk replays forward logging every
+    link change, then undoes the log back to each interval's midpoint.
     """
 
     def __init__(self, field):
-        super().__init__(field.run_I, field.run_II)
+        sweep = field._sweep
+        self.fronts, self.in_II = sweep.fronts, sweep.in_II
+        self.head, self.tail = sweep.head, sweep.tail
+        self.prv, self.nxt = list(sweep.prv), list(sweep.nxt)
+        self.events, self.keys, self.times = (sweep.events, sweep.keys,
+                                              sweep.times)
+        self.done = 0        # index of the next record entry to replay
+        self.pending = 0     # index of the next own event
         self.field = field
         self.stats = field.stats
         self.slack = 0 if field.exact else GUARD_TOL
@@ -551,13 +568,13 @@ class _Cursor(_Sweep):
             k = nxt[k]
 
     def _enter(self, t0, t1):
-        """Sweep to the midpoint of [t0, t1], guard the interval, and
+        """Replay to the midpoint of [t0, t1], guard the interval, and
         return the midpoint."""
         mid = t0 + (t1 - t0) / 2
         first = self.touched is None
         self.span = (t0, t1)
         touched = self.touched = {}
-        self.run_to(mid)
+        self._replay_to(mid)
         if self.pending < len(self.events):
             te, base, e = self.events[self.pending]
             if te < t1 - self.slack * (1 + abs(t1)):
@@ -565,7 +582,7 @@ class _Cursor(_Sweep):
         if first:
             self._check_pairs(self._pairs(), t0)
         else:
-            # the stretches of the pairs the sweep broke end at t0, those
+            # the stretches of the pairs the replay broke end at t0, those
             # of the pairs it made start there
             nxt = self.nxt
             self._check_pairs([pair for k, old in touched.items()
@@ -573,23 +590,31 @@ class _Cursor(_Sweep):
                                for pair in ((k, old), (k, nxt[k]))], t0)
         return mid
 
-    def _event(self, base, e):
-        t0 = self.span[0]
-        if e.time > t0 + self.slack * (1 + abs(t0)):
-            self._missing(base + (e.incoming[0] if e.outgoing is None
-                                  else e.outgoing))
-        self.stats.deltas += 1
-        super()._event(base, e)
-
-    def _swap(self, kl, kr):
-        # the same move, through the link changes that are noted
-        self.stats.deltas += 1
-        self.stats.crossings += 1
-        before = self.prv[kl]
-        self._unlink(kl)
-        self._link(kl, kr)
-        self._schedule(before, kr)
-        self._schedule(kl, self.nxt[kl])
+    def _replay_to(self, limit):
+        """Apply every recorded move up to the first one after ``limit``,
+        through the link changes that are noted."""
+        keys, times, stats = self.keys, self.times, self.stats
+        i = first = self.done
+        while i < len(keys) and times[i] <= limit:
+            k = keys[i]
+            i += 1
+            if k != _OWN:
+                stats.crossings += 1
+                self._link(k, self._unlink(k)[1])
+                continue
+            _, base, e = self.events[self.pending]
+            self.pending += 1
+            t0 = self.span[0]
+            if e.time > t0 + self.slack * (1 + abs(t0)):
+                self._missing(base + (e.incoming[0] if e.outgoing is None
+                                      else e.outgoing))
+            left, _ = self._unlink(base + e.incoming[0])
+            self._unlink(base + e.incoming[1])
+            if e.outgoing is not None:
+                self._link(base + e.outgoing, left)
+        self.done = i
+        stats.deltas += i - first
+        stats.replayed += i - first
 
     def _missing(self, k):
         f = self.fronts[k]
@@ -619,7 +644,10 @@ class _Cursor(_Sweep):
                     "missing from the event times")
 
     def _unlink(self, k):
-        before, after = super()._unlink(k)
+        prv, nxt = self.prv, self.nxt
+        before, after = prv[k], nxt[k]
+        nxt[before], prv[after] = after, before
+        prv[k] = nxt[k] = _GONE
         if self.log is not None:
             self.log.append((k, before))
         self.touched.setdefault(before, k)
@@ -628,14 +656,17 @@ class _Cursor(_Sweep):
         return before, after
 
     def _link(self, k, left):
-        right = super()._link(k, left)
+        """Insert ``k`` just right of ``left``."""
+        prv, nxt = self.prv, self.nxt
+        right = nxt[left]
+        nxt[left], prv[k] = k, left
+        nxt[k], prv[right] = right, k
         if self.log is not None:
             self.log.append((k, None))
         self.touched.setdefault(left, right)
         self.touched.setdefault(k, _GONE)
         self.dirty.add(k)
         self.dirty.add(right)
-        return right
 
     def _slice(self, t):
         fronts, nxt, in_II = self.fronts, self.nxt, self.in_II
@@ -811,17 +842,15 @@ class WeightField:
 
 def export_jumps_csv(weight: WeightField, slices, fileobj):
     """Classified-jump table (with weight traces) of the given slices of
-    the weight's field."""
-    writer = csv.writer(fileobj)
-    writer.writerow(
-        ["t", "x", "kind", "partition", "lambda", "a_minus", "a_plus",
-         "b_jump", "w_minus", "w_plus"]
-    )
+    the weight's field, one write per slice; a jump's traces are the
+    region values beside it, each formatted once."""
+    fileobj.write("t,x,kind,partition,lambda,a_minus,a_plus,b_jump,w_minus,"
+                  "w_plus\r\n")
     for fs in slices:
-        t = fs.time
-        ws = weight.slice_at(t, fs)
-        for j, (wm, wp) in zip(fs.jumps, ws.traces):
-            writer.writerow(
-                [t, j.position, j.kind, j.partition, j.lam, j.a_minus,
-                 j.a_plus, j.b_jump, wm, wp]
-            )
+        ws = weight.slice_at(fs.time, fs)
+        t, = csv_fields([fs.time])
+        a, w = csv_fields(fs.a_values), csv_fields(ws.piece_values)
+        fileobj.write(csv_lines(
+            [t, j.position, j.kind, j.partition, j.lam, a[i], a[i + 1],
+             j.b_jump, w[i], w[i + 1]]
+            for i, j in enumerate(fs.jumps)))

@@ -108,6 +108,17 @@ def _plain(x):
 plain_number = _plain
 
 
+def csv_fields(values):
+    """Each value as ``csv.writer`` writes a field that needs no quoting:
+    ``str()`` (a float's repr, ``p/q`` for a Fraction), ``""`` for None."""
+    return ["" if v is None else str(v) for v in values]
+
+
+def csv_lines(rows):
+    """The text ``csv.writer`` writes for ``rows`` of such fields."""
+    return "".join([",".join(csv_fields(row)) + "\r\n" for row in rows])
+
+
 def profile_map2(p: Profile, q: Profile, fn) -> Profile:
     """Pointwise combination fn(p, q) as a compacted profile."""
     bps = sorted(set(p.breakpoints) | set(q.breakpoints))

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from pathlib import Path
@@ -192,6 +193,15 @@ class ScenarioSpec:
         return self.mode == "rational"
 
 
+def _out_dir_errors(out):
+    """The error of an output directory path (or None) that a file blocks:
+    the path itself, or the nearest of its parents that exists."""
+    for p in () if out is None else (Path(out), *Path(out).parents):
+        if p.exists():
+            return [] if p.is_dir() else [f"out: {p} is not a directory"]
+    return []
+
+
 def parse_scenario(config: dict) -> ScenarioSpec:
     """Validate a scenario dict; raises ScenarioConfigError listing problems."""
     errors = []
@@ -325,6 +335,7 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     if out is not None and not isinstance(out, str):
         errors.append("out: expected a directory path string")
         out = None
+    errors += _out_dir_errors(out)
 
     # states must live inside the flux's working interval
     lo, hi = flux.working_interval
@@ -498,25 +509,33 @@ class ScenarioResult:
         return data
 
 
-def _atomic_write(path: Path, text: str):
+@contextmanager
+def _atomic_open(path: Path):
+    """A text file, opened as ``Path.write_text`` opens one, that replaces
+    ``path`` once it is written in full; on failure it is removed."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _probe_times(field, s, t, limit=8):
     """Midpoints of the interaction-free gaps, at most ``limit`` of them."""
-    events = list(field.event_times(s, t))
-    bounds = [s] + events + [t]
-    mids = [a + (b - a) / 2 for a, b in zip(bounds, bounds[1:])]
-    if len(mids) > limit:
-        step = (len(mids) - 1) / (limit - 1)
-        mids = [mids[round(i * step)] for i in range(limit)]
-    return mids
+    bounds = [s, *field.event_times(s, t), t]
+    gaps = range(len(bounds) - 1)
+    if len(gaps) > limit:
+        step = (len(gaps) - 1) / (limit - 1)
+        gaps = [round(i * step) for i in range(limit)]
+    return [bounds[i] + (bounds[i + 1] - bounds[i]) / 2 for i in gaps]
 
 
 def _probe_slices(field, s, t):
@@ -612,8 +631,6 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
 
 
 def _write_outputs(result: ScenarioResult, run_I, run_II, field, probes):
-    import io
-
     out = Path(result.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = result.spec
@@ -624,15 +641,12 @@ def _write_outputs(result: ScenarioResult, run_I, run_II, field, probes):
         return
     t = spec.t_end
     for label, run in (("run_I", run_I), ("run_II", run_II)):
-        buf = io.StringIO()
-        run.export_wave_csv(buf, t)
-        _atomic_write(out / f"{label}_waves.csv", buf.getvalue())
-    buf = io.StringIO()
-    weight = WeightField(field, spec.m)
+        with _atomic_open(out / f"{label}_waves.csv") as f:
+            run.export_wave_csv(f, t)
     slices = (_probe_slices(field, spec.t_start, t) if probes is None
               else _drain(probes))
-    export_jumps_csv(weight, slices, buf)
-    _atomic_write(out / "classified_jumps.csv", buf.getvalue())
+    with _atomic_open(out / "classified_jumps.csv") as f:
+        export_jumps_csv(WeightField(field, spec.m), slices, f)
     # the samples, not a field slice: a cross-run crossing may sit at t
     u1_final, u2_final = run_I.sample(t), run_II.sample(t)
     profiles = {
@@ -647,11 +661,9 @@ def _write_outputs(result: ScenarioResult, run_I, run_II, field, probes):
         from .characteristics import export_paths_csv
 
         rep = result.reports["max_principle"]
-        buf = io.StringIO()
-        export_paths_csv(
-            [rep.left_path, rep.right_path, rep.back_left, rep.back_right], buf
-        )
-        _atomic_write(out / "characteristic_paths.csv", buf.getvalue())
+        with _atomic_open(out / "characteristic_paths.csv") as f:
+            export_paths_csv([rep.left_path, rep.right_path, rep.back_left,
+                              rep.back_right], f)
 
 
 @dataclass
@@ -671,8 +683,10 @@ def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
     """Run ``count`` random Burgers scenarios with per-scenario seeds.
 
     In rational mode ``h`` is read as the exact decimal it prints as."""
-    if count < 1:
-        raise ScenarioConfigError(["count: need at least one scenario"])
+    errors = ([] if count >= 1 else ["count: need at least one scenario"]
+              ) + _out_dir_errors(out_dir)
+    if errors:
+        raise ScenarioConfigError(errors)
     rational = mode == "rational"
     failures = []
     results = []

@@ -13,14 +13,13 @@ is strictly decreasing and the run terminates.
 """
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .fluxes import FluxModel, rankine_hugoniot_speed
-from .profiles import Profile
+from .profiles import Profile, csv_lines
 
 SHOCK = "shock"
 FAN = "fan"
@@ -362,34 +361,13 @@ class FrontTrackingRun:
     def alive_count(self):
         return sum(1 for f in self.fronts if f.death_time is None)
 
-    def wave_segments(self, horizon=None):
-        """One row per front for the space-time wave diagram."""
-        horizon = self.evolved_until if horizon is None else horizon
-        rows = []
-        for f in self.fronts:
-            t_end = f.death_time if f.death_time is not None else horizon
-            rows.append(
-                {
-                    "front": f.uid,
-                    "t_start": f.birth_time,
-                    "x_start": f.birth_position,
-                    "t_end": t_end,
-                    "x_end": f.position_at(t_end),
-                    "left": f.left_state,
-                    "right": f.right_state,
-                    "kind": f.kind,
-                }
-            )
-        return rows
-
     def export_wave_csv(self, fileobj, horizon=None):
-        writer = csv.DictWriter(
-            fileobj,
-            fieldnames=[
-                "front", "t_start", "x_start", "t_end", "x_end",
-                "left", "right", "kind",
-            ],
-        )
-        writer.writeheader()
-        for row in self.wave_segments(horizon):
-            writer.writerow(row)
+        """One row per front for the space-time wave diagram: its birth,
+        and its death or its state at ``horizon`` (default: evolved_until)."""
+        horizon = self.evolved_until if horizon is None else horizon
+        ends = [(f, horizon if f.death_time is None else f.death_time)
+                for f in self.fronts]
+        fileobj.write("front,t_start,x_start,t_end,x_end,left,right,kind\r\n")
+        fileobj.write(csv_lines(
+            [f.uid, f.birth_time, f.birth_position, t_end, f.position_at(t_end),
+             f.left_state, f.right_state, f.kind] for f, t_end in ends))

@@ -25,11 +25,13 @@ from wavetrack.coupling import (
 from wavetrack.fluxes import burgers_flux
 from wavetrack.functional import identity_reports
 from wavetrack.profiles import Profile, profile_difference
+from wavetrack import scenarios
 from wavetrack.scenarios import (
     build_runs,
     parse_scenario,
     random_scenario_config,
     random_scenario_pair,
+    run_scenario,
 )
 from wavetrack.tracking import FrontTrackingRun
 
@@ -536,3 +538,26 @@ def test_one_walk_classifies_each_state_once():
             other = fs.uII_values if j.partition == "I" else fs.uI_values
             states.add((j.partition, j.front_uid, other[i]))
     assert stats.states == len(states) == 109
+
+
+def test_a_scenario_with_every_walk_sweeps_once(monkeypatch):
+    # the crossing collection, the shared ledger walk and both
+    # maximum-principle walks all read one recorded sweep
+    fields = []
+
+    class Recorded(CoefficientField):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fields.append(self)
+
+    monkeypatch.setattr(scenarios, "CoefficientField", Recorded)
+    cfg = dict(_sine_pair_config(8, 0.1), m=1, funnel=[1, 5],
+               checks=["oleinik", "l1", "weighted", "gain_cap", "products",
+                       "max_principle"])
+    assert run_scenario(cfg).passed
+    [field] = fields
+    stats = field.stats
+    assert stats.sweeps == 1
+    # the moves the walks applied when each walk ran its own sweep
+    assert (stats.deltas, stats.crossings) == (99, 78)
+    assert stats.replayed == stats.deltas

@@ -645,3 +645,26 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
                         iter([(bounds[0], bounds[-1], fs)]))
     plain = l1_identity_report(cf, 0, 2)
     assert "t=1: trace sign table violated at x=0 (lax)" in plain.violations
+
+
+def test_exact_delta_booking_with_rarefaction_side_jumps():
+    # an exact fan of run I against a run-II shock: the first five of the
+    # nine intervals carry a rarefaction-side jump, so booking by delta is
+    # compared with re-summing on nonzero exact rs_* rates
+    q = Fraction
+    cf = _field(Profile([q(0), q(2)], [q(-1), q(1), q(0)]),
+                Profile([q(1, 3)], [q(53, 100), q(-1, 2)]),
+                h=q(1, 10), horizon=q(2), exact=True)
+    booked, resummed = _both_bookings(cf, 1, 0, 2)
+    for rep, again in zip(booked, resummed):
+        assert rep.to_dict() == again.to_dict()
+        assert rep.max_drift == 0
+        assert (len(rep.intervals), rep.delta_booked) == (9, 7)
+        assert again.delta_booked == 0
+        assert rep.residual_global == 0
+        for rec in rep.intervals:
+            assert rec.residual_norm == rec.residual_traces == 0
+        assert sum(rec.kind_counts[RAREFACTION_SHOCK] > 0
+                   for rec in rep.intervals) == 5
+        assert any(rec.rs_main_rate or rec.rs_b_rate or rec.rs_raw_rate
+                   or rec.rs_sup_da for rec in rep.intervals)

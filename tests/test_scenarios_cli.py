@@ -17,6 +17,7 @@ from wavetrack import (
     run_scenario,
     run_sweep,
 )
+from wavetrack import scenarios
 from wavetrack.cli import main
 from wavetrack.profiles import plain_number
 from wavetrack.scenarios import build_runs
@@ -534,3 +535,36 @@ def test_rational_report_bytes_are_pinned(tmp_path, seed):
         for p in tmp_path.glob("report_*.json")
     }
     assert digests == RATIONAL_REPORT_DIGESTS[seed]
+
+
+def _no_computation(monkeypatch):
+    def computed(*args, **kwargs):
+        pytest.fail("the scenario ran before its output path was checked")
+
+    monkeypatch.setattr(scenarios, "build_runs", computed)
+
+
+def test_cli_run_rejects_an_out_path_blocked_by_a_file(tmp_path, capsys,
+                                                        monkeypatch):
+    path = _write_config(tmp_path, _basic_config())
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    _no_computation(monkeypatch)
+    for out in (blocker, blocker / "reports"):
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert (f"config error: out: {blocker} is not a directory"
+                in capsys.readouterr().err)
+    assert blocker.read_text() == "kept"
+
+
+def test_cli_suite_rejects_an_out_path_blocked_by_a_file(tmp_path, capsys,
+                                                          monkeypatch):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    _no_computation(monkeypatch)
+    assert main(["suite", "--count", "1", "--out", str(blocker)]) == 2
+    assert (f"config error: out: {blocker} is not a directory"
+            in capsys.readouterr().err)
+    with pytest.raises(ScenarioConfigError):
+        run_random_suite(1, out_dir=str(blocker / "suite"))
+    assert blocker.read_text() == "kept"
