@@ -410,16 +410,17 @@ class OleinikReport:
         }
 
 
-def _run_fan_slope(fronts, t):
+def _run_fan_slope(placed, t):
     """Largest t * (state step) / (gap) over adjacent fan-member pairs of
-    one run's fronts alive at t, in position order."""
+    one run's fronts alive at t, given as (front, position at t) in
+    position order."""
     best = 0
-    for f, g in zip(fronts, fronts[1:]):
+    for (f, x), (g, y) in zip(placed, placed[1:]):
         if f.kind != "fan" or g.kind != "fan":
             continue
         if f.right_state != g.left_state:
             continue
-        dx = g.position_at(t) - f.position_at(t)
+        dx = y - x
         if dx <= 0:
             continue
         # state separation between the member midlevels
@@ -478,8 +479,8 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                             f"the resolution allowance {cap} at x={j.position}"
                         )
             cI, cII = (
-                _run_fan_slope([target.front_of(j) for j in fs.jumps
-                                if j.partition == part], t)
+                _run_fan_slope([(target.front_of(j), j.position)
+                                for j in fs.jumps if j.partition == part], t)
                 for part in ("I", "II")
             )
             fan_slope = max(fan_slope, cI, cII)
@@ -499,13 +500,12 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
         c0 = target.flux.convexity_modulus
         f2 = target.flux.sup_f2
         for t in times:
-            fronts = target.fronts_at(t)
-            for f in fronts:
+            placed = [(f, f.position_at(t)) for f in target.fronts_at(t)]
+            for f, x in placed:
                 if f.kind == "shock" and f.left_state - f.right_state <= -tol:
                     violations.append(
                         f"t={t}: shock with nondecreasing states "
-                        f"({f.left_state} -> {f.right_state}) at "
-                        f"x={f.position_at(t)}"
+                        f"({f.left_state} -> {f.right_state}) at x={x}"
                     )
                 if f.kind == "fan":
                     if f.signed_jump > max_fan_jump:
@@ -515,7 +515,7 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                             f"t={t}: fan member jump {f.signed_jump} exceeds "
                             f"the increment {target.h}"
                         )
-            c = _run_fan_slope(fronts, t)
+            c = _run_fan_slope(placed, t)
             fan_slope = max(fan_slope, c)
             spread = max(spread, f2 * c)
             if c > 1 / c0 + tol_scale * (1 + 1 / c0):

@@ -13,8 +13,10 @@ weight used by the weighted-L1 decay functional.
 One kinetic sweep per field keeps the alive fronts of both runs in one
 position-ordered list and records each interaction and crossing it
 applies; a walk replays that record as deltas on its own copy of the list
-and yields the slice at each interval midpoint from jump states it
-classified once per walk.
+and pauses at each interval midpoint.  There it re-derives only the jump
+states the replay touched (classified once per walk) and can hand out what
+changed since the last stop (:class:`FieldDelta`, in O(changes)) or build
+the whole slice from its list.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .fluxes import secant_speed
@@ -148,6 +150,11 @@ class FieldSlice:
     # slices built by ``at``
     states: tuple = dataclass_field(default=None, compare=False, repr=False)
 
+    def slice(self):
+        """A slice is its own stop of a walk (see
+        :meth:`CoefficientField.walk`)."""
+        return self
+
     def positions_at(self, t):
         """Jump positions at time t of the slice's interaction-free interval."""
         if t == self.time:
@@ -168,11 +175,10 @@ class FieldStats:
     """Work counters of a :class:`CoefficientField`, summed over its walks."""
 
     intervals: int = 0   # interaction-free intervals walked
-    slices: int = 0      # slices the walks yielded
+    slices: int = 0      # slices built from the walks' stops
     deltas: int = 0      # own events and crossings a walk applied forward
     crossings: int = 0   # the crossings among those deltas
     sweeps: int = 0      # heap sweeps run (one per field)
-    replayed: int = 0    # moves the walks replayed from the sweep's record
     states: int = 0      # (front, traces) jump states classified
     at_slices: int = 0   # whole slices built by ``at``
 
@@ -214,7 +220,6 @@ class CoefficientField:
         self.classification_tol = 0 if self.exact else CLASSIFY_TOL
         self.position_tol = 0 if self.exact else POSITION_TOL
         self.stats = FieldStats()
-        self._crossings = None
         self._event_times = {}
 
     # -- slicing ------------------------------------------------------------
@@ -280,8 +285,11 @@ class CoefficientField:
         )
 
     def walk(self, bounds, reverse=False):
-        """``(t0, t1, slice)`` per interval between consecutive ``bounds``
-        (reversed with ``reverse``); see :func:`timeline`."""
+        """``(t0, t1, stop)`` per interval between consecutive ``bounds``
+        (reversed with ``reverse``): one cursor paused at the interval
+        midpoint, valid until the walk moves on.  ``stop.slice()`` is the
+        field there and ``stop.delta()`` what changed since the last stop;
+        see :class:`_Cursor` and :func:`timeline`."""
         return _Cursor(self).walk(bounds, reverse)
 
     def _jump_state(self, front, in_II, minus, am, km):
@@ -314,18 +322,6 @@ class CoefficientField:
         self.stats.sweeps += 1
         return _Sweep(self.run_I, self.run_II)
 
-    def _front_crossings(self):
-        """Times where a run-I front crosses a run-II front, sorted.
-
-        The two runs do not interact, so their fronts pass through each
-        other; at the crossing instant the coefficient's jump set is
-        degenerate and its traces rearrange.  These times delimit the
-        interaction-free intervals together with both runs' own events.
-        """
-        if self._crossings is None:
-            self._crossings = self._sweep.crossings
-        return self._crossings
-
     def event_times(self, s, t):
         """Interaction times of the coefficient strictly inside (s, t), as a
         list of the caller's own.
@@ -339,7 +335,7 @@ class CoefficientField:
             return list(kept)
         times = [e for e in self.run_I.event_times() if s < e < t]
         times += [e for e in self.run_II.event_times() if s < e < t]
-        crossings = self._front_crossings()
+        crossings = self._sweep.crossings
         times += crossings[bisect_right(crossings, s):bisect_left(crossings, t)]
         times.sort()
         merge_tol = 0 if self.exact else TIE_MERGE
@@ -495,21 +491,48 @@ class _Sweep:
         crossings.sort()
 
 
+@dataclass(slots=True)
+class FieldDelta:
+    """What a walk's front list changed from one stop to the next.
+
+    A piece, the region between two neighbouring jumps, is keyed by the jump
+    states on its two sides (None at a window edge) and has the difference
+    ``psi``.  ``into`` lists each run of neighbouring pieces left to right,
+    so a piece comes after the one on its left whenever both entered.
+    """
+
+    gone: list      # jump states that left
+    entered: list   # (jump state, handle) of those that entered
+    out: list       # (key, psi) of the pieces that left
+    # (key, psi, key of the piece on the left, key of the one on the right)
+    # of the pieces that entered, None where there is no neighbour
+    into: list
+    jump: object    # handle -> the entered state's ClassifiedJump
+    order: object   # () -> every jump state now, in list order
+
+
 class _Cursor:
     """One timeline walk: the field's recorded sweep replayed on a copy of
-    its front list, paused at each interval midpoint to yield that
-    interval's slice.
+    its front list, paused at each interval midpoint (a stop).
 
     Each list entry keeps its jump state.  A link change marks the entry
-    right of it; the next slice re-derives a marked entry's state from
-    the states on its left (which checks its run's state chain) and marks
-    the entry after it when the state changed.  States are keyed by the
-    front and the other run's state across it, and classified on first
-    use.  The guard reads the fronts' own data, not the record: no front
-    is born or dies inside an interval, and each pair of neighbours is in
-    order at both ends of the stretch over which it stays adjacent (its
-    gap is linear there).  A reverse walk replays forward logging every
-    link change, then undoes the log back to each interval's midpoint.
+    right of it.  At a stop the cursor re-derives each marked entry's state
+    from the states on its left (which checks its run's state chain),
+    going on to the right while a state changes, and checks each pair of
+    neighbours the replay made for fronts of both runs that coincide.  So
+    a stop costs O(changes): a pair that stayed adjacent cannot newly
+    coincide at a midpoint, because its gap is linear while it stays
+    adjacent and a zero of it would be a crossing in the record, which
+    bounds an interval.  States are keyed by the front and the other run's
+    state across it, and classified on first use.  A stop hands out what
+    changed since the last one (:meth:`delta`) and the jump states in list
+    order (:meth:`order`); only :meth:`slice` computes every position.
+
+    The guard reads the fronts' own data, not the record: no front is born
+    or dies inside an interval, and each pair of neighbours is in order at
+    both ends of the stretch over which it stays adjacent (its gap is
+    linear there).  A reverse walk replays forward logging every link
+    change, then undoes the log back to each interval's midpoint.
     """
 
     def __init__(self, field):
@@ -527,9 +550,14 @@ class _Cursor:
         self.state = [None] * len(self.fronts)
         self.cache = {}
         self.dirty = {k for _, k in self._pairs()}   # entries to re-derive
-        self.touched = None   # entry -> its right neighbour at the last slice
+        self.touched = None   # entry -> its right neighbour at the last stop
         self.log = None       # (entry, left) per link change, reverse walks
         self.span = None
+        self.time = None      # of the stop, None before the first
+        self.old = {}         # entry -> its state at the last stop, where
+                              # this stop changed it
+        self.xs = {}          # entry -> its position, where computed
+        self.built = self.ordered = None   # this stop's slice and states
         uI = field.run_I.initial
         uII = field.run_II.initial
         self.far_left = (uI.far_left, uII.far_left)
@@ -542,7 +570,8 @@ class _Cursor:
         self.stats.intervals += len(spans)
         if not reverse:
             for t0, t1 in spans:
-                yield t0, t1, self._slice(self._enter(t0, t1))
+                self._stop(self._enter(t0, t1))
+                yield t0, t1, self
             self._check_pairs(self._pairs(), bounds[-1])
             return
         log = self.log = []
@@ -557,7 +586,8 @@ class _Cursor:
                     self._unlink(k)
                 else:
                     self._link(k, left)
-            yield t0, t1, self._slice(mid)
+            self._stop(mid)
+            yield t0, t1, self
 
     def _pairs(self):
         """The (left, right) neighbour pairs of the list, with sentinels."""
@@ -614,7 +644,6 @@ class _Cursor:
                 self._link(base + e.outgoing, left)
         self.done = i
         stats.deltas += i - first
-        stats.replayed += i - first
 
     def _missing(self, k):
         f = self.fronts[k]
@@ -668,55 +697,166 @@ class _Cursor:
         self.dirty.add(k)
         self.dirty.add(right)
 
-    def _slice(self, t):
-        fronts, nxt, in_II = self.fronts, self.nxt, self.in_II
-        state, dirty = self.state, self.dirty
-        tol = self.field.position_tol
-        cur = self.far_left
-        uI_vals, uII_vals = [cur[0]], [cur[1]]
-        a_vals, psi_vals = [self.left_values[0]], [self.left_values[1]]
-        jumps, states = [], []
-        prev_x = prev_II = None
-        refresh = False
-        k = nxt[self.head]
-        while k != self.tail:
-            f = fronts[k]
-            x = f.position_at(t)
-            k_II = in_II[k]
-            if (k_II != prev_II and prev_x is not None
-                    and (x == prev_x or tol and abs(x - prev_x)
-                         <= tol * (1 + abs(prev_x)))):
-                raise DegenerateFieldError(prev_x, t)
-            st = state[k]
-            if refresh or k in dirty:
-                new = self._state_of(k, cur, a_vals[-1], psi_vals[-1], t, x)
-                refresh = new is not st
-                state[k] = st = new
-            jumps.append(ClassifiedJump(x, t, *st.args))
-            states.append(st)
-            cur = st.plus
-            uI_vals.append(cur[0])
-            uII_vals.append(cur[1])
-            a_vals.append(st.a_plus)
-            psi_vals.append(st.psi_plus)
-            prev_x, prev_II = x, k_II
-            k = nxt[k]
-        dirty.clear()
-        if cur != self.far_right:
-            raise InconsistentFieldError(
-                f"t={t}: state chain does not end at the far-right state")
-        self.stats.slices += 1
-        return FieldSlice(
-            time=t,
-            jumps=tuple(jumps),
-            a_values=tuple(a_vals),
-            uI_values=tuple(uI_vals),
-            uII_values=tuple(uII_vals),
-            psi_values=tuple(psi_vals),
-            states=tuple(states),
-        )
+    def _stop(self, t):
+        """Pause at t: check the neighbour pairs the replay made (every pair
+        at the walk's first stop) for coinciding fronts of both runs, and
+        re-derive the states of the marked entries."""
+        first = self.time is None
+        self.time, self.built, self.ordered = t, None, None
+        self.xs, self.old = {}, {}
+        prv, nxt, in_II = self.prv, self.nxt, self.in_II
+        head, tail, tol = self.head, self.tail, self.field.position_tol
+        pairs = (self._pairs() if first else
+                 [(k, nxt[k]) for k, right in self.touched.items()
+                  if nxt[k] != right])
+        for kl, kr in pairs:
+            if 0 <= kl < head and 0 <= kr < head and in_II[kl] != in_II[kr]:
+                xl, xr = self._x(kl), self._x(kr)
+                if xr == xl or tol and abs(xr - xl) <= tol * (1 + abs(xl)):
+                    raise DegenerateFieldError(xl, t)
 
-    def _state_of(self, k, cur, am, km, t, x):
+        state, old = self.state, self.old
+        marked = {k for k in self.dirty if k == tail or prv[k] != _GONE}
+        self.dirty.clear()
+        for k in list(marked):
+            if k not in marked:
+                continue
+            while prv[k] in marked:      # the first of a run of marks
+                k = prv[k]
+            changed = True
+            while changed or k in marked:
+                marked.discard(k)
+                left = prv[k]
+                if left == head:
+                    cur, (am, km) = self.far_left, self.left_values
+                else:
+                    st = state[left]
+                    cur, am, km = st.plus, st.a_plus, st.psi_plus
+                if k == tail:
+                    if cur != self.far_right:
+                        raise InconsistentFieldError(
+                            f"t={t}: state chain does not end at the "
+                            "far-right state")
+                    break
+                st = state[k]
+                new = self._state_of(k, cur, am, km, t)
+                changed = new is not st
+                if changed:
+                    old.setdefault(k, st)
+                    state[k] = new
+                k = nxt[k]
+
+    def _x(self, k):
+        """Position of entry ``k`` at this stop."""
+        x = self.xs.get(k)
+        if x is None:
+            x = self.xs[k] = self.fronts[k].position_at(self.time)
+        return x
+
+    def jump(self, k):
+        """The :class:`ClassifiedJump` of entry ``k`` at this stop."""
+        return ClassifiedJump(self._x(k), self.time, *self.state[k].args)
+
+    def _entries(self):
+        """The list's entries, left to right."""
+        nxt, tail, out = self.nxt, self.tail, []
+        k = nxt[self.head]
+        while k != tail:
+            out.append(k)
+            k = nxt[k]
+        return out
+
+    def order(self):
+        """The jump states at this stop, in list order."""
+        if self.ordered is None:
+            self.ordered = tuple(map(self.state.__getitem__, self._entries()))
+        return self.ordered
+
+    def slice(self):
+        """The field at this stop, built once from the list."""
+        if self.built is None:
+            t, fronts, entries = self.time, self.fronts, self._entries()
+            states = self.ordered = tuple(map(self.state.__getitem__,
+                                              entries))
+            (uI, uII), (a, psi) = self.far_left, self.left_values
+            self.stats.slices += 1
+            plus = [st.plus for st in states]
+            self.built = FieldSlice(
+                time=t,
+                jumps=tuple(ClassifiedJump(fronts[k].position_at(t), t,
+                                           *st.args)
+                            for k, st in zip(entries, states)),
+                a_values=(a, *map(attrgetter("a_plus"), states)),
+                uI_values=(uI, *map(itemgetter(0), plus)),
+                uII_values=(uII, *map(itemgetter(1), plus)),
+                psi_values=(psi, *map(attrgetter("psi_plus"), states)),
+                states=states,
+            )
+        return self.built
+
+    def delta(self):
+        """What changed since the walk's last stop (see :class:`FieldDelta`;
+        not at the walk's first stop), in O(changes): the entries whose
+        right link or state changed, and the entries left of the latter,
+        are the left ends of every piece that left or entered."""
+        state, prv, nxt, old = self.state, self.prv, self.nxt, self.old
+        touched, head, tail = self.touched, self.head, self.tail
+        psi0 = self.left_values[1]
+
+        def now(k):
+            return k == head or prv[k] != _GONE
+
+        def then(k):        # in the list at the last stop
+            r = touched.get(k)
+            return now(k) if r is None else r != _GONE
+
+        def was(k):
+            return None if k == head or k == tail else old.get(k, state[k])
+
+        def key(k):
+            r = nxt[k]
+            return (None if k == head else state[k],
+                    None if r == tail else state[r])
+
+        gone, entered = [], []
+        for k, st in old.items():
+            if then(k):
+                gone.append(st)
+            entered.append((state[k], k))
+        for k in touched:
+            if k != head and k not in old and then(k) != now(k):
+                if now(k):
+                    entered.append((state[k], k))
+                else:
+                    gone.append(state[k])
+        marked = set(touched)
+        marked.update(old)
+        marked.update(prv[k] for k in old)
+        # a dict keeps the order of ``marked``, which holds ints, so float
+        # sums over the pieces that left are taken in the same order each run
+        before = dict.fromkeys((was(k), was(touched.get(k, nxt[k])))
+                               for k in marked if then(k))
+        marked = {k for k in marked if now(k)}
+        after = {key(k) for k in marked}
+        out = [(p, p[0].psi_plus if p[0] else psi0) for p in before
+               if p not in after]
+        into = []
+        for k in list(marked):
+            if k not in marked:
+                continue
+            while prv[k] in marked:     # the first of a run of marks
+                k = prv[k]
+            while k in marked:
+                marked.discard(k)
+                p, r = key(k), nxt[k]
+                if p not in before:
+                    into.append((p, p[0].psi_plus if p[0] else psi0,
+                                 None if k == head else key(prv[k]),
+                                 None if r == tail else key(r)))
+                k = r
+        return FieldDelta(gone, entered, out, into, self.jump, self.order)
+
+    def _state_of(self, k, cur, am, km, t):
         """State of entry ``k`` with the states ``cur``, the coefficient
         ``am`` and the difference ``km`` on its left."""
         st = self.state[k]
@@ -728,7 +868,7 @@ class _Cursor:
         if f.left_state != own:
             raise InconsistentFieldError(
                 f"t={t}: state chain of the {'second' if k_II else 'first'} "
-                f"run broken at x={x}")
+                f"run broken at x={self._x(k)}")
         key = (k, other)
         st = self.cache.get(key)
         if st is None:
@@ -746,16 +886,17 @@ def timeline(field, s, t, *, reverse=False):
     Between interactions every jump moves on a straight line, so that one
     slice describes the whole interval (see :meth:`FieldSlice.positions_at`).
     The interval bounds come from ``field.event_times``, the slices from
-    ``field.walk``: on a :class:`CoefficientField` an event-delta cursor
-    that moves one front list from midpoint to midpoint and raises
-    :class:`InconsistentFieldError` on an interaction the bounds miss.
-    Slices are built as the walk reaches them and not kept.
+    the stops of ``field.walk``: on a :class:`CoefficientField` an
+    event-delta cursor that moves one front list from midpoint to midpoint
+    and raises :class:`InconsistentFieldError` on an interaction the bounds
+    miss.  Slices are built as the walk reaches them and not kept.
 
     On an exact field the endpoints must be exact too (see
     :func:`exact_time`), so that every midpoint is a ``Fraction``.
     """
     s, t = exact_time(field, s), exact_time(field, t)
-    yield from field.walk([s, *field.event_times(s, t), t], reverse)
+    for t0, t1, stop in field.walk([s, *field.event_times(s, t), t], reverse):
+        yield t0, t1, stop.slice()
 
 
 def exact_time(field, t):

@@ -3,11 +3,11 @@
 The difference psi of two tracked solutions is piecewise constant with
 piecewise-linear fronts, so between interaction times every norm of interest
 is exactly linear in time and its slope is a finite sum of jump-trace terms.
-A ledger walks the coefficient timeline once
-(:func:`~wavetrack.coupling.timeline`): one slice per interaction-free
-interval, the field at the interval midpoint.  It measures the norm at the
+A ledger walks the coefficient field once
+(:meth:`~wavetrack.coupling.CoefficientField.walk`): one stop per
+interaction-free interval, at its midpoint.  It measures the norm at the
 probe times a quarter and three quarters into the interval, evaluates the
-trace sums on the slice itself, and reconciles the two against each other
+trace sums on the jumps there, and reconciles the two against each other
 and across interaction events.  The window (:func:`default_window`) holds
 every front up to the horizon, so over an interval the norm is the line
 P + tau Q, summed over the pieces (a piece between jumps on the lines
@@ -21,17 +21,19 @@ sums) less the terms of the jump states and pieces that left, plus those
 that entered.  A piece is keyed by its two jump states; a piece of weight
 w adds |psi| w times its width to the norm and w (q_+ of its left jump +
 q_- of its right jump) to the interior rate, and a new piece's weight
-grows from the strengths its left neighbour passed.  An interval that only
-fronts crossing separate from the one before moves that interval's sums.
-Every other interval is re-summed: it moves sums that cover nothing, every
-jump state and piece entering in slice order, and is then checked jump by
-jump, so violations keep their text and order.  These are the first and
-the last interval, one after an own event, every ``_RESUM_STRIDE``-th in a
-row, and one where more pieces change than there are jumps or a per-jump
-check could fail.  Exact sums are exact; float sums may move in their last
-digits.
+grows from the strengths its left neighbour passed.  The walk hands each
+interval over as what changed since the one before
+(:class:`~wavetrack.coupling.FieldDelta`), so booking it costs O(changes);
+after an own event the weighted book also re-weighs its pieces on the new
+strength totals.  Some intervals are re-summed: they move sums that cover
+nothing, every jump state and piece of the whole slice entering in slice
+order, and are then checked jump by jump, so violations keep their text
+and order.  These are the first and the last interval, every
+``_RESUM_STRIDE``-th in a row, and one where more pieces change than
+there are jumps or a per-jump check could fail.  Exact sums are exact;
+float sums may move in their last digits.
 ``identity_reports`` books the plain and the weighted ledger from one
-walk: each slice, the missed-interaction check and every
+walk: each stop, the missed-interaction check and every
 weight-independent trace term and verdict are computed once, and only the
 probe norms, the weighted sums, the weight-trace checks and the edge flux
 are booked per norm.  ``l1_identity_report`` and
@@ -68,9 +70,9 @@ from .coupling import (
     SLOW,
     CoefficientField,
     DegenerateFieldError,
+    FieldDelta,
     WeightField,
     exact_time,
-    timeline,
 )
 from .profiles import plain_number, total_variation
 
@@ -314,39 +316,39 @@ def _weight_bounds(m, tvb, tol):
     return m, m_tvb, 2 * m + tvb, m - tol, m_tvb + tol, tol
 
 
-def _weight_faults(t, j, a, wm, wp, bounds):
-    """The weight-trace violations at one jump with weight traces wm and wp,
-    at the tolerance of ``bounds`` (see :func:`_weight_bounds`): the weight
-    bracket [m, m + TV(b)] and, at strictly classified jumps, the closed
-    forms of the weight-trace combinations."""
+def _weight_faults(t, x, a, wm, wp, bounds):
+    """The weight-trace violations at the jump at time t and position x
+    with terms ``a`` and weight traces wm and wp, at the tolerance of
+    ``bounds`` (see :func:`_weight_bounds`): the weight bracket
+    [m, m + TV(b)] and, at strictly classified jumps, the closed forms of
+    the weight-trace combinations."""
     m, m_tvb, two_m_tvb, w_lo, w_hi, tol = bounds
     out = []
-    for side, w in (("-", wm), ("+", wp)):
-        if w < w_lo or w > w_hi:
-            out.append(f"t={t}: weight trace w{side}={w} outside "
-                       f"[{m}, {m_tvb}] at x={j.position}")
+    if not (w_lo <= wm <= w_hi and w_lo <= wp <= w_hi):
+        out = [f"t={t}: weight trace w{side}={w} outside [{m}, {m_tvb}] "
+               f"at x={x}" for side, w in (("-", wm), ("+", wp))
+               if w < w_lo or w > w_hi]
     if not (a.kappa_clear and a.trace_gap > tol):
         # where a trace of the difference vanishes, the weight branch on
         # that side is immaterial (the functional sees |psi| w), so no
         # trace-form constraint applies
         return out
-    b = a.b
-    if j.kind in (LAX, RAREFACTION_SHOCK):
+    b, kind = a.b, a.kind
+    if kind in (LAX, RAREFACTION_SHOCK):
         closed = wm + wp
-        expected = two_m_tvb - b if j.kind == LAX else two_m_tvb + b
+        expected = two_m_tvb - b if kind == LAX else two_m_tvb + b
     else:
         # the weight must not increase across a slow jump, nor decrease
         # across a fast one
-        slow = j.kind == SLOW
+        slow = kind == SLOW
         closed, expected = wp - wm, -b if slow else b
         if (closed if slow else wm - wp) > tol:
             out.append(f"t={t}: weight must not "
                        f"{'increase' if slow else 'decrease'} across a "
-                       f"{j.kind} jump at x={j.position}: {wm} -> {wp}")
+                       f"{kind} jump at x={x}: {wm} -> {wp}")
     if abs(closed - expected) > tol:
         out.append(f"t={t}: closed weight-trace form broken at "
-                   f"x={j.position} ({j.kind}): {closed} vs expected "
-                   f"{expected}")
+                   f"x={x} ({kind}): {closed} vs expected {expected}")
     return out
 
 
@@ -377,23 +379,19 @@ _CHECK_SUMS = (
 )
 
 
-def _sup_da(terms):
-    """sup of a_+ - a_- over the rarefaction-side jumps, 0 if none."""
-    return max([0, *(a.da for a in terms if a.kind == RAREFACTION_SHOCK)])
-
-
-def _moved(total, term, kinds, counts, out, into):
+def _moved(total, term, kinds, counts, out, into, empty=0):
     """``total`` less ``term`` of the jumps of ``kinds`` (None: all) in
-    ``out``, plus that of those in ``into``; int 0, as a re-sum gives, when
-    no jump of ``kinds`` is left."""
-    if kinds is not None and not any(counts[k] for k in kinds):
-        return 0
+    ``out``, plus that of those in ``into``; ``empty``, as a re-sum gives,
+    when no jump of ``kinds`` is left."""
+    if not any(counts[k] for k in kinds or counts):
+        return empty
+    if kinds is not None:
+        out = [a for a in out if a.kind in kinds]
+        into = [a for a in into if a.kind in kinds]
     for a in out:
-        if kinds is None or a.kind in kinds:
-            total -= term(a)
+        total -= term(a)
     for a in into:
-        if kinds is None or a.kind in kinds:
-            total += term(a)
+        total += term(a)
     return total
 
 
@@ -411,118 +409,201 @@ def _piece_keys(states):
     return list(zip((None,) + states, states + (None,)))
 
 
+def _whole(fs):
+    """The :class:`~wavetrack.coupling.FieldDelta` from nothing to the
+    slice ``fs``: every jump state and piece entering, in slice order."""
+    keys = _piece_keys(fs.states)
+    ends = [None, *keys, None]
+    into = [(key, psi, ends[i], ends[i + 2])
+            for i, (key, psi) in enumerate(zip(keys, fs.psi_values))]
+    return FieldDelta([], list(zip(fs.states, range(len(fs.jumps)))), [],
+                      into, fs.jumps.__getitem__, lambda: fs.states)
+
+
 class _Carry:
     """The shared running sums of a walk's interval (kind counts and the
-    derived-check sums) and the jump states and pieces they cover.  A new
-    carry covers nothing; ``zero`` is the zero of the field's times."""
+    derived-check sums).  A new carry covers nothing; ``fs`` is a slice of
+    the walk, for the zero of its times and the (a, psi) at either end."""
 
-    def __init__(self, known, window, zero):
+    def __init__(self, known, window, fs):
         self.known, self.window = known, window
-        self.states, self.keys = (), []
+        self.covers = False
+        self.ends = ((fs.a_values[0], fs.psi_values[0]),
+                     (fs.a_values[-1], fs.psi_values[-1]))
         self.counts = dict.fromkeys((LAX, SLOW, FAST, RAREFACTION_SHOCK), 0)
         self.sums = {name: 0 for name, *_ in _CHECK_SUMS}
-        self.sums.update(tv_a=zero, rs_sup_da=0, has_rs=False)
+        self.sums.update(tv_a=fs.time * 0, rs_sup_da=0, has_rs=False)
+        self.empty = dict(self.sums)      # the sums over no jump
+        self.rs_da = {}     # a_+ - a_- -> rarefaction-side jumps with it
 
-    def change(self, fs, terms_at):
-        """Move the shared sums to ``fs`` and return what changed: piece
-        keys, the terms of the states that left and entered, the (key,
-        geometry) of the pieces that left and entered, and the indices of
-        the latter.  None when a delta cannot book it: on an own event (a
-        front left or entered), a new state a shared check could fail at,
-        or more pieces replaced than there are jumps; a carry that covers
-        nothing takes any slice.  Lists are in slice order, so float sums
-        are taken in a fixed order."""
-        states, known = fs.states, self.known
-        cur, was = set(states), set(self.states)
-        gone = [known[st] for st in self.states if st not in cur]
-        new = [terms_at(st, j) for st, j in zip(states, fs.jumps)
-               if st not in was]
-        keys = _piece_keys(states)
-        cur, was = set(keys), set(self.keys)
-        at = [i for i, k in enumerate(keys) if k not in was]
-        out = [k for k in self.keys if k not in cur]
-        if self.keys and ({a.front for a in gone} != {a.front for a in new}
-                          or any(a.risky for a in new)
-                          or len(at) + len(out) > len(states)):
+    def change(self, delta, terms_at):
+        """Move the shared sums by ``delta`` (a
+        :class:`~wavetrack.coupling.FieldDelta`) and return ``(gone, new,
+        out, into, delta, moved)``: the terms of the states that left and
+        entered, the (key, geometry) of the pieces that left and the (key,
+        psi, left key, right key, geometry) of those that entered, and
+        whether the strength totals of the runs moved (never for a carry
+        that covered nothing).  None when a delta cannot book it: a new
+        state a shared check could fail at, or more pieces replaced than
+        there are jumps; a carry that covers nothing takes any delta.
+        Lists keep the delta's order, so float sums are taken in a fixed
+        order."""
+        known, counts, covered = self.known, self.counts, self.covers
+        gone = [known[st] for st in delta.gone]
+        new = [terms_at(st, delta.jump, h) for st, h in delta.entered]
+        size = sum(counts.values()) - len(gone) + len(new)
+        if covered and (any(a.risky for a in new)
+                        or len(delta.into) + len(delta.out) > size):
             return None
-        psi, window = fs.psi_values, self.window
-        into = [(keys[i], _geometry(keys[i], psi[i], known, window))
-                for i in at]
-        out = [(k, _geometry(k, k[0].psi_plus if k[0] else psi[0],
-                             known, window)) for k in out]
-        self.states, self.keys = states, keys
-        counts, sums = self.counts, self.sums
+        self.covers = True
+        window = self.window
+        out = [(key, _geometry(key, psi, known, window))
+               for key, psi in delta.out]
+        into = [(key, psi, left, right, _geometry(key, psi, known, window))
+                for key, psi, left, right in delta.into]
         for a in gone:
             counts[a.kind] -= 1
         for a in new:
             counts[a.kind] += 1
+        sums = self.sums
         for name, term, kinds in _CHECK_SUMS:
-            sums[name] = _moved(sums[name], term, kinds, counts, gone, new)
-        rs = RAREFACTION_SHOCK
-        if any(a.kind == rs for a in gone + new):
-            sums["rs_sup_da"] = _sup_da(map(known.get, states))
+            sums[name] = _moved(sums[name], term, kinds, counts, gone, new,
+                                self.empty[name])
+        rs, das, rs_moved = RAREFACTION_SHOCK, self.rs_da, False
+        for sign, batch in ((-1, gone), (1, new)):
+            for a in batch:
+                if a.kind == rs:
+                    das[a.da] = das.get(a.da, 0) + sign
+                    if not das[a.da]:
+                        del das[a.da]
+                    rs_moved = True
+        if rs_moved:
+            sums["rs_sup_da"] = max([0, *das])
         sums["has_rs"] = counts[rs] > 0
-        return keys, gone, new, out, into, at
+        # the strength totals of the runs move by the fronts that left or
+        # entered; a front that crossed left one state and entered another
+        moved = False
+        if covered:
+            crossed = {a.front for a in gone} & {a.front for a in new}
+            shift = {True: 0, False: 0}
+            for sign, batch in ((-1, gone), (1, new)):
+                for a in batch:
+                    if a.front not in crossed:
+                        shift[a.in_I] += sign * a.b
+            moved = any(shift.values())
+        return gone, new, out, into, delta, moved
 
 
-def _book_delta(book, change, carry, fs, taus):
+def _book_delta(book, change, carry, taus):
     """Move a book's running sums by ``change`` (see :meth:`_Carry.change`)
     and return its ``(n_lo, n_hi, *rates, flux)``, or None (a re-sum) when
-    a weight check of an entered jump could fail.  A piece of weight w adds
-    |psi| w times its width to the norm and w (q_+ left + q_- right) to the
-    interior rate.  A book that covers nothing (its flux None) takes the
-    edge flux a |psi| w of the slice's first piece less that of its last,
-    and leaves its weight checks to the caller."""
+    a weight check could fail.  A piece of weight w adds |psi| w times its
+    width to the norm and w (q_+ left + q_- right) to the interior rate.
+    A new piece's weight grows from the strengths its left neighbour
+    passed, and the jumps beside it are checked.  When the strength totals
+    move (fronts of other strengths entered than left: an own event), a
+    weighted book first re-weighs every piece in list order on the new
+    totals (a piece whose weight changed moves the sums by the
+    difference), moves its Lax and rarefaction-side rates to the new
+    factor 2m + TV(b) and checks every jump, as a re-sum does.  A book
+    that covers nothing (its flux None) takes the edge flux a |psi| w of
+    the first piece less that of the last, and leaves its weight checks to
+    the caller."""
     if book.run is None:
         return None
-    keys, gone, new, out, into, at = change
-    known, weight, pieces = carry.known, book.weight, book.pieces
+    gone, new, out, into, delta, moved = change
+    known, weight, pieces, counts = (carry.known, book.weight, book.pieces,
+                                     carry.counts)
     P, Q, r, flux = book.run
     r0 = r[0]
-    z = 0 if weight is None else weight.m * 0
-    for gain, batch in ((False, out), (True, into)):
-        for n, (key, (ap, dc, dl)) in enumerate(batch):
-            L, R = key
-            if weight is not None:
-                if gain:
-                    # the strengths passed by the piece on the left plus the
-                    # jump between the two, added up as slice_at adds them
-                    i, passed = at[n], (z, z)
-                    if L:
-                        (v_I, v_II), a = pieces[keys[i - 1]][1], known[L]
-                        passed = ((v_I + a.b, v_II) if a.in_I
-                                  else (v_I, v_II + a.b))
-                    wk = weight.piece_weight(fs.psi_values[i], passed,
-                                             book.totals)
-                    pieces[key] = (wk, passed)
-                else:
-                    wk = pieces.pop(key)[0]
-                ap = ap * wk
-            p, q = ap * dc, ap * dl
-            P, Q = (P + p, Q + q) if gain else (P - p, Q - q)
-            if L or R:      # a piece between two window edges has no rate
-                inner = (known[L].qp + known[R].qm if L and R
-                         else known[L].qp if L else known[R].qm)
-                if weight is not None:
-                    inner = wk * inner
-                r0 = r0 + inner if gain else r0 - inner
+    for k, term, kinds in _rate_terms(book):
+        r[k] = _moved(r[k], term, kinds, counts, gone, new)
+    rebase = weight is not None and moved
+    # (entering, key, geometry, weight or None) per piece moved; a piece
+    # re-weighed enters again with the change of its weight
+    batch = [(False, key, geo, None if weight is None else pieces.pop(key)[0])
+             for key, geo in out]
+    if weight is None:
+        batch += [(True, key, geo, None) for key, *_, geo in into]
+    elif not rebase:
+        z = weight.m * 0
+        for key, psi, left, _, geo in into:
+            passed = (z, z)
+            if key[0]:
+                # the strengths passed by the piece on the left plus the
+                # jump between the two, added up as slice_at adds them
+                (v_I, v_II), a = pieces[left][1], known[key[0]]
+                passed = (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
+            wk = weight.piece_weight(psi, passed, book.totals)
+            pieces[key] = (wk, passed, geo)
+            batch.append((True, key, geo, wk))
+    else:
+        states = delta.order()
+        terms = [known[st] for st in states]
+        z = weight.m * 0
+        factor = book.bounds[2]
+        book.totals = (sum((a.b for a in terms if a.in_I), start=z),
+                       sum((a.b for a in terms if not a.in_I), start=z))
+        book.bounds = _weight_bounds(
+            weight.m, book.totals[0] + book.totals[1], book.bounds[-1])
+        factor = book.bounds[2] - factor
+        for k, kind in ((1, LAX), (3, RAREFACTION_SHOCK)):
+            if counts[kind]:
+                r[k] += factor * sum(a.q for a in terms if a.kind == kind)
+        entered = {key: geo for key, *_, geo in into}
+        keys = _piece_keys(states)
+        passed = (z, z)
+        for i, key in enumerate(keys):
+            if i:
+                (v_I, v_II), a = passed, terms[i - 1]
+                passed = (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
+            wk = weight.piece_weight(key[0].psi_plus if key[0]
+                                     else carry.ends[0][1], passed,
+                                     book.totals)
+            had = pieces.get(key)
+            if had is None:
+                geo = entered[key]
+                batch.append((True, key, geo, wk))
+            else:
+                geo = had[2]
+                if had[0] != wk:
+                    batch.append((True, key, geo, wk - had[0]))
+            pieces[key] = (wk, passed, geo)
+    for gain, (L, R), (ap, dc, dl), wk in batch:
+        if wk is not None:
+            ap = ap * wk
+        p, q = ap * dc, ap * dl
+        P, Q = (P + p, Q + q) if gain else (P - p, Q - q)
+        if L or R:      # a piece between two window edges has no rate
+            inner = (known[L].qp + known[R].qm if L and R
+                     else known[L].qp if L else known[R].qm)
+            if wk is not None:
+                inner = wk * inner
+            r0 = r0 + inner if gain else r0 - inner
+    r[0] = r0 if any(counts.values()) else 0
     if weight is not None and flux is not None:
-        # a delta's entered jumps; a book that covered nothing is checked
-        # jump by jump by the caller
-        entered = {i + d for i in at for d in (-1, 0)}
-        for idx in entered & set(range(len(fs.jumps))):
-            if _weight_faults(fs.time, fs.jumps[idx], known[keys[idx][1]],
-                              pieces[keys[idx]][0], pieces[keys[idx + 1]][0],
+        # the jumps beside an entered piece, or every jump on a re-weighing;
+        # a book that covered nothing is checked jump by jump by the caller
+        if rebase:
+            sides = [(a, keys[i], keys[i + 1]) for i, a in enumerate(terms)]
+        else:
+            # jump state -> its (left, right) piece keys
+            beside = {key[0]: (left, key) for key, _, left, _, _ in into
+                      if key[0]}
+            beside.update((key[1], (key, right))
+                          for key, _, _, right, _ in into if key[1])
+            sides = [(known[st], lk, rk) for st, (lk, rk) in beside.items()]
+        for a, lk, rk in sides:
+            if _weight_faults(None, None, a, pieces[lk][0], pieces[rk][0],
                               book.bounds):
                 return None
-    if flux is None:
+    if flux is None or rebase:
+        states = delta.order() or (None,)
         flux = 0
-        for idx, sign in ((0, 1), (-1, -1)):
-            flux += (sign * fs.a_values[idx] * abs(fs.psi_values[idx])
-                     * (1 if weight is None else pieces[keys[idx]][0]))
-    r[0] = r0
-    for k, term, kinds in _rate_terms(book):
-        r[k] = _moved(r[k], term, kinds, carry.counts, gone, new)
+        for sign, (a, psi), key in zip((1, -1), carry.ends, (
+                (None, states[0]), (states[-1], None))):
+            flux += (sign * a * abs(psi)
+                     * (1 if weight is None else pieces[key][0]))
     book.run = (P, Q, r, flux)
     return (P + taus[0] * Q, P + taus[1] * Q, *r, flux)
 
@@ -531,10 +612,10 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
     """One report per entry of ``weights`` (None for the plain norm, a
     :class:`WeightField` for a weighted one), booked from one timeline walk.
 
-    An interval that only fronts crossing separate from the one before is
-    booked by delta from the running sums (:class:`_Carry`,
-    :func:`_book_delta`); every other one, and every
-    ``_RESUM_STRIDE``-th in a row, is re-summed: the same delta from a
+    Each interval is booked from the running sums (:class:`_Carry`,
+    :func:`_book_delta`) by the walk's delta from the interval before; the
+    first, the last, every ``_RESUM_STRIDE``-th in a row and one a delta
+    cannot book are re-summed: the delta of the whole slice, applied to a
     carry and books that cover nothing.
     """
     s, t = exact_time(cfield, s), exact_time(cfield, t)
@@ -546,10 +627,10 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
     books = [_Book(w) for w in weights]
     known = {}     # jump state -> its _JumpTerms, for this walk
 
-    def terms_at(state, j):
+    def terms_at(state, jump, handle):
         a = known.get(state)
         if a is None:
-            a = known[state] = _JumpTerms(j, state_tol,
+            a = known[state] = _JumpTerms(jump(handle), state_tol,
                                           cfield.classification_tol, tol_min)
         return a
 
@@ -559,7 +640,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
                 else b.weight.slice_at(fslice.time, fslice).piece_values
                 for b in books]
 
-    walk = timeline(cfield, s, t)
+    walk = cfield.walk([s, *cfield.event_times(s, t), t])
     first = next(walk)
 
     # Endpoint slices can be degenerate when a cross-run front crossing
@@ -574,8 +655,8 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
         base = norm_start.pop()
     except DegenerateFieldError:
         norm_start = [None] * len(books)
-        t0, t1, fs = first
-        base = _norms(fs, [None], window, t0 + (t1 - t0) / 4)[0]
+        t0, t1, stop = first
+        base = _norms(stop.slice(), [None], window, t0 + (t1 - t0) / 4)[0]
     try:
         end_slice = cfield.at(t)
         norm_end = _norms(end_slice, weigh(end_slice), window)
@@ -593,11 +674,13 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
         # at undercompressive ones, the sign table and, per weighted book,
         # the weight checks of _weight_faults, first at the walk's least
         # tolerance (a fault there keeps the next interval from a delta)
-        keys, _, terms, *_ = whole
+        _, terms, _, into, *_ = whole
         time = fs.time
-        shared = []     # per jump: its violations of the shared checks
-        for j, a in zip(fs.jumps, terms):
-            out = []
+        shared = {}     # jump index -> its violations of the shared checks
+        for idx, a in enumerate(terms):
+            if a.residual <= tol_rate and a.sign_ok:
+                continue
+            j, out = fs.jumps[idx], shared.setdefault(idx, [])
             if a.residual > tol_rate:
                 relation = ("trace symmetry"
                             if j.kind in (LAX, RAREFACTION_SHOCK)
@@ -607,7 +690,6 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
             if not a.sign_ok:
                 out.append(f"t={time}: trace sign table violated at "
                            f"x={j.position} ({j.kind})")
-            shared.append(out)
         vals = []
         for book in books:
             book.resums += 1
@@ -621,37 +703,39 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
                 tvb = book.totals[0] + book.totals[1]
                 book.bounds = _weight_bounds(m, tvb, tol_min)
                 at_rate = _weight_bounds(m, tvb, tol_rate)
-            vals.append(_book_delta(book, whole, fresh, fs, taus))
-            if weight is not None:
-                wv = [book.pieces[k][0] for k in keys]
-            for idx, (j, a) in enumerate(zip(fs.jumps, terms)):
-                book.violations.extend(shared[idx])
-                if weight is None:
-                    continue
+            vals.append(_book_delta(book, whole, fresh, taus))
+            if weight is None:
+                for idx in sorted(shared):
+                    book.violations.extend(shared[idx])
+                continue
+            wv = [book.pieces[key][0] for key, *_ in into]
+            for idx, a in enumerate(terms):
+                book.violations.extend(shared.get(idx, ()))
                 wm, wp = wv[idx], wv[idx + 1]
-                if _weight_faults(time, j, a, wm, wp, book.bounds):
+                if _weight_faults(time, None, a, wm, wp, book.bounds):
                     book.run = None
-                    book.violations.extend(
-                        _weight_faults(time, j, a, wm, wp, at_rate))
+                    book.violations.extend(_weight_faults(
+                        time, fs.jumps[idx].position, a, wm, wp, at_rate))
         return vals
 
     events = []
     carry = None    # the shared running sums, when a delta may follow
     since = 0       # intervals booked by delta since the last re-sum
-    for t0, t1, fs in chain([first], walk):
+    for t0, t1, stop in chain([first], walk):
         if t0 != s:
             events.append(t0)
         dt = t1 - t0
         taus = (t0 + dt / 4, t0 + 3 * dt / 4)
         span = taus[1] - taus[0]
-        ch = carry.change(fs, terms_at) if carry else None
-        carried = [_book_delta(book, ch, carry, fs, taus) if ch else None
+        ch = carry.change(stop.delta(), terms_at) if carry else None
+        carried = [_book_delta(book, ch, carry, taus) if ch else None
                    for book in books]
         full = ch is None or since >= _RESUM_STRIDE - 1 or t1 == t
         redo = [b for b, v in zip(books, carried) if full or v is None]
         if redo:
-            fresh = _Carry(known, window, fs.time * 0)
-            whole = fresh.change(fs, terms_at)
+            fs = stop.slice()
+            fresh = _Carry(known, window, fs)
+            whole = fresh.change(_whole(fs), terms_at)
         counts, sums = ((fresh.counts, fresh.sums) if full
                         else (carry.counts, carry.sums))
         tol_rate = 0 if exact else tol_scale * (1 + sums["rate_mags"] + base)
@@ -667,7 +751,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
                     float(abs(a - b) / (1 + abs(b))) for a, b in pairs)])
             book.deltas += old is not None and not full
         if full:
-            carry = None if any(a.risky for a in whole[2]) else fresh
+            carry = None if any(a.risky for a in whole[1]) else fresh
         since = 0 if full else since + 1
         for book, (n_lo, n_hi, *r, flux) in zip(books, vals):
             interior, lax, slow_fast, rs_main, rs_b = r
@@ -816,7 +900,7 @@ def _has_event_at(cfield, t):
     for e in cfield.run_I.event_times() + cfield.run_II.event_times():
         if abs(e - t) <= tol:
             return True
-    return any(abs(e - t) <= tol for e in cfield._front_crossings())
+    return any(abs(e - t) <= tol for e in cfield._sweep.crossings)
 
 
 def l1_identity_report(cfield: CoefficientField, s, t,

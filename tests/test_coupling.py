@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 
@@ -122,6 +123,26 @@ def test_degenerate_coincidence_raises():
     field = _field(Profile([0.0], [1.0, -1.0]), Profile([0.0], [0.5, -0.5]))
     with pytest.raises(DegenerateFieldError, match="Perturb"):
         field.at(0.25)
+
+
+def test_a_pair_made_mid_walk_is_checked_for_coinciding_fronts():
+    # run I holds a stationary shock at x = 0; two shocks of run II meet
+    # there at t = 1 and leave a stationary shock on the same line, which
+    # becomes the neighbour of run I's shock only at that own event
+    q = Fraction
+    field = _field(Profile([q(0)], [q(1), q(-1)]),
+                   Profile([q(-1), q(1)], [q(2), q(0), q(-2)]),
+                   horizon=q(2), exact=True)
+    assert field.event_times(q(0), q(2)) == [1]
+    walk = timeline(field, 0, 2)
+    t0, t1, fs = next(walk)
+    assert (t0, t1, len(fs.jumps)) == (0, 1, 3)
+    with pytest.raises(DegenerateFieldError, match="x=0 \\(t=3/2\\)"):
+        next(walk)
+    # the ledgers walk the same stops; only the endpoint slice at t = 2,
+    # which is degenerate too, is left to extrapolation
+    with pytest.raises(DegenerateFieldError, match="x=0 \\(t=3/2\\)"):
+        identity_reports(field, [1], 0, 2)
 
 
 def test_cross_run_crossing_appears_in_event_times():
@@ -348,12 +369,12 @@ def _scan_crossings(field):
 def _assert_sweep_matches_scan(field, s, t):
     scan = _scan_crossings(field)
     oracle = CoefficientField(field.run_I, field.run_II)
-    oracle._crossings = scan
+    oracle._sweep = SimpleNamespace(crossings=scan)
     assert field.event_times(s, t) == oracle.event_times(s, t)
     # a crossing through a collision point may be listed a different
     # number of times; that time is an own event time and bounds anyway
     own = set(field.run_I.event_times()) | set(field.run_II.event_times())
-    swept = field._front_crossings()
+    swept = field._sweep.crossings
     assert swept == sorted(swept)
     assert (Counter(x for x in swept if x not in own)
             == Counter(x for x in scan if x not in own))
@@ -527,7 +548,10 @@ def test_one_walk_classifies_each_state_once():
     intervals = len(field.event_times(0.0, 2.0)) + 1
     assert len(plain.intervals) == len(weighted.intervals) == intervals
     stats = field.stats
-    assert stats.slices == stats.intervals == intervals
+    # a slice is built only where the books re-sum: the first, the 16th
+    # and the last interval
+    assert stats.intervals == intervals == 33
+    assert stats.slices == plain.resummed == weighted.resummed == 3
     assert stats.at_slices == 2
     assert stats.deltas > 0
     # a state is a front with the other run's state across it
@@ -560,4 +584,3 @@ def test_a_scenario_with_every_walk_sweeps_once(monkeypatch):
     assert stats.sweeps == 1
     # the moves the walks applied when each walk ran its own sweep
     assert (stats.deltas, stats.crossings) == (99, 78)
-    assert stats.replayed == stats.deltas

@@ -534,6 +534,19 @@ def test_sine_pair_books_most_intervals_by_delta():
     assert cf.stats.crossings > 0
 
 
+def test_exact_pair_books_own_events_by_delta():
+    # most interactions of this pair change one front; both books book
+    # them by delta, the weighted one after re-weighing its pieces on the
+    # new strength totals, and re-sum only the first, the last and the
+    # _RESUM_STRIDE-th interval in a row
+    cf = _exact_field(7001)
+    plain, [weighted] = identity_reports(cf, [1], 0, 2)
+    for rep in (plain, weighted):
+        assert len(rep.intervals) == 27
+        assert rep.delta_booked + rep.resummed == len(rep.intervals)
+        assert rep.resummed <= 5
+
+
 def _same_reports(cf, m, s, t, tol_scale):
     plain, [weighted] = identity_reports(cf, [m], s, t, tol_scale=tol_scale)
     assert plain.to_dict() == l1_identity_report(
@@ -584,11 +597,15 @@ def test_shared_walk_builds_one_slice_per_interval(monkeypatch):
     assert result.passed
     intervals = len(result.reports["l1"].intervals)
     assert intervals == len(result.reports["weighted"].intervals) > 1
-    # one walk yields one slice per interval; only the two endpoint slices
-    # are built whole
+    # one walk stops once per interval and builds a slice only where a book
+    # re-sums: the first, the _RESUM_STRIDE-th in a row and the last
+    # interval, for both books; only the two endpoint slices are built by
+    # ``at``
     [field] = fields
     assert field.stats.at_slices == 2
-    assert field.stats.slices == field.stats.intervals == intervals
+    assert field.stats.intervals == intervals
+    assert [result.reports[k].resummed for k in ("l1", "weighted")] == [3, 3]
+    assert field.stats.slices == 3
 
 
 def test_exact_field_takes_int_endpoints_as_fractions():
