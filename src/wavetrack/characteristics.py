@@ -29,7 +29,7 @@ from .coupling import (
     classify,
     timeline,
 )
-from .profiles import csv_lines
+from .profiles import Report, csv_lines
 from .tracking import FrontTrackingRun
 
 ANCHOR_TOL = 1e-9
@@ -381,8 +381,10 @@ def export_paths_csv(paths, fileobj):
 
 
 @dataclass
-class OleinikReport:
+class OleinikReport(Report):
     """One-sided compression check of a coefficient or solution field."""
+
+    _hidden = ("shock_violations",)
 
     times: list
     shock_violations: list
@@ -391,23 +393,6 @@ class OleinikReport:
     fan_slope_constant: object   # sup over sampled times of t * du/dx on fans
     spread_constant: object      # sup f'' times mean of the two slope constants
     violations: list
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def to_dict(self):
-        from .profiles import plain_number
-
-        return {
-            "times": [plain_number(t) for t in self.times],
-            "fan_allowance": plain_number(self.fan_allowance),
-            "max_fan_jump": plain_number(self.max_fan_jump),
-            "fan_slope_constant": plain_number(self.fan_slope_constant),
-            "spread_constant": plain_number(self.spread_constant),
-            "passed": self.passed,
-            "violations": list(self.violations),
-        }
 
 
 def _run_fan_slope(placed, t):
@@ -542,8 +527,12 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
 
 
 @dataclass
-class MaxPrincipleReport:
+class MaxPrincipleReport(Report):
     """Funnel nonnegativity and between-characteristics conservation."""
+
+    # the paths go to characteristic_paths.csv
+    _hidden = ("sample_times", "left_path", "right_path", "back_left",
+               "back_right")
 
     interval: tuple
     t_end: object
@@ -556,22 +545,8 @@ class MaxPrincipleReport:
     back_right: CharacteristicPath
     violations: list
 
-    @property
-    def passed(self):
-        return not self.violations
-
     def to_dict(self):
-        from .profiles import plain_number
-
-        return {
-            "interval": [plain_number(v) for v in self.interval],
-            "t_end": plain_number(self.t_end),
-            "min_psi": plain_number(self.min_psi),
-            "conservation_drift": plain_number(self.conservation_drift),
-            "n_samples": len(self.sample_times),
-            "passed": self.passed,
-            "violations": list(self.violations),
-        }
+        return {**super().to_dict(), "n_samples": len(self.sample_times)}
 
 
 def _psi_min(fslice, lo, hi, t):

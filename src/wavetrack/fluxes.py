@@ -48,10 +48,6 @@ class FluxModel:
     def sup_f2(self):
         return self.second_derivative_bounds[1]
 
-    @property
-    def inf_f2(self):
-        return self.second_derivative_bounds[0]
-
     def max_abs_derivative(self, lo, hi):
         """Largest |f'| over [lo, hi]; f' is monotone so endpoints suffice."""
         return max(abs(self.derivative(lo)), abs(self.derivative(hi)))

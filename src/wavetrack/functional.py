@@ -74,7 +74,7 @@ from .coupling import (
     WeightField,
     exact_time,
 )
-from .profiles import plain_number, total_variation
+from .profiles import Report, total_variation
 
 TOL_SCALE = 1e-8
 
@@ -111,8 +111,12 @@ def _norms(fslice, weights, window, t=None):
 
 
 @dataclass
-class IntervalRecord:
+class IntervalRecord(Report):
     """Measured and analytic data for one interaction-free interval."""
+
+    _hidden = ("norm_probe_lo", "norm_probe_hi", "rate_mags", "tv_psi",
+               "tv_a", "rs_sup_da", "rs_raw_rate", "rs_dpsi", "lax_sum",
+               "product_rate", "has_rs")
 
     t_start: object
     t_end: object
@@ -128,7 +132,7 @@ class IntervalRecord:
     kind_counts: dict
     residual_norm: object
     residual_traces: object
-    # inputs of the derived checks, kept out of to_dict
+    # inputs of the derived checks
     rate_mags: object          # sum of |lam - a_-| + |a_+ - lam| over jumps
     tv_psi: object
     tv_a: object
@@ -148,26 +152,12 @@ class IntervalRecord:
         probe = self.t_start + self.duration / 4
         return self.norm_probe_lo + (t - probe) * self.slope_measured
 
-    def to_dict(self):
-        return {
-            "t_start": plain_number(self.t_start),
-            "t_end": plain_number(self.t_end),
-            "slope_measured": plain_number(self.slope_measured),
-            "interior_rate": plain_number(self.interior_rate),
-            "flux_rate": plain_number(self.flux_rate),
-            "lax_rate": plain_number(self.lax_rate),
-            "slow_fast_rate": plain_number(self.slow_fast_rate),
-            "rs_main_rate": plain_number(self.rs_main_rate),
-            "rs_b_rate": plain_number(self.rs_b_rate),
-            "kind_counts": dict(self.kind_counts),
-            "residual_norm": plain_number(self.residual_norm),
-            "residual_traces": plain_number(self.residual_traces),
-        }
-
 
 @dataclass
-class FunctionalReport:
+class FunctionalReport(Report):
     """Reconciled norm ledger over [s, t]."""
+
+    _hidden = ("tol_scale", "exact", "delta_booked", "resummed", "max_drift")
 
     kind: str                      # "plain" or "weighted"
     m: object
@@ -195,10 +185,6 @@ class FunctionalReport:
     resummed: int = 0
     max_drift: float = 0.0
 
-    @property
-    def passed(self):
-        return not self.violations
-
     def norm_sequence(self):
         """Norm values in time order: endpoints plus interval boundary limits."""
         out = [(self.s, self.norm_start)]
@@ -207,31 +193,6 @@ class FunctionalReport:
             out.append((rec.t_end, rec.norm_at(rec.t_end)))
         out.append((self.t, self.norm_end))
         return out
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "m": plain_number(self.m),
-            "s": plain_number(self.s),
-            "t": plain_number(self.t),
-            "window": [plain_number(w) for w in self.window],
-            "norm_start": plain_number(self.norm_start),
-            "norm_end": plain_number(self.norm_end),
-            "decay_lax": plain_number(self.decay_lax),
-            "decay_slow_fast": plain_number(self.decay_slow_fast),
-            "gain_rs_main": plain_number(self.gain_rs_main),
-            "gain_rs_b": plain_number(self.gain_rs_b),
-            "flux_total": plain_number(self.flux_total),
-            "drop_total": plain_number(self.drop_total),
-            "residual_global": plain_number(self.residual_global),
-            "tol_norm": plain_number(self.tol_norm),
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "event_drops": [
-                [plain_number(e), plain_number(d)] for e, d in self.event_drops
-            ],
-            "intervals": [rec.to_dict() for rec in self.intervals],
-        }
 
 
 # A walk re-sums at least every _RESUM_STRIDE-th interval from scratch, and
@@ -452,6 +413,7 @@ class _Carry:
         gone = [known[st] for st in delta.gone]
         new = [terms_at(st, delta.jump, h) for st, h in delta.entered]
         size = sum(counts.values()) - len(gone) + len(new)
+        # a delta of more pieces than jumps costs more than a re-sum would
         if covered and (any(a.risky for a in new)
                         or len(delta.into) + len(delta.out) > size):
             return None
@@ -941,7 +903,7 @@ def identity_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE):
 
 
 @dataclass
-class GainCapReport:
+class GainCapReport(Report):
     """Fan-resolution cap on the rarefaction-side gain of the plain norm."""
 
     s: object
@@ -961,32 +923,6 @@ class GainCapReport:
     cap_ok: bool
     bound_slack: object       # rhs - lhs of the integrated decay bound
     violations: list
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def to_dict(self):
-        return {
-            "s": plain_number(self.s),
-            "t": plain_number(self.t),
-            "h": plain_number(self.h),
-            "norm_start": plain_number(self.norm_start),
-            "norm_end": plain_number(self.norm_end),
-            "decay_lax": plain_number(self.decay_lax),
-            "gain_rs": plain_number(self.gain_rs),
-            "flux_total": plain_number(self.flux_total),
-            "rs_chain": plain_number(self.rs_chain),
-            "rs_cap": plain_number(self.rs_cap),
-            "sup_rs_da": plain_number(self.sup_rs_da),
-            "tv_psi_integral": plain_number(self.tv_psi_integral),
-            "identity_residual": plain_number(self.identity_residual),
-            "chain_link_ok": self.chain_link_ok,
-            "cap_ok": self.cap_ok,
-            "bound_slack": plain_number(self.bound_slack),
-            "passed": self.passed,
-            "violations": list(self.violations),
-        }
 
 
 def gain_cap_report(cfield: CoefficientField,
@@ -1082,7 +1018,7 @@ def gain_cap_report(cfield: CoefficientField,
 
 
 @dataclass
-class MonotonicityReport:
+class MonotonicityReport(Report):
     """Decay of both norms when no rarefaction-side jumps ever appear."""
 
     m: object
@@ -1093,23 +1029,6 @@ class MonotonicityReport:
     plain: FunctionalReport
     weighted: FunctionalReport
     violations: list
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def to_dict(self):
-        return {
-            "m": plain_number(self.m),
-            "rs_gain_plain": plain_number(self.rs_gain_plain),
-            "rs_gain_weighted": plain_number(self.rs_gain_weighted),
-            "plain_nonincreasing": self.plain_nonincreasing,
-            "weighted_nonincreasing": self.weighted_nonincreasing,
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "plain": self.plain.to_dict(),
-            "weighted": self.weighted.to_dict(),
-        }
 
 
 def monotonicity_report(plain: FunctionalReport,
@@ -1158,7 +1077,7 @@ def monotonicity_report(plain: FunctionalReport,
 
 
 @dataclass
-class ProductRuleReport:
+class ProductRuleReport(Report):
     """Variation-factor decay inequality with nonconservative product terms."""
 
     m: object
@@ -1175,32 +1094,6 @@ class ProductRuleReport:
     max_interval_rate: object
     rs_present: bool
     violations: list
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def to_dict(self):
-        return {
-            "m": plain_number(self.m),
-            "s": plain_number(self.s),
-            "t": plain_number(self.t),
-            "norm_start": plain_number(self.norm_start),
-            "norm_end": plain_number(self.norm_end),
-            "lax_total": plain_number(self.lax_total),
-            "product_total": plain_number(self.product_total),
-            "flux_total": plain_number(self.flux_total),
-            "drop_total": plain_number(self.drop_total),
-            "global_slack": plain_number(self.global_slack),
-            "max_interval_rate": plain_number(self.max_interval_rate),
-            "rs_present": self.rs_present,
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "interval_rates": [
-                [plain_number(a), plain_number(b), plain_number(r)]
-                for a, b, r in self.interval_rates
-            ],
-        }
 
 
 def product_inequality_check(weighted: FunctionalReport, *,

@@ -5,11 +5,14 @@ increasing, ``values`` one longer, adjacent values distinct (no zero-strength
 jumps are stored; use :meth:`Profile.compacted` to build from raw data).
 
 All integrals here are exact piecewise sums, so they are closed over
-``fractions.Fraction`` inputs.
+``fractions.Fraction`` inputs.  The JSON form of numbers and of the check
+reports (:func:`plain_number`, :class:`Report`) lives here too.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from dataclasses import fields
+from fractions import Fraction
 
 
 class Profile:
@@ -70,10 +73,6 @@ class Profile:
         """Right-continuous evaluation u(x+)."""
         return self.values[bisect_right(self.breakpoints, x)]
 
-    def left_value_at(self, x):
-        """Left trace u(x-)."""
-        return self.values[bisect_left(self.breakpoints, x)]
-
     @property
     def far_left(self):
         return self.values[0]
@@ -91,21 +90,47 @@ class Profile:
 
     def as_dict(self):
         return {
-            "breakpoints": [_plain(x) for x in self.breakpoints],
-            "values": [_plain(v) for v in self.values],
+            "breakpoints": [plain_number(x) for x in self.breakpoints],
+            "values": [plain_number(v) for v in self.values],
         }
 
 
-def _plain(x):
+def plain_number(x):
     """JSON-friendly scalar: Fractions go out as 'p/q' strings."""
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
+    return str(x) if isinstance(x, Fraction) else x
 
 
-plain_number = _plain
+class Report:
+    """Base of the check reports (dataclasses) and their interval records.
+
+    ``to_dict`` is the JSON form of every one of them: each dataclass field
+    not named in ``_hidden``, numbers written by :func:`plain_number`, lists,
+    tuples and dicts walked item by item and nested reports by their own
+    ``to_dict``; a report with ``violations`` also gets ``passed``.
+    """
+
+    _hidden = ()
+
+    @property
+    def passed(self):
+        return not self.violations
+
+    def to_dict(self):
+        out = {f.name: _plain_form(getattr(self, f.name))
+               for f in fields(self) if f.name not in self._hidden}
+        if "violations" in out:
+            out["passed"] = self.passed
+        return out
+
+
+def _plain_form(x):
+    if isinstance(x, Report):
+        return x.to_dict()
+    if isinstance(x, (list, tuple)):
+        return [_plain_form(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _plain_form(v) for k, v in x.items()}
+    return plain_number(x)
 
 
 def csv_fields(values):

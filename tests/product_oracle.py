@@ -5,6 +5,7 @@ nonconservative product (a(u, v) - f'(u)) (v - u) dW, evaluated straight
 from two profiles.  It shares no code with the ledger that books the
 product atoms per jump (``functional.product_inequality_check``).
 """
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from wavetrack.fluxes import FluxModel, secant_speed
@@ -13,6 +14,11 @@ from wavetrack.profiles import Profile, total_variation
 
 def _zero_like(x):
     return x - x
+
+
+def left_value_at(p: Profile, x):
+    """Left trace u(x-) of a profile."""
+    return p.values[bisect_left(p.breakpoints, x)]
 
 
 @dataclass(frozen=True)
@@ -78,13 +84,13 @@ def nonconservative_product(
     for x in w_bv.atom_positions():
         if not lo <= x <= hi:
             continue
-        um, up = u.left_value_at(x), u.value_at(x)
-        vm, vp = v.left_value_at(x), v.value_at(x)
+        um, up = left_value_at(u, x), u.value_at(x)
+        vm, vp = left_value_at(v, x), v.value_at(x)
         if um == up:
             a_uu = flux.derivative(um)
         else:
             a_uu = secant_speed(flux, um, up)
-        bm, bp = w_bv.base.left_value_at(x), w_bv.base.value_at(x)
+        bm, bp = left_value_at(w_bv.base, x), w_bv.base.value_at(x)
         mass = abs(bp - bm)
         plus_term = (secant_speed(flux, up, vp) - a_uu) * (vp - up)
         minus_term = (secant_speed(flux, um, vm) - a_uu) * (vm - um)

@@ -20,7 +20,7 @@ def test_burgers_basics():
     f = burgers_flux()
     assert f.evaluate(2.0) == 2.0
     assert f.derivative(3.0) == 3.0
-    assert f.sup_f2 == 1 and f.inf_f2 == 1
+    assert f.sup_f2 == 1
     assert f.convexity_modulus == 1
     assert f.contains(4) and not f.contains(4.5)
 

@@ -17,6 +17,7 @@ from wavetrack.tracking import sample_initial_data
 
 from product_oracle import (
     VariationFunction,
+    left_value_at,
     mu_psi_atom,
     nonconservative_product,
 )
@@ -40,7 +41,7 @@ def test_compacted_drops_zero_jumps():
 def test_value_queries_one_sided():
     p = Profile([0.0], [1.0, -1.0])
     assert p.value_at(0.0) == -1.0
-    assert p.left_value_at(0.0) == 1.0
+    assert left_value_at(p, 0.0) == 1.0
     assert p.value_at(-0.5) == 1.0
     assert p.far_left == 1.0 and p.far_right == -1.0
 

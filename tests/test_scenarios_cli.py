@@ -537,6 +537,66 @@ def test_rational_report_bytes_are_pinned(tmp_path, seed):
     assert digests == RATIONAL_REPORT_DIGESTS[seed]
 
 
+_LEDGER_KEYS = {
+    "decay_lax", "decay_slow_fast", "drop_total", "event_drops",
+    "flux_total", "gain_rs_b", "gain_rs_main", "intervals", "kind", "m",
+    "norm_end", "norm_start", "passed", "residual_global", "s", "t",
+    "tol_norm", "violations", "window",
+}
+# the JSON keys of every report a scenario writes: no field the report
+# withholds (ledger counters, derived-check inputs, characteristic paths)
+REPORT_KEYS = {
+    "gain_cap": {
+        "bound_slack", "cap_ok", "chain_link_ok", "decay_lax", "flux_total",
+        "gain_rs", "h", "identity_residual", "norm_end", "norm_start",
+        "passed", "rs_cap", "rs_chain", "s", "sup_rs_da", "t",
+        "tv_psi_integral", "violations",
+    },
+    "l1": _LEDGER_KEYS,
+    "max_principle": {
+        "conservation_drift", "interval", "min_psi", "n_samples", "passed",
+        "t_end", "violations",
+    },
+    "monotonicity": {
+        "m", "passed", "plain", "plain_nonincreasing", "rs_gain_plain",
+        "rs_gain_weighted", "violations", "weighted",
+        "weighted_nonincreasing",
+    },
+    "oleinik": {
+        "fan_allowance", "fan_slope_constant", "max_fan_jump", "passed",
+        "spread_constant", "times", "violations",
+    },
+    "products": {
+        "drop_total", "flux_total", "global_slack", "interval_rates",
+        "lax_total", "m", "max_interval_rate", "norm_end", "norm_start",
+        "passed", "product_total", "rs_present", "s", "t", "violations",
+    },
+    "weighted": _LEDGER_KEYS,
+}
+INTERVAL_KEYS = {
+    "flux_rate", "interior_rate", "kind_counts", "lax_rate", "residual_norm",
+    "residual_traces", "rs_b_rate", "rs_main_rate", "slope_measured",
+    "slow_fast_rate", "t_end", "t_start",
+}
+
+
+def test_report_json_keys_are_pinned(tmp_path):
+    config = random_scenario_config(200, checks=sorted(REPORT_KEYS))
+    run_scenario(config, out_dir=str(tmp_path))
+    reports = {
+        p.name[len("report_"):-len(".json")]: json.loads(p.read_text())
+        for p in tmp_path.glob("report_*.json")
+    }
+    assert {name: set(rep) for name, rep in reports.items()} == REPORT_KEYS
+    monotonicity = reports["monotonicity"]
+    assert set(monotonicity["plain"]) == set(monotonicity["weighted"]) \
+        == _LEDGER_KEYS
+    assert reports["l1"]["intervals"]
+    for ledger in ("l1", "weighted"):
+        for record in reports[ledger]["intervals"]:
+            assert set(record) == INTERVAL_KEYS
+
+
 def _no_computation(monkeypatch):
     def computed(*args, **kwargs):
         pytest.fail("the scenario ran before its output path was checked")
