@@ -47,7 +47,6 @@ from .coupling import (
     FieldSlice,
     InconsistentFieldError,
     WeightField,
-    WeightSlice,
     classify,
     export_jumps_csv,
     timeline,
@@ -81,7 +80,6 @@ from .profiles import (
     profile_difference,
     profile_map2,
     total_variation,
-    weighted_l1_norm,
 )
 from .scenarios import (
     ScenarioConfigError,
@@ -127,7 +125,6 @@ __all__ = [
     "ScenarioConfigError",
     "StaticField",
     "WeightField",
-    "WeightSlice",
     "backward_characteristic",
     "burgers_flux",
     "classify",
@@ -162,5 +159,4 @@ __all__ = [
     "timeline",
     "total_variation",
     "weighted_identity_report",
-    "weighted_l1_norm",
 ]

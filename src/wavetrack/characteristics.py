@@ -30,7 +30,6 @@ from .coupling import (
     timeline,
 )
 from .profiles import Report, csv_lines
-from .tracking import FrontTrackingRun
 
 ANCHOR_TOL = 1e-9
 MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
@@ -106,8 +105,6 @@ class StaticField:
             time=t,
             jumps=tuple(jumps),
             a_values=self.region_values,
-            uI_values=tuple(v - v for v in self.region_values),
-            uII_values=self.kappa_values,
             psi_values=self.kappa_values,
         )
 
@@ -421,10 +418,9 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
 
     For a :class:`CoefficientField`, shock-borne coefficient jumps must be
     compressive or undercompressive (a_+ <= a_-) while fan-borne jumps may
-    expand by at most sup|f''| h; rarefaction-side jumps on a shock are
-    violations.  For a :class:`FrontTrackingRun`, shocks must be down-jumps
-    and the discrete fan slopes stay below 1/c0.  For a :class:`StaticField`
-    every expanding jump is flagged.
+    expand by at most sup|f''| h, and the discrete fan slopes of each run
+    stay below 1/c0; rarefaction-side jumps on a shock are violations.  For
+    a :class:`StaticField` every expanding jump is flagged.
 
     For a :class:`CoefficientField`, ``times`` may hold slices of the field
     instead of times, so slices already built are not built again.
@@ -478,36 +474,6 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                         f"exceeds 1/c0 = {1 / c0}"
                     )
         return OleinikReport(times, shock_violations, allowance, max_fan_jump,
-                             fan_slope, spread, violations)
-
-    if isinstance(target, FrontTrackingRun):
-        tol = 0 if target.exact else tol_scale
-        c0 = target.flux.convexity_modulus
-        f2 = target.flux.sup_f2
-        for t in times:
-            placed = [(f, f.position_at(t)) for f in target.fronts_at(t)]
-            for f, x in placed:
-                if f.kind == "shock" and f.left_state - f.right_state <= -tol:
-                    violations.append(
-                        f"t={t}: shock with nondecreasing states "
-                        f"({f.left_state} -> {f.right_state}) at x={x}"
-                    )
-                if f.kind == "fan":
-                    if f.signed_jump > max_fan_jump:
-                        max_fan_jump = f.signed_jump
-                    if f.signed_jump > target.h * (1 + tol_scale):
-                        violations.append(
-                            f"t={t}: fan member jump {f.signed_jump} exceeds "
-                            f"the increment {target.h}"
-                        )
-            c = _run_fan_slope(placed, t)
-            fan_slope = max(fan_slope, c)
-            spread = max(spread, f2 * c)
-            if c > 1 / c0 + tol_scale * (1 + 1 / c0):
-                violations.append(
-                    f"t={t}: discrete fan slope {c} exceeds 1/c0 = {1 / c0}"
-                )
-        return OleinikReport(times, shock_violations, target.h, max_fan_jump,
                              fan_slope, spread, violations)
 
     # StaticField: strict, no resolution allowance
@@ -569,12 +535,6 @@ def _psi_integral(fslice, lo, hi, t):
     return sign * total
 
 
-def _position_in(segments, t):
-    """Position at t on the first of ``segments`` (in time order) that ends
-    at or after t, as :meth:`CharacteristicPath.position_at` reads it."""
-    return next(seg for seg in segments if t <= seg.t1).position_at(t)
-
-
 def maximum_principle_check(field, interval, t_end, tol=1e-10):
     """Propagation of a sign through a characteristic funnel, plus the
     conserved mass between backward characteristics.
@@ -621,10 +581,11 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
         new_left, new_right = len(left.segments), len(right.segments)
         x_left = _step(field, fs, x_left, t0, t1, -1, left.segments)
         x_right = _step(field, fs, x_right, t0, t1, 1, right.segments)
+        piece_left = CharacteristicPath(left.segments[new_left:])
+        piece_right = CharacteristicPath(right.segments[new_right:])
         for tau in sample_times(t0, t1, fs):
             samples.append(tau)
-            lo = _position_in(left.segments[new_left:], tau)
-            hi = _position_in(right.segments[new_right:], tau)
+            lo, hi = piece_left.position_at(tau), piece_right.position_at(tau)
             m = _psi_min(fs, lo, hi, tau) if lo < hi else None
             if m is not None:
                 if min_psi is None or m < min_psi:
@@ -643,11 +604,11 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
         new_left, new_right = len(rev_left), len(rev_right)
         x_left = _step(field, fs, x_left, t1, t0, -1, rev_left)
         x_right = _step(field, fs, x_right, t1, t0, 1, rev_right)
-        piece_left = rev_left[new_left:][::-1]
-        piece_right = rev_right[new_right:][::-1]
+        piece_left = CharacteristicPath(rev_left[new_left:][::-1])
+        piece_right = CharacteristicPath(rev_right[new_right:][::-1])
         masses.append([
-            _psi_integral(fs, _position_in(piece_left, tau),
-                          _position_in(piece_right, tau), tau)
+            _psi_integral(fs, piece_left.position_at(tau),
+                          piece_right.position_at(tau), tau)
             for tau in sample_times(t0, t1, fs)
         ])
     # in time order: the drift is measured from the earliest sample's mass

@@ -47,8 +47,6 @@ def _apply_overrides(config, args):
         config["mode"] = args.mode
     if getattr(args, "tolerance", None) is not None:
         config["tolerance"] = args.tolerance
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
     return config
 
 
@@ -119,7 +117,6 @@ def main(argv=None) -> int:
                        help="arithmetic mode override")
     run_p.add_argument("--tolerance", type=float,
                        help="residual tolerance scale override")
-    run_p.add_argument("--seed", type=int, help="seed override")
 
     suite_p = sub.add_parser("suite", help="run a batch of random scenarios")
     suite_p.add_argument("--count", type=int, default=10)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Optional
 
 from .fluxes import secant_speed
 from .profiles import clipped_pieces, csv_fields, csv_lines
@@ -143,8 +142,6 @@ class FieldSlice:
     time: object
     jumps: tuple            # ClassifiedJump, ordered by position
     a_values: tuple         # len(jumps) + 1 region values of a
-    uI_values: tuple
-    uII_values: tuple
     psi_values: tuple       # u^II - u^I per region
     # a walk's shared record of each jump's (front, traces) state; None on
     # slices built by ``at``
@@ -279,8 +276,6 @@ class CoefficientField:
             time=t,
             jumps=tuple(jumps),
             a_values=tuple(a_vals),
-            uI_values=tuple(uI_vals),
-            uII_values=tuple(uII_vals),
             psi_values=tuple(psi_vals),
         )
 
@@ -348,6 +343,14 @@ class CoefficientField:
         self._event_times[key] = (list(merged) if key in self._event_times
                                   else None)
         return merged
+
+    def has_event_at(self, t):
+        """Whether an own event of either run or a crossing lies at t, within
+        the tie rule of :meth:`event_times`."""
+        tol = 0 if self.exact else TIE_MERGE * (1 + abs(t))
+        return any(abs(e - t) <= tol for e in chain(
+            self.run_I.event_times(), self.run_II.event_times(),
+            self._sweep.crossings))
 
 
 class _Sweep:
@@ -778,17 +781,14 @@ class _Cursor:
             t, fronts, entries = self.time, self.fronts, self._entries()
             states = self.ordered = tuple(map(self.state.__getitem__,
                                               entries))
-            (uI, uII), (a, psi) = self.far_left, self.left_values
+            a, psi = self.left_values
             self.stats.slices += 1
-            plus = [st.plus for st in states]
             self.built = FieldSlice(
                 time=t,
                 jumps=tuple(ClassifiedJump(fronts[k].position_at(t), t,
                                            *st.args)
                             for k, st in zip(entries, states)),
                 a_values=(a, *map(attrgetter("a_plus"), states)),
-                uI_values=(uI, *map(itemgetter(0), plus)),
-                uII_values=(uII, *map(itemgetter(1), plus)),
                 psi_values=(psi, *map(attrgetter("psi_plus"), states)),
                 states=states,
             )
@@ -920,18 +920,6 @@ def exact_time(field, t):
 # Strength weight
 
 
-@dataclass(frozen=True)
-class WeightSlice:
-    """Piecewise weight built from cumulative jump strengths at one time."""
-
-    time: object
-    m: object
-    piece_values: tuple       # aligned with the field slice's pieces
-    traces: tuple             # (w_minus, w_plus) per jump
-    v_I_total: object
-    v_II_total: object
-
-
 class WeightField:
     """m plus cumulative strength, branch chosen by the sign of u^II - u^I.
 
@@ -956,8 +944,9 @@ class WeightField:
             return self.m + (v_I_total - v_I) + v_II
         return self.m + v_I + (v_II_total - v_II)
 
-    def slice_at(self, t, fslice: Optional[FieldSlice] = None) -> WeightSlice:
-        fs = fslice if fslice is not None else self.field.at(t)
+    def slice_at(self, fs: FieldSlice) -> tuple:
+        """The weight on each piece of the field slice ``fs``, left to right;
+        a jump's traces (w_-, w_+) are the values of the pieces beside it."""
         z = self.m * 0
         strengths = [j.strength for j in fs.jumps]
         in_I = [j.partition == "I" for j in fs.jumps]
@@ -971,14 +960,7 @@ class WeightField:
             else:
                 v_II += b
             pieces.append(self.piece_weight(psi, (v_I, v_II), totals))
-        return WeightSlice(
-            time=t,
-            m=self.m,
-            piece_values=tuple(pieces),
-            traces=tuple(zip(pieces, pieces[1:])),
-            v_I_total=totals[0],
-            v_II_total=totals[1],
-        )
+        return tuple(pieces)
 
 
 def export_jumps_csv(weight: WeightField, slices, fileobj):
@@ -988,9 +970,8 @@ def export_jumps_csv(weight: WeightField, slices, fileobj):
     fileobj.write("t,x,kind,partition,lambda,a_minus,a_plus,b_jump,w_minus,"
                   "w_plus\r\n")
     for fs in slices:
-        ws = weight.slice_at(fs.time, fs)
         t, = csv_fields([fs.time])
-        a, w = csv_fields(fs.a_values), csv_fields(ws.piece_values)
+        a, w = csv_fields(fs.a_values), csv_fields(weight.slice_at(fs))
         fileobj.write(csv_lines(
             [t, j.position, j.kind, j.partition, j.lam, a[i], a[i + 1],
              j.b_jump, w[i], w[i + 1]]

@@ -599,7 +599,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
     def weigh(fslice):
         # each book's piece values at an endpoint slice (None: weight one)
         return [None if b.weight is None
-                else b.weight.slice_at(fslice.time, fslice).piece_values
+                else b.weight.slice_at(fslice)
                 for b in books]
 
     walk = cfield.walk([s, *cfield.event_times(s, t), t])
@@ -784,7 +784,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
         end_gap = n_end - intervals[-1].norm_at(t)
         if abs(end_gap) > tol_norm:
             if horizon_event is None:
-                horizon_event = _has_event_at(cfield, t)
+                horizon_event = cfield.has_event_at(t)
             if not horizon_event:
                 violations.append(
                     f"end t={t}: extrapolated norm differs from measured by "
@@ -855,14 +855,6 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
             max_drift=book.drift,
         ))
     return reports
-
-
-def _has_event_at(cfield, t):
-    tol = 0 if cfield.exact else 1e-12 * (1 + abs(t))
-    for e in cfield.run_I.event_times() + cfield.run_II.event_times():
-        if abs(e - t) <= tol:
-            return True
-    return any(abs(e - t) <= tol for e in cfield._sweep.crossings)
 
 
 def l1_identity_report(cfield: CoefficientField, s, t,

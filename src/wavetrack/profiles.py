@@ -158,19 +158,12 @@ def profile_difference(p: Profile, q: Profile) -> Profile:
     return profile_map2(p, q, lambda a, b: a - b)
 
 
-def total_variation(p: Profile, window=None):
-    """Sum of jump strengths, optionally only over breakpoints in [lo, hi]."""
-    if window is None:
-        return sum(
-            (abs(b - a) for a, b in zip(p.values, p.values[1:])),
-            start=_zero_like(p.values[0]),
-        )
-    lo, hi = window
-    total = _zero_like(p.values[0])
-    for x, vm, vp in p.jumps():
-        if lo <= x <= hi:
-            total += abs(vp - vm)
-    return total
+def total_variation(p: Profile):
+    """Sum of jump strengths."""
+    return sum(
+        (abs(b - a) for a, b in zip(p.values, p.values[1:])),
+        start=_zero_like(p.values[0]),
+    )
 
 
 def _zero_like(x):
@@ -205,10 +198,3 @@ def l1_norm(p: Profile, window=None):
     return sum((abs(p.values[i]) * (b - a)
                 for i, a, b in clipped_pieces(p.breakpoints, *window)),
                start=_zero_like(p.values[0]))
-
-
-def weighted_l1_norm(p: Profile, w: Profile, window=None):
-    """Integral of |p| * w; w must be strictly positive everywhere."""
-    if any(v <= 0 for v in w.values):
-        raise ValueError("weighted_l1_norm: weight must be strictly positive")
-    return l1_norm(profile_map2(p, w, lambda a, b: abs(a) * b), window)

@@ -14,7 +14,7 @@ import math
 import os
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -182,11 +182,9 @@ class ScenarioSpec:
     t_end: object
     checks: list
     mode: str
-    seed: int
     out: object                 # str or None
     funnel: object              # (xi0, zeta0) or None
     tol_scale: object = TOL_SCALE
-    raw: dict = dataclass_field(default_factory=dict)
 
     @property
     def exact(self):
@@ -305,10 +303,9 @@ def parse_scenario(config: dict) -> ScenarioSpec:
             )
     checks = [c for c in CHECK_ORDER if c in checks]
 
-    seed = config.get("seed", 0)
-    if not _is_int(seed):
+    # the seed only names the random pair a config came from; no run reads it
+    if not _is_int(config.get("seed", 0)):
         errors.append("seed: expected an integer")
-        seed = 0
 
     funnel = config.get("funnel")
     if funnel is not None:
@@ -351,8 +348,8 @@ def parse_scenario(config: dict) -> ScenarioSpec:
         raise ScenarioConfigError(errors)
     return ScenarioSpec(
         flux=flux, u1=u1, u2=u2, h=h, h_list=h_list, m=m,
-        t_start=t_start, t_end=t_end, checks=checks, mode=mode, seed=seed,
-        out=out, funnel=funnel, tol_scale=tol_scale, raw=dict(config),
+        t_start=t_start, t_end=t_end, checks=checks, mode=mode,
+        out=out, funnel=funnel, tol_scale=tol_scale,
     )
 
 
@@ -682,19 +679,23 @@ def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
                      mode="float") -> SuiteResult:
     """Run ``count`` random Burgers scenarios with per-scenario seeds.
 
-    In rational mode ``h`` is read as the exact decimal it prints as."""
+    In rational mode ``h``, ``horizon`` and ``m`` are read as the exact
+    decimals they print as."""
     errors = ([] if count >= 1 else ["count: need at least one scenario"]
               ) + _out_dir_errors(out_dir)
     if errors:
         raise ScenarioConfigError(errors)
     rational = mode == "rational"
+
+    def exact(v):
+        return str(v) if rational else v
+
     failures = []
     results = []
     for i in range(count):
         cfg = random_scenario_config(
             seed + i, shock_only=shock_only, rational=rational,
-            h=(str(h) if rational else h), horizon=horizon,
-            m=m, checks=checks,
+            h=exact(h), horizon=exact(horizon), m=exact(m), checks=checks,
         )
         sub_out = None
         if out_dir is not None:

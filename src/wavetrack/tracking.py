@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .fluxes import FluxModel, rankine_hugoniot_speed
@@ -186,7 +186,6 @@ class FrontTrackingRun:
                 if prev_uid is not None:
                     self._next[prev_uid] = uid
                 prev_uid = uid
-        self._first = 0 if self.fronts else None
         for f in self.fronts:
             nxt = self._next[f.uid]
             if nxt is not None:
@@ -299,8 +298,6 @@ class FrontTrackingRun:
         link = out_uid  # may be None when states cancelled exactly
         if before is not None:
             self._next[before] = link if link is not None else after
-        else:
-            self._first = link if link is not None else after
         if after is not None:
             self._prev[after] = link if link is not None else before
         if link is None and after is not None and before is not None:

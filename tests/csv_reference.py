@@ -14,8 +14,8 @@ def jumps_csv(weight, slices, fileobj):
     )
     for fs in slices:
         t = fs.time
-        ws = weight.slice_at(t, fs)
-        for j, (wm, wp) in zip(fs.jumps, ws.traces):
+        pv = weight.slice_at(fs)
+        for j, (wm, wp) in zip(fs.jumps, zip(pv, pv[1:])):
             writer.writerow(
                 [t, j.position, j.kind, j.partition, j.lam, j.a_minus,
                  j.a_plus, j.b_jump, wm, wp]

@@ -156,14 +156,15 @@ def test_criterion_02_weighted_ledger(capsys):
             wf = WeightField(cf, m)
             for tau in _probe_mids(cf, Fraction(0), Fraction(2), limit=4):
                 fs = cf.at(tau)
-                ws = wf.slice_at(tau, fs)
+                pv = wf.slice_at(fs)
+                tv_b = sum(j.strength for j in fs.jumps)
                 for idx, j in enumerate(fs.jumps):
                     if min(abs(j.a_minus - j.lam), abs(j.a_plus - j.lam)) == 0:
                         continue
                     if j.kappa_minus == 0 or j.kappa_plus == 0:
                         continue
-                    wm, wp = ws.traces[idx]
-                    b, tv_b = j.strength, ws.v_I_total + ws.v_II_total
+                    wm, wp = pv[idx], pv[idx + 1]
+                    b = j.strength
                     expected = {
                         LAX: (wm + wp, 2 * m + tv_b - b),
                         RAREFACTION_SHOCK: (wm + wp, 2 * m + tv_b + b),

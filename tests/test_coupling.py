@@ -195,16 +195,19 @@ def test_weight_traces_lax_oracle():
     # single compressive jump: both weight traces sit at the offset m
     field = _field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
     weight = WeightField(field, 1.0)
-    ws = weight.slice_at(0.5)
-    assert ws.traces == ((1.0, 1.0),)
-    assert ws.v_I_total + ws.v_II_total == 2.0
-    assert ws.v_I_total == 2.0 and ws.v_II_total == 0.0
+    fs = field.at(0.5)
+    pv = weight.slice_at(fs)
+    assert list(zip(pv, pv[1:])) == [(1.0, 1.0)]
+    v_I = sum(j.strength for j in fs.jumps if j.partition == "I")
+    v_II = sum(j.strength for j in fs.jumps if j.partition == "II")
+    assert v_I + v_II == 2.0
+    assert v_I == 2.0 and v_II == 0.0
 
 
 def test_weight_traces_slow_oracle():
     field = _field(Profile([0.0], [2.0, 0.0]), Profile.constant(3.0))
-    ws = WeightField(field, 1.0).slice_at(0.5)
-    assert ws.traces == ((3.0, 1.0),)
+    pv = WeightField(field, 1.0).slice_at(field.at(0.5))
+    assert list(zip(pv, pv[1:])) == [(3.0, 1.0)]
 
 
 def test_weight_values_bracketed():
@@ -213,10 +216,10 @@ def test_weight_values_bracketed():
     field = _field(p1, p2)
     weight = WeightField(field, 0.5)
     for t in (0.2, 1.1, 1.9):
-        ws = weight.slice_at(t)
-        for w in ws.piece_values:
-            assert (0.5 - 1e-12 <= w
-                    <= 0.5 + ws.v_I_total + ws.v_II_total + 1e-12)
+        fs = field.at(t)
+        tv_b = sum(j.strength for j in fs.jumps)
+        for w in weight.slice_at(fs):
+            assert 0.5 - 1e-12 <= w <= 0.5 + tv_b + 1e-12
 
 
 def test_weight_requires_nonnegative_offset():
@@ -234,8 +237,8 @@ def test_exact_mode_fractions_everywhere():
     for j in fs.jumps:
         assert isinstance(j.lam, Fraction)
         assert isinstance(j.a_minus, Fraction)
-    ws = WeightField(field, Fraction(1)).slice_at(Fraction(1, 4))
-    assert all(isinstance(w, Fraction) for w in ws.piece_values)
+    pv = WeightField(field, Fraction(1)).slice_at(fs)
+    assert all(isinstance(w, Fraction) for w in pv)
 
 
 def test_build_helpers_return_profiles():
@@ -249,7 +252,7 @@ def test_build_helpers_return_profiles():
     assert isinstance(a, Profile)
     assert a.values == (0.5, -0.5)
     assert len(jumps) == 1
-    w = _steps(fs, WeightField(field, 1.0).slice_at(0.5, fs).piece_values)
+    w = _steps(fs, WeightField(field, 1.0).slice_at(fs))
     assert isinstance(w, Profile)
 
 
@@ -479,7 +482,7 @@ def _slice_bits(fs):
     """Every compared field of a slice, floats bit for bit (marshal format 2
     writes a float as its 8 bytes, so the sign of a zero counts, and keeps
     no references)."""
-    data = (fs.time, fs.a_values, fs.uI_values, fs.uII_values, fs.psi_values,
+    data = (fs.time, fs.a_values, fs.psi_values,
             [_JUMP_FIELDS(j) for j in fs.jumps])
     if isinstance(fs.time, Fraction):
         return data         # exact values: equality is identity of value
@@ -558,9 +561,9 @@ def test_one_walk_classifies_each_state_once():
     states = set()
     for _, _, fs in timeline(CoefficientField(field.run_I, field.run_II),
                              0.0, 2.0):
-        for i, j in enumerate(fs.jumps):
-            other = fs.uII_values if j.partition == "I" else fs.uI_values
-            states.add((j.partition, j.front_uid, other[i]))
+        for j, st in zip(fs.jumps, fs.states):
+            other = st.minus[1] if j.partition == "I" else st.minus[0]
+            states.add((j.partition, j.front_uid, other))
     assert stats.states == len(states) == 109
 
 

@@ -35,7 +35,12 @@ from wavetrack import (
     weighted_identity_report,
 )
 from wavetrack import functional, scenarios
-from wavetrack.coupling import FAST, RAREFACTION_SHOCK, SLOW
+from wavetrack.coupling import (
+    FAST,
+    RAREFACTION_SHOCK,
+    SLOW,
+    DegenerateFieldError,
+)
 from wavetrack.scenarios import build_runs, parse_scenario
 from product_oracle import VariationFunction, nonconservative_product
 from test_coupling import _sine_pair_config
@@ -380,7 +385,7 @@ def test_probe_norms_match_fresh_slices_exactly():
                     (rec.t_start + 3 * rec.duration / 4, rec.norm_probe_hi),
                 ):
                     fs = cf.at(tau)
-                    wv = None if wf is None else wf.slice_at(tau, fs).piece_values
+                    wv = None if wf is None else wf.slice_at(fs)
                     assert norm == _windowed_norm(fs, wv, rep.window)
 
 
@@ -402,10 +407,10 @@ def test_rates_match_the_per_jump_trace_form_exactly():
             for rec in rep.intervals:
                 mid = rec.t_start + rec.duration / 2
                 fs = cf.at(mid)
-                ws = weight.slice_at(mid, fs)
-                t = 2 * one + ws.v_I_total + ws.v_II_total      # 2m + TV(b)
+                pv = weight.slice_at(fs)
+                t = 2 * one + sum(j.strength for j in fs.jumps)  # 2m + TV(b)
                 rates = [0] * 5     # interior, lax, slow_fast, rs_main, rs_b
-                for j, traces in zip(fs.jumps, ws.traces):
+                for j, traces in zip(fs.jumps, zip(pv, pv[1:])):
                     wm, wp = (1, 1) if rep is plain else traces
                     rates[0] += ((j.lam - j.a_minus) * abs(j.kappa_minus) * wm
                                  + (j.a_plus - j.lam) * abs(j.kappa_plus)
@@ -608,6 +613,25 @@ def test_shared_walk_builds_one_slice_per_interval(monkeypatch):
     assert field.stats.slices == 3
 
 
+def test_ledger_starting_on_a_degenerate_slice():
+    # run I's standing shock meets run II's shock from x = -3 at t = 2, where
+    # the field has no slice: a ledger starting there reads its start norms
+    # off the first interval's line
+    one = Fraction(1)
+    cf = _field(Profile([0 * one], [one, -one]),
+                Profile([-3 * one], [2 * one, one]), h=one / 10,
+                horizon=3 * one, exact=True)
+    with pytest.raises(DegenerateFieldError):
+        cf.at(2 * one)
+    plain, weighted = identity_reports(cf, [one], 2, 3)
+    whole_plain, whole_weighted = identity_reports(cf, [one], 0, 3)
+    for rep, whole in zip((plain, *weighted), (whole_plain, *whole_weighted)):
+        assert rep.passed
+        [after] = [r for r in whole.intervals if r.t_start == 2]
+        assert rep.norm_start == after.norm_at(2)
+    assert plain.norm_start == 42
+
+
 def test_exact_field_takes_int_endpoints_as_fractions():
     # with 0 + 2/2 computed in floats these pairs raised on a bogus order
     # change at t = 0
@@ -655,7 +679,6 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
     assert not jump.sign_table_consistent(0, cf.classification_tol)
     # a walk's slice, with its one jump state
     fs = FieldSlice(time=one, jumps=(jump,), a_values=(one / 10**12, -one),
-                    uI_values=(one, -one), uII_values=(0 * one, -2 * one),
                     psi_values=(-one, -one), states=(object(),))
     monkeypatch.setattr(CoefficientField, "walk",
                         lambda self, bounds, reverse=False:

@@ -11,7 +11,6 @@ from wavetrack.profiles import (
     profile_difference,
     profile_map2,
     total_variation,
-    weighted_l1_norm,
 )
 from wavetrack.tracking import sample_initial_data
 
@@ -83,10 +82,9 @@ def test_difference_compacts_shared_jump():
     assert 1.0 not in d.breakpoints
 
 
-def test_total_variation_window():
+def test_total_variation_sums_jump_strengths():
     p = Profile([0.0, 1.0], [0.0, 3.0, 1.0])
     assert total_variation(p) == 5.0
-    assert total_variation(p, (0.5, 2.0)) == 2.0
 
 
 def test_total_variation_exact_fractions():
@@ -111,15 +109,6 @@ def test_l1_norm_needs_compact_support():
 def test_l1_norm_box():
     p = Profile([0.0, 2.0], [0.0, -1.5, 0.0])
     assert l1_norm(p) == 3.0
-
-
-def test_weighted_l1_norm_against_hand_value():
-    p = Profile([0.0, 1.0], [0.0, 2.0, 0.0])
-    w = Profile([0.5], [1.0, 3.0])
-    # |p| w = 2*1 on (0, 0.5), 2*3 on (0.5, 1)
-    assert weighted_l1_norm(p, w) == 1.0 + 3.0
-    with pytest.raises(ValueError, match="strictly positive"):
-        weighted_l1_norm(p, Profile([0.0], [1.0, 0.0]))
 
 
 def test_variation_function_cumulative():

@@ -193,6 +193,21 @@ def test_run_scenario_outputs_are_deterministic(tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("cfg", [random_scenario_config(200),
+                                 random_scenario_config(300, rational=True)],
+                         ids=["float", "rational"])
+def test_one_ledger_reports_equal_the_shared_walks(tmp_path, cfg):
+    # a scenario that needs one norm books it alone; its report is the one
+    # the shared walk of both norms writes
+    both = tmp_path / "both"
+    run_scenario(dict(cfg, checks=["l1", "weighted"]), out_dir=str(both))
+    for name in ("l1", "weighted"):
+        alone = tmp_path / name
+        run_scenario(dict(cfg, checks=[name]), out_dir=str(alone))
+        assert ((alone / f"report_{name}.json").read_bytes()
+                == (both / f"report_{name}.json").read_bytes())
+
+
 def test_run_scenario_reports_degenerate_geometry():
     # both runs put a standing shock at the same point: the difference
     # field has no well-defined traces there
@@ -413,16 +428,20 @@ def test_cli_rejects_rational_mode_with_an_irrational_flux(tmp_path, capsys):
 
 
 def test_cli_rational_suite_honours_h(tmp_path, capsys):
-    for h, expected in (("0.2", "1/5"), (None, "1/10")):
-        out = tmp_path / f"h{h}"
+    # --h, --horizon and --m are read as the decimals they print as
+    for k, (flags, expected) in enumerate((
+        (["--h", "0.2"], {"h": "1/5"}),
+        ([], {"h": "1/10"}),
+        (["--horizon", "0.3", "--m", "0.3"],
+         {"h": "1/10", "time": ["0", "3/10"], "m": "3/10"}),
+    )):
+        out = tmp_path / f"suite{k}"
         argv = ["suite", "--count", "1", "--seed", "0", "--shock-only",
-                "--mode", "rational", "--out", str(out)]
-        if h is not None:
-            argv += ["--h", h]
+                "--mode", "rational", "--out", str(out), *flags]
         assert main(argv) == 0
         summary = json.loads(
             (out / "scenario_0000" / "summary.json").read_text())
-        assert summary["h"] == expected
+        assert {key: summary[key] for key in expected} == expected
         assert summary["mode"] == "rational"
 
 
