@@ -37,7 +37,9 @@ walk: each stop, the missed-interaction check and every
 weight-independent trace term and verdict are computed once, and only the
 probe norms, the weighted sums, the weight-trace checks and the edge flux
 are booked per norm.  ``l1_identity_report`` and
-``weighted_identity_report`` are the one-norm calls of the same walk.  On
+``weighted_identity_report`` are the one-norm calls of the same walk, and
+``ledger_reports`` books the norms a scenario's checks read and keeps the
+slices at the stops the scenario's probes need.  On
 an exact field the endpoints are taken as ``Fraction`` (an int is
 converted, a float rejected).  Each interval record also keeps the
 per-interval sums the derived checks need, so ``gain_cap_report``,
@@ -570,15 +572,18 @@ def _book_delta(book, change, carry, taus):
     return (P + taus[0] * Q, P + taus[1] * Q, *r, flux)
 
 
-def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
+def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
     """One report per entry of ``weights`` (None for the plain norm, a
-    :class:`WeightField` for a weighted one), booked from one timeline walk.
+    :class:`WeightField` for a weighted one), booked from one timeline walk,
+    and the slices the walk kept.
 
     Each interval is booked from the running sums (:class:`_Carry`,
     :func:`_book_delta`) by the walk's delta from the interval before; the
     first, the last, every ``_RESUM_STRIDE``-th in a row and one a delta
     cannot book are re-summed: the delta of the whole slice, applied to a
-    carry and books that cover nothing.
+    carry and books that cover nothing.  ``keep(n)``, when given, picks the
+    indices of some of the n intervals; the walk keeps the slice at each of
+    their stops, the field at the interval midpoint (None kept without it).
     """
     s, t = exact_time(cfield, s), exact_time(cfield, t)
     if not s < t:
@@ -602,7 +607,9 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
                 else b.weight.slice_at(fslice)
                 for b in books]
 
-    walk = cfield.walk([s, *cfield.event_times(s, t), t])
+    bounds = [s, *cfield.event_times(s, t), t]
+    kept_at, kept = (set(keep(len(bounds) - 1)), []) if keep else ((), None)
+    walk = cfield.walk(bounds)
     first = next(walk)
 
     # Endpoint slices can be degenerate when a cross-run front crossing
@@ -683,7 +690,9 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
     events = []
     carry = None    # the shared running sums, when a delta may follow
     since = 0       # intervals booked by delta since the last re-sum
-    for t0, t1, stop in chain([first], walk):
+    for i, (t0, t1, stop) in enumerate(chain([first], walk)):
+        if i in kept_at:
+            kept.append(stop.slice())
         if t0 != s:
             events.append(t0)
         dt = t1 - t0
@@ -854,7 +863,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale):
             resummed=book.resums,
             max_drift=book.drift,
         ))
-    return reports
+    return reports, kept
 
 
 def l1_identity_report(cfield: CoefficientField, s, t,
@@ -866,7 +875,8 @@ def l1_identity_report(cfield: CoefficientField, s, t,
     undercompressive jumps are exactly neutral; the norm is continuous
     across interaction events.
     """
-    return _analyze(cfield, [None], s, t, tol_scale)[0]
+    [plain], _ = _analyze(cfield, [None], s, t, tol_scale)
+    return plain
 
 
 def weighted_identity_report(cfield: CoefficientField, m, s, t,
@@ -877,7 +887,9 @@ def weighted_identity_report(cfield: CoefficientField, m, s, t,
     decomposition (see module docstring); at interactions the weight's
     variation budget can shrink, giving a favorable (nonpositive) jump.
     """
-    return _analyze(cfield, [WeightField(cfield, m)], s, t, tol_scale)[0]
+    [weighted], _ = _analyze(cfield, [WeightField(cfield, m)], s, t,
+                             tol_scale)
+    return weighted
 
 
 def identity_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE):
@@ -885,9 +897,23 @@ def identity_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE):
     :func:`l1_identity_report` and one of :func:`weighted_identity_report`
     per weight offset in ``ms``, booked from one timeline walk that builds
     each slice once for all of them."""
-    plain, *weighted = _analyze(
+    (plain, *weighted), _ = _analyze(
         cfield, [None, *(WeightField(cfield, m) for m in ms)], s, t, tol_scale)
     return plain, weighted
+
+
+def ledger_reports(cfield: CoefficientField, kinds, m, s, t,
+                   tol_scale=TOL_SCALE, keep=None):
+    """``({kind: report}, kept)``: the ledger of each of ``kinds``
+    ("plain" as :func:`l1_identity_report`, "weighted" as
+    :func:`weighted_identity_report` with offset m) booked from one
+    timeline walk, and the slices that walk kept at the intervals
+    ``keep`` picks (see :func:`_analyze`)."""
+    kinds = [k for k in ("plain", "weighted") if k in kinds]
+    reports, kept = _analyze(
+        cfield, [None if k == "plain" else WeightField(cfield, m)
+                 for k in kinds], s, t, tol_scale, keep)
+    return dict(zip(kinds, reports)), kept
 
 
 # ---------------------------------------------------------------------------

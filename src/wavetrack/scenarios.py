@@ -29,12 +29,10 @@ from .fluxes import make_flux
 from .functional import (
     TOL_SCALE,
     gain_cap_report,
-    identity_reports,
-    l1_identity_report,
+    ledger_reports,
     monotonicity_report,
     product_inequality_check,
     refinement_study,
-    weighted_identity_report,
 )
 from .profiles import Profile, plain_number, profile_difference
 from .tracking import FrontTrackingRun, sample_initial_data
@@ -288,6 +286,9 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     t_start = _parse_number(time_node.get("start", 0), rational,
                             "time.start", errors)
     t_end = _parse_number(time_node.get("end", 1), rational, "time.end", errors)
+    if t_start < 0:
+        # the runs start at t = 0; no front lives before
+        errors.append("time.start: must be >= 0")
     if not t_start < t_end:
         errors.append("time: need start < end")
         t_start, t_end = 0, 1
@@ -525,18 +526,28 @@ def _write_json(path: Path, obj):
         f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _probe_times(field, s, t, limit=8):
-    """Midpoints of the interaction-free gaps, at most ``limit`` of them."""
+def _probe_gaps(n, limit=8):
+    """Indices of the probe gaps among n interaction-free gaps: all of
+    them, or ``limit`` spread evenly from the first to the last."""
+    if n <= limit:
+        return range(n)
+    step = (n - 1) / (limit - 1)
+    return [round(i * step) for i in range(limit)]
+
+
+def _probe_times(field, s, t):
+    """Midpoints of the probe gaps, as a list, so the gap bounds are freed
+    before any slice is built."""
     bounds = [s, *field.event_times(s, t), t]
-    gaps = range(len(bounds) - 1)
-    if len(gaps) > limit:
-        step = (len(gaps) - 1) / (limit - 1)
-        gaps = [round(i * step) for i in range(limit)]
-    return [bounds[i] + (bounds[i + 1] - bounds[i]) / 2 for i in gaps]
+    return [bounds[i] + (bounds[i + 1] - bounds[i]) / 2
+            for i in _probe_gaps(len(bounds) - 1)]
 
 
 def _probe_slices(field, s, t):
-    """The field at each probe time, built as the caller reaches it."""
+    """The field at each probe time, built by ``at`` as the caller reaches
+    it.  A scenario that books a ledger takes its probe slices from the
+    ledger's walk instead (:func:`run_scenario`); this path serves the
+    scenarios without one."""
     for tau in _probe_times(field, s, t):
         yield field.at(tau)
 
@@ -562,6 +573,11 @@ def build_runs(spec: ScenarioSpec, h=None):
 def run_scenario(config, out_dir=None) -> ScenarioResult:
     """Execute a scenario's checks; write reports when out_dir (or config
     'out') names a directory.  Degenerate geometry is reported, not raised.
+
+    Every norm the checks read is booked by one ledger walk, before any
+    check runs.  The probe slices, which the Oleinik check and the jump
+    table read, are kept from that walk's stops; without a ledger they are
+    built by ``CoefficientField.at``.  Reports keep the check order.
     """
     spec = config if isinstance(config, ScenarioSpec) else parse_scenario(config)
     out = out_dir if out_dir is not None else spec.out
@@ -578,38 +594,30 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
             funnel = (min(bps) - 1, max(bps) + 1) if bps else (-1, 1)
         needed = set().union(*(LEDGER_NEEDS.get(c, ()) for c in spec.checks))
         ledgers = {}
-
-        def ledger(kind):
-            # every needed norm is booked by the first check that reads one,
-            # both from one walk when both are needed
-            if not ledgers:
-                if len(needed) == 2:
-                    ledgers["plain"], [ledgers["weighted"]] = identity_reports(
-                        field, [spec.m], s, t, tol_scale=spec.tol_scale)
-                elif "plain" in needed:
-                    ledgers["plain"] = l1_identity_report(
-                        field, s, t, tol_scale=spec.tol_scale)
-                else:
-                    ledgers["weighted"] = weighted_identity_report(
-                        field, spec.m, s, t, tol_scale=spec.tol_scale)
-            return ledgers[kind]
-
+        if needed:
+            # the probe slices, read by the Oleinik check and the jump
+            # table, are kept from the ledger's walk
+            probed = "oleinik" in spec.checks or out is not None
+            ledgers, probes = ledger_reports(
+                field, needed, spec.m, s, t, tol_scale=spec.tol_scale,
+                keep=_probe_gaps if probed else None)
         for name in spec.checks:
             if name == "oleinik":
-                # kept for the jump table, which reads the same slices
-                probes = list(_probe_slices(field, s, t))
+                if probes is None:
+                    # kept for the jump table, which reads the same slices
+                    probes = list(_probe_slices(field, s, t))
                 reports[name] = oleinik_report(field, probes, spec.tol_scale)
             elif name == "l1":
-                reports[name] = ledger("plain")
+                reports[name] = ledgers["plain"]
             elif name == "weighted":
-                reports[name] = ledger("weighted")
+                reports[name] = ledgers["weighted"]
             elif name == "monotonicity":
-                reports[name] = monotonicity_report(ledger("plain"),
-                                                    ledger("weighted"))
+                reports[name] = monotonicity_report(ledgers["plain"],
+                                                    ledgers["weighted"])
             elif name == "gain_cap":
-                reports[name] = gain_cap_report(field, ledger("plain"))
+                reports[name] = gain_cap_report(field, ledgers["plain"])
             elif name == "products":
-                reports[name] = product_inequality_check(ledger("weighted"))
+                reports[name] = product_inequality_check(ledgers["weighted"])
             elif name == "max_principle":
                 reports[name] = maximum_principle_check(
                     field, funnel, t, tol=(0 if spec.exact else 1e-10)

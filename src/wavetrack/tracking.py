@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .fluxes import FluxModel, rankine_hugoniot_speed
@@ -169,7 +170,7 @@ class FrontTrackingRun:
 
         prev_uid = None
         for x, vm, vp in initial.jumps():
-            for f in solve_riemann(flux, vm, vp, h):
+            for f in self._riemann(vm, vp):
                 uid = len(self.fronts)
                 placed = Front(
                     uid=uid,
@@ -190,6 +191,17 @@ class FrontTrackingRun:
             nxt = self._next[f.uid]
             if nxt is not None:
                 self._schedule(f.uid, nxt)
+
+    def _riemann(self, u_left, u_right):
+        """The fronts of :func:`solve_riemann`; an exact run takes only
+        ``Fraction`` speeds, as its zero tolerances absorb no rounding."""
+        fronts = solve_riemann(self.flux, u_left, u_right, self.h)
+        if self.exact and not all(isinstance(f.speed, Fraction)
+                                  for f in fronts):
+            raise ValueError(
+                f"exact mode: the flux {self.flux.name!r} gives the jump "
+                f"{u_left} -> {u_right} a speed that is not a Fraction")
+        return fronts
 
     # -- queue mechanics ---------------------------------------------------
 
@@ -270,7 +282,7 @@ class FrontTrackingRun:
 
         before = self._prev[uid_l]
         after = self._next[uid_r]
-        waves = solve_riemann(self.flux, fl.left_state, fr.right_state, self.h)
+        waves = self._riemann(fl.left_state, fr.right_state)
         if len(waves) > 1:
             raise AssertionError("interaction emitted more than one front")
 

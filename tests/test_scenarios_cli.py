@@ -193,19 +193,29 @@ def test_run_scenario_outputs_are_deterministic(tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-@pytest.mark.parametrize("cfg", [random_scenario_config(200),
-                                 random_scenario_config(300, rational=True)],
-                         ids=["float", "rational"])
-def test_one_ledger_reports_equal_the_shared_walks(tmp_path, cfg):
+_LEDGER_CONFIGS = {
+    "float": lambda: random_scenario_config(200),
+    "rational": lambda: random_scenario_config(300, rational=True),
+    "sine": lambda: _sine_config(8, 0.2),
+    "rational-7001": lambda: _acceptance_rational_config(7001),
+}
+
+
+@pytest.mark.parametrize("case", list(_LEDGER_CONFIGS))
+def test_one_ledger_reports_equal_the_shared_walks(tmp_path, case):
     # a scenario that needs one norm books it alone; its report is the one
-    # the shared walk of both norms writes
+    # the shared walk of both norms writes.  The probe slices a ledger's
+    # walk keeps give the Oleinik report and the jump table the bytes that
+    # ``at`` gives them in a scenario without a ledger
+    cfg = _LEDGER_CONFIGS[case]()
     both = tmp_path / "both"
-    run_scenario(dict(cfg, checks=["l1", "weighted"]), out_dir=str(both))
-    for name in ("l1", "weighted"):
+    run_scenario(dict(cfg, checks=["oleinik", "l1", "weighted"]),
+                 out_dir=str(both))
+    for name in ("oleinik", "l1", "weighted"):
         alone = tmp_path / name
         run_scenario(dict(cfg, checks=[name]), out_dir=str(alone))
-        assert ((alone / f"report_{name}.json").read_bytes()
-                == (both / f"report_{name}.json").read_bytes())
+        for file in (f"report_{name}.json", "classified_jumps.csv"):
+            assert (alone / file).read_bytes() == (both / file).read_bytes()
 
 
 def test_run_scenario_reports_degenerate_geometry():
@@ -406,6 +416,9 @@ def test_cli_rejects_boolean_tolerance(tmp_path, capsys):
         (_basic_config(u1={"leading": float("-inf"), "pairs": [[0.0, -1.0]]}),
          "u1.leading: expected a finite number, got -inf"),
         (_basic_config(h="1e400"), "h: expected a finite number, got '1e400'"),
+        # no front lives before t = 0
+        (_basic_config(time={"start": -1, "end": 2}),
+         "time.start: must be >= 0"),
     ):
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 2
@@ -456,14 +469,22 @@ def test_probe_slices_are_built_once(tmp_path, monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(CoefficientField, name, counted)
-    cfg = dict(_sine_config(8, 0.2), checks=["oleinik"])
-    result = run_scenario(cfg, out_dir=str(tmp_path))
-    assert result.passed
-    rows = (tmp_path / "classified_jumps.csv").read_text().splitlines()[1:]
-    probes = json.loads((tmp_path / "report_oleinik.json").read_text())["times"]
-    assert len(probes) == 8
-    assert {float(r.split(",")[0]) for r in rows} == set(probes)
-    assert counts == {"at": 8, "event_times": 1}
+    for checks, at_calls in (
+        (["oleinik"], 8),
+        # the ledger's walk keeps the probe slices; ``at`` builds only the
+        # ledger's two endpoint slices
+        (["oleinik", "l1", "weighted"], 2),
+    ):
+        counts.update(at=0, event_times=0)
+        out = tmp_path / "_".join(checks)
+        result = run_scenario(dict(_sine_config(8, 0.2), checks=checks),
+                              out_dir=str(out))
+        assert result.passed
+        rows = (out / "classified_jumps.csv").read_text().splitlines()[1:]
+        probes = json.loads((out / "report_oleinik.json").read_text())["times"]
+        assert len(probes) == 8
+        assert {float(r.split(",")[0]) for r in rows} == set(probes)
+        assert counts == {"at": at_calls, "event_times": 1}
 
 
 # sha256 of each report of the acceptance rational pairs, as written before

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wavetrack.fluxes import burgers_flux
+from wavetrack.fluxes import FluxModel, burgers_flux
 from wavetrack.profiles import (
     Profile,
     clipped_pieces,
@@ -172,6 +172,25 @@ def test_exact_mode_keeps_fractions():
     prof = run.sample(Fraction(3, 2))
     assert all(isinstance(v, Fraction) for v in prof.values)
     assert all(isinstance(x, Fraction) for x in prof.breakpoints)
+
+
+def test_exact_mode_rejects_a_float_front_speed():
+    # a hand-built Burgers flux that answers in floats: an exact run must
+    # not take the speeds it gives, at the start or at a collision
+    floaty = FluxModel("floaty", lambda u: float(u * u / 2), float, (1, 1),
+                       1, (-4, 4))
+    one = Fraction(1)
+    p = Profile([-one, one], [one, 0 * one, -one])   # shocks meet at t = 2
+    with pytest.raises(ValueError, match="not a Fraction"):
+        FrontTrackingRun(floaty, p, one / 10, exact=True)
+    run = FrontTrackingRun(FLUX, p, one / 10, exact=True)
+    run.flux = floaty
+    with pytest.raises(ValueError, match="not a Fraction"):
+        run.evolve(3 * one)
+    # a float run takes them
+    floats = Profile([-1.0, 1.0], [1.0, 0.0, -1.0])
+    assert FrontTrackingRun(floaty, floats, 0.1).evolve(3.0).event_times() \
+        == [2.0]
 
 
 def test_fronts_at_sorted_by_position():
