@@ -27,9 +27,9 @@ from .coupling import (
     FieldSlice,
     InconsistentFieldError,
     classify,
-    timeline,
+    stops,
 )
-from .profiles import Report, csv_lines
+from .profiles import Report, clipped_pieces, csv_lines
 
 ANCHOR_TOL = 1e-9
 MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
@@ -113,8 +113,8 @@ class StaticField:
 
     def walk(self, bounds, reverse=False):
         """One slice per interval between consecutive ``bounds``, built by
-        :meth:`at` at the midpoint (see :func:`~wavetrack.coupling.timeline`);
-        an interval past the horizon is refused."""
+        :meth:`at` at the midpoint, as the stop the characteristic walks
+        read through its ``view``; an interval past the horizon is refused."""
         spans = list(zip(bounds, bounds[1:]))
         if reverse:
             spans.reverse()
@@ -181,10 +181,6 @@ class CharacteristicPath:
         return [seg for seg in self.segments if seg.mode == "front"]
 
 
-def _anchor_tol(field, x):
-    return 0 if field.exact else ANCHOR_TOL * (1 + abs(x))
-
-
 def _resolve(fslice, members, *, backward, tie_bias, where):
     """Feasible continuations from a point lying on a stack of jump curves.
 
@@ -193,25 +189,25 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
     speeds and a ride needs a compressive jump; backward the sandwich is
     reversed (faster curves lie to the left) and rides are never needed.
     """
-    jumps = fslice.jumps
+    lams = fslice.lams
     k0, k1 = members[0], members[-1]
     candidates = []
     for rho in range(k0, k1 + 2):
         v = fslice.a_values[rho]
         if backward:
-            ok_left = rho == k0 or v <= jumps[rho - 1].lam
-            ok_right = rho == k1 + 1 or v >= jumps[rho].lam
+            ok_left = rho == k0 or v <= lams[rho - 1]
+            ok_right = rho == k1 + 1 or v >= lams[rho]
         else:
-            ok_left = rho == k0 or v >= jumps[rho - 1].lam
-            ok_right = rho == k1 + 1 or v <= jumps[rho].lam
+            ok_left = rho == k0 or v >= lams[rho - 1]
+            ok_right = rho == k1 + 1 or v <= lams[rho]
         if ok_left and ok_right:
             candidates.append(("region", rho, v))
     if not backward:
         for k in members:
-            if jumps[k].kind == LAX:
-                candidates.append(("ride", k, jumps[k].lam))
+            if fslice.jump(k).kind == LAX:
+                candidates.append(("ride", k, lams[k]))
     if not candidates:
-        kinds = sorted({jumps[k].kind for k in members})
+        kinds = sorted({fslice.jump(k).kind for k in members})
         raise RuntimeError(
             f"no continuation {'backward' if backward else 'forward'} "
             f"at {where}: stack of {kinds} jumps offers no admissible branch"
@@ -233,15 +229,34 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
     )
 
 
+def _window(fslice, t, lo, hi):
+    """(first index, positions at time t as ``FieldSlice.positions_at`` has
+    them) of the jumps in [lo, hi], by bisect, and of two more each side; of
+    every jump, for the caller to scan, where an outer pair is out of order,
+    as rounding leaves jumps that meet (bisection orders the inner ones)."""
+    positions, lams, n = fslice.positions, fslice.lams, len(fslice.lams)
+    dt = t - fslice.time
+    at = (positions.__getitem__ if t == fslice.time
+          else lambda k: positions[k] + lams[k] * dt)
+    i = bisect_left(range(n), lo, key=at)
+    j = bisect_right(range(n), hi, key=at)
+    first = max(i - 2, 0)
+    xs = list(map(at, range(first, min(j + 2, n))))
+    if len(xs) < 2 or xs[0] <= xs[1] and xs[-2] <= xs[-1]:
+        return first, xs
+    return 0, list(map(at, range(n)))
+
+
 def _state_at(field, fslice, x, t, *, backward, tie_bias):
-    positions = fslice.positions_at(t)
-    tol = _anchor_tol(field, x)
-    # slice indices of the jump curves passing within tol of (x, t)
-    members = [k for k, q in enumerate(positions) if abs(q - x) <= tol]
+    tol = 0 if field.exact else ANCHOR_TOL * (1 + abs(x))
+    # slice indices of the jump curves passing within tol of (x, t); the
+    # window holds them unless three or more lie within rounding of x +- tol
+    first, xs = _window(fslice, t, x - tol, x + tol)
+    members = [first + r for r, q in enumerate(xs) if abs(q - x) <= tol]
     if members:
         return _resolve(fslice, members, backward=backward,
                         tie_bias=tie_bias, where=f"(x={x}, t={t})")
-    rho = bisect_right(positions, x)
+    rho = first + bisect_right(xs, x)
     return ("region", rho, fslice.a_values[rho])
 
 
@@ -258,8 +273,8 @@ def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
     feasibility).  Rarefaction-side jumps raise either way."""
     backward = t_to < t_from
     before = gt if backward else lt     # in marching order
-    jumps = fslice.jumps
-    guard = 4 * len(jumps) + 16
+    positions, lams = fslice.positions, fslice.lams
+    guard = 4 * len(lams) + 16
     t = t_from
     while before(t, t_to):
         guard -= 1
@@ -268,7 +283,7 @@ def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
                                "characteristic failed to make progress")
         mode, idx, speed = state
         if mode == "ride":
-            j = jumps[idx]
+            j = fslice.jump(idx)
             x1 = j.position + j.lam * (t_to - fslice.time)
             segments.append(PathSegment(t, t_to, x, x1, j.lam, "front",
                                         (j.partition, j.front_uid, j.kind)))
@@ -276,10 +291,10 @@ def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
         # find the first jump curve this region speed runs into
         hit_t, hit_k = None, None
         for k in (idx - 1, idx):
-            if not 0 <= k < len(jumps):
+            if not 0 <= k < len(lams):
                 continue
-            lam = jumps[k].lam
-            q = jumps[k].position + lam * (t - fslice.time)
+            lam = lams[k]
+            q = positions[k] + lam * (t - fslice.time)
             gap = q - x
             rel = speed - lam
             if rel == 0:
@@ -295,7 +310,7 @@ def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
         if hit_t is None:
             t1, x1 = t_to, x + speed * (t_to - t)
         else:
-            j = jumps[hit_k]
+            j = fslice.jump(hit_k)
             t1, x1 = hit_t, j.position + j.lam * (hit_t - fslice.time)
         segments.append(PathSegment(*((t1, t, x1, x) if backward
                                       else (t, t1, x, x1)),
@@ -341,8 +356,8 @@ def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
         raise ValueError("need t0 < t_end")
     path = CharacteristicPath()
     x = x0
-    for T0, T1, fslice in timeline(field, t0, t_end):
-        x = _step(field, fslice, x, T0, T1, tie_bias, path.segments)
+    for T0, T1, stop in stops(field, t0, t_end):
+        x = _step(field, stop.view(), x, T0, T1, tie_bias, path.segments)
     return path
 
 
@@ -361,8 +376,8 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
     tie_bias = 1 if extremal == "min" else -1
     rev_segments = []
     x = x0
-    for T0, T1, fslice in timeline(field, t_stop, t0, reverse=True):
-        x = _step(field, fslice, x, T1, T0, tie_bias, rev_segments)
+    for T0, T1, stop in stops(field, t_stop, t0, reverse=True):
+        x = _step(field, stop.view(), x, T1, T0, tie_bias, rev_segments)
     return CharacteristicPath(rev_segments[::-1])
 
 
@@ -517,8 +532,9 @@ class MaxPrincipleReport(Report):
 
 def _psi_min(fslice, lo, hi, t):
     """Min of psi at time t over positive-width pieces meeting (lo, hi)."""
+    first, xs = _window(fslice, t, lo, hi)
     psi = fslice.psi_values
-    return min((psi[i] for i, _, _ in fslice.pieces(lo, hi, t)),
+    return min((psi[first + i] for i, _, _ in clipped_pieces(xs, lo, hi)),
                default=None)
 
 
@@ -528,10 +544,11 @@ def _psi_integral(fslice, lo, hi, t):
     sign = 1
     if lo > hi:
         lo, hi, sign = hi, lo, -1
+    first, xs = _window(fslice, t, lo, hi)
     psi = fslice.psi_values
     total = 0
-    for i, a, b in fslice.pieces(lo, hi, t):
-        total += psi[i] * (b - a)
+    for i, a, b in clipped_pieces(xs, lo, hi):
+        total += psi[first + i] * (b - a)
     return sign * total
 
 
@@ -547,11 +564,11 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     time invariant.  The samples are the interval midpoints plus
     ``MAX_PRINCIPLE_SAMPLES - 1`` uniform times away from interactions.
 
-    The timeline is walked twice, each slice used as it is built and then
-    dropped: forward, carrying both funnel edges through each interval and
-    reading the funnel minimum off the segments just traced; then backward
-    from the edges' ends, carrying both backward characteristics and
-    integrating the mass between them.
+    The timeline is walked twice, reading each stop's view, not a slice:
+    forward, carrying both funnel edges through each interval and reading
+    the funnel minimum off the segments just traced; then backward from
+    the edges' ends, carrying both backward characteristics and integrating
+    the mass between them.
     """
     xi0, zeta0 = interval
     if not xi0 < zeta0:
@@ -577,7 +594,8 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     samples = []
     violations = []
     min_psi = None
-    for t0, t1, fs in timeline(field, 0, t_end):
+    for t0, t1, stop in stops(field, 0, t_end):
+        fs = stop.view()
         new_left, new_right = len(left.segments), len(right.segments)
         x_left = _step(field, fs, x_left, t0, t1, -1, left.segments)
         x_right = _step(field, fs, x_right, t0, t1, 1, right.segments)
@@ -600,7 +618,8 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     # segments come latest first
     rev_left, rev_right = [], []
     masses = []
-    for t0, t1, fs in timeline(field, 0, t_end, reverse=True):
+    for t0, t1, stop in stops(field, 0, t_end, reverse=True):
+        fs = stop.view()
         new_left, new_right = len(rev_left), len(rev_right)
         x_left = _step(field, fs, x_left, t1, t0, -1, rev_left)
         x_right = _step(field, fs, x_right, t1, t0, 1, rev_right)

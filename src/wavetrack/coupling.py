@@ -15,14 +15,15 @@ position-ordered list and records each interaction and crossing it
 applies; a walk replays that record as deltas on its own copy of the list
 and pauses at each interval midpoint.  There it re-derives only the jump
 states the replay touched (classified once per walk) and can hand out what
-changed since the last stop (:class:`FieldDelta`, in O(changes)) or build
-the whole slice from its list.
+changed since the last stop (:class:`FieldDelta`, in O(changes)), the
+whole slice, or the reads of the characteristic walks (``stop.view()``).
 """
 from __future__ import annotations
 
 import heapq
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import chain
@@ -151,6 +152,12 @@ class FieldSlice:
         """A slice is its own stop of a walk (see
         :meth:`CoefficientField.walk`)."""
         return self
+
+    def view(self):
+        """The slice's reads for the characteristic walks (a ``_StopView``)."""
+        return _StopView(self.time, [j.position for j in self.jumps],
+                         [j.lam for j in self.jumps], self.a_values,
+                         self.psi_values, self.jumps.__getitem__)
 
     def positions_at(self, t):
         """Jump positions at time t of the slice's interaction-free interval."""
@@ -529,7 +536,8 @@ class _Cursor:
     bounds an interval.  States are keyed by the front and the other run's
     state across it, and classified on first use.  A stop hands out what
     changed since the last one (:meth:`delta`) and the jump states in list
-    order (:meth:`order`); only :meth:`slice` computes every position.
+    order (:meth:`order`); only :meth:`slice` and :meth:`view` compute
+    every position.
 
     The guard reads the fronts' own data, not the record: no front is born
     or dies inside an interval, and each pair of neighbours is in order at
@@ -775,23 +783,26 @@ class _Cursor:
             self.ordered = tuple(map(self.state.__getitem__, self._entries()))
         return self.ordered
 
+    def view(self):
+        """This stop's reads for the characteristic walks, without a slice."""
+        (a, psi), t, entries = self.left_values, self.time, self._entries()
+        states = self.ordered = tuple(map(self.state.__getitem__, entries))
+        positions = [self.fronts[k].position_at(t) for k in entries]
+        return _StopView(
+            t, positions, [st.args[0] for st in states],
+            (a, *map(attrgetter("a_plus"), states)),
+            (psi, *map(attrgetter("psi_plus"), states)),
+            lambda k: ClassifiedJump(positions[k], t, *states[k].args))
+
     def slice(self):
         """The field at this stop, built once from the list."""
         if self.built is None:
-            t, fronts, entries = self.time, self.fronts, self._entries()
-            states = self.ordered = tuple(map(self.state.__getitem__,
-                                              entries))
-            a, psi = self.left_values
+            t, positions, _, a, psi, _ = self.view()
             self.stats.slices += 1
             self.built = FieldSlice(
-                time=t,
-                jumps=tuple(ClassifiedJump(fronts[k].position_at(t), t,
-                                           *st.args)
-                            for k, st in zip(entries, states)),
-                a_values=(a, *map(attrgetter("a_plus"), states)),
-                psi_values=(psi, *map(attrgetter("psi_plus"), states)),
-                states=states,
-            )
+                t, tuple(ClassifiedJump(x, t, *st.args)
+                         for x, st in zip(positions, self.ordered)),
+                a, psi, self.ordered)
         return self.built
 
     def delta(self):
@@ -878,6 +889,11 @@ class _Cursor:
         return st
 
 
+# What the characteristic walks read at a stop; jump(k) is a ClassifiedJump
+_StopView = namedtuple("_StopView",
+                       "time positions lams a_values psi_values jump")
+
+
 def timeline(field, s, t, *, reverse=False):
     """Walk the interaction-free intervals of ``field`` over [s, t].
 
@@ -894,9 +910,14 @@ def timeline(field, s, t, *, reverse=False):
     On an exact field the endpoints must be exact too (see
     :func:`exact_time`), so that every midpoint is a ``Fraction``.
     """
-    s, t = exact_time(field, s), exact_time(field, t)
-    for t0, t1, stop in field.walk([s, *field.event_times(s, t), t], reverse):
+    for t0, t1, stop in stops(field, s, t, reverse=reverse):
         yield t0, t1, stop.slice()
+
+
+def stops(field, s, t, *, reverse=False):
+    """The walk of :func:`timeline`: ``(t0, t1, stop)`` per interval."""
+    s, t = exact_time(field, s), exact_time(field, t)
+    return field.walk([s, *field.event_times(s, t), t], reverse)
 
 
 def exact_time(field, t):

@@ -583,7 +583,7 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
     out = out_dir if out_dir is not None else spec.out
     reports = {}
     error = None
-    probes = None
+    probes = finals = None
     try:
         run_I, run_II = build_runs(spec)
         field = CoefficientField(run_I, run_II)
@@ -622,6 +622,9 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
                 reports[name] = maximum_principle_check(
                     field, funnel, t, tol=(0 if spec.exact else 1e-10)
                 )
+        if out is not None:
+            # samples, not a slice: a cross-run crossing may sit at t
+            finals = run_I.sample(t), run_II.sample(t)
     except (DegenerateFieldError, RuntimeError, ValueError) as exc:
         error = exc
 
@@ -629,13 +632,12 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
     result = ScenarioResult(spec=spec, reports=reports, passed=passed,
                             error=error, out_dir=out)
     if out is not None:
-        _write_outputs(result, run_I if error is None else None,
-                       run_II if error is None else None,
-                       field if error is None else None, probes)
+        _write_outputs(result, field if error is None else None, probes,
+                       finals)
     return result
 
 
-def _write_outputs(result: ScenarioResult, run_I, run_II, field, probes):
+def _write_outputs(result: ScenarioResult, field, probes, finals):
     out = Path(result.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = result.spec
@@ -644,7 +646,7 @@ def _write_outputs(result: ScenarioResult, run_I, run_II, field, probes):
         _write_json(out / f"report_{name}.json", rep.to_dict())
     if field is None:
         return
-    t = spec.t_end
+    run_I, run_II, t = field.run_I, field.run_II, spec.t_end
     for label, run in (("run_I", run_I), ("run_II", run_II)):
         with _atomic_open(out / f"{label}_waves.csv") as f:
             run.export_wave_csv(f, t)
@@ -652,8 +654,7 @@ def _write_outputs(result: ScenarioResult, run_I, run_II, field, probes):
               else _drain(probes))
     with _atomic_open(out / "classified_jumps.csv") as f:
         export_jumps_csv(WeightField(field, spec.m), slices, f)
-    # the samples, not a field slice: a cross-run crossing may sit at t
-    u1_final, u2_final = run_I.sample(t), run_II.sample(t)
+    u1_final, u2_final = finals
     profiles = {
         "u1_initial": run_I.initial.as_dict(),
         "u2_initial": run_II.initial.as_dict(),

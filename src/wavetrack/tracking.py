@@ -353,7 +353,7 @@ class FrontTrackingRun:
         vals = [fronts[0].left_state, fronts[0].right_state]
         for f in fronts[1:]:
             if f.left_state != vals[-1]:
-                raise AssertionError("state chain broken while sampling")
+                raise RuntimeError("state chain broken while sampling")
             x = f.position_at(t)
             if x == bps[-1]:
                 # transient zero-width piece exactly at an interaction point

@@ -1,0 +1,154 @@
+"""Whole-slice reference for the characteristic walks (test helper).
+
+The maximum-principle check and the characteristic walks as they read the
+field before stops were read through lean views: every interval builds the
+whole slice, a path's start state scans every jump for members, and the
+funnel minimum and the mass clip every piece of the slice.  The march
+itself (``_march``, ``_resolve``) is shared and reads the slice's view.
+"""
+from bisect import bisect_left, bisect_right
+
+from wavetrack.characteristics import (
+    ANCHOR_TOL,
+    MAX_PRINCIPLE_SAMPLES,
+    CharacteristicPath,
+    MaxPrincipleReport,
+    _march,
+    _resolve,
+)
+from wavetrack.coupling import FieldSlice, stops
+
+
+def slices(field, s, t, reverse=False):
+    """(t0, t1, whole slice) per interval, as ``timeline`` yields them; a
+    :class:`~wavetrack.characteristics.StaticField` walk yields its slices
+    itself."""
+    for t0, t1, stop in stops(field, s, t, reverse=reverse):
+        yield t0, t1, stop if isinstance(stop, FieldSlice) else stop.slice()
+
+
+def state_at(field, fslice, x, t, *, backward, tie_bias):
+    positions = fslice.positions_at(t)
+    tol = 0 if field.exact else ANCHOR_TOL * (1 + abs(x))
+    members = [k for k, q in enumerate(positions) if abs(q - x) <= tol]
+    if members:
+        return _resolve(fslice.view(), members, backward=backward,
+                        tie_bias=tie_bias, where=f"(x={x}, t={t})")
+    rho = bisect_right(positions, x)
+    return ("region", rho, fslice.a_values[rho])
+
+
+def step(field, fslice, x, t_from, t_to, tie_bias, segments):
+    state = state_at(field, fslice, x, t_from, backward=t_to < t_from,
+                     tie_bias=tie_bias)
+    return _march(fslice.view(), state, x, t_from, t_to, tie_bias, segments)
+
+
+def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
+    path = CharacteristicPath()
+    x = x0
+    for T0, T1, fslice in slices(field, t0, t_end):
+        x = step(field, fslice, x, T0, T1, tie_bias, path.segments)
+    return path
+
+
+def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
+    tie_bias = 1 if extremal == "min" else -1
+    rev_segments = []
+    x = x0
+    for T0, T1, fslice in slices(field, t_stop, t0, reverse=True):
+        x = step(field, fslice, x, T1, T0, tie_bias, rev_segments)
+    return CharacteristicPath(rev_segments[::-1])
+
+
+def psi_min(fslice, lo, hi, t):
+    psi = fslice.psi_values
+    return min((psi[i] for i, _, _ in fslice.pieces(lo, hi, t)),
+               default=None)
+
+
+def psi_integral(fslice, lo, hi, t):
+    sign = 1
+    if lo > hi:
+        lo, hi, sign = hi, lo, -1
+    psi = fslice.psi_values
+    total = 0
+    for i, a, b in fslice.pieces(lo, hi, t):
+        total += psi[i] * (b - a)
+    return sign * total
+
+
+def maximum_principle_check(field, interval, t_end, tol=1e-10):
+    """``characteristics.maximum_principle_check`` on whole slices."""
+    xi0, zeta0 = interval
+    if field.exact:
+        tol = 0
+    n = MAX_PRINCIPLE_SAMPLES
+    uniform = [k * t_end / n for k in range(1, n)]
+    gap_tol = 0 if field.exact else 1e-9
+
+    def sample_times(t0, t1, fs):
+        lo_ok = t0 if t0 == 0 else t0 + gap_tol
+        hi_ok = t1 if t1 == t_end else t1 - gap_tol
+        inner = uniform[bisect_right(uniform, lo_ok):bisect_left(uniform, hi_ok)]
+        return sorted({fs.time, *inner})
+
+    left, right = CharacteristicPath(), CharacteristicPath()
+    x_left, x_right = xi0, zeta0
+    samples = []
+    violations = []
+    min_psi = None
+    for t0, t1, fs in slices(field, 0, t_end):
+        new_left, new_right = len(left.segments), len(right.segments)
+        x_left = step(field, fs, x_left, t0, t1, -1, left.segments)
+        x_right = step(field, fs, x_right, t0, t1, 1, right.segments)
+        piece_left = CharacteristicPath(left.segments[new_left:])
+        piece_right = CharacteristicPath(right.segments[new_right:])
+        for tau in sample_times(t0, t1, fs):
+            samples.append(tau)
+            lo, hi = piece_left.position_at(tau), piece_right.position_at(tau)
+            m = psi_min(fs, lo, hi, tau) if lo < hi else None
+            if m is not None:
+                if min_psi is None or m < min_psi:
+                    min_psi = m
+                if m < -tol:
+                    violations.append(
+                        f"t={tau}: transported difference dips to {m} inside "
+                        f"the funnel ({lo}, {hi})"
+                    )
+
+    rev_left, rev_right = [], []
+    masses = []
+    for t0, t1, fs in slices(field, 0, t_end, reverse=True):
+        new_left, new_right = len(rev_left), len(rev_right)
+        x_left = step(field, fs, x_left, t1, t0, -1, rev_left)
+        x_right = step(field, fs, x_right, t1, t0, 1, rev_right)
+        piece_left = CharacteristicPath(rev_left[new_left:][::-1])
+        piece_right = CharacteristicPath(rev_right[new_right:][::-1])
+        masses.append([
+            psi_integral(fs, piece_left.position_at(tau),
+                         piece_right.position_at(tau), tau)
+            for tau in sample_times(t0, t1, fs)
+        ])
+    masses = [mass for step_masses in reversed(masses)
+              for mass in step_masses]
+    ref = masses[0]
+    drift = 0
+    for mass in masses[1:]:
+        drift = max(drift, abs(mass - ref))
+    if drift > tol * (1 + abs(ref)):
+        violations.append(
+            f"mass between backward characteristics drifts by {drift}"
+        )
+    return MaxPrincipleReport(
+        interval=tuple(interval),
+        t_end=t_end,
+        min_psi=min_psi,
+        conservation_drift=drift,
+        sample_times=samples,
+        left_path=left,
+        right_path=right,
+        back_left=CharacteristicPath(rev_left[::-1]),
+        back_right=CharacteristicPath(rev_right[::-1]),
+        violations=violations,
+    )

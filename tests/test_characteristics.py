@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import max_principle_oracle as oracle
 from wavetrack import (
     CoefficientField,
     FrontTrackingRun,
@@ -23,7 +24,13 @@ from wavetrack import (
     random_scenario_config,
     run_scenario,
 )
-from wavetrack.characteristics import _march
+from wavetrack.characteristics import (
+    _march,
+    _psi_integral,
+    _psi_min,
+    _state_at,
+    _window,
+)
 from wavetrack.scenarios import build_runs
 
 FLUX = burgers_flux()
@@ -203,9 +210,10 @@ def test_max_principle_walks_the_timeline_twice():
     intervals = len(field.event_times(0, 2)) + 1
     rep = maximum_principle_check(field, (1, 5), 2)
     assert rep.passed
-    # both walks come from the cursor; no whole slice is built
+    # both walks read the cursor's stops; no whole slice is built
     assert field.stats.at_slices == 0
-    assert field.stats.slices == field.stats.intervals == 2 * intervals
+    assert field.stats.slices == 0
+    assert field.stats.intervals == 2 * intervals
 
 
 def _exact_twin():
@@ -240,6 +248,85 @@ def test_max_principle_paths_match_the_public_walks(make):
     assert rep.back_right.segments == back_right.segments
 
 
+def _outcome(check, field, funnel, t_end, tol):
+    """What the check reports, read value for value, or its error text."""
+    try:
+        rep = check(field, funnel, t_end, tol)
+    except (RuntimeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    paths = (rep.left_path, rep.right_path, rep.back_left, rep.back_right)
+    return (rep.to_dict(), rep.sample_times,
+            [path.segments for path in paths])
+
+
+def _scenario_fields(corpus):
+    if corpus == "sine":
+        for n_cells, h in ((4, 0.2), (8, 0.2), (8, 0.1), (12, 0.1),
+                           (20, 0.1), (64, 0.05)):
+            yield _sine_field(n_cells, h), (1, 5), 2
+        return
+    configs = ([random_scenario_config(seed) for seed in range(200, 230)]
+               if corpus == "float" else
+               [random_scenario_config(seed, rational=True)
+                for seed in range(300, 310)])
+    for config in configs:
+        spec = parse_scenario(config)
+        field = CoefficientField(*build_runs(spec))
+        # the default funnel of run_scenario
+        bps = [*field.run_I.initial.breakpoints,
+               *field.run_II.initial.breakpoints]
+        yield field, (min(bps) - 1, max(bps) + 1), spec.t_end
+
+
+@pytest.mark.parametrize("corpus", ["sine", "float", "rational"])
+def test_max_principle_equals_the_whole_slice_reference(corpus):
+    for field, funnel, t_end in _scenario_fields(corpus):
+        tol = 0 if field.exact else 1e-10
+        assert (_outcome(maximum_principle_check, field, funnel, t_end, tol)
+                == _outcome(oracle.maximum_principle_check, field, funnel,
+                            t_end, tol))
+
+
+def _static_lax():
+    return LAX, (-1.0, 0.5)
+
+
+@pytest.mark.parametrize("make", [_static_lax, _exact_twin])
+def test_walks_equal_the_whole_slice_reference(make):
+    field, (xi0, zeta0) = make()
+    for x0 in (xi0, zeta0):
+        for tie_bias in (-1, 1):
+            assert (forward_characteristic(field, x0, 0, 2, tie_bias).segments
+                    == oracle.forward_characteristic(field, x0, 0, 2,
+                                                     tie_bias).segments)
+        for extremal in ("min", "max"):
+            assert (backward_characteristic(field, x0, 2, 0,
+                                            extremal).segments
+                    == oracle.backward_characteristic(field, x0, 2, 0,
+                                                      extremal).segments)
+
+
+def test_window_scans_every_jump_where_positions_are_out_of_order():
+    # jumps 1, 2 and 3 meet at t = 1/2: shifted to t = 3/4 from the slice at
+    # t = 1/4 they are out of order, as rounding can leave jumps that meet
+    field = StaticField(
+        [(0.0, 0.0), (2.0, 1.0), (2.5, 0.0), (3.0, -1.0), (5.0, 0.0)],
+        [1.0, 0.5, 0.0, -0.5, -1.0, -1.5],
+        kappa_values=[0.0, 1.0, -1.0, 2.0, -2.0, 3.0])
+    fs, t = field.at(0.25), 0.75
+    assert _window(fs.view(), t, 2.3, 2.4) == (0, [0.0, 2.75, 2.5, 2.25, 5.0])
+    for lo, hi in ((2.3, 2.4), (2.6, 3.0), (1.0, 4.0), (2.4, 2.3)):
+        if lo < hi:
+            assert (_psi_min(fs.view(), lo, hi, t)
+                    == oracle.psi_min(fs, lo, hi, t))
+        assert (_psi_integral(fs.view(), lo, hi, t)
+                == oracle.psi_integral(fs, lo, hi, t))
+    for x in (2.25, 2.4, 2.5, 2.75):
+        assert (_state_at(field, fs.view(), x, t, backward=True, tie_bias=1)
+                == oracle.state_at(field, fs, x, t, backward=True,
+                                   tie_bias=1))
+
+
 def test_rational_max_principle_bytes_are_pinned(tmp_path):
     config = random_scenario_config(300, rational=True,
                                     checks=["max_principle"])
@@ -272,14 +359,15 @@ def test_march_forward_into_a_rarefaction_side_jump_raises():
     # crafted state heading into the jump stands in for one
     rs = StaticField([(0, 0)], [Fraction(-1, 2), Fraction(1, 2)], exact=True)
     with pytest.raises(RuntimeError, match="forward characteristic ran into"):
-        _march(rs.at(Fraction(1, 2)), ("region", 0, 1), -1, 0, 2, 0, [])
+        _march(rs.at(Fraction(1, 2)).view(), ("region", 0, 1), -1, 0, 2, 0,
+               [])
 
 
 def test_march_backward_into_a_compressive_jump_resolves_the_tie():
     # a backward path meets a compressive jump only on a float tie; there it
     # takes the extremal feasible side, and goes on to the end time
     lax = StaticField([(0, 0)], [Fraction(1, 2), Fraction(-1, 2)], exact=True)
-    fs = lax.at(1)
+    fs = lax.at(1).view()
     for tie_bias, foot in ((1, Fraction(-1, 2)), (-1, Fraction(1, 2))):
         segments = []
         assert _march(fs, ("region", 0, -1), -1, 2, 0, tie_bias,

@@ -269,11 +269,29 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
 
 
+def _float_copy(p):
+    return {"leading": float(p.far_left),
+            "pairs": [[float(x), float(p.value_at(x))] for x in p.breakpoints]}
+
+
 def test_cli_degenerate_exit_code(tmp_path, capsys):
     cfg = _basic_config(u2={"leading": 0.5, "pairs": [[0.0, -0.5]]})
     path = _write_config(tmp_path, cfg)
     assert main(["run", path]) == 2
     assert "error:" in capsys.readouterr().err
+    # float copy of a rational pair whose fronts, sorted by position at the
+    # horizon, no longer chain the second run's states: the Oleinik check
+    # passes, then sampling the final profiles for the output files fails
+    p1, p2 = random_scenario_pair(random.Random(4), max_jumps=4,
+                                  rational=True)
+    cfg = _basic_config(u1=_float_copy(p1), u2=_float_copy(p2),
+                        checks=["oleinik"])
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "state chain broken" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert "state chain broken" in summary["error"]
+    assert summary["results"] == {"oleinik": True}
 
 
 def test_cli_mode_override(tmp_path, capsys):
