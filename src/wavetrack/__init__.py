@@ -49,7 +49,6 @@ from .coupling import (
     WeightField,
     classify,
     export_jumps_csv,
-    timeline,
 )
 from .fluxes import (
     FluxModel,
@@ -156,7 +155,6 @@ __all__ = [
     "sample_initial_data",
     "secant_speed",
     "solve_riemann",
-    "timeline",
     "total_variation",
     "weighted_identity_report",
 ]

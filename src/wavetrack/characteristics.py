@@ -229,28 +229,29 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
     )
 
 
-def _window(fslice, t, lo, hi):
+def _window(view, t, lo, hi):
     """(first index, positions at time t as ``FieldSlice.positions_at`` has
-    them) of the jumps in [lo, hi], by bisect, and of two more each side; of
-    every jump, for the caller to scan, where an outer pair is out of order,
-    as rounding leaves jumps that meet (bisection orders the inner ones)."""
-    positions, lams, n = fslice.positions, fslice.lams, len(fslice.lams)
-    dt = t - fslice.time
-    at = (positions.__getitem__ if t == fslice.time
-          else lambda k: positions[k] + lams[k] * dt)
-    i = bisect_left(range(n), lo, key=at)
-    j = bisect_right(range(n), hi, key=at)
-    first = max(i - 2, 0)
-    xs = list(map(at, range(first, min(j + 2, n))))
-    if len(xs) < 2 or xs[0] <= xs[1] and xs[-2] <= xs[-1]:
-        return first, xs
-    return 0, list(map(at, range(n)))
+    them) of the jumps that can lie in [lo, hi] at time t: by bisection of
+    the stop-time positions, which the walk holds in order, for [lo, hi]
+    widened by the farthest a jump moves from the stop time to t, plus the
+    rounding of a shifted float position.  The positions at t may be out of
+    order, as rounding leaves jumps that meet; all that can reach [lo, hi]
+    are in the window even so."""
+    positions, lams, dt = view.positions, view.lams, t - view.time
+    reach = view.speed * abs(dt)
+    if isinstance(reach, float):    # an exact view shifts without rounding
+        reach += ANCHOR_TOL * (1 + abs(lo) + abs(hi) + reach)
+    i = bisect_left(positions, lo - reach)
+    j = bisect_right(positions, hi + reach)
+    if not dt:
+        return i, positions[i:j]
+    return i, [positions[k] + lams[k] * dt for k in range(i, j)]
 
 
 def _state_at(field, fslice, x, t, *, backward, tie_bias):
     tol = 0 if field.exact else ANCHOR_TOL * (1 + abs(x))
-    # slice indices of the jump curves passing within tol of (x, t); the
-    # window holds them unless three or more lie within rounding of x +- tol
+    # the jump curves passing within tol of (x, t) and the region holding x
+    # otherwise, from the window around x -+ tol
     first, xs = _window(fslice, t, x - tol, x + tol)
     members = [first + r for r, q in enumerate(xs) if abs(q - x) <= tol]
     if members:
@@ -483,7 +484,7 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
             spread = max(spread, f2 * (cI + cII) / 2)
             c0 = target.flux.convexity_modulus
             for run_name, c in (("first", cI), ("second", cII)):
-                if c > 1 / c0 + tol_scale * (1 + 1 / c0):
+                if c > 1 / c0 + tol * (1 + 1 / c0):
                     violations.append(
                         f"t={t}: discrete fan slope {c} of the {run_name} run "
                         f"exceeds 1/c0 = {1 / c0}"

@@ -9,7 +9,7 @@ rarefaction-shock), partitions them by owning run, and builds the strength
 weight used by the weighted-L1 decay functional.
 
 ``CoefficientField.at`` builds the whole field at one time.
-``timeline`` walks it interval by interval with an event-delta cursor.
+``stops`` walks it interval by interval with an event-delta cursor.
 One kinetic sweep per field keeps the alive fronts of both runs in one
 position-ordered list and records each interaction and crossing it
 applies; a walk replays that record as deltas on its own copy of the list
@@ -30,7 +30,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 
 from .fluxes import secant_speed
-from .profiles import clipped_pieces, csv_fields, csv_lines
+from .profiles import csv_fields, csv_lines
 from .tracking import FrontTrackingRun
 
 LAX = "lax"
@@ -148,15 +148,11 @@ class FieldSlice:
     # slices built by ``at``
     states: tuple = dataclass_field(default=None, compare=False, repr=False)
 
-    def slice(self):
-        """A slice is its own stop of a walk (see
-        :meth:`CoefficientField.walk`)."""
-        return self
-
     def view(self):
         """The slice's reads for the characteristic walks (a ``_StopView``)."""
-        return _StopView(self.time, [j.position for j in self.jumps],
-                         [j.lam for j in self.jumps], self.a_values,
+        lams = [j.lam for j in self.jumps]
+        return _StopView(self.time, [j.position for j in self.jumps], lams,
+                         max(map(abs, lams), default=0), self.a_values,
                          self.psi_values, self.jumps.__getitem__)
 
     def positions_at(self, t):
@@ -165,13 +161,6 @@ class FieldSlice:
             return [j.position for j in self.jumps]
         dt = t - self.time
         return [j.position + j.lam * dt for j in self.jumps]
-
-    def pieces(self, lo, hi, t=None):
-        """(region index, a, b) of every region of positive width inside
-        [lo, hi], clipped to [a, b], with the jumps at time t (default: the
-        slice time); see :func:`~wavetrack.profiles.clipped_pieces`."""
-        return clipped_pieces(
-            self.positions_at(self.time if t is None else t), lo, hi)
 
 
 @dataclass
@@ -291,7 +280,7 @@ class CoefficientField:
         (reversed with ``reverse``): one cursor paused at the interval
         midpoint, valid until the walk moves on.  ``stop.slice()`` is the
         field there and ``stop.delta()`` what changed since the last stop;
-        see :class:`_Cursor` and :func:`timeline`."""
+        see :class:`_Cursor` and :func:`stops`."""
         return _Cursor(self).walk(bounds, reverse)
 
     def _jump_state(self, front, in_II, minus, am, km):
@@ -788,8 +777,9 @@ class _Cursor:
         (a, psi), t, entries = self.left_values, self.time, self._entries()
         states = self.ordered = tuple(map(self.state.__getitem__, entries))
         positions = [self.fronts[k].position_at(t) for k in entries]
+        lams = [st.args[0] for st in states]
         return _StopView(
-            t, positions, [st.args[0] for st in states],
+            t, positions, lams, max(map(abs, lams), default=0),
             (a, *map(attrgetter("a_plus"), states)),
             (psi, *map(attrgetter("psi_plus"), states)),
             lambda k: ClassifiedJump(positions[k], t, *states[k].args))
@@ -797,7 +787,7 @@ class _Cursor:
     def slice(self):
         """The field at this stop, built once from the list."""
         if self.built is None:
-            t, positions, _, a, psi, _ = self.view()
+            t, positions, _, _, a, psi, _ = self.view()
             self.stats.slices += 1
             self.built = FieldSlice(
                 t, tuple(ClassifiedJump(x, t, *st.args)
@@ -889,33 +879,28 @@ class _Cursor:
         return st
 
 
-# What the characteristic walks read at a stop; jump(k) is a ClassifiedJump
+# What the characteristic walks read at a stop: the jump positions at the
+# stop time, in order, the jump speeds and the largest of their sizes, the
+# values of a and psi per region, and jump(k), a ClassifiedJump
 _StopView = namedtuple("_StopView",
-                       "time positions lams a_values psi_values jump")
+                       "time positions lams speed a_values psi_values jump")
 
 
-def timeline(field, s, t, *, reverse=False):
+def stops(field, s, t, *, reverse=False):
     """Walk the interaction-free intervals of ``field`` over [s, t].
 
-    Yields ``(t0, t1, slice)`` per interval, in time order (reversed with
-    ``reverse``), where the slice is the field at the interval midpoint.
+    Yields ``(t0, t1, stop)`` per interval, in time order (reversed with
+    ``reverse``), where the stop holds the field at the interval midpoint.
     Between interactions every jump moves on a straight line, so that one
-    slice describes the whole interval (see :meth:`FieldSlice.positions_at`).
-    The interval bounds come from ``field.event_times``, the slices from
-    the stops of ``field.walk``: on a :class:`CoefficientField` an
-    event-delta cursor that moves one front list from midpoint to midpoint
-    and raises :class:`InconsistentFieldError` on an interaction the bounds
-    miss.  Slices are built as the walk reaches them and not kept.
+    stop describes the whole interval (see :meth:`FieldSlice.positions_at`).
+    The interval bounds come from ``field.event_times``, the stops from
+    ``field.walk``: on a :class:`CoefficientField` an event-delta cursor
+    that moves one front list from midpoint to midpoint and raises
+    :class:`InconsistentFieldError` on an interaction the bounds miss.
 
     On an exact field the endpoints must be exact too (see
     :func:`exact_time`), so that every midpoint is a ``Fraction``.
     """
-    for t0, t1, stop in stops(field, s, t, reverse=reverse):
-        yield t0, t1, stop.slice()
-
-
-def stops(field, s, t, *, reverse=False):
-    """The walk of :func:`timeline`: ``(t0, t1, stop)`` per interval."""
     s, t = exact_time(field, s), exact_time(field, t)
     return field.walk([s, *field.event_times(s, t), t], reverse)
 

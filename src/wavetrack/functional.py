@@ -76,7 +76,7 @@ from .coupling import (
     WeightField,
     exact_time,
 )
-from .profiles import Report, total_variation
+from .profiles import Report, clipped_pieces, total_variation
 
 TOL_SCALE = 1e-8
 
@@ -105,7 +105,8 @@ def _norms(fslice, weights, window, t=None):
     jumps moved to time t (default: the slice time)."""
     psi = fslice.psi_values
     totals = [0] * len(weights)
-    for i, a, b in fslice.pieces(*window, t):
+    xs = fslice.positions_at(fslice.time if t is None else t)
+    for i, a, b in clipped_pieces(xs, *window):
         p, width = abs(psi[i]), b - a
         for k, wv in enumerate(weights):
             totals[k] += p * width if wv is None else p * wv[i] * width

@@ -17,12 +17,13 @@ from wavetrack.characteristics import (
     _resolve,
 )
 from wavetrack.coupling import FieldSlice, stops
+from wavetrack.profiles import clipped_pieces
 
 
 def slices(field, s, t, reverse=False):
-    """(t0, t1, whole slice) per interval, as ``timeline`` yields them; a
-    :class:`~wavetrack.characteristics.StaticField` walk yields its slices
-    itself."""
+    """(t0, t1, whole slice) per interval of ``coupling.stops``: the
+    slice at each stop; a :class:`~wavetrack.characteristics.StaticField`
+    walk yields its slices itself."""
     for t0, t1, stop in stops(field, s, t, reverse=reverse):
         yield t0, t1, stop if isinstance(stop, FieldSlice) else stop.slice()
 
@@ -63,8 +64,8 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
 
 def psi_min(fslice, lo, hi, t):
     psi = fslice.psi_values
-    return min((psi[i] for i, _, _ in fslice.pieces(lo, hi, t)),
-               default=None)
+    return min((psi[i] for i, _, _ in
+                clipped_pieces(fslice.positions_at(t), lo, hi)), default=None)
 
 
 def psi_integral(fslice, lo, hi, t):
@@ -73,7 +74,7 @@ def psi_integral(fslice, lo, hi, t):
         lo, hi, sign = hi, lo, -1
     psi = fslice.psi_values
     total = 0
-    for i, a, b in fslice.pieces(lo, hi, t):
+    for i, a, b in clipped_pieces(fslice.positions_at(t), lo, hi):
         total += psi[i] * (b - a)
     return sign * total
 

@@ -24,7 +24,9 @@ from wavetrack import (
     random_scenario_config,
     run_scenario,
 )
+from wavetrack import characteristics
 from wavetrack.characteristics import (
+    ANCHOR_TOL,
     _march,
     _psi_integral,
     _psi_min,
@@ -140,6 +142,20 @@ def test_oleinik_on_single_fan_run():
     # discrete fans spread exactly like the exact rarefaction: t du/dx = 1
     assert rep.fan_slope_constant == pytest.approx(1.0)
     assert rep.fan_allowance == 0.25
+
+
+def test_oleinik_flags_an_exact_fan_slope_past_one_over_c0(monkeypatch):
+    # an exact field checks the fan slope with zero tolerance, as it does
+    # every other bound
+    field, _ = _exact_twin()
+    assert oleinik_report(field, [Fraction(1, 2)]).passed
+    slope = 1 + Fraction(1, 10**9)
+    monkeypatch.setattr(characteristics, "_run_fan_slope",
+                        lambda placed, t: slope)
+    rep = oleinik_report(field, [Fraction(1, 2)])
+    assert not rep.passed
+    assert rep.fan_slope_constant == slope
+    assert "discrete fan slope" in rep.violations[0]
 
 
 def test_oleinik_on_coupled_field():
@@ -306,15 +322,16 @@ def test_walks_equal_the_whole_slice_reference(make):
                                                       extremal).segments)
 
 
-def test_window_scans_every_jump_where_positions_are_out_of_order():
+def test_window_holds_jumps_whose_positions_are_out_of_order():
     # jumps 1, 2 and 3 meet at t = 1/2: shifted to t = 3/4 from the slice at
-    # t = 1/4 they are out of order, as rounding can leave jumps that meet
+    # t = 1/4 they are out of order, as rounding can leave jumps that meet;
+    # each can reach [2.3, 2.4] by then, so the window holds all three
     field = StaticField(
         [(0.0, 0.0), (2.0, 1.0), (2.5, 0.0), (3.0, -1.0), (5.0, 0.0)],
         [1.0, 0.5, 0.0, -0.5, -1.0, -1.5],
         kappa_values=[0.0, 1.0, -1.0, 2.0, -2.0, 3.0])
     fs, t = field.at(0.25), 0.75
-    assert _window(fs.view(), t, 2.3, 2.4) == (0, [0.0, 2.75, 2.5, 2.25, 5.0])
+    assert _window(fs.view(), t, 2.3, 2.4) == (1, [2.75, 2.5, 2.25])
     for lo, hi in ((2.3, 2.4), (2.6, 3.0), (1.0, 4.0), (2.4, 2.3)):
         if lo < hi:
             assert (_psi_min(fs.view(), lo, hi, t)
@@ -325,6 +342,18 @@ def test_window_scans_every_jump_where_positions_are_out_of_order():
         assert (_state_at(field, fs.view(), x, t, backward=True, tie_bias=1)
                 == oracle.state_at(field, fs, x, t, backward=True,
                                    tie_bias=1))
+
+
+def test_window_holds_a_jump_that_rounds_onto_its_edge():
+    # shifted from t = 0 to t = 0.2, the jump lands exactly on x - tol by
+    # rounding up, while x - tol less the shift rounds above its stop-time
+    # position: the window's rounding term keeps it a member
+    field = StaticField([(0.10849050813308195, 1.0)], [2.0, 0.0])
+    fs, t, x = field.at(0.0), 0.2, 0.30849050944157247
+    assert fs.positions_at(t) == [x - ANCHOR_TOL * (1 + x)]
+    assert (_state_at(field, fs.view(), x, t, backward=True, tie_bias=1)
+            == oracle.state_at(field, fs, x, t, backward=True, tie_bias=1)
+            == ("region", 0, 2.0))
 
 
 def test_rational_max_principle_bytes_are_pinned(tmp_path):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import max_principle_oracle as oracle
 from wavetrack.coupling import (
     FAST,
     LAX,
@@ -21,7 +22,6 @@ from wavetrack.coupling import (
     WeightField,
     classify,
     export_jumps_csv,
-    timeline,
 )
 from wavetrack.fluxes import burgers_flux
 from wavetrack.functional import identity_reports
@@ -134,7 +134,7 @@ def test_a_pair_made_mid_walk_is_checked_for_coinciding_fronts():
                    Profile([q(-1), q(1)], [q(2), q(0), q(-2)]),
                    horizon=q(2), exact=True)
     assert field.event_times(q(0), q(2)) == [1]
-    walk = timeline(field, 0, 2)
+    walk = oracle.slices(field, 0, 2)
     t0, t1, fs = next(walk)
     assert (t0, t1, len(fs.jumps)) == (0, 1, 3)
     with pytest.raises(DegenerateFieldError, match="x=0 \\(t=3/2\\)"):
@@ -269,10 +269,10 @@ def test_export_jumps_csv_shape():
 
 def test_timeline_one_midpoint_slice_per_interval():
     field = _field(Profile([0.0, 1.0], [1.0, 0.0, -1.0]), Profile.constant(0.0))
-    walk = list(timeline(field, 0.0, 2.0))
+    walk = list(oracle.slices(field, 0.0, 2.0))
     assert [(t0, t1) for t0, t1, _ in walk] == [(0.0, 1.0), (1.0, 2.0)]
     assert [fs.time for _, _, fs in walk] == [0.5, 1.5]
-    back = list(timeline(field, 0.0, 2.0, reverse=True))
+    back = list(oracle.slices(field, 0.0, 2.0, reverse=True))
     assert [(t0, t1) for t0, t1, _ in back] == [(1.0, 2.0), (0.0, 1.0)]
 
 
@@ -305,7 +305,7 @@ def test_timeline_detects_a_missed_event(monkeypatch):
     monkeypatch.setattr(CoefficientField, "event_times",
                         lambda self, s, t: full(self, s, t)[1:])
     with pytest.raises(InconsistentFieldError, match="missing"):
-        list(timeline(field, 0.0, 1.5))
+        list(oracle.slices(field, 0.0, 1.5))
 
 
 def test_timeline_detects_a_missed_crossing(monkeypatch):
@@ -316,7 +316,7 @@ def test_timeline_detects_a_missed_crossing(monkeypatch):
     monkeypatch.setattr(CoefficientField, "event_times",
                         lambda self, s, t: [])
     with pytest.raises(InconsistentFieldError, match="order"):
-        list(timeline(field, 0.0, 3.0))
+        list(oracle.slices(field, 0.0, 3.0))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -338,7 +338,7 @@ def test_timeline_detects_a_miss_between_other_bounds(monkeypatch, bounds,
     monkeypatch.setattr(CoefficientField, "event_times",
                         lambda self, s, t: list(bounds))
     with pytest.raises(InconsistentFieldError, match=match):
-        list(timeline(field, 0.0, 3.0, reverse=reverse))
+        list(oracle.slices(field, 0.0, 3.0, reverse=reverse))
 
 
 # -- the crossing sweep against the all-pairs scan ------------------------------
@@ -450,7 +450,7 @@ def test_sweep_front_through_a_collision_point():
     assert scan == [1, 1, 1]
     assert swept and set(swept) == {1}
     assert field.event_times(0, 2) == [Fraction(1)]
-    assert len(list(timeline(field, Fraction(0), Fraction(2)))) == 2
+    assert len(list(oracle.slices(field, Fraction(0), Fraction(2)))) == 2
 
 
 def test_sweep_front_crosses_a_fan_at_nearly_one_time():
@@ -512,13 +512,16 @@ def test_cursor_slices_equal_whole_slices(name):
     for field in _cursor_corpus(name):
         horizon = field.run_I.evolved_until
         forward = []
-        for t0, t1, fs in timeline(field, horizon * 0, horizon):
+        for t0, t1, fs in oracle.slices(field, horizon * 0, horizon):
             assert fs.time == t0 + (t1 - t0) / 2
+            # the characteristic walks bisect the stop-time positions
+            xs = fs.positions_at(fs.time)
+            assert all(a <= b for a, b in zip(xs, xs[1:]))
             bits = _slice_bits(fs)
             assert bits == _slice_bits(field.at(fs.time))
             forward.append(bits)
         backward = [_slice_bits(fs) for _, _, fs in
-                    timeline(field, horizon * 0, horizon, reverse=True)]
+                    oracle.slices(field, horizon * 0, horizon, reverse=True)]
         assert backward == forward[::-1]
         assert field.stats.slices == field.stats.intervals == 2 * len(forward)
 
@@ -530,7 +533,7 @@ def test_cursor_keys_states_by_the_other_runs_state():
     field = CoefficientField(*build_runs(parse_scenario(
         _sine_pair_config(8, 0.1))))
     seen = {}
-    for _, _, fs in timeline(field, 0.0, 2.0):
+    for _, _, fs in oracle.slices(field, 0.0, 2.0):
         assert _slice_bits(fs) == _slice_bits(field.at(fs.time))
         for j in fs.jumps:
             if j.partition == "II" and j.front_uid in (14, 15):
@@ -559,8 +562,8 @@ def test_one_walk_classifies_each_state_once():
     assert stats.deltas > 0
     # a state is a front with the other run's state across it
     states = set()
-    for _, _, fs in timeline(CoefficientField(field.run_I, field.run_II),
-                             0.0, 2.0):
+    for _, _, fs in oracle.slices(CoefficientField(field.run_I, field.run_II),
+                                  0.0, 2.0):
         for j, st in zip(fs.jumps, fs.states):
             other = st.minus[1] if j.partition == "I" else st.minus[0]
             states.add((j.partition, j.front_uid, other))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -31,7 +32,6 @@ from wavetrack import (
     random_scenario_pair,
     refinement_study,
     run_scenario,
-    timeline,
     weighted_identity_report,
 )
 from wavetrack import functional, scenarios
@@ -41,7 +41,9 @@ from wavetrack.coupling import (
     SLOW,
     DegenerateFieldError,
 )
+from wavetrack.profiles import clipped_pieces
 from wavetrack.scenarios import build_runs, parse_scenario
+import max_principle_oracle as oracle
 from product_oracle import VariationFunction, nonconservative_product
 from test_coupling import _sine_pair_config
 
@@ -105,7 +107,7 @@ def test_default_window_covers_fronts():
     # while each jump of a walk slice stays strictly inside the window
     for cf, s, t in _window_fields():
         lo, hi = default_window(cf, t)
-        for t0, t1, fs in timeline(cf, s, t):
+        for t0, t1, fs in oracle.slices(cf, s, t):
             for tau in (t0 + (t1 - t0) / 4, t0 + 3 * (t1 - t0) / 4):
                 for j in fs.jumps:
                     assert lo < j.position + j.lam * (tau - fs.time) < hi
@@ -117,7 +119,7 @@ def test_default_window_covers_fronts():
                                  exact=exact).evolve(num(2))
                 for v in (0, Fraction(1, 2))]
         cf = CoefficientField(*runs)
-        for t0, t1, fs in timeline(cf, num(0), num(2)):
+        for t0, t1, fs in oracle.slices(cf, num(0), num(2)):
             assert fs.jumps == ()
         plain, [weighted] = identity_reports(cf, [num(1)], num(0), num(2))
         for rep, digest in zip((plain, weighted), digests):
@@ -363,9 +365,9 @@ def test_report_serializes():
 def _windowed_norm(fs, weight_values, window):
     # integral of |psi| (times the weight if given) over the window, piece
     # by piece at the slice time
-    psi = fs.psi_values
+    psi, xs = fs.psi_values, fs.positions_at(fs.time)
     return sum(abs(psi[i]) * (1 if weight_values is None else weight_values[i])
-               * (b - a) for i, a, b in fs.pieces(*window))
+               * (b - a) for i, a, b in clipped_pieces(xs, *window))
 
 
 def test_probe_norms_match_fresh_slices_exactly():
@@ -677,12 +679,13 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
                     cf.classification_tol) == LAX
     assert jump.sign_table_consistent(0)
     assert not jump.sign_table_consistent(0, cf.classification_tol)
-    # a walk's slice, with its one jump state
+    # a walk's slice, with its one jump state, at its one stop
     fs = FieldSlice(time=one, jumps=(jump,), a_values=(one / 10**12, -one),
                     psi_values=(-one, -one), states=(object(),))
     monkeypatch.setattr(CoefficientField, "walk",
                         lambda self, bounds, reverse=False:
-                        iter([(bounds[0], bounds[-1], fs)]))
+                        iter([(bounds[0], bounds[-1],
+                               SimpleNamespace(slice=lambda: fs))]))
     plain = l1_identity_report(cf, 0, 2)
     assert "t=1: trace sign table violated at x=0 (lax)" in plain.violations
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import csv_reference
+import max_principle_oracle as oracle
 from test_coupling import _sine_pair_config
 from wavetrack import (
     CoefficientField,
@@ -16,7 +17,6 @@ from wavetrack import (
     export_paths_csv,
     maximum_principle_check,
     random_scenario_pair,
-    timeline,
 )
 from wavetrack.characteristics import CharacteristicPath
 from wavetrack.fluxes import burgers_flux
@@ -50,7 +50,7 @@ def test_tables_match_the_csv_module(make):
     field = make()
     horizon = field.run_I.evolved_until
     # every walk slice and a few whole ones
-    slices = [fs for _, _, fs in timeline(field, horizon * 0, horizon)]
+    slices = [fs for _, _, fs in oracle.slices(field, horizon * 0, horizon)]
     slices += [field.at(horizon * k / 7) for k in range(1, 7)]
     # a jump with no kind and no speed: csv writes None as an empty field
     first = slices[0]
