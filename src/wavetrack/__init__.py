@@ -75,7 +75,6 @@ from .functional import (
 )
 from .profiles import (
     Profile,
-    l1_norm,
     profile_difference,
     profile_map2,
     total_variation,
@@ -135,7 +134,6 @@ __all__ = [
     "gain_cap_report",
     "identity_reports",
     "l1_identity_report",
-    "l1_norm",
     "make_flux",
     "maximum_principle_check",
     "monotonicity_report",

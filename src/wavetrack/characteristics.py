@@ -81,14 +81,11 @@ class StaticField:
                 f"static field queried at t={t}, beyond the first internal "
                 f"crossing at t={self.horizon}"
             )
-        positions = [x + s * t for x, s in self.jump_data]
         jumps = []
-        for i, ((_, lam), x) in enumerate(zip(self.jump_data, positions)):
+        for i, (_, lam) in enumerate(self.jump_data):
             am, ap = self.region_values[i], self.region_values[i + 1]
             jumps.append(
                 ClassifiedJump(
-                    position=x,
-                    time=t,
                     lam=lam,
                     a_minus=am,
                     a_plus=ap,
@@ -104,6 +101,7 @@ class StaticField:
         return FieldSlice(
             time=t,
             jumps=tuple(jumps),
+            positions=tuple(x + s * t for x, s in self.jump_data),
             a_values=self.region_values,
             psi_values=self.kappa_values,
         )
@@ -134,7 +132,6 @@ class PathSegment:
     x1: object
     speed: object
     mode: str            # "region" or "front"
-    detail: object = None
 
     def position_at(self, t):
         return self.x0 + self.speed * (t - self.t0)
@@ -176,10 +173,6 @@ class CharacteristicPath:
         out.extend((seg.t1, seg.x1) for seg in self.segments)
         return out
 
-    def rides(self):
-        """Segments spent locked onto a jump curve."""
-        return [seg for seg in self.segments if seg.mode == "front"]
-
 
 def _resolve(fslice, members, *, backward, tie_bias, where):
     """Feasible continuations from a point lying on a stack of jump curves.
@@ -204,10 +197,10 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
             candidates.append(("region", rho, v))
     if not backward:
         for k in members:
-            if fslice.jump(k).kind == LAX:
+            if fslice.kind(k) == LAX:
                 candidates.append(("ride", k, lams[k]))
     if not candidates:
-        kinds = sorted({fslice.jump(k).kind for k in members})
+        kinds = sorted({fslice.kind(k) for k in members})
         raise RuntimeError(
             f"no continuation {'backward' if backward else 'forward'} "
             f"at {where}: stack of {kinds} jumps offers no admissible branch"
@@ -284,10 +277,8 @@ def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
                                "characteristic failed to make progress")
         mode, idx, speed = state
         if mode == "ride":
-            j = fslice.jump(idx)
-            x1 = j.position + j.lam * (t_to - fslice.time)
-            segments.append(PathSegment(t, t_to, x, x1, j.lam, "front",
-                                        (j.partition, j.front_uid, j.kind)))
+            x1 = positions[idx] + lams[idx] * (t_to - fslice.time)
+            segments.append(PathSegment(t, t_to, x, x1, lams[idx], "front"))
             return x1
         # find the first jump curve this region speed runs into
         hit_t, hit_k = None, None
@@ -311,29 +302,29 @@ def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
         if hit_t is None:
             t1, x1 = t_to, x + speed * (t_to - t)
         else:
-            j = fslice.jump(hit_k)
-            t1, x1 = hit_t, j.position + j.lam * (hit_t - fslice.time)
+            lam = lams[hit_k]
+            t1, x1 = hit_t, positions[hit_k] + lam * (hit_t - fslice.time)
         segments.append(PathSegment(*((t1, t, x1, x) if backward
                                       else (t, t1, x, x1)),
-                                    speed, "region", speed))
+                                    speed, "region"))
         if hit_t is None:
             return x1
-        x, t = x1, t1
-        if j.kind == RAREFACTION_SHOCK:
+        x, t, kind = x1, t1, fslice.kind(hit_k)
+        if kind == RAREFACTION_SHOCK:
             raise RuntimeError(
                 f"backward characteristic captured by a rarefaction-side "
                 f"jump at (x={x}, t={t})" if backward else
                 f"forward characteristic ran into a rarefaction-side jump "
                 f"at (x={x}, t={t}); the geometry is degenerate")
-        if j.kind == LAX:
+        if kind == LAX:
             state = (_resolve(fslice, [hit_k], backward=True,
                               tie_bias=tie_bias, where=f"(x={x}, t={t})")
-                     if backward else ("ride", hit_k, j.lam))
+                     if backward else ("ride", hit_k, lam))
         else:
             # an undercompressive jump lets the path through: forward a slow
             # jump to its right and a fast one to its left, backward the
             # other way round
-            rho = hit_k + ((j.kind == SLOW) != backward)
+            rho = hit_k + ((kind == SLOW) != backward)
             state = ("region", rho, fslice.a_values[rho])
     return x
 
@@ -457,14 +448,14 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
         for k, t in enumerate(times):
             fs = t if isinstance(t, FieldSlice) else target.at(t)
             t = times[k] = fs.time
-            for j in fs.jumps:
+            for x, j in zip(fs.positions, fs.jumps):
                 da = j.a_plus - j.a_minus
                 if j.source_kind == "shock":
                     if da > tol:
-                        shock_violations.append((t, j.position, da))
+                        shock_violations.append((t, x, da))
                         violations.append(
                             f"t={t}: shock-borne coefficient jump expands by "
-                            f"{da} at x={j.position}"
+                            f"{da} at x={x}"
                         )
                 else:
                     cap = f2 * h_by_partition[j.partition]
@@ -473,11 +464,12 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                     if da > cap + tol:
                         violations.append(
                             f"t={t}: fan-borne coefficient jump {da} exceeds "
-                            f"the resolution allowance {cap} at x={j.position}"
+                            f"the resolution allowance {cap} at x={x}"
                         )
             cI, cII = (
-                _run_fan_slope([(target.front_of(j), j.position)
-                                for j in fs.jumps if j.partition == part], t)
+                _run_fan_slope([(target.front_of(j), x)
+                                for x, j in zip(fs.positions, fs.jumps)
+                                if j.partition == part], t)
                 for part in ("I", "II")
             )
             fan_slope = max(fan_slope, cI, cII)
@@ -496,13 +488,13 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
     tol = 0 if target.exact else tol_scale
     for t in times:
         fs = target.at(t)
-        for j in fs.jumps:
+        for x, j in zip(fs.positions, fs.jumps):
             da = j.a_plus - j.a_minus
             if da > tol:
-                shock_violations.append((t, j.position, da))
+                shock_violations.append((t, x, da))
                 violations.append(
                     f"t={t}: expanding jump ({j.kind}) of size {da} at "
-                    f"x={j.position}"
+                    f"x={x}"
                 )
     return OleinikReport(times, shock_violations, 0, max_fan_jump,
                          fan_slope, spread, violations)

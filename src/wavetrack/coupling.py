@@ -8,15 +8,21 @@ module classifies those jumps (Lax / slow or fast undercompressive /
 rarefaction-shock), partitions them by owning run, and builds the strength
 weight used by the weighted-L1 decay functional.
 
+A jump's class does not change between two interactions; only its
+position moves.  So a :class:`ClassifiedJump` holds no position or time,
+and a :class:`FieldSlice` carries the positions beside its jumps.
+
 ``CoefficientField.at`` builds the whole field at one time.
 ``stops`` walks it interval by interval with an event-delta cursor.
 One kinetic sweep per field keeps the alive fronts of both runs in one
 position-ordered list and records each interaction and crossing it
 applies; a walk replays that record as deltas on its own copy of the list
 and pauses at each interval midpoint.  There it re-derives only the jump
-states the replay touched (classified once per walk) and can hand out what
-changed since the last stop (:class:`FieldDelta`, in O(changes)), the
-whole slice, or the reads of the characteristic walks (``stop.view()``).
+states the replay touched, each classified once per walk into the
+:class:`ClassifiedJump` it keeps, and can hand out what changed since the
+last stop (:class:`FieldDelta`, in O(changes)), the jump states in order,
+the whole slice, or the reads of the characteristic walks
+(``stop.view()``).
 """
 from __future__ import annotations
 
@@ -24,10 +30,10 @@ import heapq
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .fluxes import secant_speed
 from .profiles import csv_fields, csv_lines
@@ -91,10 +97,9 @@ def classify(a_minus, a_plus, lam, tol=CLASSIFY_TOL):
 
 @dataclass(slots=True)
 class ClassifiedJump:
-    """One jump of the averaged coefficient at a fixed time."""
+    """One jump of the averaged coefficient, as it stays between two
+    interactions: its position moves, its class and traces do not."""
 
-    position: object
-    time: object
     lam: object          # propagation speed of the owning front
     a_minus: object
     a_plus: object
@@ -142,25 +147,23 @@ class FieldSlice:
 
     time: object
     jumps: tuple            # ClassifiedJump, ordered by position
+    positions: tuple        # of the jumps at ``time``, in jump order
     a_values: tuple         # len(jumps) + 1 region values of a
     psi_values: tuple       # u^II - u^I per region
-    # a walk's shared record of each jump's (front, traces) state; None on
-    # slices built by ``at``
-    states: tuple = dataclass_field(default=None, compare=False, repr=False)
 
     def view(self):
         """The slice's reads for the characteristic walks (a ``_StopView``)."""
         lams = [j.lam for j in self.jumps]
-        return _StopView(self.time, [j.position for j in self.jumps], lams,
+        return _StopView(self.time, self.positions, lams,
                          max(map(abs, lams), default=0), self.a_values,
-                         self.psi_values, self.jumps.__getitem__)
+                         self.psi_values, lambda k: self.jumps[k].kind)
 
     def positions_at(self, t):
         """Jump positions at time t of the slice's interaction-free interval."""
         if t == self.time:
-            return [j.position for j in self.jumps]
+            return list(self.positions)
         dt = t - self.time
-        return [j.position + j.lam * dt for j in self.jumps]
+        return [x + j.lam * dt for x, j in zip(self.positions, self.jumps)]
 
 
 @dataclass
@@ -179,15 +182,15 @@ class FieldStats:
 @dataclass(slots=True, eq=False)
 class _JumpState:
     """What a jump keeps while its front lives and the other run's state
-    across it stays the same: every field of its :class:`ClassifiedJump`
-    after position and time (``args``), the (u^I, u^II) states on its left
-    (``minus``) and right (``plus``), and a and psi on its right."""
+    across it stays the same: its :class:`ClassifiedJump` (``jump``), the
+    (u^I, u^II) states on its left (``minus``) and right (``plus``), and the
+    intercept ``c`` of its line x = c + lam t, taken at the stop that
+    classified it."""
 
-    args: tuple
+    jump: ClassifiedJump
     minus: tuple
     plus: tuple
-    a_plus: object
-    psi_plus: object
+    c: object
 
 
 class CoefficientField:
@@ -262,15 +265,16 @@ class CoefficientField:
         psi_vals = [uII - uI for uI, uII in zip(uI_vals, uII_vals)]
         ctol = self.classification_tol
         jumps = []
-        for i, (x, tag, f) in enumerate(tagged):
+        for i, (_, tag, f) in enumerate(tagged):
             am, ap = a_vals[i], a_vals[i + 1]
             jumps.append(ClassifiedJump(
-                x, t, f.speed, am, ap, classify(am, ap, f.speed, ctol), tag,
+                f.speed, am, ap, classify(am, ap, f.speed, ctol), tag,
                 f.signed_jump, psi_vals[i], psi_vals[i + 1], f.kind, f.uid,
             ))
         return FieldSlice(
             time=t,
             jumps=tuple(jumps),
+            positions=tuple(x for x, _, _ in tagged),
             a_values=tuple(a_vals),
             psi_values=tuple(psi_vals),
         )
@@ -283,9 +287,10 @@ class CoefficientField:
         see :class:`_Cursor` and :func:`stops`."""
         return _Cursor(self).walk(bounds, reverse)
 
-    def _jump_state(self, front, in_II, minus, am, km):
+    def _jump_state(self, front, in_II, minus, am, km, c):
         """State of ``front`` with the states ``minus`` = (u^I, u^II), the
-        coefficient ``am`` and the difference ``km`` on its left."""
+        coefficient ``am`` and the difference ``km`` on its left, on the
+        line x = c + lam t."""
         uI_p, uII_p = minus
         if in_II:
             uII_p = front.right_state
@@ -295,10 +300,11 @@ class CoefficientField:
         kp = uII_p - uI_p
         lam = front.speed
         return _JumpState(
-            (lam, am, ap, classify(am, ap, lam, self.classification_tol),
-             "II" if in_II else "I", front.signed_jump, km, kp, front.kind,
-             front.uid),
-            minus, (uI_p, uII_p), ap, kp)
+            ClassifiedJump(lam, am, ap,
+                           classify(am, ap, lam, self.classification_tol),
+                           "II" if in_II else "I", front.signed_jump, km, kp,
+                           front.kind, front.uid),
+            minus, (uI_p, uII_p), c)
 
     def front_of(self, jump):
         """The tracked front that carries a jump of one of this field's slices."""
@@ -501,12 +507,11 @@ class FieldDelta:
     """
 
     gone: list      # jump states that left
-    entered: list   # (jump state, handle) of those that entered
+    entered: list   # jump states that entered
     out: list       # (key, psi) of the pieces that left
     # (key, psi, key of the piece on the left, key of the one on the right)
     # of the pieces that entered, None where there is no neighbour
     into: list
-    jump: object    # handle -> the entered state's ClassifiedJump
     order: object   # () -> every jump state now, in list order
 
 
@@ -523,10 +528,11 @@ class _Cursor:
     coincide at a midpoint, because its gap is linear while it stays
     adjacent and a zero of it would be a crossing in the record, which
     bounds an interval.  States are keyed by the front and the other run's
-    state across it, and classified on first use.  A stop hands out what
-    changed since the last one (:meth:`delta`) and the jump states in list
-    order (:meth:`order`); only :meth:`slice` and :meth:`view` compute
-    every position.
+    state across it, and classified on first use into the
+    :class:`ClassifiedJump` they keep.  A stop hands out what changed since
+    the last one (:meth:`delta`) and the jump states in list order
+    (:meth:`order`); only :meth:`slice` and :meth:`view` compute every
+    position.  The walk's far-left and far-right (a, psi) are ``ends``.
 
     The guard reads the fronts' own data, not the record: no front is born
     or dies inside an interval, and each pair of neighbours is in order at
@@ -562,8 +568,9 @@ class _Cursor:
         uII = field.run_II.initial
         self.far_left = (uI.far_left, uII.far_left)
         self.far_right = (uI.far_right, uII.far_right)
-        self.left_values = (secant_speed(field.flux, *self.far_left),
-                            uII.far_left - uI.far_left)
+        # (a, psi) left and right of every jump
+        self.ends = tuple((secant_speed(field.flux, *far), far[1] - far[0])
+                          for far in (self.far_left, self.far_right))
 
     def walk(self, bounds, reverse):
         spans = list(zip(bounds, bounds[1:]))
@@ -728,10 +735,10 @@ class _Cursor:
                 marked.discard(k)
                 left = prv[k]
                 if left == head:
-                    cur, (am, km) = self.far_left, self.left_values
+                    cur, (am, km) = self.far_left, self.ends[0]
                 else:
                     st = state[left]
-                    cur, am, km = st.plus, st.a_plus, st.psi_plus
+                    cur, am, km = st.plus, st.jump.a_plus, st.jump.kappa_plus
                 if k == tail:
                     if cur != self.far_right:
                         raise InconsistentFieldError(
@@ -753,10 +760,6 @@ class _Cursor:
             x = self.xs[k] = self.fronts[k].position_at(self.time)
         return x
 
-    def jump(self, k):
-        """The :class:`ClassifiedJump` of entry ``k`` at this stop."""
-        return ClassifiedJump(self._x(k), self.time, *self.state[k].args)
-
     def _entries(self):
         """The list's entries, left to right."""
         nxt, tail, out = self.nxt, self.tail, []
@@ -774,25 +777,25 @@ class _Cursor:
 
     def view(self):
         """This stop's reads for the characteristic walks, without a slice."""
-        (a, psi), t, entries = self.left_values, self.time, self._entries()
+        (a, psi), t, entries = self.ends[0], self.time, self._entries()
         states = self.ordered = tuple(map(self.state.__getitem__, entries))
-        positions = [self.fronts[k].position_at(t) for k in entries]
-        lams = [st.args[0] for st in states]
+        jumps = [st.jump for st in states]
+        lams = [j.lam for j in jumps]
         return _StopView(
-            t, positions, lams, max(map(abs, lams), default=0),
-            (a, *map(attrgetter("a_plus"), states)),
-            (psi, *map(attrgetter("psi_plus"), states)),
-            lambda k: ClassifiedJump(positions[k], t, *states[k].args))
+            t, [self.fronts[k].position_at(t) for k in entries], lams,
+            max(map(abs, lams), default=0),
+            (a, *(j.a_plus for j in jumps)),
+            (psi, *(j.kappa_plus for j in jumps)),
+            lambda k: jumps[k].kind)
 
     def slice(self):
-        """The field at this stop, built once from the list."""
+        """The field at this stop, built once from the list and the jumps
+        its states hold."""
         if self.built is None:
             t, positions, _, _, a, psi, _ = self.view()
             self.stats.slices += 1
-            self.built = FieldSlice(
-                t, tuple(ClassifiedJump(x, t, *st.args)
-                         for x, st in zip(positions, self.ordered)),
-                a, psi, self.ordered)
+            self.built = FieldSlice(t, tuple(st.jump for st in self.ordered),
+                                    tuple(positions), a, psi)
         return self.built
 
     def delta(self):
@@ -802,7 +805,7 @@ class _Cursor:
         are the left ends of every piece that left or entered."""
         state, prv, nxt, old = self.state, self.prv, self.nxt, self.old
         touched, head, tail = self.touched, self.head, self.tail
-        psi0 = self.left_values[1]
+        psi0 = self.ends[0][1]
 
         def now(k):
             return k == head or prv[k] != _GONE
@@ -823,11 +826,11 @@ class _Cursor:
         for k, st in old.items():
             if then(k):
                 gone.append(st)
-            entered.append((state[k], k))
+            entered.append(state[k])
         for k in touched:
             if k != head and k not in old and then(k) != now(k):
                 if now(k):
-                    entered.append((state[k], k))
+                    entered.append(state[k])
                 else:
                     gone.append(state[k])
         marked = set(touched)
@@ -839,7 +842,7 @@ class _Cursor:
                                for k in marked if then(k))
         marked = {k for k in marked if now(k)}
         after = {key(k) for k in marked}
-        out = [(p, p[0].psi_plus if p[0] else psi0) for p in before
+        out = [(p, p[0].jump.kappa_plus if p[0] else psi0) for p in before
                if p not in after]
         into = []
         for k in list(marked):
@@ -851,11 +854,11 @@ class _Cursor:
                 marked.discard(k)
                 p, r = key(k), nxt[k]
                 if p not in before:
-                    into.append((p, p[0].psi_plus if p[0] else psi0,
+                    into.append((p, p[0].jump.kappa_plus if p[0] else psi0,
                                  None if k == head else key(prv[k]),
                                  None if r == tail else key(r)))
                 k = r
-        return FieldDelta(gone, entered, out, into, self.jump, self.order)
+        return FieldDelta(gone, entered, out, into, self.order)
 
     def _state_of(self, k, cur, am, km, t):
         """State of entry ``k`` with the states ``cur``, the coefficient
@@ -873,17 +876,17 @@ class _Cursor:
         key = (k, other)
         st = self.cache.get(key)
         if st is None:
-            st = self.cache[key] = self.field._jump_state(f, k_II, cur, am,
-                                                          km)
+            st = self.cache[key] = self.field._jump_state(
+                f, k_II, cur, am, km, self._x(k) - f.speed * t)
             self.stats.states += 1
         return st
 
 
 # What the characteristic walks read at a stop: the jump positions at the
 # stop time, in order, the jump speeds and the largest of their sizes, the
-# values of a and psi per region, and jump(k), a ClassifiedJump
+# values of a and psi per region, and kind(k), the class of jump k
 _StopView = namedtuple("_StopView",
-                       "time positions lams speed a_values psi_values jump")
+                       "time positions lams speed a_values psi_values kind")
 
 
 def stops(field, s, t, *, reverse=False):
@@ -979,6 +982,6 @@ def export_jumps_csv(weight: WeightField, slices, fileobj):
         t, = csv_fields([fs.time])
         a, w = csv_fields(fs.a_values), csv_fields(weight.slice_at(fs))
         fileobj.write(csv_lines(
-            [t, j.position, j.kind, j.partition, j.lam, a[i], a[i + 1],
-             j.b_jump, w[i], w[i + 1]]
-            for i, j in enumerate(fs.jumps)))
+            [t, x, j.kind, j.partition, j.lam, a[i], a[i + 1], j.b_jump,
+             w[i], w[i + 1]]
+            for i, (x, j) in enumerate(zip(fs.positions, fs.jumps))))

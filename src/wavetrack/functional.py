@@ -15,23 +15,26 @@ x = c + lam t has width dc + tau dlam).
 A jump's weight-independent terms (trace products, symmetry or
 conservation residual, sign-table verdict, the atoms of the derived
 checks) depend only on its jump state, so the walk computes them once per
-state.  Every interval is booked by one move, a delta: running sums (each
-probe norm as P + tau Q, the rates, the kind counts, the derived-check
-sums) less the terms of the jump states and pieces that left, plus those
-that entered.  A piece is keyed by its two jump states; a piece of weight
-w adds |psi| w times its width to the norm and w (q_+ of its left jump +
-q_- of its right jump) to the interior rate, and a new piece's weight
-grows from the strengths its left neighbour passed.  The walk hands each
+state, from the :class:`~wavetrack.coupling.ClassifiedJump` and the line
+x = c + lam t the state holds.  Every interval is booked by one move, a
+delta: running sums (each probe norm as P + tau Q, the rates, the kind
+counts, the derived-check sums) less the terms of the jump states and
+pieces that left, plus those that entered.  A piece is keyed by its two
+jump states; a piece of weight w adds |psi| w times its width to the norm
+and w (q_+ of its left jump + q_- of its right jump) to the interior
+rate, and a new piece's weight grows from the strengths its left
+neighbour passed.  The walk hands each
 interval over as what changed since the one before
 (:class:`~wavetrack.coupling.FieldDelta`), so booking it costs O(changes);
 after an own event the weighted book also re-weighs its pieces on the new
 strength totals.  Some intervals are re-summed: they move sums that cover
-nothing, every jump state and piece of the whole slice entering in slice
-order, and are then checked jump by jump, so violations keep their text
-and order.  These are the first and the last interval, every
-``_RESUM_STRIDE``-th in a row, and one where more pieces change than
-there are jumps or a per-jump check could fail.  Exact sums are exact;
-float sums may move in their last digits.
+nothing, every jump state of the stop and every piece between them
+entering in list order, and are then checked jump by jump, so violations
+keep their text and order; a re-sum builds the stop's slice only to name
+the position of a violation.  These are the first and the last
+interval, every ``_RESUM_STRIDE``-th in a row, and one where more pieces
+change than there are jumps or a per-jump check could fail.  Exact sums
+are exact; float sums may move in their last digits.
 ``identity_reports`` books the plain and the weighted ledger from one
 walk: each stop, the missed-interaction check and every
 weight-independent trace term and verdict are computed once, and only the
@@ -237,10 +240,11 @@ class _JumpTerms:
 
     __slots__ = ("qm", "qp", "lhs", "rhs", "residual", "sign_ok", "b", "q",
                  "trace_gap", "kappa_clear", "mag", "abs_da", "dpsi", "da",
-                 "rs_raw", "lax", "product", "kind", "in_I", "front", "lam",
-                 "c", "risky")
+                 "rs_raw", "lax", "product", "kind", "in_I", "front",
+                 "risky")
 
-    def __init__(self, j, state_tol, classification_tol, tol_min):
+    def __init__(self, state, state_tol, classification_tol, tol_min):
+        j = state.jump
         lam, am, ap = j.lam, j.a_minus, j.a_plus
         km, kp = abs(j.kappa_minus), abs(j.kappa_plus)
         dm, dp, nm = am - lam, ap - lam, lam - am
@@ -270,7 +274,6 @@ class _JumpTerms:
             self.product = nm * j.kappa_minus * b
         self.kind, self.in_I = j.kind, j.partition == "I"
         self.front = (j.partition, j.front_uid)
-        self.lam, self.c = lam, j.position - lam * j.time   # x = c + lam t
         self.risky = self.residual > tol_min or not self.sign_ok
 
 
@@ -359,12 +362,13 @@ def _moved(total, term, kinds, counts, out, into, empty=0):
     return total
 
 
-def _geometry(key, psi, known, window):
+def _geometry(key, psi, window):
     """(|psi|, dc, dlam) of the piece ``key`` (see :func:`_piece_keys`)
-    with difference ``psi``: its width at time tau is dc + tau dlam."""
+    with difference ``psi``: its width at time tau is dc + tau dlam, for
+    the jump states' lines x = c + lam t."""
     (L, R), (A, B) = key, window
-    cl, ll = (A, 0) if L is None else (known[L].c, known[L].lam)
-    cr, lr = (B, 0) if R is None else (known[R].c, known[R].lam)
+    cl, ll = (A, 0) if L is None else (L.c, L.jump.lam)
+    cr, lr = (B, 0) if R is None else (R.c, R.jump.lam)
     return abs(psi), cr - cl, lr - ll
 
 
@@ -373,30 +377,30 @@ def _piece_keys(states):
     return list(zip((None,) + states, states + (None,)))
 
 
-def _whole(fs):
-    """The :class:`~wavetrack.coupling.FieldDelta` from nothing to the
-    slice ``fs``: every jump state and piece entering, in slice order."""
-    keys = _piece_keys(fs.states)
+def _whole(states, psi0):
+    """The :class:`~wavetrack.coupling.FieldDelta` from nothing to the jump
+    ``states`` of a stop, in list order, with psi0 left of them: every
+    state and piece entering."""
+    keys = _piece_keys(states)
     ends = [None, *keys, None]
+    psis = (psi0, *(st.jump.kappa_plus for st in states))
     into = [(key, psi, ends[i], ends[i + 2])
-            for i, (key, psi) in enumerate(zip(keys, fs.psi_values))]
-    return FieldDelta([], list(zip(fs.states, range(len(fs.jumps)))), [],
-                      into, fs.jumps.__getitem__, lambda: fs.states)
+            for i, (key, psi) in enumerate(zip(keys, psis))]
+    return FieldDelta([], list(states), [], into, lambda: states)
 
 
 class _Carry:
     """The shared running sums of a walk's interval (kind counts and the
-    derived-check sums).  A new carry covers nothing; ``fs`` is a slice of
-    the walk, for the zero of its times and the (a, psi) at either end."""
+    derived-check sums).  A new carry covers nothing; ``zero`` is the zero
+    of the walk's times and ``ends`` its (a, psi) left and right of every
+    jump."""
 
-    def __init__(self, known, window, fs):
-        self.known, self.window = known, window
+    def __init__(self, known, window, zero, ends):
+        self.known, self.window, self.ends = known, window, ends
         self.covers = False
-        self.ends = ((fs.a_values[0], fs.psi_values[0]),
-                     (fs.a_values[-1], fs.psi_values[-1]))
         self.counts = dict.fromkeys((LAX, SLOW, FAST, RAREFACTION_SHOCK), 0)
         self.sums = {name: 0 for name, *_ in _CHECK_SUMS}
-        self.sums.update(tv_a=fs.time * 0, rs_sup_da=0, has_rs=False)
+        self.sums.update(tv_a=zero, rs_sup_da=0, has_rs=False)
         self.empty = dict(self.sums)      # the sums over no jump
         self.rs_da = {}     # a_+ - a_- -> rarefaction-side jumps with it
 
@@ -414,7 +418,7 @@ class _Carry:
         order."""
         known, counts, covered = self.known, self.counts, self.covers
         gone = [known[st] for st in delta.gone]
-        new = [terms_at(st, delta.jump, h) for st, h in delta.entered]
+        new = list(map(terms_at, delta.entered))
         size = sum(counts.values()) - len(gone) + len(new)
         # a delta of more pieces than jumps costs more than a re-sum would
         if covered and (any(a.risky for a in new)
@@ -422,9 +426,9 @@ class _Carry:
             return None
         self.covers = True
         window = self.window
-        out = [(key, _geometry(key, psi, known, window))
+        out = [(key, _geometry(key, psi, window))
                for key, psi in delta.out]
-        into = [(key, psi, left, right, _geometry(key, psi, known, window))
+        into = [(key, psi, left, right, _geometry(key, psi, window))
                 for key, psi, left, right in delta.into]
         for a in gone:
             counts[a.kind] -= 1
@@ -522,7 +526,7 @@ def _book_delta(book, change, carry, taus):
             if i:
                 (v_I, v_II), a = passed, terms[i - 1]
                 passed = (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
-            wk = weight.piece_weight(key[0].psi_plus if key[0]
+            wk = weight.piece_weight(key[0].jump.kappa_plus if key[0]
                                      else carry.ends[0][1], passed,
                                      book.totals)
             had = pieces.get(key)
@@ -581,10 +585,11 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
     Each interval is booked from the running sums (:class:`_Carry`,
     :func:`_book_delta`) by the walk's delta from the interval before; the
     first, the last, every ``_RESUM_STRIDE``-th in a row and one a delta
-    cannot book are re-summed: the delta of the whole slice, applied to a
-    carry and books that cover nothing.  ``keep(n)``, when given, picks the
-    indices of some of the n intervals; the walk keeps the slice at each of
-    their stops, the field at the interval midpoint (None kept without it).
+    cannot book are re-summed: the delta from nothing to the stop's jump
+    states, applied to a carry and books that cover nothing.  ``keep(n)``,
+    when given, picks the indices of some of the n intervals; the walk
+    keeps the slice at each of their stops, the field at the interval
+    midpoint (None kept without it).
     """
     s, t = exact_time(cfield, s), exact_time(cfield, t)
     if not s < t:
@@ -595,10 +600,10 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
     books = [_Book(w) for w in weights]
     known = {}     # jump state -> its _JumpTerms, for this walk
 
-    def terms_at(state, jump, handle):
+    def terms_at(state):
         a = known.get(state)
         if a is None:
-            a = known[state] = _JumpTerms(jump(handle), state_tol,
+            a = known[state] = _JumpTerms(state, state_tol,
                                           cfield.classification_tol, tol_min)
         return a
 
@@ -612,6 +617,8 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
     kept_at, kept = (set(keep(len(bounds) - 1)), []) if keep else ((), None)
     walk = cfield.walk(bounds)
     first = next(walk)
+    # the zero of the walk's times and its (a, psi) at either end
+    zero, ends = first[2].time * 0, first[2].ends
 
     # Endpoint slices can be degenerate when a cross-run front crossing
     # lands exactly on s or t (common in rational mode).  Both norms are
@@ -637,29 +644,30 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
     # tolerance of the walk is never below tol_min
     tol_norm = tol_min = 0 if exact else tol_scale * (1 + base)
 
-    def resum(fs, books, whole, fresh, taus, tol_rate):
-        # each book moved from covering nothing by the ``whole`` slice (see
+    def resum(stop, books, whole, fresh, taus, tol_rate):
+        # each book moved from covering nothing by the ``whole`` delta (see
         # _Carry.change), then checked jump by jump: the trace symmetry at
         # compressive and rarefaction-side jumps, the conservation relation
         # at undercompressive ones, the sign table and, per weighted book,
         # the weight checks of _weight_faults, first at the walk's least
-        # tolerance (a fault there keeps the next interval from a delta)
+        # tolerance (a fault there keeps the next interval from a delta);
+        # the stop's slice names the position of a violation
         _, terms, _, into, *_ = whole
-        time = fs.time
+        time = stop.time
         shared = {}     # jump index -> its violations of the shared checks
         for idx, a in enumerate(terms):
             if a.residual <= tol_rate and a.sign_ok:
                 continue
-            j, out = fs.jumps[idx], shared.setdefault(idx, [])
+            x, out = stop.slice().positions[idx], shared.setdefault(idx, [])
             if a.residual > tol_rate:
                 relation = ("trace symmetry"
-                            if j.kind in (LAX, RAREFACTION_SHOCK)
+                            if a.kind in (LAX, RAREFACTION_SHOCK)
                             else "conservation relation")
-                out.append(f"t={time}: {relation} broken at x={j.position} "
-                           f"({j.kind}): {a.lhs} vs {a.rhs}")
+                out.append(f"t={time}: {relation} broken at x={x} "
+                           f"({a.kind}): {a.lhs} vs {a.rhs}")
             if not a.sign_ok:
                 out.append(f"t={time}: trace sign table violated at "
-                           f"x={j.position} ({j.kind})")
+                           f"x={x} ({a.kind})")
         vals = []
         for book in books:
             book.resums += 1
@@ -685,7 +693,8 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
                 if _weight_faults(time, None, a, wm, wp, book.bounds):
                     book.run = None
                     book.violations.extend(_weight_faults(
-                        time, fs.jumps[idx].position, a, wm, wp, at_rate))
+                        time, stop.slice().positions[idx], a, wm, wp,
+                        at_rate))
         return vals
 
     events = []
@@ -705,13 +714,12 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
         full = ch is None or since >= _RESUM_STRIDE - 1 or t1 == t
         redo = [b for b, v in zip(books, carried) if full or v is None]
         if redo:
-            fs = stop.slice()
-            fresh = _Carry(known, window, fs)
-            whole = fresh.change(_whole(fs), terms_at)
+            fresh = _Carry(known, window, zero, ends)
+            whole = fresh.change(_whole(stop.order(), ends[0][1]), terms_at)
         counts, sums = ((fresh.counts, fresh.sums) if full
                         else (carry.counts, carry.sums))
         tol_rate = 0 if exact else tol_scale * (1 + sums["rate_mags"] + base)
-        redone = iter(resum(fs, redo, whole, fresh, taus, tol_rate)
+        redone = iter(resum(stop, redo, whole, fresh, taus, tol_rate)
                       if redo else [])
         vals = [next(redone) if full or v is None else v for v in carried]
         for book, old, new in zip(books, carried, vals):

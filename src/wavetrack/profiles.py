@@ -179,22 +179,3 @@ def clipped_pieces(breakpoints, lo, hi):
         if b > a:
             yield i, a, b
 
-
-def l1_norm(p: Profile, window=None):
-    """Integral of |p|.
-
-    Without a window the profile must be compactly supported: both far
-    values equal to zero.  With window = (lo, hi) the integral is taken
-    over that finite interval, no support condition.
-    """
-    if window is None:
-        if p.far_left != 0 or p.far_right != 0:
-            raise ValueError(
-                "l1_norm: profile lacks compact support; far values "
-                f"({p.far_left}, {p.far_right}) must both be 0, or pass a window"
-            )
-        support = p.breakpoints or (0,)
-        window = support[0], support[-1]
-    return sum((abs(p.values[i]) * (b - a)
-                for i, a, b in clipped_pieces(p.breakpoints, *window)),
-               start=_zero_like(p.values[0]))

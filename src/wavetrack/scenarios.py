@@ -526,13 +526,16 @@ def _write_json(path: Path, obj):
         f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _probe_gaps(n, limit=8):
+_PROBES = 8     # the most probe gaps a scenario reads
+
+
+def _probe_gaps(n):
     """Indices of the probe gaps among n interaction-free gaps: all of
-    them, or ``limit`` spread evenly from the first to the last."""
-    if n <= limit:
+    them, or ``_PROBES`` spread evenly from the first to the last."""
+    if n <= _PROBES:
         return range(n)
-    step = (n - 1) / (limit - 1)
-    return [round(i * step) for i in range(limit)]
+    step = (n - 1) / (_PROBES - 1)
+    return [round(i * step) for i in range(_PROBES)]
 
 
 def _probe_times(field, s, t):
@@ -619,9 +622,7 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
             elif name == "products":
                 reports[name] = product_inequality_check(ledgers["weighted"])
             elif name == "max_principle":
-                reports[name] = maximum_principle_check(
-                    field, funnel, t, tol=(0 if spec.exact else 1e-10)
-                )
+                reports[name] = maximum_principle_check(field, funnel, t)
         if out is not None:
             # samples, not a slice: a cross-run crossing may sit at t
             finals = run_I.sample(t), run_II.sample(t)

@@ -15,10 +15,11 @@ def jumps_csv(weight, slices, fileobj):
     for fs in slices:
         t = fs.time
         pv = weight.slice_at(fs)
-        for j, (wm, wp) in zip(fs.jumps, zip(pv, pv[1:])):
+        for x, j, (wm, wp) in zip(fs.positions, fs.jumps,
+                                  zip(pv, pv[1:])):
             writer.writerow(
-                [t, j.position, j.kind, j.partition, j.lam, j.a_minus,
-                 j.a_plus, j.b_jump, wm, wp]
+                [t, x, j.kind, j.partition, j.lam, j.a_minus, j.a_plus,
+                 j.b_jump, wm, wp]
             )
 
 

@@ -307,11 +307,12 @@ def test_criterion_07_sign_table(capsys):
     total = 0
     for cf in _float_suite():
         for tau in _probe_mids(cf, 0.0, HORIZON):
-            for j in cf.at(tau).jumps:
+            fs = cf.at(tau)
+            for x, j in zip(fs.positions, fs.jumps):
                 total += 1
                 if not j.sign_table_consistent(1e-12):
                     problems.append(f"sign table fails at t={tau}, "
-                                    f"x={j.position} ({j.kind})")
+                                    f"x={x} ({j.kind})")
     for cf in _rational_suite():
         for tau in _probe_mids(cf, Fraction(0), Fraction(2)):
             for j in cf.at(tau).jumps:

@@ -71,7 +71,7 @@ def test_static_field_walk_stops_at_the_horizon():
 def test_forward_into_compressive_jump_rides_it():
     path = forward_characteristic(LAX, -1.0, 0.0, 4.0)
     assert path.vertices() == [(0.0, -1.0), (2.0, 0.0), (4.0, 0.0)]
-    assert len(path.rides()) == 1
+    assert len([seg for seg in path.segments if seg.mode == "front"]) == 1
     assert path.end_position == 0.0
     assert path.position_at(1.0) == pytest.approx(-0.5)
 
@@ -80,7 +80,7 @@ def test_forward_crosses_undercompressive_jump():
     # both characteristic families outrun the jump, so the path passes
     # through and continues on the slower side
     path = forward_characteristic(SLOW, 2 / 3, 2 / 3, 2.0)
-    assert len(path.rides()) == 0
+    assert len([seg for seg in path.segments if seg.mode == "front"]) == 0
     assert path.end_position == pytest.approx(8 / 3)
 
 

@@ -22,6 +22,7 @@ from wavetrack.coupling import (
     WeightField,
     classify,
     export_jumps_csv,
+    stops,
 )
 from wavetrack.fluxes import burgers_flux
 from wavetrack.functional import identity_reports
@@ -52,11 +53,11 @@ def _steps(fs, values):
     position (fans at birth, fronts at a collision) leave only the net
     transition across the stack."""
     bps, vals = [], [values[0]]
-    for i, j in enumerate(fs.jumps):
-        if bps and bps[-1] == j.position:
+    for i, x in enumerate(fs.positions):
+        if bps and bps[-1] == x:
             vals[-1] = values[i + 1]
         else:
-            bps.append(j.position)
+            bps.append(x)
             vals.append(values[i + 1])
     return Profile.compacted(bps, vals)
 
@@ -281,7 +282,7 @@ def test_slice_shifts_to_other_times_of_its_interval():
     fs = field.at(0.5)
     for tau in (0.125, 0.875):
         assert fs.positions_at(tau) == pytest.approx(
-            [j.position for j in field.at(tau).jumps])
+            list(field.at(tau).positions))
 
 
 def test_at_checks_the_state_chain():
@@ -482,7 +483,7 @@ def _slice_bits(fs):
     """Every compared field of a slice, floats bit for bit (marshal format 2
     writes a float as its 8 bytes, so the sign of a zero counts, and keeps
     no references)."""
-    data = (fs.time, fs.a_values, fs.psi_values,
+    data = (fs.time, fs.positions, fs.a_values, fs.psi_values,
             [_JUMP_FIELDS(j) for j in fs.jumps])
     if isinstance(fs.time, Fraction):
         return data         # exact values: equality is identity of value
@@ -554,17 +555,19 @@ def test_one_walk_classifies_each_state_once():
     intervals = len(field.event_times(0.0, 2.0)) + 1
     assert len(plain.intervals) == len(weighted.intervals) == intervals
     stats = field.stats
-    # a slice is built only where the books re-sum: the first, the 16th
-    # and the last interval
+    # the books re-sum at the first, the 16th and the last interval, from
+    # the stops' jump states: no slice is built
     assert stats.intervals == intervals == 33
-    assert stats.slices == plain.resummed == weighted.resummed == 3
+    assert plain.resummed == weighted.resummed == 3
+    assert stats.slices == 0
     assert stats.at_slices == 2
     assert stats.deltas > 0
     # a state is a front with the other run's state across it
     states = set()
-    for _, _, fs in oracle.slices(CoefficientField(field.run_I, field.run_II),
-                                  0.0, 2.0):
-        for j, st in zip(fs.jumps, fs.states):
+    for _, _, stop in stops(CoefficientField(field.run_I, field.run_II),
+                            0.0, 2.0):
+        for st in stop.order():
+            j = st.jump
             other = st.minus[1] if j.partition == "I" else st.minus[0]
             states.add((j.partition, j.front_uid, other))
     assert stats.states == len(states) == 109

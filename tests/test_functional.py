@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -24,7 +25,6 @@ from wavetrack import (
     gain_cap_report,
     identity_reports,
     l1_identity_report,
-    l1_norm,
     monotonicity_report,
     product_inequality_check,
     profile_difference,
@@ -40,10 +40,12 @@ from wavetrack.coupling import (
     RAREFACTION_SHOCK,
     SLOW,
     DegenerateFieldError,
+    _JumpState,
 )
 from wavetrack.profiles import clipped_pieces
 from wavetrack.scenarios import build_runs, parse_scenario
 import max_principle_oracle as oracle
+from norm_oracle import l1_norm
 from product_oracle import VariationFunction, nonconservative_product
 from test_coupling import _sine_pair_config
 
@@ -109,8 +111,8 @@ def test_default_window_covers_fronts():
         lo, hi = default_window(cf, t)
         for t0, t1, fs in oracle.slices(cf, s, t):
             for tau in (t0 + (t1 - t0) / 4, t0 + 3 * (t1 - t0) / 4):
-                for j in fs.jumps:
-                    assert lo < j.position + j.lam * (tau - fs.time) < hi
+                for x, j in zip(fs.positions, fs.jumps):
+                    assert lo < x + j.lam * (tau - fs.time) < hi
 
     # without jumps the norm line is the one piece across the window
     for exact, digests in zip((False, True), CONSTANT_PAIR_DIGESTS):
@@ -604,15 +606,15 @@ def test_shared_walk_builds_one_slice_per_interval(monkeypatch):
     assert result.passed
     intervals = len(result.reports["l1"].intervals)
     assert intervals == len(result.reports["weighted"].intervals) > 1
-    # one walk stops once per interval and builds a slice only where a book
-    # re-sums: the first, the _RESUM_STRIDE-th in a row and the last
-    # interval, for both books; only the two endpoint slices are built by
-    # ``at``
+    # one walk stops once per interval; both books re-sum at the first, the
+    # _RESUM_STRIDE-th in a row and the last interval, from the stops' jump
+    # states, so no slice is built; only the two endpoint slices are built
+    # by ``at``
     [field] = fields
     assert field.stats.at_slices == 2
     assert field.stats.intervals == intervals
     assert [result.reports[k].resummed for k in ("l1", "weighted")] == [3, 3]
-    assert field.stats.slices == 3
+    assert field.stats.slices == 0
 
 
 def test_ledger_starting_on_a_degenerate_slice():
@@ -672,33 +674,39 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
     assert cf.classification_tol == 0
     one = Fraction(1)
     jump = ClassifiedJump(
-        position=0 * one, time=one, lam=0 * one, a_minus=one / 10**12,
+        lam=0 * one, a_minus=one / 10**12,
         a_plus=-one, kind=LAX, partition="I", b_jump=-2 * one,
         kappa_minus=-one, kappa_plus=-one, source_kind="shock", front_uid=0)
     assert classify(jump.a_minus, jump.a_plus, jump.lam,
                     cf.classification_tol) == LAX
     assert jump.sign_table_consistent(0)
     assert not jump.sign_table_consistent(0, cf.classification_tol)
-    # a walk's slice, with its one jump state, at its one stop
-    fs = FieldSlice(time=one, jumps=(jump,), a_values=(one / 10**12, -one),
-                    psi_values=(-one, -one), states=(object(),))
+    # a walk's one stop, with its one jump state at x = 0, and its slice
+    fs = FieldSlice(time=one, jumps=(jump,), positions=(0 * one,),
+                    a_values=(one / 10**12, -one), psi_values=(-one, -one))
+    state = _JumpState(jump, None, None, 0 * one)
+    stop = SimpleNamespace(time=one, ends=((one / 10**12, -one), (-one, -one)),
+                           order=lambda: (state,), slice=lambda: fs)
     monkeypatch.setattr(CoefficientField, "walk",
                         lambda self, bounds, reverse=False:
-                        iter([(bounds[0], bounds[-1],
-                               SimpleNamespace(slice=lambda: fs))]))
+                        iter([(bounds[0], bounds[-1], stop)]))
     plain = l1_identity_report(cf, 0, 2)
     assert "t=1: trace sign table violated at x=0 (lax)" in plain.violations
+
+
+def _exact_fan_field():
+    # an exact fan of run I against a run-II shock
+    q = Fraction
+    return _field(Profile([q(0), q(2)], [q(-1), q(1), q(0)]),
+                  Profile([q(1, 3)], [q(53, 100), q(-1, 2)]),
+                  h=q(1, 10), horizon=q(2), exact=True)
 
 
 def test_exact_delta_booking_with_rarefaction_side_jumps():
     # an exact fan of run I against a run-II shock: the first five of the
     # nine intervals carry a rarefaction-side jump, so booking by delta is
     # compared with re-summing on nonzero exact rs_* rates
-    q = Fraction
-    cf = _field(Profile([q(0), q(2)], [q(-1), q(1), q(0)]),
-                Profile([q(1, 3)], [q(53, 100), q(-1, 2)]),
-                h=q(1, 10), horizon=q(2), exact=True)
-    booked, resummed = _both_bookings(cf, 1, 0, 2)
+    booked, resummed = _both_bookings(_exact_fan_field(), 1, 0, 2)
     for rep, again in zip(booked, resummed):
         assert rep.to_dict() == again.to_dict()
         assert rep.max_drift == 0
@@ -711,3 +719,84 @@ def test_exact_delta_booking_with_rarefaction_side_jumps():
                    for rec in rep.intervals) == 5
         assert any(rec.rs_main_rate or rec.rs_b_rate or rec.rs_raw_rate
                    or rec.rs_sup_da for rec in rep.intervals)
+
+
+def _defect_pair(name):
+    """(field, m, s, t) of a pair whose ledgers pass: rational pair 7001,
+    the float sine pair at n = 8, h = 0.1, the exact fan pair and float
+    seed 200."""
+    if name == "7001":
+        return _exact_field(7001), Fraction(1), Fraction(0), Fraction(2)
+    if name == "fan":
+        return _exact_fan_field(), Fraction(1), Fraction(0), Fraction(2)
+    spec, cf = _spec_field(_sine_pair_config(8, 0.1) if name == "sine"
+                           else random_scenario_config(200))
+    return cf, 1.0, spec.t_start, spec.t_end
+
+
+def _plant(mp, defect):
+    """Patch one term of the ledgers: the plain Lax rate doubled, the
+    rarefaction-side gain dropped, every piece weight biased by m/8, or the
+    sign table failing at every Lax jump."""
+    if defect == "bias_weight":
+        piece_weight = WeightField.piece_weight
+        mp.setattr(WeightField, "piece_weight",
+                   lambda self, *args: piece_weight(self, *args) + self.m / 8)
+    elif defect == "sign_table":
+        consistent = ClassifiedJump.sign_table_consistent
+        mp.setattr(ClassifiedJump, "sign_table_consistent",
+                   lambda self, *args: (self.kind != LAX
+                                        and consistent(self, *args)))
+    else:
+        rate_terms = functional._rate_terms
+
+        def planted(book):
+            out = []
+            for k, term, kinds in rate_terms(book):
+                if defect == "double_lax" and book.weight is None and k == 1:
+                    term = (lambda t: lambda a: 2 * t(a))(term)
+                elif defect == "drop_rs" and kinds == (RAREFACTION_SHOCK,):
+                    term = lambda a: 0 * a.q
+                out.append((k, term, kinds))
+            return out
+        mp.setattr(functional, "_rate_terms", planted)
+
+
+# the pairs of _defect_pair that each defect of _plant is planted in
+_DEFECT_PAIRS = {
+    "double_lax": ("7001", "float"),
+    "drop_rs": ("fan", "sine"),
+    "bias_weight": ("7001", "sine"),
+    "sign_table": ("7001", "float"),
+}
+
+
+@pytest.mark.parametrize("defect", list(_DEFECT_PAIRS))
+def test_a_planted_ledger_defect_fails_a_check(monkeypatch, defect):
+    # the ledgers pass on each pair; with one term patched the plain or the
+    # weighted ledger fails
+    for name in _DEFECT_PAIRS[defect]:
+        cf, m, s, t = _defect_pair(name)
+        plain, [weighted] = identity_reports(cf, [m], s, t)
+        assert plain.passed and weighted.passed, name
+        with monkeypatch.context() as mp:
+            _plant(mp, defect)
+            plain, [weighted] = identity_reports(cf, [m], s, t)
+        assert not (plain.passed and weighted.passed), name
+        if defect != "sign_table":
+            continue
+        # the violations at a stop time name the positions of the Lax jumps
+        # of the field there, in order and bit for bit (a float prints as
+        # its shortest round trip)
+        named = {}
+        for text in plain.violations:
+            t_text, x_text = re.fullmatch(
+                r"t=(\S+): trace sign table violated at x=(\S+) \(lax\)",
+                text).groups()
+            named.setdefault(t_text, []).append(x_text)
+        assert named
+        num = Fraction if cf.exact else float
+        for t_text, xs in named.items():
+            fs = cf.at(num(t_text))
+            assert xs == [str(x) for x, j in zip(fs.positions, fs.jumps)
+                          if j.kind == LAX], t_text

@@ -7,13 +7,13 @@ from wavetrack.fluxes import burgers_flux
 from wavetrack.profiles import (
     Profile,
     clipped_pieces,
-    l1_norm,
     profile_difference,
     profile_map2,
     total_variation,
 )
 from wavetrack.tracking import sample_initial_data
 
+from norm_oracle import l1_norm
 from product_oracle import (
     VariationFunction,
     left_value_at,

@@ -9,7 +9,6 @@ from wavetrack.fluxes import FluxModel, burgers_flux
 from wavetrack.profiles import (
     Profile,
     clipped_pieces,
-    l1_norm,
     total_variation,
 )
 from wavetrack.scenarios import random_scenario_pair
@@ -20,6 +19,8 @@ from wavetrack.tracking import (
     sample_initial_data,
     solve_riemann,
 )
+
+from norm_oracle import l1_norm
 
 FLUX = burgers_flux()
 
