@@ -27,6 +27,7 @@ from .coupling import (
     FieldSlice,
     InconsistentFieldError,
     classify,
+    exact_time,
     stops,
 )
 from .profiles import Report, clipped_pieces, csv_lines
@@ -562,14 +563,19 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     the funnel minimum off the segments just traced; then backward from
     the edges' ends, carrying both backward characteristics and integrating
     the mass between them.
+
+    On an exact field the funnel ends and ``t_end`` are taken by the rule
+    of :func:`~wavetrack.coupling.exact_time`: an int becomes exact, a
+    float is refused, so every sample time and mass is exact.
     """
     xi0, zeta0 = interval
+    if field.exact:
+        tol = 0
+        xi0, zeta0, t_end = (exact_time(field, v) for v in (xi0, zeta0, t_end))
     if not xi0 < zeta0:
         raise ValueError("interval: need xi0 < zeta0")
     if not 0 < t_end:
         raise ValueError("need t0 < t_end")
-    if field.exact:
-        tol = 0
     n = MAX_PRINCIPLE_SAMPLES
     uniform = [k * t_end / n for k in range(1, n)]
     gap_tol = 0 if field.exact else 1e-9
@@ -634,7 +640,7 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
             f"mass between backward characteristics drifts by {drift}"
         )
     return MaxPrincipleReport(
-        interval=tuple(interval),
+        interval=(xi0, zeta0),
         t_end=t_end,
         min_psi=min_psi,
         conservation_drift=drift,

@@ -35,8 +35,9 @@ from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
-from .fluxes import secant_speed
+from .fluxes import STATE_EPS, secant_speed
 from .profiles import csv_fields, csv_lines
+from .rational import Q
 from .tracking import FrontTrackingRun
 
 LAX = "lax"
@@ -215,6 +216,7 @@ class CoefficientField:
         self.exact = run_I.exact and run_II.exact
         self.classification_tol = 0 if self.exact else CLASSIFY_TOL
         self.position_tol = 0 if self.exact else POSITION_TOL
+        self.state_eps = 0 if self.exact else STATE_EPS
         self.stats = FieldStats()
         self._event_times = {}
 
@@ -260,7 +262,7 @@ class CoefficientField:
             raise InconsistentFieldError(
                 f"t={t}: state chain does not end at the far-right state")
 
-        a_vals = [secant_speed(self.flux, uI, uII)
+        a_vals = [secant_speed(self.flux, uI, uII, self.state_eps)
                   for uI, uII in zip(uI_vals, uII_vals)]
         psi_vals = [uII - uI for uI, uII in zip(uI_vals, uII_vals)]
         ctol = self.classification_tol
@@ -296,7 +298,7 @@ class CoefficientField:
             uII_p = front.right_state
         else:
             uI_p = front.right_state
-        ap = secant_speed(self.flux, uI_p, uII_p)
+        ap = secant_speed(self.flux, uI_p, uII_p, self.state_eps)
         kp = uII_p - uI_p
         lam = front.speed
         return _JumpState(
@@ -569,7 +571,8 @@ class _Cursor:
         self.far_left = (uI.far_left, uII.far_left)
         self.far_right = (uI.far_right, uII.far_right)
         # (a, psi) left and right of every jump
-        self.ends = tuple((secant_speed(field.flux, *far), far[1] - far[0])
+        self.ends = tuple((secant_speed(field.flux, *far, field.state_eps),
+                           far[1] - far[0])
                           for far in (self.far_left, self.far_right))
 
     def walk(self, bounds, reverse):
@@ -902,7 +905,7 @@ def stops(field, s, t, *, reverse=False):
     :class:`InconsistentFieldError` on an interaction the bounds miss.
 
     On an exact field the endpoints must be exact too (see
-    :func:`exact_time`), so that every midpoint is a ``Fraction``.
+    :func:`exact_time`), so that every midpoint is a ``Q``.
     """
     s, t = exact_time(field, s), exact_time(field, t)
     return field.walk([s, *field.event_times(s, t), t], reverse)
@@ -911,18 +914,17 @@ def stops(field, s, t, *, reverse=False):
 def exact_time(field, t):
     """A time of ``field`` in its own arithmetic.
 
-    An exact field takes an int as a ``Fraction`` (so ``0 + 2/2`` stays
-    exact) and rejects a float, whose rounding its zero tolerances cannot
-    absorb.  A float field takes any time as given.
+    An exact field takes an int or a ``Fraction`` as a
+    :class:`~wavetrack.rational.Q` (so ``0 + 2/2`` stays exact) and rejects
+    a float, whose rounding its zero tolerances cannot absorb.  A float
+    field takes any time as given.
     """
-    from fractions import Fraction
-
     if not field.exact:
         return t
     if isinstance(t, float):
-        raise ValueError(f"time {t!r}: an exact field needs int or Fraction "
-                         "times, not float")
-    return Fraction(t)
+        raise ValueError(f"{t!r} is a float: an exact field needs int or "
+                         "Fraction times and positions")
+    return Q(t)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .functional import (
     refinement_study,
 )
 from .profiles import Profile, plain_number, profile_difference
+from .rational import Q
 from .tracking import FrontTrackingRun, sample_initial_data
 
 CHECK_ORDER = (
@@ -57,8 +58,8 @@ class ScenarioConfigError(ValueError):
 
 
 def _parse_number(value, rational, path, errors):
-    """Scalar from JSON: int, finite float, or a 'p/q' string in rational
-    mode."""
+    """Scalar from JSON: int, finite float, or a 'p/q' string; in rational
+    mode each is read exactly, as a :class:`~wavetrack.rational.Q`."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         errors.append(f"{path}: expected a number, got {value!r}")
         return 0
@@ -67,7 +68,7 @@ def _parse_number(value, rational, path, errors):
         return 0
     if isinstance(value, str):
         try:
-            frac = Fraction(value)
+            frac = Q(value)
             return frac if rational else float(frac)
         except (ValueError, ZeroDivisionError):
             errors.append(f"{path}: cannot parse {value!r} as p/q")
@@ -76,7 +77,7 @@ def _parse_number(value, rational, path, errors):
         return 0
     if rational:
         # floats are binary rationals, so this conversion is exact
-        return Fraction(value)
+        return Q(value)
     return float(value) if isinstance(value, float) else value
 
 

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .fluxes import FluxModel, rankine_hugoniot_speed
 from .profiles import Profile, csv_lines
+from .rational import Q
 
 SHOCK = "shock"
 FAN = "fan"
@@ -140,12 +141,18 @@ class FrontTrackingRun:
 
     The run is built from an initial profile and evolved lazily with
     :meth:`evolve`; a completed run is treated as immutable and can be
-    sampled at any time up to the evolved horizon.
+    sampled at any time up to the evolved horizon.  An exact run takes its
+    initial profile and ``h`` as :class:`~wavetrack.rational.Q` (a float
+    converts exactly), so every number it derives is a ``Q``.
     """
 
     def __init__(self, flux: FluxModel, initial: Profile, h, *, exact=False):
         if not h > 0:
             raise ValueError("h: resolution must be > 0")
+        if exact:
+            initial = Profile(map(Q, initial.breakpoints),
+                              map(Q, initial.values))
+            h = Q(h)
         for v in initial.values:
             if not flux.contains(v):
                 raise ValueError(

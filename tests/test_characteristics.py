@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from wavetrack import (
     oleinik_report,
     parse_scenario,
     random_scenario_config,
+    random_scenario_pair,
     run_scenario,
 )
 from wavetrack import characteristics
@@ -370,6 +372,32 @@ def test_rational_max_principle_bytes_are_pinned(tmp_path):
         "characteristic_paths.csv":
             "9f3afcda1b147e9f772aac1095698b27e7f38604ea72428bb7236e2656b44ed2",
     }
+
+
+def test_exact_max_principle_takes_an_int_horizon_exactly():
+    # an exact field takes an int horizon and funnel exactly: taken as
+    # given, the sample times k * 2 / n would be floats, and the drift
+    # would come out at 8.9e-16, not 0
+    p1, p2 = random_scenario_pair(random.Random(7000), max_jumps=3,
+                                  rational=True)
+    field = CoefficientField(*(
+        FrontTrackingRun(FLUX, p, Fraction(1, 10), exact=True)
+        .evolve(Fraction(2)) for p in (p1, p2)))
+    bps = p1.breakpoints + p2.breakpoints
+    lo, hi = min(bps) - 1, max(bps) + 1
+    by_fraction = maximum_principle_check(field, (lo, hi), Fraction(2))
+    by_int = maximum_principle_check(field, (lo, hi), 2)
+    assert by_int.to_dict() == by_fraction.to_dict()
+    assert by_int.conservation_drift == 0
+    assert all(isinstance(t, Fraction) for t in by_int.sample_times)
+    ints = maximum_principle_check(field, (math.floor(lo), math.ceil(hi)), 2)
+    assert ints.to_dict() == maximum_principle_check(
+        field, (Fraction(math.floor(lo)), Fraction(math.ceil(hi))),
+        Fraction(2)).to_dict()
+    with pytest.raises(ValueError, match="is a float"):
+        maximum_principle_check(field, (lo, hi), 2.0)
+    with pytest.raises(ValueError, match="is a float"):
+        maximum_principle_check(field, (float(lo), hi), 2)
 
 
 def test_export_paths_csv():
