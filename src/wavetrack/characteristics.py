@@ -31,6 +31,7 @@ from .coupling import (
     stops,
 )
 from .profiles import Report, clipped_pieces, csv_lines
+from .rational import Q
 
 ANCHOR_TOL = 1e-9
 MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
@@ -443,7 +444,11 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
     if isinstance(target, CoefficientField):
         exact = target.exact
         tol = 0 if exact else tol_scale
-        f2 = target.flux.sup_f2
+        f2, c0 = target.flux.sup_f2, target.flux.convexity_modulus
+        if exact:
+            # in the field's arithmetic: with int flux constants 1 / c0,
+            # and f2 * 0 / 2 at a probe with no fan pair, would be floats
+            f2, c0 = Q(f2), Q(c0)
         h_by_partition = {"I": target.run_I.h, "II": target.run_II.h}
         allowance = f2 * max(h_by_partition.values())
         for k, t in enumerate(times):
@@ -475,7 +480,6 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
             )
             fan_slope = max(fan_slope, cI, cII)
             spread = max(spread, f2 * (cI + cII) / 2)
-            c0 = target.flux.convexity_modulus
             for run_name, c in (("first", cI), ("second", cII)):
                 if c > 1 / c0 + tol * (1 + 1 / c0):
                     violations.append(

@@ -6,10 +6,15 @@ and a full, normalizing ``Fraction.__new__`` per operation.  ``Q`` keeps
 ``Fraction``'s value, ``str``, ``hash``, equality and ``repr``, and takes a
 fast path whenever the other operand is a ``Q``, a ``Fraction`` or an
 ``int``: ``+ - * /`` both ways round, unary ``- + abs``, ``**`` with an
-int exponent, and ``== < <= > >=``.  The fast path does gcd arithmetic on
-the numerators and denominators and builds each result in lowest terms
-with a positive denominator, as ``Fraction`` does.  Any other operand
-(a float, say) goes to the ``Fraction`` method.
+int exponent, and ``== < <= > >=``.  Each fast path runs in one Python
+frame, the operator method itself: it checks the operand's type, does gcd
+arithmetic on the numerators and denominators, and builds the result in
+lowest terms with a positive denominator, as ``Fraction`` does.  A plain
+``Fraction`` on the left of a reflected operation takes the forward method
+(a second frame, paid only where a caller's ``Fraction`` meets a ``Q``).
+Any other operand (a float, a ``bool``, a ``numbers.Rational`` of another
+type) goes to the ``Fraction`` method, as does ``**`` with a non-int
+exponent.
 
 So an exact run converts its numbers to ``Q`` where they enter
 (``FrontTrackingRun``, ``exact_time``, the rational scenario parser), and
@@ -17,93 +22,10 @@ every number it derives stays a ``Q``.
 """
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd
 
 _new = object.__new__
-
-def _q(n, d):
-    """The ``Q`` n/d, for n/d in lowest terms with d > 0."""
-    q = _new(Q)
-    q._numerator = n
-    q._denominator = d
-    return q
-
-
-def _add(na, da, nb, db):
-    g = gcd(da, db)
-    if g == 1:
-        return _q(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _q(t, s * db)
-    return _q(t // g2, s * (db // g2))
-
-
-def _sub(na, da, nb, db):
-    return _add(na, da, -nb, db)
-
-
-def _mul(na, da, nb, db):
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _q(na * nb, da * db)
-
-
-def _div(na, da, nb, db):
-    if nb == 0:
-        raise ZeroDivisionError(f"Fraction({na * db}, 0)")
-    if nb < 0:
-        na, nb = -na, -nb
-    return _mul(na, da, db, nb)
-
-
-def _binary(kernel, forward_fallback, reverse_fallback):
-    """The forward and reflected methods of one operator: ``kernel`` on
-    (numerator, denominator) pairs, else the ``Fraction`` method."""
-    def forward(a, b):
-        t = type(b)
-        if t is Q or t is Fraction:
-            return kernel(a._numerator, a._denominator,
-                          b._numerator, b._denominator)
-        if t is int:
-            return kernel(a._numerator, a._denominator, b, 1)
-        return forward_fallback(a, b)
-
-    def reverse(b, a):
-        t = type(a)
-        if t is int:
-            return kernel(a, 1, b._numerator, b._denominator)
-        if t is Fraction:
-            return kernel(a._numerator, a._denominator,
-                          b._numerator, b._denominator)
-        return reverse_fallback(b, a)
-
-    return forward, reverse
-
-
-def _compare(test, fallback):
-    """A comparison method: ``test`` on the cross products, else the
-    ``Fraction`` method."""
-    def compare(a, b):
-        t = type(b)
-        if t is Q or t is Fraction:
-            return test(a._numerator * b._denominator,
-                        b._numerator * a._denominator)
-        if t is int:
-            return test(a._numerator, b * a._denominator)
-        return fallback(a, b)
-
-    return compare
 
 
 class Q(Fraction):
@@ -117,35 +39,233 @@ class Q(Fraction):
     def __repr__(self):
         return f"Fraction({self._numerator}, {self._denominator})"
 
-    __add__, __radd__ = _binary(_add, Fraction.__add__, Fraction.__radd__)
-    __sub__, __rsub__ = _binary(_sub, Fraction.__sub__, Fraction.__rsub__)
-    __mul__, __rmul__ = _binary(_mul, Fraction.__mul__, Fraction.__rmul__)
-    __truediv__, __rtruediv__ = _binary(_div, Fraction.__truediv__,
-                                        Fraction.__rtruediv__)
+    # each result below is n/d in lowest terms with d > 0, built without
+    # Fraction.__new__; an int operand i is the fraction i/1
 
-    __eq__ = _compare(operator.eq, Fraction.__eq__)
-    __lt__ = _compare(operator.lt, Fraction.__lt__)
-    __le__ = _compare(operator.le, Fraction.__le__)
-    __gt__ = _compare(operator.gt, Fraction.__gt__)
-    __ge__ = _compare(operator.ge, Fraction.__ge__)
+    def __add__(a, b):
+        na, da = a._numerator, a._denominator
+        t = type(b)
+        if t is Q or t is Fraction:
+            nb, db = b._numerator, b._denominator
+            g = gcd(da, db)
+            if g == 1:
+                n, d = na * db + da * nb, da * db
+            else:
+                s = da // g
+                n = na * (db // g) + nb * s
+                g = gcd(n, g)
+                n //= g
+                d = s * (db // g)
+        elif t is int:
+            # gcd(na + b da, da) = gcd(na, da) = 1
+            n, d = na + b * da, da
+        else:
+            return Fraction.__add__(a, b)
+        q = _new(Q)
+        q._numerator = n
+        q._denominator = d
+        return q
+
+    def __radd__(b, a):
+        t = type(a)
+        if t is int:
+            q = _new(Q)
+            q._numerator = a * b._denominator + b._numerator
+            q._denominator = b._denominator
+            return q
+        if t is Fraction:
+            return Q.__add__(a, b)
+        return Fraction.__radd__(b, a)
+
+    def __sub__(a, b):
+        na, da = a._numerator, a._denominator
+        t = type(b)
+        if t is Q or t is Fraction:
+            nb, db = b._numerator, b._denominator
+            g = gcd(da, db)
+            if g == 1:
+                n, d = na * db - da * nb, da * db
+            else:
+                s = da // g
+                n = na * (db // g) - nb * s
+                g = gcd(n, g)
+                n //= g
+                d = s * (db // g)
+        elif t is int:
+            n, d = na - b * da, da
+        else:
+            return Fraction.__sub__(a, b)
+        q = _new(Q)
+        q._numerator = n
+        q._denominator = d
+        return q
+
+    def __rsub__(b, a):
+        t = type(a)
+        if t is int:
+            q = _new(Q)
+            q._numerator = a * b._denominator - b._numerator
+            q._denominator = b._denominator
+            return q
+        if t is Fraction:
+            return Q.__sub__(a, b)
+        return Fraction.__rsub__(b, a)
+
+    def __mul__(a, b):
+        na, da = a._numerator, a._denominator
+        t = type(b)
+        if t is Q or t is Fraction:
+            nb, db = b._numerator, b._denominator
+            g = gcd(na, db)
+            if g > 1:
+                na //= g
+                db //= g
+            g = gcd(nb, da)
+            if g > 1:
+                nb //= g
+                da //= g
+            n, d = na * nb, da * db
+        elif t is int:
+            g = gcd(b, da)
+            n, d = na * (b // g), da // g
+        else:
+            return Fraction.__mul__(a, b)
+        q = _new(Q)
+        q._numerator = n
+        q._denominator = d
+        return q
+
+    def __rmul__(b, a):
+        t = type(a)
+        if t is int:
+            g = gcd(a, b._denominator)
+            q = _new(Q)
+            q._numerator = (a // g) * b._numerator
+            q._denominator = b._denominator // g
+            return q
+        if t is Fraction:
+            return Q.__mul__(a, b)
+        return Fraction.__rmul__(b, a)
+
+    def __truediv__(a, b):
+        na, da = a._numerator, a._denominator
+        t = type(b)
+        if t is Q or t is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif t is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__truediv__(a, b)
+        if nb == 0:
+            raise ZeroDivisionError(f"Fraction({na * db}, 0)")
+        g = gcd(na, nb)
+        if g > 1:
+            na //= g
+            nb //= g
+        g = gcd(da, db)
+        if g > 1:
+            da //= g
+            db //= g
+        q = _new(Q)
+        if nb < 0:
+            q._numerator = -na * db
+            q._denominator = -nb * da
+        else:
+            q._numerator = na * db
+            q._denominator = nb * da
+        return q
+
+    def __rtruediv__(b, a):
+        t = type(a)
+        if t is int:
+            nb, db = b._numerator, b._denominator
+            if nb == 0:
+                raise ZeroDivisionError(f"Fraction({a * db}, 0)")
+            g = gcd(a, nb)
+            if nb < 0:
+                g = -g
+            q = _new(Q)
+            q._numerator = (a // g) * db
+            q._denominator = nb // g
+            return q
+        if t is Fraction:
+            return Q.__truediv__(a, b)
+        return Fraction.__rtruediv__(b, a)
+
+    # both operands are in lowest terms, so equal values have equal parts
+    def __eq__(a, b):
+        t = type(b)
+        if t is Q or t is Fraction:
+            return (a._numerator == b._numerator
+                    and a._denominator == b._denominator)
+        if t is int:
+            return a._denominator == 1 and a._numerator == b
+        return Fraction.__eq__(a, b)
+
+    def __lt__(a, b):
+        t = type(b)
+        if t is Q or t is Fraction:
+            return (a._numerator * b._denominator
+                    < b._numerator * a._denominator)
+        if t is int:
+            return a._numerator < b * a._denominator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        t = type(b)
+        if t is Q or t is Fraction:
+            return (a._numerator * b._denominator
+                    <= b._numerator * a._denominator)
+        if t is int:
+            return a._numerator <= b * a._denominator
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        t = type(b)
+        if t is Q or t is Fraction:
+            return (a._numerator * b._denominator
+                    > b._numerator * a._denominator)
+        if t is int:
+            return a._numerator > b * a._denominator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        t = type(b)
+        if t is Q or t is Fraction:
+            return (a._numerator * b._denominator
+                    >= b._numerator * a._denominator)
+        if t is int:
+            return a._numerator >= b * a._denominator
+        return Fraction.__ge__(a, b)
 
     def __neg__(a):
-        return _q(-a._numerator, a._denominator)
+        q = _new(Q)
+        q._numerator = -a._numerator
+        q._denominator = a._denominator
+        return q
 
     def __pos__(a):
         return a
 
     def __abs__(a):
-        return a if a._numerator >= 0 else _q(-a._numerator, a._denominator)
+        if a._numerator >= 0:
+            return a
+        q = _new(Q)
+        q._numerator = -a._numerator
+        q._denominator = a._denominator
+        return q
 
     def __pow__(a, b):
-        if type(b) is int:
-            n, d = a._numerator, a._denominator
-            if b >= 0:
-                return _q(n ** b, d ** b)
-            if n > 0:
-                return _q(d ** -b, n ** -b)
-            if n < 0:
-                return _q((-d) ** -b, (-n) ** -b)
-        return Fraction.__pow__(a, b)
-
+        if type(b) is not int:
+            return Fraction.__pow__(a, b)
+        n, d = a._numerator, a._denominator
+        if b < 0:
+            if n == 0:
+                return Fraction.__pow__(a, b)  # raises ZeroDivisionError
+            n, d, b = d, n, -b
+            if d < 0:
+                n, d = -n, -d
+        q = _new(Q)
+        q._numerator = n ** b
+        q._denominator = d ** b
+        return q

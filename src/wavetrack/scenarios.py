@@ -235,6 +235,12 @@ def parse_scenario(config: dict) -> ScenarioSpec:
             )
     try:
         flux = make_flux(name, params, wi)
+        if rational and wi is None:
+            # the flux's default interval, read as if the config gave it
+            wi = tuple(_parse_number(v, rational, "flux.working_interval",
+                                     errors)
+                       for v in flux.working_interval)
+            flux = make_flux(name, params, wi)
     except (ValueError, TypeError) as exc:
         errors.append(f"flux: {exc}")
         flux = make_flux("burgers", {}, None)

@@ -3,6 +3,7 @@ exact runs that hold their numbers in it."""
 
 import operator
 import random
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from unittest import mock
@@ -25,6 +26,8 @@ from wavetrack.coupling import stops
 from wavetrack.functional import ledger_reports
 from wavetrack.rational import Q
 from wavetrack.scenarios import CHECK_ORDER
+
+from q_census import suite_exact_configs, watch_q
 
 ints = st.integers(-10**6, 10**6) | st.sampled_from([0, 1, -1])
 fracs = st.fractions(max_denominator=10**6) | st.sampled_from(
@@ -165,6 +168,23 @@ def _foreign(numbers, allowed=(Q,)):
                    if type(v) not in allowed})
 
 
+def _foreign_operands(seen):
+    """The (operator, type name) tallies of a ``watch_q`` Counter: the
+    operations that met an operand other than a Q, a Fraction or an int."""
+    return [k for k in seen if not isinstance(k, str)]
+
+
+def _json_floats(x):
+    """The floats in a report's JSON form (``to_dict``)."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        for v in x:
+            yield from _json_floats(v)
+    elif isinstance(x, float):
+        yield x
+
+
 QUARTIC = {
     "flux": {"name": "quartic", "working_interval": ["1/4", "5/2"]},
     "u1": {"leading": "1", "pairs": [["0", "2"], ["1", "1/2"], ["2", "1"]]},
@@ -202,11 +222,16 @@ def test_an_exact_run_from_plain_fractions_holds_only_q():
                                      keep=lambda n: range(n))
     reports["max_principle"] = maximum_principle_check(
         field, (Fraction(-4), Fraction(4)), Fraction(2))
-    oleinik_report(field, probes)
+    seen = Counter()
+    with watch_q(seen):
+        oleinik = oleinik_report(field, probes)
     numbers = list(_numbers(field, reports))
     numbers += [v for fs in probes for v in _slice_numbers(fs)]
     assert _foreign(numbers) == []
     assert _foreign(_booked(reports), (Q, int)) == []
+    # Burgers' int coefficient: 1 / c0 and the spread stay exact too
+    assert _foreign_operands(seen) == []
+    assert list(_json_floats(oleinik.to_dict())) == []
 
 
 def test_a_float_run_holds_no_fraction():
@@ -215,3 +240,32 @@ def test_a_float_run_holds_no_fraction():
     numbers, booked = _scenario_numbers(config)
     assert len(numbers) > 100 and len(booked) > 100
     assert not any(isinstance(v, Fraction) for v in numbers + booked)
+
+
+QUARTIC_DEFAULT_INTERVAL = {**QUARTIC, "flux": {"name": "quartic"}}
+BURGERS_COEFFICIENT_3 = {
+    **random_scenario_config(7001, rational=True, checks=list(CHECK_ORDER)),
+    "flux": {"name": "burgers", "params": {"coefficient": "3"}},
+}
+
+
+@pytest.mark.parametrize("configs", [
+    list(suite_exact_configs()),
+    [QUARTIC_DEFAULT_INTERVAL],
+    [BURGERS_COEFFICIENT_3],
+], ids=["suite_exact", "quartic_default_interval", "burgers_coefficient_3"])
+def test_an_exact_scenario_stays_on_q(configs, tmp_path):
+    """No ``Q`` operation meets a float (or any operand other than a
+    ``Q``, ``Fraction`` or ``int``), and no report writes a float: the
+    flux constants, the Oleinik constants and the defaults all stay
+    exact."""
+    seen = Counter()
+    with watch_q(seen):
+        results = [run_scenario(c, out_dir=tmp_path / str(i))
+                   for i, c in enumerate(configs)]
+    assert [r.error for r in results] == [None] * len(configs)
+    assert sum(n for k, n in seen.items() if isinstance(k, str)) > 1000
+    assert _foreign_operands(seen) == []
+    floats = [(name, v) for r in results for name, rep in r.reports.items()
+              for v in _json_floats(rep.to_dict())]
+    assert floats == []
