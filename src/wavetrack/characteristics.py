@@ -9,7 +9,8 @@ Backward curves are generally non-unique at compressive jumps; the extremal
 (leftmost / rightmost footed) selections are provided.
 
 Works against a :class:`~wavetrack.coupling.CoefficientField` or against a
-hand-built :class:`StaticField`.
+hand-built :class:`StaticField`; either way the walks read each stop's
+:class:`~wavetrack.coupling.FieldSlice` (``stop.slice()``).
 """
 from __future__ import annotations
 
@@ -84,6 +85,7 @@ class StaticField:
                 f"crossing at t={self.horizon}"
             )
         jumps = []
+        lams = tuple(lam for _, lam in self.jump_data)
         for i, (_, lam) in enumerate(self.jump_data):
             am, ap = self.region_values[i], self.region_values[i + 1]
             jumps.append(
@@ -106,6 +108,8 @@ class StaticField:
             positions=tuple(x + s * t for x, s in self.jump_data),
             a_values=self.region_values,
             psi_values=self.kappa_values,
+            lams=lams,
+            speed=max(map(abs, lams), default=0),
         )
 
     def event_times(self, s, t):
@@ -113,8 +117,8 @@ class StaticField:
 
     def walk(self, bounds, reverse=False):
         """One slice per interval between consecutive ``bounds``, built by
-        :meth:`at` at the midpoint, as the stop the characteristic walks
-        read through its ``view``; an interval past the horizon is refused."""
+        :meth:`at` at the midpoint, as the stop (its ``slice()`` is itself);
+        an interval past the horizon is refused."""
         spans = list(zip(bounds, bounds[1:]))
         if reverse:
             spans.reverse()
@@ -199,10 +203,10 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
             candidates.append(("region", rho, v))
     if not backward:
         for k in members:
-            if fslice.kind(k) == LAX:
+            if fslice.jumps[k].kind == LAX:
                 candidates.append(("ride", k, lams[k]))
     if not candidates:
-        kinds = sorted({fslice.kind(k) for k in members})
+        kinds = sorted({fslice.jumps[k].kind for k in members})
         raise RuntimeError(
             f"no continuation {'backward' if backward else 'forward'} "
             f"at {where}: stack of {kinds} jumps offers no admissible branch"
@@ -224,17 +228,17 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
     )
 
 
-def _window(view, t, lo, hi):
+def _window(fslice, t, lo, hi):
     """(first index, positions at time t as ``FieldSlice.positions_at`` has
-    them) of the jumps that can lie in [lo, hi] at time t: by bisection of
-    the stop-time positions, which the walk holds in order, for [lo, hi]
-    widened by the farthest a jump moves from the stop time to t, plus the
+    them) of the jumps of ``fslice`` that can lie in [lo, hi] at time t: by
+    bisection of the slice-time positions, which are in order, for [lo, hi]
+    widened by the farthest a jump moves from the slice time to t, plus the
     rounding of a shifted float position.  The positions at t may be out of
     order, as rounding leaves jumps that meet; all that can reach [lo, hi]
     are in the window even so."""
-    positions, lams, dt = view.positions, view.lams, t - view.time
-    reach = view.speed * abs(dt)
-    if isinstance(reach, float):    # an exact view shifts without rounding
+    positions, lams, dt = fslice.positions, fslice.lams, t - fslice.time
+    reach = fslice.speed * abs(dt)
+    if isinstance(reach, float):    # an exact slice shifts without rounding
         reach += ANCHOR_TOL * (1 + abs(lo) + abs(hi) + reach)
     i = bisect_left(positions, lo - reach)
     j = bisect_right(positions, hi + reach)
@@ -311,7 +315,7 @@ def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
                                     speed, "region"))
         if hit_t is None:
             return x1
-        x, t, kind = x1, t1, fslice.kind(hit_k)
+        x, t, kind = x1, t1, fslice.jumps[hit_k].kind
         if kind == RAREFACTION_SHOCK:
             raise RuntimeError(
                 f"backward characteristic captured by a rarefaction-side "
@@ -351,7 +355,7 @@ def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
     path = CharacteristicPath()
     x = x0
     for T0, T1, stop in stops(field, t0, t_end):
-        x = _step(field, stop.view(), x, T0, T1, tie_bias, path.segments)
+        x = _step(field, stop.slice(), x, T0, T1, tie_bias, path.segments)
     return path
 
 
@@ -371,7 +375,7 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
     rev_segments = []
     x = x0
     for T0, T1, stop in stops(field, t_stop, t0, reverse=True):
-        x = _step(field, stop.view(), x, T1, T0, tie_bias, rev_segments)
+        x = _step(field, stop.slice(), x, T1, T0, tie_bias, rev_segments)
     return CharacteristicPath(rev_segments[::-1])
 
 
@@ -562,11 +566,11 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     time invariant.  The samples are the interval midpoints plus
     ``MAX_PRINCIPLE_SAMPLES - 1`` uniform times away from interactions.
 
-    The timeline is walked twice, reading each stop's view, not a slice:
-    forward, carrying both funnel edges through each interval and reading
-    the funnel minimum off the segments just traced; then backward from
-    the edges' ends, carrying both backward characteristics and integrating
-    the mass between them.
+    The timeline is walked twice, reading each stop's slice: forward,
+    carrying both funnel edges through each interval and reading the funnel
+    minimum off the segments just traced; then backward from the edges'
+    ends, carrying both backward characteristics and integrating the mass
+    between them.
 
     On an exact field the funnel ends and ``t_end`` are taken by the rule
     of :func:`~wavetrack.coupling.exact_time`: an int becomes exact, a
@@ -598,7 +602,7 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     violations = []
     min_psi = None
     for t0, t1, stop in stops(field, 0, t_end):
-        fs = stop.view()
+        fs = stop.slice()
         new_left, new_right = len(left.segments), len(right.segments)
         x_left = _step(field, fs, x_left, t0, t1, -1, left.segments)
         x_right = _step(field, fs, x_right, t0, t1, 1, right.segments)
@@ -622,7 +626,7 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     rev_left, rev_right = [], []
     masses = []
     for t0, t1, stop in stops(field, 0, t_end, reverse=True):
-        fs = stop.view()
+        fs = stop.slice()
         new_left, new_right = len(rev_left), len(rev_right)
         x_left = _step(field, fs, x_left, t1, t0, -1, rev_left)
         x_right = _step(field, fs, x_right, t1, t0, 1, rev_right)

@@ -21,16 +21,15 @@ and pauses at each interval midpoint.  There it re-derives only the jump
 states the replay touched, each classified once per walk into the
 :class:`ClassifiedJump` it keeps, and can hand out what changed since the
 last stop (:class:`FieldDelta`, in O(changes)), the jump states in order,
-the whole slice, or the reads of the characteristic walks
-(``stop.view()``).
+or the whole slice (``stop.slice()``), which the ledger, the checks and the
+characteristic walks read.
 """
 from __future__ import annotations
 
 import heapq
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -143,7 +142,8 @@ class FieldSlice:
 
     Every jump moves on a straight line until the next interaction, so the
     slice also describes the field at any other time of its interval:
-    :meth:`positions_at` shifts the jumps there.
+    :meth:`positions_at` shifts the jumps there.  ``lams`` and ``speed``,
+    which the characteristic walks read, are set by the builders.
     """
 
     time: object
@@ -151,13 +151,13 @@ class FieldSlice:
     positions: tuple        # of the jumps at ``time``, in jump order
     a_values: tuple         # len(jumps) + 1 region values of a
     psi_values: tuple       # u^II - u^I per region
+    # the jump speeds, in jump order, and the largest of their sizes
+    lams: tuple = dataclass_field(default=None, compare=False)
+    speed: object = dataclass_field(default=None, compare=False)
 
-    def view(self):
-        """The slice's reads for the characteristic walks (a ``_StopView``)."""
-        lams = [j.lam for j in self.jumps]
-        return _StopView(self.time, self.positions, lams,
-                         max(map(abs, lams), default=0), self.a_values,
-                         self.psi_values, lambda k: self.jumps[k].kind)
+    def slice(self):
+        """The slice itself, so a walk can hand out slices as its stops."""
+        return self
 
     def positions_at(self, t):
         """Jump positions at time t of the slice's interaction-free interval."""
@@ -218,7 +218,6 @@ class CoefficientField:
         self.position_tol = 0 if self.exact else POSITION_TOL
         self.state_eps = 0 if self.exact else STATE_EPS
         self.stats = FieldStats()
-        self._event_times = {}
 
     # -- slicing ------------------------------------------------------------
 
@@ -266,6 +265,7 @@ class CoefficientField:
                   for uI, uII in zip(uI_vals, uII_vals)]
         psi_vals = [uII - uI for uI, uII in zip(uI_vals, uII_vals)]
         ctol = self.classification_tol
+        lams = tuple(f.speed for _, _, f in tagged)
         jumps = []
         for i, (_, tag, f) in enumerate(tagged):
             am, ap = a_vals[i], a_vals[i + 1]
@@ -279,6 +279,8 @@ class CoefficientField:
             positions=tuple(x for x, _, _ in tagged),
             a_values=tuple(a_vals),
             psi_values=tuple(psi_vals),
+            lams=lams,
+            speed=max(map(abs, lams), default=0),
         )
 
     def walk(self, bounds, reverse=False):
@@ -286,7 +288,11 @@ class CoefficientField:
         (reversed with ``reverse``): one cursor paused at the interval
         midpoint, valid until the walk moves on.  ``stop.slice()`` is the
         field there and ``stop.delta()`` what changed since the last stop;
-        see :class:`_Cursor` and :func:`stops`."""
+        see :class:`_Cursor` and :func:`stops`.  Raises ValueError, as
+        :meth:`at` does, on a bound outside the span of either run."""
+        for t in (bounds[0], bounds[-1]):
+            self.run_I._check_horizon(t)
+            self.run_II._check_horizon(t)
         return _Cursor(self).walk(bounds, reverse)
 
     def _jump_state(self, front, in_II, minus, am, km, c):
@@ -322,16 +328,8 @@ class CoefficientField:
         return _Sweep(self.run_I, self.run_II)
 
     def event_times(self, s, t):
-        """Interaction times of the coefficient strictly inside (s, t), as a
-        list of the caller's own.
-
-        The merged list is kept from the second request for the same (s, t)
-        on, so a field asked only once holds no copy of a long timeline.
-        """
-        key = (s, t)
-        kept = self._event_times.get(key)
-        if kept is not None:
-            return list(kept)
+        """Interaction times of the coefficient strictly inside (s, t), in
+        order; times within the tie rule merge into the first."""
         times = [e for e in self.run_I.event_times() if s < e < t]
         times += [e for e in self.run_II.event_times() if s < e < t]
         crossings = self._sweep.crossings
@@ -343,9 +341,6 @@ class CoefficientField:
             if merged and e - merged[-1] <= merge_tol * (1 + abs(e)):
                 continue
             merged.append(e)
-        # None marks a first request
-        self._event_times[key] = (list(merged) if key in self._event_times
-                                  else None)
         return merged
 
     def has_event_at(self, t):
@@ -533,8 +528,8 @@ class _Cursor:
     state across it, and classified on first use into the
     :class:`ClassifiedJump` they keep.  A stop hands out what changed since
     the last one (:meth:`delta`) and the jump states in list order
-    (:meth:`order`); only :meth:`slice` and :meth:`view` compute every
-    position.  The walk's far-left and far-right (a, psi) are ``ends``.
+    (:meth:`order`); only :meth:`slice` computes every position.  The
+    walk's far-left and far-right (a, psi) are ``ends``.
 
     The guard reads the fronts' own data, not the record: no front is born
     or dies inside an interval, and each pair of neighbours is in order at
@@ -778,27 +773,23 @@ class _Cursor:
             self.ordered = tuple(map(self.state.__getitem__, self._entries()))
         return self.ordered
 
-    def view(self):
-        """This stop's reads for the characteristic walks, without a slice."""
-        (a, psi), t, entries = self.ends[0], self.time, self._entries()
-        states = self.ordered = tuple(map(self.state.__getitem__, entries))
-        jumps = [st.jump for st in states]
-        lams = [j.lam for j in jumps]
-        return _StopView(
-            t, [self.fronts[k].position_at(t) for k in entries], lams,
-            max(map(abs, lams), default=0),
-            (a, *(j.a_plus for j in jumps)),
-            (psi, *(j.kappa_plus for j in jumps)),
-            lambda k: jumps[k].kind)
-
     def slice(self):
         """The field at this stop, built once from the list and the jumps
         its states hold."""
         if self.built is None:
-            t, positions, _, _, a, psi, _ = self.view()
+            (a, psi), t, entries = self.ends[0], self.time, self._entries()
+            states = self.ordered = tuple(map(self.state.__getitem__, entries))
+            # comprehensions, not generators: 4 % faster characteristic walks
+            jumps = [st.jump for st in states]
+            lams = tuple([j.lam for j in jumps])
+            fronts = self.fronts
             self.stats.slices += 1
-            self.built = FieldSlice(t, tuple(st.jump for st in self.ordered),
-                                    tuple(positions), a, psi)
+            self.built = FieldSlice(
+                t, tuple(jumps),
+                tuple([fronts[k].position_at(t) for k in entries]),
+                (a, *[j.a_plus for j in jumps]),
+                (psi, *[j.kappa_plus for j in jumps]),
+                lams, max(map(abs, lams), default=0))
         return self.built
 
     def delta(self):
@@ -883,13 +874,6 @@ class _Cursor:
                 f, k_II, cur, am, km, self._x(k) - f.speed * t)
             self.stats.states += 1
         return st
-
-
-# What the characteristic walks read at a stop: the jump positions at the
-# stop time, in order, the jump speeds and the largest of their sizes, the
-# values of a and psi per region, and kind(k), the class of jump k
-_StopView = namedtuple("_StopView",
-                       "time positions lams speed a_values psi_values kind")
 
 
 def stops(field, s, t, *, reverse=False):

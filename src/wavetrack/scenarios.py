@@ -562,14 +562,6 @@ def _probe_slices(field, s, t):
         yield field.at(tau)
 
 
-def _drain(items):
-    """Yield the items of a list in order, dropping each from the list, so
-    an item is freed once the caller is done with it."""
-    items.reverse()
-    while items:
-        yield items.pop()
-
-
 def build_runs(spec: ScenarioSpec, h=None):
     """The two evolved front-tracking runs for a scenario."""
     h = spec.h if h is None else h
@@ -659,7 +651,7 @@ def _write_outputs(result: ScenarioResult, field, probes, finals):
         with _atomic_open(out / f"{label}_waves.csv") as f:
             run.export_wave_csv(f, t)
     slices = (_probe_slices(field, spec.t_start, t) if probes is None
-              else _drain(probes))
+              else probes)
     with _atomic_open(out / "classified_jumps.csv") as f:
         export_jumps_csv(WeightField(field, spec.m), slices, f)
     u1_final, u2_final = finals

@@ -335,9 +335,9 @@ class FrontTrackingRun:
     # -- queries ------------------------------------------------------------
 
     def _check_horizon(self, t):
-        if t > self.evolved_until:
+        if not 0 <= t <= self.evolved_until:
             raise ValueError(
-                f"t={t} beyond evolved horizon {self.evolved_until}; call evolve first"
+                f"t={t} outside the evolved span [0, {self.evolved_until}]"
             )
 
     def fronts_at(self, t):

@@ -1,10 +1,9 @@
 """Whole-slice reference for the characteristic walks (test helper).
 
-The maximum-principle check and the characteristic walks as they read the
-field before stops were read through lean views: every interval builds the
-whole slice, a path's start state scans every jump for members, and the
-funnel minimum and the mass clip every piece of the slice.  The march
-itself (``_march``, ``_resolve``) is shared and reads the slice's view.
+The maximum-principle check and the characteristic walks with no window:
+a path's start state scans every jump of the stop's slice for members, and
+the funnel minimum and the mass clip every piece of the slice.  The march
+itself (``_march``, ``_resolve``) is shared.
 """
 from bisect import bisect_left, bisect_right
 
@@ -16,16 +15,15 @@ from wavetrack.characteristics import (
     _march,
     _resolve,
 )
-from wavetrack.coupling import FieldSlice, stops
+from wavetrack.coupling import stops
 from wavetrack.profiles import clipped_pieces
 
 
 def slices(field, s, t, reverse=False):
     """(t0, t1, whole slice) per interval of ``coupling.stops``: the
-    slice at each stop; a :class:`~wavetrack.characteristics.StaticField`
-    walk yields its slices itself."""
+    slice at each stop."""
     for t0, t1, stop in stops(field, s, t, reverse=reverse):
-        yield t0, t1, stop if isinstance(stop, FieldSlice) else stop.slice()
+        yield t0, t1, stop.slice()
 
 
 def state_at(field, fslice, x, t, *, backward, tie_bias):
@@ -33,7 +31,7 @@ def state_at(field, fslice, x, t, *, backward, tie_bias):
     tol = 0 if field.exact else ANCHOR_TOL * (1 + abs(x))
     members = [k for k, q in enumerate(positions) if abs(q - x) <= tol]
     if members:
-        return _resolve(fslice.view(), members, backward=backward,
+        return _resolve(fslice, members, backward=backward,
                         tie_bias=tie_bias, where=f"(x={x}, t={t})")
     rho = bisect_right(positions, x)
     return ("region", rho, fslice.a_values[rho])
@@ -42,7 +40,7 @@ def state_at(field, fslice, x, t, *, backward, tie_bias):
 def step(field, fslice, x, t_from, t_to, tie_bias, segments):
     state = state_at(field, fslice, x, t_from, backward=t_to < t_from,
                      tie_bias=tie_bias)
-    return _march(fslice.view(), state, x, t_from, t_to, tie_bias, segments)
+    return _march(fslice, state, x, t_from, t_to, tie_bias, segments)
 
 
 def forward_characteristic(field, x0, t0, t_end, tie_bias=0):

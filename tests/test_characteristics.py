@@ -19,6 +19,7 @@ from wavetrack import (
     burgers_flux,
     export_paths_csv,
     forward_characteristic,
+    l1_identity_report,
     maximum_principle_check,
     oleinik_report,
     parse_scenario,
@@ -35,6 +36,7 @@ from wavetrack.characteristics import (
     _state_at,
     _window,
 )
+from wavetrack.coupling import FAST
 from wavetrack.scenarios import build_runs
 
 FLUX = burgers_flux()
@@ -228,10 +230,61 @@ def test_max_principle_walks_the_timeline_twice():
     intervals = len(field.event_times(0, 2)) + 1
     rep = maximum_principle_check(field, (1, 5), 2)
     assert rep.passed
-    # both walks read the cursor's stops; no whole slice is built
+    # both walks read the cursor's stops, one slice per stop; ``at`` builds
+    # no slice
     assert field.stats.at_slices == 0
-    assert field.stats.slices == 0
+    assert field.stats.slices == field.stats.intervals
     assert field.stats.intervals == 2 * intervals
+
+
+def _plant(mp, defect):
+    """Plant one defect in the characteristic walks: undercompressive jumps
+    pass paths to the wrong side ("slow_as_fast"), or the pieces a funnel
+    clips repeat their first one ("first_piece_twice")."""
+    if defect == "slow_as_fast":
+        mp.setattr(characteristics, "SLOW", FAST)
+        return
+    clipped = characteristics.clipped_pieces
+
+    def twice(*args):
+        pieces = clipped(*args)
+        for piece in pieces:
+            yield piece
+            yield piece
+            break
+        yield from pieces
+    mp.setattr(characteristics, "clipped_pieces", twice)
+
+
+@pytest.mark.parametrize("defect", ["slow_as_fast", "first_piece_twice"])
+def test_a_planted_max_principle_defect_fails_the_check(monkeypatch, defect):
+    # the check passes on each sine pair of the benchmark's sine_full
+    # workload; with one defect planted the mass between the backward
+    # characteristics drifts
+    for n_cells, h in ((4, 0.2), (8, 0.2), (8, 0.1), (12, 0.1), (20, 0.1)):
+        field = _sine_field(n_cells, h)
+        assert maximum_principle_check(field, (1, 5), 2).passed
+        with monkeypatch.context() as mp:
+            _plant(mp, defect)
+            rep = maximum_principle_check(field, (1, 5), 2)
+        assert not rep.passed, (n_cells, h)
+        assert rep.violations[-1].startswith(
+            "mass between backward characteristics drifts"), (n_cells, h)
+
+
+def test_walks_refuse_times_outside_the_runs_span():
+    run_I = FrontTrackingRun(FLUX, Profile([0.0, 1.0], [1.0, -1.0, 0.5]),
+                             0.1).evolve(0.2)
+    run_II = FrontTrackingRun(FLUX, Profile([0.013], [2.0, 0.0]),
+                              0.1).evolve(0.2)
+    field = CoefficientField(run_I, run_II)
+    for call in (lambda: forward_characteristic(field, -0.5, 0, 5),
+                 lambda: maximum_principle_check(field, (-1, 2), 5),
+                 lambda: field.at(-1),
+                 lambda: l1_identity_report(field, -1, 0.2),
+                 lambda: backward_characteristic(field, 0.0, 0.2, t_stop=-1)):
+        with pytest.raises(ValueError, match="outside the evolved span"):
+            call()
 
 
 def _exact_twin():
@@ -333,15 +386,15 @@ def test_window_holds_jumps_whose_positions_are_out_of_order():
         [1.0, 0.5, 0.0, -0.5, -1.0, -1.5],
         kappa_values=[0.0, 1.0, -1.0, 2.0, -2.0, 3.0])
     fs, t = field.at(0.25), 0.75
-    assert _window(fs.view(), t, 2.3, 2.4) == (1, [2.75, 2.5, 2.25])
+    assert _window(fs, t, 2.3, 2.4) == (1, [2.75, 2.5, 2.25])
     for lo, hi in ((2.3, 2.4), (2.6, 3.0), (1.0, 4.0), (2.4, 2.3)):
         if lo < hi:
-            assert (_psi_min(fs.view(), lo, hi, t)
+            assert (_psi_min(fs, lo, hi, t)
                     == oracle.psi_min(fs, lo, hi, t))
-        assert (_psi_integral(fs.view(), lo, hi, t)
+        assert (_psi_integral(fs, lo, hi, t)
                 == oracle.psi_integral(fs, lo, hi, t))
     for x in (2.25, 2.4, 2.5, 2.75):
-        assert (_state_at(field, fs.view(), x, t, backward=True, tie_bias=1)
+        assert (_state_at(field, fs, x, t, backward=True, tie_bias=1)
                 == oracle.state_at(field, fs, x, t, backward=True,
                                    tie_bias=1))
 
@@ -353,7 +406,7 @@ def test_window_holds_a_jump_that_rounds_onto_its_edge():
     field = StaticField([(0.10849050813308195, 1.0)], [2.0, 0.0])
     fs, t, x = field.at(0.0), 0.2, 0.30849050944157247
     assert fs.positions_at(t) == [x - ANCHOR_TOL * (1 + x)]
-    assert (_state_at(field, fs.view(), x, t, backward=True, tie_bias=1)
+    assert (_state_at(field, fs, x, t, backward=True, tie_bias=1)
             == oracle.state_at(field, fs, x, t, backward=True, tie_bias=1)
             == ("region", 0, 2.0))
 
@@ -416,7 +469,7 @@ def test_march_forward_into_a_rarefaction_side_jump_raises():
     # crafted state heading into the jump stands in for one
     rs = StaticField([(0, 0)], [Fraction(-1, 2), Fraction(1, 2)], exact=True)
     with pytest.raises(RuntimeError, match="forward characteristic ran into"):
-        _march(rs.at(Fraction(1, 2)).view(), ("region", 0, 1), -1, 0, 2, 0,
+        _march(rs.at(Fraction(1, 2)), ("region", 0, 1), -1, 0, 2, 0,
                [])
 
 
@@ -424,7 +477,7 @@ def test_march_backward_into_a_compressive_jump_resolves_the_tie():
     # a backward path meets a compressive jump only on a float tie; there it
     # takes the extremal feasible side, and goes on to the end time
     lax = StaticField([(0, 0)], [Fraction(1, 2), Fraction(-1, 2)], exact=True)
-    fs = lax.at(1).view()
+    fs = lax.at(1)
     for tie_bias, foot in ((1, Fraction(-1, 2)), (-1, Fraction(1, 2))):
         segments = []
         assert _march(fs, ("region", 0, -1), -1, 2, 0, tie_bias,
