@@ -12,17 +12,17 @@ A jump's class does not change between two interactions; only its
 position moves.  So a :class:`ClassifiedJump` holds no position or time,
 and a :class:`FieldSlice` carries the positions beside its jumps.
 
-``CoefficientField.at`` builds the whole field at one time.
-``stops`` walks it interval by interval with an event-delta cursor.
 One kinetic sweep per field keeps the alive fronts of both runs in one
 position-ordered list and records each interaction and crossing it
-applies; a walk replays that record as deltas on its own copy of the list
-and pauses at each interval midpoint.  There it re-derives only the jump
-states the replay touched, each classified once per walk into the
-:class:`ClassifiedJump` it keeps, and can hand out what changed since the
-last stop (:class:`FieldDelta`, in O(changes)), the jump states in order,
-or the whole slice (``stop.slice()``), which the ledger, the checks and the
-characteristic walks read.
+applies.  A cursor replays that record on its own copy of the list, so
+every slice takes the order of its fronts from the sweep's links, not
+from a sort.  ``CoefficientField.at`` replays to one time and checks every
+pair and state there.  ``stops`` walks the field interval by interval and
+pauses at each midpoint, where it re-derives only the jump states the
+replay touched, each classified once per walk into the
+:class:`ClassifiedJump` it keeps.  A stop hands out what changed since the
+last one (:class:`FieldDelta`, in O(changes)), the jump states in order,
+or the whole slice (``stop.slice()``).
 """
 from __future__ import annotations
 
@@ -176,8 +176,8 @@ class FieldStats:
     deltas: int = 0      # own events and crossings a walk applied forward
     crossings: int = 0   # the crossings among those deltas
     sweeps: int = 0      # heap sweeps run (one per field)
-    states: int = 0      # (front, traces) jump states classified
-    at_slices: int = 0   # whole slices built by ``at``
+    states: int = 0      # (front, traces) jump states a walk classified
+    at_slices: int = 0   # slices built off a walk (``at``, ``slices_at``)
 
 
 @dataclass(slots=True, eq=False)
@@ -222,66 +222,19 @@ class CoefficientField:
     # -- slicing ------------------------------------------------------------
 
     def at(self, t) -> FieldSlice:
-        """The field at time t.
+        """The field at time t, after the interactions at t."""
+        return next(self.slices_at([t]))
 
-        Raises :class:`DegenerateFieldError` when fronts of the two runs
-        coincide, and :class:`InconsistentFieldError` when the fronts of a
-        run do not chain its states from far left to far right.
-        """
-        self.stats.at_slices += 1
-        tagged = [(f.position_at(t), "I", f) for f in self.run_I.fronts_at(t)]
-        tagged += [(f.position_at(t), "II", f) for f in self.run_II.fronts_at(t)]
-        tagged.sort(key=itemgetter(0))
-
-        tol = self.position_tol
-        cur_I = self.run_I.initial.far_left
-        cur_II = self.run_II.initial.far_left
-        uI_vals = [cur_I]
-        uII_vals = [cur_II]
-        prev_x = prev_tag = None
-        for x, tag, f in tagged:
-            if (prev_tag is not None and tag != prev_tag
-                    and abs(x - prev_x) <= tol * (1 + abs(prev_x))):
-                raise DegenerateFieldError(prev_x, t)
-            if tag == "I":
-                if f.left_state != cur_I:
-                    raise InconsistentFieldError(
-                        f"t={t}: state chain of the first run broken at x={x}")
-                cur_I = f.right_state
-            else:
-                if f.left_state != cur_II:
-                    raise InconsistentFieldError(
-                        f"t={t}: state chain of the second run broken at x={x}")
-                cur_II = f.right_state
-            uI_vals.append(cur_I)
-            uII_vals.append(cur_II)
-            prev_x, prev_tag = x, tag
-        if (cur_I != self.run_I.initial.far_right
-                or cur_II != self.run_II.initial.far_right):
-            raise InconsistentFieldError(
-                f"t={t}: state chain does not end at the far-right state")
-
-        a_vals = [secant_speed(self.flux, uI, uII, self.state_eps)
-                  for uI, uII in zip(uI_vals, uII_vals)]
-        psi_vals = [uII - uI for uI, uII in zip(uI_vals, uII_vals)]
-        ctol = self.classification_tol
-        lams = tuple(f.speed for _, _, f in tagged)
-        jumps = []
-        for i, (_, tag, f) in enumerate(tagged):
-            am, ap = a_vals[i], a_vals[i + 1]
-            jumps.append(ClassifiedJump(
-                f.speed, am, ap, classify(am, ap, f.speed, ctol), tag,
-                f.signed_jump, psi_vals[i], psi_vals[i + 1], f.kind, f.uid,
-            ))
-        return FieldSlice(
-            time=t,
-            jumps=tuple(jumps),
-            positions=tuple(x for x, _, _ in tagged),
-            a_values=tuple(a_vals),
-            psi_values=tuple(psi_vals),
-            lams=lams,
-            speed=max(map(abs, lams), default=0),
-        )
+    def slices_at(self, times):
+        """The field at each of the increasing ``times``: one cursor replays
+        the sweep forward and raises as :meth:`_Cursor.whole` does, or
+        ValueError on a time outside the span of either run."""
+        cursor = _Cursor(self)
+        for t in times:
+            self.run_I._check_horizon(t)
+            self.run_II._check_horizon(t)
+            self.stats.at_slices += 1
+            yield cursor.whole(t)
 
     def walk(self, bounds, reverse=False):
         """``(t0, t1, stop)`` per interval between consecutive ``bounds``
@@ -294,25 +247,6 @@ class CoefficientField:
             self.run_I._check_horizon(t)
             self.run_II._check_horizon(t)
         return _Cursor(self).walk(bounds, reverse)
-
-    def _jump_state(self, front, in_II, minus, am, km, c):
-        """State of ``front`` with the states ``minus`` = (u^I, u^II), the
-        coefficient ``am`` and the difference ``km`` on its left, on the
-        line x = c + lam t."""
-        uI_p, uII_p = minus
-        if in_II:
-            uII_p = front.right_state
-        else:
-            uI_p = front.right_state
-        ap = secant_speed(self.flux, uI_p, uII_p, self.state_eps)
-        kp = uII_p - uI_p
-        lam = front.speed
-        return _JumpState(
-            ClassifiedJump(lam, am, ap,
-                           classify(am, ap, lam, self.classification_tol),
-                           "II" if in_II else "I", front.signed_jump, km, kp,
-                           front.kind, front.uid),
-            minus, (uI_p, uII_p), c)
 
     def front_of(self, jump):
         """The tracked front that carries a jump of one of this field's slices."""
@@ -513,8 +447,10 @@ class FieldDelta:
 
 
 class _Cursor:
-    """One timeline walk: the field's recorded sweep replayed on a copy of
-    its front list, paused at each interval midpoint (a stop).
+    """The field's recorded sweep replayed forward on a copy of its front
+    list: one timeline walk, paused at each interval midpoint (a stop), or
+    the whole stops of ``CoefficientField.slices_at`` (:meth:`whole`),
+    where every pair and every state is checked and nothing is noted.
 
     Each list entry keeps its jump state.  A link change marks the entry
     right of it.  At a stop the cursor re-derives each marked entry's state
@@ -524,9 +460,9 @@ class _Cursor:
     a stop costs O(changes): a pair that stayed adjacent cannot newly
     coincide at a midpoint, because its gap is linear while it stays
     adjacent and a zero of it would be a crossing in the record, which
-    bounds an interval.  States are keyed by the front and the other run's
-    state across it, and classified on first use into the
-    :class:`ClassifiedJump` they keep.  A stop hands out what changed since
+    bounds an interval.  A walk keys states by the front and the other run's
+    state across it, and classifies each on first use into the
+    :class:`ClassifiedJump` it keeps.  A stop hands out what changed since
     the last one (:meth:`delta`) and the jump states in list order
     (:meth:`order`); only :meth:`slice` computes every position.  The
     walk's far-left and far-right (a, psi) are ``ends``.
@@ -552,14 +488,14 @@ class _Cursor:
         self.slack = 0 if field.exact else GUARD_TOL
         self.state = [None] * len(self.fronts)
         self.cache = {}
-        self.dirty = {k for _, k in self._pairs()}   # entries to re-derive
+        self.dirty = set()    # entries to re-derive, at a walk's later stops
         self.touched = None   # entry -> its right neighbour at the last stop
         self.log = None       # (entry, left) per link change, reverse walks
         self.span = None
         self.time = None      # of the stop, None before the first
+        self.xs = {}          # entry -> its position, where computed
         self.old = {}         # entry -> its state at the last stop, where
                               # this stop changed it
-        self.xs = {}          # entry -> its position, where computed
         self.built = self.ordered = None   # this stop's slice and states
         uI = field.run_I.initial
         uII = field.run_II.initial
@@ -626,29 +562,47 @@ class _Cursor:
         return mid
 
     def _replay_to(self, limit):
-        """Apply every recorded move up to the first one after ``limit``,
-        through the link changes that are noted."""
-        keys, times, stats = self.keys, self.times, self.stats
+        """Apply every recorded move up to the first one after ``limit``;
+        only a walk notes the link changes and guards the own events."""
+        keys, times, prv, nxt = self.keys, self.times, self.prv, self.nxt
+        touched, dirty, log = self.touched, self.dirty, self.log
         i = first = self.done
-        while i < len(keys) and times[i] <= limit:
+        end, own = len(keys), 0
+        while i < end and times[i] <= limit:
             k = keys[i]
             i += 1
             if k != _OWN:
-                stats.crossings += 1
-                self._link(k, self._unlink(k)[1])
+                # move k just right of its right neighbour r, noted as
+                # _unlink(k) and _link(k, r) note it
+                before, r = prv[k], nxt[k]
+                after = nxt[r]
+                nxt[before], prv[r] = r, before
+                nxt[r], prv[k] = k, r
+                nxt[k], prv[after] = after, k
+                if touched is not None:
+                    if log is not None:
+                        log += ((k, before), (k, None))
+                    touched.setdefault(before, k)
+                    touched.setdefault(k, r)
+                    touched.setdefault(r, after)
+                    dirty.update((r, k, after))
                 continue
+            own += 1
             _, base, e = self.events[self.pending]
             self.pending += 1
-            t0 = self.span[0]
-            if e.time > t0 + self.slack * (1 + abs(t0)):
-                self._missing(base + (e.incoming[0] if e.outgoing is None
-                                      else e.outgoing))
+            if touched is not None:
+                t0 = self.span[0]
+                if e.time > t0 + self.slack * (1 + abs(t0)):
+                    self._missing(base + (e.incoming[0] if e.outgoing is None
+                                          else e.outgoing))
             left, _ = self._unlink(base + e.incoming[0])
             self._unlink(base + e.incoming[1])
             if e.outgoing is not None:
                 self._link(base + e.outgoing, left)
         self.done = i
-        stats.deltas += i - first
+        if touched is not None:
+            self.stats.deltas += i - first
+            self.stats.crossings += i - first - own
 
     def _missing(self, k):
         f = self.fronts[k]
@@ -673,34 +627,34 @@ class _Cursor:
             gap = xs[kr] - xl
             if gap < 0 and (not self.slack
                             or gap < -self.slack * (1 + abs(xl))):
-                raise InconsistentFieldError(
-                    f"jumps near x={xl} change order by t={t}; a crossing is "
-                    "missing from the event times")
+                raise self._out_of_order(xl, t)
 
     def _unlink(self, k):
         prv, nxt = self.prv, self.nxt
         before, after = prv[k], nxt[k]
         nxt[before], prv[after] = after, before
         prv[k] = nxt[k] = _GONE
-        if self.log is not None:
-            self.log.append((k, before))
-        self.touched.setdefault(before, k)
-        self.touched.setdefault(k, after)
-        self.dirty.add(after)
+        if self.touched is not None:
+            if self.log is not None:
+                self.log.append((k, before))
+            self.touched.setdefault(before, k)
+            self.touched.setdefault(k, after)
+            self.dirty.add(after)
         return before, after
 
     def _link(self, k, left):
-        """Insert ``k`` just right of ``left``."""
+        """Insert ``k`` just right of ``left``; on a walk, note the change."""
         prv, nxt = self.prv, self.nxt
         right = nxt[left]
         nxt[left], prv[k] = k, left
         nxt[k], prv[right] = right, k
-        if self.log is not None:
-            self.log.append((k, None))
-        self.touched.setdefault(left, right)
-        self.touched.setdefault(k, _GONE)
-        self.dirty.add(k)
-        self.dirty.add(right)
+        if self.touched is not None:
+            if self.log is not None:
+                self.log.append((k, None))
+            self.touched.setdefault(left, right)
+            self.touched.setdefault(k, _GONE)
+            self.dirty.add(k)
+            self.dirty.add(right)
 
     def _stop(self, t):
         """Pause at t: check the neighbour pairs the replay made (every pair
@@ -721,7 +675,8 @@ class _Cursor:
                     raise DegenerateFieldError(xl, t)
 
         state, old = self.state, self.old
-        marked = {k for k in self.dirty if k == tail or prv[k] != _GONE}
+        marked = ({*self._entries(), tail} if first else
+                  {k for k in self.dirty if k == tail or prv[k] != _GONE})
         self.dirty.clear()
         for k in list(marked):
             if k not in marked:
@@ -738,10 +693,7 @@ class _Cursor:
                     st = state[left]
                     cur, am, km = st.plus, st.jump.a_plus, st.jump.kappa_plus
                 if k == tail:
-                    if cur != self.far_right:
-                        raise InconsistentFieldError(
-                            f"t={t}: state chain does not end at the "
-                            "far-right state")
+                    self._check_far_right(cur, t)
                     break
                 st = state[k]
                 new = self._state_of(k, cur, am, km, t)
@@ -750,6 +702,46 @@ class _Cursor:
                     old.setdefault(k, st)
                     state[k] = new
                 k = nxt[k]
+
+    def whole(self, t):
+        """The slice at t, off a walk: replay to t, then check every pair of
+        neighbours for order and for coinciding fronts of both runs and
+        re-derive every state, in one pass, as a walk's first stop does."""
+        if self.time is not None and t < self.time:
+            raise ValueError(f"t={t} lies before the cursor's t={self.time}")
+        self._replay_to(t)
+        self.time, self.xs, self.built = t, {}, None
+        fronts, in_II, nxt, state, xs = (self.fronts, self.in_II, self.nxt,
+                                         self.state, self.xs)
+        slack, tol = self.slack, self.field.position_tol
+        cur, (am, km) = self.far_left, self.ends[0]
+        kl = xl = None
+        k = nxt[self.head]
+        while k != self.tail:
+            x = xs[k] = fronts[k].position_at(t)
+            if kl is not None:
+                gap = x - xl
+                if gap < 0 and (not slack or gap < -slack * (1 + abs(xl))):
+                    raise self._out_of_order(xl, t)
+                if in_II[k] != in_II[kl] and (
+                        gap == 0 or tol and abs(gap) <= tol * (1 + abs(xl))):
+                    raise DegenerateFieldError(xl, t)
+            st = state[k] = self._state_of(k, cur, am, km, t)
+            cur, am, km = st.plus, st.jump.a_plus, st.jump.kappa_plus
+            kl, xl, k = k, x, nxt[k]
+        self._check_far_right(cur, t)
+        return self.slice()
+
+    def _check_far_right(self, cur, t):
+        if cur != self.far_right:
+            raise InconsistentFieldError(
+                f"t={t}: state chain does not end at the far-right state")
+
+    @staticmethod
+    def _out_of_order(x, t):
+        return InconsistentFieldError(
+            f"jumps near x={x} change order by t={t}; a crossing is missing "
+            "from the event times")
 
     def _x(self, k):
         """Position of entry ``k`` at this stop."""
@@ -783,7 +775,8 @@ class _Cursor:
             jumps = [st.jump for st in states]
             lams = tuple([j.lam for j in jumps])
             fronts = self.fronts
-            self.stats.slices += 1
+            if self.touched is not None:
+                self.stats.slices += 1
             self.built = FieldSlice(
                 t, tuple(jumps),
                 tuple([fronts[k].position_at(t) for k in entries]),
@@ -856,7 +849,8 @@ class _Cursor:
 
     def _state_of(self, k, cur, am, km, t):
         """State of entry ``k`` with the states ``cur``, the coefficient
-        ``am`` and the difference ``km`` on its left."""
+        ``am`` and the difference ``km`` on its left; only a walk keeps the
+        states it classified."""
         st = self.state[k]
         if st is not None and st.minus == cur:
             return st
@@ -870,9 +864,18 @@ class _Cursor:
         key = (k, other)
         st = self.cache.get(key)
         if st is None:
-            st = self.cache[key] = self.field._jump_state(
-                f, k_II, cur, am, km, self._x(k) - f.speed * t)
-            self.stats.states += 1
+            field, lam = self.field, f.speed
+            plus = (cur[0], f.right_state) if k_II else (f.right_state, cur[1])
+            ap = secant_speed(field.flux, *plus, field.state_eps)
+            st = _JumpState(
+                ClassifiedJump(lam, am, ap,
+                               classify(am, ap, lam, field.classification_tol),
+                               "II" if k_II else "I", f.signed_jump, km,
+                               plus[1] - plus[0], f.kind, f.uid),
+                cur, plus, self._x(k) - lam * t)
+            if self.touched is not None:
+                self.cache[key] = st
+                self.stats.states += 1
         return st
 
 

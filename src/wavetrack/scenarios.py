@@ -545,21 +545,16 @@ def _probe_gaps(n):
     return [round(i * step) for i in range(_PROBES)]
 
 
-def _probe_times(field, s, t):
-    """Midpoints of the probe gaps, as a list, so the gap bounds are freed
-    before any slice is built."""
-    bounds = [s, *field.event_times(s, t), t]
-    return [bounds[i] + (bounds[i + 1] - bounds[i]) / 2
-            for i in _probe_gaps(len(bounds) - 1)]
-
-
 def _probe_slices(field, s, t):
-    """The field at each probe time, built by ``at`` as the caller reaches
-    it.  A scenario that books a ledger takes its probe slices from the
-    ledger's walk instead (:func:`run_scenario`); this path serves the
-    scenarios without one."""
-    for tau in _probe_times(field, s, t):
-        yield field.at(tau)
+    """The field at the midpoint of each probe gap, built as the caller
+    reaches it by one cursor that replays the sweep forward
+    (``CoefficientField.slices_at``).  A scenario that books a ledger takes
+    its probe slices from the ledger's walk instead (:func:`run_scenario`);
+    this path serves the scenarios without one."""
+    bounds = [s, *field.event_times(s, t), t]
+    # a list, so the gap bounds are freed before any slice is built
+    return field.slices_at([bounds[i] + (bounds[i + 1] - bounds[i]) / 2
+                            for i in _probe_gaps(len(bounds) - 1)])
 
 
 def build_runs(spec: ScenarioSpec, h=None):
@@ -578,8 +573,9 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
 
     Every norm the checks read is booked by one ledger walk, before any
     check runs.  The probe slices, which the Oleinik check and the jump
-    table read, are kept from that walk's stops; without a ledger they are
-    built by ``CoefficientField.at``.  Reports keep the check order.
+    table read, are kept from that walk's stops; without a ledger one
+    forward replay stops at the probe times (:func:`_probe_slices`).
+    Reports keep the check order.
     """
     spec = config if isinstance(config, ScenarioSpec) else parse_scenario(config)
     out = out_dir if out_dir is not None else spec.out

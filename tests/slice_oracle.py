@@ -1,0 +1,81 @@
+"""Sort-based slice builder, the reference for the cursor's slices (test
+helper).
+
+``at`` builds the coefficient field at one time the way
+``CoefficientField.at`` once did: it sorts both runs' alive fronts by
+position, walks each run's state chain itself and classifies every jump
+afresh.  It shares nothing with the cursor but ``classify`` and
+``secant_speed``, so a slice equal to it bit for bit is built right.
+"""
+from operator import itemgetter
+
+from wavetrack.coupling import (
+    ClassifiedJump,
+    DegenerateFieldError,
+    FieldSlice,
+    InconsistentFieldError,
+    classify,
+)
+from wavetrack.fluxes import secant_speed
+
+
+def at(field, t):
+    """The field at time t, from a sort of the fronts alive at t.
+
+    Raises :class:`DegenerateFieldError` when fronts of the two runs
+    coincide, and :class:`InconsistentFieldError` when the fronts of a run,
+    so sorted, do not chain its states from far left to far right.
+    """
+    tagged = [(f.position_at(t), "I", f) for f in field.run_I.fronts_at(t)]
+    tagged += [(f.position_at(t), "II", f) for f in field.run_II.fronts_at(t)]
+    tagged.sort(key=itemgetter(0))
+
+    tol = field.position_tol
+    cur_I = field.run_I.initial.far_left
+    cur_II = field.run_II.initial.far_left
+    uI_vals = [cur_I]
+    uII_vals = [cur_II]
+    prev_x = prev_tag = None
+    for x, tag, f in tagged:
+        if (prev_tag is not None and tag != prev_tag
+                and abs(x - prev_x) <= tol * (1 + abs(prev_x))):
+            raise DegenerateFieldError(prev_x, t)
+        if tag == "I":
+            if f.left_state != cur_I:
+                raise InconsistentFieldError(
+                    f"t={t}: state chain of the first run broken at x={x}")
+            cur_I = f.right_state
+        else:
+            if f.left_state != cur_II:
+                raise InconsistentFieldError(
+                    f"t={t}: state chain of the second run broken at x={x}")
+            cur_II = f.right_state
+        uI_vals.append(cur_I)
+        uII_vals.append(cur_II)
+        prev_x, prev_tag = x, tag
+    if (cur_I != field.run_I.initial.far_right
+            or cur_II != field.run_II.initial.far_right):
+        raise InconsistentFieldError(
+            f"t={t}: state chain does not end at the far-right state")
+
+    a_vals = [secant_speed(field.flux, uI, uII, field.state_eps)
+              for uI, uII in zip(uI_vals, uII_vals)]
+    psi_vals = [uII - uI for uI, uII in zip(uI_vals, uII_vals)]
+    ctol = field.classification_tol
+    lams = tuple(f.speed for _, _, f in tagged)
+    jumps = []
+    for i, (_, tag, f) in enumerate(tagged):
+        am, ap = a_vals[i], a_vals[i + 1]
+        jumps.append(ClassifiedJump(
+            f.speed, am, ap, classify(am, ap, f.speed, ctol), tag,
+            f.signed_jump, psi_vals[i], psi_vals[i + 1], f.kind, f.uid,
+        ))
+    return FieldSlice(
+        time=t,
+        jumps=tuple(jumps),
+        positions=tuple(x for x, _, _ in tagged),
+        a_values=tuple(a_vals),
+        psi_values=tuple(psi_vals),
+        lams=lams,
+        speed=max(map(abs, lams), default=0),
+    )

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import max_principle_oracle as oracle
+import slice_oracle
 from wavetrack.coupling import (
     FAST,
     LAX,
@@ -285,7 +286,7 @@ def test_slice_shifts_to_other_times_of_its_interval():
             list(field.at(tau).positions))
 
 
-def test_at_checks_the_state_chain():
+def _seed_4_float_copy():
     # float copy of a rational pair whose fronts, sorted by position at the
     # horizon, no longer chain the states of the second run
     p1, p2 = random_scenario_pair(random.Random(4), max_jumps=4, rational=True)
@@ -294,9 +295,55 @@ def test_at_checks_the_state_chain():
         return Profile([float(x) for x in p.breakpoints],
                        [float(v) for v in p.values])
 
-    field = _field(as_float(p1), as_float(p2))
+    return _field(as_float(p1), as_float(p2))
+
+
+def test_at_checks_the_state_chain():
+    field = _seed_4_float_copy()
     with pytest.raises(InconsistentFieldError, match="state chain"):
-        field.at(2.0)
+        slice_oracle.at(field, 2.0)
+
+
+def test_seed_4_float_ledgers_agree_with_exact_mode():
+    p1, p2 = random_scenario_pair(random.Random(4), max_jumps=4, rational=True)
+    exact = _field(p1, p2, h=Fraction(1, 10), horizon=Fraction(2), exact=True)
+    reports = {}
+    for mode, field in (("float", _seed_4_float_copy()), ("exact", exact)):
+        plain, [weighted] = identity_reports(field, [1], 0, 2)
+        assert plain.passed and weighted.passed
+        assert len(plain.intervals) == len(weighted.intervals) == 4
+        reports[mode] = plain
+    assert reports["exact"].norm_end == Fraction(7, 10)
+    assert abs(reports["float"].norm_end - 0.7) <= 1e-9
+
+
+@pytest.mark.parametrize("index, side, match", [
+    (1, "left_state", "state chain of the second run broken"),
+    (-1, "right_state", "does not end at the far-right state"),
+])
+def test_at_refuses_a_broken_state_chain(index, side, match):
+    rng = random.Random(17)
+    field = _field(*random_scenario_pair(rng, max_jumps=4))
+    field.at(1.0)
+    front = field.run_II.fronts_at(1.0)[index]
+    setattr(front, side, getattr(front, side) + 0.25)
+    with pytest.raises(InconsistentFieldError, match=match):
+        field.at(1.0)
+
+
+def test_at_refuses_a_record_with_a_swap_dropped():
+    # run I: shocks from 0 and 1 merge at t = 1 into a stationary shock at
+    # x = 1/2; run II's shock crosses it at t = 7/3
+    q = Fraction
+    field = _field(Profile([q(0), q(1)], [q(1), q(0), q(-1)]),
+                   Profile([q(-3)], [q(2), q(1)]), h=q(1, 10), horizon=q(3),
+                   exact=True)
+    sweep = field._sweep
+    i = sweep.times.index(q(7, 3))
+    del sweep.keys[i], sweep.times[i]
+    assert len(field.at(q(2)).jumps) == 2
+    with pytest.raises(InconsistentFieldError, match="change order"):
+        field.at(q(5, 2))
 
 
 def test_timeline_detects_a_missed_event(monkeypatch):
@@ -508,6 +555,33 @@ def _cursor_corpus(name):
         yield CoefficientField(*build_runs(parse_scenario(cfg)))
 
 
+def test_slices_at_moves_one_cursor_forward_only():
+    field = _field(Profile([0.0, 1.0], [1.0, 0.0, -1.0]), Profile.constant(0.0))
+    slices = field.slices_at([0.5, 1.5, 0.75])
+    assert [_slice_bits(next(slices)) for _ in range(2)] == [
+        _slice_bits(field.at(0.5)), _slice_bits(field.at(1.5))]
+    with pytest.raises(ValueError, match="before"):
+        next(slices)
+
+
+@pytest.mark.parametrize("name", ["float", "rational", "sine"])
+def test_at_equals_the_oracle_at_every_bound(name):
+    # at an own event time both give the field after the interaction; at a
+    # cross-run crossing both refuse the coinciding fronts
+    for field in _cursor_corpus(name):
+        horizon = field.run_I.evolved_until
+        crossings = set(field._sweep.crossings)
+        for e in [horizon * 0, *field.event_times(horizon * 0, horizon),
+                  horizon]:
+            if e in crossings:
+                for build in (slice_oracle.at, CoefficientField.at):
+                    with pytest.raises(DegenerateFieldError):
+                        build(field, e)
+            else:
+                assert (_slice_bits(field.at(e))
+                        == _slice_bits(slice_oracle.at(field, e)))
+
+
 @pytest.mark.parametrize("name", ["acceptance", "float", "rational", "sine"])
 def test_cursor_slices_equal_whole_slices(name):
     for field in _cursor_corpus(name):
@@ -519,7 +593,7 @@ def test_cursor_slices_equal_whole_slices(name):
             xs = fs.positions_at(fs.time)
             assert all(a <= b for a, b in zip(xs, xs[1:]))
             bits = _slice_bits(fs)
-            assert bits == _slice_bits(field.at(fs.time))
+            assert bits == _slice_bits(slice_oracle.at(field, fs.time))
             forward.append(bits)
         backward = [_slice_bits(fs) for _, _, fs in
                     oracle.slices(field, horizon * 0, horizon, reverse=True)]
@@ -535,7 +609,7 @@ def test_cursor_keys_states_by_the_other_runs_state():
         _sine_pair_config(8, 0.1))))
     seen = {}
     for _, _, fs in oracle.slices(field, 0.0, 2.0):
-        assert _slice_bits(fs) == _slice_bits(field.at(fs.time))
+        assert _slice_bits(fs) == _slice_bits(slice_oracle.at(field, fs.time))
         for j in fs.jumps:
             if j.partition == "II" and j.front_uid in (14, 15):
                 seen.setdefault((j.front_uid, j.kappa_minus, j.kappa_plus),

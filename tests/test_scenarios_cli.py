@@ -477,23 +477,28 @@ def test_cli_rational_suite_honours_h(tmp_path, capsys):
 
 
 def test_probe_slices_are_built_once(tmp_path, monkeypatch):
-    # the oleinik check and the jump table read the same probe slices
-    counts = {"at": 0, "event_times": 0}
-    for name in counts:
-        orig = getattr(CoefficientField, name)
+    # the oleinik check and the jump table read the same probe slices;
+    # ``FieldStats.at_slices`` counts every slice built off a walk
+    fields, calls = [], []
 
-        def counted(self, *args, _orig=orig, _name=name):
-            counts[_name] += 1
-            return _orig(self, *args)
+    class Counted(CoefficientField):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fields.append(self)
 
-        monkeypatch.setattr(CoefficientField, name, counted)
+        def event_times(self, *args):
+            calls.append(args)
+            return super().event_times(*args)
+
+    monkeypatch.setattr(scenarios, "CoefficientField", Counted)
     for checks, at_calls in (
         (["oleinik"], 8),
         # the ledger's walk keeps the probe slices; ``at`` builds only the
         # ledger's two endpoint slices
         (["oleinik", "l1", "weighted"], 2),
     ):
-        counts.update(at=0, event_times=0)
+        fields.clear()
+        calls.clear()
         out = tmp_path / "_".join(checks)
         result = run_scenario(dict(_sine_config(8, 0.2), checks=checks),
                               out_dir=str(out))
@@ -502,7 +507,8 @@ def test_probe_slices_are_built_once(tmp_path, monkeypatch):
         probes = json.loads((out / "report_oleinik.json").read_text())["times"]
         assert len(probes) == 8
         assert {float(r.split(",")[0]) for r in rows} == set(probes)
-        assert counts == {"at": at_calls, "event_times": 1}
+        [field] = fields
+        assert (field.stats.at_slices, len(calls)) == (at_calls, 1)
 
 
 # sha256 of each report of the acceptance rational pairs, as written before
