@@ -407,19 +407,17 @@ class OleinikReport(Report):
 
 def _run_fan_slope(placed, t):
     """Largest t * (state step) / (gap) over adjacent fan-member pairs of
-    one run's fronts alive at t, given as (front, position at t) in
-    position order."""
+    one run's jumps at t, as (source kind, the run's states left and right,
+    position at t) in position order; each slice checks the state chain."""
     best = 0
-    for (f, x), (g, y) in zip(placed, placed[1:]):
-        if f.kind != "fan" or g.kind != "fan":
-            continue
-        if f.right_state != g.left_state:
+    for (kf, fl, fr, x), (kg, gl, gr, y) in zip(placed, placed[1:]):
+        if kf != "fan" or kg != "fan":
             continue
         dx = y - x
         if dx <= 0:
             continue
         # state separation between the member midlevels
-        du = abs((g.left_state + g.right_state) - (f.left_state + f.right_state)) / 2
+        du = abs((gl + gr) - (fl + fr)) / 2
         ratio = t * du / dx
         if ratio > best:
             best = ratio
@@ -476,11 +474,12 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                             f"t={t}: fan-borne coefficient jump {da} exceeds "
                             f"the resolution allowance {cap} at x={x}"
                         )
+            # a run's own states are entry i of its records' minus and plus
             cI, cII = (
-                _run_fan_slope([(target.front_of(j), x)
+                _run_fan_slope([(j.source_kind, j.minus[i], j.plus[i], x)
                                 for x, j in zip(fs.positions, fs.jumps)
                                 if j.partition == part], t)
-                for part in ("I", "II")
+                for i, part in enumerate(("I", "II"))
             )
             fan_slope = max(fan_slope, cI, cII)
             spread = max(spread, f2 * (cI + cII) / 2)

@@ -9,8 +9,8 @@ rarefaction-shock), partitions them by owning run, and builds the strength
 weight used by the weighted-L1 decay functional.
 
 A jump's class does not change between two interactions; only its
-position moves.  So a :class:`ClassifiedJump` holds no position or time,
-and a :class:`FieldSlice` carries the positions beside its jumps.
+position moves, on a line x = c + lam t.  So a :class:`ClassifiedJump`
+holds its line, and a :class:`FieldSlice` the positions beside its jumps.
 
 One kinetic sweep per field keeps the alive fronts of both runs in one
 position-ordered list and records each interaction and crossing it
@@ -22,7 +22,7 @@ pauses at each midpoint, where it re-derives only the jump states the
 replay touched, each classified once per walk into the
 :class:`ClassifiedJump` it keeps.  A stop hands out what changed since the
 last one (:class:`FieldDelta`, in O(changes)), the jump states in order,
-or the whole slice (``stop.slice()``).
+or the whole slice (``stop.slice()``), whose jumps are those records.
 """
 from __future__ import annotations
 
@@ -95,10 +95,12 @@ def classify(a_minus, a_plus, lam, tol=CLASSIFY_TOL):
     return FAST
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ClassifiedJump:
     """One jump of the averaged coefficient, as it stays between two
-    interactions: its position moves, its class and traces do not."""
+    interactions: its position moves, its class and traces do not.  A
+    walk's record also holds its states and line (None on a hand-built
+    jump); jumps compare by identity, as records key the walk's dicts."""
 
     lam: object          # propagation speed of the owning front
     a_minus: object
@@ -110,6 +112,10 @@ class ClassifiedJump:
     kappa_plus: object   # (u^II - u^I)(x+)
     source_kind: str     # shock or fan provenance of the owning front
     front_uid: int
+    minus: tuple = None  # (u^I, u^II) left of the jump
+    plus: tuple = None   # (u^I, u^II) right of the jump
+    c: object = None     # intercept of the line x = c + lam t, taken at
+                         # the stop that classified the jump
 
     @property
     def strength(self):
@@ -143,7 +149,8 @@ class FieldSlice:
     Every jump moves on a straight line until the next interaction, so the
     slice also describes the field at any other time of its interval:
     :meth:`positions_at` shifts the jumps there.  ``lams`` and ``speed``,
-    which the characteristic walks read, are set by the builders.
+    which the characteristic walks read, are set by the builders.  Jumps,
+    so slices, compare by identity.
     """
 
     time: object
@@ -178,20 +185,6 @@ class FieldStats:
     sweeps: int = 0      # heap sweeps run (one per field)
     states: int = 0      # (front, traces) jump states a walk classified
     at_slices: int = 0   # slices built off a walk (``at``, ``slices_at``)
-
-
-@dataclass(slots=True, eq=False)
-class _JumpState:
-    """What a jump keeps while its front lives and the other run's state
-    across it stays the same: its :class:`ClassifiedJump` (``jump``), the
-    (u^I, u^II) states on its left (``minus``) and right (``plus``), and the
-    intercept ``c`` of its line x = c + lam t, taken at the stop that
-    classified it."""
-
-    jump: ClassifiedJump
-    minus: tuple
-    plus: tuple
-    c: object
 
 
 class CoefficientField:
@@ -247,11 +240,6 @@ class CoefficientField:
             self.run_I._check_horizon(t)
             self.run_II._check_horizon(t)
         return _Cursor(self).walk(bounds, reverse)
-
-    def front_of(self, jump):
-        """The tracked front that carries a jump of one of this field's slices."""
-        run = self.run_I if jump.partition == "I" else self.run_II
-        return run.fronts[jump.front_uid]
 
     # -- interaction structure ----------------------------------------------
 
@@ -462,10 +450,11 @@ class _Cursor:
     adjacent and a zero of it would be a crossing in the record, which
     bounds an interval.  A walk keys states by the front and the other run's
     state across it, and classifies each on first use into the
-    :class:`ClassifiedJump` it keeps.  A stop hands out what changed since
-    the last one (:meth:`delta`) and the jump states in list order
-    (:meth:`order`); only :meth:`slice` computes every position.  The
-    walk's far-left and far-right (a, psi) are ``ends``.
+    :class:`ClassifiedJump` record it keeps.  A stop hands out what changed
+    since the last one (:meth:`delta`) and the records in list order
+    (:meth:`order`), which :meth:`slice`, the only one to compute every
+    position, takes as its jumps.  The walk's far-left and far-right
+    (a, psi) are ``ends``.
 
     The guard reads the fronts' own data, not the record: no front is born
     or dies inside an interval, and each pair of neighbours is in order at
@@ -691,7 +680,7 @@ class _Cursor:
                     cur, (am, km) = self.far_left, self.ends[0]
                 else:
                     st = state[left]
-                    cur, am, km = st.plus, st.jump.a_plus, st.jump.kappa_plus
+                    cur, am, km = st.plus, st.a_plus, st.kappa_plus
                 if k == tail:
                     self._check_far_right(cur, t)
                     break
@@ -727,7 +716,7 @@ class _Cursor:
                         gap == 0 or tol and abs(gap) <= tol * (1 + abs(xl))):
                     raise DegenerateFieldError(xl, t)
             st = state[k] = self._state_of(k, cur, am, km, t)
-            cur, am, km = st.plus, st.jump.a_plus, st.jump.kappa_plus
+            cur, am, km = st.plus, st.a_plus, st.kappa_plus
             kl, xl, k = k, x, nxt[k]
         self._check_far_right(cur, t)
         return self.slice()
@@ -766,19 +755,18 @@ class _Cursor:
         return self.ordered
 
     def slice(self):
-        """The field at this stop, built once from the list and the jumps
-        its states hold."""
+        """The field at this stop, built once from the list; its jumps are
+        the tuple of :meth:`order`."""
         if self.built is None:
             (a, psi), t, entries = self.ends[0], self.time, self._entries()
-            states = self.ordered = tuple(map(self.state.__getitem__, entries))
+            jumps = self.ordered = tuple(map(self.state.__getitem__, entries))
             # comprehensions, not generators: 4 % faster characteristic walks
-            jumps = [st.jump for st in states]
             lams = tuple([j.lam for j in jumps])
             fronts = self.fronts
             if self.touched is not None:
                 self.stats.slices += 1
             self.built = FieldSlice(
-                t, tuple(jumps),
+                t, jumps,
                 tuple([fronts[k].position_at(t) for k in entries]),
                 (a, *[j.a_plus for j in jumps]),
                 (psi, *[j.kappa_plus for j in jumps]),
@@ -829,7 +817,7 @@ class _Cursor:
                                for k in marked if then(k))
         marked = {k for k in marked if now(k)}
         after = {key(k) for k in marked}
-        out = [(p, p[0].jump.kappa_plus if p[0] else psi0) for p in before
+        out = [(p, p[0].kappa_plus if p[0] else psi0) for p in before
                if p not in after]
         into = []
         for k in list(marked):
@@ -841,16 +829,16 @@ class _Cursor:
                 marked.discard(k)
                 p, r = key(k), nxt[k]
                 if p not in before:
-                    into.append((p, p[0].jump.kappa_plus if p[0] else psi0,
+                    into.append((p, p[0].kappa_plus if p[0] else psi0,
                                  None if k == head else key(prv[k]),
                                  None if r == tail else key(r)))
                 k = r
         return FieldDelta(gone, entered, out, into, self.order)
 
     def _state_of(self, k, cur, am, km, t):
-        """State of entry ``k`` with the states ``cur``, the coefficient
+        """Record of entry ``k`` with the states ``cur``, the coefficient
         ``am`` and the difference ``km`` on its left; only a walk keeps the
-        states it classified."""
+        records it classified, each the one object its stops hand out."""
         st = self.state[k]
         if st is not None and st.minus == cur:
             return st
@@ -867,12 +855,10 @@ class _Cursor:
             field, lam = self.field, f.speed
             plus = (cur[0], f.right_state) if k_II else (f.right_state, cur[1])
             ap = secant_speed(field.flux, *plus, field.state_eps)
-            st = _JumpState(
-                ClassifiedJump(lam, am, ap,
-                               classify(am, ap, lam, field.classification_tol),
-                               "II" if k_II else "I", f.signed_jump, km,
-                               plus[1] - plus[0], f.kind, f.uid),
-                cur, plus, self._x(k) - lam * t)
+            st = ClassifiedJump(
+                lam, am, ap, classify(am, ap, lam, field.classification_tol),
+                "II" if k_II else "I", f.signed_jump, km, plus[1] - plus[0],
+                f.kind, f.uid, cur, plus, self._x(k) - lam * t)
             if self.touched is not None:
                 self.cache[key] = st
                 self.stats.states += 1

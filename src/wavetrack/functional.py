@@ -15,9 +15,9 @@ x = c + lam t has width dc + tau dlam).
 A jump's weight-independent terms (trace products, symmetry or
 conservation residual, sign-table verdict, the atoms of the derived
 checks) depend only on its jump state, so the walk computes them once per
-state, from the :class:`~wavetrack.coupling.ClassifiedJump` and the line
-x = c + lam t the state holds.  Every interval is booked by one move, a
-delta: running sums (each probe norm as P + tau Q, the rates, the kind
+state, from its record, the :class:`~wavetrack.coupling.ClassifiedJump`
+that also holds the line x = c + lam t.  Every interval is booked by one
+move, a delta: running sums (each probe norm as P + tau Q, the rates, the kind
 counts, the derived-check sums) less the terms of the jump states and
 pieces that left, plus those that entered.  A piece is keyed by its two
 jump states; a piece of weight w adds |psi| w times its width to the norm
@@ -243,8 +243,7 @@ class _JumpTerms:
                  "rs_raw", "lax", "product", "kind", "in_I", "front",
                  "risky")
 
-    def __init__(self, state, state_tol, classification_tol, tol_min):
-        j = state.jump
+    def __init__(self, j, state_tol, classification_tol, tol_min):
         lam, am, ap = j.lam, j.a_minus, j.a_plus
         km, kp = abs(j.kappa_minus), abs(j.kappa_plus)
         dm, dp, nm = am - lam, ap - lam, lam - am
@@ -367,8 +366,8 @@ def _geometry(key, psi, window):
     with difference ``psi``: its width at time tau is dc + tau dlam, for
     the jump states' lines x = c + lam t."""
     (L, R), (A, B) = key, window
-    cl, ll = (A, 0) if L is None else (L.c, L.jump.lam)
-    cr, lr = (B, 0) if R is None else (R.c, R.jump.lam)
+    cl, ll = (A, 0) if L is None else (L.c, L.lam)
+    cr, lr = (B, 0) if R is None else (R.c, R.lam)
     return abs(psi), cr - cl, lr - ll
 
 
@@ -383,7 +382,7 @@ def _whole(states, psi0):
     state and piece entering."""
     keys = _piece_keys(states)
     ends = [None, *keys, None]
-    psis = (psi0, *(st.jump.kappa_plus for st in states))
+    psis = (psi0, *(st.kappa_plus for st in states))
     into = [(key, psi, ends[i], ends[i + 2])
             for i, (key, psi) in enumerate(zip(keys, psis))]
     return FieldDelta([], list(states), [], into, lambda: states)
@@ -526,7 +525,7 @@ def _book_delta(book, change, carry, taus):
             if i:
                 (v_I, v_II), a = passed, terms[i - 1]
                 passed = (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
-            wk = weight.piece_weight(key[0].jump.kappa_plus if key[0]
+            wk = weight.piece_weight(key[0].kappa_plus if key[0]
                                      else carry.ends[0][1], passed,
                                      book.totals)
             had = pieces.get(key)

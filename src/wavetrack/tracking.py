@@ -170,6 +170,9 @@ class FrontTrackingRun:
         self.events: list[InteractionEvent] = []
         self._next: dict[int, Optional[int]] = {}
         self._prev: dict[int, Optional[int]] = {}
+        # front uid -> its rank in the run's link order: its own uid for an
+        # initial front, its left incoming front's for an outgoing one
+        self._rank: list[int] = []
         self._heap: list = []
         self._seq = 0
         self._clock = initial.breakpoints[0] * 0 if initial.breakpoints else 0
@@ -189,6 +192,7 @@ class FrontTrackingRun:
                     birth_position=x,
                 )
                 self.fronts.append(placed)
+                self._rank.append(uid)
                 self._prev[uid] = prev_uid
                 self._next[uid] = None
                 if prev_uid is not None:
@@ -311,6 +315,7 @@ class FrontTrackingRun:
                     birth_position=x,
                 )
             )
+            self._rank.append(self._rank[uid_l])
             self._prev[out_uid] = before
             self._next[out_uid] = after
 
@@ -341,14 +346,16 @@ class FrontTrackingRun:
             )
 
     def fronts_at(self, t):
-        """Alive fronts at time t (post-interaction at event times), ordered."""
+        """Alive fronts at time t (post-interaction at event times), in the
+        run's link order: fronts of one run never cross, so that is their
+        order by position at every t, decided by no float comparison."""
         self._check_horizon(t)
         out = [
             f
             for f in self.fronts
             if f.birth_time <= t and (f.death_time is None or f.death_time > t)
         ]
-        out.sort(key=lambda f: (f.position_at(t), f.speed))
+        out.sort(key=lambda f: self._rank[f.uid])
         return out
 
     def sample(self, t) -> Profile:

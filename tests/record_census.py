@@ -1,0 +1,134 @@
+"""A census of the jump records and the memory of three scenarios.
+
+Runs three scenarios with every output file written to a temporary
+directory and prints, for each, the jump records it builds (calls of
+``ClassifiedJump.__init__``), the work counters of its coefficient field
+(:class:`~wavetrack.coupling.FieldStats`) and the ``tracemalloc`` peak of
+the run:
+
+* ``sine``: the sine pair at n_cells 20, h 0.1, funnel (1, 5), with the
+  six checks oleinik, l1, weighted, gain_cap, products and max_principle;
+* ``rational``: the acceptance rational pair of seed 7004
+  (``random_scenario_pair(Random(7004), max_jumps=3, rational=True)``)
+  with oleinik, l1, weighted and gain_cap;
+* ``wide``: the sine pair at n_cells 256, h 0.01, frequency 3 and a phase
+  of 1 between the runs, with oleinik alone.
+
+The record counts and the counters repeat exactly, so two versions of the
+program that classify the same jump states print the same census; the
+peaks show what each version holds while it runs.
+
+Run from the repository root::
+
+    PYTHONPATH=src python3 tests/record_census.py
+"""
+import random
+import tempfile
+import tracemalloc
+from dataclasses import asdict
+from unittest import mock
+
+from wavetrack import random_scenario_pair, run_scenario, scenarios
+from wavetrack.coupling import ClassifiedJump, CoefficientField
+from wavetrack.profiles import plain_number
+
+TWO_PI = 6.283185307179586
+ALL_CHECKS = ["oleinik", "l1", "weighted", "gain_cap", "products",
+              "max_principle"]
+
+
+def sine_config(n_cells, h, p1, p2, checks, funnel=None):
+    """A Burgers pair of sine data; run II's support is shifted by 0.01 so
+    no front of one run starts on a front of the other."""
+    config = {
+        "flux": {"name": "burgers"},
+        "u1": {"generator": "sine", "params": p1,
+               "support": [0, TWO_PI], "n_cells": n_cells},
+        "u2": {"generator": "sine", "params": p2,
+               "support": [0.01, TWO_PI + 0.01], "n_cells": n_cells},
+        "h": h,
+        "m": 1,
+        "time": {"start": 0, "end": 2},
+        "checks": list(checks),
+    }
+    if funnel is not None:
+        config["funnel"] = list(funnel)
+    return config
+
+
+def rational_config(seed):
+    """An acceptance rational pair as a scenario config."""
+    def encode(p):
+        return {
+            "leading": plain_number(p.far_left),
+            "pairs": [[plain_number(x), plain_number(p.value_at(x))]
+                      for x in p.breakpoints],
+        }
+
+    p1, p2 = random_scenario_pair(random.Random(seed), max_jumps=3,
+                                  rational=True)
+    return {
+        "flux": {"name": "burgers"},
+        "u1": encode(p1),
+        "u2": encode(p2),
+        "h": "1/10",
+        "m": 1,
+        "time": {"start": 0, "end": 2},
+        "checks": ["oleinik", "l1", "weighted", "gain_cap"],
+        "mode": "rational",
+        "seed": seed,
+    }
+
+
+def configs():
+    """(name, config) of the three scenarios."""
+    return [
+        ("sine", sine_config(20, 0.1, {"amplitude": 1.0},
+                             {"amplitude": 1.0, "offset": 0.5}, ALL_CHECKS,
+                             funnel=(1, 5))),
+        ("rational", rational_config(7004)),
+        ("wide", sine_config(256, 0.01,
+                             {"amplitude": 1.0, "frequency": 3.0},
+                             {"amplitude": 1.0, "frequency": 3.0,
+                              "phase": 1.0}, ["oleinik"])),
+    ]
+
+
+def census(config, out_dir):
+    """(records built, the fields' summed FieldStats as a dict, tracemalloc
+    peak in bytes) of one scenario written to ``out_dir``."""
+    built = [0]
+    fields = []
+    init = ClassifiedJump.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    class Recorded(CoefficientField):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fields.append(self)
+
+    with mock.patch.object(ClassifiedJump, "__init__", counted), \
+            mock.patch.object(scenarios, "CoefficientField", Recorded):
+        tracemalloc.start()
+        try:
+            run_scenario(config, out_dir=out_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    stats = {}
+    for field in fields:
+        for name, count in asdict(field.stats).items():
+            stats[name] = stats.get(name, 0) + count
+    return built[0], stats, peak
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        for name, config in configs():
+            records, stats, peak = census(config, f"{out}/{name}")
+            print(f"{name}: records {records}, peak "
+                  f"{peak / 2**20:.2f} MiB")
+            print("  " + ", ".join(f"{k} {v}" for k, v in stats.items()))

@@ -26,8 +26,12 @@ def at(field, t):
     coincide, and :class:`InconsistentFieldError` when the fronts of a run,
     so sorted, do not chain its states from far left to far right.
     """
-    tagged = [(f.position_at(t), "I", f) for f in field.run_I.fronts_at(t)]
-    tagged += [(f.position_at(t), "II", f) for f in field.run_II.fronts_at(t)]
+    # each run's fronts by (position, speed), not in the run's own order
+    tagged = []
+    for tag, run in (("I", field.run_I), ("II", field.run_II)):
+        fronts = sorted(run.fronts_at(t),
+                        key=lambda f: (f.position_at(t), f.speed))
+        tagged += [(f.position_at(t), tag, f) for f in fronts]
     tagged.sort(key=itemgetter(0))
 
     tol = field.position_tol

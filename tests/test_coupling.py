@@ -2,7 +2,6 @@ import io
 import marshal
 import random
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 from operator import attrgetter
 from types import SimpleNamespace
@@ -16,7 +15,6 @@ from wavetrack.coupling import (
     LAX,
     RAREFACTION_SHOCK,
     SLOW,
-    ClassifiedJump,
     CoefficientField,
     DegenerateFieldError,
     InconsistentFieldError,
@@ -25,6 +23,7 @@ from wavetrack.coupling import (
     export_jumps_csv,
     stops,
 )
+from wavetrack.characteristics import oleinik_report
 from wavetrack.fluxes import burgers_flux
 from wavetrack.functional import identity_reports
 from wavetrack.profiles import Profile, profile_difference
@@ -523,7 +522,10 @@ def test_sweep_front_crosses_a_fan_at_its_birth():
 
 # -- the event-delta cursor against whole slices -------------------------------
 
-_JUMP_FIELDS = attrgetter(*(f.name for f in fields(ClassifiedJump)))
+# the classified fields, which the oracle's jumps hold too
+_JUMP_FIELDS = attrgetter("lam", "a_minus", "a_plus", "kind", "partition",
+                          "b_jump", "kappa_minus", "kappa_plus", "source_kind",
+                          "front_uid")
 
 
 def _slice_bits(fs):
@@ -601,6 +603,50 @@ def test_cursor_slices_equal_whole_slices(name):
         assert field.stats.slices == field.stats.intervals == 2 * len(forward)
 
 
+@pytest.mark.parametrize("name", ["float", "rational", "sine"])
+def test_a_stop_hands_out_one_record_per_jump_state(name):
+    # a slice's jumps are its stop's records, each holding the states on
+    # its two sides, its kappas as their differences and, exactly, its line
+    for field in _cursor_corpus(name):
+        horizon = field.run_I.evolved_until
+        far_left = (field.run_I.initial.far_left,
+                    field.run_II.initial.far_left)
+        for _, _, stop in stops(field, horizon * 0, horizon):
+            fs = stop.slice()
+            assert fs.jumps is stop.order()
+            left = far_left
+            for x, j in zip(fs.positions, fs.jumps):
+                assert j.minus == left
+                assert j.kappa_minus == j.minus[1] - j.minus[0]
+                assert j.kappa_plus == j.plus[1] - j.plus[0]
+                if name == "rational":
+                    assert j.c + j.lam * fs.time == x
+                left = j.plus
+
+
+def test_oleinik_fan_slopes_match_the_tracked_fronts():
+    # the fan slopes read the records' states; recompute them from the
+    # runs' fronts at every midpoint of the sine ladder
+    for n, h in SINE_FULL:
+        field = CoefficientField(*build_runs(parse_scenario(
+            _sine_pair_config(n, h))))
+        probes = [stop.slice() for _, _, stop in stops(field, 0.0, 2.0)]
+        expected = 0
+        for fs in probes:
+            for part, run in (("I", field.run_I), ("II", field.run_II)):
+                placed = [(run.fronts[j.front_uid], x)
+                          for x, j in zip(fs.positions, fs.jumps)
+                          if j.partition == part]
+                for (f, x), (g, y) in zip(placed, placed[1:]):
+                    if (f.kind == g.kind == "fan" and y > x
+                            and f.right_state == g.left_state):
+                        du = abs((g.left_state + g.right_state)
+                                 - (f.left_state + f.right_state)) / 2
+                        expected = max(expected, fs.time * du / (y - x))
+        assert expected > 0
+        assert oleinik_report(field, probes).fan_slope_constant == expected
+
+
 def test_cursor_keys_states_by_the_other_runs_state():
     # run-II fronts 14 and 15 each carry two states whose float kappa pairs
     # agree while a_minus differs in the last bit: a cache keyed on the
@@ -640,9 +686,8 @@ def test_one_walk_classifies_each_state_once():
     states = set()
     for _, _, stop in stops(CoefficientField(field.run_I, field.run_II),
                             0.0, 2.0):
-        for st in stop.order():
-            j = st.jump
-            other = st.minus[1] if j.partition == "I" else st.minus[0]
+        for j in stop.order():
+            other = j.minus[1] if j.partition == "I" else j.minus[0]
             states.add((j.partition, j.front_uid, other))
     assert stats.states == len(states) == 109
 

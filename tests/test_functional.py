@@ -40,7 +40,6 @@ from wavetrack.coupling import (
     RAREFACTION_SHOCK,
     SLOW,
     DegenerateFieldError,
-    _JumpState,
 )
 from wavetrack.profiles import clipped_pieces
 from wavetrack.scenarios import build_runs, parse_scenario
@@ -676,7 +675,8 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
     jump = ClassifiedJump(
         lam=0 * one, a_minus=one / 10**12,
         a_plus=-one, kind=LAX, partition="I", b_jump=-2 * one,
-        kappa_minus=-one, kappa_plus=-one, source_kind="shock", front_uid=0)
+        kappa_minus=-one, kappa_plus=-one, source_kind="shock", front_uid=0,
+        c=0 * one)
     assert classify(jump.a_minus, jump.a_plus, jump.lam,
                     cf.classification_tol) == LAX
     assert jump.sign_table_consistent(0)
@@ -684,9 +684,8 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
     # a walk's one stop, with its one jump state at x = 0, and its slice
     fs = FieldSlice(time=one, jumps=(jump,), positions=(0 * one,),
                     a_values=(one / 10**12, -one), psi_values=(-one, -one))
-    state = _JumpState(jump, None, None, 0 * one)
     stop = SimpleNamespace(time=one, ends=((one / 10**12, -one), (-one, -one)),
-                           order=lambda: (state,), slice=lambda: fs)
+                           order=lambda: (jump,), slice=lambda: fs)
     monkeypatch.setattr(CoefficientField, "walk",
                         lambda self, bounds, reverse=False:
                         iter([(bounds[0], bounds[-1], stop)]))

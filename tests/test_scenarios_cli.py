@@ -279,18 +279,20 @@ def test_cli_degenerate_exit_code(tmp_path, capsys):
     path = _write_config(tmp_path, cfg)
     assert main(["run", path]) == 2
     assert "error:" in capsys.readouterr().err
-    # float copy of a rational pair whose fronts, sorted by position at the
-    # horizon, no longer chain the second run's states: the Oleinik check
-    # passes, then sampling the final profiles for the output files fails
+
+
+def test_cli_samples_fronts_that_tie_at_the_horizon(tmp_path):
+    # float copy of a rational pair with two second-run fronts that float
+    # noise puts out of position order at the horizon; sampling the final
+    # profiles takes the run's link order, so the output files are written
     p1, p2 = random_scenario_pair(random.Random(4), max_jumps=4,
                                   rational=True)
     cfg = _basic_config(u1=_float_copy(p1), u2=_float_copy(p2),
                         checks=["oleinik"])
     out = tmp_path / "out"
-    assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
-    assert "state chain broken" in capsys.readouterr().err
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "profiles.json").exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert "state chain broken" in summary["error"]
     assert summary["results"] == {"oleinik": True}
 
 

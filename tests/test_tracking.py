@@ -77,6 +77,27 @@ def test_float_and_exact_runs_start_with_the_same_fronts():
         assert len(floats.fronts) == len(exact.fronts) == count
 
 
+def test_fronts_at_chains_the_states_in_link_order():
+    # fronts_at orders a run's fronts by their place in its link order, not
+    # by float position: the float copy of seed 4 used to sort two fronts
+    # the wrong way round at t = 2 and break the state chain there
+    for seed in range(40):
+        for p in random_scenario_pair(random.Random(seed), max_jumps=4,
+                                      rational=True):
+            floats = Profile([float(x) for x in p.breakpoints],
+                             [float(v) for v in p.values])
+            for run in (FrontTrackingRun(FLUX, floats, 0.1).evolve(2.0),
+                        FrontTrackingRun(FLUX, p, Fraction(1, 10),
+                                         exact=True).evolve(2)):
+                for t in (0, *run.event_times(), run.evolved_until):
+                    state = run.initial.far_left
+                    for f in run.fronts_at(t):
+                        assert f.left_state == state, (seed, t)
+                        state = f.right_state
+                    assert state == run.initial.far_right, (seed, t)
+                    run.sample(t)
+
+
 def test_two_shocks_merge():
     # (1|0) at x=0 and (0|-1) at x=1 collide at t=1, x=0.5
     run = FrontTrackingRun(FLUX, Profile([0.0, 1.0], [1.0, 0.0, -1.0]), 0.5)
