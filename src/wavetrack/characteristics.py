@@ -515,6 +515,7 @@ class MaxPrincipleReport(Report):
     # the paths go to characteristic_paths.csv
     _hidden = ("sample_times", "left_path", "right_path", "back_left",
                "back_right")
+    _shown = ("n_samples",)
 
     interval: tuple
     t_end: object
@@ -527,8 +528,9 @@ class MaxPrincipleReport(Report):
     back_right: CharacteristicPath
     violations: list
 
-    def to_dict(self):
-        return {**super().to_dict(), "n_samples": len(self.sample_times)}
+    @property
+    def n_samples(self):
+        return len(self.sample_times)
 
 
 def _psi_min(fslice, lo, hi, t):

@@ -335,9 +335,10 @@ class _Sweep:
              for e in run.events if e.time <= horizon),
             key=itemgetter(0),
         )
+        exact = run_I.exact or run_II.exact
         self.keys = keys = array("i")
-        self.times = times = [] if run_I.exact or run_II.exact else array("d")
-        self.crossings = crossings = []
+        self.times = times = [] if exact else array("d")
+        crossings = []
 
         # each front's line x = b + s (t - t_b) as (b, s, s t_b, b - s t_b),
         # and its lifetime
@@ -413,6 +414,8 @@ class _Sweep:
             if pb != left:
                 schedule(pb, nb)
         crossings.sort()
+        # in float mode 8 bytes a crossing, not a boxed float
+        self.crossings = crossings if exact else array("d", crossings)
 
 
 @dataclass(slots=True)
@@ -705,9 +708,11 @@ class _Cursor:
         slack, tol = self.slack, self.field.position_tol
         cur, (am, km) = self.far_left, self.ends[0]
         kl = xl = None
+        positions = []
         k = nxt[self.head]
         while k != self.tail:
             x = xs[k] = fronts[k].position_at(t)
+            positions.append(x)
             if kl is not None:
                 gap = x - xl
                 if gap < 0 and (not slack or gap < -slack * (1 + abs(xl))):
@@ -719,7 +724,7 @@ class _Cursor:
             cur, am, km = st.plus, st.a_plus, st.kappa_plus
             kl, xl, k = k, x, nxt[k]
         self._check_far_right(cur, t)
-        return self.slice()
+        return self.slice(positions)
 
     def _check_far_right(self, cur, t):
         if cur != self.far_right:
@@ -754,9 +759,10 @@ class _Cursor:
             self.ordered = tuple(map(self.state.__getitem__, self._entries()))
         return self.ordered
 
-    def slice(self):
+    def slice(self, positions=None):
         """The field at this stop, built once from the list; its jumps are
-        the tuple of :meth:`order`."""
+        the tuple of :meth:`order`.  :meth:`whole` hands in the positions
+        it computed, in list order."""
         if self.built is None:
             (a, psi), t, entries = self.ends[0], self.time, self._entries()
             jumps = self.ordered = tuple(map(self.state.__getitem__, entries))
@@ -767,7 +773,8 @@ class _Cursor:
                 self.stats.slices += 1
             self.built = FieldSlice(
                 t, jumps,
-                tuple([fronts[k].position_at(t) for k in entries]),
+                tuple([fronts[k].position_at(t) for k in entries]
+                      if positions is None else positions),
                 (a, *[j.a_plus for j in jumps]),
                 (psi, *[j.kappa_plus for j in jumps]),
                 lams, max(map(abs, lams), default=0))

@@ -5,14 +5,25 @@ increasing, ``values`` one longer, adjacent values distinct (no zero-strength
 jumps are stored; use :meth:`Profile.compacted` to build from raw data).
 
 All integrals here are exact piecewise sums, so they are closed over
-``fractions.Fraction`` inputs.  The JSON form of numbers and of the check
-reports (:func:`plain_number`, :class:`Report`) lives here too.
+``fractions.Fraction`` inputs.
+
+Every JSON file the program writes goes through one encoder here,
+:func:`json_text`, which writes the text ``json.dumps(indent=2,
+sort_keys=True)`` would, reports (:class:`Report`) straight from their
+fields by a key plan per class, with no dict per report.  A report's
+``to_dict`` is that text parsed back.
 """
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import fields
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as quote
+from operator import attrgetter
+
+from .rational import Q
 
 
 class Profile:
@@ -103,34 +114,132 @@ def plain_number(x):
 class Report:
     """Base of the check reports (dataclasses) and their interval records.
 
-    ``to_dict`` is the JSON form of every one of them: each dataclass field
-    not named in ``_hidden``, numbers written by :func:`plain_number`, lists,
-    tuples and dicts walked item by item and nested reports by their own
-    ``to_dict``; a report with ``violations`` also gets ``passed``.
+    Their JSON form is the text :func:`json_text` writes for them: each
+    dataclass field not named in ``_hidden``, each attribute named in
+    ``_shown``, and ``passed`` for a report with ``violations``, by sorted
+    key, nested reports by their own form.  ``to_dict`` parses that text
+    back, so a report's dict and its file cannot differ.
     """
 
     _hidden = ()
+    _shown = ()
 
     @property
     def passed(self):
         return not self.violations
 
     def to_dict(self):
-        out = {f.name: _plain_form(getattr(self, f.name))
-               for f in fields(self) if f.name not in self._hidden}
-        if "violations" in out:
-            out["passed"] = self.passed
-        return out
+        return json.loads(json_text(self))
 
 
-def _plain_form(x):
+_INDENT = 2
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x):
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _fraction_text(x):
+    return '"' + str(x) + '"'
+
+
+# a scalar's text by its exact type, as ``json`` writes it
+_SCALARS = {
+    str: quote, int: int.__repr__, float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null", Fraction: _fraction_text, Q: _fraction_text,
+}
+# (report class, depth) -> (getter of its values, the prefix of each key)
+_PLANS = {}
+
+
+def json_text(obj):
+    """The JSON text of ``obj``, byte for byte what ``json.dumps(form,
+    indent=2, sort_keys=True)`` writes for its plain form (a ``Fraction``
+    as its ``"p/q"`` string, a :class:`Report` as its fields), without the
+    pure-Python encoder that ``json`` falls back to under ``indent``.
+
+    Scalars go through a table by type, lists, tuples and dicts item by
+    item (a dict by sorted key; a key that is not a ``str`` raises
+    ``TypeError``), and a report through its class's key plan, built once
+    per class and depth: its sorted keys, each with its ``,\\n  "key": ``
+    prefix, and one getter of all their values.
+    """
+    out = []
+    _emit(obj, 0, out)
+    return "".join(out)
+
+
+def _report_plan(cls, depth):
+    names = [f.name for f in fields(cls) if f.name not in cls._hidden]
+    if "violations" in names:
+        names.append("passed")
+    names = sorted([*names, *cls._shown])
+    get = (attrgetter(*names) if len(names) > 1 else
+           lambda obj: (getattr(obj, names[0]),))
+    sep = _separator(depth)
+    plan = _PLANS[cls, depth] = (get, [f"{sep}{quote(k)}: " for k in names])
+    return plan
+
+
+def _separator(depth):
+    """What goes before each item of a container nested ``depth`` deep."""
+    return ",\n" + " " * (_INDENT * (depth + 1))
+
+
+def _key(k):
+    if not isinstance(k, str):
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return quote(k)
+
+
+def _emit(x, depth, out):
+    """Append the JSON text of ``x``, nested ``depth`` deep, to ``out``."""
+    scalars = _SCALARS
+    scalar = scalars.get(type(x))
+    if scalar is not None:
+        out.append(scalar(x))
+        return
     if isinstance(x, Report):
-        return x.to_dict()
-    if isinstance(x, (list, tuple)):
-        return [_plain_form(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _plain_form(v) for k, v in x.items()}
-    return plain_number(x)
+        get, prefixes = (_PLANS.get((type(x), depth))
+                         or _report_plan(type(x), depth))
+        items, brackets = zip(prefixes, get(x)), "{}"
+    elif isinstance(x, dict):
+        sep = _separator(depth)
+        items = [(f"{sep}{_key(k)}: ", x[k]) for k in sorted(x)]
+        brackets = "{}"
+    elif isinstance(x, (list, tuple)):
+        items, brackets = zip(repeat(_separator(depth)), x), "[]"
+    else:
+        out.append(_subclass_text(x))
+        return
+    out.append(brackets[0])
+    first = len(out)
+    for prefix, v in items:
+        scalar = scalars.get(type(v))
+        if scalar is None:
+            out.append(prefix)
+            _emit(v, depth + 1, out)
+        else:
+            out.append(prefix + scalar(v))
+    if len(out) == first:
+        out.append(brackets[1])
+    else:
+        out[first] = out[first][1:]      # no comma before the first item
+        out.append("\n" + " " * (_INDENT * depth) + brackets[1])
+
+
+def _subclass_text(x):
+    """The text of an instance of a subclass of a scalar type (a
+    ``numpy.float64`` is a float), checked in ``json``'s order;
+    ``TypeError`` for any other object."""
+    for kind in (str, int, float, Fraction):
+        if isinstance(x, kind):
+            return _SCALARS[kind](x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON "
+                    "serializable")
 
 
 def csv_fields(values):

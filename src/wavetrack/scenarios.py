@@ -9,7 +9,6 @@ for a given config.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
@@ -34,7 +33,8 @@ from .functional import (
     product_inequality_check,
     refinement_study,
 )
-from .profiles import Profile, plain_number, profile_difference
+from .profiles import (Profile, Report, json_text, plain_number,
+                       profile_difference)
 from .rational import Q
 from .tracking import FrontTrackingRun, sample_initial_data
 
@@ -530,7 +530,7 @@ def _atomic_open(path: Path):
 
 def _write_json(path: Path, obj):
     with _atomic_open(path) as f:
-        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        f.write(json_text(obj) + "\n")
 
 
 _PROBES = 8     # the most probe gaps a scenario reads
@@ -639,7 +639,7 @@ def _write_outputs(result: ScenarioResult, field, probes, finals):
     spec = result.spec
     _write_json(out / "summary.json", result.summary())
     for name, rep in result.reports.items():
-        _write_json(out / f"report_{name}.json", rep.to_dict())
+        _write_json(out / f"report_{name}.json", rep)
     if field is None:
         return
     run_I, run_II, t = field.run_I, field.run_II, spec.t_end
@@ -740,23 +740,10 @@ def run_sweep(config, out_dir=None):
     if out is not None:
         outp = Path(out)
         outp.mkdir(parents=True, exist_ok=True)
-        table = [
-            {
-                "h": plain_number(r["h"]),
-                "norm_start": plain_number(r["norm_start"]),
-                "norm_end": plain_number(r["norm_end"]),
-                "weighted_start": plain_number(r["weighted_start"]),
-                "weighted_end": plain_number(r["weighted_end"]),
-                "gain_rs": plain_number(r["gain_rs"]),
-                "rs_chain": plain_number(r["rs_chain"]),
-                "sup_rs_da": plain_number(r["sup_rs_da"]),
-                "passed": r["passed"],
-            }
-            for r in rows
-        ]
+        # the rows without their reports; json_text writes Fractions as p/q
+        table = [{k: v for k, v in r.items() if not isinstance(v, Report)}
+                 for r in rows]
         _write_json(outp / "sweep.json", {
-            "m": plain_number(spec.m),
-            "time": [plain_number(spec.t_start), plain_number(spec.t_end)],
-            "rows": table,
+            "m": spec.m, "time": [spec.t_start, spec.t_end], "rows": table,
         })
     return rows

@@ -424,7 +424,7 @@ def _assert_sweep_matches_scan(field, s, t):
     # a crossing through a collision point may be listed a different
     # number of times; that time is an own event time and bounds anyway
     own = set(field.run_I.event_times()) | set(field.run_II.event_times())
-    swept = field._sweep.crossings
+    swept = list(field._sweep.crossings)
     assert swept == sorted(swept)
     assert (Counter(x for x in swept if x not in own)
             == Counter(x for x in scan if x not in own))

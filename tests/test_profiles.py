@@ -1,19 +1,30 @@
+import json
 import math
+from dataclasses import fields, replace
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
+from wavetrack import random_scenario_config, run_scenario
+from wavetrack.characteristics import MaxPrincipleReport
 from wavetrack.fluxes import burgers_flux
 from wavetrack.profiles import (
     Profile,
+    Report,
     clipped_pieces,
+    json_text,
+    plain_number,
     profile_difference,
     profile_map2,
     total_variation,
 )
+from wavetrack.rational import Q
+from wavetrack.scenarios import CHECK_ORDER
 from wavetrack.tracking import sample_initial_data
 
 from norm_oracle import l1_norm
+from output_corpus import sine_full_configs, suite_exact_configs
 from product_oracle import (
     VariationFunction,
     left_value_at,
@@ -156,3 +167,99 @@ def test_as_dict_round_trip():
     p = Profile([Fraction(1, 2)], [Fraction(0), Fraction(3, 4)])
     d = p.as_dict()
     assert d == {"breakpoints": ["1/2"], "values": ["0", "3/4"]}
+
+
+def _dumps(form):
+    return json.dumps(form, indent=2, sort_keys=True)
+
+
+def _reference_form(x):
+    """The plain form of ``x`` as the JSON files hold it, built from the
+    reports' dataclass fields without :func:`json_text`: each field not
+    hidden, ``passed`` beside ``violations``, a maximum-principle report's
+    ``n_samples``, nested reports by their own form and Fractions as
+    ``"p/q"``."""
+    if isinstance(x, Report):
+        out = {f.name: _reference_form(getattr(x, f.name))
+               for f in fields(x) if f.name not in x._hidden}
+        if "violations" in out:
+            out["passed"] = x.passed
+        if isinstance(x, MaxPrincipleReport):
+            out["n_samples"] = len(x.sample_times)
+        return out
+    if isinstance(x, (list, tuple)):
+        return [_reference_form(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _reference_form(v) for k, v in x.items()}
+    return plain_number(x)
+
+
+def test_json_text_writes_what_json_dumps_writes():
+    text = "psi < 0 at x=1 \u03c8 \u00e9\x00\x1f\t\n \u2028 \"q\" \\ \U0001f600"
+    scalars = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324,
+               0.1, 10 ** 100, -(2 ** 70), True, 1, False, 0, None, text,
+               ""]
+    for x in scalars:
+        assert json_text(x) == _dumps(x)
+    nested = {"scalars": scalars, "empty": [[], (), {}],
+              "deep": [[1, [2.5, [None, {"k": ()}]]], {"b": [], "a": {}}],
+              "tuple": (1, ("two", (3.0,))), "\u00e9 key": {"": 0}}
+    assert json_text(nested) == _dumps(nested)
+    assert json_text([]) == "[]" and json_text({}) == "{}"
+    # subclasses of the scalar types, written as json writes them
+    subclassed = [IntEnum("E", "A")(1), type("S", (str,), {})("\u00e9"),
+                  type("F", (float,), {})(math.nan)]
+    assert json_text(subclassed) == _dumps(subclassed)
+    # exact numbers as their "p/q" strings
+    exact = [Q(1, 3), Q(-7, 2), Q(5), Fraction(2, 6), Fraction(-4), {"q": Q(0)}]
+    assert json_text(exact) == _dumps(_reference_form(exact))
+    assert json_text(exact) == _dumps(["1/3", "-7/2", "5", "1/3", "-4",
+                                        {"q": "0"}])
+    for bad in ({1: 0}, {"a": {(1, 2): 0}}, {None: 1}, [{1.5: 2}]):
+        with pytest.raises(TypeError):
+            json_text(bad)
+
+
+def test_json_text_writes_reports_from_their_fields():
+    """Every check's report (monotonicity nests both ledgers), in both
+    modes and with violation text and non-finite numbers planted, is the
+    text of its plain form; ``to_dict`` parses that form back."""
+    reports = []
+    for rational in (False, True):
+        config = random_scenario_config(300 if rational else 200,
+                                        rational=rational,
+                                        checks=list(CHECK_ORDER))
+        reports += run_scenario(config).reports.values()
+    assert {type(rep).__name__ for rep in reports} >= {
+        "OleinikReport", "FunctionalReport", "MonotonicityReport",
+        "GainCapReport", "ProductRuleReport", "MaxPrincipleReport"}
+    oleinik = reports[0]
+    reports += [
+        replace(oleinik, violations=["x=\u03c8\x00\t\"q\"", "\u00e9"],
+                max_fan_jump=math.nan, fan_slope_constant=-math.inf,
+                spread_constant=-0.0, times=[]),
+        replace(reports[1], intervals=[], event_drops=[(1e16, 5e-324)]),
+    ]
+    for rep in reports:
+        form = _reference_form(rep)
+        assert json_text(rep) == _dumps(form)
+        if rep is not reports[-2]:       # NaN is not equal to itself
+            assert rep.to_dict() == form
+
+
+def test_written_json_files_are_the_json_text_of_their_forms(tmp_path):
+    """Each JSON file of the sine_full and suite_exact scenarios is
+    ``json.dumps`` of its form plus a newline: a report's plain form, the
+    summary dict, and for profiles.json its own parsed form."""
+    for name, config in [*sine_full_configs(), *suite_exact_configs()]:
+        out = tmp_path / name
+        result = run_scenario(config, out_dir=str(out))
+        written = {p.name: p.read_text() for p in out.glob("*.json")}
+        assert set(written) == {"summary.json", "profiles.json",
+                                *(f"report_{c}.json" for c in result.reports)}
+        expected = {f"report_{c}.json": _reference_form(rep)
+                    for c, rep in result.reports.items()}
+        expected["summary.json"] = result.summary()
+        expected["profiles.json"] = json.loads(written["profiles.json"])
+        for file, text in written.items():
+            assert text == _dumps(expected[file]) + "\n", (name, file)
