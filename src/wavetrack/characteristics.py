@@ -172,7 +172,6 @@ class CharacteristicPath:
         for seg in self.segments:
             if t <= seg.t1:
                 return seg.position_at(t)
-        return self.segments[-1].x1
 
     def vertices(self):
         out = [(self.segments[0].t0, self.segments[0].x0)]
@@ -187,7 +186,10 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
     gap between neighbours is feasible when its value is sandwiched by their
     speeds and a ride needs a compressive jump; backward the sandwich is
     reversed (faster curves lie to the left) and rides are never needed.
+    Among several, ``tie_bias`` +1 picks the largest speed and -1 the
+    smallest (backward: the leftmost and the rightmost foot); 0 raises.
     """
+    way = "backward" if backward else "forward"
     lams = fslice.lams
     k0, k1 = members[0], members[-1]
     candidates = []
@@ -208,24 +210,16 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
     if not candidates:
         kinds = sorted({fslice.jumps[k].kind for k in members})
         raise RuntimeError(
-            f"no continuation {'backward' if backward else 'forward'} "
-            f"at {where}: stack of {kinds} jumps offers no admissible branch"
+            f"no continuation {way} at {where}: stack of {kinds} jumps "
+            "offers no admissible branch"
         )
     if len(candidates) == 1:
         return candidates[0]
-    if backward:
-        # extremal selection: tie_bias=+1 largest speed (leftmost foot),
-        # -1 smallest (rightmost foot)
-        key = max if tie_bias > 0 else min
-        return key(candidates, key=lambda c: c[2])
-    if tie_bias > 0:
-        return max(candidates, key=lambda c: c[2])
-    if tie_bias < 0:
-        return min(candidates, key=lambda c: c[2])
-    raise RuntimeError(
-        f"ambiguous start at {where}: {len(candidates)} feasible forward "
-        "continuations; pass tie_bias=+1 or -1 to pick a side"
-    )
+    if not tie_bias:
+        raise RuntimeError(
+            f"ambiguous start at {where}: {len(candidates)} feasible {way} "
+            "continuations; pass tie_bias=+1 or -1 to pick a side")
+    return (max if tie_bias > 0 else min)(candidates, key=lambda c: c[2])
 
 
 def _window(fslice, t, lo, hi):

@@ -696,14 +696,11 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
                         at_rate))
         return vals
 
-    events = []
     carry = None    # the shared running sums, when a delta may follow
     since = 0       # intervals booked by delta since the last re-sum
     for i, (t0, t1, stop) in enumerate(chain([first], walk)):
         if i in kept_at:
             kept.append(stop.slice())
-        if t0 != s:
-            events.append(t0)
         dt = t1 - t0
         taus = (t0 + dt / 4, t0 + 3 * dt / 4)
         span = taus[1] - taus[0]
@@ -776,7 +773,7 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
             n_end = intervals[-1].norm_at(t)
 
         event_drops = []
-        for k, e in enumerate(events):
+        for k, e in enumerate(bounds[1:-1]):
             drop = intervals[k + 1].norm_at(e) - intervals[k].norm_at(e)
             event_drops.append((e, drop))
             if plain:

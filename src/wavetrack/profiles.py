@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as quote
@@ -26,14 +26,20 @@ from operator import attrgetter
 from .rational import Q
 
 
+@dataclass(frozen=True)
 class Profile:
-    """Right-continuous step function with finitely many jumps."""
+    """Right-continuous step function with finitely many jumps: a frozen
+    dataclass whose fields are stored as tuples and checked when built.
+    Its slots are declared by hand: with ``slots=True``, setting a name that
+    is not a field raises TypeError, not AttributeError, on Python 3.11."""
 
     __slots__ = ("breakpoints", "values")
+    breakpoints: tuple
+    values: tuple
 
-    def __init__(self, breakpoints, values):
-        breakpoints = tuple(breakpoints)
-        values = tuple(values)
+    def __post_init__(self):
+        breakpoints = tuple(self.breakpoints)
+        values = tuple(self.values)
         if len(values) != len(breakpoints) + 1:
             raise ValueError("values: need exactly one more value than breakpoints")
         for a, b in zip(breakpoints, breakpoints[1:]):
@@ -46,22 +52,6 @@ class Profile:
                 )
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Profile is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Profile)
-            and self.breakpoints == other.breakpoints
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.breakpoints, self.values))
-
-    def __repr__(self):
-        return f"Profile(breakpoints={self.breakpoints!r}, values={self.values!r})"
 
     @classmethod
     def compacted(cls, breakpoints, values):

@@ -86,6 +86,16 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _pair(node, rational, path, errors, shape):
+    """A two-item list read as two numbers (``path[0]``, ``path[1]``), or
+    None with the row ``path: expected <shape>`` when ``node`` is not one."""
+    if (not isinstance(node, (list, tuple))) or len(node) != 2:
+        errors.append(f"{path}: expected {shape}")
+        return None
+    return tuple(_parse_number(v, rational, f"{path}[{i}]", errors)
+                 for i, v in enumerate(node))
+
+
 def _make_generator(name, params, rational, path, errors):
     if name == "constant":
         value = params.get("value", 0)
@@ -130,20 +140,18 @@ def _parse_profile(node, rational, path, errors):
             for k, v in params.items()
         }
         gen = _make_generator(node["generator"], params, rational, path, errors)
-        support = node.get("support")
-        if (not isinstance(support, (list, tuple))) or len(support) != 2:
-            errors.append(f"{path}.support: expected [lo, hi]")
+        support = _pair(node.get("support"), rational, f"{path}.support",
+                        errors, "[lo, hi]")
+        if support is None:
             return Profile.constant(0)
-        lo = _parse_number(support[0], rational, f"{path}.support[0]", errors)
-        hi = _parse_number(support[1], rational, f"{path}.support[1]", errors)
-        if not lo < hi:
+        if not support[0] < support[1]:
             errors.append(f"{path}.support: need lo < hi")
             return Profile.constant(0)
         n_cells = node.get("n_cells", 16)
         if not _is_int(n_cells) or n_cells < 1:
             errors.append(f"{path}.n_cells: expected a positive integer")
             return Profile.constant(0)
-        return sample_initial_data(gen, (lo, hi), n_cells)
+        return sample_initial_data(gen, support, n_cells)
     if "pairs" in node:
         leading = _parse_number(node.get("leading", 0), rational,
                                 f"{path}.leading", errors)
@@ -153,13 +161,11 @@ def _parse_profile(node, rational, path, errors):
             errors.append(f"{path}.pairs: expected a list of [x, value]")
             pairs = []
         for i, pair in enumerate(pairs):
-            if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-                errors.append(f"{path}.pairs[{i}]: expected [x, value]")
-                continue
-            bps.append(_parse_number(pair[0], rational,
-                                     f"{path}.pairs[{i}][0]", errors))
-            vals.append(_parse_number(pair[1], rational,
-                                      f"{path}.pairs[{i}][1]", errors))
+            pair = _pair(pair, rational, f"{path}.pairs[{i}]", errors,
+                         "[x, value]")
+            if pair is not None:
+                bps.append(pair[0])
+                vals.append(pair[1])
         try:
             return Profile.compacted(bps, vals)
         except ValueError as exc:
@@ -225,21 +231,13 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     }
     wi = flux_node.get("working_interval")
     if wi is not None:
-        if (not isinstance(wi, (list, tuple))) or len(wi) != 2:
-            errors.append("flux.working_interval: expected [lo, hi]")
-            wi = None
-        else:
-            wi = (
-                _parse_number(wi[0], rational, "flux.working_interval[0]", errors),
-                _parse_number(wi[1], rational, "flux.working_interval[1]", errors),
-            )
+        wi = _pair(wi, rational, "flux.working_interval", errors, "[lo, hi]")
     try:
         flux = make_flux(name, params, wi)
         if rational and wi is None:
             # the flux's default interval, read as if the config gave it
-            wi = tuple(_parse_number(v, rational, "flux.working_interval",
-                                     errors)
-                       for v in flux.working_interval)
+            wi = _pair(flux.working_interval, rational,
+                       "flux.working_interval", errors, "[lo, hi]")
             flux = make_flux(name, params, wi)
     except (ValueError, TypeError) as exc:
         errors.append(f"flux: {exc}")
@@ -317,17 +315,10 @@ def parse_scenario(config: dict) -> ScenarioSpec:
 
     funnel = config.get("funnel")
     if funnel is not None:
-        if (not isinstance(funnel, (list, tuple))) or len(funnel) != 2:
-            errors.append("funnel: expected [left, right]")
+        funnel = _pair(funnel, rational, "funnel", errors, "[left, right]")
+        if funnel and not funnel[0] < funnel[1]:
+            errors.append("funnel: need left < right")
             funnel = None
-        else:
-            funnel = (
-                _parse_number(funnel[0], rational, "funnel[0]", errors),
-                _parse_number(funnel[1], rational, "funnel[1]", errors),
-            )
-            if funnel and not funnel[0] < funnel[1]:
-                errors.append("funnel: need left < right")
-                funnel = None
 
     tol_scale = config.get("tolerance", TOL_SCALE)
     if (isinstance(tol_scale, bool) or not isinstance(tol_scale, (int, float))

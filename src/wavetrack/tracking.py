@@ -181,18 +181,7 @@ class FrontTrackingRun:
         prev_uid = None
         for x, vm, vp in initial.jumps():
             for f in self._riemann(vm, vp):
-                uid = len(self.fronts)
-                placed = Front(
-                    uid=uid,
-                    left_state=f.left_state,
-                    right_state=f.right_state,
-                    speed=f.speed,
-                    kind=f.kind,
-                    birth_time=self._clock,
-                    birth_position=x,
-                )
-                self.fronts.append(placed)
-                self._rank.append(uid)
+                uid = self._place(f, self._clock, x, len(self.fronts))
                 self._prev[uid] = prev_uid
                 self._next[uid] = None
                 if prev_uid is not None:
@@ -202,6 +191,14 @@ class FrontTrackingRun:
             nxt = self._next[f.uid]
             if nxt is not None:
                 self._schedule(f.uid, nxt)
+
+    def _place(self, f, t, x, rank):
+        """Enter the fresh front ``f`` of :meth:`_riemann` as the next uid,
+        born at (x, t), with ``rank`` in the run's link order; its uid."""
+        f.uid, f.birth_time, f.birth_position = len(self.fronts), t, x
+        self.fronts.append(f)
+        self._rank.append(rank)
+        return f.uid
 
     def _riemann(self, u_left, u_right):
         """The fronts of :func:`solve_riemann`; an exact run takes only
@@ -303,19 +300,7 @@ class FrontTrackingRun:
             # convex interactions only ever merge into a down jump
             if w.right_state > w.left_state and w.strength > self.h * (1 + 1e-9):
                 raise AssertionError("interaction produced an oversized up-jump")
-            out_uid = len(self.fronts)
-            self.fronts.append(
-                Front(
-                    uid=out_uid,
-                    left_state=w.left_state,
-                    right_state=w.right_state,
-                    speed=w.speed,
-                    kind=SHOCK if w.right_state < w.left_state else FAN,
-                    birth_time=t,
-                    birth_position=x,
-                )
-            )
-            self._rank.append(self._rank[uid_l])
+            out_uid = self._place(w, t, x, self._rank[uid_l])
             self._prev[out_uid] = before
             self._next[out_uid] = after
 

@@ -27,7 +27,7 @@ from wavetrack import (
     random_scenario_pair,
     run_scenario,
 )
-from wavetrack import characteristics
+from wavetrack import characteristics, tracking
 from wavetrack.characteristics import (
     ANCHOR_TOL,
     _march,
@@ -37,6 +37,7 @@ from wavetrack.characteristics import (
     _window,
 )
 from wavetrack.coupling import FAST
+from wavetrack.fluxes import FluxModel
 from wavetrack.scenarios import build_runs
 
 FLUX = burgers_flux()
@@ -270,6 +271,46 @@ def test_a_planted_max_principle_defect_fails_the_check(monkeypatch, defect):
         assert not rep.passed, (n_cells, h)
         assert rep.violations[-1].startswith(
             "mass between backward characteristics drifts"), (n_cells, h)
+
+
+@pytest.mark.parametrize("defect, text", [
+    ("fan_as_shock", "shock-borne coefficient jump expands by"),
+    ("flat_flux", "exceeds the resolution allowance 0"),
+])
+def test_a_planted_oleinik_defect_fails_the_tracked_field_check(
+        monkeypatch, defect, text):
+    # the check passes on the sine pair n = 8, h = 0.1; with fans tracked
+    # as shocks, or a flux with sup f'' = 0, each fan-borne coefficient
+    # jump that expands breaks its bound
+    times = (0.25, 0.5, 1, 1.5)
+    assert oleinik_report(_sine_field(8, 0.1), times).passed
+    with monkeypatch.context() as mp:
+        if defect == "fan_as_shock":
+            mp.setattr(tracking, "FAN", "shock")
+        else:
+            mp.setattr(FluxModel, "sup_f2", property(lambda self: 0))
+        rep = oleinik_report(_sine_field(8, 0.1), times)
+    assert rep.violations
+    assert all(text in v for v in rep.violations)
+
+
+def test_a_planted_lax_capture_defect_fails_the_funnel(monkeypatch):
+    # two exact shocks, u1 = 1 | -1 at 0 and u2 = 0 | -2 at 1; both
+    # coefficient jumps are Lax, and psi is 1 inside the funnel (0, 1) and
+    # -1 outside.  Its left edge starts on a Lax jump, which captures it;
+    # with no jump taken as Lax, no forward continuation is left there
+    def exact_run(initial):
+        return FrontTrackingRun(FLUX, initial, Fraction(1, 10),
+                                exact=True).evolve(2)
+
+    field = CoefficientField(exact_run(Profile([0], [1, -1])),
+                             exact_run(Profile([1], [0, -2])))
+    rep = maximum_principle_check(field, (0, 1), Fraction(1, 2))
+    assert rep.passed and rep.min_psi == 1
+    monkeypatch.setattr(characteristics, "LAX", "lax (planted)")
+    with pytest.raises(RuntimeError,
+                       match=r"no continuation forward at \(x=0, t=0\)"):
+        maximum_principle_check(field, (0, 1), Fraction(1, 2))
 
 
 def test_walks_refuse_times_outside_the_runs_span():

@@ -41,6 +41,7 @@ from wavetrack.coupling import (
     SLOW,
     DegenerateFieldError,
 )
+from wavetrack.fluxes import FluxModel
 from wavetrack.profiles import clipped_pieces
 from wavetrack.scenarios import build_runs, parse_scenario
 import max_principle_oracle as oracle
@@ -734,13 +735,27 @@ def _defect_pair(name):
 
 
 def _plant(mp, defect):
-    """Patch one term of the ledgers: the plain Lax rate doubled, the
-    rarefaction-side gain dropped, every piece weight biased by m/8, or the
-    sign table failing at every Lax jump."""
+    """Patch one term of the ledgers or of the gain cap: the plain Lax rate
+    doubled, the rarefaction-side gain dropped, every piece weight biased by
+    m/8, without its offset m or on the branch of the other sign of the
+    difference, the sign table failing at every Lax jump, TV(psi) summed
+    over Lax jumps only, or a flux with sup f'' = 0."""
+    piece_weight = WeightField.piece_weight
     if defect == "bias_weight":
-        piece_weight = WeightField.piece_weight
         mp.setattr(WeightField, "piece_weight",
                    lambda self, *args: piece_weight(self, *args) + self.m / 8)
+    elif defect == "no_offset":
+        mp.setattr(WeightField, "piece_weight",
+                   lambda self, *args: piece_weight(self, *args) - self.m)
+    elif defect == "flipped_branch":
+        mp.setattr(WeightField, "piece_weight",
+                   lambda self, psi, *args: piece_weight(self, -psi, *args))
+    elif defect == "lax_tv_psi":
+        mp.setattr(functional, "_CHECK_SUMS", tuple(
+            (name, term, (LAX,) if name == "tv_psi" else kinds)
+            for name, term, kinds in functional._CHECK_SUMS))
+    elif defect == "flat_flux":
+        mp.setattr(FluxModel, "sup_f2", property(lambda self: 0))
     elif defect == "sign_table":
         consistent = ClassifiedJump.sign_table_consistent
         mp.setattr(ClassifiedJump, "sign_table_consistent",
@@ -799,3 +814,37 @@ def test_a_planted_ledger_defect_fails_a_check(monkeypatch, defect):
             fs = cf.at(num(t_text))
             assert xs == [str(x) for x, j in zip(fs.positions, fs.jumps)
                           if j.kind == LAX], t_text
+
+
+# the pairs of _defect_pair that each defect of _plant in a rule of the
+# gain cap or of the weight traces is planted in, and the text of each
+# violation it must raise on every one of them
+_RULE_DEFECTS = {
+    "lax_tv_psi": (("sine", "fan"), (
+        "rarefaction-side psi jumps", "rarefaction gain rate",
+        "integrated rarefaction gain")),
+    "flat_flux": (("sine", "fan"), (
+        "exceeds the fan-resolution cap", "decay bound violated")),
+    "no_offset": (("float",), ("outside [",)),
+    "flipped_branch": (("sine", "7001"), ("weight must not",)),
+}
+
+
+@pytest.mark.parametrize("defect", list(_RULE_DEFECTS))
+def test_a_planted_defect_fires_each_gain_cap_and_weight_rule(monkeypatch,
+                                                              defect):
+    # both ledgers and the gain cap pass on each pair; with one term
+    # patched, each named rule reports a violation
+    pairs, texts = _RULE_DEFECTS[defect]
+    for name in pairs:
+        cf, m, s, t = _defect_pair(name)
+        plain, [weighted] = identity_reports(cf, [m], s, t)
+        assert (plain.passed and weighted.passed
+                and gain_cap_report(cf, plain).passed), name
+        with monkeypatch.context() as mp:
+            _plant(mp, defect)
+            plain, [weighted] = identity_reports(cf, [m], s, t)
+            violations = (weighted.violations
+                          + gain_cap_report(cf, plain).violations)
+        for text in texts:
+            assert any(text in v for v in violations), (name, text)

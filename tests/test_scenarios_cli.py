@@ -103,6 +103,50 @@ def test_parse_rejects_bad_fraction_and_transcendental():
     assert "transcendental" in joined
 
 
+_EXPECTED_SHAPE = ["flux.working_interval: expected [lo, hi]",
+                   "u1.support: expected [lo, hi]",
+                   "u2.pairs[1]: expected [x, value]",
+                   "funnel: expected [left, right]"]
+# a malformed [a, b] node, and the rows it gives when the config holds it
+# as the flux's working interval, u1's support, u2's second pair and the
+# funnel at once: in this order, the same in both modes
+_MALFORMED_PAIRS = {
+    "not a list": (1, _EXPECTED_SHAPE),
+    "wrong length": ([0, 1, 2], _EXPECTED_SHAPE),
+    "true end": ([True, 1], [
+        "flux.working_interval[0]: expected a number, got True",
+        "u1.support[0]: expected a number, got True",
+        "u2.pairs[1][0]: expected a number, got True",
+        "funnel[0]: expected a number, got True"]),
+    "unparseable end": ([0, "1/0"], [
+        "flux.working_interval[1]: cannot parse '1/0' as p/q",
+        "flux: working_interval: must satisfy lo < hi",
+        "u1.support[1]: cannot parse '1/0' as p/q",
+        "u1.support: need lo < hi",
+        "u2.pairs[1][1]: cannot parse '1/0' as p/q",
+        "funnel[1]: cannot parse '1/0' as p/q",
+        "funnel: need left < right"]),
+    "reversed": ([1, 0], [
+        "flux: working_interval: must satisfy lo < hi",
+        "u1.support: need lo < hi",
+        "funnel: need left < right"]),
+}
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("shape", list(_MALFORMED_PAIRS))
+def test_parse_pins_the_rows_of_malformed_pairs(mode, shape):
+    bad, rows = _MALFORMED_PAIRS[shape]
+    cfg = {"mode": mode,
+           "flux": {"name": "burgers", "working_interval": bad},
+           "u1": {"generator": "constant", "support": bad},
+           "u2": {"pairs": [[-1, "1/2"], bad]},
+           "h": "1/10", "funnel": bad}
+    with pytest.raises(ScenarioConfigError) as err:
+        parse_scenario(cfg)
+    assert err.value.errors == rows
+
+
 def test_generator_profiles():
     spec = parse_scenario(_basic_config(
         u2={"generator": "linear", "params": {"slope": 1, "intercept": 0},
