@@ -36,6 +36,7 @@ from .rational import Q
 
 ANCHOR_TOL = 1e-9
 MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
+MAX_PRINCIPLE_TOL = 1e-10     # its float tol; exact mode uses 0
 
 
 class StaticField:
@@ -549,7 +550,7 @@ def _psi_integral(fslice, lo, hi, t):
     return sign * total
 
 
-def maximum_principle_check(field, interval, t_end, tol=1e-10):
+def maximum_principle_check(field, interval, t_end):
     """Propagation of a sign through a characteristic funnel, plus the
     conserved mass between backward characteristics.
 
@@ -572,8 +573,8 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     float is refused, so every sample time and mass is exact.
     """
     xi0, zeta0 = interval
+    tol = 0 if field.exact else MAX_PRINCIPLE_TOL
     if field.exact:
-        tol = 0
         xi0, zeta0, t_end = (exact_time(field, v) for v in (xi0, zeta0, t_end))
     if not xi0 < zeta0:
         raise ValueError("interval: need xi0 < zeta0")

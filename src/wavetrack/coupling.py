@@ -318,9 +318,8 @@ class _Sweep:
         # the fronts each run starts with, merged by position
         starts = []
         for run, base in ((run_I, 0), (run_II, offset)):
-            born_later = sum(e.outgoing is not None for e in run.events)
-            starts.append([(f.birth_position, base + f.uid)
-                           for f in run.fronts[:len(run.fronts) - born_later]])
+            starts.append([(f.birth_position, base + f.uid) for f in
+                           run.fronts[:len(run.fronts) - len(run.events)]])
         last = self.head
         for _, k in heapq.merge(*starts, key=itemgetter(0)):
             nxt[last], prv[k] = k, last
@@ -405,12 +404,11 @@ class _Sweep:
             # fronts of the other run that float noise left between the
             # incoming pair stay there, right of the outgoing front
             pb, nb = unlink(base + e.incoming[1])
-            if e.outgoing is not None:
-                ko, right = base + e.outgoing, nxt[left]
-                nxt[left], prv[ko] = ko, left
-                nxt[ko], prv[right] = right, ko
-                schedule(ko, right)
-            schedule(left, nxt[left])
+            ko, right = base + e.outgoing, nxt[left]
+            nxt[left], prv[ko] = ko, left
+            nxt[ko], prv[right] = right, ko
+            schedule(ko, right)
+            schedule(left, ko)
             if pb != left:
                 schedule(pb, nb)
         crossings.sort()
@@ -585,12 +583,10 @@ class _Cursor:
             if touched is not None:
                 t0 = self.span[0]
                 if e.time > t0 + self.slack * (1 + abs(t0)):
-                    self._missing(base + (e.incoming[0] if e.outgoing is None
-                                          else e.outgoing))
+                    self._missing(base + e.outgoing)
             left, _ = self._unlink(base + e.incoming[0])
             self._unlink(base + e.incoming[1])
-            if e.outgoing is not None:
-                self._link(base + e.outgoing, left)
+            self._link(base + e.outgoing, left)
         self.done = i
         if touched is not None:
             self.stats.deltas += i - first

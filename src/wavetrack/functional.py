@@ -26,8 +26,9 @@ rate, and a new piece's weight grows from the strengths its left
 neighbour passed.  The walk hands each
 interval over as what changed since the one before
 (:class:`~wavetrack.coupling.FieldDelta`), so booking it costs O(changes);
-after an own event the weighted book also re-weighs its pieces on the new
-strength totals.  Some intervals are re-summed: they move sums that cover
+after an own event that moves the strength totals the weighted book is
+booked afresh, as a re-sum books it, but with no per-jump shared check and
+no slice.  Some intervals are re-summed: they move sums that cover
 nothing, every jump state of the stop and every piece between them
 entering in list order, and are then checked jump by jump, so violations
 keep their text and order; a re-sum builds the stop's slice only to name
@@ -218,8 +219,8 @@ class _Book:
     # (P, Q, [interior, lax, slow_fast, rs_main, rs_b], edge flux), the
     # probe norm at time tau being P + tau Q
     run: tuple = None
-    # weighted: the (run-I, run-II) strength totals of the last re-summed
-    # slice, each piece's (weight, strengths passed on its left) and the
+    # weighted: the (run-I, run-II) strength totals of the last booking
+    # afresh, each piece's (weight, strengths passed on its left) and the
     # _weight_bounds at the walk's least tolerance
     totals: tuple = None
     pieces: dict = None
@@ -227,6 +228,19 @@ class _Book:
     deltas: int = 0
     resums: int = 0
     drift: float = 0.0
+
+    def reset(self, terms, tol):
+        """Cover nothing, to be booked afresh from the jump ``terms`` of a
+        stop; a weighted book takes their strength totals and its
+        _weight_bounds at ``tol``."""
+        self.run = (0, 0, [0] * 5, None)
+        if self.weight is not None:
+            m, z = self.weight.m, self.weight.m * 0
+            self.pieces, self.totals = {}, (
+                sum((a.b for a in terms if a.in_I), start=z),
+                sum((a.b for a in terms if not a.in_I), start=z))
+            self.bounds = _weight_bounds(m, self.totals[0] + self.totals[1],
+                                         tol)
 
 
 class _JumpTerms:
@@ -470,30 +484,34 @@ def _book_delta(book, change, carry, taus):
     A new piece's weight grows from the strengths its left neighbour
     passed, and the jumps beside it are checked.  When the strength totals
     move (fronts of other strengths entered than left: an own event), a
-    weighted book first re-weighs every piece in list order on the new
-    totals (a piece whose weight changed moves the sums by the
-    difference), moves its Lax and rarefaction-side rates to the new
-    factor 2m + TV(b) and checks every jump, as a re-sum does.  A book
-    that covers nothing (its flux None) takes the edge flux a |psi| w of
-    the first piece less that of the last, and leaves its weight checks to
-    the caller."""
+    weighted book is booked afresh, as a re-sum books it: it covers
+    nothing, its totals and bounds are those of the stop's jump states,
+    and every state and piece enters in list order, so every jump is
+    checked.  A book that covers nothing (its flux None) takes the edge
+    flux a |psi| w of the first piece less that of the last, and a book
+    that covered nothing before leaves its weight checks to the caller."""
     if book.run is None:
         return None
     gone, new, out, into, delta, moved = change
-    known, weight, pieces, counts = (carry.known, book.weight, book.pieces,
-                                     carry.counts)
+    known, weight, counts = carry.known, book.weight, carry.counts
+    checked = weight is not None and book.run[3] is not None
+    if checked and moved:
+        states = delta.order()
+        whole = _whole(states, carry.ends[0][1]).into
+        gone, new, out = [], [known[st] for st in states], []
+        into = [(key, psi, left, right, _geometry(key, psi, carry.window))
+                for key, psi, left, right in whole]
+        book.reset(new, book.bounds[-1])
     P, Q, r, flux = book.run
-    r0 = r[0]
+    pieces, r0 = book.pieces, r[0]
     for k, term, kinds in _rate_terms(book):
         r[k] = _moved(r[k], term, kinds, counts, gone, new)
-    rebase = weight is not None and moved
-    # (entering, key, geometry, weight or None) per piece moved; a piece
-    # re-weighed enters again with the change of its weight
+    # (entering, key, geometry, weight or None) per piece moved
     batch = [(False, key, geo, None if weight is None else pieces.pop(key)[0])
              for key, geo in out]
     if weight is None:
         batch += [(True, key, geo, None) for key, *_, geo in into]
-    elif not rebase:
+    else:
         z = weight.m * 0
         for key, psi, left, _, geo in into:
             passed = (z, z)
@@ -503,40 +521,8 @@ def _book_delta(book, change, carry, taus):
                 (v_I, v_II), a = pieces[left][1], known[key[0]]
                 passed = (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
             wk = weight.piece_weight(psi, passed, book.totals)
-            pieces[key] = (wk, passed, geo)
+            pieces[key] = (wk, passed)
             batch.append((True, key, geo, wk))
-    else:
-        states = delta.order()
-        terms = [known[st] for st in states]
-        z = weight.m * 0
-        factor = book.bounds[2]
-        book.totals = (sum((a.b for a in terms if a.in_I), start=z),
-                       sum((a.b for a in terms if not a.in_I), start=z))
-        book.bounds = _weight_bounds(
-            weight.m, book.totals[0] + book.totals[1], book.bounds[-1])
-        factor = book.bounds[2] - factor
-        for k, kind in ((1, LAX), (3, RAREFACTION_SHOCK)):
-            if counts[kind]:
-                r[k] += factor * sum(a.q for a in terms if a.kind == kind)
-        entered = {key: geo for key, *_, geo in into}
-        keys = _piece_keys(states)
-        passed = (z, z)
-        for i, key in enumerate(keys):
-            if i:
-                (v_I, v_II), a = passed, terms[i - 1]
-                passed = (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
-            wk = weight.piece_weight(key[0].kappa_plus if key[0]
-                                     else carry.ends[0][1], passed,
-                                     book.totals)
-            had = pieces.get(key)
-            if had is None:
-                geo = entered[key]
-                batch.append((True, key, geo, wk))
-            else:
-                geo = had[2]
-                if had[0] != wk:
-                    batch.append((True, key, geo, wk - had[0]))
-            pieces[key] = (wk, passed, geo)
     for gain, (L, R), (ap, dc, dl), wk in batch:
         if wk is not None:
             ap = ap * wk
@@ -549,23 +535,17 @@ def _book_delta(book, change, carry, taus):
                 inner = wk * inner
             r0 = r0 + inner if gain else r0 - inner
     r[0] = r0 if any(counts.values()) else 0
-    if weight is not None and flux is not None:
-        # the jumps beside an entered piece, or every jump on a re-weighing;
-        # a book that covered nothing is checked jump by jump by the caller
-        if rebase:
-            sides = [(a, keys[i], keys[i + 1]) for i, a in enumerate(terms)]
-        else:
-            # jump state -> its (left, right) piece keys
-            beside = {key[0]: (left, key) for key, _, left, _, _ in into
-                      if key[0]}
-            beside.update((key[1], (key, right))
-                          for key, _, _, right, _ in into if key[1])
-            sides = [(known[st], lk, rk) for st, (lk, rk) in beside.items()]
-        for a, lk, rk in sides:
-            if _weight_faults(None, None, a, pieces[lk][0], pieces[rk][0],
-                              book.bounds):
+    if checked:
+        # the jumps beside an entered piece, each (left, right) piece key
+        beside = {key[0]: (left, key) for key, _, left, _, _ in into
+                  if key[0]}
+        beside.update((key[1], (key, right))
+                      for key, _, _, right, _ in into if key[1])
+        for st, (lk, rk) in beside.items():
+            if _weight_faults(None, None, known[st], pieces[lk][0],
+                              pieces[rk][0], book.bounds):
                 return None
-    if flux is None or rebase:
+    if flux is None:
         states = delta.order() or (None,)
         flux = 0
         for sign, (a, psi), key in zip((1, -1), carry.ends, (
@@ -670,18 +650,9 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
         vals = []
         for book in books:
             book.resums += 1
-            book.run = (0, 0, [0] * 5, None)
-            weight = book.weight
-            if weight is not None:
-                m, z = weight.m, weight.m * 0
-                book.pieces, book.totals = {}, (
-                    sum((a.b for a in terms if a.in_I), start=z),
-                    sum((a.b for a in terms if not a.in_I), start=z))
-                tvb = book.totals[0] + book.totals[1]
-                book.bounds = _weight_bounds(m, tvb, tol_min)
-                at_rate = _weight_bounds(m, tvb, tol_rate)
+            book.reset(terms, tol_min)
             vals.append(_book_delta(book, whole, fresh, taus))
-            if weight is None:
+            if book.weight is None:
                 for idx in sorted(shared):
                     book.violations.extend(shared[idx])
                 continue
@@ -693,7 +664,8 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
                     book.run = None
                     book.violations.extend(_weight_faults(
                         time, stop.slice().positions[idx], a, wm, wp,
-                        at_rate))
+                        _weight_bounds(book.weight.m, book.totals[0]
+                                       + book.totals[1], tol_rate)))
         return vals
 
     carry = None    # the shared running sums, when a delta may follow

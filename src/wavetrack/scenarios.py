@@ -96,14 +96,25 @@ def _pair(node, rational, path, errors, shape):
                  for i, v in enumerate(node))
 
 
+# each generator's parameters and their defaults
+_GENERATORS = {
+    "constant": {"value": 0},
+    "linear": {"slope": 1, "intercept": 0},
+    "sine": {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0, "offset": 0.0},
+    "gauss": {"amplitude": 1.0, "center": 0.0, "width": 1.0, "offset": 0.0},
+}
+
+
 def _make_generator(name, params, rational, path, errors):
+    defaults = _GENERATORS.get(name, {}) if isinstance(name, str) else {}
+    if defaults:
+        errors += [f"{path}.params.{k}: unknown parameter of generator "
+                   f"{name!r}" for k in params if k not in defaults]
+    args = [params.get(k, v) for k, v in defaults.items()]
     if name == "constant":
-        value = params.get("value", 0)
-        return lambda x, v=value: v
+        return lambda x, v=args[0]: v
     if name == "linear":
-        slope = params.get("slope", 1)
-        intercept = params.get("intercept", 0)
-        return lambda x, s=slope, c=intercept: s * x + c
+        return lambda x, s=args[0], c=args[1]: s * x + c
     if rational:
         errors.append(
             f"{path}: generator {name!r} is transcendental and cannot be "
@@ -111,16 +122,10 @@ def _make_generator(name, params, rational, path, errors):
         )
         return lambda x: 0
     if name == "sine":
-        amp = params.get("amplitude", 1.0)
-        freq = params.get("frequency", 1.0)
-        phase = params.get("phase", 0.0)
-        offset = params.get("offset", 0.0)
+        amp, freq, phase, offset = args
         return lambda x: amp * math.sin(freq * x + phase) + offset
     if name == "gauss":
-        amp = params.get("amplitude", 1.0)
-        center = params.get("center", 0.0)
-        width = params.get("width", 1.0)
-        offset = params.get("offset", 0.0)
+        amp, center, width, offset = args
         return lambda x: amp * math.exp(-(((x - center) / width) ** 2)) + offset
     errors.append(f"{path}: unknown generator {name!r}")
     return lambda x: 0
@@ -671,14 +676,15 @@ class SuiteResult:
 
 
 def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
-                     h=0.1, horizon=2, m=1, checks=None,
-                     mode="float") -> SuiteResult:
+                     h=0.1, horizon=2, m=1, mode="float") -> SuiteResult:
     """Run ``count`` random Burgers scenarios with per-scenario seeds.
 
     In rational mode ``h``, ``horizon`` and ``m`` are read as the exact
     decimals they print as."""
-    errors = ([] if count >= 1 else ["count: need at least one scenario"]
-              ) + _out_dir_errors(out_dir)
+    errors = [] if count >= 1 else ["count: need at least one scenario"]
+    if mode not in ("float", "rational"):
+        errors.append(f"mode: expected 'float' or 'rational', got {mode!r}")
+    errors += _out_dir_errors(out_dir)
     if errors:
         raise ScenarioConfigError(errors)
     rational = mode == "rational"
@@ -691,8 +697,7 @@ def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
     for i in range(count):
         cfg = random_scenario_config(
             seed + i, shock_only=shock_only, rational=rational,
-            h=exact(h), horizon=exact(horizon), m=exact(m), checks=checks,
-        )
+            h=exact(h), horizon=exact(horizon), m=exact(m))
         sub_out = None
         if out_dir is not None:
             sub_out = str(Path(out_dir) / f"scenario_{seed + i:04d}")

@@ -9,7 +9,10 @@ solution; the only approximation is the h-resolution of rarefactions.
 Collisions are handled through a priority queue keyed by adjacent-pair
 collision times.  Colliding fronts merge into a single outgoing front (for
 convex flux no interaction can emit more than one wave), so the front count
-is strictly decreasing and the run terminates.
+is strictly decreasing and the run terminates.  No interaction cancels: the
+fronts (a, b) and (b, a) have equal speeds (float subtraction and division
+are sign-symmetric), so two fronts whose outer states agree never approach
+each other.
 """
 from __future__ import annotations
 
@@ -65,7 +68,7 @@ class InteractionEvent:
     time: object
     position: object
     incoming: tuple
-    outgoing: Optional[int]
+    outgoing: int
 
 
 def solve_riemann(flux: FluxModel, u_left, u_right, h):
@@ -291,32 +294,22 @@ class FrontTrackingRun:
         before = self._prev[uid_l]
         after = self._next[uid_r]
         waves = self._riemann(fl.left_state, fr.right_state)
-        if len(waves) > 1:
-            raise AssertionError("interaction emitted more than one front")
-
-        out_uid = None
-        if waves:
-            w = waves[0]
-            # convex interactions only ever merge into a down jump
-            if w.right_state > w.left_state and w.strength > self.h * (1 + 1e-9):
-                raise AssertionError("interaction produced an oversized up-jump")
-            out_uid = self._place(w, t, x, self._rank[uid_l])
-            self._prev[out_uid] = before
-            self._next[out_uid] = after
-
-        link = out_uid  # may be None when states cancelled exactly
+        # no interaction cancels (see the module docstring)
+        if len(waves) != 1:
+            raise AssertionError("an interaction must emit exactly one front")
+        w = waves[0]
+        # convex interactions only ever merge into a down jump
+        if w.right_state > w.left_state and w.strength > self.h * (1 + 1e-9):
+            raise AssertionError("interaction produced an oversized up-jump")
+        out_uid = self._place(w, t, x, self._rank[uid_l])
+        self._prev[out_uid] = before
+        self._next[out_uid] = after
         if before is not None:
-            self._next[before] = link if link is not None else after
+            self._next[before] = out_uid
+            self._schedule(before, out_uid)
         if after is not None:
-            self._prev[after] = link if link is not None else before
-        if link is None and after is not None and before is not None:
-            # bridge: neighbours become adjacent
-            self._schedule(before, after)
-        if link is not None:
-            if before is not None:
-                self._schedule(before, link)
-            if after is not None:
-                self._schedule(link, after)
+            self._prev[after] = out_uid
+            self._schedule(out_uid, after)
 
         self.events.append(
             InteractionEvent(time=t, position=x, incoming=(uid_l, uid_r), outgoing=out_uid)

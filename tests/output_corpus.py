@@ -20,10 +20,13 @@ one line tells whether the whole corpus is byte-identical.
 
 Run from the repository root (about 15 s)::
 
-    PYTHONPATH=src python3 tests/output_corpus.py
+    PYTHONPATH=src python3 tests/output_corpus.py [--against LISTING]
 
 It prints one ``sha256  path`` line per file, in path order, then
-``total <sha256> (<n> files)``.
+``total <sha256> (<n> files)``.  With ``--against`` and the output of an
+earlier run (say, of a base commit), it prints the total line and then,
+grouped by file name, the scenarios whose file differs from that listing
+or is in only one of the two.
 """
 import hashlib
 import sys
@@ -77,16 +80,43 @@ def digests(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def main():
+def _by_path(listing):
+    # {path: sha256} of the file lines of a listing
+    return {path: digest for digest, path in
+            (line.split("  ", 1) for line in listing.splitlines()
+             if line and not line.startswith("total "))}
+
+
+def moved(base, head):
+    """{file name: [scenario, ...]} of the files whose digest differs
+    between the listings ``base`` and ``head``, or that only one lists."""
+    old, new = _by_path(base), _by_path(head)
+    out = {}
+    for path in sorted(old.keys() | new.keys()):
+        if old.get(path) != new.get(path):
+            scenario, _, name = path.rpartition("/")
+            out.setdefault(name, []).append(scenario)
+    return out
+
+
+def main(argv):
     with tempfile.TemporaryDirectory() as out:
         for name, config in corpus_configs():
             run_scenario(config, out_dir=f"{out}/{name}")
         listing = "".join(f"{digest}  {path}\n"
                           for path, digest in sorted(digests(out).items()))
-    sys.stdout.write(listing)
+    against = argv[1] if argv[:1] == ["--against"] else None
+    if against is None:
+        sys.stdout.write(listing)
     total = hashlib.sha256(listing.encode()).hexdigest()
     print(f"total {total} ({listing.count(chr(10))} files)")
+    if against is not None:
+        groups = moved(Path(against).read_text(), listing)
+        for name, scenarios in sorted(groups.items()):
+            print(f"{name}: {len(scenarios)} differ: {' '.join(scenarios)}")
+        if not groups:
+            print("every file is byte-identical to the listing")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -533,6 +533,57 @@ def test_delta_booking_keeps_float_verdicts_and_digits():
             _assert_close(d, d_again)
 
 
+def _own_event_bookings(cf, m, s, t):
+    """[(interval index, values)] of every interval a weighted book booked
+    by delta where the strength totals of the runs moved (an own event),
+    with the ``(n_lo, n_hi, *rates, flux)`` that booking carried."""
+    seen, book_delta = [], functional._book_delta
+
+    def spy(book, change, carry, taus):
+        vals = book_delta(book, change, carry, taus)
+        if book.weight is not None and change[5] and vals is not None:
+            seen.append((len(book.intervals), vals))
+        return vals
+    with mock.patch.object(functional, "_book_delta", spy):
+        identity_reports(cf, [m], s, t)
+    return seen
+
+
+def _bits(v):
+    return type(v), repr(v)
+
+
+def test_own_events_book_the_weighted_ledger_as_a_resum_does():
+    # at an own event a weighted book is booked afresh as a re-sum books
+    # it, so its probe norms, five rates and edge flux equal, bit for bit,
+    # those of a booking that re-sums every interval
+    ladder = ((8, 0.2), (8, 0.1), (20, 0.1))
+    floats = [dict(_sine_pair_config(n, h), m=1) for n, h in ladder]
+    floats += [random_scenario_config(seed) for seed in range(200, 215)]
+    fields = []
+    for config in floats:
+        spec, cf = _spec_field(config)
+        fields.append((cf, spec.m, spec.t_start, spec.t_end))
+    exact = [(_exact_field(seed), Fraction(1)) for seed in range(7000, 7005)]
+    for seed in range(300, 310):
+        spec, cf = _spec_field(random_scenario_config(seed, rational=True))
+        exact.append((cf, spec.m))
+    fields += [(cf, m, Fraction(0), Fraction(2)) for cf, m in exact]
+    booked = {False: 0, True: 0}
+    for cf, m, s, t in fields:
+        seen = _own_event_bookings(cf, m, s, t)
+        with mock.patch.object(functional, "_RESUM_STRIDE", 1):
+            _, [resummed] = identity_reports(cf, [m], s, t)
+        for i, vals in seen:
+            rec = resummed.intervals[i]
+            again = (rec.norm_probe_lo, rec.norm_probe_hi, rec.interior_rate,
+                     rec.lax_rate, rec.slow_fast_rate, rec.rs_main_rate,
+                     rec.rs_b_rate, rec.flux_rate)
+            assert list(map(_bits, vals)) == list(map(_bits, again)), i
+        booked[cf.exact] += len(seen)
+    assert booked[False] > 0 and booked[True] > 0
+
+
 def test_sine_pair_books_most_intervals_by_delta():
     spec, cf = _spec_field(dict(_sine_pair_config(8, 0.1), m=1))
     plain, [weighted] = identity_reports(cf, [spec.m], spec.t_start,
@@ -545,8 +596,8 @@ def test_sine_pair_books_most_intervals_by_delta():
 
 def test_exact_pair_books_own_events_by_delta():
     # most interactions of this pair change one front; both books book
-    # them by delta, the weighted one after re-weighing its pieces on the
-    # new strength totals, and re-sum only the first, the last and the
+    # them by delta, the weighted one afresh from the stop's jump states as
+    # a re-sum books it, and re-sum only the first, the last and the
     # _RESUM_STRIDE-th interval in a row
     cf = _exact_field(7001)
     plain, [weighted] = identity_reports(cf, [1], 0, 2)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -145,6 +146,75 @@ def test_parse_pins_the_rows_of_malformed_pairs(mode, shape):
     with pytest.raises(ScenarioConfigError) as err:
         parse_scenario(cfg)
     assert err.value.errors == rows
+
+
+# (config, its exact error rows) of malformed nodes outside the [a, b]
+# pairs: profiles, params, lists and objects of the wrong type, a profile
+# Profile rejects, and out-of-range values
+_MALFORMED_CONFIGS = [
+    ([], ["config: expected a JSON object"]),
+    (_basic_config(u1=5, u2={"generator": "gauss", "params": [1],
+                             "support": [0, 1]}),
+     ["u1: expected an object", "u2.params: expected an object"]),
+    (_basic_config(u1={"pairs": 3},
+                   u2={"leading": 0, "pairs": [[1, 1], [0, 2]]}),
+     ["u1.pairs: expected a list of [x, value]",
+      "u2: breakpoints: must be strictly increasing"]),
+    (_basic_config(flux=3), ["flux: expected an object"]),
+    (_basic_config(flux={"name": "burgers", "params": [1]}, time=3),
+     ["flux.params: expected an object",
+      "time: expected an object with start/end"]),
+    (_basic_config(h_list=5), ["h_list: expected a list"]),
+    (_basic_config(h_list=[0.1, 0], m=-1),
+     ["h_list: entries must be positive", "m: must be >= 0"]),
+    (_basic_config(checks="l1", out=5),
+     ["checks: expected a list of check names",
+      "out: expected a directory path string"]),
+]
+
+
+@pytest.mark.parametrize("config, rows", _MALFORMED_CONFIGS)
+def test_parse_pins_the_rows_of_malformed_nodes(config, rows):
+    with pytest.raises(ScenarioConfigError) as err:
+        parse_scenario(config)
+    assert err.value.errors == rows
+
+
+def test_parse_rejects_unknown_generator_params():
+    cfg = _basic_config(
+        u1={"generator": "sine", "params": {"amplitde": 3},
+            "support": [0, 1]},
+        u2={"generator": "constant", "params": {"valeu": 1},
+            "support": [0, 1]})
+    with pytest.raises(ScenarioConfigError) as err:
+        parse_scenario(cfg)
+    assert err.value.errors == [
+        "u1.params.amplitde: unknown parameter of generator 'sine'",
+        "u2.params.valeu: unknown parameter of generator 'constant'"]
+    cfg = _basic_config(mode="rational", h="1/10", u1={
+        "generator": "gauss", "params": {"centre": 1}, "support": [0, 1]})
+    with pytest.raises(ScenarioConfigError) as err:
+        parse_scenario(cfg)
+    assert err.value.errors == [
+        "u1.params.centre: unknown parameter of generator 'gauss'",
+        "u1: generator 'gauss' is transcendental and cannot be used in "
+        "rational mode"]
+    # each known key is read: a gauss bump sampled at its cell midpoints
+    spec = parse_scenario(_basic_config(u2={
+        "generator": "gauss", "support": [0, 1], "n_cells": 2,
+        "params": {"amplitude": 2, "center": 0.5, "width": 0.25,
+                   "offset": 0.5}}))
+    bump = 2 * math.exp(-1) + 0.5
+    assert spec.u2.values == (0.0, bump, 0.0)
+
+
+def test_suite_rejects_an_unknown_mode(monkeypatch):
+    _no_computation(monkeypatch)
+    for mode in ("Rational", "exact"):
+        with pytest.raises(ScenarioConfigError) as err:
+            run_random_suite(1, mode=mode)
+        assert err.value.errors == [
+            f"mode: expected 'float' or 'rational', got {mode!r}"]
 
 
 def test_generator_profiles():

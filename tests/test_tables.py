@@ -68,8 +68,7 @@ def test_tables_match_the_csv_module(make):
             assert (_text(lambda buf: run.export_wave_csv(buf, h))
                     == _text(lambda buf: csv_reference.wave_csv(run, buf, h)))
 
-    rep = maximum_principle_check(field, (-1, 5), horizon,
-                                  tol=0 if field.exact else 1e-10)
+    rep = maximum_principle_check(field, (-1, 5), horizon)
     paths = [rep.left_path, rep.right_path, rep.back_left, rep.back_right]
     seg = rep.left_path.segments[0]
     paths.append(CharacteristicPath([dataclasses.replace(seg, x1=None)]))

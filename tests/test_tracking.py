@@ -11,7 +11,12 @@ from wavetrack.profiles import (
     clipped_pieces,
     total_variation,
 )
-from wavetrack.scenarios import random_scenario_pair
+from wavetrack.scenarios import (
+    build_runs,
+    parse_scenario,
+    random_scenario_config,
+    random_scenario_pair,
+)
 from wavetrack.tracking import (
     FAN,
     SHOCK,
@@ -254,3 +259,21 @@ def test_wave_csv_export():
 def test_initial_data_must_sit_inside_working_interval():
     with pytest.raises(ValueError):
         FrontTrackingRun(FLUX, Profile([0.0], [5.0, 0.0]), 0.5)
+
+
+def test_every_interaction_emits_one_front():
+    # no interaction cancels: each event of the random scenarios, in both
+    # modes, has an outgoing front born where and when it happened
+    events = 0
+    for rational in (False, True):
+        for seed in range(200):
+            spec = parse_scenario(random_scenario_config(seed,
+                                                         rational=rational))
+            for run in build_runs(spec):
+                for e in run.events:
+                    assert isinstance(e.outgoing, int)
+                    f = run.fronts[e.outgoing]
+                    assert (f.birth_time, f.birth_position) == (e.time,
+                                                                e.position)
+                events += len(run.events)
+    assert events > 0
