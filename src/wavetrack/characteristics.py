@@ -430,13 +430,11 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
 
     For a :class:`CoefficientField`, ``times`` may hold slices of the field
     instead of times, so slices already built are not built again.
+    ``times`` is read once, in order, and no slice is kept: the report
+    keeps each slice's time.
     """
-    shock_violations = []
-    violations = []
-    max_fan_jump = 0
-    fan_slope = 0
-    spread = 0
-    times = list(times)
+    shock_violations, violations, sampled = [], [], []
+    max_fan_jump = fan_slope = spread = 0
 
     if isinstance(target, CoefficientField):
         exact = target.exact
@@ -448,9 +446,10 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
             f2, c0 = Q(f2), Q(c0)
         h_by_partition = {"I": target.run_I.h, "II": target.run_II.h}
         allowance = f2 * max(h_by_partition.values())
-        for k, t in enumerate(times):
+        for t in times:
             fs = t if isinstance(t, FieldSlice) else target.at(t)
-            t = times[k] = fs.time
+            t = fs.time
+            sampled.append(t)
             for x, j in zip(fs.positions, fs.jumps):
                 da = j.a_plus - j.a_minus
                 if j.source_kind == "shock":
@@ -484,13 +483,14 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                         f"t={t}: discrete fan slope {c} of the {run_name} run "
                         f"exceeds 1/c0 = {1 / c0}"
                     )
-        return OleinikReport(times, shock_violations, allowance, max_fan_jump,
-                             fan_slope, spread, violations)
+        return OleinikReport(sampled, shock_violations, allowance,
+                             max_fan_jump, fan_slope, spread, violations)
 
     # StaticField: strict, no resolution allowance
     tol = 0 if target.exact else tol_scale
     for t in times:
         fs = target.at(t)
+        sampled.append(t)
         for x, j in zip(fs.positions, fs.jumps):
             da = j.a_plus - j.a_minus
             if da > tol:
@@ -499,7 +499,7 @@ def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
                     f"t={t}: expanding jump ({j.kind}) of size {da} at "
                     f"x={x}"
                 )
-    return OleinikReport(times, shock_violations, 0, max_fan_jump,
+    return OleinikReport(sampled, shock_violations, 0, max_fan_jump,
                          fan_slope, spread, violations)
 
 

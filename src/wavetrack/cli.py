@@ -41,12 +41,9 @@ def _load_config(path):
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "out", None) is not None:
-        config["out"] = args.out
-    if getattr(args, "mode", None) is not None:
-        config["mode"] = args.mode
-    if getattr(args, "tolerance", None) is not None:
-        config["tolerance"] = args.tolerance
+    for key in ("out", "mode", "tolerance"):
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
     return config
 
 

@@ -950,16 +950,23 @@ class WeightField:
         return tuple(pieces)
 
 
+JUMPS_HEADER = ("t,x,kind,partition,lambda,a_minus,a_plus,b_jump,w_minus,"
+                "w_plus\r\n")
+
+
+def jump_rows(weight: WeightField, fs: FieldSlice) -> str:
+    """One slice's rows of the classified-jump table, with weight traces."""
+    t, = csv_fields([fs.time])
+    a, w = csv_fields(fs.a_values), csv_fields(weight.slice_at(fs))
+    return csv_lines(
+        [t, x, j.kind, j.partition, j.lam, a[i], a[i + 1], j.b_jump, w[i],
+         w[i + 1]]
+        for i, (x, j) in enumerate(zip(fs.positions, fs.jumps)))
+
+
 def export_jumps_csv(weight: WeightField, slices, fileobj):
-    """Classified-jump table (with weight traces) of the given slices of
-    the weight's field, one write per slice; a jump's traces are the
-    region values beside it, each formatted once."""
-    fileobj.write("t,x,kind,partition,lambda,a_minus,a_plus,b_jump,w_minus,"
-                  "w_plus\r\n")
+    """Classified-jump table of the given slices of the weight's field, one
+    write per slice; each slice is read once, in order, and not kept."""
+    fileobj.write(JUMPS_HEADER)
     for fs in slices:
-        t, = csv_fields([fs.time])
-        a, w = csv_fields(fs.a_values), csv_fields(weight.slice_at(fs))
-        fileobj.write(csv_lines(
-            [t, x, j.kind, j.partition, j.lam, a[i], a[i + 1], j.b_jump,
-             w[i], w[i + 1]]
-            for i, (x, j) in enumerate(zip(fs.positions, fs.jumps))))
+        fileobj.write(jump_rows(weight, fs))

@@ -17,12 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .characteristics import maximum_principle_check, oleinik_report
+from .characteristics import (export_paths_csv, maximum_principle_check,
+                              oleinik_report)
 from .coupling import (
+    JUMPS_HEADER,
     CoefficientField,
     DegenerateFieldError,
     WeightField,
     export_jumps_csv,
+    jump_rows,
 )
 from .fluxes import make_flux
 from .functional import (
@@ -106,10 +109,12 @@ _GENERATORS = {
 
 
 def _make_generator(name, params, rational, path, errors):
-    defaults = _GENERATORS.get(name, {}) if isinstance(name, str) else {}
-    if defaults:
-        errors += [f"{path}.params.{k}: unknown parameter of generator "
-                   f"{name!r}" for k in params if k not in defaults]
+    defaults = _GENERATORS.get(name) if isinstance(name, str) else None
+    if defaults is None:
+        errors.append(f"{path}: unknown generator {name!r}")
+        return lambda x: 0
+    errors += [f"{path}.params.{k}: unknown parameter of generator "
+               f"{name!r}" for k in params if k not in defaults]
     args = [params.get(k, v) for k, v in defaults.items()]
     if name == "constant":
         return lambda x, v=args[0]: v
@@ -124,11 +129,8 @@ def _make_generator(name, params, rational, path, errors):
     if name == "sine":
         amp, freq, phase, offset = args
         return lambda x: amp * math.sin(freq * x + phase) + offset
-    if name == "gauss":
-        amp, center, width, offset = args
-        return lambda x: amp * math.exp(-(((x - center) / width) ** 2)) + offset
-    errors.append(f"{path}: unknown generator {name!r}")
-    return lambda x: 0
+    amp, center, width, offset = args    # gauss
+    return lambda x: amp * math.exp(-(((x - center) / width) ** 2)) + offset
 
 
 def _parse_profile(node, rational, path, errors):
@@ -553,6 +555,13 @@ def _probe_slices(field, s, t):
                             for i in _probe_gaps(len(bounds) - 1)])
 
 
+def _tabled(slices, weight, rows):
+    """``slices``, each passed on once its jump-table rows are in ``rows``."""
+    for fs in slices:
+        rows.append(jump_rows(weight, fs))
+        yield fs
+
+
 def build_runs(spec: ScenarioSpec, h=None):
     """The two evolved front-tracking runs for a scenario."""
     h = spec.h if h is None else h
@@ -570,14 +579,16 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
     Every norm the checks read is booked by one ledger walk, before any
     check runs.  The probe slices, which the Oleinik check and the jump
     table read, are kept from that walk's stops; without a ledger one
-    forward replay stops at the probe times (:func:`_probe_slices`).
+    forward replay stops at the probe times (:func:`_probe_slices`).  The
+    Oleinik check reads each probe slice once, in order; a replayed slice's
+    jump-table rows are formatted as it passes, so none of those is kept.
     Reports keep the check order.
     """
     spec = config if isinstance(config, ScenarioSpec) else parse_scenario(config)
     out = out_dir if out_dir is not None else spec.out
     reports = {}
     error = None
-    probes = finals = None
+    probes = rows = finals = None
     try:
         run_I, run_II = build_runs(spec)
         field = CoefficientField(run_I, run_II)
@@ -597,10 +608,11 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
                 keep=_probe_gaps if probed else None)
         for name in spec.checks:
             if name == "oleinik":
-                if probes is None:
-                    # kept for the jump table, which reads the same slices
-                    probes = list(_probe_slices(field, s, t))
-                reports[name] = oleinik_report(field, probes, spec.tol_scale)
+                slices = probes or _probe_slices(field, s, t)
+                if out is not None and not probes:
+                    rows = []
+                    slices = _tabled(slices, WeightField(field, spec.m), rows)
+                reports[name] = oleinik_report(field, slices, spec.tol_scale)
             elif name == "l1":
                 reports[name] = ledgers["plain"]
             elif name == "weighted":
@@ -625,11 +637,11 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
                             error=error, out_dir=out)
     if out is not None:
         _write_outputs(result, field if error is None else None, probes,
-                       finals)
+                       rows, finals)
     return result
 
 
-def _write_outputs(result: ScenarioResult, field, probes, finals):
+def _write_outputs(result: ScenarioResult, field, probes, rows, finals):
     out = Path(result.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = result.spec
@@ -642,10 +654,13 @@ def _write_outputs(result: ScenarioResult, field, probes, finals):
     for label, run in (("run_I", run_I), ("run_II", run_II)):
         with _atomic_open(out / f"{label}_waves.csv") as f:
             run.export_wave_csv(f, t)
-    slices = (_probe_slices(field, spec.t_start, t) if probes is None
-              else probes)
     with _atomic_open(out / "classified_jumps.csv") as f:
-        export_jumps_csv(WeightField(field, spec.m), slices, f)
+        if rows is None:    # no Oleinik check formatted them as it read
+            export_jumps_csv(WeightField(field, spec.m), probes
+                             or _probe_slices(field, spec.t_start, t), f)
+        else:
+            f.write(JUMPS_HEADER)
+            f.writelines(rows)
     u1_final, u2_final = finals
     profiles = {
         "u1_initial": run_I.initial.as_dict(),
@@ -656,8 +671,6 @@ def _write_outputs(result: ScenarioResult, field, probes, finals):
     }
     _write_json(out / "profiles.json", profiles)
     if "max_principle" in result.reports:
-        from .characteristics import export_paths_csv
-
         rep = result.reports["max_principle"]
         with _atomic_open(out / "characteristic_paths.csv") as f:
             export_paths_csv([rep.left_path, rep.right_path, rep.back_left,
@@ -681,7 +694,9 @@ def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
 
     In rational mode ``h``, ``horizon`` and ``m`` are read as the exact
     decimals they print as."""
-    errors = [] if count >= 1 else ["count: need at least one scenario"]
+    errors = ([f"count: expected an integer, got {count!r}"]
+              if not _is_int(count) else [] if count >= 1
+              else ["count: need at least one scenario"])
     if mode not in ("float", "rational"):
         errors.append(f"mode: expected 'float' or 'rational', got {mode!r}")
     errors += _out_dir_errors(out_dir)

@@ -3,8 +3,9 @@
 Runs three scenarios with every output file written to a temporary
 directory and prints, for each, the jump records it builds (calls of
 ``ClassifiedJump.__init__``), the work counters of its coefficient field
-(:class:`~wavetrack.coupling.FieldStats`) and the ``tracemalloc`` peak of
-the run:
+(:class:`~wavetrack.coupling.FieldStats`), the most slices built by
+``CoefficientField.slices_at`` that are alive at once, and the
+``tracemalloc`` peak of the run:
 
 * ``sine``: the sine pair at n_cells 20, h 0.1, funnel (1, 5), with the
   six checks oleinik, l1, weighted, gain_cap, products and max_principle;
@@ -16,7 +17,12 @@ the run:
 
 The record counts and the counters repeat exactly, so two versions of the
 program that classify the same jump states print the same census; the
-peaks show what each version holds while it runs.
+peaks show what each version holds while it runs.  The most slices alive
+is counted as each one is handed out.  The wide pair takes its 8 probe
+slices from ``slices_at`` and, since the Oleinik check reads each once
+and lets it go, holds at most 2 of them (all 8 when a list kept them);
+the sine and rational pairs take their probe slices from the ledger's
+walk, so only the ledger's two endpoint slices come from ``slices_at``.
 
 Run from the repository root::
 
@@ -25,6 +31,7 @@ Run from the repository root::
 import random
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import asdict
 from unittest import mock
 
@@ -95,10 +102,11 @@ def configs():
 
 
 def census(config, out_dir):
-    """(records built, the fields' summed FieldStats as a dict, tracemalloc
-    peak in bytes) of one scenario written to ``out_dir``."""
+    """(records built, the fields' summed FieldStats as a dict, the most
+    ``slices_at`` slices alive at once, tracemalloc peak in bytes) of one
+    scenario written to ``out_dir``."""
     built = [0]
-    fields = []
+    fields, streamed, alive = [], [], [0]
     init = ClassifiedJump.__init__
 
     def counted(self, *args, **kwargs):
@@ -109,6 +117,13 @@ def census(config, out_dir):
         def __init__(self, *args):
             super().__init__(*args)
             fields.append(self)
+
+        def slices_at(self, times):
+            for fs in super().slices_at(times):
+                streamed.append(weakref.ref(fs))
+                alive[0] = max(alive[0],
+                               sum(ref() is not None for ref in streamed))
+                yield fs
 
     with mock.patch.object(ClassifiedJump, "__init__", counted), \
             mock.patch.object(scenarios, "CoefficientField", Recorded):
@@ -122,13 +137,13 @@ def census(config, out_dir):
     for field in fields:
         for name, count in asdict(field.stats).items():
             stats[name] = stats.get(name, 0) + count
-    return built[0], stats, peak
+    return built[0], stats, alive[0], peak
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as out:
         for name, config in configs():
-            records, stats, peak = census(config, f"{out}/{name}")
-            print(f"{name}: records {records}, peak "
-                  f"{peak / 2**20:.2f} MiB")
+            records, stats, alive, peak = census(config, f"{out}/{name}")
+            print(f"{name}: records {records}, slices_at slices alive at "
+                  f"most {alive}, peak {peak / 2**20:.2f} MiB")
             print("  " + ", ".join(f"{k} {v}" for k, v in stats.items()))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,11 @@ def test_generator_profiles():
     with pytest.raises(ScenarioConfigError, match="unknown generator"):
         parse_scenario(_basic_config(u2={"generator": "steps",
                                          "support": [0, 1]}))
+    # the name is checked before the mode
+    with pytest.raises(ScenarioConfigError) as err:
+        parse_scenario(_basic_config(mode="rational", h="1/10", u2={
+            "generator": "steps", "support": [0, 1]}))
+    assert err.value.errors == ["u2: unknown generator 'steps'"]
 
 
 def test_random_pair_jump_and_gap_floors():
@@ -436,6 +442,11 @@ def test_suite_writes_summary(tmp_path):
 def test_suite_rejects_empty(capsys):
     with pytest.raises(ValueError, match="at least one"):
         run_random_suite(0)
+    for count in ("3", 2.0, True):
+        with pytest.raises(ScenarioConfigError) as err:
+            run_random_suite(count)
+        assert err.value.errors == [
+            f"count: expected an integer, got {count!r}"]
     for count in ("0", "-3"):
         assert main(["suite", "--count", count]) == 2
         assert ("config error: count: need at least one scenario"
@@ -595,7 +606,7 @@ def test_cli_rational_suite_honours_h(tmp_path, capsys):
 def test_probe_slices_are_built_once(tmp_path, monkeypatch):
     # the oleinik check and the jump table read the same probe slices;
     # ``FieldStats.at_slices`` counts every slice built off a walk
-    fields, calls = [], []
+    fields, calls, built, alive = [], [], [], []
 
     class Counted(CoefficientField):
         def __init__(self, *args):
@@ -606,6 +617,13 @@ def test_probe_slices_are_built_once(tmp_path, monkeypatch):
             calls.append(args)
             return super().event_times(*args)
 
+        def slices_at(self, times):
+            # the streamed slices still alive as each one is handed out
+            for fs in super().slices_at(times):
+                built.append(weakref.ref(fs))
+                alive.append(sum(ref() is not None for ref in built))
+                yield fs
+
     monkeypatch.setattr(scenarios, "CoefficientField", Counted)
     for checks, at_calls in (
         (["oleinik"], 8),
@@ -613,8 +631,8 @@ def test_probe_slices_are_built_once(tmp_path, monkeypatch):
         # ledger's two endpoint slices
         (["oleinik", "l1", "weighted"], 2),
     ):
-        fields.clear()
-        calls.clear()
+        for seen in (fields, calls, built, alive):
+            seen.clear()
         out = tmp_path / "_".join(checks)
         result = run_scenario(dict(_sine_config(8, 0.2), checks=checks),
                               out_dir=str(out))
@@ -625,6 +643,9 @@ def test_probe_slices_are_built_once(tmp_path, monkeypatch):
         assert {float(r.split(",")[0]) for r in rows} == set(probes)
         [field] = fields
         assert (field.stats.at_slices, len(calls)) == (at_calls, 1)
+        # the check reads each slice once and the jump table's rows are
+        # formatted as it passes: a slice lives until the next is built
+        assert max(alive) <= 2
 
 
 # sha256 of each report of the acceptance rational pairs, as written before
