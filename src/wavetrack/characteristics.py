@@ -378,7 +378,7 @@ def export_paths_csv(paths, fileobj):
     """Vertex table (path_id, t, x) of a list of characteristic paths."""
     fileobj.write("path_id,t,x\r\n")
     for pid, path in enumerate(paths):
-        fileobj.write(csv_lines([pid, t, x] for t, x in path.vertices()))
+        fileobj.writelines(csv_lines([pid, *v] for v in path.vertices()))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
+from operator import itemgetter, le
 
 from .fluxes import STATE_EPS, secant_speed
 from .profiles import csv_fields, csv_lines
@@ -250,28 +250,33 @@ class CoefficientField:
         return _Sweep(self.run_I, self.run_II)
 
     def event_times(self, s, t):
-        """Interaction times of the coefficient strictly inside (s, t), in
-        order; times within the tie rule merge into the first."""
-        times = [e for e in self.run_I.event_times() if s < e < t]
-        times += [e for e in self.run_II.event_times() if s < e < t]
-        crossings = self._sweep.crossings
-        times += crossings[bisect_right(crossings, s):bisect_left(crossings, t)]
-        times.sort()
-        merge_tol = 0 if self.exact else TIE_MERGE
-        merged = []
-        for e in times:
-            if merged and e - merged[-1] <= merge_tol * (1 + abs(e)):
-                continue
-            merged.append(e)
-        return merged
+        """The interaction times inside (s, t), in order, ties merged into the
+        first; an ``array('d')`` from the sweep's record (a list if exact)."""
+        sweep = self._sweep
+        times, unlisted = sweep.times, sweep.unlisted
+        if sweep.monotone:
+            lo, hi = bisect_right(times, s), bisect_left(times, t)
+            span = times[lo:hi]
+            for i in reversed(unlisted):
+                if lo <= i < hi:
+                    del span[i - lo]
+        else:
+            span = sorted(e for i, e in enumerate(times)
+                          if s < e < t and i not in unlisted)
+        tol = 0 if self.exact else TIE_MERGE
+        out, last = times[:0], None
+        for e in span:
+            if last is None or e - last > tol * (1 + abs(e)):
+                out.append(e)
+                last = e
+        return out
 
     def has_event_at(self, t):
         """Whether an own event of either run or a crossing lies at t, within
         the tie rule of :meth:`event_times`."""
         tol = 0 if self.exact else TIE_MERGE * (1 + abs(t))
-        return any(abs(e - t) <= tol for e in chain(
-            self.run_I.event_times(), self.run_II.event_times(),
-            self._sweep.crossings))
+        return any(abs(e - t) <= tol and i not in self._sweep.unlisted
+                   for i, e in enumerate(self._sweep.times))
 
 
 class _Sweep:
@@ -288,20 +293,20 @@ class _Sweep:
     For N fronts, E own events and K crossings a sweep to the horizon costs
     O((N + E + K) log N).
 
-    A pair's time comes from the two fronts' birth data, and the time goes
-    to ``crossings`` only if it lies within both lifetimes, as a scan of
-    all pairs would decide.  Float noise can put a time a little before
-    one already handled; the pair is swapped then, under the same rule.  A
-    front passing through a collision point of the other run may be listed
-    there a different number of times than such a scan would list it; that
-    time is, up to rounding, an own event time and bounds an interval
-    either way.
-
     It records its moves in order, in ``keys`` and ``times``: each swap as
     the key moving right, each own event as ``_OWN``.  A sweep paused at
     ``tau`` makes the moves before the first one later than ``tau``, so
     a walk (:class:`_Cursor`) replays them on a copy of ``prv``/``nxt``,
-    the list at t = 0.
+    the list at t = 0.  The record is the field's one store of event times.
+
+    A swap's time comes from the two fronts' birth data; ``unlisted`` holds
+    the record index of each swap outside a lifetime of its pair, where a
+    scan of all pairs lists no crossing.  Float noise can put a time a
+    little before one already handled; the pair is swapped then, and
+    ``monotone`` is False.  A front passing through a collision point of
+    the other run may be listed there a different number of times than
+    such a scan would list it; that time is, up to rounding, an own event
+    time and bounds an interval either way.
     """
 
     def __init__(self, run_I, run_II):
@@ -336,8 +341,9 @@ class _Sweep:
         )
         exact = run_I.exact or run_II.exact
         self.keys = keys = array("i")
+        # in float mode 8 bytes a time, not a boxed float
         self.times = times = [] if exact else array("d")
-        crossings = []
+        self.unlisted = unlisted = []
 
         # each front's line x = b + s (t - t_b) as (b, s, s t_b, b - s t_b),
         # and its lifetime
@@ -375,8 +381,8 @@ class _Sweep:
                     continue
                 lo = born[kl] if born[kl] > born[kr] else born[kr]
                 hi = end[kl] if end[kl] < end[kr] else end[kr]
-                if lo < hi and lo <= tx <= hi:
-                    crossings.append(tx)
+                if not (lo < hi and lo <= tx <= hi):
+                    unlisted.append(len(keys))
                 keys.append(kl)
                 times.append(tx)
                 # move kl just right of kr, then schedule (before, kr) and
@@ -411,9 +417,7 @@ class _Sweep:
             schedule(left, ko)
             if pb != left:
                 schedule(pb, nb)
-        crossings.sort()
-        # in float mode 8 bytes a crossing, not a boxed float
-        self.crossings = crossings if exact else array("d", crossings)
+        self.monotone = all(map(le, times, islice(times, 1, None)))
 
 
 @dataclass(slots=True)
@@ -954,8 +958,8 @@ JUMPS_HEADER = ("t,x,kind,partition,lambda,a_minus,a_plus,b_jump,w_minus,"
                 "w_plus\r\n")
 
 
-def jump_rows(weight: WeightField, fs: FieldSlice) -> str:
-    """One slice's rows of the classified-jump table, with weight traces."""
+def jump_rows(weight: WeightField, fs: FieldSlice):
+    """One slice's classified-jump table lines, with weight traces, lazily."""
     t, = csv_fields([fs.time])
     a, w = csv_fields(fs.a_values), csv_fields(weight.slice_at(fs))
     return csv_lines(
@@ -966,7 +970,7 @@ def jump_rows(weight: WeightField, fs: FieldSlice) -> str:
 
 def export_jumps_csv(weight: WeightField, slices, fileobj):
     """Classified-jump table of the given slices of the weight's field, one
-    write per slice; each slice is read once, in order, and not kept."""
+    row at a time; each slice is read once, in order, and not kept."""
     fileobj.write(JUMPS_HEADER)
     for fs in slices:
-        fileobj.write(jump_rows(weight, fs))
+        fileobj.writelines(jump_rows(weight, fs))

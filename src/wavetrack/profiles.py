@@ -239,8 +239,8 @@ def csv_fields(values):
 
 
 def csv_lines(rows):
-    """The text ``csv.writer`` writes for ``rows`` of such fields."""
-    return "".join([",".join(csv_fields(row)) + "\r\n" for row in rows])
+    """The lines ``csv.writer`` writes for ``rows`` of such fields, lazily."""
+    return (",".join(csv_fields(row)) + "\r\n" for row in rows)
 
 
 def profile_map2(p: Profile, q: Profile, fn) -> Profile:

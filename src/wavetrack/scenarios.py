@@ -549,16 +549,18 @@ def _probe_slices(field, s, t):
     (``CoefficientField.slices_at``).  A scenario that books a ledger takes
     its probe slices from the ledger's walk instead (:func:`run_scenario`);
     this path serves the scenarios without one."""
-    bounds = [s, *field.event_times(s, t), t]
-    # a list, so the gap bounds are freed before any slice is built
-    return field.slices_at([bounds[i] + (bounds[i + 1] - bounds[i]) / 2
-                            for i in _probe_gaps(len(bounds) - 1)])
+    times = field.event_times(s, t)
+    # gap i of [s, *times, t], read in place; times is freed before slicing
+    return field.slices_at([a + (b - a) / 2 for a, b in (
+        (s if i == 0 else times[i - 1], t if i == len(times) else times[i])
+        for i in _probe_gaps(len(times) + 1))])
 
 
-def _tabled(slices, weight, rows):
-    """``slices``, each passed on once its jump-table rows are in ``rows``."""
+def _tabled(slices, field, m, table):
+    """``slices``, each passed on once its rows are in the file ``table``."""
+    weight = WeightField(field, m)
     for fs in slices:
-        rows.append(jump_rows(weight, fs))
+        table.writelines(jump_rows(weight, fs))
         yield fs
 
 
@@ -581,67 +583,76 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
     table read, are kept from that walk's stops; without a ledger one
     forward replay stops at the probe times (:func:`_probe_slices`).  The
     Oleinik check reads each probe slice once, in order; a replayed slice's
-    jump-table rows are formatted as it passes, so none of those is kept.
-    Reports keep the check order.
+    jump-table rows go to a temporary file as it passes, renamed with the
+    other outputs or removed if a check raises.  Reports keep check order.
     """
     spec = config if isinstance(config, ScenarioSpec) else parse_scenario(config)
     out = out_dir if out_dir is not None else spec.out
     reports = {}
     error = None
-    probes = rows = finals = None
+    probes = table = finals = None
+    needed = set().union(*(LEDGER_NEEDS.get(c, ()) for c in spec.checks))
     try:
-        run_I, run_II = build_runs(spec)
-        field = CoefficientField(run_I, run_II)
-        s, t = spec.t_start, spec.t_end
-        funnel = spec.funnel
-        if funnel is None:
-            bps = list(run_I.initial.breakpoints) + list(run_II.initial.breakpoints)
-            funnel = (min(bps) - 1, max(bps) + 1) if bps else (-1, 1)
-        needed = set().union(*(LEDGER_NEEDS.get(c, ()) for c in spec.checks))
-        ledgers = {}
-        if needed:
-            # the probe slices, read by the Oleinik check and the jump
-            # table, are kept from the ledger's walk
-            probed = "oleinik" in spec.checks or out is not None
-            ledgers, probes = ledger_reports(
-                field, needed, spec.m, s, t, tol_scale=spec.tol_scale,
-                keep=_probe_gaps if probed else None)
-        for name in spec.checks:
-            if name == "oleinik":
-                slices = probes or _probe_slices(field, s, t)
-                if out is not None and not probes:
-                    rows = []
-                    slices = _tabled(slices, WeightField(field, spec.m), rows)
-                reports[name] = oleinik_report(field, slices, spec.tol_scale)
-            elif name == "l1":
-                reports[name] = ledgers["plain"]
-            elif name == "weighted":
-                reports[name] = ledgers["weighted"]
-            elif name == "monotonicity":
-                reports[name] = monotonicity_report(ledgers["plain"],
-                                                    ledgers["weighted"])
-            elif name == "gain_cap":
-                reports[name] = gain_cap_report(field, ledgers["plain"])
-            elif name == "products":
-                reports[name] = product_inequality_check(ledgers["weighted"])
-            elif name == "max_principle":
-                reports[name] = maximum_principle_check(field, funnel, t)
+        try:
+            run_I, run_II = build_runs(spec)
+            field = CoefficientField(run_I, run_II)
+            s, t = spec.t_start, spec.t_end
+            funnel = spec.funnel
+            if funnel is None:
+                bps = [*run_I.initial.breakpoints, *run_II.initial.breakpoints]
+                funnel = (min(bps) - 1, max(bps) + 1) if bps else (-1, 1)
+            ledgers = {}
+            if needed:
+                # the probe slices, read by the Oleinik check and the jump
+                # table, are kept from the ledger's walk
+                probed = "oleinik" in spec.checks or out is not None
+                ledgers, probes = ledger_reports(
+                    field, needed, spec.m, s, t, tol_scale=spec.tol_scale,
+                    keep=_probe_gaps if probed else None)
+            for name in spec.checks:
+                if name == "oleinik":
+                    slices = probes or _probe_slices(field, s, t)
+                    if out is not None and not probes:
+                        Path(out).mkdir(parents=True, exist_ok=True)
+                        table = open(f"{out}/classified_jumps.csv.tmp", "w")
+                        table.write(JUMPS_HEADER)
+                        slices = _tabled(slices, field, spec.m, table)
+                    reports[name] = oleinik_report(field, slices,
+                                                   spec.tol_scale)
+                elif name == "l1":
+                    reports[name] = ledgers["plain"]
+                elif name == "weighted":
+                    reports[name] = ledgers["weighted"]
+                elif name == "monotonicity":
+                    reports[name] = monotonicity_report(ledgers["plain"],
+                                                        ledgers["weighted"])
+                elif name == "gain_cap":
+                    reports[name] = gain_cap_report(field, ledgers["plain"])
+                elif name == "products":
+                    reports[name] = product_inequality_check(
+                        ledgers["weighted"])
+                elif name == "max_principle":
+                    reports[name] = maximum_principle_check(field, funnel, t)
+            if out is not None:
+                # samples, not a slice: a cross-run crossing may sit at t
+                finals = run_I.sample(t), run_II.sample(t)
+        except (DegenerateFieldError, RuntimeError, ValueError) as exc:
+            error = exc
+
+        passed = error is None and all(rep.passed for rep in reports.values())
+        result = ScenarioResult(spec=spec, reports=reports, passed=passed,
+                                error=error, out_dir=out)
         if out is not None:
-            # samples, not a slice: a cross-run crossing may sit at t
-            finals = run_I.sample(t), run_II.sample(t)
-    except (DegenerateFieldError, RuntimeError, ValueError) as exc:
-        error = exc
-
-    passed = error is None and all(rep.passed for rep in reports.values())
-    result = ScenarioResult(spec=spec, reports=reports, passed=passed,
-                            error=error, out_dir=out)
-    if out is not None:
-        _write_outputs(result, field if error is None else None, probes,
-                       rows, finals)
-    return result
+            _write_outputs(result, field if error is None else None, probes,
+                           table, finals)
+        return result
+    finally:
+        if table is not None:       # gone once renamed into place
+            table.close()
+            Path(table.name).unlink(missing_ok=True)
 
 
-def _write_outputs(result: ScenarioResult, field, probes, rows, finals):
+def _write_outputs(result: ScenarioResult, field, probes, table, finals):
     out = Path(result.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = result.spec
@@ -654,13 +665,13 @@ def _write_outputs(result: ScenarioResult, field, probes, rows, finals):
     for label, run in (("run_I", run_I), ("run_II", run_II)):
         with _atomic_open(out / f"{label}_waves.csv") as f:
             run.export_wave_csv(f, t)
-    with _atomic_open(out / "classified_jumps.csv") as f:
-        if rows is None:    # no Oleinik check formatted them as it read
+    if table is not None:   # the Oleinik check wrote the rows as it read
+        table.close()
+        os.replace(table.name, out / "classified_jumps.csv")
+    else:
+        with _atomic_open(out / "classified_jumps.csv") as f:
             export_jumps_csv(WeightField(field, spec.m), probes
                              or _probe_slices(field, spec.t_start, t), f)
-        else:
-            f.write(JUMPS_HEADER)
-            f.writelines(rows)
     u1_final, u2_final = finals
     profiles = {
         "u1_initial": run_I.initial.as_dict(),

@@ -369,6 +369,6 @@ class FrontTrackingRun:
         ends = [(f, horizon if f.death_time is None else f.death_time)
                 for f in self.fronts]
         fileobj.write("front,t_start,x_start,t_end,x_end,left,right,kind\r\n")
-        fileobj.write(csv_lines(
+        fileobj.writelines(csv_lines(
             [f.uid, f.birth_time, f.birth_position, t_end, f.position_at(t_end),
              f.left_state, f.right_state, f.kind] for f, t_end in ends))

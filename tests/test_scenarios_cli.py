@@ -19,8 +19,10 @@ from wavetrack import (
     run_scenario,
     run_sweep,
 )
+import record_census
 from wavetrack import scenarios
 from wavetrack.cli import main
+from wavetrack.coupling import DegenerateFieldError, InconsistentFieldError
 from wavetrack.profiles import plain_number
 from wavetrack.scenarios import build_runs
 
@@ -644,8 +646,55 @@ def test_probe_slices_are_built_once(tmp_path, monkeypatch):
         [field] = fields
         assert (field.stats.at_slices, len(calls)) == (at_calls, 1)
         # the check reads each slice once and the jump table's rows are
-        # formatted as it passes: a slice lives until the next is built
+        # written as it passes: a slice lives until the next is built
         assert max(alive) <= 2
+
+
+class _ThirdProbeRaises(CoefficientField):
+    def slices_at(self, times):
+        slices = super().slices_at(times)
+        yield next(slices)
+        yield next(slices)
+        raise DegenerateFieldError(0.0, times[2])
+
+
+def _max_principle_raises(*args):
+    raise InconsistentFieldError("planted maximum-principle failure")
+
+
+@pytest.mark.parametrize("checks, attr, stand_in, error", [
+    (["oleinik"], "CoefficientField", _ThirdProbeRaises, "Perturb"),
+    (["oleinik", "max_principle"], "maximum_principle_check",
+     _max_principle_raises, "planted"),
+])
+def test_a_check_that_raises_leaves_no_jump_table(tmp_path, monkeypatch,
+                                                   checks, attr, stand_in,
+                                                   error):
+    # without a ledger the jump table's rows are written as the Oleinik
+    # check reads the probe slices; a check that raises, on the third probe
+    # slice or after the last one, leaves the error in summary.json and
+    # neither the table nor a temporary file
+    monkeypatch.setattr(scenarios, attr, stand_in)
+    out = tmp_path / "out"
+    result = run_scenario(dict(_sine_config(8, 0.2), checks=checks),
+                          out_dir=str(out))
+    assert error in str(result.error)
+    assert error in json.loads((out / "summary.json").read_text())["error"]
+    assert not (out / "classified_jumps.csv").exists()
+    assert not list(out.glob("*.tmp"))
+
+
+def test_the_wide_oleinik_run_stays_under_its_memory_gate(tmp_path):
+    # the census's wide pair: about 51k event times and 10,602 jump records
+    # on 8 probe slices.  The run holds the sweep's record, the event times
+    # until the probe times are set, and at most two probe slices, while
+    # the jump table goes to its file row by row: 3.41 MiB traced on
+    # CPython 3.11.  A second copy of the crossing times or a table held in
+    # memory puts it above 5 MiB
+    census = record_census.census(dict(record_census.configs())["wide"],
+                                  str(tmp_path / "wide"))
+    assert (census.records, census.alive) == (10602, 2)
+    assert census.peak < 4.5 * 2**20
 
 
 # sha256 of each report of the acceptance rational pairs, as written before
