@@ -11,8 +11,7 @@ from wavetrack import (
     FrontTrackingRun,
     Profile,
     burgers_flux,
-    l1_identity_report,
-    weighted_identity_report,
+    ledger_reports,
 )
 
 
@@ -41,8 +40,11 @@ def print_ledger(rep):
 def main():
     cfield = make_field()
 
+    ms = (0.0, 1.0, 10.0)
+    # the plain ledger and one weighted ledger per m, from one walk
+    (plain, *weighted), _ = ledger_reports(cfield, [None, *ms], 0.0, 2.0)
+
     print("== plain L1 ledger, stationary Lax shock in the difference")
-    plain = l1_identity_report(cfield, 0.0, 2.0)
     print_ledger(plain)
     rec = plain.intervals[0]
     print("  first interval rates: interior", round(rec.interior_rate, 6),
@@ -50,10 +52,9 @@ def main():
           "lax", round(rec.lax_rate, 6))
     print("  jump kinds seen:", dict(rec.kind_counts))
 
-    for m in (0.0, 1.0, 10.0):
+    for m, rep in zip(ms, weighted):
         print()
         print(f"== weighted ledger, m = {m}")
-        rep = weighted_identity_report(cfield, m, 0.0, 2.0)
         print_ledger(rep)
 
     print()

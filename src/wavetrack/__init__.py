@@ -12,7 +12,7 @@ Quick start::
 
     from wavetrack import (
         FrontTrackingRun, CoefficientField, burgers_flux,
-        Profile, l1_identity_report,
+        Profile, ledger_reports,
     )
 
     flux = burgers_flux()
@@ -21,8 +21,9 @@ Quick start::
     run_I = FrontTrackingRun(flux, u1, h=0.1).evolve(2.0)
     run_II = FrontTrackingRun(flux, u2, h=0.1).evolve(2.0)
     field = CoefficientField(run_I, run_II)
-    report = l1_identity_report(field, 0.0, 2.0)
-    assert report.passed
+    # None books the plain norm, a number m the weighted norm with offset m
+    (plain, weighted), _ = ledger_reports(field, [None, 1.0], 0.0, 2.0)
+    assert plain.passed and weighted.passed
 """
 
 from .characteristics import (
@@ -66,12 +67,10 @@ from .functional import (
     ProductRuleReport,
     default_window,
     gain_cap_report,
-    identity_reports,
-    l1_identity_report,
+    ledger_reports,
     monotonicity_report,
     product_inequality_check,
     refinement_study,
-    weighted_identity_report,
 )
 from .profiles import (
     Profile,
@@ -132,8 +131,7 @@ __all__ = [
     "export_paths_csv",
     "forward_characteristic",
     "gain_cap_report",
-    "identity_reports",
-    "l1_identity_report",
+    "ledger_reports",
     "make_flux",
     "maximum_principle_check",
     "monotonicity_report",
@@ -154,5 +152,4 @@ __all__ = [
     "secant_speed",
     "solve_riemann",
     "total_variation",
-    "weighted_identity_report",
 ]

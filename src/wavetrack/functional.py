@@ -36,19 +36,18 @@ the position of a violation.  These are the first and the last
 interval, every ``_RESUM_STRIDE``-th in a row, and one where more pieces
 change than there are jumps or a per-jump check could fail.  Exact sums
 are exact; float sums may move in their last digits.
-``identity_reports`` books the plain and the weighted ledger from one
+``ledger_reports(cfield, ms, s, t)`` books one ledger per entry of
+``ms`` (None: the plain norm; m: the weighted norm with offset m) from one
 walk: each stop, the missed-interaction check and every
 weight-independent trace term and verdict are computed once, and only the
 probe norms, the weighted sums, the weight-trace checks and the edge flux
-are booked per norm.  ``l1_identity_report`` and
-``weighted_identity_report`` are the one-norm calls of the same walk, and
-``ledger_reports`` books the norms a scenario's checks read and keeps the
-slices at the stops the scenario's probes need.  On
-an exact field the endpoints are taken as ``Fraction`` (an int is
-converted, a float rejected).  Each interval record also keeps the
-per-interval sums the derived checks need, so ``gain_cap_report``,
-``monotonicity_report`` and ``product_inequality_check`` are functions of
-finished ledgers and build no slices of their own.
+are booked per norm.  It can also keep the slices at the stops a
+scenario's probes need.  On an exact field the endpoints are taken as
+``Fraction`` (an int is converted, a float rejected).  Each interval
+record also keeps the per-interval sums the derived checks need, so
+``gain_cap_report``, ``monotonicity_report`` and
+``product_inequality_check`` are functions of finished ledgers and build
+no slices of their own.
 
 Conventions for the per-interval rate terms (all decay/gain magnitudes are
 nonnegative; the signed slope of the norm without the edge flux is
@@ -115,6 +114,12 @@ def _norms(fslice, weights, window, t=None):
         for k, wv in enumerate(weights):
             totals[k] += p * width if wv is None else p * wv[i] * width
     return totals
+
+
+def _integral(intervals, rate):
+    """The integral over the interval records of their rate ``rate`` (an
+    attribute name), summed in interval order."""
+    return sum((getattr(r, rate) * r.duration for r in intervals), start=0)
 
 
 @dataclass
@@ -556,10 +561,20 @@ def _book_delta(book, change, carry, taus):
     return (P + taus[0] * Q, P + taus[1] * Q, *r, flux)
 
 
-def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
-    """One report per entry of ``weights`` (None for the plain norm, a
-    :class:`WeightField` for a weighted one), booked from one timeline walk,
-    and the slices the walk kept.
+def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
+                   keep=None):
+    """``(reports, kept)``: one ledger per entry of ``ms``, in order, booked
+    from one timeline walk, and the slices the walk kept.  None books the
+    plain norm ||psi||_1 and a number m the strength-weighted norm with
+    weight offset m (:class:`WeightField`).
+
+    In the plain norm compressive jumps drain at rate 2|a_- - lam||psi_-|
+    each, rarefaction-side jumps feed it at rate 2(lam - a_-)|psi_-|, and
+    undercompressive jumps are exactly neutral; the norm is continuous
+    across interaction events.  The weighted norm obeys the classified
+    trace decomposition of the module docstring between interactions; at
+    an interaction the weight's variation budget can shrink, giving a
+    favorable (nonpositive) jump.
 
     Each interval is booked from the running sums (:class:`_Carry`,
     :func:`_book_delta`) by the walk's delta from the interval before; the
@@ -570,13 +585,13 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
     keeps the slice at each of their stops, the field at the interval
     midpoint (None kept without it).
     """
+    books = [_Book(None if m is None else WeightField(cfield, m)) for m in ms]
     s, t = exact_time(cfield, s), exact_time(cfield, t)
     if not s < t:
         raise ValueError("need s < t")
     window = default_window(cfield, t)
     exact = cfield.exact
     state_tol = 0 if exact else 1e-12
-    books = [_Book(w) for w in weights]
     known = {}     # jump state -> its _JumpTerms, for this walk
 
     def terms_at(state):
@@ -790,17 +805,11 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
                         f"event t={t}: weighted norm increased by {end_gap}"
                     )
 
-        zero = 0
-        decay_lax = sum((r.lax_rate * r.duration for r in intervals), start=zero)
-        decay_sf = sum((r.slow_fast_rate * r.duration for r in intervals),
-                       start=zero)
-        gain_rs_main = sum((r.rs_main_rate * r.duration for r in intervals),
-                           start=zero)
-        gain_rs_b = sum((r.rs_b_rate * r.duration for r in intervals),
-                        start=zero)
-        flux_total = sum((r.flux_rate * r.duration for r in intervals),
-                         start=zero)
-        drop_total = sum((d for _, d in event_drops), start=zero)
+        decay_lax, decay_sf, gain_rs_main, gain_rs_b, flux_total = (
+            _integral(intervals, name) for name in (
+                "lax_rate", "slow_fast_rate", "rs_main_rate", "rs_b_rate",
+                "flux_rate"))
+        drop_total = sum((d for _, d in event_drops), start=0)
         predicted = (
             n_start - decay_lax - decay_sf + gain_rs_main + gain_rs_b
             + flux_total + drop_total
@@ -841,56 +850,6 @@ def _analyze(cfield: CoefficientField, weights, s, t, tol_scale, keep=None):
             max_drift=book.drift,
         ))
     return reports, kept
-
-
-def l1_identity_report(cfield: CoefficientField, s, t,
-                       tol_scale=TOL_SCALE) -> FunctionalReport:
-    """Balance d/dt ||psi||_1 against its jump-trace decomposition.
-
-    Compressive jumps drain the norm at rate 2|a_- - lam||psi_-| each,
-    rarefaction-side jumps feed it at rate 2(lam - a_-)|psi_-|, and
-    undercompressive jumps are exactly neutral; the norm is continuous
-    across interaction events.
-    """
-    [plain], _ = _analyze(cfield, [None], s, t, tol_scale)
-    return plain
-
-
-def weighted_identity_report(cfield: CoefficientField, m, s, t,
-                             tol_scale=TOL_SCALE) -> FunctionalReport:
-    """Balance the strength-weighted norm ledger over [s, t].
-
-    Between interactions the weighted norm obeys the classified trace
-    decomposition (see module docstring); at interactions the weight's
-    variation budget can shrink, giving a favorable (nonpositive) jump.
-    """
-    [weighted], _ = _analyze(cfield, [WeightField(cfield, m)], s, t,
-                             tol_scale)
-    return weighted
-
-
-def identity_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE):
-    """``(plain, [weighted per m])``: the ledger of
-    :func:`l1_identity_report` and one of :func:`weighted_identity_report`
-    per weight offset in ``ms``, booked from one timeline walk that builds
-    each slice once for all of them."""
-    (plain, *weighted), _ = _analyze(
-        cfield, [None, *(WeightField(cfield, m) for m in ms)], s, t, tol_scale)
-    return plain, weighted
-
-
-def ledger_reports(cfield: CoefficientField, kinds, m, s, t,
-                   tol_scale=TOL_SCALE, keep=None):
-    """``({kind: report}, kept)``: the ledger of each of ``kinds``
-    ("plain" as :func:`l1_identity_report`, "weighted" as
-    :func:`weighted_identity_report` with offset m) booked from one
-    timeline walk, and the slices that walk kept at the intervals
-    ``keep`` picks (see :func:`_analyze`)."""
-    kinds = [k for k in ("plain", "weighted") if k in kinds]
-    reports, kept = _analyze(
-        cfield, [None if k == "plain" else WeightField(cfield, m)
-                 for k in kinds], s, t, tol_scale, keep)
-    return dict(zip(kinds, reports)), kept
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +893,9 @@ def gain_cap_report(cfield: CoefficientField,
         ||psi(t)|| + integrated compressive decay
             <= ||psi(s)|| + boundary flux + 2 h (t-s) sup|f''| TV0.
 
-    ``plain`` is the field's plain ledger (:func:`l1_identity_report`); its
-    interval records carry every per-interval sum used here.
+    ``plain`` is the field's plain ledger (:func:`ledger_reports` with
+    ``ms = [None]``); its interval records carry every per-interval sum
+    used here.
     """
     if plain.kind != "plain":
         raise ValueError("gain_cap_report: needs the plain ledger")
@@ -944,13 +904,9 @@ def gain_cap_report(cfield: CoefficientField,
     exact = cfield.exact
     h = max(cfield.run_I.h, cfield.run_II.h)
     f2 = cfield.flux.sup_f2
-    zero = 0
-    rs_chain = zero
-    tv_psi_integral = zero
-    sup_rs_da = zero
+    rs_chain = sup_rs_da = 0
     for rec in plain.intervals:
         tv_psi = rec.tv_psi
-        tv_psi_integral += tv_psi * rec.duration
         sup_da = rec.rs_sup_da
         sup_rs_da = max(sup_rs_da, sup_da)
         rs_chain += 2 * sup_da * tv_psi * rec.duration
@@ -1003,7 +959,7 @@ def gain_cap_report(cfield: CoefficientField,
         rs_chain=rs_chain,
         rs_cap=rs_cap,
         sup_rs_da=sup_rs_da,
-        tv_psi_integral=tv_psi_integral,
+        tv_psi_integral=_integral(plain.intervals, "tv_psi"),
         identity_residual=plain.residual_global,
         chain_link_ok=chain_link_ok,
         cap_ok=cap_ok,
@@ -1110,17 +1066,15 @@ def product_inequality_check(weighted: FunctionalReport, *,
     Fan-resolution rarefaction gains enter with ``+ (2m + TV(b))`` slack per
     jump; by default the per-interval inequality is only enforced when no
     rarefaction-side jump is present (``strict=True`` forces it everywhere).
-    ``weighted`` is the field's weighted ledger
-    (:func:`weighted_identity_report`) with weight offset m.
+    ``weighted`` is the field's weighted ledger (:func:`ledger_reports`
+    with ``ms = [m]``) with weight offset m.
     """
     if weighted.kind != "weighted":
         raise ValueError("product_inequality_check: needs the weighted ledger")
     m, s, t = weighted.m, weighted.s, weighted.t
     violations = list(weighted.violations)
     exact = weighted.exact
-    zero = 0
-    lax_total = zero
-    product_total = zero
+    lax_total = 0
     interval_rates = []
     max_rate = None
     rs_present = False
@@ -1134,7 +1088,6 @@ def product_inequality_check(weighted: FunctionalReport, *,
         if max_rate is None or combined > max_rate:
             max_rate = combined
         lax_total += lax_rate * rec.duration
-        product_total += product_rate * rec.duration
         tol_rate = 0 if exact else (
             weighted.tol_scale * (1 + rec.rate_mags) * (1 + 2 * m + tva))
         enforce = strict if strict is not None else not rec.has_rs
@@ -1144,6 +1097,7 @@ def product_inequality_check(weighted: FunctionalReport, *,
                 f"product-rule rate {combined} is positive"
             )
 
+    product_total = _integral(weighted.intervals, "product_rate")
     slack = (
         weighted.norm_end - weighted.norm_start
         + lax_total + product_total
@@ -1185,8 +1139,8 @@ def refinement_study(make_run_pair, h_list, m, s, t, tol_scale=TOL_SCALE):
     for h in h_list:
         run_I, run_II = make_run_pair(h)
         cfield = CoefficientField(run_I, run_II)
-        plain, [weighted] = identity_reports(cfield, [m], s, t,
-                                             tol_scale=tol_scale)
+        (plain, weighted), _ = ledger_reports(cfield, [None, m], s, t,
+                                              tol_scale=tol_scale)
         cap = gain_cap_report(cfield, plain)
         rows.append(
             {

@@ -24,7 +24,6 @@ from .coupling import (
     CoefficientField,
     DegenerateFieldError,
     WeightField,
-    export_jumps_csv,
     jump_rows,
 )
 from .fluxes import make_flux
@@ -557,11 +556,13 @@ def _probe_slices(field, s, t):
 
 
 def _tabled(slices, field, m, table):
-    """``slices``, each passed on once its rows are in the file ``table``."""
+    """``slices``, each passed on once its rows are in the file ``table``,
+    which is closed after the last one."""
     weight = WeightField(field, m)
     for fs in slices:
         table.writelines(jump_rows(weight, fs))
         yield fs
+    table.close()
 
 
 def build_runs(spec: ScenarioSpec, h=None):
@@ -581,17 +582,22 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
     Every norm the checks read is booked by one ledger walk, before any
     check runs.  The probe slices, which the Oleinik check and the jump
     table read, are kept from that walk's stops; without a ledger one
-    forward replay stops at the probe times (:func:`_probe_slices`).  The
-    Oleinik check reads each probe slice once, in order; a replayed slice's
-    jump-table rows go to a temporary file as it passes, renamed with the
-    other outputs or removed if a check raises.  Reports keep check order.
+    forward replay stops at the probe times (:func:`_probe_slices`).  Both
+    reach the checks as one stream, read once, in order: each slice's
+    jump-table rows go to a temporary file as it passes, and what the
+    checks leave unread is drained after them, so a probe slice that
+    raises is reported like a check that raises.  The table is renamed
+    with the other outputs, or removed on an error.  Reports keep check
+    order.
     """
     spec = config if isinstance(config, ScenarioSpec) else parse_scenario(config)
     out = out_dir if out_dir is not None else spec.out
     reports = {}
     error = None
-    probes = table = finals = None
-    needed = set().union(*(LEDGER_NEEDS.get(c, ()) for c in spec.checks))
+    table = finals = None
+    kinds = [k for k in ("plain", "weighted")
+             if any(k in LEDGER_NEEDS.get(c, ()) for c in spec.checks)]
+    probed = "oleinik" in spec.checks or out is not None
     try:
         try:
             run_I, run_II = build_runs(spec)
@@ -601,22 +607,23 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
             if funnel is None:
                 bps = [*run_I.initial.breakpoints, *run_II.initial.breakpoints]
                 funnel = (min(bps) - 1, max(bps) + 1) if bps else (-1, 1)
-            ledgers = {}
-            if needed:
-                # the probe slices, read by the Oleinik check and the jump
-                # table, are kept from the ledger's walk
-                probed = "oleinik" in spec.checks or out is not None
-                ledgers, probes = ledger_reports(
-                    field, needed, spec.m, s, t, tol_scale=spec.tol_scale,
+            ledgers = probes = None
+            if kinds:
+                booked, probes = ledger_reports(
+                    field, [None if k == "plain" else spec.m for k in kinds],
+                    s, t, tol_scale=spec.tol_scale,
                     keep=_probe_gaps if probed else None)
+                ledgers = dict(zip(kinds, booked))
+            slices = ()
+            if probed:
+                slices = probes or _probe_slices(field, s, t)
+                if out is not None:
+                    Path(out).mkdir(parents=True, exist_ok=True)
+                    table = open(f"{out}/classified_jumps.csv.tmp", "w")
+                    table.write(JUMPS_HEADER)
+                    slices = _tabled(slices, field, spec.m, table)
             for name in spec.checks:
                 if name == "oleinik":
-                    slices = probes or _probe_slices(field, s, t)
-                    if out is not None and not probes:
-                        Path(out).mkdir(parents=True, exist_ok=True)
-                        table = open(f"{out}/classified_jumps.csv.tmp", "w")
-                        table.write(JUMPS_HEADER)
-                        slices = _tabled(slices, field, spec.m, table)
                     reports[name] = oleinik_report(field, slices,
                                                    spec.tol_scale)
                 elif name == "l1":
@@ -634,6 +641,8 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
                 elif name == "max_principle":
                     reports[name] = maximum_principle_check(field, funnel, t)
             if out is not None:
+                for _ in slices:    # the table rows no check read
+                    pass
                 # samples, not a slice: a cross-run crossing may sit at t
                 finals = run_I.sample(t), run_II.sample(t)
         except (DegenerateFieldError, RuntimeError, ValueError) as exc:
@@ -643,8 +652,8 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
         result = ScenarioResult(spec=spec, reports=reports, passed=passed,
                                 error=error, out_dir=out)
         if out is not None:
-            _write_outputs(result, field if error is None else None, probes,
-                           table, finals)
+            _write_outputs(result, field if error is None else None, table,
+                           finals)
         return result
     finally:
         if table is not None:       # gone once renamed into place
@@ -652,26 +661,20 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
             Path(table.name).unlink(missing_ok=True)
 
 
-def _write_outputs(result: ScenarioResult, field, probes, table, finals):
+def _write_outputs(result: ScenarioResult, field, table, finals):
     out = Path(result.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = result.spec
     _write_json(out / "summary.json", result.summary())
     for name, rep in result.reports.items():
         _write_json(out / f"report_{name}.json", rep)
     if field is None:
         return
-    run_I, run_II, t = field.run_I, field.run_II, spec.t_end
+    run_I, run_II, t = field.run_I, field.run_II, result.spec.t_end
     for label, run in (("run_I", run_I), ("run_II", run_II)):
         with _atomic_open(out / f"{label}_waves.csv") as f:
             run.export_wave_csv(f, t)
-    if table is not None:   # the Oleinik check wrote the rows as it read
-        table.close()
-        os.replace(table.name, out / "classified_jumps.csv")
-    else:
-        with _atomic_open(out / "classified_jumps.csv") as f:
-            export_jumps_csv(WeightField(field, spec.m), probes
-                             or _probe_slices(field, spec.t_start, t), f)
+    # closed once every probe slice passed
+    os.replace(table.name, out / "classified_jumps.csv")
     u1_final, u2_final = finals
     profiles = {
         "u1_initial": run_I.initial.as_dict(),

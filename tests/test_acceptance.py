@@ -24,8 +24,7 @@ from wavetrack import (
     backward_characteristic,
     burgers_flux,
     forward_characteristic,
-    identity_reports,
-    l1_identity_report,
+    ledger_reports,
     maximum_principle_check,
     monotonicity_report,
     oleinik_report,
@@ -33,7 +32,6 @@ from wavetrack import (
     random_scenario_pair,
     refinement_study,
     secant_speed,
-    weighted_identity_report,
 )
 
 FLUX = burgers_flux()
@@ -73,7 +71,7 @@ def _rational_suite():
 
 def _plain_reports():
     if "plain" not in _CACHE:
-        _CACHE["plain"] = [l1_identity_report(cf, 0.0, HORIZON)
+        _CACHE["plain"] = [ledger_reports(cf, [None], 0.0, HORIZON)[0][0]
                            for cf in _float_suite()]
     return _CACHE["plain"]
 
@@ -113,7 +111,7 @@ def test_criterion_01_plain_ledger(capsys):
                 problems.append(
                     f"interval residual {rec.residual_norm} > {bound}")
     for cf in _rational_suite():
-        rep = l1_identity_report(cf, Fraction(0), Fraction(2))
+        [rep], _ = ledger_reports(cf, [None], Fraction(0), Fraction(2))
         if not rep.passed:
             problems.append(rep.violations[0])
         if rep.residual_global != 0:
@@ -134,7 +132,8 @@ def test_criterion_02_weighted_ledger(capsys):
     problems = []
     for cf in _float_suite():
         ms = (0.0, 1.0, 100.0)
-        plain, weighted = identity_reports(cf, ms, 0.0, HORIZON)
+        (plain, *weighted), _ = ledger_reports(cf, [None, *ms], 0.0,
+                                               HORIZON)
         base = plain.norm_start
         for m, rep in zip(ms, weighted):
             if not rep.passed:
@@ -145,7 +144,8 @@ def test_criterion_02_weighted_ledger(capsys):
     closed_checked = 0
     for cf in _rational_suite():
         ms = (Fraction(0), Fraction(1), Fraction(100))
-        _, weighted = identity_reports(cf, ms, Fraction(0), Fraction(2))
+        (_, *weighted), _ = ledger_reports(cf, [None, *ms], Fraction(0),
+                                           Fraction(2))
         for m, rep in zip(ms, weighted):
             if not rep.passed or rep.residual_global != 0:
                 problems.append(f"rational m={m}: ledger not exact")
@@ -188,7 +188,7 @@ def test_criterion_02_weighted_ledger(capsys):
 def test_criterion_03_hand_oracles(capsys):
     problems = []
     slow_cf = _pair_field(Profile([0.0], [2.0, 0.0]), Profile.constant(3.0))
-    rep = weighted_identity_report(slow_cf, 1.0, 0.0, HORIZON)
+    [rep], _ = ledger_reports(slow_cf, [1.0], 0.0, HORIZON)
     rate = rep.intervals[0].interior_rate
     if abs(rate - (-3.0)) > 1e-10:
         problems.append(f"slow-jump weighted rate {rate} != -3")
@@ -196,7 +196,7 @@ def test_criterion_03_hand_oracles(capsys):
         problems.append(rep.violations[0])
 
     lax_cf = _pair_field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
-    rep = l1_identity_report(lax_cf, 0.0, HORIZON)
+    [rep], _ = ledger_reports(lax_cf, [None], 0.0, HORIZON)
     rate = rep.intervals[0].interior_rate
     if abs(rate - (-1.0)) > 1e-10:
         problems.append(f"standing-shock plain rate {rate} != -1")
@@ -251,8 +251,9 @@ def test_criterion_04_gain_cap_ladder(capsys):
 def test_criterion_05_shock_only_monotone(capsys):
     problems = []
     for cf in _shock_suite():
-        rep = monotonicity_report(l1_identity_report(cf, 0.0, HORIZON),
-                                  weighted_identity_report(cf, 1.0, 0.0, HORIZON))
+        [plain], _ = ledger_reports(cf, [None], 0.0, HORIZON)
+        [weighted], _ = ledger_reports(cf, [1.0], 0.0, HORIZON)
+        rep = monotonicity_report(plain, weighted)
         if not rep.passed:
             problems.append(rep.violations[0])
         if rep.rs_gain_plain != 0 or rep.rs_gain_weighted != 0:
@@ -414,8 +415,8 @@ def test_criterion_09_characteristic_funnel(capsys):
 def test_criterion_10_product_inequality(capsys):
     problems = []
     for cf in _shock_suite():
-        rep = product_inequality_check(
-            weighted_identity_report(cf, 1.0, 0.0, HORIZON), strict=True)
+        [weighted], _ = ledger_reports(cf, [1.0], 0.0, HORIZON)
+        rep = product_inequality_check(weighted, strict=True)
         if not rep.passed:
             problems.append(rep.violations[0])
         if rep.rs_present:
@@ -425,8 +426,8 @@ def test_criterion_10_product_inequality(capsys):
 
     # slow-jump oracle: the product atom carries exactly +3 per unit time
     slow_cf = _pair_field(Profile([0.0], [2.0, 0.0]), Profile.constant(3.0))
-    rep = product_inequality_check(
-        weighted_identity_report(slow_cf, 1.0, 0.0, HORIZON))
+    [weighted], _ = ledger_reports(slow_cf, [1.0], 0.0, HORIZON)
+    rep = product_inequality_check(weighted)
     atom_rate = rep.product_total / HORIZON
     if abs(atom_rate - 3.0) > 1e-10:
         problems.append(f"slow-jump product atom {atom_rate} != 3")
@@ -436,8 +437,8 @@ def test_criterion_10_product_inequality(capsys):
 
     # standing-shock oracle: half a unit of negative slack per unit time
     lax_cf = _pair_field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
-    rep = product_inequality_check(
-        weighted_identity_report(lax_cf, 1.0, 0.0, HORIZON))
+    [weighted], _ = ledger_reports(lax_cf, [1.0], 0.0, HORIZON)
+    rep = product_inequality_check(weighted)
     _, _, rate = rep.interval_rates[0]
     if abs(rate - (-0.5)) > 1e-10:
         problems.append(f"standing-shock product rate {rate} != -0.5")
@@ -445,10 +446,10 @@ def test_criterion_10_product_inequality(capsys):
     # the uniform-factor decay recovers the plain identity as m grows
     big_cf = _pair_field(Profile([0.0, 5.0], [1.0, -1.0, -1.5]),
                          Profile.constant(0.0))
-    plain = l1_identity_report(big_cf, 0.0, HORIZON)
+    [plain], _ = ledger_reports(big_cf, [None], 0.0, HORIZON)
     devs = {}
     for m in (1e3, 1e6):
-        w = weighted_identity_report(big_cf, m, 0.0, HORIZON)
+        [w], _ = ledger_reports(big_cf, [m], 0.0, HORIZON)
         if not w.passed:
             problems.append(f"m={m}: {w.violations[0]}")
         devs[m] = abs(w.decay_lax / m - plain.decay_lax)

@@ -19,7 +19,7 @@ from wavetrack import (
     burgers_flux,
     export_paths_csv,
     forward_characteristic,
-    l1_identity_report,
+    ledger_reports,
     maximum_principle_check,
     oleinik_report,
     parse_scenario,
@@ -323,7 +323,7 @@ def test_walks_refuse_times_outside_the_runs_span():
     for call in (lambda: forward_characteristic(field, -0.5, 0, 5),
                  lambda: maximum_principle_check(field, (-1, 2), 5),
                  lambda: field.at(-1),
-                 lambda: l1_identity_report(field, -1, 0.2),
+                 lambda: ledger_reports(field, [None], -1, 0.2),
                  lambda: backward_characteristic(field, 0.0, 0.2, t_stop=-1)):
         with pytest.raises(ValueError, match="outside the evolved span"):
             call()

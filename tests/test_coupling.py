@@ -28,7 +28,7 @@ from wavetrack.coupling import (
 )
 from wavetrack.characteristics import oleinik_report
 from wavetrack.fluxes import burgers_flux
-from wavetrack.functional import identity_reports
+from wavetrack.functional import ledger_reports
 from wavetrack.profiles import Profile, profile_difference
 from wavetrack.rational import Q
 from wavetrack import scenarios
@@ -147,7 +147,7 @@ def test_a_pair_made_mid_walk_is_checked_for_coinciding_fronts():
     # the ledgers walk the same stops; only the endpoint slice at t = 2,
     # which is degenerate too, is left to extrapolation
     with pytest.raises(DegenerateFieldError, match="x=0 \\(t=3/2\\)"):
-        identity_reports(field, [1], 0, 2)
+        ledger_reports(field, [None, 1], 0, 2)
 
 
 def test_cross_run_crossing_appears_in_event_times():
@@ -312,7 +312,7 @@ def test_seed_4_float_ledgers_agree_with_exact_mode():
     exact = _field(p1, p2, h=Fraction(1, 10), horizon=Fraction(2), exact=True)
     reports = {}
     for mode, field in (("float", _seed_4_float_copy()), ("exact", exact)):
-        plain, [weighted] = identity_reports(field, [1], 0, 2)
+        (plain, weighted), _ = ledger_reports(field, [None, 1], 0, 2)
         assert plain.passed and weighted.passed
         assert len(plain.intervals) == len(weighted.intervals) == 4
         reports[mode] = plain
@@ -752,8 +752,8 @@ def test_one_walk_classifies_each_state_once():
     cfg = dict(_sine_pair_config(8, 0.1), checks=["l1", "weighted"], m=1)
     spec = parse_scenario(cfg)
     field = CoefficientField(*build_runs(spec))
-    plain, [weighted] = identity_reports(field, [spec.m], spec.t_start,
-                                         spec.t_end)
+    (plain, weighted), _ = ledger_reports(field, [None, spec.m],
+                                          spec.t_start, spec.t_end)
     intervals = len(field.event_times(0.0, 2.0)) + 1
     assert len(plain.intervals) == len(weighted.intervals) == intervals
     stats = field.stats

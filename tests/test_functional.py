@@ -23,8 +23,7 @@ from wavetrack import (
     classify,
     default_window,
     gain_cap_report,
-    identity_reports,
-    l1_identity_report,
+    ledger_reports,
     monotonicity_report,
     product_inequality_check,
     profile_difference,
@@ -32,7 +31,6 @@ from wavetrack import (
     random_scenario_pair,
     refinement_study,
     run_scenario,
-    weighted_identity_report,
 )
 from wavetrack import functional, scenarios
 from wavetrack.coupling import (
@@ -123,7 +121,8 @@ def test_default_window_covers_fronts():
         cf = CoefficientField(*runs)
         for t0, t1, fs in oracle.slices(cf, num(0), num(2)):
             assert fs.jumps == ()
-        plain, [weighted] = identity_reports(cf, [num(1)], num(0), num(2))
+        (plain, weighted), _ = ledger_reports(cf, [None, num(1)], num(0),
+                                              num(2))
         for rep, digest in zip((plain, weighted), digests):
             assert rep.passed
             assert rep.norm_start == rep.norm_end == 1
@@ -132,7 +131,7 @@ def test_default_window_covers_fronts():
 
 
 def test_lax_plain_ledger():
-    rep = l1_identity_report(_lax_field(), 0.0, 2.0)
+    [rep], _ = ledger_reports(_lax_field(), [None], 0.0, 2.0)
     assert rep.passed
     assert rep.norm_start == pytest.approx(18.0)
     assert rep.norm_end == pytest.approx(18.0)
@@ -155,7 +154,7 @@ def test_lax_plain_ledger():
 def test_lax_weighted_ledger():
     # with m = 1 the weight is identically one here (the variation budget
     # splits evenly around the shock), so the weighted ledger must agree
-    rep = weighted_identity_report(_lax_field(), 1.0, 0.0, 2.0)
+    [rep], _ = ledger_reports(_lax_field(), [1.0], 0.0, 2.0)
     assert rep.passed
     assert rep.norm_start == pytest.approx(18.0)
     assert rep.decay_lax == pytest.approx(2.0)
@@ -166,7 +165,8 @@ def test_lax_weighted_ledger():
 
 
 def test_norm_sequence_is_time_ordered():
-    seq = l1_identity_report(_lax_field(), 0.0, 2.0).norm_sequence()
+    [rep], _ = ledger_reports(_lax_field(), [None], 0.0, 2.0)
+    seq = rep.norm_sequence()
     times = [t for t, _ in seq]
     assert times == sorted(times)
     assert times[0] == 0.0 and times[-1] == 2.0
@@ -175,7 +175,7 @@ def test_norm_sequence_is_time_ordered():
 def test_slow_jump_rates():
     """An undercompressive jump moves norm through the window edges only."""
     cf = _slow_field()
-    weighted = weighted_identity_report(cf, 1.0, 0.0, 2.0)
+    [weighted], _ = ledger_reports(cf, [1.0], 0.0, 2.0)
     assert weighted.passed
     rec = weighted.intervals[0]
     assert rec.interior_rate == pytest.approx(-3.0)
@@ -183,7 +183,7 @@ def test_slow_jump_rates():
     assert rec.flux_rate == pytest.approx(3.0)
     assert rec.slope_measured == pytest.approx(0.0, abs=1e-10)
 
-    plain = l1_identity_report(cf, 0.0, 2.0)
+    [plain], _ = ledger_reports(cf, [None], 0.0, 2.0)
     assert plain.passed
     rec = plain.intervals[0]
     assert rec.interior_rate == pytest.approx(0.0, abs=1e-12)
@@ -193,7 +193,7 @@ def test_slow_jump_rates():
 
 def test_merge_event_keeps_plain_norm_continuous():
     cf = _field(Profile([0.0, 1.0], [1.0, 0.0, -1.0]), Profile.constant(0.0))
-    rep = l1_identity_report(cf, 0.0, 2.0)
+    [rep], _ = ledger_reports(cf, [None], 0.0, 2.0)
     assert rep.passed
     assert len(rep.intervals) == 2
     assert len(rep.event_drops) == 1
@@ -207,7 +207,7 @@ def test_fan_cancellation_drops_weighted_norm():
     # shrinks there, so the weighted norm may only jump downward
     cf = _field(Profile([0.0, 0.5], [0.5, -0.5, 0.5]), Profile.constant(0.0),
                 h=0.4)
-    weighted = weighted_identity_report(cf, 1.0, 0.0, 2.0)
+    [weighted], _ = ledger_reports(cf, [1.0], 0.0, 2.0)
     assert weighted.passed
     assert len(weighted.event_drops) == 1
     when, drop = weighted.event_drops[0]
@@ -215,7 +215,7 @@ def test_fan_cancellation_drops_weighted_norm():
     assert drop < -1e-6
     assert weighted.drop_total == pytest.approx(drop)
 
-    plain = l1_identity_report(cf, 0.0, 2.0)
+    [plain], _ = ledger_reports(cf, [None], 0.0, 2.0)
     assert plain.passed
     assert plain.event_drops[0][1] == pytest.approx(0.0, abs=1e-9)
     # before the collision all four jump kinds coexist in this field
@@ -230,14 +230,15 @@ def test_exact_mode_closes_ledger_exactly():
         Profile.constant(Fraction(0)),
         h=Fraction(1, 10), horizon=Fraction(2), exact=True,
     )
-    rep = l1_identity_report(cf, Fraction(0), Fraction(2))
+    [rep], _ = ledger_reports(cf, [None], Fraction(0), Fraction(2))
     assert rep.passed
     assert rep.tol_norm == 0
     assert rep.residual_global == 0
     assert isinstance(rep.residual_global, Fraction)
     assert rep.norm_start == Fraction(18)
 
-    weighted = weighted_identity_report(cf, Fraction(1), Fraction(0), Fraction(2))
+    [weighted], _ = ledger_reports(cf, [Fraction(1)], Fraction(0),
+                                   Fraction(2))
     assert weighted.passed
     assert weighted.residual_global == 0
     assert weighted.event_drops == [(Fraction(1), Fraction(0))]
@@ -247,7 +248,7 @@ def test_norm_matches_l1_for_compact_difference():
     p1 = Profile([0.0, 1.0], [1.0, 0.0, 1.0])
     p2 = Profile.constant(1.0)
     cf = _field(p1, p2)
-    rep = l1_identity_report(cf, 0.0, 2.0)
+    [rep], _ = ledger_reports(cf, [None], 0.0, 2.0)
     assert rep.norm_start == pytest.approx(l1_norm(profile_difference(p2, p1)))
     assert rep.norm_start == pytest.approx(1.0)
 
@@ -256,7 +257,8 @@ def test_gain_cap_fan_ladder():
     """The rarefaction-side budget shrinks linearly with the fan increment."""
     for h in (0.2, 0.1, 0.05):
         cf = _fan_field(h)
-        cap = gain_cap_report(cf, l1_identity_report(cf, 0.0, 2.0))
+        [plain], _ = ledger_reports(cf, [None], 0.0, 2.0)
+        cap = gain_cap_report(cf, plain)
         assert cap.passed
         assert cap.chain_link_ok and cap.cap_ok
         assert cap.sup_rs_da == pytest.approx(h / 2, rel=1e-9)
@@ -267,15 +269,18 @@ def test_gain_cap_fan_ladder():
 
 
 def test_gain_cap_sees_actual_gain_shrink():
-    gains = [gain_cap_report(cf, l1_identity_report(cf, 0.0, 2.0)).gain_rs
-             for cf in map(_fan_field, (0.2, 0.1, 0.05))]
+    gains = []
+    for cf in map(_fan_field, (0.2, 0.1, 0.05)):
+        [plain], _ = ledger_reports(cf, [None], 0.0, 2.0)
+        gains.append(gain_cap_report(cf, plain).gain_rs)
     assert gains[0] > gains[1] > gains[2] > 0
 
 
 def test_monotonicity_without_rarefaction_jumps():
     cf = _lax_field()
-    rep = monotonicity_report(l1_identity_report(cf, 0.0, 2.0),
-                              weighted_identity_report(cf, 1.0, 0.0, 2.0))
+    [plain], _ = ledger_reports(cf, [None], 0.0, 2.0)
+    [weighted], _ = ledger_reports(cf, [1.0], 0.0, 2.0)
+    rep = monotonicity_report(plain, weighted)
     assert rep.passed
     assert rep.rs_gain_plain == pytest.approx(0.0, abs=1e-12)
     assert rep.rs_gain_weighted == pytest.approx(0.0, abs=1e-12)
@@ -286,8 +291,8 @@ def test_monotonicity_without_rarefaction_jumps():
 def test_product_rule_lax_rate():
     # interior -1, uniform lax factor (2m + TV(a)) = 3 on decay 0.5, and a
     # signed product atom -1 leave half a unit of negative slack per time
-    rep = product_inequality_check(
-        weighted_identity_report(_lax_field(), 1.0, 0.0, 2.0))
+    [weighted], _ = ledger_reports(_lax_field(), [1.0], 0.0, 2.0)
+    rep = product_inequality_check(weighted)
     assert rep.passed
     assert not rep.rs_present
     assert len(rep.interval_rates) == 1
@@ -308,8 +313,8 @@ def test_product_oracle_equals_the_booked_product_atoms():
     checked = 0
     for seed in range(7000, 7005):
         cf = _exact_field(seed)
-        rep = weighted_identity_report(cf, Fraction(1), Fraction(0),
-                                       Fraction(2))
+        [rep], _ = ledger_reports(cf, [Fraction(1)], Fraction(0),
+                                  Fraction(2))
         for rec in rep.intervals:
             mid = rec.t_start + rec.duration / 2
             u_I, u_II = cf.run_I.sample(mid), cf.run_II.sample(mid)
@@ -323,8 +328,8 @@ def test_product_oracle_equals_the_booked_product_atoms():
 
 
 def test_product_rule_undercompressive_is_tight():
-    rep = product_inequality_check(
-        weighted_identity_report(_slow_field(), 1.0, 0.0, 2.0))
+    [weighted], _ = ledger_reports(_slow_field(), [1.0], 0.0, 2.0)
+    rep = product_inequality_check(weighted)
     assert rep.passed
     _, _, rate = rep.interval_rates[0]
     assert rate == pytest.approx(0.0, abs=1e-12)
@@ -332,7 +337,7 @@ def test_product_rule_undercompressive_is_tight():
 
 
 def test_product_rule_strict_flag():
-    weighted = weighted_identity_report(_fan_field(0.2), 1.0, 0.0, 2.0)
+    [weighted], _ = ledger_reports(_fan_field(0.2), [1.0], 0.0, 2.0)
     default = product_inequality_check(weighted)
     assert default.rs_present
     assert default.passed
@@ -357,7 +362,8 @@ def test_refinement_study_rows():
 
 
 def test_report_serializes():
-    d = l1_identity_report(_lax_field(), 0.0, 2.0).to_dict()
+    [rep], _ = ledger_reports(_lax_field(), [None], 0.0, 2.0)
+    d = rep.to_dict()
     assert d["kind"] == "plain"
     assert d["passed"] is True
     assert len(d["intervals"]) == 1
@@ -379,9 +385,9 @@ def test_probe_norms_match_fresh_slices_exactly():
                                       rational=True)
         cf = _field(p1, p2, h=Fraction(1, 10), horizon=Fraction(2), exact=True)
         weight = WeightField(cf, Fraction(1))
-        plain = l1_identity_report(cf, Fraction(0), Fraction(2))
-        weighted = weighted_identity_report(cf, Fraction(1), Fraction(0),
-                                            Fraction(2))
+        [plain], _ = ledger_reports(cf, [None], Fraction(0), Fraction(2))
+        [weighted], _ = ledger_reports(cf, [Fraction(1)], Fraction(0),
+                                       Fraction(2))
         for rep, wf in ((plain, None), (weighted, weight)):
             for rec in rep.intervals:
                 for tau, norm in (
@@ -405,8 +411,8 @@ def test_rates_match_the_per_jump_trace_form_exactly():
     kinds = set()
     for cf in [*map(_exact_field, range(7000, 7005)), fan]:
         weight = WeightField(cf, one)
-        plain, [weighted] = identity_reports(cf, [one], Fraction(0),
-                                             Fraction(2))
+        (plain, weighted), _ = ledger_reports(cf, [None, one], Fraction(0),
+                                              Fraction(2))
         for rep in (plain, weighted):
             for rec in rep.intervals:
                 mid = rec.t_start + rec.duration / 2
@@ -450,8 +456,8 @@ def _both_bookings(cf, m, s, t):
     out = []
     for stride in (functional._RESUM_STRIDE, 1):
         with mock.patch.object(functional, "_RESUM_STRIDE", stride):
-            plain, weighted = identity_reports(cf, [m], s, t)
-        out.append([plain, *weighted])
+            reports, _ = ledger_reports(cf, [None, m], s, t)
+        out.append(reports)
     return out
 
 
@@ -545,7 +551,7 @@ def _own_event_bookings(cf, m, s, t):
             seen.append((len(book.intervals), vals))
         return vals
     with mock.patch.object(functional, "_book_delta", spy):
-        identity_reports(cf, [m], s, t)
+        ledger_reports(cf, [None, m], s, t)
     return seen
 
 
@@ -573,7 +579,7 @@ def test_own_events_book_the_weighted_ledger_as_a_resum_does():
     for cf, m, s, t in fields:
         seen = _own_event_bookings(cf, m, s, t)
         with mock.patch.object(functional, "_RESUM_STRIDE", 1):
-            _, [resummed] = identity_reports(cf, [m], s, t)
+            (_, resummed), _ = ledger_reports(cf, [None, m], s, t)
         for i, vals in seen:
             rec = resummed.intervals[i]
             again = (rec.norm_probe_lo, rec.norm_probe_hi, rec.interior_rate,
@@ -586,8 +592,8 @@ def test_own_events_book_the_weighted_ledger_as_a_resum_does():
 
 def test_sine_pair_books_most_intervals_by_delta():
     spec, cf = _spec_field(dict(_sine_pair_config(8, 0.1), m=1))
-    plain, [weighted] = identity_reports(cf, [spec.m], spec.t_start,
-                                         spec.t_end)
+    (plain, weighted), _ = ledger_reports(cf, [None, spec.m], spec.t_start,
+                                          spec.t_end)
     for rep in (plain, weighted):
         assert rep.delta_booked + rep.resummed == len(rep.intervals)
         assert 2 * rep.delta_booked >= len(rep.intervals)
@@ -600,7 +606,7 @@ def test_exact_pair_books_own_events_by_delta():
     # a re-sum books it, and re-sum only the first, the last and the
     # _RESUM_STRIDE-th interval in a row
     cf = _exact_field(7001)
-    plain, [weighted] = identity_reports(cf, [1], 0, 2)
+    (plain, weighted), _ = ledger_reports(cf, [None, 1], 0, 2)
     for rep in (plain, weighted):
         assert len(rep.intervals) == 27
         assert rep.delta_booked + rep.resummed == len(rep.intervals)
@@ -608,11 +614,12 @@ def test_exact_pair_books_own_events_by_delta():
 
 
 def _same_reports(cf, m, s, t, tol_scale):
-    plain, [weighted] = identity_reports(cf, [m], s, t, tol_scale=tol_scale)
-    assert plain.to_dict() == l1_identity_report(
-        cf, s, t, tol_scale=tol_scale).to_dict()
-    assert weighted.to_dict() == weighted_identity_report(
-        cf, m, s, t, tol_scale=tol_scale).to_dict()
+    (plain, weighted), _ = ledger_reports(cf, [None, m], s, t,
+                                          tol_scale=tol_scale)
+    [alone], _ = ledger_reports(cf, [None], s, t, tol_scale=tol_scale)
+    assert plain.to_dict() == alone.to_dict()
+    [alone], _ = ledger_reports(cf, [m], s, t, tol_scale=tol_scale)
+    assert weighted.to_dict() == alone.to_dict()
     return plain, weighted
 
 
@@ -678,9 +685,9 @@ def test_ledger_starting_on_a_degenerate_slice():
                 horizon=3 * one, exact=True)
     with pytest.raises(DegenerateFieldError):
         cf.at(2 * one)
-    plain, weighted = identity_reports(cf, [one], 2, 3)
-    whole_plain, whole_weighted = identity_reports(cf, [one], 0, 3)
-    for rep, whole in zip((plain, *weighted), (whole_plain, *whole_weighted)):
+    (plain, weighted), _ = ledger_reports(cf, [None, one], 2, 3)
+    wholes, _ = ledger_reports(cf, [None, one], 0, 3)
+    for rep, whole in zip((plain, weighted), wholes):
         assert rep.passed
         [after] = [r for r in whole.intervals if r.t_start == 2]
         assert rep.norm_start == after.norm_at(2)
@@ -692,13 +699,13 @@ def test_exact_field_takes_int_endpoints_as_fractions():
     # change at t = 0
     for seed in (4, 22):
         cf = _exact_field(seed)
-        plain, [weighted] = identity_reports(cf, [1], 0, 2)
+        (plain, weighted), _ = ledger_reports(cf, [None, 1], 0, 2)
         assert plain.passed and weighted.passed
         assert plain.s == 0 and isinstance(plain.s, Fraction)
         assert all(isinstance(rec.t_start, Fraction)
                    for rec in plain.intervals)
         with pytest.raises(ValueError, match="exact field"):
-            l1_identity_report(cf, 0.0, 2)
+            ledger_reports(cf, [None], 0.0, 2)
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
@@ -741,7 +748,7 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
     monkeypatch.setattr(CoefficientField, "walk",
                         lambda self, bounds, reverse=False:
                         iter([(bounds[0], bounds[-1], stop)]))
-    plain = l1_identity_report(cf, 0, 2)
+    [plain], _ = ledger_reports(cf, [None], 0, 2)
     assert "t=1: trace sign table violated at x=0 (lax)" in plain.violations
 
 
@@ -842,11 +849,11 @@ def test_a_planted_ledger_defect_fails_a_check(monkeypatch, defect):
     # weighted ledger fails
     for name in _DEFECT_PAIRS[defect]:
         cf, m, s, t = _defect_pair(name)
-        plain, [weighted] = identity_reports(cf, [m], s, t)
+        (plain, weighted), _ = ledger_reports(cf, [None, m], s, t)
         assert plain.passed and weighted.passed, name
         with monkeypatch.context() as mp:
             _plant(mp, defect)
-            plain, [weighted] = identity_reports(cf, [m], s, t)
+            (plain, weighted), _ = ledger_reports(cf, [None, m], s, t)
         assert not (plain.passed and weighted.passed), name
         if defect != "sign_table":
             continue
@@ -889,12 +896,12 @@ def test_a_planted_defect_fires_each_gain_cap_and_weight_rule(monkeypatch,
     pairs, texts = _RULE_DEFECTS[defect]
     for name in pairs:
         cf, m, s, t = _defect_pair(name)
-        plain, [weighted] = identity_reports(cf, [m], s, t)
+        (plain, weighted), _ = ledger_reports(cf, [None, m], s, t)
         assert (plain.passed and weighted.passed
                 and gain_cap_report(cf, plain).passed), name
         with monkeypatch.context() as mp:
             _plant(mp, defect)
-            plain, [weighted] = identity_reports(cf, [m], s, t)
+            (plain, weighted), _ = ledger_reports(cf, [None, m], s, t)
             violations = (weighted.violations
                           + gain_cap_report(cf, plain).violations)
         for text in texts:

@@ -217,9 +217,9 @@ def test_an_exact_run_from_plain_fractions_holds_only_q():
     runs = [FrontTrackingRun(burgers_flux(), p, Fraction(1, 10), exact=True)
             .evolve(Fraction(2)) for p in (p1, p2)]
     field = CoefficientField(*runs)
-    reports, probes = ledger_reports(field, {"plain", "weighted"},
-                                     Fraction(1), Fraction(0), Fraction(2),
-                                     keep=lambda n: range(n))
+    booked, probes = ledger_reports(field, [None, Fraction(1)], Fraction(0),
+                                    Fraction(2), keep=lambda n: range(n))
+    reports = dict(zip(("plain", "weighted"), booked))
     reports["max_principle"] = maximum_principle_check(
         field, (Fraction(-4), Fraction(4)), Fraction(2))
     seen = Counter()

@@ -471,6 +471,19 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(data["rows"]) == 2
 
 
+def test_rational_sweep_bytes_are_pinned(tmp_path):
+    # the sweep of an acceptance rational pair at two fan increments: its
+    # rows are exact, so any byte of sweep.json that moves is a change of
+    # behaviour of the ledgers or of the gain cap
+    cfg = dict(random_scenario_config(7001, rational=True),
+               h_list=["1/5", "1/10"])
+    run_sweep(cfg, out_dir=str(tmp_path))
+    data = (tmp_path / "sweep.json").read_bytes()
+    assert len(data) == 638
+    assert hashlib.sha256(data).hexdigest() == (
+        "0778f52fd8176e82501dc5a44846b7291269b15ff2d09d12ac77892819e98609")
+
+
 def test_sweep_requires_h_list():
     with pytest.raises(ScenarioConfigError, match="h_list"):
         run_sweep(_basic_config())
@@ -666,14 +679,16 @@ def _max_principle_raises(*args):
     (["oleinik"], "CoefficientField", _ThirdProbeRaises, "Perturb"),
     (["oleinik", "max_principle"], "maximum_principle_check",
      _max_principle_raises, "planted"),
+    ([], "CoefficientField", _ThirdProbeRaises, "Perturb"),
 ])
 def test_a_check_that_raises_leaves_no_jump_table(tmp_path, monkeypatch,
                                                    checks, attr, stand_in,
                                                    error):
     # without a ledger the jump table's rows are written as the Oleinik
-    # check reads the probe slices; a check that raises, on the third probe
-    # slice or after the last one, leaves the error in summary.json and
-    # neither the table nor a temporary file
+    # check reads the probe slices, or after the checks when no check reads
+    # them; a probe slice or a check that raises, on the third probe slice
+    # or after the last one, leaves the error in summary.json and neither
+    # the table nor a temporary file
     monkeypatch.setattr(scenarios, attr, stand_in)
     out = tmp_path / "out"
     result = run_scenario(dict(_sine_config(8, 0.2), checks=checks),
