@@ -2,10 +2,10 @@
 
 Three short experiments on a coupled run pair:
 
-1. one-sided compression check (and a planted violation on a static field),
-2. forward and backward characteristics through the coefficient field,
-3. the maximum principle for an ordered pair: sign propagation through a
-   funnel plus conservation of the mass between backward extremal paths.
+1. one-sided compression check,
+2. the maximum principle for an ordered pair: sign propagation through a
+   funnel plus conservation of the mass between backward extremal paths,
+3. the characteristics that check traced through the coefficient field.
 """
 
 import io
@@ -14,11 +14,8 @@ from wavetrack import (
     CoefficientField,
     FrontTrackingRun,
     Profile,
-    StaticField,
-    backward_characteristic,
     burgers_flux,
     export_paths_csv,
-    forward_characteristic,
     maximum_principle_check,
     oleinik_report,
 )
@@ -41,24 +38,6 @@ def main():
     print("  coupled field: shock violations =", len(rep.shock_violations),
           " fan allowance =", rep.fan_allowance)
 
-    planted = StaticField([(0.0, 0.0)], [-0.5, 0.5])
-    bad = oleinik_report(planted, [1.0])
-    print("  planted expanding jump: violations =",
-          len(bad.shock_violations), "->", bad.shock_violations[0][-1])
-
-    print()
-    print("== characteristics through the coefficient field")
-    fwd = forward_characteristic(cfield, -1.5, 0.0, 2.0)
-    print("  forward from x=-1.5:", len(fwd.segments), "segment(s),"
-          " ends at x =", round(fwd.vertices()[-1][1], 4))
-    back = backward_characteristic(cfield, 0.8, 2.0, extremal="min")
-    print("  backward from (0.8, t=2): foot at x =",
-          round(back.start_position, 4))
-
-    buf = io.StringIO()
-    export_paths_csv([fwd, back], buf)
-    print("  exported CSV rows:", len(buf.getvalue().splitlines()) - 1)
-
     print()
     print("== maximum principle on an ordered pair")
     mp = maximum_principle_check(cfield, (-1.0, 1.0), 2.0)
@@ -66,6 +45,22 @@ def main():
     print("  mass drift between backward paths:",
           f"{mp.conservation_drift:.3e}")
     print("  passed:", mp.passed)
+
+    print()
+    print("== the characteristics it traced through the coefficient field")
+    for end, path in (("left", mp.left_path), ("right", mp.right_path)):
+        print(f"  forward from the {end} end x = {path.start_position}:",
+              len(path.segments), "segment(s), ends at x =",
+              round(path.end_position, 4))
+    for end, path in (("left", mp.back_left), ("right", mp.back_right)):
+        print(f"  backward from the {end} end (x = "
+              f"{round(path.end_position, 4)}, t = 2): foot at x =",
+              round(path.start_position, 4))
+
+    buf = io.StringIO()
+    export_paths_csv([mp.left_path, mp.right_path, mp.back_left,
+                      mp.back_right], buf)
+    print("  exported CSV rows:", len(buf.getvalue().splitlines()) - 1)
 
 
 if __name__ == "__main__":

@@ -30,10 +30,7 @@ from .characteristics import (
     CharacteristicPath,
     MaxPrincipleReport,
     OleinikReport,
-    StaticField,
-    backward_characteristic,
     export_paths_csv,
-    forward_characteristic,
     maximum_principle_check,
     oleinik_report,
 )
@@ -49,7 +46,6 @@ from .coupling import (
     InconsistentFieldError,
     WeightField,
     classify,
-    export_jumps_csv,
 )
 from .fluxes import (
     FluxModel,
@@ -120,16 +116,12 @@ __all__ = [
     "RAREFACTION_SHOCK",
     "SLOW",
     "ScenarioConfigError",
-    "StaticField",
     "WeightField",
-    "backward_characteristic",
     "burgers_flux",
     "classify",
     "default_window",
     "exponential_flux",
-    "export_jumps_csv",
     "export_paths_csv",
-    "forward_characteristic",
     "gain_cap_report",
     "ledger_reports",
     "make_flux",

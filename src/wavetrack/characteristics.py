@@ -5,12 +5,13 @@ with finitely many straight jump curves between interaction times, so its
 characteristics are exact polygonal lines.  Forward curves are unique in the
 Filippov sense: compressive jumps capture them, undercompressive jumps let
 them cross at the far-side speed, rarefaction-side jumps repel them.
-Backward curves are generally non-unique at compressive jumps; the extremal
-(leftmost / rightmost footed) selections are provided.
+Backward curves are generally non-unique at compressive jumps; the
+maximum-principle check follows the extremal (leftmost / rightmost footed)
+selections.
 
-Works against a :class:`~wavetrack.coupling.CoefficientField` or against a
-hand-built :class:`StaticField`; either way the walks read each stop's
-:class:`~wavetrack.coupling.FieldSlice` (``stop.slice()``).
+The walks read each stop's :class:`~wavetrack.coupling.FieldSlice`
+(``stop.slice()``) of a :class:`~wavetrack.coupling.CoefficientField`, as
+:func:`~wavetrack.coupling.stops` hands them out.
 """
 from __future__ import annotations
 
@@ -22,12 +23,7 @@ from .coupling import (
     LAX,
     RAREFACTION_SHOCK,
     SLOW,
-    CLASSIFY_TOL,
-    ClassifiedJump,
-    CoefficientField,
     FieldSlice,
-    InconsistentFieldError,
-    classify,
     exact_time,
     stops,
 )
@@ -37,98 +33,6 @@ from .rational import Q
 ANCHOR_TOL = 1e-9
 MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
 MAX_PRINCIPLE_TOL = 1e-10     # its float tol; exact mode uses 0
-
-
-class StaticField:
-    """Frozen coefficient field built by hand: straight jump curves forever.
-
-    ``jumps`` is a list of (position at time 0, speed) pairs, ordered left to
-    right; ``region_values`` the coefficient values between them (one more
-    entry than jumps).  Optional ``kappa_values`` give a transported profile
-    for the same geometry.  Queries past the first internal crossing of two
-    jump curves are refused.
-    """
-
-    def __init__(self, jumps, region_values, kappa_values=None, *,
-                 exact=False):
-        jumps = [tuple(j) for j in jumps]
-        region_values = tuple(region_values)
-        if len(region_values) != len(jumps) + 1:
-            raise ValueError("region_values: need one more value than jumps")
-        for (xa, _), (xb, _) in zip(jumps, jumps[1:]):
-            if not xa < xb:
-                raise ValueError("jumps: positions must be strictly increasing")
-        if kappa_values is None:
-            kappa_values = tuple(v - v for v in region_values)
-        kappa_values = tuple(kappa_values)
-        if len(kappa_values) != len(region_values):
-            raise ValueError("kappa_values: need one value per region")
-        self.jump_data = jumps
-        self.region_values = region_values
-        self.kappa_values = kappa_values
-        self.exact = exact
-        self.classification_tol = 0 if exact else CLASSIFY_TOL
-        self.horizon = self._first_crossing()
-
-    def _first_crossing(self):
-        best = None
-        for (xa, sa), (xb, sb) in zip(self.jump_data, self.jump_data[1:]):
-            if sa > sb:
-                t = (xb - xa) / (sa - sb)
-                if best is None or t < best:
-                    best = t
-        return best
-
-    def at(self, t) -> FieldSlice:
-        if self.horizon is not None and t > self.horizon:
-            raise ValueError(
-                f"static field queried at t={t}, beyond the first internal "
-                f"crossing at t={self.horizon}"
-            )
-        jumps = []
-        lams = tuple(lam for _, lam in self.jump_data)
-        for i, (_, lam) in enumerate(self.jump_data):
-            am, ap = self.region_values[i], self.region_values[i + 1]
-            jumps.append(
-                ClassifiedJump(
-                    lam=lam,
-                    a_minus=am,
-                    a_plus=ap,
-                    kind=classify(am, ap, lam, self.classification_tol),
-                    partition="I",
-                    b_jump=ap - am,
-                    kappa_minus=self.kappa_values[i],
-                    kappa_plus=self.kappa_values[i + 1],
-                    source_kind="static",
-                    front_uid=i,
-                )
-            )
-        return FieldSlice(
-            time=t,
-            jumps=tuple(jumps),
-            positions=tuple(x + s * t for x, s in self.jump_data),
-            a_values=self.region_values,
-            psi_values=self.kappa_values,
-            lams=lams,
-            speed=max(map(abs, lams), default=0),
-        )
-
-    def event_times(self, s, t):
-        return []
-
-    def walk(self, bounds, reverse=False):
-        """One slice per interval between consecutive ``bounds``, built by
-        :meth:`at` at the midpoint, as the stop (its ``slice()`` is itself);
-        an interval past the horizon is refused."""
-        spans = list(zip(bounds, bounds[1:]))
-        if reverse:
-            spans.reverse()
-        for t0, t1 in spans:
-            if self.horizon is not None and t1 > self.horizon:
-                raise InconsistentFieldError(
-                    f"interval [{t0}, {t1}]: jump curves change order at "
-                    f"t={self.horizon}")
-            yield t0, t1, self.at(t0 + (t1 - t0) / 2)
 
 
 @dataclass(frozen=True)
@@ -337,43 +241,6 @@ def _step(field, fslice, x, t_from, t_to, tie_bias, segments):
     return _march(fslice, state, x, t_from, t_to, tie_bias, segments)
 
 
-def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
-    """Unique forward characteristic of the coefficient from (x0, t0).
-
-    ``tie_bias`` only matters when the start point sits exactly on a jump
-    curve with several feasible continuations (a rarefaction-side jump or a
-    newborn fan stack): +1 picks the fastest branch, -1 the slowest, 0
-    raises.
-    """
-    if not t0 < t_end:
-        raise ValueError("need t0 < t_end")
-    path = CharacteristicPath()
-    x = x0
-    for T0, T1, stop in stops(field, t0, t_end):
-        x = _step(field, stop.slice(), x, T0, T1, tie_bias, path.segments)
-    return path
-
-
-def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
-    """Extremal backward characteristic from (x0, t0) down to t_stop.
-
-    ``extremal="min"`` follows the leftmost-footed branch (largest feasible
-    speed at every decision point), ``"max"`` the rightmost-footed one.
-    Decision points only arise on compressive jumps; rarefaction-side jumps
-    capture backward paths and raise.
-    """
-    if extremal not in ("min", "max"):
-        raise ValueError("extremal: must be 'min' or 'max'")
-    if not t_stop < t0:
-        raise ValueError("need t_stop < t0")
-    tie_bias = 1 if extremal == "min" else -1
-    rev_segments = []
-    x = x0
-    for T0, T1, stop in stops(field, t_stop, t0, reverse=True):
-        x = _step(field, stop.slice(), x, T1, T0, tie_bias, rev_segments)
-    return CharacteristicPath(rev_segments[::-1])
-
-
 def export_paths_csv(paths, fileobj):
     """Vertex table (path_id, t, x) of a list of characteristic paths."""
     fileobj.write("path_id,t,x\r\n")
@@ -419,88 +286,69 @@ def _run_fan_slope(placed, t):
     return best
 
 
-def oleinik_report(target, times, tol_scale=1e-8) -> OleinikReport:
-    """One-sided entropy geometry of a field at the given times.
+def oleinik_report(field, times, tol_scale=1e-8) -> OleinikReport:
+    """One-sided entropy geometry of a
+    :class:`~wavetrack.coupling.CoefficientField` at the given times.
 
-    For a :class:`CoefficientField`, shock-borne coefficient jumps must be
-    compressive or undercompressive (a_+ <= a_-) while fan-borne jumps may
-    expand by at most sup|f''| h, and the discrete fan slopes of each run
-    stay below 1/c0; rarefaction-side jumps on a shock are violations.  For
-    a :class:`StaticField` every expanding jump is flagged.
+    Shock-borne coefficient jumps must be compressive or undercompressive
+    (a_+ <= a_-) while fan-borne jumps may expand by at most sup|f''| h,
+    and the discrete fan slopes of each run stay below 1/c0;
+    rarefaction-side jumps on a shock are violations.
 
-    For a :class:`CoefficientField`, ``times`` may hold slices of the field
-    instead of times, so slices already built are not built again.
-    ``times`` is read once, in order, and no slice is kept: the report
-    keeps each slice's time.
+    ``times`` may hold slices of the field instead of times, so slices
+    already built are not built again.  ``times`` is read once, in order,
+    and no slice is kept: the report keeps each slice's time.
     """
     shock_violations, violations, sampled = [], [], []
     max_fan_jump = fan_slope = spread = 0
-
-    if isinstance(target, CoefficientField):
-        exact = target.exact
-        tol = 0 if exact else tol_scale
-        f2, c0 = target.flux.sup_f2, target.flux.convexity_modulus
-        if exact:
-            # in the field's arithmetic: with int flux constants 1 / c0,
-            # and f2 * 0 / 2 at a probe with no fan pair, would be floats
-            f2, c0 = Q(f2), Q(c0)
-        h_by_partition = {"I": target.run_I.h, "II": target.run_II.h}
-        allowance = f2 * max(h_by_partition.values())
-        for t in times:
-            fs = t if isinstance(t, FieldSlice) else target.at(t)
-            t = fs.time
-            sampled.append(t)
-            for x, j in zip(fs.positions, fs.jumps):
-                da = j.a_plus - j.a_minus
-                if j.source_kind == "shock":
-                    if da > tol:
-                        shock_violations.append((t, x, da))
-                        violations.append(
-                            f"t={t}: shock-borne coefficient jump expands by "
-                            f"{da} at x={x}"
-                        )
-                else:
-                    cap = f2 * h_by_partition[j.partition]
-                    if da > max_fan_jump:
-                        max_fan_jump = da
-                    if da > cap + tol:
-                        violations.append(
-                            f"t={t}: fan-borne coefficient jump {da} exceeds "
-                            f"the resolution allowance {cap} at x={x}"
-                        )
-            # a run's own states are entry i of its records' minus and plus
-            cI, cII = (
-                _run_fan_slope([(j.source_kind, j.minus[i], j.plus[i], x)
-                                for x, j in zip(fs.positions, fs.jumps)
-                                if j.partition == part], t)
-                for i, part in enumerate(("I", "II"))
-            )
-            fan_slope = max(fan_slope, cI, cII)
-            spread = max(spread, f2 * (cI + cII) / 2)
-            for run_name, c in (("first", cI), ("second", cII)):
-                if c > 1 / c0 + tol * (1 + 1 / c0):
-                    violations.append(
-                        f"t={t}: discrete fan slope {c} of the {run_name} run "
-                        f"exceeds 1/c0 = {1 / c0}"
-                    )
-        return OleinikReport(sampled, shock_violations, allowance,
-                             max_fan_jump, fan_slope, spread, violations)
-
-    # StaticField: strict, no resolution allowance
-    tol = 0 if target.exact else tol_scale
+    exact = field.exact
+    tol = 0 if exact else tol_scale
+    f2, c0 = field.flux.sup_f2, field.flux.convexity_modulus
+    if exact:
+        # in the field's arithmetic: with int flux constants 1 / c0,
+        # and f2 * 0 / 2 at a probe with no fan pair, would be floats
+        f2, c0 = Q(f2), Q(c0)
+    h_by_partition = {"I": field.run_I.h, "II": field.run_II.h}
+    allowance = f2 * max(h_by_partition.values())
     for t in times:
-        fs = target.at(t)
+        fs = t if isinstance(t, FieldSlice) else field.at(t)
+        t = fs.time
         sampled.append(t)
         for x, j in zip(fs.positions, fs.jumps):
             da = j.a_plus - j.a_minus
-            if da > tol:
-                shock_violations.append((t, x, da))
+            if j.source_kind == "shock":
+                if da > tol:
+                    shock_violations.append((t, x, da))
+                    violations.append(
+                        f"t={t}: shock-borne coefficient jump expands by "
+                        f"{da} at x={x}"
+                    )
+            else:
+                cap = f2 * h_by_partition[j.partition]
+                if da > max_fan_jump:
+                    max_fan_jump = da
+                if da > cap + tol:
+                    violations.append(
+                        f"t={t}: fan-borne coefficient jump {da} exceeds "
+                        f"the resolution allowance {cap} at x={x}"
+                    )
+        # a run's own states are entry i of its records' minus and plus
+        cI, cII = (
+            _run_fan_slope([(j.source_kind, j.minus[i], j.plus[i], x)
+                            for x, j in zip(fs.positions, fs.jumps)
+                            if j.partition == part], t)
+            for i, part in enumerate(("I", "II"))
+        )
+        fan_slope = max(fan_slope, cI, cII)
+        spread = max(spread, f2 * (cI + cII) / 2)
+        for run_name, c in (("first", cI), ("second", cII)):
+            if c > 1 / c0 + tol * (1 + 1 / c0):
                 violations.append(
-                    f"t={t}: expanding jump ({j.kind}) of size {da} at "
-                    f"x={x}"
+                    f"t={t}: discrete fan slope {c} of the {run_name} run "
+                    f"exceeds 1/c0 = {1 / c0}"
                 )
-    return OleinikReport(sampled, shock_violations, 0, max_fan_jump,
-                         fan_slope, spread, violations)
+    return OleinikReport(sampled, shock_violations, allowance,
+                         max_fan_jump, fan_slope, spread, violations)
 
 
 @dataclass

@@ -162,10 +162,6 @@ class FieldSlice:
     lams: tuple = dataclass_field(default=None, compare=False)
     speed: object = dataclass_field(default=None, compare=False)
 
-    def slice(self):
-        """The slice itself, so a walk can hand out slices as its stops."""
-        return self
-
     def positions_at(self, t):
         """Jump positions at time t of the slice's interaction-free interval."""
         if t == self.time:
@@ -966,11 +962,3 @@ def jump_rows(weight: WeightField, fs: FieldSlice):
         [t, x, j.kind, j.partition, j.lam, a[i], a[i + 1], j.b_jump, w[i],
          w[i + 1]]
         for i, (x, j) in enumerate(zip(fs.positions, fs.jumps)))
-
-
-def export_jumps_csv(weight: WeightField, slices, fileobj):
-    """Classified-jump table of the given slices of the weight's field, one
-    row at a time; each slice is read once, in order, and not kept."""
-    fileobj.write(JUMPS_HEADER)
-    for fs in slices:
-        fileobj.writelines(jump_rows(weight, fs))

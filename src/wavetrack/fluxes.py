@@ -12,7 +12,6 @@ built-in Burgers flux is closed over rationals).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
 
 # Two states closer than this are treated as a single state when forming
 # secants (removable singularity of the difference quotient).
@@ -24,11 +23,11 @@ class FluxModel:
     """A smooth, uniformly convex flux on a declared working interval."""
 
     name: str
-    evaluate: Callable
-    derivative: Callable
-    second_derivative_bounds: Tuple  # (inf f'', sup f'') over the interval
+    evaluate: object
+    derivative: object
+    second_derivative_bounds: tuple  # (inf f'', sup f'') over the interval
     convexity_modulus: object       # c0 > 0 with f'' >= c0 on the interval
-    working_interval: Tuple
+    working_interval: tuple
 
     def __post_init__(self):
         lo, hi = self.working_interval

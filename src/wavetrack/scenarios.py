@@ -83,6 +83,26 @@ def _parse_number(value, rational, path, errors):
     return float(value) if isinstance(value, float) else value
 
 
+# the keys each node of a config may hold
+_TOP_KEYS = ("flux", "u1", "u2", "h", "h_list", "m", "time", "checks", "mode",
+             "seed", "funnel", "tolerance", "out")
+_FLUX_KEYS = ("name", "params", "working_interval")
+_TIME_KEYS = ("start", "end")
+_GENERATOR_KEYS = ("generator", "params", "support", "n_cells")
+_PAIRS_KEYS = ("leading", "pairs")
+
+
+def _unknown_keys(node, known, path, errors):
+    """One row per key of the object ``node`` that ``known`` does not hold,
+    naming the nearest known key if one is close."""
+    for key in node:
+        if key not in known:
+            from difflib import get_close_matches
+            near = get_close_matches(str(key), known, n=1)
+            hint = f" (did you mean {near[0]!r}?)" if near else ""
+            errors.append(f"{path}{key}: unknown key{hint}")
+
+
 def _is_int(value):
     # a JSON boolean is an int to isinstance, but never a count or a seed
     return isinstance(value, int) and not isinstance(value, bool)
@@ -137,6 +157,7 @@ def _parse_profile(node, rational, path, errors):
         errors.append(f"{path}: expected an object")
         return Profile.constant(0)
     if "generator" in node:
+        _unknown_keys(node, _GENERATOR_KEYS, f"{path}.", errors)
         params = node.get("params", {})
         if not isinstance(params, dict):
             errors.append(f"{path}.params: expected an object")
@@ -159,6 +180,7 @@ def _parse_profile(node, rational, path, errors):
             return Profile.constant(0)
         return sample_initial_data(gen, support, n_cells)
     if "pairs" in node:
+        _unknown_keys(node, _PAIRS_KEYS, f"{path}.", errors)
         leading = _parse_number(node.get("leading", 0), rational,
                                 f"{path}.leading", errors)
         bps, vals = [], [leading]
@@ -177,6 +199,7 @@ def _parse_profile(node, rational, path, errors):
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
             return Profile.constant(0)
+    _unknown_keys(node, _GENERATOR_KEYS + _PAIRS_KEYS, f"{path}.", errors)
     errors.append(f"{path}: need either 'generator' or 'pairs'")
     return Profile.constant(0)
 
@@ -216,6 +239,7 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     errors = []
     if not isinstance(config, dict):
         raise ScenarioConfigError(["config: expected a JSON object"])
+    _unknown_keys(config, _TOP_KEYS, "", errors)
     mode = config.get("mode", "float")
     if mode not in ("float", "rational"):
         errors.append(f"mode: expected 'float' or 'rational', got {mode!r}")
@@ -226,6 +250,7 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     if not isinstance(flux_node, dict):
         errors.append("flux: expected an object")
         flux_node = {"name": "burgers"}
+    _unknown_keys(flux_node, _FLUX_KEYS, "flux.", errors)
     name = flux_node.get("name", "burgers")
     params = flux_node.get("params", {})
     if not isinstance(params, dict):
@@ -294,6 +319,7 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     if not isinstance(time_node, dict):
         errors.append("time: expected an object with start/end")
         time_node = {}
+    _unknown_keys(time_node, _TIME_KEYS, "time.", errors)
     t_start = _parse_number(time_node.get("start", 0), rational,
                             "time.start", errors)
     t_end = _parse_number(time_node.get("end", 1), rational, "time.end", errors)

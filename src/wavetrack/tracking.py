@@ -20,7 +20,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .fluxes import FluxModel, rankine_hugoniot_speed
 from .profiles import Profile, csv_lines
@@ -49,7 +48,7 @@ class Front:
     kind: str
     birth_time: object = 0
     birth_position: object = 0
-    death_time: Optional[object] = None
+    death_time: object = None
 
     def position_at(self, t):
         return self.birth_position + self.speed * (t - self.birth_time)
@@ -171,8 +170,8 @@ class FrontTrackingRun:
 
         self.fronts: list[Front] = []
         self.events: list[InteractionEvent] = []
-        self._next: dict[int, Optional[int]] = {}
-        self._prev: dict[int, Optional[int]] = {}
+        self._next: dict[int, int | None] = {}
+        self._prev: dict[int, int | None] = {}
         # front uid -> its rank in the run's link order: its own uid for an
         # initial front, its left incoming front's for an outgoing one
         self._rank: list[int] = []

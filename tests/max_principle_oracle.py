@@ -3,7 +3,9 @@
 The maximum-principle check and the characteristic walks with no window:
 a path's start state scans every jump of the stop's slice for members, and
 the funnel minimum and the mass clip every piece of the slice.  The march
-itself (``_march``, ``_resolve``) is shared.
+itself (``_march``, ``_resolve``) is shared.  A walk given
+``step=characteristics._step`` takes the check's windowed steps instead,
+so it is the path the check traces from the same start.
 """
 from bisect import bisect_left, bisect_right
 
@@ -43,7 +45,10 @@ def step(field, fslice, x, t_from, t_to, tie_bias, segments):
     return _march(fslice, state, x, t_from, t_to, tie_bias, segments)
 
 
-def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
+def forward_characteristic(field, x0, t0, t_end, tie_bias=0, step=step):
+    """Forward characteristic from (x0, t0) to t_end; ``tie_bias`` picks
+    among several feasible starts (+1 the fastest, -1 the slowest, 0
+    raises)."""
     path = CharacteristicPath()
     x = x0
     for T0, T1, fslice in slices(field, t0, t_end):
@@ -51,7 +56,10 @@ def forward_characteristic(field, x0, t0, t_end, tie_bias=0):
     return path
 
 
-def backward_characteristic(field, x0, t0, t_stop=0, extremal="min"):
+def backward_characteristic(field, x0, t0, t_stop=0, extremal="min",
+                            step=step):
+    """Extremal backward characteristic from (x0, t0) down to t_stop:
+    ``"min"`` the leftmost-footed branch, ``"max"`` the rightmost."""
     tie_bias = 1 if extremal == "min" else -1
     rev_segments = []
     x = x0

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 
 import godunov_oracle
+from max_principle_oracle import forward_characteristic
+from static_field import StaticField
 
 from wavetrack import (
     FAST,
@@ -19,11 +21,8 @@ from wavetrack import (
     CoefficientField,
     FrontTrackingRun,
     Profile,
-    StaticField,
     WeightField,
-    backward_characteristic,
     burgers_flux,
-    forward_characteristic,
     ledger_reports,
     maximum_principle_check,
     monotonicity_report,
@@ -335,8 +334,7 @@ def test_criterion_08_one_sided_compression(capsys):
                             f"{rep.shock_violations[0]}")
         if not rep.passed:
             problems.append(rep.violations[0])
-    flagged = oleinik_report(StaticField([(0.0, 0.0)], [-0.5, 0.5]),
-                             [0.5, 1.0])
+    flagged = StaticField([(0.0, 0.0)], [-0.5, 0.5]).oleinik_report([0.5, 1.0])
     if flagged.passed or not flagged.shock_violations:
         problems.append("hand-built expanding jump was not flagged")
     ok = not problems

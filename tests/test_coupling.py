@@ -13,6 +13,7 @@ import max_principle_oracle as oracle
 import slice_oracle
 from wavetrack.coupling import (
     FAST,
+    JUMPS_HEADER,
     LAX,
     RAREFACTION_SHOCK,
     SLOW,
@@ -23,7 +24,7 @@ from wavetrack.coupling import (
     WeightField,
     _OWN,
     classify,
-    export_jumps_csv,
+    jump_rows,
     stops,
 )
 from wavetrack.characteristics import oleinik_report
@@ -261,11 +262,18 @@ def test_build_helpers_return_profiles():
     assert isinstance(w, Profile)
 
 
-def test_export_jumps_csv_shape():
+def _jumps_csv(weight, slices, fileobj):
+    """The jump table of ``slices``, written as ``run_scenario`` writes it."""
+    fileobj.write(JUMPS_HEADER)
+    for fs in slices:
+        fileobj.writelines(jump_rows(weight, fs))
+
+
+def test_jump_table_shape():
     field = _field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
     weight = WeightField(field, 1.0)
     buf = io.StringIO()
-    export_jumps_csv(weight, [field.at(0.25), field.at(0.75)], buf)
+    _jumps_csv(weight, [field.at(0.25), field.at(0.75)], buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == ("t,x,kind,partition,lambda,a_minus,a_plus,"
                         "b_jump,w_minus,w_plus")

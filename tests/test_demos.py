@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wavetrack import backward_characteristic
+from wavetrack import maximum_principle_check
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -35,8 +35,8 @@ def test_characteristics_demo_prints_the_backward_foot():
     spec = importlib.util.spec_from_file_location("demo_04", demo)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    back = backward_characteristic(module.make_field(), 0.8, 2.0,
-                                   extremal="min")
+    back = maximum_principle_check(module.make_field(), (-1.0, 1.0),
+                                   2.0).back_left
     printed = re.search(r"foot at x = (\S+)", _run(demo).stdout)
     assert printed is not None
     assert float(printed.group(1)) == round(back.start_position, 4)

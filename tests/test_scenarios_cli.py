@@ -1,11 +1,15 @@
 """Scenario configs, random suites, output files, and the command line."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import random
+import re
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from wavetrack import (
     run_sweep,
 )
 import record_census
+from output_corpus import corpus_configs
 from wavetrack import scenarios
 from wavetrack.cli import main
 from wavetrack.coupling import DegenerateFieldError, InconsistentFieldError
@@ -209,6 +214,65 @@ def test_parse_rejects_unknown_generator_params():
                    "offset": 0.5}}))
     bump = 2 * math.exp(-1) + 0.5
     assert spec.u2.values == (0.0, bump, 0.0)
+
+
+# one misspelt key planted at each node of _basic_config's schema, with
+# the exact rows; a profile with neither 'generator' nor 'pairs' is read
+# against the keys of both
+_MISSPELT = {
+    "top": (lambda c: c.update(chekcs=["l1"]),
+            ["chekcs: unknown key (did you mean 'checks'?)"]),
+    "flux": (lambda c: c.update(flux={"name": "burgers", "parms": {}}),
+             ["flux.parms: unknown key (did you mean 'params'?)"]),
+    "time": (lambda c: c["time"].update(ned=2),
+             ["time.ned: unknown key (did you mean 'end'?)"]),
+    "generator": (lambda c: c["u2"].update(n_cell=2),
+                  ["u2.n_cell: unknown key (did you mean 'n_cells'?)"]),
+    "pairs": (lambda c: c["u1"].update(leadng=1.0),
+              ["u1.leadng: unknown key (did you mean 'leading'?)"]),
+    "neither": (lambda c: c.update(u2={"genrator": "constant"}),
+                ["u2.genrator: unknown key (did you mean 'generator'?)",
+                 "u2: need either 'generator' or 'pairs'"]),
+    "no_hint": (lambda c: c["u1"].update(zzz=0), ["u1.zzz: unknown key"]),
+}
+
+
+def _repository_configs(monkeypatch):
+    """Every config the repository builds: the output corpus, the
+    benchmark workloads, random configs of both modes, README's example."""
+    root = Path(__file__).resolve().parent.parent
+    yield from (config for _, config in corpus_configs())
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", root / "benchmark" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        yield from (config for _, config in workload.build())
+    for seed in range(5):
+        yield random_scenario_config(seed)
+        yield random_scenario_config(seed, rational=True, shock_only=True)
+    readme = (root / "README.md").read_text()
+    yield json.loads(re.search(r"```json\n(.*?)```", readme, re.S)[1])
+
+
+@pytest.mark.parametrize("node", list(_MISSPELT))
+def test_a_misspelt_key_is_a_config_error(tmp_path, capsys, node):
+    plant, rows = _MISSPELT[node]
+    cfg = _basic_config()
+    plant(cfg)
+    with pytest.raises(ScenarioConfigError) as err:
+        parse_scenario(cfg)
+    assert err.value.errors == rows
+    assert main(["run", _write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == "".join(
+        f"config error: {row}\n" for row in rows)
+
+
+def test_every_config_the_repository_builds_parses(monkeypatch):
+    for config in _repository_configs(monkeypatch):
+        parse_scenario(config)
 
 
 def test_suite_rejects_an_unknown_mode(monkeypatch):

@@ -9,11 +9,10 @@ import pytest
 
 import csv_reference
 import max_principle_oracle as oracle
-from test_coupling import _sine_pair_config
+from test_coupling import _jumps_csv, _sine_pair_config
 from wavetrack import (
     CoefficientField,
     WeightField,
-    export_jumps_csv,
     export_paths_csv,
     maximum_principle_check,
     random_scenario_pair,
@@ -58,7 +57,7 @@ def test_tables_match_the_csv_module(make):
         dataclasses.replace(first.jumps[0], kind=None, lam=None),
         *first.jumps[1:])))
     weight = WeightField(field, 1)
-    new = _text(export_jumps_csv, weight, slices)
+    new = _text(_jumps_csv, weight, slices)
     assert new == _text(csv_reference.jumps_csv, weight, slices)
     cells = new.splitlines()[-len(first.jumps)].split(",")
     assert cells[2] == cells[4] == ""
