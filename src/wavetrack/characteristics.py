@@ -29,10 +29,9 @@ from .coupling import (
 )
 from .profiles import Report, clipped_pieces, csv_lines
 from .rational import Q
+from .tolerances import FLOAT, TOL_SCALE
 
-ANCHOR_TOL = 1e-9
 MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
-MAX_PRINCIPLE_TOL = 1e-10     # its float tol; exact mode uses 0
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def _window(fslice, t, lo, hi):
     positions, lams, dt = fslice.positions, fslice.lams, t - fslice.time
     reach = fslice.speed * abs(dt)
     if isinstance(reach, float):    # an exact slice shifts without rounding
-        reach += ANCHOR_TOL * (1 + abs(lo) + abs(hi) + reach)
+        reach += FLOAT.anchor * (1 + abs(lo) + abs(hi) + reach)
     i = bisect_left(positions, lo - reach)
     j = bisect_right(positions, hi + reach)
     if not dt:
@@ -147,7 +146,7 @@ def _window(fslice, t, lo, hi):
 
 
 def _state_at(field, fslice, x, t, *, backward, tie_bias):
-    tol = 0 if field.exact else ANCHOR_TOL * (1 + abs(x))
+    tol = field.tol.anchor and field.tol.anchor * (1 + abs(x))
     # the jump curves passing within tol of (x, t) and the region holding x
     # otherwise, from the window around x -+ tol
     first, xs = _window(fslice, t, x - tol, x + tol)
@@ -286,7 +285,7 @@ def _run_fan_slope(placed, t):
     return best
 
 
-def oleinik_report(field, times, tol_scale=1e-8) -> OleinikReport:
+def oleinik_report(field, times, tol_scale=TOL_SCALE) -> OleinikReport:
     """One-sided entropy geometry of a
     :class:`~wavetrack.coupling.CoefficientField` at the given times.
 
@@ -301,10 +300,9 @@ def oleinik_report(field, times, tol_scale=1e-8) -> OleinikReport:
     """
     shock_violations, violations, sampled = [], [], []
     max_fan_jump = fan_slope = spread = 0
-    exact = field.exact
-    tol = 0 if exact else tol_scale
+    tol = 0 if field.exact else tol_scale
     f2, c0 = field.flux.sup_f2, field.flux.convexity_modulus
-    if exact:
+    if field.exact:
         # in the field's arithmetic: with int flux constants 1 / c0,
         # and f2 * 0 / 2 at a probe with no fan pair, would be floats
         f2, c0 = Q(f2), Q(c0)
@@ -347,6 +345,7 @@ def oleinik_report(field, times, tol_scale=1e-8) -> OleinikReport:
                     f"t={t}: discrete fan slope {c} of the {run_name} run "
                     f"exceeds 1/c0 = {1 / c0}"
                 )
+        del fs      # let the slice go before the next one is built
     return OleinikReport(sampled, shock_violations, allowance,
                          max_fan_jump, fan_slope, spread, violations)
 
@@ -421,16 +420,15 @@ def maximum_principle_check(field, interval, t_end):
     float is refused, so every sample time and mass is exact.
     """
     xi0, zeta0 = interval
-    tol = 0 if field.exact else MAX_PRINCIPLE_TOL
-    if field.exact:
-        xi0, zeta0, t_end = (exact_time(field, v) for v in (xi0, zeta0, t_end))
+    tol = field.tol.max_principle
+    xi0, zeta0, t_end = (exact_time(field, v) for v in (xi0, zeta0, t_end))
     if not xi0 < zeta0:
         raise ValueError("interval: need xi0 < zeta0")
     if not 0 < t_end:
         raise ValueError("need t0 < t_end")
     n = MAX_PRINCIPLE_SAMPLES
     uniform = [k * t_end / n for k in range(1, n)]
-    gap_tol = 0 if field.exact else 1e-9
+    gap_tol = field.tol.sample_gap
 
     def sample_times(t0, t1, fs):
         # uniform times too close to an interaction (an inner boundary) are

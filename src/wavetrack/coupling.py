@@ -34,9 +34,10 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter, le
 
-from .fluxes import STATE_EPS, secant_speed
+from .fluxes import secant_speed
 from .profiles import csv_fields, csv_lines
 from .rational import Q
+from .tolerances import FLOAT
 from .tracking import FrontTrackingRun
 
 LAX = "lax"
@@ -44,11 +45,6 @@ SLOW = "slow"
 FAST = "fast"
 RAREFACTION_SHOCK = "rarefaction_shock"
 
-CLASSIFY_TOL = 1e-10
-POSITION_TOL = 1e-12
-TIE_MERGE = 1e-12
-# Slack of the missed-event guard, relative, in time and in position.
-GUARD_TOL = 1e-9
 _GONE = -1         # link of a key that is not in a sweep's list
 _OWN = -2          # key of an own event in a sweep's record
 
@@ -71,7 +67,7 @@ class DegenerateFieldError(ValueError):
         )
 
 
-def classify(a_minus, a_plus, lam, tol=CLASSIFY_TOL):
+def classify(a_minus, a_plus, lam, tol=FLOAT.classify):
     """Jump type of the coefficient from its traces and propagation speed.
 
     Lax: a_- > lam > a_+.  Slow undercompressive: lam <= min(a_-, a_+).
@@ -121,7 +117,7 @@ class ClassifiedJump:
     def strength(self):
         return abs(self.b_jump)
 
-    def sign_table_consistent(self, state_tol=0, tol=CLASSIFY_TOL):
+    def sign_table_consistent(self, state_tol=0, tol=FLOAT.classify):
         """Trace-sign relation: sgn(a_+- - lam) against -+sgn(kappa_-+).
 
         For partition I jumps sgn(a_- - lam) = sgn(kappa_+) and
@@ -199,13 +195,16 @@ class CoefficientField:
             )
             if not same:
                 raise ValueError("runs must share a flux model")
+        if run_I.exact != run_II.exact:
+            raise ValueError("runs must share a mode: one is exact, one float")
         self.run_I = run_I
         self.run_II = run_II
         self.flux = fI
-        self.exact = run_I.exact and run_II.exact
-        self.classification_tol = 0 if self.exact else CLASSIFY_TOL
-        self.position_tol = 0 if self.exact else POSITION_TOL
-        self.state_eps = 0 if self.exact else STATE_EPS
+        self.exact = run_I.exact
+        self.tol = tol = run_I.tol
+        self.classification_tol = tol.classify
+        self.position_tol = tol.position
+        self.state_eps = tol.state_eps
         self.stats = FieldStats()
 
     # -- slicing ------------------------------------------------------------
@@ -243,7 +242,7 @@ class CoefficientField:
     def _sweep(self):
         """The field's recorded :class:`_Sweep` to the horizon."""
         self.stats.sweeps += 1
-        return _Sweep(self.run_I, self.run_II)
+        return _Sweep(self.run_I, self.run_II, self.exact)
 
     def event_times(self, s, t):
         """The interaction times inside (s, t), in order, ties merged into the
@@ -259,7 +258,7 @@ class CoefficientField:
         else:
             span = sorted(e for i, e in enumerate(times)
                           if s < e < t and i not in unlisted)
-        tol = 0 if self.exact else TIE_MERGE
+        tol = self.tol.tie_merge
         out, last = times[:0], None
         for e in span:
             if last is None or e - last > tol * (1 + abs(e)):
@@ -270,7 +269,7 @@ class CoefficientField:
     def has_event_at(self, t):
         """Whether an own event of either run or a crossing lies at t, within
         the tie rule of :meth:`event_times`."""
-        tol = 0 if self.exact else TIE_MERGE * (1 + abs(t))
+        tol = self.tol.tie_merge and self.tol.tie_merge * (1 + abs(t))
         return any(abs(e - t) <= tol and i not in self._sweep.unlisted
                    for i, e in enumerate(self._sweep.times))
 
@@ -305,7 +304,7 @@ class _Sweep:
     time and bounds an interval either way.
     """
 
-    def __init__(self, run_I, run_II):
+    def __init__(self, run_I, run_II, exact):
         horizon = min(run_I.evolved_until, run_II.evolved_until)
         self.fronts = fronts = run_I.fronts + run_II.fronts
         offset = len(run_I.fronts)
@@ -335,7 +334,6 @@ class _Sweep:
              for e in run.events if e.time <= horizon),
             key=itemgetter(0),
         )
-        exact = run_I.exact or run_II.exact
         self.keys = keys = array("i")
         # in float mode 8 bytes a time, not a boxed float
         self.times = times = [] if exact else array("d")
@@ -475,7 +473,6 @@ class _Cursor:
         self.pending = 0     # index of the next own event
         self.field = field
         self.stats = field.stats
-        self.slack = 0 if field.exact else GUARD_TOL
         self.state = [None] * len(self.fronts)
         self.cache = {}
         self.dirty = set()    # entries to re-derive, at a walk's later stops
@@ -487,8 +484,7 @@ class _Cursor:
         self.old = {}         # entry -> its state at the last stop, where
                               # this stop changed it
         self.built = self.ordered = None   # this stop's slice and states
-        uI = field.run_I.initial
-        uII = field.run_II.initial
+        uI, uII = field.run_I.initial, field.run_II.initial
         self.far_left = (uI.far_left, uII.far_left)
         self.far_right = (uI.far_right, uII.far_right)
         # (a, psi) left and right of every jump
@@ -538,7 +534,7 @@ class _Cursor:
         self._replay_to(mid)
         if self.pending < len(self.events):
             te, base, e = self.events[self.pending]
-            if te < t1 - self.slack * (1 + abs(t1)):
+            if te < t1 - self.field.tol.guard * (1 + abs(t1)):
                 self._missing(base + e.incoming[0])
         if first:
             self._check_pairs(self._pairs(), t0)
@@ -582,7 +578,7 @@ class _Cursor:
             self.pending += 1
             if touched is not None:
                 t0 = self.span[0]
-                if e.time > t0 + self.slack * (1 + abs(t0)):
+                if e.time > t0 + self.field.tol.guard * (1 + abs(t0)):
                     self._missing(base + e.outgoing)
             left, _ = self._unlink(base + e.incoming[0])
             self._unlink(base + e.incoming[1])
@@ -603,7 +599,7 @@ class _Cursor:
 
     def _check_pairs(self, pairs, t):
         """Raise unless each (left, right) pair of fronts is in order at t."""
-        fronts, n = self.fronts, self.head
+        fronts, n, guard = self.fronts, self.head, self.field.tol.guard
         xs = {}
         for kl, kr in pairs:
             if not (0 <= kl < n and 0 <= kr < n):
@@ -613,8 +609,7 @@ class _Cursor:
                     xs[k] = fronts[k].position_at(t)
             xl = xs[kl]
             gap = xs[kr] - xl
-            if gap < 0 and (not self.slack
-                            or gap < -self.slack * (1 + abs(xl))):
+            if gap < 0 and (not guard or gap < -guard * (1 + abs(xl))):
                 raise self._out_of_order(xl, t)
 
     def _unlink(self, k):
@@ -701,7 +696,7 @@ class _Cursor:
         self.time, self.xs, self.built = t, {}, None
         fronts, in_II, nxt, state, xs = (self.fronts, self.in_II, self.nxt,
                                          self.state, self.xs)
-        slack, tol = self.slack, self.field.position_tol
+        guard, tol = self.field.tol.guard, self.field.position_tol
         cur, (am, km) = self.far_left, self.ends[0]
         kl = xl = None
         positions = []
@@ -711,7 +706,7 @@ class _Cursor:
             positions.append(x)
             if kl is not None:
                 gap = x - xl
-                if gap < 0 and (not slack or gap < -slack * (1 + abs(xl))):
+                if gap < 0 and (not guard or gap < -guard * (1 + abs(xl))):
                     raise self._out_of_order(xl, t)
                 if in_II[k] != in_II[kl] and (
                         gap == 0 or tol and abs(gap) <= tol * (1 + abs(xl))):

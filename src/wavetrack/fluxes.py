@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Two states closer than this are treated as a single state when forming
-# secants (removable singularity of the difference quotient).
-STATE_EPS = 1e-12
+from .tolerances import EXACT, FLOAT
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class FluxModel:
         return max(abs(self.derivative(lo)), abs(self.derivative(hi)))
 
 
-def secant_speed(flux: FluxModel, u, v, eps_state=STATE_EPS):
+def secant_speed(flux: FluxModel, u, v, eps_state=FLOAT.state_eps):
     """Averaged transport speed (f(v) - f(u)) / (v - u).
 
     Symmetric in its state arguments.  When |v - u| <= eps_state the
@@ -67,14 +65,14 @@ def secant_speed(flux: FluxModel, u, v, eps_state=STATE_EPS):
 def rankine_hugoniot_speed(flux: FluxModel, u_left, u_right):
     """Propagation speed of the jump (u_left, u_right); rejects equal states.
 
-    Float jumps at noise level (|u_right - u_left| <= STATE_EPS) take the
+    Float jumps at noise level (a gap within ``FLOAT.state_eps``) take the
     midpoint-derivative limit, since their difference quotient is mostly
     cancellation error.  Exact states always use the difference quotient.
     """
     if u_left == u_right:
         raise ValueError("rankine_hugoniot_speed: states are equal, no jump")
-    eps = STATE_EPS if isinstance(u_right - u_left, float) else 0
-    return secant_speed(flux, u_left, u_right, eps_state=eps)
+    tol = FLOAT if isinstance(u_right - u_left, float) else EXACT
+    return secant_speed(flux, u_left, u_right, eps_state=tol.state_eps)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,7 @@ from .coupling import (
     exact_time,
 )
 from .profiles import Report, clipped_pieces, total_variation
-
-TOL_SCALE = 1e-8
+from .tolerances import TOL_SCALE
 
 
 def default_window(cfield: CoefficientField, t_end):
@@ -262,7 +261,7 @@ class _JumpTerms:
                  "rs_raw", "lax", "product", "kind", "in_I", "front",
                  "risky")
 
-    def __init__(self, j, state_tol, classification_tol, tol_min):
+    def __init__(self, j, tol, tol_min):
         lam, am, ap = j.lam, j.a_minus, j.a_plus
         km, kp = abs(j.kappa_minus), abs(j.kappa_plus)
         dm, dp, nm = am - lam, ap - lam, lam - am
@@ -274,12 +273,12 @@ class _JumpTerms:
         else:
             self.lhs, self.rhs = head, dp * j.kappa_plus
         self.residual = abs(self.lhs - self.rhs)
-        self.sign_ok = j.sign_table_consistent(state_tol, classification_tol)
+        self.sign_ok = j.sign_table_consistent(tol.psi, tol.classify)
         self.b = b = j.strength
         adm, adp = abs(dm), abs(dp)
         self.q = adm * km
         self.trace_gap = min(adm, adp)
-        self.kappa_clear = min(km, kp) > state_tol
+        self.kappa_clear = min(km, kp) > tol.psi
         self.mag = adm + adp
         self.da = da = ap - am
         self.abs_da = abs(da)
@@ -591,14 +590,12 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
         raise ValueError("need s < t")
     window = default_window(cfield, t)
     exact = cfield.exact
-    state_tol = 0 if exact else 1e-12
     known = {}     # jump state -> its _JumpTerms, for this walk
 
     def terms_at(state):
         a = known.get(state)
         if a is None:
-            a = known[state] = _JumpTerms(state, state_tol,
-                                          cfield.classification_tol, tol_min)
+            a = known[state] = _JumpTerms(state, cfield.tol, tol_min)
         return a
 
     def weigh(fslice):

@@ -28,7 +28,6 @@ from .coupling import (
 )
 from .fluxes import make_flux
 from .functional import (
-    TOL_SCALE,
     gain_cap_report,
     ledger_reports,
     monotonicity_report,
@@ -38,6 +37,7 @@ from .functional import (
 from .profiles import (Profile, Report, json_text, plain_number,
                        profile_difference)
 from .rational import Q
+from .tolerances import TOL_SCALE
 from .tracking import FrontTrackingRun, sample_initial_data
 
 CHECK_ORDER = (
@@ -588,6 +588,7 @@ def _tabled(slices, field, m, table):
     for fs in slices:
         table.writelines(jump_rows(weight, fs))
         yield fs
+        del fs      # let the slice go before the next one is built
     table.close()
 
 

@@ -24,17 +24,10 @@ from fractions import Fraction
 from .fluxes import FluxModel, rankine_hugoniot_speed
 from .profiles import Profile, csv_lines
 from .rational import Q
+from .tolerances import EXACT, FLOAT
 
 SHOCK = "shock"
 FAN = "fan"
-
-# Simultaneity window for collision events; exact mode uses 0.
-TIE_TOL = 1e-12
-# A recomputed collision time may precede the current time by at most this
-# much before the run is declared inconsistent.
-TIME_TOL = 1e-9
-# Relative slack of the float fan count; exact mode uses 0.
-FAN_COUNT_TOL = 1e-9
 
 
 @dataclass
@@ -75,7 +68,7 @@ def solve_riemann(flux: FluxModel, u_left, u_right, h):
 
     Down jump -> one shock at the Rankine-Hugoniot speed.  Up jump -> a fan
     of ceil((u_right - u_left)/h) fronts with equal state increments (in
-    float arithmetic the ratio is first lowered by a relative 1e-9), whose
+    float arithmetic the ratio is first lowered by FLOAT.fan_count), whose
     speeds are strictly increasing by convexity.  Equal states -> no fronts.
     """
     if not h > 0:
@@ -95,7 +88,8 @@ def solve_riemann(flux: FluxModel, u_left, u_right, h):
     ratio = (u_right - u_left) / h
     # a float ratio a rounding step above a whole number must not add a
     # member; a noise-level jump still gets one
-    slack = FAN_COUNT_TOL * max(1, ratio) if isinstance(ratio, float) else 0
+    slack = (FLOAT.fan_count * max(1, ratio) if isinstance(ratio, float)
+             else EXACT.fan_count)
     n = max(1, math.ceil(ratio - slack))
     step = (u_right - u_left) / n
     fronts = []
@@ -165,8 +159,7 @@ class FrontTrackingRun:
         self.h = h
         self.initial = initial
         self.exact = exact
-        self.tie_tol = 0 if exact else TIE_TOL
-        self.time_tol = 0 if exact else TIME_TOL
+        self.tol = EXACT if exact else FLOAT
 
         self.fronts: list[Front] = []
         self.events: list[InteractionEvent] = []
@@ -226,7 +219,7 @@ class FrontTrackingRun:
             return None
         gap = fr.position_at(self._clock) - fl.position_at(self._clock)
         t = self._clock + gap / ds
-        if t < self._clock - self.time_tol:
+        if t < self._clock - self.tol.time:
             raise RuntimeError(
                 f"collision time {t} precedes current time {self._clock}: "
                 "inconsistent front kinematics"
@@ -253,7 +246,7 @@ class FrontTrackingRun:
             if t0 > t_end:
                 return None
             batch = []
-            while self._heap and self._heap[0][0] <= t0 + self.tie_tol:
+            while self._heap and self._heap[0][0] <= t0 + self.tol.tie:
                 entry = heapq.heappop(self._heap)
                 _, _, _, ul, ur = entry
                 if self._alive(ul) and self._alive(ur) and self._next[ul] == ur:
@@ -298,7 +291,8 @@ class FrontTrackingRun:
             raise AssertionError("an interaction must emit exactly one front")
         w = waves[0]
         # convex interactions only ever merge into a down jump
-        if w.right_state > w.left_state and w.strength > self.h * (1 + 1e-9):
+        if w.right_state > w.left_state and w.strength > self.h * (
+                1 + self.tol.fan_count):
             raise AssertionError("interaction produced an oversized up-jump")
         out_uid = self._place(w, t, x, self._rank[uid_l])
         self._prev[out_uid] = before

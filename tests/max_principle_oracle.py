@@ -10,7 +10,6 @@ so it is the path the check traces from the same start.
 from bisect import bisect_left, bisect_right
 
 from wavetrack.characteristics import (
-    ANCHOR_TOL,
     MAX_PRINCIPLE_SAMPLES,
     CharacteristicPath,
     MaxPrincipleReport,
@@ -19,6 +18,9 @@ from wavetrack.characteristics import (
 )
 from wavetrack.coupling import stops
 from wavetrack.profiles import clipped_pieces
+from wavetrack.tolerances import FLOAT
+
+ANCHOR_TOL = FLOAT.anchor
 
 
 def slices(field, s, t, reverse=False):

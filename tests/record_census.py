@@ -22,16 +22,18 @@ The record counts and the counters repeat exactly, so two versions of the
 program that classify the same jump states print the same census; the
 peaks show what each version holds while it runs.  The most slices alive
 is counted as each one is handed out.  The wide pair takes its 8 probe
-slices from ``slices_at`` and, since the Oleinik check reads each once
-and lets it go, holds at most 2 of them (all 8 when a list kept them);
+slices from ``slices_at`` and, since the jump table and the Oleinik check
+read each once and let it go before the next is built, holds one at a
+time (2 while each loop kept its last slice, all 8 when a list kept them);
 the sine and rational pairs take their probe slices from the ledger's
 walk, so only the ledger's two endpoint slices come from ``slices_at``.
 
 On CPython 3.11 the wide pair's record holds 51,140 moves in 613,680
-bytes, and its run peaks at 3.41 MiB (sweep 2.21, event times 2.68,
-checks and writes 3.41).  It peaked at 5.29 MiB (sweep 4.16, event times
-4.23) while the sweep kept a second, sorted copy of its crossing times
-and the jump table's rows waited in a list for the table file.
+bytes, and its run peaks at 3.16 MiB (sweep 2.21, event times 2.68,
+checks and writes 3.16).  It peaked at 3.41 MiB while two probe slices
+were alive, and at 5.29 MiB (sweep 4.16, event times 4.23) while the
+sweep kept a second, sorted copy of its crossing times and the jump
+table's rows waited in a list for the table file.
 The sine and rational runs peak at 0.82 and 1.39 MiB.
 
 Run from the repository root::

@@ -3,18 +3,18 @@
 ``StaticField`` stands in for a :class:`~wavetrack.coupling.CoefficientField`
 where a test wants straight jump curves of its own choosing: the
 characteristic walks and ``coupling.stops`` read it through its ``exact``,
-``event_times`` and ``walk``, as they read a tracked field.  Its
+``tol``, ``event_times`` and ``walk``, as they read a tracked field.  Its
 ``oleinik_report`` is the strict one-sided rule for such a field: every
 expanding jump is a violation.
 """
 from wavetrack.characteristics import OleinikReport
 from wavetrack.coupling import (
-    CLASSIFY_TOL,
     ClassifiedJump,
     FieldSlice,
     InconsistentFieldError,
     classify,
 )
+from wavetrack.tolerances import EXACT, FLOAT, TOL_SCALE
 
 
 class _Stop:
@@ -55,7 +55,8 @@ class StaticField:
         self.region_values = region_values
         self.kappa_values = kappa_values
         self.exact = exact
-        self.classification_tol = 0 if exact else CLASSIFY_TOL
+        self.tol = EXACT if exact else FLOAT
+        self.classification_tol = self.tol.classify
         self.horizon = self._first_crossing()
 
     def _first_crossing(self):
@@ -118,7 +119,7 @@ class StaticField:
                     f"t={self.horizon}")
             yield t0, t1, _Stop(self.at(t0 + (t1 - t0) / 2))
 
-    def oleinik_report(self, times, tol_scale=1e-8) -> OleinikReport:
+    def oleinik_report(self, times, tol_scale=TOL_SCALE) -> OleinikReport:
         """One-sided compression with no resolution allowance: every jump
         that expands (a_+ > a_-) at one of ``times`` is flagged."""
         tol = 0 if self.exact else tol_scale

@@ -29,8 +29,6 @@ from wavetrack import (
 )
 from wavetrack import characteristics, tracking
 from wavetrack.characteristics import (
-    ANCHOR_TOL,
-    MAX_PRINCIPLE_TOL,
     _march,
     _psi_integral,
     _psi_min,
@@ -41,7 +39,10 @@ from wavetrack.characteristics import (
 from wavetrack.coupling import FAST
 from wavetrack.fluxes import FluxModel
 from wavetrack.scenarios import build_runs
+from wavetrack.tolerances import FLOAT
 
+ANCHOR_TOL = FLOAT.anchor
+MAX_PRINCIPLE_TOL = FLOAT.max_principle
 FLUX = burgers_flux()
 
 LAX = StaticField([(0.0, 0.0)], [0.5, -0.5])

@@ -20,7 +20,6 @@ from wavetrack.coupling import (
     CoefficientField,
     DegenerateFieldError,
     InconsistentFieldError,
-    TIE_MERGE,
     WeightField,
     _OWN,
     classify,
@@ -32,6 +31,7 @@ from wavetrack.fluxes import burgers_flux
 from wavetrack.functional import ledger_reports
 from wavetrack.profiles import Profile, profile_difference
 from wavetrack.rational import Q
+from wavetrack.tolerances import FLOAT
 from wavetrack import scenarios
 from wavetrack.scenarios import (
     build_runs,
@@ -42,6 +42,7 @@ from wavetrack.scenarios import (
 )
 from wavetrack.tracking import FrontTrackingRun
 
+TIE_MERGE = FLOAT.tie_merge
 FLUX = burgers_flux()
 
 
@@ -181,6 +182,19 @@ def test_shared_flux_required():
     r2.evolve(1.0)
     with pytest.raises(ValueError, match="flux"):
         CoefficientField(r1, r2)
+
+
+def test_an_exact_and_a_float_run_make_no_field():
+    # an exact run checks with zero slack and a float run with the float
+    # table: a pair of one of each has no one table, so it is refused when
+    # built, as a pair of two fluxes is
+    exact = FrontTrackingRun(FLUX, Profile([0], [1, 0]), Fraction(1, 10),
+                             exact=True).evolve(1)
+    floats = FrontTrackingRun(FLUX, Profile([0.5], [1.0, 0.0]), 0.1)
+    floats.evolve(1.0)
+    for pair in ((exact, floats), (floats, exact)):
+        with pytest.raises(ValueError, match="mode"):
+            CoefficientField(*pair)
 
 
 def test_burgers_strength_ratio_is_two():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wavetrack.fluxes import (
-    STATE_EPS,
     FluxModel,
     burgers_flux,
     exponential_flux,
@@ -15,8 +14,11 @@ from wavetrack.fluxes import (
     secant_speed,
 )
 from wavetrack.rational import Q
+from wavetrack.tolerances import FLOAT
 
 from flux_check import check_flux
+
+STATE_EPS = FLOAT.state_eps
 
 
 def test_burgers_basics():

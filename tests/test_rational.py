@@ -27,7 +27,7 @@ from wavetrack.functional import ledger_reports
 from wavetrack.rational import Q
 from wavetrack.scenarios import CHECK_ORDER
 
-from q_census import suite_exact_configs, watch_q
+from q_census import census, suite_exact_configs, watch_q
 
 ints = st.integers(-10**6, 10**6) | st.sampled_from([0, 1, -1])
 fracs = st.fractions(max_denominator=10**6) | st.sampled_from(
@@ -269,3 +269,14 @@ def test_an_exact_scenario_stays_on_q(configs, tmp_path):
     floats = [(name, v) for r in results for name, rep in r.reports.items()
               for v in _json_floats(rep.to_dict())]
     assert floats == []
+
+
+def test_the_exact_census_does_no_float_work():
+    """``tests/q_census.py``'s census of the five ``suite_exact`` pairs: no
+    ``Q`` operation meets a float (or another foreign operand), and the
+    total stays 326,276, so an exact run's tolerance table, all int zeros,
+    adds no exact work.  A change that does more or less exact work moves
+    the total and says so here."""
+    seen = census()
+    assert _foreign_operands(seen) == []
+    assert sum(n for k, n in seen.items() if isinstance(k, str)) == 326276

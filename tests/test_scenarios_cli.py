@@ -28,6 +28,7 @@ from output_corpus import corpus_configs
 from wavetrack import scenarios
 from wavetrack.cli import main
 from wavetrack.coupling import DegenerateFieldError, InconsistentFieldError
+from wavetrack.fluxes import make_flux
 from wavetrack.profiles import plain_number
 from wavetrack.scenarios import build_runs
 
@@ -273,6 +274,40 @@ def test_a_misspelt_key_is_a_config_error(tmp_path, capsys, node):
 def test_every_config_the_repository_builds_parses(monkeypatch):
     for config in _repository_configs(monkeypatch):
         parse_scenario(config)
+
+
+def test_readmes_schema_notes_match_the_parser():
+    """README's "Notes on the schema" name each node's keys, the generators
+    and gauss's defaults, the checks and the fluxes as the parser has them,
+    in its order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md")
+    notes = readme.read_text().split("Notes on the schema:")[1]
+    notes = " ".join(notes.split("\n\n")[1].split())   # the bullets
+
+    def listed(pattern):
+        return re.findall(r"`([^`]+)`", re.search(pattern, notes)[1])
+
+    assert listed(r"The top level knows (.*?);") == list(scenarios._TOP_KEYS)
+    assert listed(r"`flux` knows (.*?);") == list(scenarios._FLUX_KEYS)
+    assert listed(r"`time` knows (.*?);") == list(scenarios._TIME_KEYS)
+    assert listed(r"a generated profile knows (.*?), a literal") == list(
+        scenarios._GENERATOR_KEYS)
+    assert listed(r"a literal one (.*?)\.") == list(scenarios._PAIRS_KEYS)
+    assert listed(r"`generator` of (.*?) with") == list(scenarios._GENERATORS)
+    formula, defaults = re.search(r"`gauss` is `(.*?)`, with defaults (.*?);",
+                                  notes).groups()
+    gauss = scenarios._GENERATORS["gauss"]
+    assert [w for w in re.findall(r"[a-z]+", formula)
+            if w not in ("exp", "x")] == list(gauss)
+    assert [float(v) for v in re.split(r", | and ", defaults)] == list(
+        gauss.values())
+    assert listed(r"`checks` may list any of (.*?);") == list(
+        scenarios.CHECK_ORDER)
+    fluxes = listed(r"`flux.name` is one of (.*?);")
+    assert [make_flux(name).name for name in fluxes] == fluxes
+    with pytest.raises(ValueError, match="unknown flux") as err:
+        make_flux("none")
+    assert str(err.value).endswith(f"available: {sorted(fluxes)}")
 
 
 def test_suite_rejects_an_unknown_mode(monkeypatch):
@@ -766,13 +801,13 @@ def test_a_check_that_raises_leaves_no_jump_table(tmp_path, monkeypatch,
 def test_the_wide_oleinik_run_stays_under_its_memory_gate(tmp_path):
     # the census's wide pair: about 51k event times and 10,602 jump records
     # on 8 probe slices.  The run holds the sweep's record, the event times
-    # until the probe times are set, and at most two probe slices, while
-    # the jump table goes to its file row by row: 3.41 MiB traced on
+    # until the probe times are set, and one probe slice at a time, while
+    # the jump table goes to its file row by row: 3.16 MiB traced on
     # CPython 3.11.  A second copy of the crossing times or a table held in
     # memory puts it above 5 MiB
     census = record_census.census(dict(record_census.configs())["wide"],
                                   str(tmp_path / "wide"))
-    assert (census.records, census.alive) == (10602, 2)
+    assert (census.records, census.alive) == (10602, 1)
     assert census.peak < 4.5 * 2**20
 
 

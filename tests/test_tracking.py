@@ -20,6 +20,7 @@ from wavetrack.scenarios import (
 from wavetrack.tracking import (
     FAN,
     SHOCK,
+    Front,
     FrontTrackingRun,
     sample_initial_data,
     solve_riemann,
@@ -218,6 +219,40 @@ def test_exact_mode_rejects_a_float_front_speed():
     floats = Profile([-1.0, 1.0], [1.0, 0.0, -1.0])
     assert FrontTrackingRun(floaty, floats, 0.1).evolve(3.0).event_times() \
         == [2.0]
+
+
+class _PlantedUpJump(FrontTrackingRun):
+    """A run whose collisions, once ``excess`` is set, each emit an up-jump
+    of strength h + ``excess`` in place of the merged front."""
+
+    excess = None
+
+    def _riemann(self, u_left, u_right):
+        fronts = super()._riemann(u_left, u_right)
+        if self.excess is None:
+            return fronts
+        return [Front(-1, u_right - self.h - self.excess, u_right,
+                      fronts[0].speed, FAN)]
+
+
+@pytest.mark.parametrize("exact, excess, oversized", [
+    (True, Fraction(1, 10**12), True),
+    (False, 1e-12, False),
+    (False, 1e-9, True),
+], ids=["exact", "float_within_slack", "float_past_slack"])
+def test_the_up_jump_guard_takes_the_runs_fan_slack(exact, excess,
+                                                     oversized):
+    # two shocks meet at t = 1; an exact run flags an up-jump any larger
+    # than h, a float one only past its relative fan-count slack
+    one = Fraction(1) if exact else 1.0
+    p = Profile([0 * one, one], [2 * one, one, 0 * one])
+    run = _PlantedUpJump(FLUX, p, one / 10, exact=exact)
+    run.excess = excess
+    if oversized:
+        with pytest.raises(AssertionError, match="oversized up-jump"):
+            run.evolve(2 * one)
+    else:
+        assert len(run.evolve(2 * one).events) == 1
 
 
 def test_fronts_at_sorted_by_position():
