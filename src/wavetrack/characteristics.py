@@ -27,7 +27,7 @@ from .coupling import (
     exact_time,
     stops,
 )
-from .profiles import Report, clipped_pieces, csv_lines
+from .profiles import Report, clipped_pieces
 from .rational import Q
 from .tolerances import FLOAT, TOL_SCALE
 
@@ -241,10 +241,13 @@ def _step(field, fslice, x, t_from, t_to, tie_bias, segments):
 
 
 def export_paths_csv(paths, fileobj):
-    """Vertex table (path_id, t, x) of a list of characteristic paths."""
+    """Vertex table (path_id, t, x) of a list of characteristic paths; each
+    field as :func:`~wavetrack.profiles.csv_fields` writes it (a hand-built
+    segment may have no end position)."""
     fileobj.write("path_id,t,x\r\n")
     for pid, path in enumerate(paths):
-        fileobj.writelines(csv_lines([pid, *v] for v in path.vertices()))
+        fileobj.writelines(f"{pid!s},{t!s},{'' if x is None else x!s}\r\n"
+                           for t, x in path.vertices())
 
 
 # ---------------------------------------------------------------------------

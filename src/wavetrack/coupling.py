@@ -31,11 +31,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from operator import itemgetter, le
 
 from .fluxes import secant_speed
-from .profiles import csv_fields, csv_lines
+from .profiles import csv_fields
 from .rational import Q
 from .tolerances import FLOAT
 from .tracking import FrontTrackingRun
@@ -493,14 +493,14 @@ class _Cursor:
                           for far in (self.far_left, self.far_right))
 
     def walk(self, bounds, reverse):
-        spans = list(zip(bounds, bounds[1:]))
-        self.stats.intervals += len(spans)
+        self.stats.intervals += len(bounds) - 1
         if not reverse:
-            for t0, t1 in spans:
+            for t0, t1 in zip(bounds, islice(bounds, 1, None)):
                 self._stop(self._enter(t0, t1))
                 yield t0, t1, self
             self._check_pairs(self._pairs(), bounds[-1])
             return
+        spans = list(zip(bounds, bounds[1:]))
         log = self.log = []
         marks = [(self._enter(t0, t1), len(log)) for t0, t1 in spans]
         self._check_pairs(self._pairs(), bounds[-1])
@@ -929,19 +929,23 @@ class WeightField:
     def slice_at(self, fs: FieldSlice) -> tuple:
         """The weight on each piece of the field slice ``fs``, left to right;
         a jump's traces (w_-, w_+) are the values of the pieces beside it."""
-        z = self.m * 0
+        m = self.m
+        z = m * 0
         strengths = [j.strength for j in fs.jumps]
         in_I = [j.partition == "I" for j in fs.jumps]
-        totals = (sum((b for b, i in zip(strengths, in_I) if i), start=z),
-                  sum((b for b, i in zip(strengths, in_I) if not i), start=z))
+        v_I_total = sum((b for b, i in zip(strengths, in_I) if i), start=z)
+        v_II_total = sum((b for b, i in zip(strengths, in_I) if not i),
+                         start=z)
+        # piece_weight inline; i is None right of the last jump
         v_I = v_II = z
-        pieces = [self.piece_weight(fs.psi_values[0], (z, z), totals)]
-        for b, i, psi in zip(strengths, in_I, fs.psi_values[1:]):
+        pieces = []
+        for psi, b, i in zip_longest(fs.psi_values, strengths, in_I):
+            pieces.append(m + (v_I_total - v_I) + v_II if psi > 0
+                          else m + v_I + (v_II_total - v_II))
             if i:
                 v_I += b
-            else:
+            elif i is not None:
                 v_II += b
-            pieces.append(self.piece_weight(psi, (v_I, v_II), totals))
         return tuple(pieces)
 
 
@@ -950,10 +954,12 @@ JUMPS_HEADER = ("t,x,kind,partition,lambda,a_minus,a_plus,b_jump,w_minus,"
 
 
 def jump_rows(weight: WeightField, fs: FieldSlice):
-    """One slice's classified-jump table lines, with weight traces, lazily."""
+    """One slice's classified-jump table lines, with weight traces, lazily;
+    each field as :func:`~wavetrack.profiles.csv_fields` writes it (a
+    hand-built jump may have no kind and no speed)."""
     t, = csv_fields([fs.time])
     a, w = csv_fields(fs.a_values), csv_fields(weight.slice_at(fs))
-    return csv_lines(
-        [t, x, j.kind, j.partition, j.lam, a[i], a[i + 1], j.b_jump, w[i],
-         w[i + 1]]
-        for i, (x, j) in enumerate(zip(fs.positions, fs.jumps)))
+    return (f"{t},{x!s},{'' if j.kind is None else j.kind!s},{j.partition!s},"
+            f"{'' if j.lam is None else j.lam!s},{am},{ap},{j.b_jump!s},{wm},"
+            f"{wp}\r\n" for x, j, am, ap, wm, wp in zip(
+                fs.positions, fs.jumps, a, a[1:], w, w[1:]))

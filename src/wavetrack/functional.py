@@ -598,11 +598,13 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
             a = known[state] = _JumpTerms(state, cfield.tol, tol_min)
         return a
 
-    def weigh(fslice):
-        # each book's piece values at an endpoint slice (None: weight one)
-        return [None if b.weight is None
-                else b.weight.slice_at(fslice)
-                for b in books]
+    def norms_at(time, extra=()):
+        # each book's norms (and the ``extra`` ones) at an endpoint, whose
+        # slice goes once they are taken (a weight of None is one)
+        fslice = cfield.at(time)
+        return _norms(fslice, [None if b.weight is None
+                               else b.weight.slice_at(fslice)
+                               for b in books] + list(extra), window)
 
     bounds = [s, *cfield.event_times(s, t), t]
     kept_at, kept = (set(keep(len(bounds) - 1)), []) if keep else ((), None)
@@ -618,16 +620,14 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
     # the adjacent interaction-free interval recovers the endpoint norm
     # exactly; fill those in after the interval loop.
     try:
-        start_slice = cfield.at(s)
-        norm_start = _norms(start_slice, weigh(start_slice) + [None], window)
+        norm_start = norms_at(s, [None])
         base = norm_start.pop()
     except DegenerateFieldError:
         norm_start = [None] * len(books)
         t0, t1, stop = first
         base = _norms(stop.slice(), [None], window, t0 + (t1 - t0) / 4)[0]
     try:
-        end_slice = cfield.at(t)
-        norm_end = _norms(end_slice, weigh(end_slice), window)
+        norm_end = norms_at(t)
     except DegenerateFieldError:
         norm_end = [None] * len(books)
 

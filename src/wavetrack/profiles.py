@@ -234,13 +234,11 @@ def _subclass_text(x):
 
 def csv_fields(values):
     """Each value as ``csv.writer`` writes a field that needs no quoting:
-    ``str()`` (a float's repr, ``p/q`` for a Fraction), ``""`` for None."""
+    ``str()`` (a float's repr, ``p/q`` for a Fraction), ``""`` for None.
+    A writer that builds a row as one f-string writes a field ``{v!s}``, so
+    that Fraction.__format__ (Python 3.12) never picks the text, and tests
+    for None where the value may be None."""
     return ["" if v is None else str(v) for v in values]
-
-
-def csv_lines(rows):
-    """The lines ``csv.writer`` writes for ``rows`` of such fields, lazily."""
-    return (",".join(csv_fields(row)) + "\r\n" for row in rows)
 
 
 def profile_map2(p: Profile, q: Profile, fn) -> Profile:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fluxes import FluxModel, rankine_hugoniot_speed
-from .profiles import Profile, csv_lines
+from .profiles import Profile
 from .rational import Q
 from .tolerances import EXACT, FLOAT
 
@@ -357,11 +357,14 @@ class FrontTrackingRun:
 
     def export_wave_csv(self, fileobj, horizon=None):
         """One row per front for the space-time wave diagram: its birth,
-        and its death or its state at ``horizon`` (default: evolved_until)."""
+        and its death or its state at ``horizon`` (default: evolved_until);
+        each field as :func:`~wavetrack.profiles.csv_fields` writes it (the
+        tracker leaves none of them None)."""
         horizon = self.evolved_until if horizon is None else horizon
         ends = [(f, horizon if f.death_time is None else f.death_time)
                 for f in self.fronts]
         fileobj.write("front,t_start,x_start,t_end,x_end,left,right,kind\r\n")
-        fileobj.writelines(csv_lines(
-            [f.uid, f.birth_time, f.birth_position, t_end, f.position_at(t_end),
-             f.left_state, f.right_state, f.kind] for f, t_end in ends))
+        fileobj.writelines(
+            f"{f.uid!s},{f.birth_time!s},{f.birth_position!s},{t_end!s},"
+            f"{f.position_at(t_end)!s},{f.left_state!s},{f.right_state!s},"
+            f"{f.kind!s}\r\n" for f, t_end in ends)
