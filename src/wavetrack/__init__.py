@@ -41,7 +41,6 @@ from .coupling import (
     SLOW,
     ClassifiedJump,
     CoefficientField,
-    DegenerateFieldError,
     FieldSlice,
     InconsistentFieldError,
     WeightField,
@@ -97,7 +96,6 @@ __all__ = [
     "CharacteristicPath",
     "ClassifiedJump",
     "CoefficientField",
-    "DegenerateFieldError",
     "FAST",
     "FieldSlice",
     "FluxModel",

@@ -145,12 +145,17 @@ def _window(fslice, t, lo, hi):
     return i, [positions[k] + lams[k] * dt for k in range(i, j)]
 
 
-def _state_at(field, fslice, x, t, *, backward, tie_bias):
+def _stack(field, fslice, x, t):
+    """:func:`_window` around x, and the jump curves passing within the
+    field's ``anchor`` of (x, t): the stack at a start point or a hit."""
     tol = field.tol.anchor and field.tol.anchor * (1 + abs(x))
-    # the jump curves passing within tol of (x, t) and the region holding x
-    # otherwise, from the window around x -+ tol
     first, xs = _window(fslice, t, x - tol, x + tol)
-    members = [first + r for r, q in enumerate(xs) if abs(q - x) <= tol]
+    return first, xs, [first + r for r, q in enumerate(xs) if abs(q - x) <= tol]
+
+
+def _state_at(field, fslice, x, t, *, backward, tie_bias):
+    # the stack of jump curves at (x, t), else the region holding x
+    first, xs, members = _stack(field, fslice, x, t)
     if members:
         return _resolve(fslice, members, backward=backward,
                         tie_bias=tie_bias, where=f"(x={x}, t={t})")
@@ -158,17 +163,19 @@ def _state_at(field, fslice, x, t, *, backward, tie_bias):
     return ("region", rho, fslice.a_values[rho])
 
 
-def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
+def _march(field, fslice, state, x, t_from, t_to, tie_bias, segments):
     """March a characteristic in ``state`` (see :func:`_resolve`) from
-    (x, t_from) to t_to within the interaction-free interval of ``fslice``:
-    forward in time when t_from < t_to, backward otherwise.  Appends its
-    segments in marching order (latest first backward) and returns its x
-    at t_to.
+    (x, t_from) to t_to within the interaction-free interval of ``fslice``,
+    a slice of ``field``: forward in time when t_from < t_to, backward
+    otherwise.  Appends its segments in marching order (latest first
+    backward) and returns its x at t_to.
 
     A path runs into the jump curve it meets first.  Forward, a compressive
     jump captures it and an undercompressive one lets it pass; backward,
     compressive jumps repel (meeting one is a float tie, resolved by
-    feasibility).  Rarefaction-side jumps raise either way."""
+    feasibility).  Rarefaction-side jumps raise either way.  A hit on a
+    stack of jumps (fronts of both runs on one point) is resolved as a
+    start point on it is (:func:`_stack`, :func:`_resolve`)."""
     backward = t_to < t_from
     before = gt if backward else lt     # in marching order
     positions, lams = fslice.positions, fslice.lams
@@ -214,13 +221,18 @@ def _march(fslice, state, x, t_from, t_to, tie_bias, segments):
         if hit_t is None:
             return x1
         x, t, kind = x1, t1, fslice.jumps[hit_k].kind
-        if kind == RAREFACTION_SHOCK:
+        # a stack met at t_to is left to the next interval's start
+        members = _stack(field, fslice, x, t)[2] if before(t, t_to) else ()
+        if len(members) > 1:
+            state = _resolve(fslice, members, backward=backward,
+                             tie_bias=tie_bias, where=f"(x={x}, t={t})")
+        elif kind == RAREFACTION_SHOCK:
             raise RuntimeError(
                 f"backward characteristic captured by a rarefaction-side "
                 f"jump at (x={x}, t={t})" if backward else
                 f"forward characteristic ran into a rarefaction-side jump "
                 f"at (x={x}, t={t}); the geometry is degenerate")
-        if kind == LAX:
+        elif kind == LAX:
             state = (_resolve(fslice, [hit_k], backward=True,
                               tie_bias=tie_bias, where=f"(x={x}, t={t})")
                      if backward else ("ride", hit_k, lam))
@@ -237,7 +249,7 @@ def _step(field, fslice, x, t_from, t_to, tie_bias, segments):
     """:func:`_march` from (x, t_from), in the state the field gives there."""
     state = _state_at(field, fslice, x, t_from, backward=t_to < t_from,
                       tie_bias=tie_bias)
-    return _march(fslice, state, x, t_from, t_to, tie_bias, segments)
+    return _march(field, fslice, state, x, t_from, t_to, tie_bias, segments)
 
 
 def export_paths_csv(paths, fileobj):

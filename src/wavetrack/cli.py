@@ -12,7 +12,8 @@ Three subcommands:
     Refinement study over the config's ``h_list``.
 
 Exit status: 0 when every asserted check passed, 1 on check failures,
-2 on config errors or degenerate wave geometry.
+2 on config errors or on a run that raises (an inconsistent wave
+pattern, say).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .coupling import DegenerateFieldError, InconsistentFieldError
+from .coupling import InconsistentFieldError
 from .profiles import plain_number
 from .scenarios import (
     ScenarioConfigError,
@@ -144,9 +145,6 @@ def main(argv=None) -> int:
     except ScenarioConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
-        return 2
-    except DegenerateFieldError as exc:
-        print(f"degenerate geometry: {exc}", file=sys.stderr)
         return 2
     except InconsistentFieldError as exc:
         print(f"inconsistent wave pattern: {exc}", file=sys.stderr)

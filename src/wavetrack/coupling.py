@@ -54,19 +54,6 @@ class InconsistentFieldError(RuntimeError):
     state chain, or an interaction the timeline does not list."""
 
 
-class DegenerateFieldError(ValueError):
-    """Fronts of the two runs coincide: the averaged coefficient is ambiguous."""
-
-    def __init__(self, position, time):
-        self.position = position
-        self.time = time
-        super().__init__(
-            f"fronts of both runs coincide at x={position} (t={time}); the "
-            "coefficient field is degenerate there.  Perturb one run's initial "
-            "breakpoints by at least 1e-9 to separate them."
-        )
-
-
 def classify(a_minus, a_plus, lam, tol=FLOAT.classify):
     """Jump type of the coefficient from its traces and propagation speed.
 
@@ -203,7 +190,6 @@ class CoefficientField:
         self.exact = run_I.exact
         self.tol = tol = run_I.tol
         self.classification_tol = tol.classify
-        self.position_tol = tol.position
         self.state_eps = tol.state_eps
         self.stats = FieldStats()
 
@@ -215,8 +201,9 @@ class CoefficientField:
 
     def slices_at(self, times):
         """The field at each of the increasing ``times``: one cursor replays
-        the sweep forward and raises as :meth:`_Cursor.whole` does, or
-        ValueError on a time outside the span of either run."""
+        the sweep forward and raises as :meth:`_Cursor.whole` does (a broken
+        state chain or a front order the record misses), or ValueError on a
+        time outside the span of either run."""
         cursor = _Cursor(self)
         for t in times:
             self.run_I._check_horizon(t)
@@ -439,15 +426,15 @@ class _Cursor:
     the whole stops of ``CoefficientField.slices_at`` (:meth:`whole`),
     where every pair and every state is checked and nothing is noted.
 
+    Fronts of both runs that share a point stay two entries, in the order
+    the record gives them; the piece between them has zero width, so no
+    norm and no trace sum reads their order.
+
     Each list entry keeps its jump state.  A link change marks the entry
     right of it.  At a stop the cursor re-derives each marked entry's state
     from the states on its left (which checks its run's state chain),
-    going on to the right while a state changes, and checks each pair of
-    neighbours the replay made for fronts of both runs that coincide.  So
-    a stop costs O(changes): a pair that stayed adjacent cannot newly
-    coincide at a midpoint, because its gap is linear while it stays
-    adjacent and a zero of it would be a crossing in the record, which
-    bounds an interval.  A walk keys states by the front and the other run's
+    going on to the right while a state changes, so a stop costs
+    O(changes).  A walk keys states by the front and the other run's
     state across it, and classifies each on first use into the
     :class:`ClassifiedJump` record it keeps.  A stop hands out what changed
     since the last one (:meth:`delta`) and the records in list order
@@ -640,23 +627,12 @@ class _Cursor:
             self.dirty.add(right)
 
     def _stop(self, t):
-        """Pause at t: check the neighbour pairs the replay made (every pair
-        at the walk's first stop) for coinciding fronts of both runs, and
-        re-derive the states of the marked entries."""
+        """Pause at t and re-derive the states of the marked entries (every
+        entry at the walk's first stop)."""
         first = self.time is None
         self.time, self.built, self.ordered = t, None, None
         self.xs, self.old = {}, {}
-        prv, nxt, in_II = self.prv, self.nxt, self.in_II
-        head, tail, tol = self.head, self.tail, self.field.position_tol
-        pairs = (self._pairs() if first else
-                 [(k, nxt[k]) for k, right in self.touched.items()
-                  if nxt[k] != right])
-        for kl, kr in pairs:
-            if 0 <= kl < head and 0 <= kr < head and in_II[kl] != in_II[kr]:
-                xl, xr = self._x(kl), self._x(kr)
-                if xr == xl or tol and abs(xr - xl) <= tol * (1 + abs(xl)):
-                    raise DegenerateFieldError(xl, t)
-
+        prv, nxt, head, tail = self.prv, self.nxt, self.head, self.tail
         state, old = self.state, self.old
         marked = ({*self._entries(), tail} if first else
                   {k for k in self.dirty if k == tail or prv[k] != _GONE})
@@ -688,32 +664,28 @@ class _Cursor:
 
     def whole(self, t):
         """The slice at t, off a walk: replay to t, then check every pair of
-        neighbours for order and for coinciding fronts of both runs and
-        re-derive every state, in one pass, as a walk's first stop does."""
+        neighbours for order and re-derive every state, in one pass, as a
+        walk's first stop does."""
         if self.time is not None and t < self.time:
             raise ValueError(f"t={t} lies before the cursor's t={self.time}")
         self._replay_to(t)
         self.time, self.xs, self.built = t, {}, None
-        fronts, in_II, nxt, state, xs = (self.fronts, self.in_II, self.nxt,
-                                         self.state, self.xs)
-        guard, tol = self.field.tol.guard, self.field.position_tol
+        fronts, nxt, state, xs = self.fronts, self.nxt, self.state, self.xs
+        guard = self.field.tol.guard
         cur, (am, km) = self.far_left, self.ends[0]
-        kl = xl = None
+        xl = None
         positions = []
         k = nxt[self.head]
         while k != self.tail:
             x = xs[k] = fronts[k].position_at(t)
             positions.append(x)
-            if kl is not None:
+            if xl is not None:
                 gap = x - xl
                 if gap < 0 and (not guard or gap < -guard * (1 + abs(xl))):
                     raise self._out_of_order(xl, t)
-                if in_II[k] != in_II[kl] and (
-                        gap == 0 or tol and abs(gap) <= tol * (1 + abs(xl))):
-                    raise DegenerateFieldError(xl, t)
             st = state[k] = self._state_of(k, cur, am, km, t)
             cur, am, km = st.plus, st.a_plus, st.kappa_plus
-            kl, xl, k = k, x, nxt[k]
+            xl, k = x, nxt[k]
         self._check_far_right(cur, t)
         return self.slice(positions)
 

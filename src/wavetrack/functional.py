@@ -74,7 +74,6 @@ from .coupling import (
     RAREFACTION_SHOCK,
     SLOW,
     CoefficientField,
-    DegenerateFieldError,
     FieldDelta,
     WeightField,
     exact_time,
@@ -613,23 +612,9 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
     # the zero of the walk's times and its (a, psi) at either end
     zero, ends = first[2].time * 0, first[2].ends
 
-    # Endpoint slices can be degenerate when a cross-run front crossing
-    # lands exactly on s or t (common in rational mode).  Both norms are
-    # continuous through a crossing -- the sliver between the two fronts
-    # has zero width at that instant -- so the linear extrapolation from
-    # the adjacent interaction-free interval recovers the endpoint norm
-    # exactly; fill those in after the interval loop.
-    try:
-        norm_start = norms_at(s, [None])
-        base = norm_start.pop()
-    except DegenerateFieldError:
-        norm_start = [None] * len(books)
-        t0, t1, stop = first
-        base = _norms(stop.slice(), [None], window, t0 + (t1 - t0) / 4)[0]
-    try:
-        norm_end = norms_at(t)
-    except DegenerateFieldError:
-        norm_end = [None] * len(books)
+    norm_start = norms_at(s, [None])
+    base = norm_start.pop()
+    norm_end = norms_at(t)
 
     # plain-L1 size of the initial difference sets the tolerance scale; a
     # tolerance of the walk is never below tol_min
@@ -751,10 +736,6 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
     for book, n_start, n_end in zip(books, norm_start, norm_end):
         intervals, violations = book.intervals, book.violations
         plain = book.weight is None
-        if n_start is None:
-            n_start = intervals[0].norm_at(s)
-        if n_end is None:
-            n_end = intervals[-1].norm_at(t)
 
         event_drops = []
         for k, e in enumerate(bounds[1:-1]):

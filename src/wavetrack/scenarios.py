@@ -22,7 +22,6 @@ from .characteristics import (export_paths_csv, maximum_principle_check,
 from .coupling import (
     JUMPS_HEADER,
     CoefficientField,
-    DegenerateFieldError,
     WeightField,
     jump_rows,
 )
@@ -512,7 +511,7 @@ class ScenarioResult:
     spec: ScenarioSpec
     reports: dict              # check name -> report object
     passed: bool
-    error: object = None       # DegenerateFieldError or similar, if any
+    error: object = None       # what a check or a slice raised, if any
     out_dir: object = None
 
     def summary(self):
@@ -604,7 +603,8 @@ def build_runs(spec: ScenarioSpec, h=None):
 
 def run_scenario(config, out_dir=None) -> ScenarioResult:
     """Execute a scenario's checks; write reports when out_dir (or config
-    'out') names a directory.  Degenerate geometry is reported, not raised.
+    'out') names a directory.  An error of the run (an inconsistent wave
+    pattern, say) is reported, not raised.
 
     Every norm the checks read is booked by one ledger walk, before any
     check runs.  The probe slices, which the Oleinik check and the jump
@@ -670,9 +670,9 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
             if out is not None:
                 for _ in slices:    # the table rows no check read
                     pass
-                # samples, not a slice: a cross-run crossing may sit at t
+                # each run's own profile at t, from its own fronts
                 finals = run_I.sample(t), run_II.sample(t)
-        except (DegenerateFieldError, RuntimeError, ValueError) as exc:
+        except (RuntimeError, ValueError) as exc:
             error = exc
 
         passed = error is None and all(rep.passed for rep in reports.values())

@@ -13,7 +13,6 @@ class Tolerances:
     time: object = 1e-9            # a collision may precede the clock so much
     fan_count: object = 1e-9       # relative: a fan step's most excess over h
     classify: object = 1e-10       # trace gaps a_-+ - lam this small are 0
-    position: object = 1e-12       # relative: fronts of both runs coincide
     tie_merge: object = 1e-12      # relative: event times this close are one
     guard: object = 1e-9           # relative: missed-event, front-order guards
     anchor: object = 1e-9          # relative: a point this close is on a jump

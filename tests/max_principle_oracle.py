@@ -44,7 +44,7 @@ def state_at(field, fslice, x, t, *, backward, tie_bias):
 def step(field, fslice, x, t_from, t_to, tie_bias, segments):
     state = state_at(field, fslice, x, t_from, backward=t_to < t_from,
                      tie_bias=tie_bias)
-    return _march(fslice, state, x, t_from, t_to, tie_bias, segments)
+    return _march(field, fslice, state, x, t_from, t_to, tie_bias, segments)
 
 
 def forward_characteristic(field, x0, t0, t_end, tie_bias=0, step=step):

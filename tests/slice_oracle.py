@@ -11,7 +11,6 @@ from operator import itemgetter
 
 from wavetrack.coupling import (
     ClassifiedJump,
-    DegenerateFieldError,
     FieldSlice,
     InconsistentFieldError,
     classify,
@@ -22,28 +21,24 @@ from wavetrack.fluxes import secant_speed
 def at(field, t):
     """The field at time t, from a sort of the fronts alive at t.
 
-    Raises :class:`DegenerateFieldError` when fronts of the two runs
-    coincide, and :class:`InconsistentFieldError` when the fronts of a run,
-    so sorted, do not chain its states from far left to far right.
+    Fronts on one point, of one run or of both, are ordered by speed,
+    slower first, as they lie just after t; fronts of both runs with one
+    position and one speed keep run I first.  Raises
+    :class:`InconsistentFieldError` when the fronts of a run, so sorted, do
+    not chain its states from far left to far right.
     """
-    # each run's fronts by (position, speed), not in the run's own order
-    tagged = []
-    for tag, run in (("I", field.run_I), ("II", field.run_II)):
-        fronts = sorted(run.fronts_at(t),
-                        key=lambda f: (f.position_at(t), f.speed))
-        tagged += [(f.position_at(t), tag, f) for f in fronts]
-    tagged.sort(key=itemgetter(0))
+    # the fronts of both runs by (position, speed), not in a run's own
+    # order; the sort is stable, so run I's come first on a full tie
+    tagged = [(f.position_at(t), f.speed, tag, f)
+              for tag, run in (("I", field.run_I), ("II", field.run_II))
+              for f in run.fronts_at(t)]
+    tagged.sort(key=itemgetter(0, 1))
 
-    tol = field.position_tol
     cur_I = field.run_I.initial.far_left
     cur_II = field.run_II.initial.far_left
     uI_vals = [cur_I]
     uII_vals = [cur_II]
-    prev_x = prev_tag = None
-    for x, tag, f in tagged:
-        if (prev_tag is not None and tag != prev_tag
-                and abs(x - prev_x) <= tol * (1 + abs(prev_x))):
-            raise DegenerateFieldError(prev_x, t)
+    for x, _, tag, f in tagged:
         if tag == "I":
             if f.left_state != cur_I:
                 raise InconsistentFieldError(
@@ -56,7 +51,6 @@ def at(field, t):
             cur_II = f.right_state
         uI_vals.append(cur_I)
         uII_vals.append(cur_II)
-        prev_x, prev_tag = x, tag
     if (cur_I != field.run_I.initial.far_right
             or cur_II != field.run_II.initial.far_right):
         raise InconsistentFieldError(
@@ -66,9 +60,9 @@ def at(field, t):
               for uI, uII in zip(uI_vals, uII_vals)]
     psi_vals = [uII - uI for uI, uII in zip(uI_vals, uII_vals)]
     ctol = field.classification_tol
-    lams = tuple(f.speed for _, _, f in tagged)
+    lams = tuple(f.speed for _, _, _, f in tagged)
     jumps = []
-    for i, (_, tag, f) in enumerate(tagged):
+    for i, (_, _, tag, f) in enumerate(tagged):
         am, ap = a_vals[i], a_vals[i + 1]
         jumps.append(ClassifiedJump(
             f.speed, am, ap, classify(am, ap, f.speed, ctol), tag,
@@ -77,7 +71,7 @@ def at(field, t):
     return FieldSlice(
         time=t,
         jumps=tuple(jumps),
-        positions=tuple(x for x, _, _ in tagged),
+        positions=tuple(x for x, *_ in tagged),
         a_values=tuple(a_vals),
         psi_values=tuple(psi_vals),
         lams=lams,

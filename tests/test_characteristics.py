@@ -512,7 +512,7 @@ def test_march_forward_into_a_rarefaction_side_jump_raises():
     # crafted state heading into the jump stands in for one
     rs = StaticField([(0, 0)], [Fraction(-1, 2), Fraction(1, 2)], exact=True)
     with pytest.raises(RuntimeError, match="forward characteristic ran into"):
-        _march(rs.at(Fraction(1, 2)), ("region", 0, 1), -1, 0, 2, 0,
+        _march(rs, rs.at(Fraction(1, 2)), ("region", 0, 1), -1, 0, 2, 0,
                [])
 
 
@@ -523,7 +523,7 @@ def test_march_backward_into_a_compressive_jump_resolves_the_tie():
     fs = lax.at(1)
     for tie_bias, foot in ((1, Fraction(-1, 2)), (-1, Fraction(1, 2))):
         segments = []
-        assert _march(fs, ("region", 0, -1), -1, 2, 0, tie_bias,
+        assert _march(lax, fs, ("region", 0, -1), -1, 2, 0, tie_bias,
                       segments) == foot
         assert [(seg.t0, seg.t1, seg.x0, seg.x1) for seg in segments] == [
             (1, 2, 0, -1), (0, 1, foot, 0)]

@@ -18,7 +18,6 @@ from wavetrack.coupling import (
     RAREFACTION_SHOCK,
     SLOW,
     CoefficientField,
-    DegenerateFieldError,
     InconsistentFieldError,
     WeightField,
     _OWN,
@@ -28,10 +27,10 @@ from wavetrack.coupling import (
 )
 from wavetrack.characteristics import oleinik_report
 from wavetrack.fluxes import burgers_flux
-from wavetrack.functional import ledger_reports
+from wavetrack.functional import _norms, default_window, ledger_reports
 from wavetrack.profiles import Profile, profile_difference
 from wavetrack.rational import Q
-from wavetrack.tolerances import FLOAT
+from wavetrack.tolerances import FLOAT, TOL_SCALE
 from wavetrack import scenarios
 from wavetrack.scenarios import (
     build_runs,
@@ -125,11 +124,19 @@ def test_psi_equals_profile_difference():
     assert _steps(fs, fs.psi_values) == profile_difference(p2, p1)
 
 
-def test_degenerate_coincidence_raises():
-    # both runs carry a stationary shock through x=0
+def test_coinciding_fronts_are_two_jumps_on_one_point():
+    # both runs carry a stationary shock through x=0: two jumps there, in
+    # the sweep's order, with a piece of zero width between them
     field = _field(Profile([0.0], [1.0, -1.0]), Profile([0.0], [0.5, -0.5]))
-    with pytest.raises(DegenerateFieldError, match="Perturb"):
-        field.at(0.25)
+    fs = field.at(0.25)
+    assert fs.positions == (0.0, 0.0)
+    assert [(j.partition, j.kind, j.kappa_minus, j.kappa_plus)
+            for j in fs.jumps] == [("I", LAX, -0.5, 1.5),
+                                   ("II", FAST, 1.5, 0.5)]
+    plain, weighted = ledger_reports(field, [None, 1], 0, 2)[0]
+    assert plain.passed and weighted.passed
+    assert (plain.norm_start, plain.norm_end) == (9.0, 9.0)
+    assert (weighted.norm_start, weighted.norm_end) == (18.0, 18.0)
 
 
 def test_a_pair_made_mid_walk_is_checked_for_coinciding_fronts():
@@ -144,12 +151,15 @@ def test_a_pair_made_mid_walk_is_checked_for_coinciding_fronts():
     walk = oracle.slices(field, 0, 2)
     t0, t1, fs = next(walk)
     assert (t0, t1, len(fs.jumps)) == (0, 1, 3)
-    with pytest.raises(DegenerateFieldError, match="x=0 \\(t=3/2\\)"):
-        next(walk)
-    # the ledgers walk the same stops; only the endpoint slice at t = 2,
-    # which is degenerate too, is left to extrapolation
-    with pytest.raises(DegenerateFieldError, match="x=0 \\(t=3/2\\)"):
-        ledger_reports(field, [None, 1], 0, 2)
+    t0, t1, fs = next(walk)
+    assert (t0, t1, fs.time) == (1, 2, q(3, 2))
+    assert fs.positions == (0, 0)
+    assert [j.partition for j in fs.jumps] == ["II", "I"]
+    # the ledgers walk the same stops and measure the end slice at t = 2
+    plain, weighted = ledger_reports(field, [None, 1], 0, 2)[0]
+    assert plain.passed and weighted.passed
+    assert (plain.norm_start, plain.norm_end) == (20, 20)
+    assert (weighted.norm_start, weighted.norm_end) == (60, 60)
 
 
 def test_cross_run_crossing_appears_in_event_times():
@@ -158,11 +168,11 @@ def test_cross_run_crossing_appears_in_event_times():
                    Profile([-3.0], [2.0, 1.0]), horizon=3.0)
     events = field.event_times(0.0, 3.0)
     assert any(abs(e - 2.0) < 1e-9 for e in events)
-    # the crossing instant itself is degenerate, either side is fine
+    # at the crossing instant the two fronts share a point, and the slice
+    # holds both
     field.at(1.9)
     field.at(2.1)
-    with pytest.raises(DegenerateFieldError):
-        field.at(2.0)
+    assert field.at(2.0).positions == (0.0, 0.0)
 
 
 def test_event_times_merges_both_runs():
@@ -670,22 +680,35 @@ def test_slices_at_moves_one_cursor_forward_only():
         next(slices)
 
 
+def _own_jumps(fs):
+    """Each jump's owning front and its own run's data, in a set."""
+    return {(j.partition, j.front_uid, j.lam, j.b_jump, j.source_kind)
+            for j in fs.jumps}
+
+
 @pytest.mark.parametrize("name", ["float", "rational", "sine"])
 def test_at_equals_the_oracle_at_every_bound(name):
-    # at an own event time both give the field after the interaction; at a
-    # cross-run crossing both refuse the coinciding fronts
+    # at an own event time both give the field after the interaction, and
+    # at a cross-run crossing the fronts on one point slower first, as they
+    # lie just after it.  A float crossing may round the pair's positions
+    # either way round, so there the two agree on the jumps and their
+    # states, and on both norms within the ledger's tolerance
     for field in _cursor_corpus(name):
         horizon = field.run_I.evolved_until
         crossings = set(_listed_crossings(field))
+        window, weight = default_window(field, horizon), WeightField(field, 1)
         for e in [horizon * 0, *field.event_times(horizon * 0, horizon),
                   horizon]:
-            if e in crossings:
-                for build in (slice_oracle.at, CoefficientField.at):
-                    with pytest.raises(DegenerateFieldError):
-                        build(field, e)
-            else:
-                assert (_slice_bits(field.at(e))
-                        == _slice_bits(slice_oracle.at(field, e)))
+            fs, ref = field.at(e), slice_oracle.at(field, e)
+            if field.exact or e not in crossings:
+                assert _slice_bits(fs) == _slice_bits(ref)
+                continue
+            assert _own_jumps(fs) == _own_jumps(ref)
+            assert sorted(fs.positions) == sorted(ref.positions)
+            norms = [_norms(s, [None, weight.slice_at(s)], window)
+                     for s in (fs, ref)]
+            for got, want in zip(*norms):
+                assert abs(got - want) <= TOL_SCALE * (1 + abs(want))
 
 
 @pytest.mark.parametrize("name", ["acceptance", "float", "rational", "sine"])

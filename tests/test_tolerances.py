@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # every float slack at its value; moving one moves float verdicts
 PINNED = {
     "state_eps": 1e-12, "tie": 1e-12, "time": 1e-9, "fan_count": 1e-9,
-    "classify": 1e-10, "position": 1e-12, "tie_merge": 1e-12, "guard": 1e-9,
+    "classify": 1e-10, "tie_merge": 1e-12, "guard": 1e-9,
     "anchor": 1e-9, "max_principle": 1e-10, "sample_gap": 1e-9, "psi": 1e-12,
 }
 
@@ -40,9 +40,8 @@ def test_a_run_pair_and_its_field_share_one_table():
                 for x in (0 * one, one / 2)]
         field = CoefficientField(*runs)
         assert runs[0].tol is runs[1].tol is field.tol is table
-        assert (field.classification_tol, field.position_tol,
-                field.state_eps) == (table.classify, table.position,
-                                     table.state_eps)
+        assert (field.classification_tol, field.state_eps) == (
+            table.classify, table.state_eps)
 
 
 def test_no_float_slack_is_spelt_out_outside_the_table():
