@@ -11,7 +11,7 @@ selections.
 
 The walks read each stop's :class:`~wavetrack.coupling.FieldSlice`
 (``stop.slice()``) of a :class:`~wavetrack.coupling.CoefficientField`, as
-:func:`~wavetrack.coupling.stops` hands them out.
+its :meth:`~wavetrack.coupling.CoefficientField.walk` hands them out.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .coupling import (
     SLOW,
     FieldSlice,
     exact_time,
-    stops,
 )
 from .profiles import Report, clipped_pieces
 from .rational import Q
@@ -283,13 +282,17 @@ class OleinikReport(Report):
 
 def _run_fan_slope(placed, t):
     """Largest t * (state step) / (gap) over adjacent fan-member pairs of
-    one run's jumps at t, as (source kind, the run's states left and right,
-    position at t) in position order; each slice checks the state chain."""
+    one run's jumps at t, as (front, the run's states left and right) in
+    position order; each slice checks the state chain.  A pair's gap comes
+    from its fronts' birth points and speeds, so that the rounding of two
+    positions that share a birth point, large beside the gap of a fan just
+    born, stays out of it."""
     best = 0
-    for (kf, fl, fr, x), (kg, gl, gr, y) in zip(placed, placed[1:]):
-        if kf != "fan" or kg != "fan":
+    for (f, fl, fr), (g, gl, gr) in zip(placed, placed[1:]):
+        if f.kind != "fan" or g.kind != "fan":
             continue
-        dx = y - x
+        dx = (g.birth_position - f.birth_position) + (
+            g.speed * (t - g.birth_time) - f.speed * (t - f.birth_time))
         if dx <= 0:
             continue
         # state separation between the member midlevels
@@ -347,10 +350,10 @@ def oleinik_report(field, times, tol_scale=TOL_SCALE) -> OleinikReport:
                     )
         # a run's own states are entry i of its records' minus and plus
         cI, cII = (
-            _run_fan_slope([(j.source_kind, j.minus[i], j.plus[i], x)
-                            for x, j in zip(fs.positions, fs.jumps)
-                            if j.partition == part], t)
-            for i, part in enumerate(("I", "II"))
+            _run_fan_slope([(run.fronts[j.front_uid], j.minus[i], j.plus[i])
+                            for j in fs.jumps if j.partition == part], t)
+            for i, (part, run) in enumerate((("I", field.run_I),
+                                             ("II", field.run_II)))
         )
         fan_slope = max(fan_slope, cI, cII)
         spread = max(spread, f2 * (cI + cII) / 2)
@@ -458,7 +461,7 @@ def maximum_principle_check(field, interval, t_end):
     samples = []
     violations = []
     min_psi = None
-    for t0, t1, stop in stops(field, 0, t_end):
+    for t0, t1, stop in field.walk(0, t_end):
         fs = stop.slice()
         new_left, new_right = len(left.segments), len(right.segments)
         x_left = _step(field, fs, x_left, t0, t1, -1, left.segments)
@@ -482,7 +485,7 @@ def maximum_principle_check(field, interval, t_end):
     # segments come latest first
     rev_left, rev_right = [], []
     masses = []
-    for t0, t1, stop in stops(field, 0, t_end, reverse=True):
+    for t0, t1, stop in field.walk(0, t_end, reverse=True):
         fs = stop.slice()
         new_left, new_right = len(rev_left), len(rev_right)
         x_left = _step(field, fs, x_left, t1, t0, -1, rev_left)

@@ -17,9 +17,9 @@ position-ordered list and records each interaction and crossing it
 applies.  A cursor replays that record on its own copy of the list, so
 every slice takes the order of its fronts from the sweep's links, not
 from a sort.  ``CoefficientField.at`` replays to one time and checks every
-pair and state there.  ``stops`` walks the field interval by interval and
-pauses at each midpoint, where it re-derives only the jump states the
-replay touched, each classified once per walk into the
+pair and state there.  ``CoefficientField.walk`` walks the field interval
+by interval and pauses at each midpoint, where it re-derives only the jump
+states the replay touched, each classified once per walk into the
 :class:`ClassifiedJump` it keeps.  A stop hands out what changed since the
 last one (:class:`FieldDelta`, in O(changes)), the jump states in order,
 or the whole slice (``stop.slice()``), whose jumps are those records.
@@ -188,9 +188,7 @@ class CoefficientField:
         self.run_II = run_II
         self.flux = fI
         self.exact = run_I.exact
-        self.tol = tol = run_I.tol
-        self.classification_tol = tol.classify
-        self.state_eps = tol.state_eps
+        self.tol = run_I.tol
         self.stats = FieldStats()
 
     # -- slicing ------------------------------------------------------------
@@ -211,17 +209,24 @@ class CoefficientField:
             self.stats.at_slices += 1
             yield cursor.whole(t)
 
-    def walk(self, bounds, reverse=False):
-        """``(t0, t1, stop)`` per interval between consecutive ``bounds``
-        (reversed with ``reverse``): one cursor paused at the interval
-        midpoint, valid until the walk moves on.  ``stop.slice()`` is the
-        field there and ``stop.delta()`` what changed since the last stop;
-        see :class:`_Cursor` and :func:`stops`.  Raises ValueError, as
-        :meth:`at` does, on a bound outside the span of either run."""
-        for t in (bounds[0], bounds[-1]):
-            self.run_I._check_horizon(t)
-            self.run_II._check_horizon(t)
-        return _Cursor(self).walk(bounds, reverse)
+    def walk(self, s, t, reverse=False):
+        """``(t0, t1, stop)`` per interaction-free interval of [s, t], in time
+        order (reversed with ``reverse``): one cursor paused at the interval
+        midpoint, valid until the walk moves on.  Between interactions every
+        jump moves on a straight line, so one stop describes the whole
+        interval (see :meth:`FieldSlice.positions_at`).  ``stop.slice()`` is
+        the field there, ``stop.delta()`` what changed since the last stop
+        and ``stop.event_times`` the :meth:`event_times` in (s, t), which
+        bound the intervals; see :class:`_Cursor`.  The endpoints are taken
+        by :func:`exact_time`, so every midpoint of an exact field is a ``Q``.
+        Raises ValueError, as :meth:`at` does, on an endpoint outside the
+        span of either run, and :class:`InconsistentFieldError` on an
+        interaction the bounds miss."""
+        s, t = exact_time(self, s), exact_time(self, t)
+        for u in (s, t):
+            self.run_I._check_horizon(u)
+            self.run_II._check_horizon(u)
+        return _Cursor(self).walk(s, self.event_times(s, t), t, reverse)
 
     # -- interaction structure ----------------------------------------------
 
@@ -445,8 +450,10 @@ class _Cursor:
     The guard reads the fronts' own data, not the record: no front is born
     or dies inside an interval, and each pair of neighbours is in order at
     both ends of the stretch over which it stays adjacent (its gap is
-    linear there).  A reverse walk replays forward logging every link
-    change, then undoes the log back to each interval's midpoint.
+    linear there).  A walk pairs each interval's bounds in place from the
+    event times it is given, in either direction.  A reverse walk replays
+    forward logging every link change, then undoes the log back to each
+    interval's midpoint.
     """
 
     def __init__(self, field):
@@ -466,6 +473,7 @@ class _Cursor:
         self.touched = None   # entry -> its right neighbour at the last stop
         self.log = None       # (entry, left) per link change, reverse walks
         self.span = None
+        self.event_times = None   # the walk's bounds inside (s, t)
         self.time = None      # of the stop, None before the first
         self.xs = {}          # entry -> its position, where computed
         self.old = {}         # entry -> its state at the last stop, where
@@ -475,24 +483,28 @@ class _Cursor:
         self.far_left = (uI.far_left, uII.far_left)
         self.far_right = (uI.far_right, uII.far_right)
         # (a, psi) left and right of every jump
-        self.ends = tuple((secant_speed(field.flux, *far, field.state_eps),
+        self.ends = tuple((secant_speed(field.flux, *far, field.tol.state_eps),
                            far[1] - far[0])
                           for far in (self.far_left, self.far_right))
 
-    def walk(self, bounds, reverse):
-        self.stats.intervals += len(bounds) - 1
+    def walk(self, s, event_times, t, reverse):
+        self.event_times = event_times
+        self.stats.intervals += len(event_times) + 1
+        # each interval's bounds, paired in place from the event times
+        forward = zip(chain((s,), event_times), chain(event_times, (t,)))
         if not reverse:
-            for t0, t1 in zip(bounds, islice(bounds, 1, None)):
+            for t0, t1 in forward:
                 self._stop(self._enter(t0, t1))
                 yield t0, t1, self
-            self._check_pairs(self._pairs(), bounds[-1])
+            self._check_pairs(self._pairs(), t)
             return
-        spans = list(zip(bounds, bounds[1:]))
         log = self.log = []
-        marks = [(self._enter(t0, t1), len(log)) for t0, t1 in spans]
-        self._check_pairs(self._pairs(), bounds[-1])
+        marks = [(self._enter(t0, t1), len(log)) for t0, t1 in forward]
+        self._check_pairs(self._pairs(), t)
         self.log = None
-        for (t0, t1), (mid, mark) in zip(spans[::-1], marks[::-1]):
+        for t0, t1, (mid, mark) in zip(chain(reversed(event_times), (s,)),
+                                       chain((t,), reversed(event_times)),
+                                       reversed(marks)):
             self.touched = {}
             while len(log) > mark:
                 k, left = log.pop()
@@ -824,34 +836,15 @@ class _Cursor:
         if st is None:
             field, lam = self.field, f.speed
             plus = (cur[0], f.right_state) if k_II else (f.right_state, cur[1])
-            ap = secant_speed(field.flux, *plus, field.state_eps)
+            ap = secant_speed(field.flux, *plus, field.tol.state_eps)
             st = ClassifiedJump(
-                lam, am, ap, classify(am, ap, lam, field.classification_tol),
+                lam, am, ap, classify(am, ap, lam, field.tol.classify),
                 "II" if k_II else "I", f.signed_jump, km, plus[1] - plus[0],
                 f.kind, f.uid, cur, plus, self._x(k) - lam * t)
             if self.touched is not None:
                 self.cache[key] = st
                 self.stats.states += 1
         return st
-
-
-def stops(field, s, t, *, reverse=False):
-    """Walk the interaction-free intervals of ``field`` over [s, t].
-
-    Yields ``(t0, t1, stop)`` per interval, in time order (reversed with
-    ``reverse``), where the stop holds the field at the interval midpoint.
-    Between interactions every jump moves on a straight line, so that one
-    stop describes the whole interval (see :meth:`FieldSlice.positions_at`).
-    The interval bounds come from ``field.event_times``, the stops from
-    ``field.walk``: on a :class:`CoefficientField` an event-delta cursor
-    that moves one front list from midpoint to midpoint and raises
-    :class:`InconsistentFieldError` on an interaction the bounds miss.
-
-    On an exact field the endpoints must be exact too (see
-    :func:`exact_time`), so that every midpoint is a ``Q``.
-    """
-    s, t = exact_time(field, s), exact_time(field, t)
-    return field.walk([s, *field.event_times(s, t), t], reverse)
 
 
 def exact_time(field, t):
@@ -884,10 +877,9 @@ class WeightField:
     nonpositive (nonnegative).
     """
 
-    def __init__(self, field: CoefficientField, m):
+    def __init__(self, m):
         if m < 0:
             raise ValueError("m: weight offset must be >= 0")
-        self.field = field
         self.m = m
 
     def piece_weight(self, psi, passed, totals):
@@ -901,19 +893,16 @@ class WeightField:
     def slice_at(self, fs: FieldSlice) -> tuple:
         """The weight on each piece of the field slice ``fs``, left to right;
         a jump's traces (w_-, w_+) are the values of the pieces beside it."""
-        m = self.m
-        z = m * 0
+        z = self.m * 0
         strengths = [j.strength for j in fs.jumps]
         in_I = [j.partition == "I" for j in fs.jumps]
-        v_I_total = sum((b for b, i in zip(strengths, in_I) if i), start=z)
-        v_II_total = sum((b for b, i in zip(strengths, in_I) if not i),
-                         start=z)
-        # piece_weight inline; i is None right of the last jump
+        totals = (sum((b for b, i in zip(strengths, in_I) if i), start=z),
+                  sum((b for b, i in zip(strengths, in_I) if not i), start=z))
+        # i is None right of the last jump
         v_I = v_II = z
         pieces = []
         for psi, b, i in zip_longest(fs.psi_values, strengths, in_I):
-            pieces.append(m + (v_I_total - v_I) + v_II if psi > 0
-                          else m + v_I + (v_II_total - v_II))
+            pieces.append(self.piece_weight(psi, (v_I, v_II), totals))
             if i:
                 v_I += b
             elif i is not None:

@@ -583,7 +583,7 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
     keeps the slice at each of their stops, the field at the interval
     midpoint (None kept without it).
     """
-    books = [_Book(None if m is None else WeightField(cfield, m)) for m in ms]
+    books = [_Book(None if m is None else WeightField(m)) for m in ms]
     s, t = exact_time(cfield, s), exact_time(cfield, t)
     if not s < t:
         raise ValueError("need s < t")
@@ -605,12 +605,11 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
                                else b.weight.slice_at(fslice)
                                for b in books] + list(extra), window)
 
-    bounds = [s, *cfield.event_times(s, t), t]
-    kept_at, kept = (set(keep(len(bounds) - 1)), []) if keep else ((), None)
-    walk = cfield.walk(bounds)
+    walk = cfield.walk(s, t)
     first = next(walk)
-    # the zero of the walk's times and its (a, psi) at either end
-    zero, ends = first[2].time * 0, first[2].ends
+    # the walk's event times in (s, t), its zero and its (a, psi) at either end
+    events, zero, ends = first[2].event_times, first[2].time * 0, first[2].ends
+    kept_at, kept = (set(keep(len(events) + 1)), []) if keep else ((), None)
 
     norm_start = norms_at(s, [None])
     base = norm_start.pop()
@@ -738,7 +737,7 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
         plain = book.weight is None
 
         event_drops = []
-        for k, e in enumerate(bounds[1:-1]):
+        for k, e in enumerate(events):
             drop = intervals[k + 1].norm_at(e) - intervals[k].norm_at(e)
             event_drops.append((e, drop))
             if plain:

@@ -580,10 +580,10 @@ def _probe_slices(field, s, t):
         for i in _probe_gaps(len(times) + 1))])
 
 
-def _tabled(slices, field, m, table):
+def _tabled(slices, m, table):
     """``slices``, each passed on once its rows are in the file ``table``,
     which is closed after the last one."""
-    weight = WeightField(field, m)
+    weight = WeightField(m)
     for fs in slices:
         table.writelines(jump_rows(weight, fs))
         yield fs
@@ -648,7 +648,7 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
                     Path(out).mkdir(parents=True, exist_ok=True)
                     table = open(f"{out}/classified_jumps.csv.tmp", "w")
                     table.write(JUMPS_HEADER)
-                    slices = _tabled(slices, field, spec.m, table)
+                    slices = _tabled(slices, spec.m, table)
             for name in spec.checks:
                 if name == "oleinik":
                     reports[name] = oleinik_report(field, slices,

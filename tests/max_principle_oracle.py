@@ -16,7 +16,6 @@ from wavetrack.characteristics import (
     _march,
     _resolve,
 )
-from wavetrack.coupling import stops
 from wavetrack.profiles import clipped_pieces
 from wavetrack.tolerances import FLOAT
 
@@ -24,9 +23,9 @@ ANCHOR_TOL = FLOAT.anchor
 
 
 def slices(field, s, t, reverse=False):
-    """(t0, t1, whole slice) per interval of ``coupling.stops``: the
-    slice at each stop."""
-    for t0, t1, stop in stops(field, s, t, reverse=reverse):
+    """(t0, t1, whole slice) per interval of ``field.walk``: the slice at
+    each stop."""
+    for t0, t1, stop in field.walk(s, t, reverse):
         yield t0, t1, stop.slice()
 
 

@@ -56,10 +56,10 @@ def at(field, t):
         raise InconsistentFieldError(
             f"t={t}: state chain does not end at the far-right state")
 
-    a_vals = [secant_speed(field.flux, uI, uII, field.state_eps)
+    a_vals = [secant_speed(field.flux, uI, uII, field.tol.state_eps)
               for uI, uII in zip(uI_vals, uII_vals)]
     psi_vals = [uII - uI for uI, uII in zip(uI_vals, uII_vals)]
-    ctol = field.classification_tol
+    ctol = field.tol.classify
     lams = tuple(f.speed for _, _, _, f in tagged)
     jumps = []
     for i, (_, _, tag, f) in enumerate(tagged):

@@ -2,10 +2,9 @@
 
 ``StaticField`` stands in for a :class:`~wavetrack.coupling.CoefficientField`
 where a test wants straight jump curves of its own choosing: the
-characteristic walks and ``coupling.stops`` read it through its ``exact``,
-``tol``, ``event_times`` and ``walk``, as they read a tracked field.  Its
-``oleinik_report`` is the strict one-sided rule for such a field: every
-expanding jump is a violation.
+characteristic walks read it through its ``exact``, ``tol`` and ``walk``,
+as they read a tracked field.  Its ``oleinik_report`` is the strict
+one-sided rule for such a field: every expanding jump is a violation.
 """
 from wavetrack.characteristics import OleinikReport
 from wavetrack.coupling import (
@@ -13,6 +12,7 @@ from wavetrack.coupling import (
     FieldSlice,
     InconsistentFieldError,
     classify,
+    exact_time,
 )
 from wavetrack.tolerances import EXACT, FLOAT, TOL_SCALE
 
@@ -56,7 +56,6 @@ class StaticField:
         self.kappa_values = kappa_values
         self.exact = exact
         self.tol = EXACT if exact else FLOAT
-        self.classification_tol = self.tol.classify
         self.horizon = self._first_crossing()
 
     def _first_crossing(self):
@@ -83,7 +82,7 @@ class StaticField:
                     lam=lam,
                     a_minus=am,
                     a_plus=ap,
-                    kind=classify(am, ap, lam, self.classification_tol),
+                    kind=classify(am, ap, lam, self.tol.classify),
                     partition="I",
                     b_jump=ap - am,
                     kappa_minus=self.kappa_values[i],
@@ -102,22 +101,16 @@ class StaticField:
             speed=max(map(abs, lams), default=0),
         )
 
-    def event_times(self, s, t):
-        return []
-
-    def walk(self, bounds, reverse=False):
-        """One stop per interval between consecutive ``bounds``, holding the
-        slice :meth:`at` builds at the midpoint; an interval past the
-        horizon is refused."""
-        spans = list(zip(bounds, bounds[1:]))
-        if reverse:
-            spans.reverse()
-        for t0, t1 in spans:
-            if self.horizon is not None and t1 > self.horizon:
-                raise InconsistentFieldError(
-                    f"interval [{t0}, {t1}]: jump curves change order at "
-                    f"t={self.horizon}")
-            yield t0, t1, _Stop(self.at(t0 + (t1 - t0) / 2))
+    def walk(self, s, t, reverse=False):
+        """One stop for the one interval [s, t] (its endpoints taken by
+        ``exact_time``), holding the slice :meth:`at` builds at the
+        midpoint; an interval past the horizon is refused."""
+        t0, t1 = exact_time(self, s), exact_time(self, t)
+        if self.horizon is not None and t1 > self.horizon:
+            raise InconsistentFieldError(
+                f"interval [{t0}, {t1}]: jump curves change order at "
+                f"t={self.horizon}")
+        yield t0, t1, _Stop(self.at(t0 + (t1 - t0) / 2))
 
     def oleinik_report(self, times, tol_scale=TOL_SCALE) -> OleinikReport:
         """One-sided compression with no resolution allowance: every jump

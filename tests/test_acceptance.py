@@ -152,7 +152,7 @@ def test_criterion_02_weighted_ledger(capsys):
                 problems.append(f"rational m={m}: trace decomposition not exact")
             # recover the weight-trace combinations independently and pin
             # the closed forms exactly at strictly classified jumps
-            wf = WeightField(cf, m)
+            wf = WeightField(m)
             for tau in _probe_mids(cf, Fraction(0), Fraction(2), limit=4):
                 fs = cf.at(tau)
                 pv = wf.slice_at(fs)

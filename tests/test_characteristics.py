@@ -160,6 +160,25 @@ def test_oleinik_flags_an_exact_fan_slope_past_one_over_c0(monkeypatch):
     assert "discrete fan slope" in rep.violations[0]
 
 
+def test_a_fan_just_born_keeps_its_slope_at_one_over_c0():
+    # a one-cell perturbation with every breakpoint of u2 shifted by 1e-9:
+    # the first probes fall within 3e-9 of the fans' birth, where two fan
+    # fronts born at one point are about 1e-10 apart, and the difference
+    # of their rounded positions read a slope of 1.0000052 there
+    u1 = [[0.0, 2.0], [1.0, 1.0], [2.0, 3.0], [3.0, 0.5], [4.0, 0.0]]
+    u2 = [[x + 1e-9, 1.5 if x == 1.0 else v] for x, v in u1]
+    result = run_scenario({
+        "flux": {"name": "burgers"}, "h": 0.25,
+        "u1": {"leading": 0.0, "pairs": u1},
+        "u2": {"leading": 0.0, "pairs": u2},
+        "time": {"start": 0, "end": 2},
+        "checks": ["oleinik", "l1", "weighted"]})
+    assert result.error is None
+    assert all(rep.passed for rep in result.reports.values()), {
+        name: rep.violations for name, rep in result.reports.items()}
+    assert result.reports["oleinik"].fan_slope_constant == pytest.approx(1.0)
+
+
 def test_oleinik_on_coupled_field():
     run_I = FrontTrackingRun(FLUX, Profile([0.0], [1.0, -1.0]), 0.1).evolve(2.0)
     run_II = FrontTrackingRun(FLUX, Profile([0.0], [0.0, 1.0]), 0.1).evolve(2.0)

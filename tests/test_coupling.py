@@ -23,7 +23,6 @@ from wavetrack.coupling import (
     _OWN,
     classify,
     jump_rows,
-    stops,
 )
 from wavetrack.characteristics import oleinik_report
 from wavetrack.fluxes import burgers_flux
@@ -224,7 +223,7 @@ def test_burgers_strength_ratio_is_two():
 def test_weight_traces_lax_oracle():
     # single compressive jump: both weight traces sit at the offset m
     field = _field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
-    weight = WeightField(field, 1.0)
+    weight = WeightField(1.0)
     fs = field.at(0.5)
     pv = weight.slice_at(fs)
     assert list(zip(pv, pv[1:])) == [(1.0, 1.0)]
@@ -236,7 +235,7 @@ def test_weight_traces_lax_oracle():
 
 def test_weight_traces_slow_oracle():
     field = _field(Profile([0.0], [2.0, 0.0]), Profile.constant(3.0))
-    pv = WeightField(field, 1.0).slice_at(field.at(0.5))
+    pv = WeightField(1.0).slice_at(field.at(0.5))
     assert list(zip(pv, pv[1:])) == [(3.0, 1.0)]
 
 
@@ -244,7 +243,7 @@ def test_weight_values_bracketed():
     rng = random.Random(31)
     p1, p2 = random_scenario_pair(rng, max_jumps=5)
     field = _field(p1, p2)
-    weight = WeightField(field, 0.5)
+    weight = WeightField(0.5)
     for t in (0.2, 1.1, 1.9):
         fs = field.at(t)
         tv_b = sum(j.strength for j in fs.jumps)
@@ -252,10 +251,24 @@ def test_weight_values_bracketed():
             assert 0.5 - 1e-12 <= w <= 0.5 + tv_b + 1e-12
 
 
+def test_slice_weights_follow_the_piece_weight_rule(monkeypatch):
+    # slice_at weighs every piece by piece_weight, the rule the ledger's
+    # books use, so an offset planted there moves each weight of a slice
+    field = _field(*random_scenario_pair(random.Random(31), max_jumps=5))
+    weight = WeightField(0.5)
+    fs = field.at(1.1)
+    assert {j.partition for j in fs.jumps} == {"I", "II"}
+    before = weight.slice_at(fs)
+    piece_weight = WeightField.piece_weight
+    monkeypatch.setattr(WeightField, "piece_weight",
+                        lambda self, *args: piece_weight(self, *args)
+                        + self.m / 8)
+    assert weight.slice_at(fs) == tuple(w + 0.5 / 8 for w in before)
+
+
 def test_weight_requires_nonnegative_offset():
-    field = _field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
     with pytest.raises(ValueError):
-        WeightField(field, -0.5)
+        WeightField(-0.5)
 
 
 def test_exact_mode_fractions_everywhere():
@@ -267,7 +280,7 @@ def test_exact_mode_fractions_everywhere():
     for j in fs.jumps:
         assert isinstance(j.lam, Fraction)
         assert isinstance(j.a_minus, Fraction)
-    pv = WeightField(field, Fraction(1)).slice_at(fs)
+    pv = WeightField(Fraction(1)).slice_at(fs)
     assert all(isinstance(w, Fraction) for w in pv)
 
 
@@ -282,7 +295,7 @@ def test_build_helpers_return_profiles():
     assert isinstance(a, Profile)
     assert a.values == (0.5, -0.5)
     assert len(jumps) == 1
-    w = _steps(fs, WeightField(field, 1.0).slice_at(fs))
+    w = _steps(fs, WeightField(1.0).slice_at(fs))
     assert isinstance(w, Profile)
 
 
@@ -295,7 +308,7 @@ def _jumps_csv(weight, slices, fileobj):
 
 def test_jump_table_shape():
     field = _field(Profile([0.0], [1.0, -1.0]), Profile.constant(0.0))
-    weight = WeightField(field, 1.0)
+    weight = WeightField(1.0)
     buf = io.StringIO()
     _jumps_csv(weight, [field.at(0.25), field.at(0.75)], buf)
     lines = buf.getvalue().strip().splitlines()
@@ -696,7 +709,7 @@ def test_at_equals_the_oracle_at_every_bound(name):
     for field in _cursor_corpus(name):
         horizon = field.run_I.evolved_until
         crossings = set(_listed_crossings(field))
-        window, weight = default_window(field, horizon), WeightField(field, 1)
+        window, weight = default_window(field, horizon), WeightField(1)
         for e in [horizon * 0, *field.event_times(horizon * 0, horizon),
                   horizon]:
             fs, ref = field.at(e), slice_oracle.at(field, e)
@@ -738,7 +751,7 @@ def test_a_stop_hands_out_one_record_per_jump_state(name):
         horizon = field.run_I.evolved_until
         far_left = (field.run_I.initial.far_left,
                     field.run_II.initial.far_left)
-        for _, _, stop in stops(field, horizon * 0, horizon):
+        for _, _, stop in field.walk(horizon * 0, horizon):
             fs = stop.slice()
             assert fs.jumps is stop.order()
             left = far_left
@@ -757,7 +770,7 @@ def test_oleinik_fan_slopes_match_the_tracked_fronts():
     for n, h in SINE_FULL:
         field = CoefficientField(*build_runs(parse_scenario(
             _sine_pair_config(n, h))))
-        probes = [stop.slice() for _, _, stop in stops(field, 0.0, 2.0)]
+        probes = [stop.slice() for _, _, stop in field.walk(0.0, 2.0)]
         expected = 0
         for fs in probes:
             for part, run in (("I", field.run_I), ("II", field.run_II)):
@@ -769,7 +782,10 @@ def test_oleinik_fan_slopes_match_the_tracked_fronts():
                             and f.right_state == g.left_state):
                         du = abs((g.left_state + g.right_state)
                                  - (f.left_state + f.right_state)) / 2
-                        expected = max(expected, fs.time * du / (y - x))
+                        gap = (g.birth_position - f.birth_position) + (
+                            g.speed * (fs.time - g.birth_time)
+                            - f.speed * (fs.time - f.birth_time))
+                        expected = max(expected, fs.time * du / gap)
         assert expected > 0
         assert oleinik_report(field, probes).fan_slope_constant == expected
 
@@ -811,8 +827,8 @@ def test_one_walk_classifies_each_state_once():
     assert stats.deltas > 0
     # a state is a front with the other run's state across it
     states = set()
-    for _, _, stop in stops(CoefficientField(field.run_I, field.run_II),
-                            0.0, 2.0):
+    for _, _, stop in CoefficientField(field.run_I,
+                                       field.run_II).walk(0.0, 2.0):
         for j in stop.order():
             other = j.minus[1] if j.partition == "I" else j.minus[0]
             states.add((j.partition, j.front_uid, other))

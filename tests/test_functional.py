@@ -383,7 +383,7 @@ def test_probe_norms_match_fresh_slices_exactly():
         p1, p2 = random_scenario_pair(random.Random(seed), max_jumps=3,
                                       rational=True)
         cf = _field(p1, p2, h=Fraction(1, 10), horizon=Fraction(2), exact=True)
-        weight = WeightField(cf, Fraction(1))
+        weight = WeightField(Fraction(1))
         [plain], _ = ledger_reports(cf, [None], Fraction(0), Fraction(2))
         [weighted], _ = ledger_reports(cf, [Fraction(1)], Fraction(0),
                                        Fraction(2))
@@ -409,7 +409,7 @@ def test_rates_match_the_per_jump_trace_form_exactly():
     records = 0
     kinds = set()
     for cf in [*map(_exact_field, range(7000, 7005)), fan]:
-        weight = WeightField(cf, one)
+        weight = WeightField(one)
         (plain, weighted), _ = ledger_reports(cf, [None, one], Fraction(0),
                                               Fraction(2))
         for rep in (plain, weighted):
@@ -728,7 +728,7 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
     # a strictly compressive exact jump with a_- - lam = 1e-12 whose
     # kappa_+ opposes the sign table; the fixed 1e-10 snap used to hide it
     cf = _exact_field(4)
-    assert cf.classification_tol == 0
+    assert cf.tol.classify == 0
     one = Fraction(1)
     jump = ClassifiedJump(
         lam=0 * one, a_minus=one / 10**12,
@@ -736,17 +736,17 @@ def test_exact_sign_table_uses_the_field_tolerance(monkeypatch):
         kappa_minus=-one, kappa_plus=-one, source_kind="shock", front_uid=0,
         c=0 * one)
     assert classify(jump.a_minus, jump.a_plus, jump.lam,
-                    cf.classification_tol) == LAX
+                    cf.tol.classify) == LAX
     assert jump.sign_table_consistent(0)
-    assert not jump.sign_table_consistent(0, cf.classification_tol)
+    assert not jump.sign_table_consistent(0, cf.tol.classify)
     # a walk's one stop, with its one jump state at x = 0, and its slice
     fs = FieldSlice(time=one, jumps=(jump,), positions=(0 * one,),
                     a_values=(one / 10**12, -one), psi_values=(-one, -one))
     stop = SimpleNamespace(time=one, ends=((one / 10**12, -one), (-one, -one)),
-                           order=lambda: (jump,), slice=lambda: fs)
+                           order=lambda: (jump,), slice=lambda: fs,
+                           event_times=[])
     monkeypatch.setattr(CoefficientField, "walk",
-                        lambda self, bounds, reverse=False:
-                        iter([(bounds[0], bounds[-1], stop)]))
+                        lambda self, s, t, reverse=False: iter([(s, t, stop)]))
     [plain], _ = ledger_reports(cf, [None], 0, 2)
     assert "t=1: trace sign table violated at x=0 (lax)" in plain.violations
 

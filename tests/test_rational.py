@@ -22,7 +22,6 @@ from wavetrack import (
     run_scenario,
 )
 from wavetrack import scenarios
-from wavetrack.coupling import stops
 from wavetrack.functional import ledger_reports
 from wavetrack.rational import Q
 from wavetrack.scenarios import CHECK_ORDER
@@ -130,7 +129,7 @@ def _numbers(field, reports):
     fronts and events, the field's slices at every stop, and the
     characteristic paths of a maximum-principle report."""
     yield from _run_numbers(field)
-    for _, _, stop in stops(field, 0, field.run_I.evolved_until):
+    for _, _, stop in field.walk(0, field.run_I.evolved_until):
         yield from _slice_numbers(stop.slice())
     for rep in reports.values():
         for name in ("left_path", "right_path", "back_left", "back_right"):
@@ -274,10 +273,13 @@ def test_an_exact_scenario_stays_on_q(configs, tmp_path):
 def test_the_exact_census_does_no_float_work():
     """``tests/q_census.py``'s census of the five ``suite_exact`` pairs: no
     ``Q`` operation meets a float (or another foreign operand), and the
-    total stays 327,179, so an exact run's tolerance table, all int zeros,
+    total stays 335,099, so an exact run's tolerance table, all int zeros,
     adds no exact work.  A change that does more or less exact work moves
     the total and says so here: ``exact-7002``, whose end slice holds two
-    fronts on one point, measures its end norms on that slice."""
+    fronts on one point, measures its end norms on that slice, and the
+    Oleinik fan slope takes each fan pair's gap from its fronts' birth
+    points and speeds, not from one difference of positions (7,920 more
+    operations than that difference)."""
     seen = census()
     assert _foreign_operands(seen) == []
-    assert sum(n for k, n in seen.items() if isinstance(k, str)) == 327179
+    assert sum(n for k, n in seen.items() if isinstance(k, str)) == 335099

@@ -494,7 +494,7 @@ def _float_copy(p):
             "pairs": [[float(x), float(p.value_at(x))] for x in p.breakpoints]}
 
 
-def _walk_raises(self, bounds, reverse=False):
+def _walk_raises(self, s, t, reverse=False):
     raise InconsistentFieldError("planted walk failure")
 
 

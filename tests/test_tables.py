@@ -77,7 +77,7 @@ def test_tables_match_the_csv_module(make):
     slices.append(dataclasses.replace(
         first, time=_form(3), jumps=tuple(jumps), a_values=tuple(a),
         positions=tuple(_form(k + 4) for k in range(n))))
-    weight = WeightField(field, 1)
+    weight = WeightField(1)
     new = _text(_jumps_csv, weight, slices)
     assert new == _text(csv_reference.jumps_csv, weight, slices)
     planted = [row.split(",") for row in new.splitlines()[-n:]]
@@ -116,7 +116,7 @@ def test_a_streamed_oleinik_run_writes_the_reference_tables(tmp_path):
     field = CoefficientField(*build_runs(spec))
     slices = list(_probe_slices(field, spec.t_start, spec.t_end))
     assert slices
-    weight = WeightField(field, spec.m)
+    weight = WeightField(spec.m)
     assert ((tmp_path / "classified_jumps.csv").read_bytes().decode()
             == _text(csv_reference.jumps_csv, weight, slices))
     for label, run in (("run_I", field.run_I), ("run_II", field.run_II)):

@@ -40,8 +40,6 @@ def test_a_run_pair_and_its_field_share_one_table():
                 for x in (0 * one, one / 2)]
         field = CoefficientField(*runs)
         assert runs[0].tol is runs[1].tol is field.tol is table
-        assert (field.classification_tol, field.state_eps) == (
-            table.classify, table.state_eps)
 
 
 def test_no_float_slack_is_spelt_out_outside_the_table():
