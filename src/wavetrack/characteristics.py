@@ -28,7 +28,7 @@ from .coupling import (
 )
 from .profiles import Report, clipped_pieces
 from .rational import Q
-from .tolerances import FLOAT, TOL_SCALE
+from .tolerances import FLOAT
 
 MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
 
@@ -303,7 +303,7 @@ def _run_fan_slope(placed, t):
     return best
 
 
-def oleinik_report(field, times, tol_scale=TOL_SCALE) -> OleinikReport:
+def oleinik_report(field, times) -> OleinikReport:
     """One-sided entropy geometry of a
     :class:`~wavetrack.coupling.CoefficientField` at the given times.
 
@@ -318,7 +318,7 @@ def oleinik_report(field, times, tol_scale=TOL_SCALE) -> OleinikReport:
     """
     shock_violations, violations, sampled = [], [], []
     max_fan_jump = fan_slope = spread = 0
-    tol = 0 if field.exact else tol_scale
+    tol = field.tol.scale
     f2, c0 = field.flux.sup_f2, field.flux.convexity_modulus
     if field.exact:
         # in the field's arithmetic: with int flux constants 1 / c0,

@@ -42,7 +42,7 @@ def _load_config(path):
 
 
 def _apply_overrides(config, args):
-    for key in ("out", "mode", "tolerance"):
+    for key in ("out", "mode"):
         if getattr(args, key, None) is not None:
             config[key] = getattr(args, key)
     return config
@@ -113,8 +113,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", help="output directory (overrides config)")
     run_p.add_argument("--mode", choices=["float", "rational"],
                        help="arithmetic mode override")
-    run_p.add_argument("--tolerance", type=float,
-                       help="residual tolerance scale override")
 
     suite_p = sub.add_parser("suite", help="run a batch of random scenarios")
     suite_p.add_argument("--count", type=int, default=10)

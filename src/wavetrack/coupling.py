@@ -441,11 +441,11 @@ class _Cursor:
     going on to the right while a state changes, so a stop costs
     O(changes).  A walk keys states by the front and the other run's
     state across it, and classifies each on first use into the
-    :class:`ClassifiedJump` record it keeps.  A stop hands out what changed
-    since the last one (:meth:`delta`) and the records in list order
-    (:meth:`order`), which :meth:`slice`, the only one to compute every
-    position, takes as its jumps.  The walk's far-left and far-right
-    (a, psi) are ``ends``.
+    :class:`ClassifiedJump` record it keeps while the front lives.  A stop
+    hands out what changed since the last one (:meth:`delta`) and the
+    records in list order (:meth:`order`), which :meth:`slice`, the only
+    one to compute every position, takes as its jumps.  The walk's
+    far-left and far-right (a, psi) are ``ends``.
 
     The guard reads the fronts' own data, not the record: no front is born
     or dies inside an interval, and each pair of neighbours is in order at
@@ -468,7 +468,7 @@ class _Cursor:
         self.field = field
         self.stats = field.stats
         self.state = [None] * len(self.fronts)
-        self.cache = {}
+        self.cache = {}       # entry -> {other run's state: its record}
         self.dirty = set()    # entries to re-derive, at a walk's later stops
         self.touched = None   # entry -> its right neighbour at the last stop
         self.log = None       # (entry, left) per link change, reverse walks
@@ -579,6 +579,9 @@ class _Cursor:
                 t0 = self.span[0]
                 if e.time > t0 + self.field.tol.guard * (1 + abs(t0)):
                     self._missing(base + e.outgoing)
+                # no walk meets a dead front again
+                for k in e.incoming:
+                    self.cache.pop(base + k, None)
             left, _ = self._unlink(base + e.incoming[0])
             self._unlink(base + e.incoming[1])
             self._link(base + e.outgoing, left)
@@ -831,8 +834,8 @@ class _Cursor:
             raise InconsistentFieldError(
                 f"t={t}: state chain of the {'second' if k_II else 'first'} "
                 f"run broken at x={self._x(k)}")
-        key = (k, other)
-        st = self.cache.get(key)
+        cached = self.cache.get(k)
+        st = None if cached is None else cached.get(other)
         if st is None:
             field, lam = self.field, f.speed
             plus = (cur[0], f.right_state) if k_II else (f.right_state, cur[1])
@@ -842,7 +845,7 @@ class _Cursor:
                 "II" if k_II else "I", f.signed_jump, km, plus[1] - plus[0],
                 f.kind, f.uid, cur, plus, self._x(k) - lam * t)
             if self.touched is not None:
-                self.cache[key] = st
+                self.cache.setdefault(k, {})[other] = st
                 self.stats.states += 1
         return st
 

@@ -79,7 +79,6 @@ from .coupling import (
     exact_time,
 )
 from .profiles import Report, clipped_pieces, total_variation
-from .tolerances import TOL_SCALE
 
 
 def default_window(cfield: CoefficientField, t_end):
@@ -167,7 +166,7 @@ class IntervalRecord(Report):
 class FunctionalReport(Report):
     """Reconciled norm ledger over [s, t]."""
 
-    _hidden = ("tol_scale", "exact", "delta_booked", "resummed", "max_drift")
+    _hidden = ("tol_scale", "delta_booked", "resummed", "max_drift")
 
     kind: str                      # "plain" or "weighted"
     m: object
@@ -186,9 +185,8 @@ class FunctionalReport(Report):
     drop_total: object
     residual_global: object
     tol_norm: object
+    tol_scale: object              # the field's Tolerances.scale
     violations: list = dataclass_field(default_factory=list)
-    tol_scale: object = TOL_SCALE
-    exact: bool = False
     # intervals booked by delta and re-summed, and the largest drift
     # |carried - re-summed| / (1 + |re-summed|) found at a re-sum
     delta_booked: int = 0
@@ -559,8 +557,7 @@ def _book_delta(book, change, carry, taus):
     return (P + taus[0] * Q, P + taus[1] * Q, *r, flux)
 
 
-def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
-                   keep=None):
+def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
     """``(reports, kept)``: one ledger per entry of ``ms``, in order, booked
     from one timeline walk, and the slices the walk kept.  None books the
     plain norm ||psi||_1 and a number m the strength-weighted norm with
@@ -588,7 +585,7 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
     if not s < t:
         raise ValueError("need s < t")
     window = default_window(cfield, t)
-    exact = cfield.exact
+    tol_scale = cfield.tol.scale
     known = {}     # jump state -> its _JumpTerms, for this walk
 
     def terms_at(state):
@@ -617,7 +614,7 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
 
     # plain-L1 size of the initial difference sets the tolerance scale; a
     # tolerance of the walk is never below tol_min
-    tol_norm = tol_min = 0 if exact else tol_scale * (1 + base)
+    tol_norm = tol_min = tol_scale and tol_scale * (1 + base)
 
     def resum(stop, books, whole, fresh, taus, tol_rate):
         # each book moved from covering nothing by the ``whole`` delta (see
@@ -682,7 +679,7 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
             whole = fresh.change(_whole(stop.order(), ends[0][1]), terms_at)
         counts, sums = ((fresh.counts, fresh.sums) if full
                         else (carry.counts, carry.sums))
-        tol_rate = 0 if exact else tol_scale * (1 + sums["rate_mags"] + base)
+        tol_rate = tol_scale and tol_scale * (1 + sums["rate_mags"] + base)
         redone = iter(resum(stop, redo, whole, fresh, taus, tol_rate)
                       if redo else [])
         vals = [next(redone) if full or v is None else v for v in carried]
@@ -794,7 +791,7 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
         residual_global = abs(n_end - predicted)
         # the global ledger stacks every per-interval error, so give it
         # headroom
-        tol_global = 0 if exact else tol_norm * (4 + len(intervals))
+        tol_global = tol_norm * (4 + len(intervals))
         if residual_global > tol_global:
             violations.append(
                 f"global ledger out of balance by {residual_global} over "
@@ -819,9 +816,8 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, tol_scale=TOL_SCALE,
             drop_total=drop_total,
             residual_global=residual_global,
             tol_norm=tol_norm,
-            violations=violations,
             tol_scale=tol_scale,
-            exact=exact,
+            violations=violations,
             delta_booked=book.deltas,
             resummed=book.resums,
             max_drift=book.drift,
@@ -878,7 +874,7 @@ def gain_cap_report(cfield: CoefficientField,
         raise ValueError("gain_cap_report: needs the plain ledger")
     s, t = plain.s, plain.t
     violations = list(plain.violations)
-    exact = cfield.exact
+    tol_scale = plain.tol_scale
     h = max(cfield.run_I.h, cfield.run_II.h)
     f2 = cfield.flux.sup_f2
     rs_chain = sup_rs_da = 0
@@ -887,7 +883,7 @@ def gain_cap_report(cfield: CoefficientField,
         sup_da = rec.rs_sup_da
         sup_rs_da = max(sup_rs_da, sup_da)
         rs_chain += 2 * sup_da * tv_psi * rec.duration
-        tol = 0 if exact else plain.tol_scale * (1 + tv_psi)
+        tol = tol_scale and tol_scale * (1 + tv_psi)
         if rec.rs_dpsi > tv_psi + tol:
             violations.append(
                 f"interval [{rec.t_start}, {rec.t_end}]: rarefaction-side "
@@ -1050,7 +1046,7 @@ def product_inequality_check(weighted: FunctionalReport, *,
         raise ValueError("product_inequality_check: needs the weighted ledger")
     m, s, t = weighted.m, weighted.s, weighted.t
     violations = list(weighted.violations)
-    exact = weighted.exact
+    tol_scale = weighted.tol_scale
     lax_total = 0
     interval_rates = []
     max_rate = None
@@ -1065,8 +1061,8 @@ def product_inequality_check(weighted: FunctionalReport, *,
         if max_rate is None or combined > max_rate:
             max_rate = combined
         lax_total += lax_rate * rec.duration
-        tol_rate = 0 if exact else (
-            weighted.tol_scale * (1 + rec.rate_mags) * (1 + 2 * m + tva))
+        tol_rate = tol_scale and (
+            tol_scale * (1 + rec.rate_mags) * (1 + 2 * m + tva))
         enforce = strict if strict is not None else not rec.has_rs
         if enforce and combined > tol_rate:
             violations.append(
@@ -1080,7 +1076,7 @@ def product_inequality_check(weighted: FunctionalReport, *,
         + lax_total + product_total
         - weighted.flux_total - weighted.drop_total
     )
-    tol_glob = 0 if exact else weighted.tol_norm * (4 + len(weighted.intervals))
+    tol_glob = weighted.tol_norm * (4 + len(weighted.intervals))
     enforce_global = strict if strict is not None else not rs_present
     if enforce_global and slack > tol_glob:
         violations.append(
@@ -1104,7 +1100,7 @@ def product_inequality_check(weighted: FunctionalReport, *,
     )
 
 
-def refinement_study(make_run_pair, h_list, m, s, t, tol_scale=TOL_SCALE):
+def refinement_study(make_run_pair, h_list, m, s, t):
     """Identity and gain-cap reports across a ladder of fan increments.
 
     ``make_run_pair(h)`` must return two evolved runs of the same flux from
@@ -1116,8 +1112,7 @@ def refinement_study(make_run_pair, h_list, m, s, t, tol_scale=TOL_SCALE):
     for h in h_list:
         run_I, run_II = make_run_pair(h)
         cfield = CoefficientField(run_I, run_II)
-        (plain, weighted), _ = ledger_reports(cfield, [None, m], s, t,
-                                              tol_scale=tol_scale)
+        (plain, weighted), _ = ledger_reports(cfield, [None, m], s, t)
         cap = gain_cap_report(cfield, plain)
         rows.append(
             {

@@ -36,7 +36,6 @@ from .functional import (
 from .profiles import (Profile, Report, json_text, plain_number,
                        profile_difference)
 from .rational import Q
-from .tolerances import TOL_SCALE
 from .tracking import FrontTrackingRun, sample_initial_data
 
 CHECK_ORDER = (
@@ -84,7 +83,7 @@ def _parse_number(value, rational, path, errors):
 
 # the keys each node of a config may hold
 _TOP_KEYS = ("flux", "u1", "u2", "h", "h_list", "m", "time", "checks", "mode",
-             "seed", "funnel", "tolerance", "out")
+             "seed", "funnel", "out")
 _FLUX_KEYS = ("name", "params", "working_interval")
 _TIME_KEYS = ("start", "end")
 _GENERATOR_KEYS = ("generator", "params", "support", "n_cells")
@@ -217,7 +216,6 @@ class ScenarioSpec:
     mode: str
     out: object                 # str or None
     funnel: object              # (xi0, zeta0) or None
-    tol_scale: object = TOL_SCALE
 
     @property
     def exact(self):
@@ -351,13 +349,6 @@ def parse_scenario(config: dict) -> ScenarioSpec:
             errors.append("funnel: need left < right")
             funnel = None
 
-    tol_scale = config.get("tolerance", TOL_SCALE)
-    if (isinstance(tol_scale, bool) or not isinstance(tol_scale, (int, float))
-            or not 0 <= tol_scale < math.inf):
-        errors.append("tolerance: expected a nonnegative number, got "
-                      f"{tol_scale!r}")
-        tol_scale = TOL_SCALE
-
     out = config.get("out")
     if out is not None and not isinstance(out, str):
         errors.append("out: expected a directory path string")
@@ -379,7 +370,7 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     return ScenarioSpec(
         flux=flux, u1=u1, u2=u2, h=h, h_list=h_list, m=m,
         t_start=t_start, t_end=t_end, checks=checks, mode=mode,
-        out=out, funnel=funnel, tol_scale=tol_scale,
+        out=out, funnel=funnel,
     )
 
 
@@ -638,8 +629,7 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
             if kinds:
                 booked, probes = ledger_reports(
                     field, [None if k == "plain" else spec.m for k in kinds],
-                    s, t, tol_scale=spec.tol_scale,
-                    keep=_probe_gaps if probed else None)
+                    s, t, keep=_probe_gaps if probed else None)
                 ledgers = dict(zip(kinds, booked))
             slices = ()
             if probed:
@@ -651,8 +641,7 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
                     slices = _tabled(slices, spec.m, table)
             for name in spec.checks:
                 if name == "oleinik":
-                    reports[name] = oleinik_report(field, slices,
-                                                   spec.tol_scale)
+                    reports[name] = oleinik_report(field, slices)
                 elif name == "l1":
                     reports[name] = ledgers["plain"]
                 elif name == "weighted":
@@ -783,11 +772,8 @@ def run_sweep(config, out_dir=None):
     spec = config if isinstance(config, ScenarioSpec) else parse_scenario(config)
     if not spec.h_list:
         raise ScenarioConfigError(["h_list: required for a sweep"])
-    rows = refinement_study(
-        lambda h: build_runs(spec, h=h),
-        spec.h_list, spec.m, spec.t_start, spec.t_end,
-        tol_scale=spec.tol_scale,
-    )
+    rows = refinement_study(lambda h: build_runs(spec, h=h), spec.h_list,
+                            spec.m, spec.t_start, spec.t_end)
     out = out_dir if out_dir is not None else spec.out
     if out is not None:
         outp = Path(out)

@@ -19,8 +19,8 @@ class Tolerances:
     max_principle: object = 1e-10  # funnel dip below 0; relative: mass drift
     sample_gap: object = 1e-9      # sample times keep this far from events
     psi: object = 1e-12            # ledger: u^II - u^I this small counts as 0
+    scale: object = 1e-8           # residuals: ledgers, gain cap, Oleinik
 
 
 FLOAT = Tolerances()
 EXACT = Tolerances(*[0] * len(fields(Tolerances)))
-TOL_SCALE = 1e-8    # the default of a scenario's ``tolerance``

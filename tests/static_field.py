@@ -14,7 +14,7 @@ from wavetrack.coupling import (
     classify,
     exact_time,
 )
-from wavetrack.tolerances import EXACT, FLOAT, TOL_SCALE
+from wavetrack.tolerances import EXACT, FLOAT
 
 
 class _Stop:
@@ -112,10 +112,10 @@ class StaticField:
                 f"t={self.horizon}")
         yield t0, t1, _Stop(self.at(t0 + (t1 - t0) / 2))
 
-    def oleinik_report(self, times, tol_scale=TOL_SCALE) -> OleinikReport:
+    def oleinik_report(self, times) -> OleinikReport:
         """One-sided compression with no resolution allowance: every jump
         that expands (a_+ > a_-) at one of ``times`` is flagged."""
-        tol = 0 if self.exact else tol_scale
+        tol = self.tol.scale
         shock_violations, violations = [], []
         for t in times:
             fs = self.at(t)

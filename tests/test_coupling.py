@@ -29,7 +29,7 @@ from wavetrack.fluxes import burgers_flux
 from wavetrack.functional import _norms, default_window, ledger_reports
 from wavetrack.profiles import Profile, profile_difference
 from wavetrack.rational import Q
-from wavetrack.tolerances import FLOAT, TOL_SCALE
+from wavetrack.tolerances import FLOAT
 from wavetrack import scenarios
 from wavetrack.scenarios import (
     build_runs,
@@ -721,7 +721,7 @@ def test_at_equals_the_oracle_at_every_bound(name):
             norms = [_norms(s, [None, weight.slice_at(s)], window)
                      for s in (fs, ref)]
             for got, want in zip(*norms):
-                assert abs(got - want) <= TOL_SCALE * (1 + abs(want))
+                assert abs(got - want) <= field.tol.scale * (1 + abs(want))
 
 
 @pytest.mark.parametrize("name", ["acceptance", "float", "rational", "sine"])

@@ -1,5 +1,6 @@
 """Norm-ledger checks on hand-built pairs with known rates."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -612,12 +613,11 @@ def test_exact_pair_books_own_events_by_delta():
         assert rep.resummed <= 5
 
 
-def _same_reports(cf, m, s, t, tol_scale):
-    (plain, weighted), _ = ledger_reports(cf, [None, m], s, t,
-                                          tol_scale=tol_scale)
-    [alone], _ = ledger_reports(cf, [None], s, t, tol_scale=tol_scale)
+def _same_reports(cf, m, s, t):
+    (plain, weighted), _ = ledger_reports(cf, [None, m], s, t)
+    [alone], _ = ledger_reports(cf, [None], s, t)
     assert plain.to_dict() == alone.to_dict()
-    [alone], _ = ledger_reports(cf, [m], s, t, tol_scale=tol_scale)
+    [alone], _ = ledger_reports(cf, [m], s, t)
     assert weighted.to_dict() == alone.to_dict()
     return plain, weighted
 
@@ -625,7 +625,7 @@ def _same_reports(cf, m, s, t, tol_scale):
 def test_shared_walk_matches_one_norm_reports_exactly():
     for seed in range(7000, 7005):
         _same_reports(_exact_field(seed), Fraction(1), Fraction(0),
-                      Fraction(2), 1e-8)
+                      Fraction(2))
 
 
 def test_shared_walk_keeps_every_violation_in_order():
@@ -634,8 +634,8 @@ def test_shared_walk_keeps_every_violation_in_order():
     for seed in (201, 203, 206):
         spec = parse_scenario(random_scenario_config(seed))
         cf = CoefficientField(*build_runs(spec))
-        plain, weighted = _same_reports(cf, spec.m, spec.t_start, spec.t_end,
-                                        1e-20)
+        cf.tol = dataclasses.replace(cf.tol, scale=1e-20)
+        plain, weighted = _same_reports(cf, spec.m, spec.t_start, spec.t_end)
         assert plain.violations and weighted.violations
 
 

@@ -667,14 +667,12 @@ def test_cli_rejects_boolean_tolerance(tmp_path, capsys):
              "support": [-1, 1], "n_cells": True}
     path = tmp_path / "cfg.json"
     for cfg, message in (
-        (_basic_config(tolerance=True),
-         "tolerance: expected a nonnegative number"),
+        (_basic_config(tolerance=True), "tolerance: unknown key"),
         (_basic_config(u2=cells), "u2.n_cells: expected a positive integer"),
         (_basic_config(seed=True), "seed: expected an integer"),
         # non-finite numbers: NaN and infinities are no numbers either
         (_basic_config(m=float("nan")), "m: expected a finite number, got nan"),
-        (_basic_config(tolerance=float("nan")),
-         "tolerance: expected a nonnegative number"),
+        (_basic_config(tolerance=float("nan")), "tolerance: unknown key"),
         (_basic_config(mode="rational", h="1/10", m=float("nan")),
          "m: expected a finite number, got nan"),
         (_basic_config(u1={"leading": float("-inf"), "pairs": [[0.0, -1.0]]}),
@@ -687,11 +685,27 @@ def test_cli_rejects_boolean_tolerance(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
-    # the command line's tolerance is checked as the config's
+    # the residual slack is the tolerance table's, so the command line has
+    # no --tolerance to pass
     path.write_text(json.dumps(_basic_config()))
-    assert main(["run", str(path), "--tolerance", "inf"]) == 2
-    assert ("tolerance: expected a nonnegative number, got inf"
-            in capsys.readouterr().err)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--tolerance", "inf"])
+    assert exc.value.code == 2
+
+
+def test_a_config_cannot_loosen_its_own_gates(tmp_path, capsys):
+    # float seed 200 fails monotonicity; a config-level slack of 1e6 once
+    # passed it, and is now an unknown key
+    checks = ["oleinik", "l1", "weighted", "monotonicity", "gain_cap",
+              "products"]
+    cfg = random_scenario_config(200, checks=checks)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 1
+    assert "check monotonicity: FAIL" in capsys.readouterr().out
+    path.write_text(json.dumps(dict(cfg, tolerance=1e6)))
+    assert main(["run", str(path)]) == 2
+    assert "tolerance: unknown key" in capsys.readouterr().err
 
 
 def test_cli_rejects_rational_mode_with_an_irrational_flux(tmp_path, capsys):

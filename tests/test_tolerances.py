@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from wavetrack import CoefficientField, FrontTrackingRun, Profile, burgers_flux
-from wavetrack.tolerances import EXACT, FLOAT, TOL_SCALE, Tolerances
+from wavetrack.tolerances import EXACT, FLOAT, Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,13 +17,13 @@ PINNED = {
     "state_eps": 1e-12, "tie": 1e-12, "time": 1e-9, "fan_count": 1e-9,
     "classify": 1e-10, "tie_merge": 1e-12, "guard": 1e-9,
     "anchor": 1e-9, "max_principle": 1e-10, "sample_gap": 1e-9, "psi": 1e-12,
+    "scale": 1e-8,
 }
 
 
 def test_the_float_table_is_pinned_entry_by_entry():
     assert [f.name for f in fields(Tolerances)] == list(PINNED)
     assert asdict(FLOAT) == PINNED
-    assert TOL_SCALE == 1e-8
 
 
 def test_the_exact_table_is_all_int_zeros():
