@@ -19,10 +19,11 @@ every slice takes the order of its fronts from the sweep's links, not
 from a sort.  ``CoefficientField.at`` replays to one time and checks every
 pair and state there.  ``CoefficientField.walk`` walks the field interval
 by interval and pauses at each midpoint, where it re-derives only the jump
-states the replay touched, each classified once per walk into the
-:class:`ClassifiedJump` it keeps.  A stop hands out what changed since the
-last one (:class:`FieldDelta`, in O(changes)), the jump states in order,
-or the whole slice (``stop.slice()``), whose jumps are those records.
+states the replay touched, each classified into a
+:class:`ClassifiedJump` that lives while its state is in the list.  A stop
+hands out what changed since the last one (:class:`FieldDelta`, in
+O(changes)), the jump states in order, or the whole slice
+(``stop.slice()``), whose jumps are those records.
 """
 from __future__ import annotations
 
@@ -83,7 +84,8 @@ class ClassifiedJump:
     """One jump of the averaged coefficient, as it stays between two
     interactions: its position moves, its class and traces do not.  A
     walk's record also holds its states and line (None on a hand-built
-    jump); jumps compare by identity, as records key the walk's dicts."""
+    jump), and a ledger's terms of it while the walk books it; jumps
+    compare by identity, as records key the ledger's pieces."""
 
     lam: object          # propagation speed of the owning front
     a_minus: object
@@ -99,6 +101,7 @@ class ClassifiedJump:
     plus: tuple = None   # (u^I, u^II) right of the jump
     c: object = None     # intercept of the line x = c + lam t, taken at
                          # the stop that classified the jump
+    terms: object = None  # the ledger's terms of the jump, once it needs them
 
     @property
     def strength(self):
@@ -162,7 +165,7 @@ class FieldStats:
     deltas: int = 0      # own events and crossings a walk applied forward
     crossings: int = 0   # the crossings among those deltas
     sweeps: int = 0      # heap sweeps run (one per field)
-    states: int = 0      # (front, traces) jump states a walk classified
+    states: int = 0      # jump records the walks built
     at_slices: int = 0   # slices built off a walk (``at``, ``slices_at``)
 
 
@@ -439,9 +442,9 @@ class _Cursor:
     right of it.  At a stop the cursor re-derives each marked entry's state
     from the states on its left (which checks its run's state chain),
     going on to the right while a state changes, so a stop costs
-    O(changes).  A walk keys states by the front and the other run's
-    state across it, and classifies each on first use into the
-    :class:`ClassifiedJump` record it keeps while the front lives.  A stop
+    O(changes).  An entry whose left states changed is classified into a
+    new :class:`ClassifiedJump` record; the cursor holds only the records
+    in its list, so a state that comes back is classified again.  A stop
     hands out what changed since the last one (:meth:`delta`) and the
     records in list order (:meth:`order`), which :meth:`slice`, the only
     one to compute every position, takes as its jumps.  The walk's
@@ -468,7 +471,6 @@ class _Cursor:
         self.field = field
         self.stats = field.stats
         self.state = [None] * len(self.fronts)
-        self.cache = {}       # entry -> {other run's state: its record}
         self.dirty = set()    # entries to re-derive, at a walk's later stops
         self.touched = None   # entry -> its right neighbour at the last stop
         self.log = None       # (entry, left) per link change, reverse walks
@@ -579,9 +581,6 @@ class _Cursor:
                 t0 = self.span[0]
                 if e.time > t0 + self.field.tol.guard * (1 + abs(t0)):
                     self._missing(base + e.outgoing)
-                # no walk meets a dead front again
-                for k in e.incoming:
-                    self.cache.pop(base + k, None)
             left, _ = self._unlink(base + e.incoming[0])
             self._unlink(base + e.incoming[1])
             self._link(base + e.outgoing, left)
@@ -822,32 +821,27 @@ class _Cursor:
 
     def _state_of(self, k, cur, am, km, t):
         """Record of entry ``k`` with the states ``cur``, the coefficient
-        ``am`` and the difference ``km`` on its left; only a walk keeps the
-        records it classified, each the one object its stops hand out."""
+        ``am`` and the difference ``km`` on its left: its record at the
+        last stop while ``cur`` is unchanged, else a new one, after a check
+        of its run's state chain."""
         st = self.state[k]
         if st is not None and st.minus == cur:
             return st
         k_II = self.in_II[k]
-        own, other = (cur[1], cur[0]) if k_II else cur
         f = self.fronts[k]
-        if f.left_state != own:
+        if f.left_state != (cur[1] if k_II else cur[0]):
             raise InconsistentFieldError(
                 f"t={t}: state chain of the {'second' if k_II else 'first'} "
                 f"run broken at x={self._x(k)}")
-        cached = self.cache.get(k)
-        st = None if cached is None else cached.get(other)
-        if st is None:
-            field, lam = self.field, f.speed
-            plus = (cur[0], f.right_state) if k_II else (f.right_state, cur[1])
-            ap = secant_speed(field.flux, *plus, field.tol.state_eps)
-            st = ClassifiedJump(
-                lam, am, ap, classify(am, ap, lam, field.tol.classify),
-                "II" if k_II else "I", f.signed_jump, km, plus[1] - plus[0],
-                f.kind, f.uid, cur, plus, self._x(k) - lam * t)
-            if self.touched is not None:
-                self.cache.setdefault(k, {})[other] = st
-                self.stats.states += 1
-        return st
+        field, lam = self.field, f.speed
+        plus = (cur[0], f.right_state) if k_II else (f.right_state, cur[1])
+        ap = secant_speed(field.flux, *plus, field.tol.state_eps)
+        if self.touched is not None:
+            self.stats.states += 1
+        return ClassifiedJump(
+            lam, am, ap, classify(am, ap, lam, field.tol.classify),
+            "II" if k_II else "I", f.signed_jump, km, plus[1] - plus[0],
+            f.kind, f.uid, cur, plus, self._x(k) - lam * t)
 
 
 def exact_time(field, t):

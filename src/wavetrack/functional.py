@@ -15,8 +15,9 @@ x = c + lam t has width dc + tau dlam).
 A jump's weight-independent terms (trace products, symmetry or
 conservation residual, sign-table verdict, the atoms of the derived
 checks) depend only on its jump state, so the walk computes them once per
-state, from its record, the :class:`~wavetrack.coupling.ClassifiedJump`
-that also holds the line x = c + lam t.  Every interval is booked by one
+record, the :class:`~wavetrack.coupling.ClassifiedJump` that also holds
+the line x = c + lam t, and stores them on it: they go with the record
+when its state leaves the walk's list.  Every interval is booked by one
 move, a delta: running sums (each probe norm as P + tau Q, the rates, the kind
 counts, the derived-check sums) less the terms of the jump states and
 pieces that left, plus those that entered.  A piece is keyed by its two
@@ -99,14 +100,13 @@ def default_window(cfield: CoefficientField, t_end):
     return min(xs) - pad, max(xs) + pad
 
 
-def _norms(fslice, weights, window, t=None):
+def _norms(fslice, weights, window):
     """Integral of |psi| over the window once per entry of ``weights`` (a
-    weight slice's piece values, or None for weight one), with the slice's
-    jumps moved to time t (default: the slice time)."""
+    weight slice's piece values, or None for weight one) at the slice
+    time."""
     psi = fslice.psi_values
     totals = [0] * len(weights)
-    xs = fslice.positions_at(fslice.time if t is None else t)
-    for i, a, b in clipped_pieces(xs, *window):
+    for i, a, b in clipped_pieces(fslice.positions, *window):
         p, width = abs(psi[i]), b - a
         for k, wv in enumerate(weights):
             totals[k] += p * width if wv is None else p * wv[i] * width
@@ -124,8 +124,7 @@ class IntervalRecord(Report):
     """Measured and analytic data for one interaction-free interval."""
 
     _hidden = ("norm_probe_lo", "norm_probe_hi", "rate_mags", "tv_psi",
-               "tv_a", "rs_sup_da", "rs_raw_rate", "rs_dpsi", "lax_sum",
-               "product_rate", "has_rs")
+               "tv_a", "rs_sup_da", "rs_dpsi", "lax_sum", "product_rate")
 
     t_start: object
     t_end: object
@@ -146,11 +145,9 @@ class IntervalRecord(Report):
     tv_psi: object
     tv_a: object
     rs_sup_da: object          # sup of a_+ - a_- over rarefaction-side jumps
-    rs_raw_rate: object        # sum_RS 2 (lam - a_-) |psi_-|
     rs_dpsi: object            # sum_RS |psi_+ - psi_-|
     lax_sum: object            # sum_Lax (a_- - lam) |psi_-|
     product_rate: object       # signed product atoms
-    has_rs: bool               # a rarefaction-side jump is present
 
     @property
     def duration(self):
@@ -245,18 +242,18 @@ class _Book:
 
 
 class _JumpTerms:
-    """The weight-independent ledger terms of one jump state, built once per
-    walk: the trace products, the symmetry or conservation residual, the
-    sign-table verdict (at the field's classification tolerance) and the
-    atoms the derived checks sum.  Each term is evaluated with the same
-    operations in the same order as its formula, so a float term is the
-    same to the last bit wherever it is summed.  ``risky`` marks a state
-    whose shared checks could fail at the walk's least tolerance."""
+    """The weight-independent ledger terms of one jump record, built once
+    and kept as its ``terms``: the trace products, the symmetry or
+    conservation residual, the sign-table verdict (at the field's
+    classification tolerance) and the atoms the derived checks sum.  Each
+    term is evaluated with the same operations in the same order as its
+    formula, so a float term is the same to the last bit wherever it is
+    summed.  ``risky`` marks a state whose shared checks could fail at the
+    walk's least tolerance."""
 
     __slots__ = ("qm", "qp", "lhs", "rhs", "residual", "sign_ok", "b", "q",
                  "trace_gap", "kappa_clear", "mag", "abs_da", "dpsi", "da",
-                 "rs_raw", "lax", "product", "kind", "in_I", "front",
-                 "risky")
+                 "product", "kind", "in_I", "front", "risky")
 
     def __init__(self, j, tol, tol_min):
         lam, am, ap = j.lam, j.a_minus, j.a_plus
@@ -280,8 +277,6 @@ class _JumpTerms:
         self.da = da = ap - am
         self.abs_da = abs(da)
         self.dpsi = abs(j.kappa_plus - j.kappa_minus)
-        self.rs_raw = 2 * nm * km
-        self.lax = dm * km
         if j.partition == "I":
             self.product = head * b
         else:
@@ -348,14 +343,15 @@ def _rate_terms(book):
 
 
 # (check sum, the _JumpTerms term it adds up, the kinds it sums over or
-# None for all) of each sum the derived checks read but rs_sup_da and has_rs
+# None for all) of each sum the derived checks read but rs_sup_da; the
+# checks read the plain book's rs_main rate and the kind counts too
 _CHECK_SUMS = (
     ("rate_mags", attrgetter("mag"), None),
     ("tv_psi", attrgetter("dpsi"), None),
     ("tv_a", attrgetter("abs_da"), None),
-    ("rs_raw_rate", attrgetter("rs_raw"), (RAREFACTION_SHOCK,)),
     ("rs_dpsi", attrgetter("dpsi"), (RAREFACTION_SHOCK,)),
-    ("lax_sum", attrgetter("lax"), (LAX,)),
+    # (a_- - lam) |psi_-| is q at a Lax jump, where a_- > lam
+    ("lax_sum", attrgetter("q"), (LAX,)),
     ("product_rate", attrgetter("product"), None),
 )
 
@@ -409,12 +405,12 @@ class _Carry:
     of the walk's times and ``ends`` its (a, psi) left and right of every
     jump."""
 
-    def __init__(self, known, window, zero, ends):
-        self.known, self.window, self.ends = known, window, ends
+    def __init__(self, window, zero, ends):
+        self.window, self.ends = window, ends
         self.covers = False
         self.counts = dict.fromkeys((LAX, SLOW, FAST, RAREFACTION_SHOCK), 0)
         self.sums = {name: 0 for name, *_ in _CHECK_SUMS}
-        self.sums.update(tv_a=zero, rs_sup_da=0, has_rs=False)
+        self.sums.update(tv_a=zero, rs_sup_da=0)
         self.empty = dict(self.sums)      # the sums over no jump
         self.rs_da = {}     # a_+ - a_- -> rarefaction-side jumps with it
 
@@ -430,8 +426,8 @@ class _Carry:
         there are jumps; a carry that covers nothing takes any delta.
         Lists keep the delta's order, so float sums are taken in a fixed
         order."""
-        known, counts, covered = self.known, self.counts, self.covers
-        gone = [known[st] for st in delta.gone]
+        counts, covered = self.counts, self.covers
+        gone = [st.terms for st in delta.gone]
         new = list(map(terms_at, delta.entered))
         size = sum(counts.values()) - len(gone) + len(new)
         # a delta of more pieces than jumps costs more than a re-sum would
@@ -462,7 +458,6 @@ class _Carry:
                     rs_moved = True
         if rs_moved:
             sums["rs_sup_da"] = max([0, *das])
-        sums["has_rs"] = counts[rs] > 0
         # the strength totals of the runs move by the fronts that left or
         # entered; a front that crossed left one state and entered another
         moved = False
@@ -494,12 +489,12 @@ def _book_delta(book, change, carry, taus):
     if book.run is None:
         return None
     gone, new, out, into, delta, moved = change
-    known, weight, counts = carry.known, book.weight, carry.counts
+    weight, counts = book.weight, carry.counts
     checked = weight is not None and book.run[3] is not None
     if checked and moved:
         states = delta.order()
         whole = _whole(states, carry.ends[0][1]).into
-        gone, new, out = [], [known[st] for st in states], []
+        gone, new, out = [], [st.terms for st in states], []
         into = [(key, psi, left, right, _geometry(key, psi, carry.window))
                 for key, psi, left, right in whole]
         book.reset(new, book.bounds[-1])
@@ -519,7 +514,7 @@ def _book_delta(book, change, carry, taus):
             if key[0]:
                 # the strengths passed by the piece on the left plus the
                 # jump between the two, added up as slice_at adds them
-                (v_I, v_II), a = pieces[left][1], known[key[0]]
+                (v_I, v_II), a = pieces[left][1], key[0].terms
                 passed = (v_I + a.b, v_II) if a.in_I else (v_I, v_II + a.b)
             wk = weight.piece_weight(psi, passed, book.totals)
             pieces[key] = (wk, passed)
@@ -530,8 +525,8 @@ def _book_delta(book, change, carry, taus):
         p, q = ap * dc, ap * dl
         P, Q = (P + p, Q + q) if gain else (P - p, Q - q)
         if L or R:      # a piece between two window edges has no rate
-            inner = (known[L].qp + known[R].qm if L and R
-                     else known[L].qp if L else known[R].qm)
+            inner = (L.terms.qp + R.terms.qm if L and R
+                     else L.terms.qp if L else R.terms.qm)
             if wk is not None:
                 inner = wk * inner
             r0 = r0 + inner if gain else r0 - inner
@@ -543,7 +538,7 @@ def _book_delta(book, change, carry, taus):
         beside.update((key[1], (key, right))
                       for key, _, _, right, _ in into if key[1])
         for st, (lk, rk) in beside.items():
-            if _weight_faults(None, None, known[st], pieces[lk][0],
+            if _weight_faults(None, None, st.terms, pieces[lk][0],
                               pieces[rk][0], book.bounds):
                 return None
     if flux is None:
@@ -586,13 +581,11 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
         raise ValueError("need s < t")
     window = default_window(cfield, t)
     tol_scale = cfield.tol.scale
-    known = {}     # jump state -> its _JumpTerms, for this walk
 
     def terms_at(state):
-        a = known.get(state)
-        if a is None:
-            a = known[state] = _JumpTerms(state, cfield.tol, tol_min)
-        return a
+        if state.terms is None:
+            state.terms = _JumpTerms(state, cfield.tol, tol_min)
+        return state.terms
 
     def norms_at(time, extra=()):
         # each book's norms (and the ``extra`` ones) at an endpoint, whose
@@ -675,7 +668,7 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
         full = ch is None or since >= _RESUM_STRIDE - 1 or t1 == t
         redo = [b for b, v in zip(books, carried) if full or v is None]
         if redo:
-            fresh = _Carry(known, window, zero, ends)
+            fresh = _Carry(window, zero, ends)
             whole = fresh.change(_whole(stop.order(), ends[0][1]), terms_at)
         counts, sums = ((fresh.counts, fresh.sums) if full
                         else (carry.counts, carry.sums))
@@ -726,6 +719,9 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
                     "not match the classified decomposition (residual "
                     f"{residual_traces})"
                 )
+    for fs in kept or ():   # a kept slice outlives the walk, not its terms
+        for j in fs.jumps:
+            j.terms = None
 
     horizon_event = None      # an interaction at t; looked up when needed
     reports = []
@@ -889,10 +885,10 @@ def gain_cap_report(cfield: CoefficientField,
                 f"interval [{rec.t_start}, {rec.t_end}]: rarefaction-side "
                 f"psi jumps {rec.rs_dpsi} exceed TV(psi) = {tv_psi}"
             )
-        if rec.rs_raw_rate > 2 * sup_da * tv_psi + tol:
+        if rec.rs_main_rate > 2 * sup_da * tv_psi + tol:
             violations.append(
                 f"interval [{rec.t_start}, {rec.t_end}]: rarefaction gain "
-                f"rate {rec.rs_raw_rate} exceeds its chain bound "
+                f"rate {rec.rs_main_rate} exceeds its chain bound "
                 f"{2 * sup_da * tv_psi}"
             )
 
@@ -1055,7 +1051,8 @@ def product_inequality_check(weighted: FunctionalReport, *,
         tva = rec.tv_a
         lax_rate = (2 * m + tva) * rec.lax_sum
         product_rate = rec.product_rate
-        rs_present = rs_present or rec.has_rs
+        has_rs = rec.kind_counts[RAREFACTION_SHOCK] > 0
+        rs_present = rs_present or has_rs
         combined = rec.interior_rate + lax_rate + product_rate
         interval_rates.append((rec.t_start, rec.t_end, combined))
         if max_rate is None or combined > max_rate:
@@ -1063,7 +1060,7 @@ def product_inequality_check(weighted: FunctionalReport, *,
         lax_total += lax_rate * rec.duration
         tol_rate = tol_scale and (
             tol_scale * (1 + rec.rate_mags) * (1 + 2 * m + tva))
-        enforce = strict if strict is not None else not rec.has_rs
+        enforce = strict if strict is not None else not has_rs
         if enforce and combined > tol_rate:
             violations.append(
                 f"interval [{rec.t_start}, {rec.t_end}]: combined "

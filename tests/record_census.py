@@ -18,6 +18,17 @@ the writes):
 * ``wide``: the sine pair at n_cells 256, h 0.01, frequency 3 and a phase
   of 1 between the runs, with oleinik alone.
 
+It then books the plain and the weighted ledger of the sine pair at
+n_cells 64, h 0.05 (the ``sine_full`` shape) from a field whose sweep is
+already built, and prints how far the ``tracemalloc`` peak of that call
+rises above what its two reports hold at the end, and the jump records
+the walk built (``FieldStats.states``).  A walk frees a record and its
+ledger terms once the state leaves the front list, so on CPython 3.11
+the peak rises 0.21 MiB above the reports' 1.56 MiB, with 2,197 records.
+While the walk kept every record and terms object it had built (and
+each interval record two more sums), it rose 1.94 MiB above 1.80 MiB,
+with 2,182 records: 15 states of this pair come back.
+
 The record counts and the counters repeat exactly, so two versions of the
 program that classify the same jump states print the same census; the
 peaks show what each version holds while it runs.  The most slices alive
@@ -29,12 +40,14 @@ the sine and rational pairs take their probe slices from the ledger's
 walk, so only the ledger's two endpoint slices come from ``slices_at``.
 
 On CPython 3.11 the wide pair's record holds 51,140 moves in 613,680
-bytes, and its run peaks at 3.16 MiB (sweep 2.21, event times 2.68,
-checks and writes 3.16).  It peaked at 3.41 MiB while two probe slices
+bytes, and its run peaks at 3.20 MiB (sweep 2.26, event times 2.72,
+checks and writes 3.20).  It peaked at 3.41 MiB while two probe slices
 were alive, and at 5.29 MiB (sweep 4.16, event times 4.23) while the
 sweep kept a second, sorted copy of its crossing times and the jump
 table's rows waited in a list for the table file.
-The sine and rational runs peak at 0.82 and 1.39 MiB.
+The sine and rational runs peak at 0.80 and 0.58 MiB; the rational run
+peaked at 1.34 MiB while its walk kept every jump record it had built
+and its ledger every terms object.
 
 Run from the repository root::
 
@@ -51,9 +64,11 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from unittest import mock
 
-from wavetrack import random_scenario_pair, run_scenario, scenarios
+from wavetrack import (random_scenario_pair, ledger_reports, run_scenario,
+                       scenarios)
 from wavetrack.coupling import ClassifiedJump, CoefficientField
 from wavetrack.profiles import plain_number
+from wavetrack.scenarios import build_runs, parse_scenario
 
 TWO_PI = 6.283185307179586
 ALL_CHECKS = ["oleinik", "l1", "weighted", "gain_cap", "products",
@@ -204,6 +219,31 @@ def census(config, out_dir):
                   max(phases.values()), phases)
 
 
+def ledger_config():
+    """The sine pair at n_cells 64, h 0.05 with both ledgers."""
+    return sine_config(64, 0.05, {"amplitude": 1.0},
+                       {"amplitude": 1.0, "offset": 0.5}, ["l1", "weighted"])
+
+
+def ledger_census(config):
+    """``(reports, above, held, states)`` of booking the plain and the
+    weighted ledger of ``config`` in one call, on a field whose sweep is
+    built before: the bytes the call's ``tracemalloc`` peak rises above
+    what its reports hold at the end, those bytes, and the jump records
+    the walk built."""
+    spec = parse_scenario(config)
+    field = CoefficientField(*build_runs(spec))
+    field.event_times(spec.t_start, spec.t_end)
+    tracemalloc.start()
+    try:
+        reports, _ = ledger_reports(field, [None, spec.m], spec.t_start,
+                                    spec.t_end)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return reports, peak - held, held, field.stats.states
+
+
 def mib(n):
     return f"{n / 2**20:.2f} MiB"
 
@@ -218,3 +258,6 @@ if __name__ == "__main__":
                   "phase peaks " + ", ".join(f"{k} {mib(v)}"
                                        for k, v in c.phases.items()))
             print("  " + ", ".join(f"{k} {v}" for k, v in c.stats.items()))
+    _, above, held, states = ledger_census(ledger_config())
+    print(f"ledger (sine n_cells 64, h 0.05): peak {mib(above)} above the "
+          f"reports' {mib(held)}, states {states}")

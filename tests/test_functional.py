@@ -43,6 +43,7 @@ from wavetrack.fluxes import FluxModel
 from wavetrack.profiles import clipped_pieces
 from wavetrack.scenarios import build_runs, parse_scenario
 import max_principle_oracle as oracle
+import record_census
 from norm_oracle import l1_norm
 from product_oracle import VariationFunction, nonconservative_product
 from test_coupling import _sine_pair_config
@@ -600,6 +601,17 @@ def test_sine_pair_books_most_intervals_by_delta():
     assert cf.stats.crossings > 0
 
 
+def test_both_ledgers_hold_little_beyond_their_reports():
+    # a walk frees a jump record and its terms once the state leaves the
+    # list, so booking both ledgers peaks little above what their reports
+    # hold at the end: 0.21 MiB on CPython 3.11, and 1.94 MiB while the
+    # walk kept every record and every terms object it had built
+    (plain, _), above, _, _ = record_census.ledger_census(
+        record_census.ledger_config())
+    assert len(plain.intervals) == 1040
+    assert above < 2**20
+
+
 def test_exact_pair_books_own_events_by_delta():
     # most interactions of this pair change one front; both books book
     # them by delta, the weighted one afresh from the stop's jump states as
@@ -774,8 +786,8 @@ def test_exact_delta_booking_with_rarefaction_side_jumps():
             assert rec.residual_norm == rec.residual_traces == 0
         assert sum(rec.kind_counts[RAREFACTION_SHOCK] > 0
                    for rec in rep.intervals) == 5
-        assert any(rec.rs_main_rate or rec.rs_b_rate or rec.rs_raw_rate
-                   or rec.rs_sup_da for rec in rep.intervals)
+        assert any(rec.rs_main_rate or rec.rs_b_rate or rec.rs_sup_da
+                   for rec in rep.intervals)
 
 
 def _defect_pair(name):
@@ -905,3 +917,26 @@ def test_a_planted_defect_fires_each_gain_cap_and_weight_rule(monkeypatch,
                           + gain_cap_report(cf, plain).violations)
         for text in texts:
             assert any(text in v for v in violations), (name, text)
+
+
+@pytest.mark.parametrize("name", ["7001", "sine", "float", "fan"])
+def test_a_weight_fault_in_a_delta_hands_the_interval_to_a_resum(
+        monkeypatch, name):
+    # every piece weight is biased by m/8 once the first interval record is
+    # built, so the weighted book's delta at interval 1 finds a weight fault
+    # beside a piece that entered; it re-sums that interval, whose
+    # violations name its stop, the interval midpoint.  A delta that booked
+    # the fault would first show it as the interval's rate residual
+    cf, m, s, t = _defect_pair(name)
+    built, record = [], functional.IntervalRecord
+    piece_weight = WeightField.piece_weight
+    monkeypatch.setattr(functional, "IntervalRecord",
+                        lambda **kw: built.append(1) or record(**kw))
+    monkeypatch.setattr(WeightField, "piece_weight", lambda self, *args: (
+        piece_weight(self, *args) + (self.m / 8 if built else 0)))
+    (_, weighted), _ = ledger_reports(cf, [None, m], s, t)
+    t0, t1 = weighted.intervals[1].t_start, weighted.intervals[1].t_end
+    first = weighted.violations[0]
+    assert first.startswith(f"t={t0 + (t1 - t0) / 2}: "), first
+    if name == "7001":
+        assert first.startswith("t=351/1600: ")
