@@ -126,13 +126,13 @@ def _resolve(fslice, members, *, backward, tie_bias, where):
 
 
 def _window(fslice, t, lo, hi):
-    """(first index, positions at time t as ``FieldSlice.positions_at`` has
-    them) of the jumps of ``fslice`` that can lie in [lo, hi] at time t: by
-    bisection of the slice-time positions, which are in order, for [lo, hi]
-    widened by the farthest a jump moves from the slice time to t, plus the
-    rounding of a shifted float position.  The positions at t may be out of
-    order, as rounding leaves jumps that meet; all that can reach [lo, hi]
-    are in the window even so."""
+    """(first index, positions at time t, each shifted from the slice time
+    at its jump's speed) of the jumps of ``fslice`` that can lie in
+    [lo, hi] at time t: by bisection of the slice-time positions, which
+    are in order, for [lo, hi] widened by the farthest a jump moves from
+    the slice time to t, plus the rounding of a shifted float position.
+    The positions at t may be out of order, as rounding leaves jumps that
+    meet; all that can reach [lo, hi] are in the window even so."""
     positions, lams, dt = fslice.positions, fslice.lams, t - fslice.time
     reach = fslice.speed * abs(dt)
     if isinstance(reach, float):    # an exact slice shifts without rounding

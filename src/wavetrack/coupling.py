@@ -32,7 +32,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import chain, islice, zip_longest
+from itertools import chain, islice, pairwise, zip_longest
 from operator import itemgetter, le
 
 from .fluxes import secant_speed
@@ -133,10 +133,10 @@ class FieldSlice:
     """The coefficient field frozen at one interaction-free time.
 
     Every jump moves on a straight line until the next interaction, so the
-    slice also describes the field at any other time of its interval:
-    :meth:`positions_at` shifts the jumps there.  ``lams`` and ``speed``,
-    which the characteristic walks read, are set by the builders.  Jumps,
-    so slices, compare by identity.
+    slice also describes the field at any other time t of its interval,
+    where jump i sits at ``positions[i] + lams[i] * (t - time)``.
+    ``lams`` and ``speed``, which the characteristic walks read, are set
+    by the builders.  Jumps, so slices, compare by identity.
     """
 
     time: object
@@ -147,13 +147,6 @@ class FieldSlice:
     # the jump speeds, in jump order, and the largest of their sizes
     lams: tuple = dataclass_field(default=None, compare=False)
     speed: object = dataclass_field(default=None, compare=False)
-
-    def positions_at(self, t):
-        """Jump positions at time t of the slice's interaction-free interval."""
-        if t == self.time:
-            return list(self.positions)
-        dt = t - self.time
-        return [x + j.lam * dt for x, j in zip(self.positions, self.jumps)]
 
 
 @dataclass
@@ -217,7 +210,7 @@ class CoefficientField:
         order (reversed with ``reverse``): one cursor paused at the interval
         midpoint, valid until the walk moves on.  Between interactions every
         jump moves on a straight line, so one stop describes the whole
-        interval (see :meth:`FieldSlice.positions_at`).  ``stop.slice()`` is
+        interval (see :class:`FieldSlice`).  ``stop.slice()`` is
         the field there, ``stop.delta()`` what changed since the last stop
         and ``stop.event_times`` the :meth:`event_times` in (s, t), which
         bound the intervals; see :class:`_Cursor`.  The endpoints are taken
@@ -438,13 +431,16 @@ class _Cursor:
     the record gives them; the piece between them has zero width, so no
     norm and no trace sum reads their order.
 
-    Each list entry keeps its jump state.  A link change marks the entry
-    right of it.  At a stop the cursor re-derives each marked entry's state
-    from the states on its left (which checks its run's state chain),
-    going on to the right while a state changes, so a stop costs
-    O(changes).  An entry whose left states changed is classified into a
-    new :class:`ClassifiedJump` record; the cursor holds only the records
-    in its list, so a state that comes back is classified again.  A stop
+    Each list entry keeps its jump state.  ``touched`` notes each entry
+    whose right link changed since the last stop, with its old neighbour;
+    the entries now right of those are the ones whose left link changed,
+    whatever the move (a swap, an unlink, a link, or a reverse walk's
+    undo of one).  At a stop the cursor re-derives each of them from the
+    states on its left (which checks its run's state chain), going on to
+    the right while a state changes, so a stop costs O(changes).  An
+    entry whose left states changed is classified into a new
+    :class:`ClassifiedJump` record; the cursor holds only the records in
+    its list, so a state that comes back is classified again.  A stop
     hands out what changed since the last one (:meth:`delta`) and the
     records in list order (:meth:`order`), which :meth:`slice`, the only
     one to compute every position, takes as its jumps.  The walk's
@@ -471,7 +467,6 @@ class _Cursor:
         self.field = field
         self.stats = field.stats
         self.state = [None] * len(self.fronts)
-        self.dirty = set()    # entries to re-derive, at a walk's later stops
         self.touched = None   # entry -> its right neighbour at the last stop
         self.log = None       # (entry, left) per link change, reverse walks
         self.span = None
@@ -498,11 +493,11 @@ class _Cursor:
             for t0, t1 in forward:
                 self._stop(self._enter(t0, t1))
                 yield t0, t1, self
-            self._check_pairs(self._pairs(), t)
+            self._check_pairs(pairwise(self._entries()), t)
             return
         log = self.log = []
         marks = [(self._enter(t0, t1), len(log)) for t0, t1 in forward]
-        self._check_pairs(self._pairs(), t)
+        self._check_pairs(pairwise(self._entries()), t)
         self.log = None
         for t0, t1, (mid, mark) in zip(chain(reversed(event_times), (s,)),
                                        chain((t,), reversed(event_times)),
@@ -517,14 +512,6 @@ class _Cursor:
             self._stop(mid)
             yield t0, t1, self
 
-    def _pairs(self):
-        """The (left, right) neighbour pairs of the list, with sentinels."""
-        nxt = self.nxt
-        k = self.head
-        while k != self.tail:
-            yield k, nxt[k]
-            k = nxt[k]
-
     def _enter(self, t0, t1):
         """Replay to the midpoint of [t0, t1], guard the interval, and
         return the midpoint."""
@@ -538,7 +525,7 @@ class _Cursor:
             if te < t1 - self.field.tol.guard * (1 + abs(t1)):
                 self._missing(base + e.incoming[0])
         if first:
-            self._check_pairs(self._pairs(), t0)
+            self._check_pairs(pairwise(self._entries()), t0)
         else:
             # the stretches of the pairs the replay broke end at t0, those
             # of the pairs it made start there
@@ -552,7 +539,7 @@ class _Cursor:
         """Apply every recorded move up to the first one after ``limit``;
         only a walk notes the link changes and guards the own events."""
         keys, times, prv, nxt = self.keys, self.times, self.prv, self.nxt
-        touched, dirty, log = self.touched, self.dirty, self.log
+        touched, log = self.touched, self.log
         i = first = self.done
         end, own = len(keys), 0
         while i < end and times[i] <= limit:
@@ -572,7 +559,6 @@ class _Cursor:
                     touched.setdefault(before, k)
                     touched.setdefault(k, r)
                     touched.setdefault(r, after)
-                    dirty.update((r, k, after))
                 continue
             own += 1
             _, base, e = self.events[self.pending]
@@ -623,7 +609,6 @@ class _Cursor:
                 self.log.append((k, before))
             self.touched.setdefault(before, k)
             self.touched.setdefault(k, after)
-            self.dirty.add(after)
         return before, after
 
     def _link(self, k, left):
@@ -637,20 +622,18 @@ class _Cursor:
                 self.log.append((k, None))
             self.touched.setdefault(left, right)
             self.touched.setdefault(k, _GONE)
-            self.dirty.add(k)
-            self.dirty.add(right)
 
     def _stop(self, t):
-        """Pause at t and re-derive the states of the marked entries (every
-        entry at the walk's first stop)."""
+        """Pause at t and re-derive the states of the entries whose left
+        link changed, those right of the ``touched`` ones (every entry at the
+        walk's first stop)."""
         first = self.time is None
         self.time, self.built, self.ordered = t, None, None
         self.xs, self.old = {}, {}
         prv, nxt, head, tail = self.prv, self.nxt, self.head, self.tail
         state, old = self.state, self.old
         marked = ({*self._entries(), tail} if first else
-                  {k for k in self.dirty if k == tail or prv[k] != _GONE})
-        self.dirty.clear()
+                  {nxt[k] for k in self.touched if nxt[k] != _GONE})
         for k in list(marked):
             if k not in marked:
                 continue

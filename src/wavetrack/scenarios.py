@@ -59,7 +59,9 @@ class ScenarioConfigError(ValueError):
 
 def _parse_number(value, rational, path, errors):
     """Scalar from JSON: int, finite float, or a 'p/q' string; in rational
-    mode each is read exactly, as a :class:`~wavetrack.rational.Q`."""
+    mode each is read exactly, as a :class:`~wavetrack.rational.Q`, and a
+    float as the decimal it prints as, so it means one number in both
+    modes."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         errors.append(f"{path}: expected a number, got {value!r}")
         return 0
@@ -76,8 +78,8 @@ def _parse_number(value, rational, path, errors):
             errors.append(f"{path}: expected a finite number, got {value!r}")
         return 0
     if rational:
-        # floats are binary rationals, so this conversion is exact
-        return Q(value)
+        # 0.1 is 1/10, not the binary rational nearest it
+        return Q(repr(value)) if isinstance(value, float) else Q(value)
     return float(value) if isinstance(value, float) else value
 
 

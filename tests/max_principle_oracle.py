@@ -29,8 +29,16 @@ def slices(field, s, t, reverse=False):
         yield t0, t1, stop.slice()
 
 
+def positions_at(fslice, t):
+    """Jump positions of ``fslice`` at time t of its interval."""
+    dt = t - fslice.time
+    if not dt:
+        return list(fslice.positions)
+    return [x + j.lam * dt for x, j in zip(fslice.positions, fslice.jumps)]
+
+
 def state_at(field, fslice, x, t, *, backward, tie_bias):
-    positions = fslice.positions_at(t)
+    positions = positions_at(fslice, t)
     tol = 0 if field.exact else ANCHOR_TOL * (1 + abs(x))
     members = [k for k, q in enumerate(positions) if abs(q - x) <= tol]
     if members:
@@ -72,7 +80,7 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min",
 def psi_min(fslice, lo, hi, t):
     psi = fslice.psi_values
     return min((psi[i] for i, _, _ in
-                clipped_pieces(fslice.positions_at(t), lo, hi)), default=None)
+                clipped_pieces(positions_at(fslice, t), lo, hi)), default=None)
 
 
 def psi_integral(fslice, lo, hi, t):
@@ -81,7 +89,7 @@ def psi_integral(fslice, lo, hi, t):
         lo, hi, sign = hi, lo, -1
     psi = fslice.psi_values
     total = 0
-    for i, a, b in clipped_pieces(fslice.positions_at(t), lo, hi):
+    for i, a, b in clipped_pieces(positions_at(fslice, t), lo, hi):
         total += psi[i] * (b - a)
     return sign * total
 

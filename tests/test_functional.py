@@ -374,7 +374,7 @@ def test_report_serializes():
 def _windowed_norm(fs, weight_values, window):
     # integral of |psi| (times the weight if given) over the window, piece
     # by piece at the slice time
-    psi, xs = fs.psi_values, fs.positions_at(fs.time)
+    psi, xs = fs.psi_values, fs.positions
     return sum(abs(psi[i]) * (1 if weight_values is None else weight_values[i])
                * (b - a) for i, a, b in clipped_pieces(xs, *window))
 
@@ -481,6 +481,45 @@ def test_delta_booking_equals_resumming_in_exact_mode():
             assert again.delta_booked == 0
             deltas += rep.delta_booked
     assert deltas > 0
+
+
+def _ledgers_with_end_norms_shifted(cf, shift):
+    # [plain, weighted] over [0, 2], with ``shift`` planted on each measured
+    # norm at t = 2, the horizon
+    norms = functional._norms
+
+    def shifted(fslice, weights, window):
+        totals = norms(fslice, weights, window)
+        return ([v + shift for v in totals] if fslice.time == 2
+                else totals)
+
+    with mock.patch.object(functional, "_norms", shifted):
+        reports, _ = ledger_reports(cf, [None, Fraction(1)], Fraction(0),
+                                    Fraction(2))
+    return reports
+
+
+def test_horizon_gap_is_booked_as_an_event_drop_at_an_interaction():
+    cf = _exact_field(7002)
+    assert cf.has_event_at(2)
+    plain, weighted = _ledgers_with_end_norms_shifted(cf, 1)
+    assert plain.violations == [
+        "event t=2: plain norm jumped by 1 at the horizon"]
+    assert weighted.violations == ["event t=2: weighted norm increased by 1"]
+    plain, weighted = _ledgers_with_end_norms_shifted(cf, -1)
+    assert plain.violations == [
+        "event t=2: plain norm jumped by -1 at the horizon"]
+    assert weighted.passed
+    assert weighted.event_drops[-1] == (2, -1)
+
+
+def test_horizon_gap_without_an_interaction_is_a_violation():
+    cf = _exact_field(7000)
+    assert not cf.has_event_at(2)
+    for book in _ledgers_with_end_norms_shifted(cf, 1):
+        assert book.violations == [
+            "end t=2: extrapolated norm differs from measured by 1",
+            "global ledger out of balance by 1 over [0, 2]"]
 
 
 def _assert_close(x, y, scale=0):

@@ -98,8 +98,23 @@ def test_parse_rational_mode():
     assert spec.h == Fraction(1, 10)
     assert spec.m == Fraction(1, 2)
     assert spec.u1.values == (Fraction(1, 3), Fraction(-2, 3))
-    # floats convert exactly (they are binary rationals already)
+    # a float reads as the decimal it prints as
     assert spec.u2.value_at(0) == Fraction(1, 4)
+
+
+def test_a_float_means_one_number_in_both_modes():
+    # h = 0.1 read as its binary value lies just above 1/10, which gives
+    # run I's fan from -1.1 to -1.0 an eighth member
+    cfg = _basic_config(u1={"leading": -1.1, "pairs": [[-1.0, -0.4]]},
+                        u2={"pairs": []}, time={"start": 0, "end": 0.5},
+                        checks=["l1"])
+    members = {}
+    for mode in ("float", "rational"):
+        spec = parse_scenario(dict(cfg, mode=mode))
+        run_I, _ = build_runs(spec)
+        members[mode] = sum(f.kind == "fan" for f in run_I.fronts)
+    assert spec.h == Fraction(1, 10)
+    assert members == {"float": 7, "rational": 7}
 
 
 def test_parse_rejects_bad_fraction_and_transcendental():
@@ -573,6 +588,21 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(lines) == 3
     data = json.loads((out / "sweep.json").read_text())
     assert len(data["rows"]) == 2
+
+
+def test_cli_sweep_reports_an_inconsistent_field(tmp_path, monkeypatch,
+                                                 capsys):
+    # the sweep config of the installed-script check in CI, on a field
+    # whose event times miss the first one
+    cfg = {"u1": {"pairs": [[0, -1], [1, 1]], "leading": 1},
+           "u2": {"pairs": [[0.5, 0]], "leading": 1}, "h_list": [0.2, 0.1]}
+    event_times = CoefficientField.event_times
+    monkeypatch.setattr(CoefficientField, "event_times",
+                        lambda self, s, t: event_times(self, s, t)[1:])
+    assert main(["sweep", _write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "inconsistent wave pattern: jumps near x=0.7083333333333333 change "
+        "order by t=0.41666666666666663")
 
 
 def test_rational_sweep_bytes_are_pinned(tmp_path):
