@@ -49,8 +49,9 @@ def main():
     run = FrontTrackingRun(flux, initial, h)
     run.evolve(2.0)
 
-    print("  interaction events:", [round(t, 4) for t in run.event_times()])
-    print("  fronts alive at t=2:", run.alive_count)
+    print("  interaction events:", [round(e.time, 4) for e in run.events])
+    print("  fronts alive at t=2:",
+          sum(f.death_time is None for f in run.fronts))
     for t in (0.0, 1.0, 2.0):
         show_profile(f"u(t={t})", run.sample(t))
 

@@ -34,7 +34,7 @@ def main():
     cfield = make_field()
 
     print("== one-sided compression")
-    rep = oleinik_report(cfield, [0.5, 1.0, 1.5])
+    rep = oleinik_report(cfield, cfield.slices_at([0.5, 1.0, 1.5]))
     print("  coupled field: shock violations =", len(rep.shock_violations),
           " fan allowance =", rep.fan_allowance)
 

@@ -23,7 +23,6 @@ from .coupling import (
     LAX,
     RAREFACTION_SHOCK,
     SLOW,
-    FieldSlice,
     exact_time,
 )
 from .profiles import Report, clipped_pieces
@@ -303,18 +302,19 @@ def _run_fan_slope(placed, t):
     return best
 
 
-def oleinik_report(field, times) -> OleinikReport:
+def oleinik_report(field, slices) -> OleinikReport:
     """One-sided entropy geometry of a
-    :class:`~wavetrack.coupling.CoefficientField` at the given times.
+    :class:`~wavetrack.coupling.CoefficientField` on the given slices of it
+    (times go through :meth:`~wavetrack.coupling.CoefficientField.slices_at`,
+    which replays the sweep once for all of them).
 
     Shock-borne coefficient jumps must be compressive or undercompressive
     (a_+ <= a_-) while fan-borne jumps may expand by at most sup|f''| h,
     and the discrete fan slopes of each run stay below 1/c0;
     rarefaction-side jumps on a shock are violations.
 
-    ``times`` may hold slices of the field instead of times, so slices
-    already built are not built again.  ``times`` is read once, in order,
-    and no slice is kept: the report keeps each slice's time.
+    ``slices`` is read once, in order, and no slice is kept: the report
+    keeps each slice's time.
     """
     shock_violations, violations, sampled = [], [], []
     max_fan_jump = fan_slope = spread = 0
@@ -326,8 +326,7 @@ def oleinik_report(field, times) -> OleinikReport:
         f2, c0 = Q(f2), Q(c0)
     h_by_partition = {"I": field.run_I.h, "II": field.run_II.h}
     allowance = f2 * max(h_by_partition.values())
-    for t in times:
-        fs = t if isinstance(t, FieldSlice) else field.at(t)
+    for fs in slices:
         t = fs.time
         sampled.append(t)
         for x, j in zip(fs.positions, fs.jumps):

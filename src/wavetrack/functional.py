@@ -29,14 +29,15 @@ interval over as what changed since the one before
 (:class:`~wavetrack.coupling.FieldDelta`), so booking it costs O(changes);
 after an own event that moves the strength totals the weighted book is
 booked afresh, as a re-sum books it, but with no per-jump shared check and
-no slice.  Some intervals are re-summed: they move sums that cover
-nothing, every jump state of the stop and every piece between them
-entering in list order, and are then checked jump by jump, so violations
-keep their text and order; a re-sum builds the stop's slice only to name
-the position of a violation.  These are the first and the last
-interval, every ``_RESUM_STRIDE``-th in a row, and one where more pieces
-change than there are jumps or a per-jump check could fail.  Exact sums
-are exact; float sums may move in their last digits.
+no slice.  Some intervals are re-summed for every book together: they
+move sums that cover nothing, every jump state of the stop and every
+piece between them entering in list order, and are then checked jump by
+jump, so violations keep their text and order; a re-sum builds the
+stop's slice only to name the position of a violation.  These are the
+first and the last interval, every ``_RESUM_STRIDE``-th in a row, one
+where more pieces change than there are jumps or a check of any book
+could fail, and the next after a re-sum that found such a check.  Exact
+sums are exact; float sums may move in their last digits.
 ``ledger_reports(cfield, ms, s, t)`` books one ledger per entry of
 ``ms`` (None: the plain norm; m: the weighted norm with offset m) from one
 walk: each stop, the missed-interaction check and every
@@ -208,8 +209,7 @@ _RESUM_STRIDE = 16
 @dataclass(slots=True)
 class _Book:
     """One norm's ledger while a walk books it, with the running sums of
-    its last interval that a delta moves on (``run`` is None when the next
-    interval must be re-summed)."""
+    its last interval that a delta moves on."""
 
     weight: object            # WeightField, None for the plain norm
     violations: list = dataclass_field(default_factory=list)
@@ -223,8 +223,6 @@ class _Book:
     totals: tuple = None
     pieces: dict = None
     bounds: tuple = None
-    deltas: int = 0
-    resums: int = 0
     drift: float = 0.0
 
     def reset(self, terms, tol):
@@ -474,9 +472,10 @@ class _Carry:
 
 def _book_delta(book, change, carry, taus):
     """Move a book's running sums by ``change`` (see :meth:`_Carry.change`)
-    and return its ``(n_lo, n_hi, *rates, flux)``, or None (a re-sum) when
-    a weight check could fail.  A piece of weight w adds |psi| w times its
-    width to the norm and w (q_+ left + q_- right) to the interior rate.
+    and return its ``(n_lo, n_hi, *rates, flux)``, or None (a re-sum of
+    every book) when a weight check could fail.  A piece of weight w adds
+    |psi| w times its width to the norm and w (q_+ left + q_- right) to
+    the interior rate.
     A new piece's weight grows from the strengths its left neighbour
     passed, and the jumps beside it are checked.  When the strength totals
     move (fronts of other strengths entered than left: an own event), a
@@ -486,8 +485,6 @@ def _book_delta(book, change, carry, taus):
     checked.  A book that covers nothing (its flux None) takes the edge
     flux a |psi| w of the first piece less that of the last, and a book
     that covered nothing before leaves its weight checks to the caller."""
-    if book.run is None:
-        return None
     gone, new, out, into, delta, moved = change
     weight, counts = book.weight, carry.counts
     checked = weight is not None and book.run[3] is not None
@@ -566,11 +563,14 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
     an interaction the weight's variation budget can shrink, giving a
     favorable (nonpositive) jump.
 
-    Each interval is booked from the running sums (:class:`_Carry`,
-    :func:`_book_delta`) by the walk's delta from the interval before; the
-    first, the last, every ``_RESUM_STRIDE``-th in a row and one a delta
-    cannot book are re-summed: the delta from nothing to the stop's jump
-    states, applied to a carry and books that cover nothing.  ``keep(n)``,
+    Each interval is booked for every book at once, from the running sums
+    (:class:`_Carry`, :func:`_book_delta`) by the walk's delta from the
+    interval before, or re-summed: the delta from nothing to the stop's
+    jump states, applied to a new carry and books that cover nothing.  The
+    first, the last, every ``_RESUM_STRIDE``-th in a row, one a delta
+    cannot book for some book and the next after a re-sum that found a
+    check that could fail at the walk's least tolerance are re-summed.
+    ``keep(n)``,
     when given, picks the indices of some of the n intervals; the walk
     keeps the slice at each of their stops, the field at the interval
     midpoint (None kept without it).
@@ -609,16 +609,18 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
     # tolerance of the walk is never below tol_min
     tol_norm = tol_min = tol_scale and tol_scale * (1 + base)
 
-    def resum(stop, books, whole, fresh, taus, tol_rate):
-        # each book moved from covering nothing by the ``whole`` delta (see
+    def resum(stop, whole, fresh, taus, tol_rate):
+        # every book moved from covering nothing by the ``whole`` delta (see
         # _Carry.change), then checked jump by jump: the trace symmetry at
         # compressive and rarefaction-side jumps, the conservation relation
         # at undercompressive ones, the sign table and, per weighted book,
-        # the weight checks of _weight_faults, first at the walk's least
-        # tolerance (a fault there keeps the next interval from a delta);
-        # the stop's slice names the position of a violation
+        # the weight checks of _weight_faults; the stop's slice names the
+        # position of a violation.  Returns the books' values and whether
+        # no check could fail at the walk's least tolerance (a delta may
+        # follow)
         _, terms, _, into, *_ = whole
         time = stop.time
+        clean = not any(a.risky for a in terms)
         shared = {}     # jump index -> its violations of the shared checks
         for idx, a in enumerate(terms):
             if a.residual <= tol_rate and a.sign_ok:
@@ -635,7 +637,6 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
                            f"x={x} ({a.kind})")
         vals = []
         for book in books:
-            book.resums += 1
             book.reset(terms, tol_min)
             vals.append(_book_delta(book, whole, fresh, taus))
             if book.weight is None:
@@ -647,15 +648,16 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
                 book.violations.extend(shared.get(idx, ()))
                 wm, wp = wv[idx], wv[idx + 1]
                 if _weight_faults(time, None, a, wm, wp, book.bounds):
-                    book.run = None
+                    clean = False
                     book.violations.extend(_weight_faults(
                         time, stop.slice().positions[idx], a, wm, wp,
                         _weight_bounds(book.weight.m, book.totals[0]
                                        + book.totals[1], tol_rate)))
-        return vals
+        return vals, clean
 
     carry = None    # the shared running sums, when a delta may follow
     since = 0       # intervals booked by delta since the last re-sum
+    deltas = 0      # intervals booked by delta
     for i, (t0, t1, stop) in enumerate(chain([first], walk)):
         if i in kept_at:
             kept.append(stop.slice())
@@ -665,28 +667,27 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
         ch = carry.change(stop.delta(), terms_at) if carry else None
         carried = [_book_delta(book, ch, carry, taus) if ch else None
                    for book in books]
-        full = ch is None or since >= _RESUM_STRIDE - 1 or t1 == t
-        redo = [b for b, v in zip(books, carried) if full or v is None]
-        if redo:
-            fresh = _Carry(window, zero, ends)
-            whole = fresh.change(_whole(stop.order(), ends[0][1]), terms_at)
-        counts, sums = ((fresh.counts, fresh.sums) if full
-                        else (carry.counts, carry.sums))
-        tol_rate = tol_scale and tol_scale * (1 + sums["rate_mags"] + base)
-        redone = iter(resum(stop, redo, whole, fresh, taus, tol_rate)
-                      if redo else [])
-        vals = [next(redone) if full or v is None else v for v in carried]
-        for book, old, new in zip(books, carried, vals):
-            if old is not None and full:
-                # drift: |carried - re-summed| / (1 + |re-summed|)
-                pairs = [*zip(old[:-1], new[:-1]), *(
-                    (carry.sums[k], sums[k]) for k, *_ in _CHECK_SUMS)]
-                book.drift = max([book.drift, *(
-                    float(abs(a - b) / (1 + abs(b))) for a, b in pairs)])
-            book.deltas += old is not None and not full
+        # a delta books the interval for every book, or a re-sum does
+        full = (ch is None or None in carried or since >= _RESUM_STRIDE - 1
+                or t1 == t)
+        live, vals = carry, carried
         if full:
-            carry = None if any(a.risky for a in whole[1]) else fresh
-        since = 0 if full else since + 1
+            live = _Carry(window, zero, ends)
+            whole = live.change(_whole(stop.order(), ends[0][1]), terms_at)
+        counts, sums = live.counts, live.sums
+        tol_rate = tol_scale and tol_scale * (1 + sums["rate_mags"] + base)
+        if full:
+            vals, clean = resum(stop, whole, live, taus, tol_rate)
+            for book, old, new in zip(books, carried, vals):
+                if old is not None:
+                    # drift: |carried - re-summed| / (1 + |re-summed|)
+                    pairs = [*zip(old[:-1], new[:-1]), *(
+                        (carry.sums[k], sums[k]) for k, *_ in _CHECK_SUMS)]
+                    book.drift = max([book.drift, *(
+                        float(abs(a - b) / (1 + abs(b))) for a, b in pairs)])
+            carry, since = live if clean else None, 0
+        else:
+            since, deltas = since + 1, deltas + 1
         for book, (n_lo, n_hi, *r, flux) in zip(books, vals):
             interior, lax, slow_fast, rs_main, rs_b = r
             residual_norm = abs((n_hi - n_lo) - span * (interior + flux))
@@ -814,8 +815,8 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
             tol_norm=tol_norm,
             tol_scale=tol_scale,
             violations=violations,
-            delta_booked=book.deltas,
-            resummed=book.resums,
+            delta_booked=deltas,
+            resummed=len(intervals) - deltas,
             max_drift=book.drift,
         ))
     return reports, kept
@@ -1016,8 +1017,7 @@ class ProductRuleReport(Report):
     violations: list
 
 
-def product_inequality_check(weighted: FunctionalReport, *,
-                             strict=None) -> ProductRuleReport:
+def product_inequality_check(weighted: FunctionalReport) -> ProductRuleReport:
     """Weighted decay stated with the coefficient-variation Lax factor.
 
     Replaces the per-jump Lax factor by the uniform ``2m + TV(a)`` and books
@@ -1033,8 +1033,9 @@ def product_inequality_check(weighted: FunctionalReport, *,
 
     on every interaction-free interval without rarefaction-side jumps.
     Fan-resolution rarefaction gains enter with ``+ (2m + TV(b))`` slack per
-    jump; by default the per-interval inequality is only enforced when no
-    rarefaction-side jump is present (``strict=True`` forces it everywhere).
+    jump, so the inequality is enforced on an interval only where no
+    rarefaction-side jump is present, and over [s, t] only where none is
+    present on any interval.
     ``weighted`` is the field's weighted ledger (:func:`ledger_reports`
     with ``ms = [m]``) with weight offset m.
     """
@@ -1060,8 +1061,7 @@ def product_inequality_check(weighted: FunctionalReport, *,
         lax_total += lax_rate * rec.duration
         tol_rate = tol_scale and (
             tol_scale * (1 + rec.rate_mags) * (1 + 2 * m + tva))
-        enforce = strict if strict is not None else not has_rs
-        if enforce and combined > tol_rate:
+        if not has_rs and combined > tol_rate:
             violations.append(
                 f"interval [{rec.t_start}, {rec.t_end}]: combined "
                 f"product-rule rate {combined} is positive"
@@ -1074,8 +1074,7 @@ def product_inequality_check(weighted: FunctionalReport, *,
         - weighted.flux_total - weighted.drop_total
     )
     tol_glob = weighted.tol_norm * (4 + len(weighted.intervals))
-    enforce_global = strict if strict is not None else not rs_present
-    if enforce_global and slack > tol_glob:
+    if not rs_present and slack > tol_glob:
         violations.append(
             f"integrated product-rule inequality violated: slack {slack} > 0"
         )

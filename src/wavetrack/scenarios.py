@@ -595,9 +595,10 @@ def build_runs(spec: ScenarioSpec, h=None):
 
 
 def run_scenario(config, out_dir=None) -> ScenarioResult:
-    """Execute a scenario's checks; write reports when out_dir (or config
-    'out') names a directory.  An error of the run (an inconsistent wave
-    pattern, say) is reported, not raised.
+    """Execute the checks of a scenario config dict (see
+    :func:`parse_scenario`); write reports when out_dir (or config 'out')
+    names a directory.  An error of the run (an inconsistent wave pattern,
+    say) is reported, not raised.
 
     Every norm the checks read is booked by one ledger walk, before any
     check runs.  The probe slices, which the Oleinik check and the jump
@@ -610,7 +611,7 @@ def run_scenario(config, out_dir=None) -> ScenarioResult:
     with the other outputs, or removed on an error.  Reports keep check
     order.
     """
-    spec = config if isinstance(config, ScenarioSpec) else parse_scenario(config)
+    spec = parse_scenario(config)
     out = out_dir if out_dir is not None else spec.out
     reports = {}
     error = None
@@ -771,7 +772,7 @@ def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
 
 def run_sweep(config, out_dir=None):
     """Refinement ladder over config['h_list']; returns the study rows."""
-    spec = config if isinstance(config, ScenarioSpec) else parse_scenario(config)
+    spec = parse_scenario(config)
     if not spec.h_list:
         raise ScenarioConfigError(["h_list: required for a sweep"])
     rows = refinement_study(lambda h: build_runs(spec, h=h), spec.h_list,

@@ -348,19 +348,11 @@ class FrontTrackingRun:
             vals.append(f.right_state)
         return Profile.compacted(bps, vals)
 
-    def event_times(self):
-        return [e.time for e in self.events]
-
-    @property
-    def alive_count(self):
-        return sum(1 for f in self.fronts if f.death_time is None)
-
-    def export_wave_csv(self, fileobj, horizon=None):
+    def export_wave_csv(self, fileobj, horizon):
         """One row per front for the space-time wave diagram: its birth,
-        and its death or its state at ``horizon`` (default: evolved_until);
-        each field as :func:`~wavetrack.profiles.csv_fields` writes it (the
-        tracker leaves none of them None)."""
-        horizon = self.evolved_until if horizon is None else horizon
+        and its death or its state at ``horizon``; each field as
+        :func:`~wavetrack.profiles.csv_fields` writes it (the tracker leaves
+        none of them None)."""
         ends = [(f, horizon if f.death_time is None else f.death_time)
                 for f in self.fronts]
         fileobj.write("front,t_start,x_start,t_end,x_end,left,right,kind\r\n")

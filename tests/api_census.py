@@ -5,7 +5,11 @@ is loaded (read as a variable, or as an attribute of one of the package's
 modules, such as ``scenarios.run_scenario``) in ``src/`` outside its own
 definition, in ``tests/`` and in ``demos/``.  Imports and the ``__all__``
 list are not loads.  A public name that only its own tests load has no
-caller in the program, so it is a candidate for deletion.
+caller in the program, so it is a candidate for deletion.  For each
+defaulted parameter of a public function it also counts the calls in
+``src/`` that set it, by position or by keyword: an option that no call
+in the program sets is selected only by tests and demos, so it too is a
+candidate for deletion.
 
 The files are parsed with ``ast``, nothing is imported, so it runs
 without ``PYTHONPATH``.  Run from the repository root::
@@ -13,7 +17,9 @@ without ``PYTHONPATH``.  Run from the repository root::
     python3 tests/api_census.py
 
 It prints one ``name src tests demos`` row per public name, in
-``__all__`` order, and then the names that ``src/`` never loads.
+``__all__`` order, and then the names that ``src/`` never loads; then one
+``function(parameter) src`` row per defaulted parameter, and the
+parameters that no ``src/`` call sets.
 """
 import ast
 from collections import Counter
@@ -33,6 +39,12 @@ def public_names():
                 == ["__all__"]):
             return ast.literal_eval(node.value)
     raise SystemExit("no __all__ in src/wavetrack/__init__.py")
+
+
+def package_modules():
+    """The names a package module is read by: ``wavetrack`` and each
+    module's own."""
+    return {"wavetrack", *(p.stem for p in PACKAGE.glob("*.py"))}
 
 
 def loads(tree, names, modules):
@@ -61,10 +73,51 @@ def loads(tree, names, modules):
     return seen
 
 
+def defaulted(names):
+    """{function: [(parameter, position, or None if keyword-only)]} of the
+    defaulted parameters of each public function, in signature order, read
+    from its definition in the package."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                a = node.args
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                out[node.name] = [(p.arg, i) for i, p in enumerate(pos)
+                                  if i >= first] + [
+                    (p.arg, None)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+    return out
+
+
+def settings(tree, params, modules):
+    """Counter of the ``(function, parameter)`` pairs of ``params`` (see
+    :func:`defaulted`) that the calls in ``tree`` set, by position or by
+    keyword; a ``*`` or ``**`` argument may set any of them."""
+    seen = Counter()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = (f.id if isinstance(f, ast.Name)
+                else f.attr if (isinstance(f, ast.Attribute)
+                                and isinstance(f.value, ast.Name)
+                                and f.value.id in modules)
+                else None)
+        keys = {k.arg for k in node.keywords}
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        for param, i in params.get(name, ()):
+            if (param in keys or None in keys or i is not None
+                    and (i < len(node.args) or starred)):
+                seen[name, param] += 1
+    return seen
+
+
 def census():
     """``(names, {place: Counter of loads})``."""
     names = public_names()
-    modules = {"wavetrack", *(p.stem for p in PACKAGE.glob("*.py"))}
+    modules = package_modules()
     counts = {}
     for place in PLACES:
         counts[place] = Counter()
@@ -72,6 +125,18 @@ def census():
             counts[place] += loads(ast.parse(path.read_text()), set(names),
                                    modules)
     return names, counts
+
+
+def option_census(names):
+    """``[(function, parameter, calls in src that set it)]`` over the
+    defaulted parameters of the public functions ``names``, in ``__all__``
+    and signature order."""
+    params, modules = defaulted(names), package_modules()
+    seen = Counter()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        seen += settings(ast.parse(path.read_text()), params, modules)
+    return [(name, param, seen[name, param])
+            for name in names for param, _ in params.get(name, ())]
 
 
 if __name__ == "__main__":
@@ -83,3 +148,12 @@ if __name__ == "__main__":
               + " ".join(f"{counts[p][name]:>5}" for p in PLACES))
     unused = [name for name in names if not counts["src"][name]]
     print("not loaded in src:", ", ".join(unused) or "none")
+    rows = option_census(names)
+    labels = [f"{name}({param})" for name, param, _ in rows]
+    width = max(map(len, labels))
+    print(f"{'defaulted parameter':<{width}}   src")
+    for label, (*_, n) in zip(labels, rows):
+        print(f"{label:<{width}} {n:>5}")
+    print("set by no src call:",
+          ", ".join(lab for lab, (*_, n) in zip(labels, rows) if not n)
+          or "none")

@@ -23,9 +23,8 @@ def jumps_csv(weight, slices, fileobj):
             )
 
 
-def wave_segments(run, horizon=None):
+def wave_segments(run, horizon):
     """One row per front for the space-time wave diagram."""
-    horizon = run.evolved_until if horizon is None else horizon
     rows = []
     for f in run.fronts:
         t_end = f.death_time if f.death_time is not None else horizon
@@ -44,7 +43,7 @@ def wave_segments(run, horizon=None):
     return rows
 
 
-def wave_csv(run, fileobj, horizon=None):
+def wave_csv(run, fileobj, horizon):
     writer = csv.DictWriter(
         fileobj,
         fieldnames=["front", "t_start", "x_start", "t_end", "x_end",

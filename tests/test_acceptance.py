@@ -328,7 +328,7 @@ def test_criterion_07_sign_table(capsys):
 def test_criterion_08_one_sided_compression(capsys):
     problems = []
     for cf in _float_suite():
-        rep = oleinik_report(cf, _probe_mids(cf, 0.0, HORIZON))
+        rep = oleinik_report(cf, cf.slices_at(_probe_mids(cf, 0.0, HORIZON)))
         if rep.shock_violations:
             problems.append(f"expanding shock-borne jump: "
                             f"{rep.shock_violations[0]}")
@@ -414,7 +414,7 @@ def test_criterion_10_product_inequality(capsys):
     problems = []
     for cf in _shock_suite():
         [weighted], _ = ledger_reports(cf, [1.0], 0.0, HORIZON)
-        rep = product_inequality_check(weighted, strict=True)
+        rep = product_inequality_check(weighted)
         if not rep.passed:
             problems.append(rep.violations[0])
         if rep.rs_present:

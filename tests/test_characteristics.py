@@ -139,7 +139,8 @@ def test_oleinik_flags_static_expanding_jump():
 def test_oleinik_on_single_fan_run():
     run = FrontTrackingRun(FLUX, Profile([0.0], [0.0, 1.0]), 0.25).evolve(2.0)
     still = FrontTrackingRun(FLUX, Profile.constant(0.0), 0.25).evolve(2.0)
-    rep = oleinik_report(CoefficientField(run, still), [0.5, 1.0, 2.0])
+    field = CoefficientField(run, still)
+    rep = oleinik_report(field, field.slices_at([0.5, 1.0, 2.0]))
     assert rep.passed
     # discrete fans spread exactly like the exact rarefaction: t du/dx = 1
     assert rep.fan_slope_constant == pytest.approx(1.0)
@@ -150,11 +151,11 @@ def test_oleinik_flags_an_exact_fan_slope_past_one_over_c0(monkeypatch):
     # an exact field checks the fan slope with zero tolerance, as it does
     # every other bound
     field, _ = _exact_twin()
-    assert oleinik_report(field, [Fraction(1, 2)]).passed
+    assert oleinik_report(field, field.slices_at([Fraction(1, 2)])).passed
     slope = 1 + Fraction(1, 10**9)
     monkeypatch.setattr(characteristics, "_run_fan_slope",
                         lambda placed, t: slope)
-    rep = oleinik_report(field, [Fraction(1, 2)])
+    rep = oleinik_report(field, field.slices_at([Fraction(1, 2)]))
     assert not rep.passed
     assert rep.fan_slope_constant == slope
     assert "discrete fan slope" in rep.violations[0]
@@ -182,7 +183,8 @@ def test_a_fan_just_born_keeps_its_slope_at_one_over_c0():
 def test_oleinik_on_coupled_field():
     run_I = FrontTrackingRun(FLUX, Profile([0.0], [1.0, -1.0]), 0.1).evolve(2.0)
     run_II = FrontTrackingRun(FLUX, Profile([0.0], [0.0, 1.0]), 0.1).evolve(2.0)
-    rep = oleinik_report(CoefficientField(run_I, run_II), [0.5, 1.5])
+    field = CoefficientField(run_I, run_II)
+    rep = oleinik_report(field, field.slices_at([0.5, 1.5]))
     assert rep.passed
     assert rep.fan_allowance == pytest.approx(0.1)
     assert rep.max_fan_jump <= rep.fan_allowance + 1e-12
@@ -299,13 +301,15 @@ def test_a_planted_oleinik_defect_fails_the_tracked_field_check(
     # as shocks, or a flux with sup f'' = 0, each fan-borne coefficient
     # jump that expands breaks its bound
     times = (0.25, 0.5, 1, 1.5)
-    assert oleinik_report(_sine_field(8, 0.1), times).passed
+    field = _sine_field(8, 0.1)
+    assert oleinik_report(field, field.slices_at(times)).passed
     with monkeypatch.context() as mp:
         if defect == "fan_as_shock":
             mp.setattr(tracking, "FAN", "shock")
         else:
             mp.setattr(FluxModel, "sup_f2", property(lambda self: 0))
-        rep = oleinik_report(_sine_field(8, 0.1), times)
+        field = _sine_field(8, 0.1)
+        rep = oleinik_report(field, field.slices_at(times))
     assert rep.violations
     assert all(text in v for v in rep.violations)
 

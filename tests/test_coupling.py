@@ -483,10 +483,14 @@ def _merge(times, s, t, exact):
     return merged
 
 
+def _event_times(run):
+    return [e.time for e in run.events]
+
+
 def _merged_event_times(field, crossings, s, t):
     """The event times as a merge of the runs' own events and ``crossings``
     gives them."""
-    return _merge([*field.run_I.event_times(), *field.run_II.event_times(),
+    return _merge([*_event_times(field.run_I), *_event_times(field.run_II),
                    *crossings], s, t, field.exact)
 
 
@@ -494,8 +498,8 @@ def _merged_has_event_at(field, crossings, t):
     """Whether an own event or one of ``crossings`` lies at t, within the
     tie rule."""
     tol = 0 if field.exact else TIE_MERGE * (1 + abs(t))
-    return any(abs(e - t) <= tol for e in [*field.run_I.event_times(),
-                                           *field.run_II.event_times(),
+    return any(abs(e - t) <= tol for e in [*_event_times(field.run_I),
+                                           *_event_times(field.run_II),
                                            *crossings])
 
 
@@ -505,7 +509,7 @@ def _assert_sweep_matches_scan(field, s, t):
                                                                 s, t)
     # a crossing through a collision point may be listed a different
     # number of times; that time is an own event time and bounds anyway
-    own = set(field.run_I.event_times()) | set(field.run_II.event_times())
+    own = set(_event_times(field.run_I)) | set(_event_times(field.run_II))
     swept = _listed_crossings(field)
     assert swept == sorted(swept)
     assert (Counter(x for x in swept if x not in own)

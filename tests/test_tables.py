@@ -85,7 +85,7 @@ def test_tables_match_the_csv_module(make):
     assert set(FORMS) <= {cell for row in planted for cell in row}
 
     for run in (field.run_I, field.run_II):
-        for h in (None, horizon / 2):
+        for h in (run.evolved_until, horizon / 2):
             assert (_text(lambda buf: run.export_wave_csv(buf, h))
                     == _text(lambda buf: csv_reference.wave_csv(run, buf, h)))
 
