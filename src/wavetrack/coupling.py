@@ -16,14 +16,16 @@ One kinetic sweep per field keeps the alive fronts of both runs in one
 position-ordered list and records each interaction and crossing it
 applies.  A cursor replays that record on its own copy of the list, so
 every slice takes the order of its fronts from the sweep's links, not
-from a sort.  ``CoefficientField.at`` replays to one time and checks every
-pair and state there.  ``CoefficientField.walk`` walks the field interval
-by interval and pauses at each midpoint, where it re-derives only the jump
+from a sort.  ``CoefficientField.walk`` walks the field interval by
+interval and pauses at each midpoint, where it re-derives only the jump
 states the replay touched, each classified into a
 :class:`ClassifiedJump` that lives while its state is in the list.  A stop
 hands out what changed since the last one (:class:`FieldDelta`, in
 O(changes)), the jump states in order, or the whole slice
 (``stop.slice()``), whose jumps are those records.
+``CoefficientField.slices_at`` (and ``at``) pauses the same cursor at each
+time it is given, a stop off a walk, which checks every pair and
+re-derives every state there, as a walk's first stop does.
 """
 from __future__ import annotations
 
@@ -195,15 +197,22 @@ class CoefficientField:
 
     def slices_at(self, times):
         """The field at each of the increasing ``times``: one cursor replays
-        the sweep forward and raises as :meth:`_Cursor.whole` does (a broken
-        state chain or a front order the record misses), or ValueError on a
+        the sweep forward and stops at each time, where it re-derives every
+        state, as a walk's first stop does, and checks every pair of
+        neighbours.  Raises :class:`InconsistentFieldError` on a broken
+        state chain or a front order the record misses, and ValueError on a
         time outside the span of either run."""
         cursor = _Cursor(self)
         for t in times:
             self.run_I._check_horizon(t)
             self.run_II._check_horizon(t)
+            if cursor.time is not None and t < cursor.time:
+                raise ValueError(
+                    f"t={t} lies before the cursor's t={cursor.time}")
+            cursor._replay_to(t)
+            cursor._stop(t)
             self.stats.at_slices += 1
-            yield cursor.whole(t)
+            yield cursor.slice()
 
     def walk(self, s, t, reverse=False):
         """``(t0, t1, stop)`` per interaction-free interval of [s, t], in time
@@ -424,8 +433,8 @@ class FieldDelta:
 class _Cursor:
     """The field's recorded sweep replayed forward on a copy of its front
     list: one timeline walk, paused at each interval midpoint (a stop), or
-    the whole stops of ``CoefficientField.slices_at`` (:meth:`whole`),
-    where every pair and every state is checked and nothing is noted.
+    the stops of ``CoefficientField.slices_at`` off a walk, where every
+    pair and every state is checked and nothing is noted.
 
     Fronts of both runs that share a point stay two entries, in the order
     the record gives them; the piece between them has zero width, so no
@@ -442,9 +451,11 @@ class _Cursor:
     :class:`ClassifiedJump` record; the cursor holds only the records in
     its list, so a state that comes back is classified again.  A stop
     hands out what changed since the last one (:meth:`delta`) and the
-    records in list order (:meth:`order`), which :meth:`slice`, the only
-    one to compute every position, takes as its jumps.  The walk's
-    far-left and far-right (a, psi) are ``ends``.
+    records in list order (:meth:`order`), which :meth:`slice` takes as
+    its jumps.  On a walk only :meth:`slice` computes every position; off
+    a walk the pair check computes them and the stop keeps them for the
+    states and the slice.  The walk's far-left and far-right (a, psi) are
+    ``ends``.
 
     The guard reads the fronts' own data, not the record: no front is born
     or dies inside an interval, and each pair of neighbours is in order at
@@ -472,9 +483,9 @@ class _Cursor:
         self.span = None
         self.event_times = None   # the walk's bounds inside (s, t)
         self.time = None      # of the stop, None before the first
-        self.xs = {}          # entry -> its position, where computed
-        self.old = {}         # entry -> its state at the last stop, where
-                              # this stop changed it
+        self.xs = {}          # entry -> its position, kept off a walk
+        self.old = {}         # on a walk, entry -> its state at the last
+                              # stop, where this stop changed it
         self.built = self.ordered = None   # this stop's slice and states
         uI, uII = field.run_I.initial, field.run_II.initial
         self.far_left = (uI.far_left, uII.far_left)
@@ -585,7 +596,8 @@ class _Cursor:
             "from the event times")
 
     def _check_pairs(self, pairs, t):
-        """Raise unless each (left, right) pair of fronts is in order at t."""
+        """Raise unless each (left, right) pair of fronts is in order at t;
+        return the positions at t it took, by entry."""
         fronts, n, guard = self.fronts, self.head, self.field.tol.guard
         xs = {}
         for kl, kr in pairs:
@@ -597,7 +609,10 @@ class _Cursor:
             xl = xs[kl]
             gap = xs[kr] - xl
             if gap < 0 and (not guard or gap < -guard * (1 + abs(xl))):
-                raise self._out_of_order(xl, t)
+                raise InconsistentFieldError(
+                    f"jumps near x={xl} change order by t={t}; a crossing is "
+                    "missing from the event times")
+        return xs
 
     def _unlink(self, k):
         prv, nxt = self.prv, self.nxt
@@ -625,14 +640,18 @@ class _Cursor:
 
     def _stop(self, t):
         """Pause at t and re-derive the states of the entries whose left
-        link changed, those right of the ``touched`` ones (every entry at the
-        walk's first stop)."""
-        first = self.time is None
-        self.time, self.built, self.ordered = t, None, None
-        self.xs, self.old = {}, {}
+        link changed, those right of the ``touched`` ones.  At a walk's
+        first stop, and at every stop off a walk, it re-derives every
+        entry; off a walk it first checks every pair at t and keeps no
+        state it replaced."""
+        walk = self.touched is not None
+        every = self.time is None or not walk
+        self.time, self.built, self.ordered, self.old = t, None, None, {}
+        self.xs = {} if walk else self._check_pairs(
+            pairwise(self._entries()), t)
         prv, nxt, head, tail = self.prv, self.nxt, self.head, self.tail
         state, old = self.state, self.old
-        marked = ({*self._entries(), tail} if first else
+        marked = ({nxt[head]} if every else
                   {nxt[k] for k in self.touched if nxt[k] != _GONE})
         for k in list(marked):
             if k not in marked:
@@ -640,7 +659,7 @@ class _Cursor:
             while prv[k] in marked:      # the first of a run of marks
                 k = prv[k]
             changed = True
-            while changed or k in marked:
+            while changed or every or k in marked:
                 marked.discard(k)
                 left = prv[k]
                 if left == head:
@@ -649,59 +668,29 @@ class _Cursor:
                     st = state[left]
                     cur, am, km = st.plus, st.a_plus, st.kappa_plus
                 if k == tail:
-                    self._check_far_right(cur, t)
+                    if cur != self.far_right:
+                        raise InconsistentFieldError(
+                            f"t={t}: state chain does not end at the "
+                            "far-right state")
                     break
                 st = state[k]
                 new = self._state_of(k, cur, am, km, t)
                 changed = new is not st
                 if changed:
-                    old.setdefault(k, st)
+                    if walk:
+                        old.setdefault(k, st)
                     state[k] = new
                 k = nxt[k]
 
-    def whole(self, t):
-        """The slice at t, off a walk: replay to t, then check every pair of
-        neighbours for order and re-derive every state, in one pass, as a
-        walk's first stop does."""
-        if self.time is not None and t < self.time:
-            raise ValueError(f"t={t} lies before the cursor's t={self.time}")
-        self._replay_to(t)
-        self.time, self.xs, self.built = t, {}, None
-        fronts, nxt, state, xs = self.fronts, self.nxt, self.state, self.xs
-        guard = self.field.tol.guard
-        cur, (am, km) = self.far_left, self.ends[0]
-        xl = None
-        positions = []
-        k = nxt[self.head]
-        while k != self.tail:
-            x = xs[k] = fronts[k].position_at(t)
-            positions.append(x)
-            if xl is not None:
-                gap = x - xl
-                if gap < 0 and (not guard or gap < -guard * (1 + abs(xl))):
-                    raise self._out_of_order(xl, t)
-            st = state[k] = self._state_of(k, cur, am, km, t)
-            cur, am, km = st.plus, st.a_plus, st.kappa_plus
-            xl, k = x, nxt[k]
-        self._check_far_right(cur, t)
-        return self.slice(positions)
-
-    def _check_far_right(self, cur, t):
-        if cur != self.far_right:
-            raise InconsistentFieldError(
-                f"t={t}: state chain does not end at the far-right state")
-
-    @staticmethod
-    def _out_of_order(x, t):
-        return InconsistentFieldError(
-            f"jumps near x={x} change order by t={t}; a crossing is missing "
-            "from the event times")
-
     def _x(self, k):
-        """Position of entry ``k`` at this stop."""
+        """Position of entry ``k`` at this stop.  Off a walk the stop keeps
+        it, as the pair check, the entry's record and the slice all read
+        it; on a walk the slice takes every position afresh."""
         x = self.xs.get(k)
         if x is None:
-            x = self.xs[k] = self.fronts[k].position_at(self.time)
+            x = self.fronts[k].position_at(self.time)
+            if self.touched is None:
+                self.xs[k] = x
         return x
 
     def _entries(self):
@@ -719,22 +708,22 @@ class _Cursor:
             self.ordered = tuple(map(self.state.__getitem__, self._entries()))
         return self.ordered
 
-    def slice(self, positions=None):
+    def slice(self):
         """The field at this stop, built once from the list; its jumps are
-        the tuple of :meth:`order`.  :meth:`whole` hands in the positions
-        it computed, in list order."""
+        the tuple of :meth:`order`, and a position the stop kept
+        (:meth:`_x`) is not taken again."""
         if self.built is None:
             (a, psi), t, entries = self.ends[0], self.time, self._entries()
             jumps = self.ordered = tuple(map(self.state.__getitem__, entries))
             # comprehensions, not generators: 4 % faster characteristic walks
             lams = tuple([j.lam for j in jumps])
-            fronts = self.fronts
             if self.touched is not None:
                 self.stats.slices += 1
+            xs, fronts = self.xs, self.fronts
             self.built = FieldSlice(
                 t, jumps,
-                tuple([fronts[k].position_at(t) for k in entries]
-                      if positions is None else positions),
+                tuple([xs[k] if k in xs else fronts[k].position_at(t)
+                       for k in entries]),
                 (a, *[j.a_plus for j in jumps]),
                 (psi, *[j.kappa_plus for j in jumps]),
                 lams, max(map(abs, lams), default=0))

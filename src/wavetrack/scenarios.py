@@ -467,7 +467,7 @@ def random_scenario_pair(rng: random.Random, max_jumps=8, shock_only=False,
 
 
 def random_scenario_config(seed, *, shock_only=False, rational=False,
-                           h=None, horizon=2, m=1, checks=None):
+                           h=None, horizon=2, m=1):
     """Config dict for one random Burgers pair (reproducible from the seed)."""
     rng = random.Random(seed)
     p1, p2 = random_scenario_pair(rng, shock_only=shock_only,
@@ -489,7 +489,7 @@ def random_scenario_config(seed, *, shock_only=False, rational=False,
         "h": h,
         "m": plain_number(m),
         "time": {"start": 0, "end": plain_number(horizon)},
-        "checks": list(checks or ["oleinik", "l1", "weighted", "gain_cap"]),
+        "checks": ["oleinik", "l1", "weighted", "gain_cap"],
         "mode": "rational" if rational else "float",
         "seed": seed,
     }
@@ -770,16 +770,15 @@ def run_random_suite(count, seed=0, *, out_dir=None, shock_only=False,
     return SuiteResult(count=count, failures=failures, results=results)
 
 
-def run_sweep(config, out_dir=None):
+def run_sweep(config):
     """Refinement ladder over config['h_list']; returns the study rows."""
     spec = parse_scenario(config)
     if not spec.h_list:
         raise ScenarioConfigError(["h_list: required for a sweep"])
     rows = refinement_study(lambda h: build_runs(spec, h=h), spec.h_list,
                             spec.m, spec.t_start, spec.t_end)
-    out = out_dir if out_dir is not None else spec.out
-    if out is not None:
-        outp = Path(out)
+    if spec.out is not None:
+        outp = Path(spec.out)
         outp.mkdir(parents=True, exist_ok=True)
         # the rows without their reports; json_text writes Fractions as p/q
         table = [{k: v for k, v in r.items() if not isinstance(v, Report)}

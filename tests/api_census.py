@@ -7,9 +7,9 @@ definition, in ``tests/`` and in ``demos/``.  Imports and the ``__all__``
 list are not loads.  A public name that only its own tests load has no
 caller in the program, so it is a candidate for deletion.  For each
 defaulted parameter of a public function it also counts the calls in
-``src/`` that set it, by position or by keyword: an option that no call
-in the program sets is selected only by tests and demos, so it too is a
-candidate for deletion.
+``src/`` and in ``benchmark/`` that set it, by position or by keyword: an
+option that neither the program nor a benchmark workload sets is selected
+only by tests and demos, so it too is a candidate for deletion.
 
 The files are parsed with ``ast``, nothing is imported, so it runs
 without ``PYTHONPATH``.  Run from the repository root::
@@ -18,8 +18,8 @@ without ``PYTHONPATH``.  Run from the repository root::
 
 It prints one ``name src tests demos`` row per public name, in
 ``__all__`` order, and then the names that ``src/`` never loads; then one
-``function(parameter) src`` row per defaulted parameter, and the
-parameters that no ``src/`` call sets.
+``function(parameter) src benchmark`` row per defaulted parameter, and
+the parameters that no call in either sets.
 """
 import ast
 from collections import Counter
@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wavetrack"
 PLACES = ("src", "tests", "demos")
+SETTERS = ("src", "benchmark")    # where a call counts as setting an option
 
 
 def public_names():
@@ -128,14 +129,16 @@ def census():
 
 
 def option_census(names):
-    """``[(function, parameter, calls in src that set it)]`` over the
-    defaulted parameters of the public functions ``names``, in ``__all__``
-    and signature order."""
+    """``[(function, parameter, (calls in each of SETTERS that set it))]``
+    over the defaulted parameters of the public functions ``names``, in
+    ``__all__`` and signature order."""
     params, modules = defaulted(names), package_modules()
-    seen = Counter()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        seen += settings(ast.parse(path.read_text()), params, modules)
-    return [(name, param, seen[name, param])
+    seen = {place: Counter() for place in SETTERS}
+    for place in SETTERS:
+        for path in sorted((ROOT / place).rglob("*.py")):
+            seen[place] += settings(ast.parse(path.read_text()), params,
+                                    modules)
+    return [(name, param, tuple(seen[p][name, param] for p in SETTERS))
             for name in names for param, _ in params.get(name, ())]
 
 
@@ -151,9 +154,10 @@ if __name__ == "__main__":
     rows = option_census(names)
     labels = [f"{name}({param})" for name, param, _ in rows]
     width = max(map(len, labels))
-    print(f"{'defaulted parameter':<{width}}   src")
-    for label, (*_, n) in zip(labels, rows):
-        print(f"{label:<{width}} {n:>5}")
-    print("set by no src call:",
-          ", ".join(lab for lab, (*_, n) in zip(labels, rows) if not n)
+    print(f"{'defaulted parameter':<{width}} "
+          + " ".join(f"{p:>9}" for p in SETTERS))
+    for label, (*_, ns) in zip(labels, rows):
+        print(f"{label:<{width}} " + " ".join(f"{n:>9}" for n in ns))
+    print("set by no src or benchmark call:",
+          ", ".join(lab for lab, (*_, ns) in zip(labels, rows) if not any(ns))
           or "none")

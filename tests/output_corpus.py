@@ -62,11 +62,11 @@ def corpus_configs():
                        {"amplitude": 1.0, "frequency": 3.0, "phase": 1.0},
                        ["oleinik"])
     seeds = [(f"float-{seed}",
-              random_scenario_config(seed, checks=list(CHECK_ORDER)))
+              dict(random_scenario_config(seed), checks=list(CHECK_ORDER)))
              for seed in range(200, 230)]
     seeds += [(f"rational-{seed}",
-               random_scenario_config(seed, rational=True,
-                                      checks=list(CHECK_ORDER)))
+               dict(random_scenario_config(seed, rational=True),
+                    checks=list(CHECK_ORDER)))
               for seed in range(300, 310)]
     return [*sine_full_configs(), *suite_exact_configs(),
             ("wide-n256-h0.01", wide), *seeds]

@@ -478,8 +478,8 @@ def test_window_holds_a_jump_that_rounds_onto_its_edge():
 
 
 def test_rational_max_principle_bytes_are_pinned(tmp_path):
-    config = random_scenario_config(300, rational=True,
-                                    checks=["max_principle"])
+    config = dict(random_scenario_config(300, rational=True),
+                  checks=["max_principle"])
     run_scenario(config, tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

@@ -368,6 +368,9 @@ def test_seed_4_float_ledgers_agree_with_exact_mode():
 @pytest.mark.parametrize("index, side, match", [
     (1, "left_state", "state chain of the second run broken"),
     (-1, "right_state", "does not end at the far-right state"),
+    # a front born at t = 0.974, which only the later stop of one
+    # slices_at call meets
+    (7, "left_state", "state chain of the second run broken"),
 ])
 def test_at_refuses_a_broken_state_chain(index, side, match):
     rng = random.Random(17)
@@ -377,6 +380,11 @@ def test_at_refuses_a_broken_state_chain(index, side, match):
     setattr(front, side, getattr(front, side) + 0.25)
     with pytest.raises(InconsistentFieldError, match=match):
         field.at(1.0)
+    slices = field.slices_at([0.5, 1.0])
+    if front.birth_time > 0.5:
+        assert next(slices).time == 0.5
+    with pytest.raises(InconsistentFieldError, match=match):
+        next(slices)
 
 
 def test_at_refuses_a_record_with_a_swap_dropped():
@@ -694,6 +702,15 @@ def test_slices_at_moves_one_cursor_forward_only():
     assert [_slice_bits(next(slices)) for _ in range(2)] == [
         _slice_bits(field.at(0.5)), _slice_bits(field.at(1.5))]
     with pytest.raises(ValueError, match="before"):
+        next(slices)
+
+
+def test_slices_at_refuses_a_time_before_its_last_stop():
+    field = _field(Profile([0.0, 1.0], [1.0, 0.0, -1.0]), Profile.constant(0.0))
+    slices = field.slices_at([1.0, 0.5])
+    assert next(slices).time == 1.0
+    with pytest.raises(ValueError,
+                       match=r"^t=0\.5 lies before the cursor's t=1\.0$"):
         next(slices)
 
 

@@ -226,9 +226,9 @@ def test_json_text_writes_reports_from_their_fields():
     text of its plain form; ``to_dict`` parses that form back."""
     reports = []
     for rational in (False, True):
-        config = random_scenario_config(300 if rational else 200,
-                                        rational=rational,
-                                        checks=list(CHECK_ORDER))
+        config = dict(random_scenario_config(300 if rational else 200,
+                                             rational=rational),
+                      checks=list(CHECK_ORDER))
         reports += run_scenario(config).reports.values()
     assert {type(rep).__name__ for rep in reports} >= {
         "OleinikReport", "FunctionalReport", "MonotonicityReport",

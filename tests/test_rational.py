@@ -199,7 +199,8 @@ QUARTIC = {
 
 
 @pytest.mark.parametrize("config", [
-    random_scenario_config(7001, rational=True, checks=list(CHECK_ORDER)),
+    dict(random_scenario_config(7001, rational=True),
+         checks=list(CHECK_ORDER)),
     QUARTIC,
 ], ids=["burgers", "quartic"])
 def test_a_rational_scenario_holds_only_q(config):
@@ -234,7 +235,7 @@ def test_an_exact_run_from_plain_fractions_holds_only_q():
 
 
 def test_a_float_run_holds_no_fraction():
-    config = random_scenario_config(7001, checks=list(CHECK_ORDER))
+    config = dict(random_scenario_config(7001), checks=list(CHECK_ORDER))
     config["funnel"] = [-4, 4]
     numbers, booked = _scenario_numbers(config)
     assert len(numbers) > 100 and len(booked) > 100
@@ -243,7 +244,8 @@ def test_a_float_run_holds_no_fraction():
 
 QUARTIC_DEFAULT_INTERVAL = {**QUARTIC, "flux": {"name": "quartic"}}
 BURGERS_COEFFICIENT_3 = {
-    **random_scenario_config(7001, rational=True, checks=list(CHECK_ORDER)),
+    **random_scenario_config(7001, rational=True),
+    "checks": list(CHECK_ORDER),
     "flux": {"name": "burgers", "params": {"coefficient": "3"}},
 }
 

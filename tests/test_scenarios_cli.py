@@ -610,8 +610,8 @@ def test_rational_sweep_bytes_are_pinned(tmp_path):
     # rows are exact, so any byte of sweep.json that moves is a change of
     # behaviour of the ledgers or of the gain cap
     cfg = dict(random_scenario_config(7001, rational=True),
-               h_list=["1/5", "1/10"])
-    run_sweep(cfg, out_dir=str(tmp_path))
+               h_list=["1/5", "1/10"], out=str(tmp_path))
+    run_sweep(cfg)
     data = (tmp_path / "sweep.json").read_bytes()
     assert len(data) == 638
     assert hashlib.sha256(data).hexdigest() == (
@@ -728,7 +728,7 @@ def test_a_config_cannot_loosen_its_own_gates(tmp_path, capsys):
     # passed it, and is now an unknown key
     checks = ["oleinik", "l1", "weighted", "monotonicity", "gain_cap",
               "products"]
-    cfg = random_scenario_config(200, checks=checks)
+    cfg = dict(random_scenario_config(200), checks=checks)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == 1
@@ -994,7 +994,7 @@ INTERVAL_KEYS = {
 
 
 def test_report_json_keys_are_pinned(tmp_path):
-    config = random_scenario_config(200, checks=sorted(REPORT_KEYS))
+    config = dict(random_scenario_config(200), checks=sorted(REPORT_KEYS))
     run_scenario(config, out_dir=str(tmp_path))
     reports = {
         p.name[len("report_"):-len(".json")]: json.loads(p.read_text())
