@@ -452,10 +452,10 @@ class _Cursor:
     its list, so a state that comes back is classified again.  A stop
     hands out what changed since the last one (:meth:`delta`) and the
     records in list order (:meth:`order`), which :meth:`slice` takes as
-    its jumps.  On a walk only :meth:`slice` computes every position; off
-    a walk the pair check computes them and the stop keeps them for the
-    states and the slice.  The walk's far-left and far-right (a, psi) are
-    ``ends``.
+    its jumps.  A stop keeps every position it takes, for the states and
+    the slice: off a walk the pair check takes them all, on a walk the
+    records built take theirs and :meth:`slice` the rest.  The walk's
+    far-left and far-right (a, psi) are ``ends``.
 
     The guard reads the fronts' own data, not the record: no front is born
     or dies inside an interval, and each pair of neighbours is in order at
@@ -483,7 +483,7 @@ class _Cursor:
         self.span = None
         self.event_times = None   # the walk's bounds inside (s, t)
         self.time = None      # of the stop, None before the first
-        self.xs = {}          # entry -> its position, kept off a walk
+        self.xs = {}          # entry -> its position, kept for the stop
         self.old = {}         # on a walk, entry -> its state at the last
                               # stop, where this stop changed it
         self.built = self.ordered = None   # this stop's slice and states
@@ -683,14 +683,12 @@ class _Cursor:
                 k = nxt[k]
 
     def _x(self, k):
-        """Position of entry ``k`` at this stop.  Off a walk the stop keeps
-        it, as the pair check, the entry's record and the slice all read
-        it; on a walk the slice takes every position afresh."""
+        """Position of entry ``k`` at this stop, kept for the stop: the
+        pair check (off a walk), the entry's record and the slice all read
+        it."""
         x = self.xs.get(k)
         if x is None:
-            x = self.fronts[k].position_at(self.time)
-            if self.touched is None:
-                self.xs[k] = x
+            x = self.xs[k] = self.fronts[k].position_at(self.time)
         return x
 
     def _entries(self):
@@ -711,7 +709,8 @@ class _Cursor:
     def slice(self):
         """The field at this stop, built once from the list; its jumps are
         the tuple of :meth:`order`, and a position the stop kept
-        (:meth:`_x`) is not taken again."""
+        (:meth:`_x`: every one off a walk, those of the records it built on
+        one) is not taken again."""
         if self.built is None:
             (a, psi), t, entries = self.ends[0], self.time, self._entries()
             jumps = self.ordered = tuple(map(self.state.__getitem__, entries))

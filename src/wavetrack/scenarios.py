@@ -38,15 +38,6 @@ from .profiles import (Profile, Report, json_text, plain_number,
 from .rational import Q
 from .tracking import FrontTrackingRun, sample_initial_data
 
-CHECK_ORDER = (
-    "oleinik", "l1", "weighted", "monotonicity", "gain_cap", "products",
-    "max_principle",
-)
-# the norm ledgers each check reads
-LEDGER_NEEDS = {
-    "l1": {"plain"}, "gain_cap": {"plain"}, "weighted": {"weighted"},
-    "products": {"weighted"}, "monotonicity": {"plain", "weighted"},
-}
 
 
 class ScenarioConfigError(ValueError):
@@ -217,7 +208,7 @@ class ScenarioSpec:
     checks: list
     mode: str
     out: object                 # str or None
-    funnel: object              # (xi0, zeta0) or None
+    funnel: tuple               # (xi0, zeta0); default: breakpoint hull ± 1
 
     @property
     def exact(self):
@@ -333,12 +324,9 @@ def parse_scenario(config: dict) -> ScenarioSpec:
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         errors.append("checks: expected a list of check names")
         checks = []
-    for c in checks:
-        if c not in CHECK_ORDER:
-            errors.append(
-                f"checks: unknown check {c!r}; known: {', '.join(CHECK_ORDER)}"
-            )
-    checks = [c for c in CHECK_ORDER if c in checks]
+    errors += [f"checks: unknown check {c!r}; known: {', '.join(CHECKS)}"
+               for c in checks if c not in CHECKS]
+    checks = [c for c in CHECKS if c in checks]
 
     # the seed only names the random pair a config came from; no run reads it
     if not _is_int(config.get("seed", 0)):
@@ -349,7 +337,9 @@ def parse_scenario(config: dict) -> ScenarioSpec:
         funnel = _pair(funnel, rational, "funnel", errors, "[left, right]")
         if funnel and not funnel[0] < funnel[1]:
             errors.append("funnel: need left < right")
-            funnel = None
+    else:       # the hull of both profiles' breakpoints, widened by 1
+        bps = [*u1.breakpoints, *u2.breakpoints]
+        funnel = (min(bps) - 1, max(bps) + 1) if bps else (-1, 1)
 
     out = config.get("out")
     if out is not None and not isinstance(out, str):
@@ -594,73 +584,85 @@ def build_runs(spec: ScenarioSpec, h=None):
     return run_I, run_II
 
 
+@dataclass(frozen=True)
+class _Check:
+    reads: tuple        # names of the shared results it reads, in order
+    report: object      # (*reads) -> its report
+    write: object = None    # (report, out dir) -> writes its extra file
+
+
+def _write_paths(report, out: Path):
+    with _atomic_open(out / "characteristic_paths.csv") as f:
+        export_paths_csv([report.left_path, report.right_path,
+                          report.back_left, report.back_right], f)
+
+
+# Every check, in report order, with the shared results it reads ("field",
+# "plain" and "weighted" ledgers, "probes" slices, "spec"); each builder
+# calls its check by this module's name, so a stand-in put there runs.
+CHECKS = {
+    "oleinik": _Check(("field", "probes"), lambda f, p: oleinik_report(f, p)),
+    "l1": _Check(("plain",), lambda plain: plain),
+    "weighted": _Check(("weighted",), lambda weighted: weighted),
+    "monotonicity": _Check(("plain", "weighted"),
+                           lambda p, w: monotonicity_report(p, w)),
+    "gain_cap": _Check(("field", "plain"), lambda f, p: gain_cap_report(f, p)),
+    "products": _Check(("weighted",), lambda w: product_inequality_check(w)),
+    "max_principle": _Check(("field", "spec"), lambda f, spec: (
+        maximum_principle_check(f, spec.funnel, spec.t_end)), _write_paths),
+}
+
+
 def run_scenario(config, out_dir=None) -> ScenarioResult:
     """Execute the checks of a scenario config dict (see
     :func:`parse_scenario`); write reports when out_dir (or config 'out')
     names a directory.  An error of the run (an inconsistent wave pattern,
     say) is reported, not raised.
 
-    Every norm the checks read is booked by one ledger walk, before any
-    check runs.  The probe slices, which the Oleinik check and the jump
-    table read, are kept from that walk's stops; without a ledger one
-    forward replay stops at the probe times (:func:`_probe_slices`).  Both
-    reach the checks as one stream, read once, in order: each slice's
-    jump-table rows go to a temporary file as it passes, and what the
-    checks leave unread is drained after them, so a probe slice that
-    raises is reported like a check that raises.  The table is renamed
-    with the other outputs, or removed on an error.  Reports keep check
-    order.
+    Only the shared results that the checks' :data:`CHECKS` entries read
+    are made, before any check runs: every ledger by one ledger walk, and
+    the probe slices, which the jump table reads too, from that walk's
+    stops, or without a ledger from one forward replay that stops at the
+    probe times (:func:`_probe_slices`).  The slices reach the checks as
+    one stream, read once, in order: each slice's jump-table rows go to a
+    temporary file as it passes, and what the checks leave unread is
+    drained after them, so a probe slice that raises is reported like a
+    check that raises.  The table is renamed with the other outputs, or
+    removed on an error.  The checks run in one loop, in :data:`CHECKS`
+    order, which the reports keep.
     """
     spec = parse_scenario(config)
     out = out_dir if out_dir is not None else spec.out
     reports = {}
     error = None
     table = finals = None
-    kinds = [k for k in ("plain", "weighted")
-             if any(k in LEDGER_NEEDS.get(c, ()) for c in spec.checks)]
-    probed = "oleinik" in spec.checks or out is not None
+    reads = {r for name in spec.checks for r in CHECKS[name].reads}
+    kinds = [k for k in ("plain", "weighted") if k in reads]
+    probed = "probes" in reads or out is not None
     try:
         try:
             run_I, run_II = build_runs(spec)
             field = CoefficientField(run_I, run_II)
             s, t = spec.t_start, spec.t_end
-            funnel = spec.funnel
-            if funnel is None:
-                bps = [*run_I.initial.breakpoints, *run_II.initial.breakpoints]
-                funnel = (min(bps) - 1, max(bps) + 1) if bps else (-1, 1)
-            ledgers = probes = None
+            shared, probes = {"field": field, "spec": spec}, None
             if kinds:
                 booked, probes = ledger_reports(
                     field, [None if k == "plain" else spec.m for k in kinds],
                     s, t, keep=_probe_gaps if probed else None)
-                ledgers = dict(zip(kinds, booked))
-            slices = ()
+                shared.update(zip(kinds, booked))
             if probed:
-                slices = probes or _probe_slices(field, s, t)
+                probes = probes or _probe_slices(field, s, t)
                 if out is not None:
                     Path(out).mkdir(parents=True, exist_ok=True)
                     table = open(f"{out}/classified_jumps.csv.tmp", "w")
                     table.write(JUMPS_HEADER)
-                    slices = _tabled(slices, spec.m, table)
+                    probes = _tabled(probes, spec.m, table)
+            shared["probes"] = probes
             for name in spec.checks:
-                if name == "oleinik":
-                    reports[name] = oleinik_report(field, slices)
-                elif name == "l1":
-                    reports[name] = ledgers["plain"]
-                elif name == "weighted":
-                    reports[name] = ledgers["weighted"]
-                elif name == "monotonicity":
-                    reports[name] = monotonicity_report(ledgers["plain"],
-                                                        ledgers["weighted"])
-                elif name == "gain_cap":
-                    reports[name] = gain_cap_report(field, ledgers["plain"])
-                elif name == "products":
-                    reports[name] = product_inequality_check(
-                        ledgers["weighted"])
-                elif name == "max_principle":
-                    reports[name] = maximum_principle_check(field, funnel, t)
+                check = CHECKS[name]
+                reports[name] = check.report(*[shared[r] for r in check.reads])
             if out is not None:
-                for _ in slices:    # the table rows no check read
+                for _ in probes:    # the table rows no check read
                     pass
                 # each run's own profile at t, from its own fronts
                 finals = run_I.sample(t), run_II.sample(t)
@@ -686,6 +688,8 @@ def _write_outputs(result: ScenarioResult, field, table, finals):
     _write_json(out / "summary.json", result.summary())
     for name, rep in result.reports.items():
         _write_json(out / f"report_{name}.json", rep)
+        if CHECKS[name].write and field is not None:
+            CHECKS[name].write(rep, out)
     if field is None:
         return
     run_I, run_II, t = field.run_I, field.run_II, result.spec.t_end
@@ -703,11 +707,6 @@ def _write_outputs(result: ScenarioResult, field, table, finals):
         "psi_final": profile_difference(u2_final, u1_final).as_dict(),
     }
     _write_json(out / "profiles.json", profiles)
-    if "max_principle" in result.reports:
-        rep = result.reports["max_principle"]
-        with _atomic_open(out / "characteristic_paths.csv") as f:
-            export_paths_csv([rep.left_path, rep.right_path, rep.back_left,
-                              rep.back_right], f)
 
 
 @dataclass

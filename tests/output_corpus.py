@@ -34,7 +34,7 @@ import tempfile
 from pathlib import Path
 
 from wavetrack import random_scenario_config, run_scenario
-from wavetrack.scenarios import CHECK_ORDER
+from wavetrack.scenarios import CHECKS
 
 from record_census import ALL_CHECKS, rational_config, sine_config
 
@@ -62,11 +62,11 @@ def corpus_configs():
                        {"amplitude": 1.0, "frequency": 3.0, "phase": 1.0},
                        ["oleinik"])
     seeds = [(f"float-{seed}",
-              dict(random_scenario_config(seed), checks=list(CHECK_ORDER)))
+              dict(random_scenario_config(seed), checks=list(CHECKS)))
              for seed in range(200, 230)]
     seeds += [(f"rational-{seed}",
                dict(random_scenario_config(seed, rational=True),
-                    checks=list(CHECK_ORDER)))
+                    checks=list(CHECKS)))
               for seed in range(300, 310)]
     return [*sine_full_configs(), *suite_exact_configs(),
             ("wide-n256-h0.01", wide), *seeds]

@@ -45,9 +45,13 @@ checks and writes 3.20).  It peaked at 3.41 MiB while two probe slices
 were alive, and at 5.29 MiB (sweep 4.16, event times 4.23) while the
 sweep kept a second, sorted copy of its crossing times and the jump
 table's rows waited in a list for the table file.
-The sine and rational runs peak at 0.80 and 0.58 MiB; the rational run
-peaked at 1.34 MiB while its walk kept every jump record it had built
-and its ledger every terms object.
+The sine and rational runs peak at 0.70 and 0.58 MiB.  The sine run
+peaked at 0.80 MiB while the probe slices its ledger walk kept stayed
+alive through the maximum-principle check; the rational run peaked at
+1.34 MiB while its walk kept every jump record it had built and its
+ledger every terms object.  A run's peak also moves with what the run
+before it left behind: the rational run read 0.57 MiB while the sine
+run before it kept its probe slices to its end.
 
 Run from the repository root::
 

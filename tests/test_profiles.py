@@ -20,7 +20,7 @@ from wavetrack.profiles import (
     total_variation,
 )
 from wavetrack.rational import Q
-from wavetrack.scenarios import CHECK_ORDER
+from wavetrack.scenarios import CHECKS
 from wavetrack.tracking import sample_initial_data
 
 from norm_oracle import l1_norm
@@ -228,7 +228,7 @@ def test_json_text_writes_reports_from_their_fields():
     for rational in (False, True):
         config = dict(random_scenario_config(300 if rational else 200,
                                              rational=rational),
-                      checks=list(CHECK_ORDER))
+                      checks=list(CHECKS))
         reports += run_scenario(config).reports.values()
     assert {type(rep).__name__ for rep in reports} >= {
         "OleinikReport", "FunctionalReport", "MonotonicityReport",

@@ -317,7 +317,7 @@ def test_readmes_schema_notes_match_the_parser():
     assert [float(v) for v in re.split(r", | and ", defaults)] == list(
         gauss.values())
     assert listed(r"`checks` may list any of (.*?);") == list(
-        scenarios.CHECK_ORDER)
+        scenarios.CHECKS)
     fluxes = listed(r"`flux.name` is one of (.*?);")
     assert [make_flux(name).name for name in fluxes] == fluxes
     with pytest.raises(ValueError, match="unknown flux") as err:
@@ -809,6 +809,72 @@ def test_probe_slices_are_built_once(tmp_path, monkeypatch):
         # the check reads each slice once and the jump table's rows are
         # written as it passes: a slice lives until the next is built
         assert max(alive) <= 2
+
+
+# each check run alone with no output directory: the ``ms`` of each
+# ledger_reports call (m is 1), and the probe slices built, kept by the
+# ledger's walk or replayed without one
+_BOOKED = {
+    "oleinik": ([], 8),
+    "l1": ([[None]], 0),
+    "weighted": ([[1]], 0),
+    "monotonicity": ([[None, 1]], 0),
+    "gain_cap": ([[None]], 0),
+    "products": ([[1]], 0),
+    "max_principle": ([], 0),
+}
+
+
+@pytest.mark.parametrize("check", _BOOKED)
+def test_each_check_books_only_what_it_reads(monkeypatch, check):
+    ledger_reports, probe_slices = (scenarios.ledger_reports,
+                                    scenarios._probe_slices)
+    calls, probes = [], [0]
+
+    def booked(field, ms, s, t, keep=None):
+        calls.append(list(ms))
+        reports, kept = ledger_reports(field, ms, s, t, keep=keep)
+        probes[0] += len(kept or ())
+        return reports, kept
+
+    def replayed(*args):
+        for fs in probe_slices(*args):
+            probes[0] += 1
+            yield fs
+
+    monkeypatch.setattr(scenarios, "ledger_reports", booked)
+    monkeypatch.setattr(scenarios, "_probe_slices", replayed)
+    result = run_scenario(dict(_sine_config(8, 0.2), checks=[check]))
+    assert result.error is None
+    assert list(result.reports) == [check]
+    assert (calls, probes[0]) == _BOOKED[check]
+
+
+def _funnel_config(mode, funnel=None, **profiles):
+    # breakpoints at half-integers, so the hull widened by 1 is one number
+    # in both modes
+    config = {"u1": {"leading": 1, "pairs": [[-0.5, -1], [1.5, 1]]},
+              "u2": {"leading": 1, "pairs": [[0.5, 0], [2.5, 1]]},
+              "h": "1/10", "mode": mode, "checks": ["max_principle"],
+              **profiles}
+    return config if funnel is None else dict(config, funnel=funnel)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_the_default_funnel_is_the_breakpoint_hull_widened_by_one(tmp_path,
+                                                                   mode):
+    written = []
+    for funnel in (None, [-1.5, 3.5]):
+        config = _funnel_config(mode, funnel)
+        assert parse_scenario(config).funnel == (-1.5, 3.5)
+        out = tmp_path / str(funnel)
+        run_scenario(config, out_dir=str(out))
+        written.append((out / "report_max_principle.json").read_bytes())
+    assert written[0] == written[1]
+    flat = {"leading": 0, "pairs": []}
+    config = _funnel_config(mode, u1=flat, u2=flat)
+    assert parse_scenario(config).funnel == (-1, 1)
+    assert run_scenario(config).reports["max_principle"].interval == (-1, 1)
 
 
 class _ThirdProbeRaises(CoefficientField):
