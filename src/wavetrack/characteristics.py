@@ -29,8 +29,6 @@ from .profiles import Report, clipped_pieces
 from .rational import Q
 from .tolerances import FLOAT
 
-MAX_PRINCIPLE_SAMPLES = 50    # see maximum_principle_check
-
 
 @dataclass(frozen=True)
 class PathSegment:
@@ -392,12 +390,13 @@ class MaxPrincipleReport(Report):
         return len(self.sample_times)
 
 
-def _psi_min(fslice, lo, hi, t):
-    """Min of psi at time t over positive-width pieces meeting (lo, hi)."""
+def _psi_min(field, fslice, lo, hi, t):
+    """Min of psi at time t over pieces meeting (lo, hi) wider than the
+    field's ``anchor``: a narrower one lies on a stack of jumps."""
     first, xs = _window(fslice, t, lo, hi)
-    psi = fslice.psi_values
-    return min((psi[first + i] for i, _, _ in clipped_pieces(xs, lo, hi)),
-               default=None)
+    psi, tol = fslice.psi_values, field.tol.anchor
+    return min((psi[first + i] for i, a, b in clipped_pieces(xs, lo, hi)
+                if not tol or b - a > tol * (1 + abs(a))), default=None)
 
 
 def _psi_integral(fslice, lo, hi, t):
@@ -414,23 +413,29 @@ def _psi_integral(fslice, lo, hi, t):
     return sign * total
 
 
+def _bends(*paths):
+    """Sorted times where either path starts, bends or ends."""
+    return sorted({t for path in paths for t, _ in path.vertices()})
+
+
 def maximum_principle_check(field, interval, t_end):
     """Propagation of a sign through a characteristic funnel, plus the
     conserved mass between backward characteristics.
 
     Traces the forward characteristics from both ends of ``interval`` at
     t=0 and checks that the minimum of the transported difference inside
-    the (open) funnel never falls below -tol at sampled times.  Separately,
-    integrates the difference between the extremal backward characteristics
-    dropped from the funnel ends at ``t_end`` and checks the integral is
-    time invariant.  The samples are the interval midpoints plus
-    ``MAX_PRINCIPLE_SAMPLES - 1`` uniform times away from interactions.
+    the (open) funnel never falls below -tol.  Separately, integrates the
+    difference between the extremal backward characteristics dropped from
+    the funnel ends at ``t_end`` and checks the integral is time invariant.
+    Both hold at every time: a path bends only where it meets a jump, so
+    between two bends of either path (a stretch) the pieces between them
+    are fixed.  The minimum is read at each stretch's midpoint (a sample
+    time); the mass, linear in t there, at each bend, and at an event
+    time once (a piece born or dying there has zero width).
 
     The timeline is walked twice, reading each stop's slice: forward,
-    carrying both funnel edges through each interval and reading the funnel
-    minimum off the segments just traced; then backward from the edges'
-    ends, carrying both backward characteristics and integrating the mass
-    between them.
+    carrying both funnel edges; then backward from their ends, carrying
+    both backward characteristics.
 
     On an exact field the funnel ends and ``t_end`` are taken by the rule
     of :func:`~wavetrack.coupling.exact_time`: an int becomes exact, a
@@ -443,17 +448,6 @@ def maximum_principle_check(field, interval, t_end):
         raise ValueError("interval: need xi0 < zeta0")
     if not 0 < t_end:
         raise ValueError("need t0 < t_end")
-    n = MAX_PRINCIPLE_SAMPLES
-    uniform = [k * t_end / n for k in range(1, n)]
-    gap_tol = field.tol.sample_gap
-
-    def sample_times(t0, t1, fs):
-        # uniform times too close to an interaction (an inner boundary) are
-        # skipped
-        lo_ok = t0 if t0 == 0 else t0 + gap_tol
-        hi_ok = t1 if t1 == t_end else t1 - gap_tol
-        inner = uniform[bisect_right(uniform, lo_ok):bisect_left(uniform, hi_ok)]
-        return sorted({fs.time, *inner})
 
     left, right = CharacteristicPath(), CharacteristicPath()
     x_left, x_right = xi0, zeta0
@@ -467,10 +461,11 @@ def maximum_principle_check(field, interval, t_end):
         x_right = _step(field, fs, x_right, t0, t1, 1, right.segments)
         piece_left = CharacteristicPath(left.segments[new_left:])
         piece_right = CharacteristicPath(right.segments[new_right:])
-        for tau in sample_times(t0, t1, fs):
+        ends = _bends(piece_left, piece_right)
+        for tau in ((s + e) / 2 for s, e in zip(ends, ends[1:])):
             samples.append(tau)
             lo, hi = piece_left.position_at(tau), piece_right.position_at(tau)
-            m = _psi_min(fs, lo, hi, tau) if lo < hi else None
+            m = _psi_min(field, fs, lo, hi, tau) if lo < hi else None
             if m is not None:
                 if min_psi is None or m < min_psi:
                     min_psi = m
@@ -491,12 +486,13 @@ def maximum_principle_check(field, interval, t_end):
         x_right = _step(field, fs, x_right, t1, t0, 1, rev_right)
         piece_left = CharacteristicPath(rev_left[new_left:][::-1])
         piece_right = CharacteristicPath(rev_right[new_right:][::-1])
+        ends = _bends(piece_left, piece_right)
         masses.append([
             _psi_integral(fs, piece_left.position_at(tau),
                           piece_right.position_at(tau), tau)
-            for tau in sample_times(t0, t1, fs)
+            for tau in (ends if t0 == 0 else ends[1:])
         ])
-    # in time order: the drift is measured from the earliest sample's mass
+    # in time order: the drift is measured from the mass at t=0
     masses = [mass for step in reversed(masses) for mass in step]
     ref = masses[0]
     drift = 0

@@ -17,7 +17,6 @@ class Tolerances:
     guard: object = 1e-9           # relative: missed-event, front-order guards
     anchor: object = 1e-9          # relative: a point this close is on a jump
     max_principle: object = 1e-10  # funnel dip below 0; relative: mass drift
-    sample_gap: object = 1e-9      # sample times keep this far from events
     psi: object = 1e-12            # ledger: u^II - u^I this small counts as 0
     scale: object = 1e-8           # residuals: ledgers, gain cap, Oleinik
 

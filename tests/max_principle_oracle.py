@@ -7,10 +7,9 @@ itself (``_march``, ``_resolve``) is shared.  A walk given
 ``step=characteristics._step`` takes the check's windowed steps instead,
 so it is the path the check traces from the same start.
 """
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from wavetrack.characteristics import (
-    MAX_PRINCIPLE_SAMPLES,
     CharacteristicPath,
     MaxPrincipleReport,
     _march,
@@ -77,10 +76,13 @@ def backward_characteristic(field, x0, t0, t_stop=0, extremal="min",
     return CharacteristicPath(rev_segments[::-1])
 
 
-def psi_min(fslice, lo, hi, t):
+def psi_min(field, fslice, lo, hi, t):
+    # a piece no wider than the anchor tolerance lies on a jump
     psi = fslice.psi_values
-    return min((psi[i] for i, _, _ in
-                clipped_pieces(positions_at(fslice, t), lo, hi)), default=None)
+    return min((psi[i] for i, a, b in
+                clipped_pieces(positions_at(fslice, t), lo, hi)
+                if b - a > (0 if field.exact else ANCHOR_TOL * (1 + abs(a)))),
+               default=None)
 
 
 def psi_integral(fslice, lo, hi, t):
@@ -99,15 +101,13 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
     xi0, zeta0 = interval
     if field.exact:
         tol = 0
-    n = MAX_PRINCIPLE_SAMPLES
-    uniform = [k * t_end / n for k in range(1, n)]
-    gap_tol = 0 if field.exact else 1e-9
 
-    def sample_times(t0, t1, fs):
-        lo_ok = t0 if t0 == 0 else t0 + gap_tol
-        hi_ok = t1 if t1 == t_end else t1 - gap_tol
-        inner = uniform[bisect_right(uniform, lo_ok):bisect_left(uniform, hi_ok)]
-        return sorted({fs.time, *inner})
+    def corners(path_a, path_b):
+        # the paths are straight between consecutive corners, and the
+        # jumps across the interval: the pieces between the paths stay the
+        # same from one corner to the next
+        return sorted({seg.t0 for seg in path_a.segments + path_b.segments}
+                      | {path_a.t_end})
 
     left, right = CharacteristicPath(), CharacteristicPath()
     x_left, x_right = xi0, zeta0
@@ -120,10 +120,12 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
         x_right = step(field, fs, x_right, t0, t1, 1, right.segments)
         piece_left = CharacteristicPath(left.segments[new_left:])
         piece_right = CharacteristicPath(right.segments[new_right:])
-        for tau in sample_times(t0, t1, fs):
+        ts = corners(piece_left, piece_right)
+        for k in range(len(ts) - 1):
+            tau = (ts[k] + ts[k + 1]) / 2
             samples.append(tau)
             lo, hi = piece_left.position_at(tau), piece_right.position_at(tau)
-            m = psi_min(fs, lo, hi, tau) if lo < hi else None
+            m = psi_min(field, fs, lo, hi, tau) if lo < hi else None
             if m is not None:
                 if min_psi is None or m < min_psi:
                     min_psi = m
@@ -141,10 +143,15 @@ def maximum_principle_check(field, interval, t_end, tol=1e-10):
         x_right = step(field, fs, x_right, t1, t0, 1, rev_right)
         piece_left = CharacteristicPath(rev_left[new_left:][::-1])
         piece_right = CharacteristicPath(rev_right[new_right:][::-1])
+        # the mass is linear between corners; an interval's start is read
+        # by the interval below it, as that one's end
+        ts = corners(piece_left, piece_right)
+        if t0 != 0:
+            ts = ts[1:]
         masses.append([
             psi_integral(fs, piece_left.position_at(tau),
                          piece_right.position_at(tau), tau)
-            for tau in sample_times(t0, t1, fs)
+            for tau in ts
         ])
     masses = [mass for step_masses in reversed(masses)
               for mass in step_masses]

@@ -24,7 +24,7 @@ already built, and prints how far the ``tracemalloc`` peak of that call
 rises above what its two reports hold at the end, and the jump records
 the walk built (``FieldStats.states``).  A walk frees a record and its
 ledger terms once the state leaves the front list, so on CPython 3.11
-the peak rises 0.21 MiB above the reports' 1.56 MiB, with 2,197 records.
+the peak rises 0.21 MiB above the reports' 1.58 MiB, with 2,197 records.
 While the walk kept every record and terms object it had built (and
 each interval record two more sums), it rose 1.94 MiB above 1.80 MiB,
 with 2,182 records: 15 states of this pair come back.
@@ -39,24 +39,28 @@ time (2 while each loop kept its last slice, all 8 when a list kept them);
 the sine and rational pairs take their probe slices from the ledger's
 walk, so only the ledger's two endpoint slices come from ``slices_at``.
 
+Each of the three runs starts from a full garbage collection, so its
+peak does not move with what the run before it left behind (without
+one they read 0.70, 0.58 and 3.18 MiB, and the rational run 0.57 MiB
+while the sine run before it kept its probe slices to its end).
+
 On CPython 3.11 the wide pair's record holds 51,140 moves in 613,680
-bytes, and its run peaks at 3.20 MiB (sweep 2.26, event times 2.72,
-checks and writes 3.20).  It peaked at 3.41 MiB while two probe slices
+bytes, and its run peaks at 3.27 MiB (sweep 2.34, event times 2.81,
+checks and writes 3.27).  It peaked at 3.41 MiB while two probe slices
 were alive, and at 5.29 MiB (sweep 4.16, event times 4.23) while the
 sweep kept a second, sorted copy of its crossing times and the jump
 table's rows waited in a list for the table file.
-The sine and rational runs peak at 0.70 and 0.58 MiB.  The sine run
+The sine and rational runs peak at 0.74 and 0.67 MiB.  The sine run
 peaked at 0.80 MiB while the probe slices its ledger walk kept stayed
 alive through the maximum-principle check; the rational run peaked at
 1.34 MiB while its walk kept every jump record it had built and its
-ledger every terms object.  A run's peak also moves with what the run
-before it left behind: the rational run read 0.57 MiB while the sine
-run before it kept its probe slices to its end.
+ledger every terms object.
 
 Run from the repository root::
 
     PYTHONPATH=src python3 tests/record_census.py
 """
+import gc
 import random
 import sys
 import tempfile
@@ -206,6 +210,7 @@ def census(config, out_dir):
 
     with mock.patch.object(ClassifiedJump, "__init__", counted), \
             mock.patch.object(scenarios, "CoefficientField", Recorded):
+        gc.collect()    # what a run before this one left is not counted
         tracemalloc.start()
         try:
             run_scenario(config, out_dir=out_dir)

@@ -227,6 +227,46 @@ def test_max_principle_rejects_nonpositive_horizon():
             maximum_principle_check(field, (-1.0, 1.0), t_end)
 
 
+def _short_dip(exact):
+    # both edges move at speed 1 and cross two static jumps at 0.305 and
+    # 0.31; the negative piece between them is inside the funnel (t, t +
+    # 0.005) only for 0.30 < t < 0.31, where no time k / 50 falls
+    if exact:
+        return StaticField([(Fraction(61, 200), 0), (Fraction(31, 100), 0)],
+                           [1, 1, 1], kappa_values=[1, -1, 1],
+                           exact=True), (0, Fraction(1, 200))
+    return StaticField([(0.305, 0.0), (0.31, 0.0)], [1.0, 1.0, 1.0],
+                       kappa_values=[1.0, -1.0, 1.0]), (0, 0.005)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_max_principle_sees_a_dip_between_two_samples(exact):
+    # one read per stretch between the edges' bends at 0.3, 0.305 and
+    # 0.31; the two inside the dip fail
+    field, funnel = _short_dip(exact)
+    rep = maximum_principle_check(field, funnel, 1)
+    assert not rep.passed
+    assert rep.min_psi == -1
+    assert rep.sample_times == pytest.approx([0.15, 0.3025, 0.3075, 0.655])
+    assert [v.split(":")[0] for v in rep.violations[:2]] == [
+        f"t={t}" for t in rep.sample_times[1:3]]
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_the_funnel_passes_a_stack_of_fronts_in_both_modes(mode):
+    # the runs' fronts at 0 coincide; at t = 0.5 the float slice leaves a
+    # piece 2.8e-17 wide between them, with psi -0.1, that lies on the
+    # stack and is no piece of the funnel
+    rep = run_scenario({
+        "u1": {"pairs": [[0, 1]], "leading": -1},
+        "u2": {"pairs": [[0, "3/2"]], "leading": "-1/2"},
+        "h": "1/10", "time": {"start": 0, "end": 1},
+        "checks": ["max_principle"], "mode": mode,
+    }).reports["max_principle"]
+    assert rep.passed, rep.violations[:1]
+    assert rep.min_psi > -MAX_PRINCIPLE_TOL
+
+
 def _sine_field(n_cells, h):
     # u2 = u1 + 1/2 on a support shifted by 0.01, as in the sine benchmark
     def sine(params, lo):
@@ -455,8 +495,8 @@ def test_window_holds_jumps_whose_positions_are_out_of_order():
     assert _window(fs, t, 2.3, 2.4) == (1, [2.75, 2.5, 2.25])
     for lo, hi in ((2.3, 2.4), (2.6, 3.0), (1.0, 4.0), (2.4, 2.3)):
         if lo < hi:
-            assert (_psi_min(fs, lo, hi, t)
-                    == oracle.psi_min(fs, lo, hi, t))
+            assert (_psi_min(field, fs, lo, hi, t)
+                    == oracle.psi_min(field, fs, lo, hi, t))
         assert (_psi_integral(fs, lo, hi, t)
                 == oracle.psi_integral(fs, lo, hi, t))
     for x in (2.25, 2.4, 2.5, 2.75):
@@ -487,7 +527,7 @@ def test_rational_max_principle_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "report_max_principle.json":
-            "7b78384729a9b7e663a71c01fa425593a9cafa47dba63227996134c3651cf552",
+            "8790cbe32705af6fd95cc43f2281f7ac68039e9c1841d652059899b75cf63360",
         "characteristic_paths.csv":
             "9f3afcda1b147e9f772aac1095698b27e7f38604ea72428bb7236e2656b44ed2",
     }
@@ -495,8 +535,8 @@ def test_rational_max_principle_bytes_are_pinned(tmp_path):
 
 def test_exact_max_principle_takes_an_int_horizon_exactly():
     # an exact field takes an int horizon and funnel exactly: taken as
-    # given, the sample times k * 2 / n would be floats, and the drift
-    # would come out at 8.9e-16, not 0
+    # given, a stretch from t = 0 to the horizon 2 with no bend in it
+    # would be read at the float (0 + 2) / 2
     p1, p2 = random_scenario_pair(random.Random(7000), max_jumps=3,
                                   rational=True)
     field = CoefficientField(*(

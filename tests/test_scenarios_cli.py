@@ -917,9 +917,10 @@ def test_the_wide_oleinik_run_stays_under_its_memory_gate(tmp_path):
     # the census's wide pair: about 51k event times and 10,602 jump records
     # on 8 probe slices.  The run holds the sweep's record, the event times
     # until the probe times are set, and one probe slice at a time, while
-    # the jump table goes to its file row by row: 3.20 MiB traced on
-    # CPython 3.11.  A second copy of the crossing times or a table held in
-    # memory puts it above 5 MiB
+    # the jump table goes to its file row by row: 3.27 MiB traced on
+    # CPython 3.11, from a full garbage collection at the start.  A second
+    # copy of the crossing times or a table held in memory puts it above
+    # 5 MiB
     census = record_census.census(dict(record_census.configs())["wide"],
                                   str(tmp_path / "wide"))
     assert (census.records, census.alive) == (10602, 1)

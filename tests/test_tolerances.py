@@ -16,8 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = {
     "state_eps": 1e-12, "tie": 1e-12, "time": 1e-9, "fan_count": 1e-9,
     "classify": 1e-10, "tie_merge": 1e-12, "guard": 1e-9,
-    "anchor": 1e-9, "max_principle": 1e-10, "sample_gap": 1e-9, "psi": 1e-12,
-    "scale": 1e-8,
+    "anchor": 1e-9, "max_principle": 1e-10, "psi": 1e-12, "scale": 1e-8,
 }
 
 
