@@ -29,15 +29,15 @@ interval over as what changed since the one before
 (:class:`~wavetrack.coupling.FieldDelta`), so booking it costs O(changes);
 after an own event that moves the strength totals the weighted book is
 booked afresh, as a re-sum books it, but with no per-jump shared check and
-no slice.  Some intervals are re-summed for every book together: they
-move sums that cover nothing, every jump state of the stop and every
-piece between them entering in list order, and are then checked jump by
-jump, so violations keep their text and order; a re-sum builds the
-stop's slice only to name the position of a violation.  These are the
-first and the last interval, every ``_RESUM_STRIDE``-th in a row, one
-where more pieces change than there are jumps or a check of any book
-could fail, and the next after a re-sum that found such a check.  Exact
-sums are exact; float sums may move in their last digits.
+no slice.  An interval a delta cannot book is re-summed for every book
+together: it moves sums that cover nothing, every jump state of the stop
+and every piece between them entering in list order, and is then
+checked jump by jump, so violations keep their text and order; a re-sum
+builds the stop's slice only to name the position of a violation.  These
+are the first interval, one where more pieces change than there are
+jumps or a check of any book could fail, and the next after a re-sum
+that found such a check.  Exact sums are exact; float sums may move in
+their last digits.
 ``ledger_reports(cfield, ms, s, t)`` books one ledger per entry of
 ``ms`` (None: the plain norm; m: the weighted norm with offset m) from one
 walk: each stop, the missed-interaction check and every
@@ -164,7 +164,7 @@ class IntervalRecord(Report):
 class FunctionalReport(Report):
     """Reconciled norm ledger over [s, t]."""
 
-    _hidden = ("tol_scale", "delta_booked", "resummed", "max_drift")
+    _hidden = ("tol_scale", "delta_booked", "resummed")
 
     kind: str                      # "plain" or "weighted"
     m: object
@@ -185,11 +185,9 @@ class FunctionalReport(Report):
     tol_norm: object
     tol_scale: object              # the field's Tolerances.scale
     violations: list = dataclass_field(default_factory=list)
-    # intervals booked by delta and re-summed, and the largest drift
-    # |carried - re-summed| / (1 + |re-summed|) found at a re-sum
+    # intervals booked by delta and re-summed
     delta_booked: int = 0
     resummed: int = 0
-    max_drift: float = 0.0
 
     def norm_sequence(self):
         """Norm values in time order: endpoints plus interval boundary limits."""
@@ -199,11 +197,6 @@ class FunctionalReport(Report):
             out.append((rec.t_end, rec.norm_at(rec.t_end)))
         out.append((self.t, self.norm_end))
         return out
-
-
-# A walk re-sums at least every _RESUM_STRIDE-th interval from scratch, and
-# measures there how far the running sums drifted.
-_RESUM_STRIDE = 16
 
 
 @dataclass(slots=True)
@@ -223,7 +216,6 @@ class _Book:
     totals: tuple = None
     pieces: dict = None
     bounds: tuple = None
-    drift: float = 0.0
 
     def reset(self, terms, tol):
         """Cover nothing, to be booked afresh from the jump ``terms`` of a
@@ -567,13 +559,11 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
     (:class:`_Carry`, :func:`_book_delta`) by the walk's delta from the
     interval before, or re-summed: the delta from nothing to the stop's
     jump states, applied to a new carry and books that cover nothing.  The
-    first, the last, every ``_RESUM_STRIDE``-th in a row, one a delta
-    cannot book for some book and the next after a re-sum that found a
-    check that could fail at the walk's least tolerance are re-summed.
-    ``keep(n)``,
-    when given, picks the indices of some of the n intervals; the walk
-    keeps the slice at each of their stops, the field at the interval
-    midpoint (None kept without it).
+    first, one a delta cannot book for some book and the next after a
+    re-sum that found a check that could fail at the walk's least
+    tolerance are re-summed.  ``keep(n)``, when given, picks the indices
+    of some of the n intervals; the walk keeps the slice at each of their
+    stops, the field at the interval midpoint (None kept without it).
     """
     books = [_Book(None if m is None else WeightField(m)) for m in ms]
     s, t = exact_time(cfield, s), exact_time(cfield, t)
@@ -609,8 +599,14 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
     # tolerance of the walk is never below tol_min
     tol_norm = tol_min = tol_scale and tol_scale * (1 + base)
 
-    def resum(stop, whole, fresh, taus, tol_rate):
-        # every book moved from covering nothing by the ``whole`` delta (see
+    def rate_tol(sums):
+        # the tolerance of a rate: the scale times the interval's rate
+        # magnitudes and the plain-L1 size of the initial difference
+        return tol_scale and tol_scale * (1 + sums["rate_mags"] + base)
+
+    def resum(stop, fresh, taus):
+        # the new carry ``fresh`` and every book moved from covering nothing
+        # by the delta from nothing to the stop's jump states (see _whole and
         # _Carry.change), then checked jump by jump: the trace symmetry at
         # compressive and rarefaction-side jumps, the conservation relation
         # at undercompressive ones, the sign table and, per weighted book,
@@ -618,8 +614,9 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
         # position of a violation.  Returns the books' values and whether
         # no check could fail at the walk's least tolerance (a delta may
         # follow)
+        whole = fresh.change(_whole(stop.order(), ends[0][1]), terms_at)
         _, terms, _, into, *_ = whole
-        time = stop.time
+        time, tol_rate = stop.time, rate_tol(fresh.sums)
         clean = not any(a.risky for a in terms)
         shared = {}     # jump index -> its violations of the shared checks
         for idx, a in enumerate(terms):
@@ -656,7 +653,6 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
         return vals, clean
 
     carry = None    # the shared running sums, when a delta may follow
-    since = 0       # intervals booked by delta since the last re-sum
     deltas = 0      # intervals booked by delta
     for i, (t0, t1, stop) in enumerate(chain([first], walk)):
         if i in kept_at:
@@ -665,29 +661,17 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
         taus = (t0 + dt / 4, t0 + 3 * dt / 4)
         span = taus[1] - taus[0]
         ch = carry.change(stop.delta(), terms_at) if carry else None
-        carried = [_book_delta(book, ch, carry, taus) if ch else None
-                   for book in books]
+        vals = [_book_delta(book, ch, carry, taus) if ch else None
+                for book in books]
         # a delta books the interval for every book, or a re-sum does
-        full = (ch is None or None in carried or since >= _RESUM_STRIDE - 1
-                or t1 == t)
-        live, vals = carry, carried
-        if full:
+        if ch is None or None in vals:
             live = _Carry(window, zero, ends)
-            whole = live.change(_whole(stop.order(), ends[0][1]), terms_at)
-        counts, sums = live.counts, live.sums
-        tol_rate = tol_scale and tol_scale * (1 + sums["rate_mags"] + base)
-        if full:
-            vals, clean = resum(stop, whole, live, taus, tol_rate)
-            for book, old, new in zip(books, carried, vals):
-                if old is not None:
-                    # drift: |carried - re-summed| / (1 + |re-summed|)
-                    pairs = [*zip(old[:-1], new[:-1]), *(
-                        (carry.sums[k], sums[k]) for k, *_ in _CHECK_SUMS)]
-                    book.drift = max([book.drift, *(
-                        float(abs(a - b) / (1 + abs(b))) for a, b in pairs)])
-            carry, since = live if clean else None, 0
+            vals, clean = resum(stop, live, taus)
+            carry = live if clean else None
         else:
-            since, deltas = since + 1, deltas + 1
+            live, deltas = carry, deltas + 1
+        counts, sums = live.counts, live.sums
+        tol_rate = rate_tol(sums)
         for book, (n_lo, n_hi, *r, flux) in zip(books, vals):
             interior, lax, slow_fast, rs_main, rs_b = r
             residual_norm = abs((n_hi - n_lo) - span * (interior + flux))
@@ -817,7 +801,6 @@ def ledger_reports(cfield: CoefficientField, ms, s, t, keep=None):
             violations=violations,
             delta_booked=deltas,
             resummed=len(intervals) - deltas,
-            max_drift=book.drift,
         ))
     return reports, kept
 

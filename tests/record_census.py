@@ -21,13 +21,17 @@ the writes):
 It then books the plain and the weighted ledger of the sine pair at
 n_cells 64, h 0.05 (the ``sine_full`` shape) from a field whose sweep is
 already built, and prints how far the ``tracemalloc`` peak of that call
-rises above what its two reports hold at the end, and the jump records
-the walk built (``FieldStats.states``).  A walk frees a record and its
-ledger terms once the state leaves the front list, so on CPython 3.11
-the peak rises 0.21 MiB above the reports' 1.58 MiB, with 2,197 records.
-While the walk kept every record and terms object it had built (and
-each interval record two more sums), it rose 1.94 MiB above 1.80 MiB,
-with 2,182 records: 15 states of this pair come back.
+rises above what its two reports hold at the end, the jump records the
+walk built (``FieldStats.states``), and the intervals each book re-summed
+and booked by delta.  That call starts from a full garbage collection
+too.  A walk frees a record and its ledger terms once the state leaves
+the front list, so on CPython 3.11 the peak rises 0.20 MiB above the
+reports' 1.68 MiB, with 2,197 records, and each book re-sums 1 of its
+1,040 intervals (0.21 MiB above 1.73 MiB, and 66 re-sums, while a walk
+re-summed every 16th interval and the last).  While the walk kept every
+record and terms object it had built (and each interval record two more
+sums), it rose 1.94 MiB above 1.80 MiB (with no collection first), with
+2,182 records: 15 states of this pair come back.
 
 The record counts and the counters repeat exactly, so two versions of the
 program that classify the same jump states print the same census; the
@@ -50,7 +54,7 @@ checks and writes 3.27).  It peaked at 3.41 MiB while two probe slices
 were alive, and at 5.29 MiB (sweep 4.16, event times 4.23) while the
 sweep kept a second, sorted copy of its crossing times and the jump
 table's rows waited in a list for the table file.
-The sine and rational runs peak at 0.74 and 0.67 MiB.  The sine run
+The sine and rational runs peak at 0.73 and 0.65 MiB.  The sine run
 peaked at 0.80 MiB while the probe slices its ledger walk kept stayed
 alive through the maximum-principle check; the rational run peaked at
 1.34 MiB while its walk kept every jump record it had built and its
@@ -243,6 +247,7 @@ def ledger_census(config):
     spec = parse_scenario(config)
     field = CoefficientField(*build_runs(spec))
     field.event_times(spec.t_start, spec.t_end)
+    gc.collect()    # what ran before this call is not counted
     tracemalloc.start()
     try:
         reports, _ = ledger_reports(field, [None, spec.m], spec.t_start,
@@ -267,6 +272,8 @@ if __name__ == "__main__":
                   "phase peaks " + ", ".join(f"{k} {mib(v)}"
                                        for k, v in c.phases.items()))
             print("  " + ", ".join(f"{k} {v}" for k, v in c.stats.items()))
-    _, above, held, states = ledger_census(ledger_config())
+    reports, above, held, states = ledger_census(ledger_config())
     print(f"ledger (sine n_cells 64, h 0.05): peak {mib(above)} above the "
-          f"reports' {mib(held)}, states {states}")
+          f"reports' {mib(held)}, states {states}, re-summed/by delta "
+          + ", ".join(f"{r.kind} {r.resummed}/{r.delta_booked}"
+                      for r in reports))

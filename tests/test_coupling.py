@@ -839,10 +839,10 @@ def test_one_walk_classifies_each_state_once():
     intervals = len(field.event_times(0.0, 2.0)) + 1
     assert len(plain.intervals) == len(weighted.intervals) == intervals
     stats = field.stats
-    # the books re-sum at the first, the 16th and the last interval, from
-    # the stops' jump states: no slice is built
+    # the books re-sum at the first interval alone, from the stop's jump
+    # states: no slice is built
     assert stats.intervals == intervals == 33
-    assert plain.resummed == weighted.resummed == 3
+    assert plain.resummed == weighted.resummed == 1
     assert stats.slices == 0
     assert stats.at_slices == 2
     assert stats.deltas > 0
